@@ -38,7 +38,6 @@ from .interferometer import (
     build_tree,
     coincidence,
     correction_for_branch,
-    correction_phase,
     detect,
     entangled_yield,
     feedback_run,

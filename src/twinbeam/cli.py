@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .errors import TwinbeamError
+from .errors import NetworkError, TwinbeamError
 from .fock import Statistics
 from .interferometer import (
     Network,
@@ -30,90 +29,43 @@ from .interferometer import (
 from .reporting import SAMPLED, Scalar, ScenarioReport, canonical_json
 from .scenarios import (
     DEFAULT_SEED,
+    MAX_SCENARIO_TREE_DEPTH,
+    SCENARIOS,
+    Param,
+    Scenario,
     list_scenarios,
-    scenario_complementarity,
-    scenario_dual,
-    scenario_feedback,
-    scenario_fig1,
-    scenario_fig2,
-    scenario_gaussian,
-    scenario_mixed_input,
-    scenario_statistics_test,
-    scenario_tree,
 )
 
 _FORMATS = ("table", "json", "csv")
 
-#: per-scenario CLI parameters beyond --statistics, with defaults
-_SCENARIO_PARAMS: dict[str, dict[str, Any]] = {
-    "fig1": {},
-    "fig2": {},
-    "tree": {"depth": 2},
-    "feedback": {"depth": 7, "trials": 0, "seed": DEFAULT_SEED},
-    "statistics-test": {},
-    "mixed-input": {},
-    "complementarity": {"grid": 21},
-    "gaussian": {"velocity": 1.0, "width": 1.0, "delay_max": 3.0, "grid": 21},
-    "dual": {},
-}
+
+def _run_flags() -> dict[str, Param]:
+    """Every scenario parameter once, in registry order; its first declaration gives the help."""
+    flags: dict[str, Param] = {}
+    for entry in SCENARIOS.values():
+        for param in entry.params:
+            flags.setdefault(param.name, param)
+    return flags
 
 
-@dataclass
-class RunConfig:
-    """Validated scenario invocation."""
-
-    scenario: str
-    statistics: Statistics
-    params: dict[str, Any] = field(default_factory=dict)
-    fmt: str = "table"
-    output: Path | None = None
-
-
-def _build_run_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    if args.scenario not in _SCENARIO_PARAMS:
+def _scenario_call(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> tuple[Scenario, dict[str, Any]]:
+    entry = SCENARIOS.get(args.scenario)
+    if entry is None:
         parser.error(
             f"unknown scenario {args.scenario!r}; run 'twinbeam list' for the catalog"
         )
-    allowed = _SCENARIO_PARAMS[args.scenario]
-    params = dict(allowed)
-    for name in ("depth", "trials", "seed", "grid", "velocity", "width", "delay_max"):
+    params = {p.name: p.default for p in entry.params}
+    for name in _run_flags():
         value = getattr(args, name)
         if value is None:
             continue
-        if name not in allowed:
+        if name not in params:
             flag = "--" + name.replace("_", "-")
             parser.error(f"scenario {args.scenario!r} does not take {flag}")
         params[name] = value
-    return RunConfig(
-        scenario=args.scenario,
-        statistics=Statistics.from_name(args.statistics),
-        params=params,
-        fmt=args.format,
-        output=args.output,
-    )
-
-
-def _run_scenario(config: RunConfig) -> ScenarioReport:
-    s, p = config.statistics, config.params
-    if config.scenario == "fig1":
-        return scenario_fig1(s)
-    if config.scenario == "fig2":
-        return scenario_fig2(s)
-    if config.scenario == "tree":
-        return scenario_tree(p["depth"], s)
-    if config.scenario == "feedback":
-        return scenario_feedback(p["depth"], s, trials=p["trials"], seed=p["seed"])
-    if config.scenario == "statistics-test":
-        return scenario_statistics_test(s)
-    if config.scenario == "mixed-input":
-        return scenario_mixed_input(s)
-    if config.scenario == "complementarity":
-        return scenario_complementarity(p["grid"], s)
-    if config.scenario == "gaussian":
-        return scenario_gaussian(p["velocity"], p["width"], p["delay_max"], p["grid"], s)
-    if config.scenario == "dual":
-        return scenario_dual(s)
-    raise TwinbeamError(f"no runner for scenario {config.scenario!r}")
+    return entry, params
 
 
 def _emit(text: str, output: Path | None) -> None:
@@ -139,11 +91,11 @@ def _clicks_network(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         try:
             data = json.loads(Path(args.network).read_text())
             return Network.from_dict(data)
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (OSError, json.JSONDecodeError, KeyError, TypeError, NetworkError) as exc:
             parser.error(f"cannot load network file {args.network!r}: {exc}")
     if args.depth is not None:
-        if not 1 <= args.depth <= 7:
-            parser.error("--depth must be between 1 and 7")
+        if not 1 <= args.depth <= MAX_SCENARIO_TREE_DEPTH:
+            parser.error(f"--depth must be between 1 and {MAX_SCENARIO_TREE_DEPTH}")
         return build_tree(args.depth)
     return fig1_network() if args.fig == 1 else fig2_network()
 
@@ -152,15 +104,10 @@ def _run_clicks(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Sc
     net = _clicks_network(args, parser)
     if len(net.inputs) < 2:
         parser.error("the network needs two input paths for the opposite-spin pair")
-    if args.trials < 1:
-        parser.error("--trials must be at least 1")
     statistics = Statistics.from_name(args.statistics)
-    state = opposite_spin_input(statistics, net)
-    histogram = sample_clicks(net, state, args.trials, args.seed)
-    exact = {
-        b.pattern: b.probability
-        for b in detect(run_network(net, state), net.monitored)
-    }
+    branches = detect(run_network(net, opposite_spin_input(statistics, net)), net.monitored)
+    histogram = sample_clicks(branches, args.trials, args.seed)
+    exact = branches.probabilities()
     rows = []
     for pattern in sorted(set(exact) | set(histogram), key=lambda p: (len(p), sorted(p))):
         count = histogram.get(pattern, 0)
@@ -214,13 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--statistics", choices=("boson", "fermion"), default="fermion",
         help="particle statistics (default fermion)",
     )
-    run_p.add_argument("--depth", type=int, default=None, help="tree depth or feedback rounds")
-    run_p.add_argument("--trials", type=int, default=None, help="Monte Carlo trajectories (0 = exact only)")
-    run_p.add_argument("--seed", type=int, default=None, help=f"sampling seed (default {DEFAULT_SEED})")
-    run_p.add_argument("--grid", type=int, default=None, help="number of sweep points")
-    run_p.add_argument("--velocity", type=float, default=None, help="packet velocity")
-    run_p.add_argument("--width", type=float, default=None, help="packet width")
-    run_p.add_argument("--delay-max", dest="delay_max", type=float, default=None, help="largest packet delay")
+    for name, param in _run_flags().items():
+        run_p.add_argument(
+            "--" + name.replace("_", "-"), dest=name, type=param.type, default=None,
+            help=param.help,
+        )
     run_p.add_argument("--format", choices=_FORMATS, default="table")
     run_p.add_argument("--output", type=Path, default=None, help="write to file instead of stdout")
 
@@ -252,22 +197,19 @@ def main(argv: list[str] | None = None) -> int:
                         f"{r['name']:<{width}}  {r['parameters']:<{pwidth}}  {r['claim']}\n"
                     )
             return 0
-        if args.command == "run":
-            config = _build_run_config(args, parser)
-            try:
-                report = _run_scenario(config)
-            except ValueError as exc:
-                parser.error(str(exc))
-            _emit(_render(report, config.fmt), config.output)
-            return 0
-        if args.command == "clicks":
-            report = _run_clicks(args, parser)
-            _emit(_render(report, args.format), args.output)
-            return 0
+        try:
+            if args.command == "run":
+                entry, params = _scenario_call(args, parser)
+                report = entry.run(statistics=Statistics.from_name(args.statistics), **params)
+            else:
+                report = _run_clicks(args, parser)
+        except ValueError as exc:
+            parser.error(str(exc))
+        _emit(_render(report, args.format), args.output)
+        return 0
     except TwinbeamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

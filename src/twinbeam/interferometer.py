@@ -122,8 +122,23 @@ class Network:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Network":
-        splitters = tuple(BeamSplitter(*map(str, quad)) for quad in data["splitters"])
-        return cls(splitters, tuple(data["inputs"]), tuple(data["monitored"]))
+        """Inverse of :meth:`to_dict`; every path name must be a JSON string."""
+        quads = data["splitters"]
+        if not isinstance(quads, list) or any(
+            not isinstance(q, list) or len(q) != 4 for q in quads
+        ):
+            raise NetworkError("splitters must be a list of [in1, in2, out1, out2] lists")
+        splitters = tuple(BeamSplitter(*_path_names(q, "splitter ports")) for q in quads)
+        monitored = _path_names(data["monitored"], "monitored")
+        if not monitored:
+            raise NetworkError("a network needs at least one monitored path")
+        return cls(splitters, _path_names(data["inputs"], "inputs"), monitored)
+
+
+def _path_names(value, what: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(p, str) for p in value):
+        raise NetworkError(f"{what} must be a list of path-name strings, got {value!r}")
+    return tuple(value)
 
 
 class Branch(NamedTuple):
@@ -341,41 +356,15 @@ def feedback_run(max_rounds: int, statistics: Statistics) -> list[FeedbackRound]
     return rounds
 
 
-def _infer_network(pattern: ExcitationPattern) -> Network:
-    paths = sorted(pattern)
-    if set(paths) <= {"C", "D"}:
-        return fig1_network()
-    if set(paths) <= {"E", "F", "G", "H"}:
-        return fig2_network()
-    lengths = {len(p) for p in paths}
-    if len(lengths) == 1 and all(set(p) <= {"0", "1"} for p in paths):
-        return build_tree(lengths.pop())
-    raise NetworkError(f"pattern {paths} does not belong to a shipped network")
-
-
-def correction_phase(
-    pattern: ExcitationPattern, statistics: Statistics
-) -> dict[str, np.ndarray]:
+def correction_for_branch(branch: Branch) -> dict[str, np.ndarray]:
     """Local spin unitaries turning a coincidence branch into psi+.
 
-    The branch is the one produced by the shipped network this pattern
-    belongs to (single splitter, its four-output extension, or a deeper
-    tree) fed with the opposite-spin input.  Returns only the
-    non-identity per-path 2x2 corrections; composing them with the
-    branch state gives the |up down> + |down up> Bell pair on the two
-    firing paths, up to global phase.
+    Returns only the non-identity per-path 2x2 corrections; composing
+    them with the branch state gives the |up down> + |down up> Bell pair
+    on the two firing paths, up to global phase.
     """
-    pattern = frozenset(pattern)
-    if len(pattern) != 2:
-        raise NetworkError(f"pattern {sorted(pattern)} is not a two-detector coincidence")
-    net = _infer_network(pattern)
-    branches = detect(run_network(net, opposite_spin_input(statistics, net)), net.monitored)
-    branch = branches[pattern]
-    return correction_for_branch(branch)
-
-
-def correction_for_branch(branch: Branch) -> dict[str, np.ndarray]:
-    """Per-path spin correction for one already-computed coincidence branch."""
+    if not coincidence(branch.pattern):
+        raise NetworkError(f"pattern {sorted(branch.pattern)} is not a two-detector coincidence")
     p1, p2 = sorted(branch.pattern)
     alpha = branch.state.amplitude([Mode(p1, Spin.UP), Mode(p2, Spin.DOWN)])
     beta = branch.state.amplitude([Mode(p1, Spin.DOWN), Mode(p2, Spin.UP)])
@@ -399,17 +388,14 @@ def apply_correction(state: FockState, correction: dict[str, np.ndarray]) -> Foc
     return state
 
 
-def sample_clicks(
-    net: Network, state: FockState, trials: int, seed: int
-) -> dict[ExcitationPattern, int]:
-    """Sample detector patterns from the exact branch distribution.
+def sample_clicks(branches: BranchSet, trials: int, seed: int) -> dict[ExcitationPattern, int]:
+    """Sample detector patterns from the exact distribution of detected branches.
 
     Deterministic for a given seed; patterns that never occur are
     omitted from the histogram.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
-    branches = detect(run_network(net, state), net.monitored)
     probs = np.array([b.probability for b in branches])
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(trials, probs / probs.sum())

@@ -47,9 +47,11 @@ class TwoQubitDM:
     labels: tuple[str, str]
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        # a private read-only copy: validated once here, it cannot change afterwards
+        m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got {m.shape}")
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         self.validate()
 
@@ -155,7 +157,6 @@ def concurrence(dm: TwoQubitDM) -> float:
     sqrt(rho) (sy x sy) sqrt(rho)*, which shares that spectrum but
     stays in well-conditioned Hermitian factorizations.
     """
-    dm.validate()
     rho = dm.matrix
     eigvals, eigvecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
     root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
@@ -199,7 +200,6 @@ def _bloch_observable(v: np.ndarray) -> np.ndarray:
 
 def chsh_expectation(dm: TwoQubitDM, settings: ChshSettings | None = None) -> float:
     """Expectation of a b + a b' + a' b - a' b' in the given state."""
-    dm.validate()
     settings = settings or default_chsh_settings()
     a = _bloch_observable(settings.a)
     a_p = _bloch_observable(settings.a_prime)

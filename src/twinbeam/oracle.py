@@ -52,9 +52,6 @@ class FirstQuantizedState:
     def index(self, label: Mode) -> int:
         return self.labels.index(label)
 
-    def probability_matrix(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
 
 def pair_state(
     statistics: Statistics, labels: Sequence[Mode], one: Mode, two: Mode

@@ -62,27 +62,15 @@ def _jsonify(value: Any, digits: int = JSON_DIGITS) -> Any:
     raise TypeError(f"cannot serialize value of type {type(value)!r}")
 
 
-def _csv_cell(value: Any) -> str:
+def _cell(value: Any, digits: int) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value + 0.0:.{JSON_DIGITS}g}"
+        return f"{value + 0.0:.{digits}g}"
     if isinstance(value, complex):
-        return f"{value.real + 0.0:.{JSON_DIGITS}g}{value.imag + 0.0:+.{JSON_DIGITS}g}j"
-    return str(value)
-
-
-def _table_cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value + 0.0:.{TABLE_DIGITS}g}"
-    if isinstance(value, complex):
-        return f"{value.real + 0.0:.{TABLE_DIGITS}g}{value.imag + 0.0:+.{TABLE_DIGITS}g}j"
+        return f"{value.real + 0.0:.{digits}g}{value.imag + 0.0:+.{digits}g}j"
     return str(value)
 
 
@@ -137,23 +125,23 @@ class ScenarioReport:
                         header.append(key)
             buf.write(",".join(header) + "\n")
             for row in self.table:
-                buf.write(",".join(_csv_cell(row.get(k)) for k in header) + "\n")
+                buf.write(",".join(_cell(row.get(k), JSON_DIGITS) for k in header) + "\n")
         else:
             buf.write("name,value,provenance\n")
             for name, s in self.scalars.items():
-                buf.write(f"{name},{_csv_cell(s.value)},{s.provenance}\n")
+                buf.write(f"{name},{_cell(s.value, JSON_DIGITS)},{s.provenance}\n")
         return buf.getvalue()
 
     def to_table(self) -> str:
         lines = [f"scenario: {self.scenario}  [{self.statistics}]"]
         if self.parameters:
-            rendered = ", ".join(f"{k}={_table_cell(v)}" for k, v in self.parameters.items())
+            rendered = ", ".join(f"{k}={_cell(v, TABLE_DIGITS)}" for k, v in self.parameters.items())
             lines.append(f"parameters: {rendered}")
         if self.scalars:
             lines.append("")
             width = max(len(n) for n in self.scalars)
             for name, s in self.scalars.items():
-                lines.append(f"  {name:<{width}}  {_table_cell(s.value)}  ({s.provenance})")
+                lines.append(f"  {name:<{width}}  {_cell(s.value, TABLE_DIGITS)}  ({s.provenance})")
         if self.table:
             lines.append("")
             header: list[str] = []
@@ -161,7 +149,7 @@ class ScenarioReport:
                 for key in row:
                     if key not in header:
                         header.append(key)
-            cells = [[_table_cell(row.get(k)) for k in header] for row in self.table]
+            cells = [[_cell(row.get(k), TABLE_DIGITS) for k in header] for row in self.table]
             widths = [
                 max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
                 for i, h in enumerate(header)

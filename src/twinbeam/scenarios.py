@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .metrics import (
     coincidence_spin_dm,
     complementarity_check,
     concurrence,
+    distinguishability,
     gaussian_overlap,
     infer_concurrence_from_chsh,
     reduce_to_spin_dm,
@@ -50,6 +51,9 @@ SPIN_MIXER = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 #: correlation magnitudes below this are reported as inconclusive
 VERDICT_DEAD_ZONE = 0.1
+
+#: deepest tree the tree scenario and ``twinbeam clicks --depth`` accept
+MAX_SCENARIO_TREE_DEPTH = 7
 
 
 @dataclass(frozen=True)
@@ -165,8 +169,8 @@ def scenario_fig2(statistics: Statistics) -> ScenarioReport:
 
 def scenario_tree(depth: int, statistics: Statistics) -> ScenarioReport:
     """Depth-N splitting tree: entangled yield 1 - 1/2**N."""
-    if not 1 <= depth <= 7:
-        raise ValueError("tree scenario supports depths 1 through 7")
+    if not 1 <= depth <= MAX_SCENARIO_TREE_DEPTH:
+        raise ValueError(f"tree scenario supports depths 1 through {MAX_SCENARIO_TREE_DEPTH}")
     net = build_tree(depth)
     branches, total = _coincidence_summary(net, statistics)
     return ScenarioReport(
@@ -327,10 +331,11 @@ def scenario_complementarity(grid: int, statistics: Statistics) -> ScenarioRepor
     max_chsh_dev = 0.0
     for overlap_sq in np.linspace(0.0, 1.0, grid):
         overlap = math.sqrt(float(overlap_sq))
-        entanglement, discrimination, total = complementarity_check(overlap, statistics)
-        chsh_inferred = infer_concurrence_from_chsh(
-            coincidence_spin_dm(statistics, overlap), statistics
-        )
+        dm = coincidence_spin_dm(statistics, overlap)
+        entanglement = concurrence(dm)
+        discrimination = distinguishability(overlap)
+        total = entanglement + discrimination
+        chsh_inferred = infer_concurrence_from_chsh(dm, statistics)
         max_total_dev = max(max_total_dev, abs(total - 1.0))
         max_chsh_dev = max(max_chsh_dev, abs(chsh_inferred - entanglement))
         rows.append(
@@ -421,69 +426,115 @@ def scenario_dual(statistics: Statistics) -> ScenarioReport:
     )
 
 
-class ScenarioInfo(NamedTuple):
+class Param(NamedTuple):
+    """One scenario parameter besides ``statistics``, as ``twinbeam run`` offers it."""
+
     name: str
-    parameters: tuple[str, ...]
+    type: type
+    default: int | float
+    help: str
+
+
+class Scenario(NamedTuple):
+    """One shipped scenario: its runner, its parameters and the claim it checks.
+
+    ``run`` takes ``statistics`` and every parameter by keyword and does
+    its own range checks, raising :class:`ValueError`.
+    """
+
+    name: str
+    run: Callable[..., ScenarioReport]
+    params: tuple[Param, ...]
     claim: str
 
-
-_CATALOG = [
-    ScenarioInfo(
-        "complementarity",
-        ("statistics", "grid"),
-        "post-selected entanglement E and tag distinguishability D satisfy E + D = 1",
-    ),
-    ScenarioInfo(
-        "dual",
-        ("statistics",),
-        "one coincidence state is spin-entangled with paths as labels and "
-        "path-entangled with spins as labels",
-    ),
-    ScenarioInfo(
-        "feedback",
-        ("statistics", "depth", "trials", "seed"),
-        "re-injecting bunched pairs through the same splitter drives the failure "
-        "probability down as 2^-N",
-    ),
-    ScenarioInfo(
-        "fig1",
-        ("statistics",),
-        "a two-detector coincidence (probability 1/2) heralds a maximally "
-        "entangled spin pair",
-    ),
-    ScenarioInfo(
-        "fig2",
-        ("statistics",),
-        "with two extra splitters a coincidence occurs in 75 percent of the "
-        "cases, each heralding an entangled pair",
-    ),
-    ScenarioInfo(
-        "gaussian",
-        ("statistics", "velocity", "width", "delay-max", "grid"),
-        "Gaussian packets of width sigma delayed by dt give "
-        "E = exp(-v^2 dt^2 / (2 sigma^2))",
-    ),
-    ScenarioInfo(
-        "mixed-input",
-        ("statistics",),
-        "unpolarized inputs still yield a maximally entangled pair for bosons "
-        "but a separable state for fermions",
-    ),
-    ScenarioInfo(
-        "statistics-test",
-        ("statistics",),
-        "rotated spin correlations after a coincidence are +1 for fermions "
-        "and -1 for bosons",
-    ),
-    ScenarioInfo(
-        "tree",
-        ("statistics", "depth"),
-        "a depth-N splitting tree delivers entangled pairs with probability "
-        "1 - 1/2^N",
-    ),
-]
+    @property
+    def parameters(self) -> tuple[str, ...]:
+        """Parameter names as the catalog shows them, ``statistics`` first."""
+        return ("statistics",) + tuple(p.name.replace("_", "-") for p in self.params)
 
 
-def list_scenarios() -> list[ScenarioInfo]:
+_DEPTH_HELP = "tree depth or feedback rounds"
+_GRID = Param("grid", int, 21, "number of sweep points")
+
+#: every shipped scenario by name; the command line's flags follow this order
+SCENARIOS: dict[str, Scenario] = {
+    s.name: s
+    for s in (
+        Scenario(
+            "fig1",
+            scenario_fig1,
+            (),
+            "a two-detector coincidence (probability 1/2) heralds a maximally "
+            "entangled spin pair",
+        ),
+        Scenario(
+            "fig2",
+            scenario_fig2,
+            (),
+            "with two extra splitters a coincidence occurs in 75 percent of the "
+            "cases, each heralding an entangled pair",
+        ),
+        Scenario(
+            "tree",
+            scenario_tree,
+            (Param("depth", int, 2, _DEPTH_HELP),),
+            "a depth-N splitting tree delivers entangled pairs with probability "
+            "1 - 1/2^N",
+        ),
+        Scenario(
+            "feedback",
+            scenario_feedback,
+            (
+                Param("depth", int, 7, _DEPTH_HELP),
+                Param("trials", int, 0, "Monte Carlo trajectories (0 = exact only)"),
+                Param("seed", int, DEFAULT_SEED, f"sampling seed (default {DEFAULT_SEED})"),
+            ),
+            "re-injecting bunched pairs through the same splitter drives the failure "
+            "probability down as 2^-N",
+        ),
+        Scenario(
+            "statistics-test",
+            scenario_statistics_test,
+            (),
+            "rotated spin correlations after a coincidence are +1 for fermions "
+            "and -1 for bosons",
+        ),
+        Scenario(
+            "mixed-input",
+            scenario_mixed_input,
+            (),
+            "unpolarized inputs still yield a maximally entangled pair for bosons "
+            "but a separable state for fermions",
+        ),
+        Scenario(
+            "complementarity",
+            scenario_complementarity,
+            (_GRID,),
+            "post-selected entanglement E and tag distinguishability D satisfy E + D = 1",
+        ),
+        Scenario(
+            "gaussian",
+            scenario_gaussian,
+            (
+                Param("velocity", float, 1.0, "packet velocity"),
+                Param("width", float, 1.0, "packet width"),
+                Param("delay_max", float, 3.0, "largest packet delay"),
+                _GRID,
+            ),
+            "Gaussian packets of width sigma delayed by dt give "
+            "E = exp(-v^2 dt^2 / (2 sigma^2))",
+        ),
+        Scenario(
+            "dual",
+            scenario_dual,
+            (),
+            "one coincidence state is spin-entangled with paths as labels and "
+            "path-entangled with spins as labels",
+        ),
+    )
+}
+
+
+def list_scenarios() -> list[Scenario]:
     """Stable, sorted catalog of the shipped scenarios."""
-    return sorted(_CATALOG, key=lambda info: info.name)
+    return sorted(SCENARIOS.values(), key=lambda s: s.name)

@@ -1,6 +1,9 @@
 """Tests for the command-line interface: exit codes, formats, determinism."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,18 @@ from twinbeam import cli
 from twinbeam.errors import ImpossiblePostselectionError
 from twinbeam.interferometer import fig2_network
 from twinbeam.reporting import canonical_json
+from twinbeam.scenarios import SCENARIOS
+
+
+def readme_commands() -> list[str]:
+    """Every ``twinbeam ...`` line of the README's Command line section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    commands = [c for c in commands if c.startswith("twinbeam ")]
+    assert commands, "the README's Command line section lists no twinbeam commands"
+    return commands
 
 
 def run_cli(capsys, *argv):
@@ -101,7 +116,7 @@ class TestRun:
         def boom(statistics):
             raise ImpossiblePostselectionError("nothing to select")
 
-        monkeypatch.setattr(cli, "scenario_fig1", boom)
+        monkeypatch.setitem(SCENARIOS, "fig1", SCENARIOS["fig1"]._replace(run=boom))
         code, _, err = run_cli(capsys, "run", "fig1")
         assert code == 3
         assert "nothing to select" in err
@@ -146,3 +161,28 @@ class TestClicks:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["clicks", "--network", str(path)])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"inputs": "AB"},
+            {"monitored": []},
+            {"splitters": [["A", "A", "D", "C"]]},
+        ],
+        ids=["string-inputs", "empty-monitored", "duplicate-splitter-ports"],
+    )
+    def test_invalid_network_file_is_usage_error(self, capsys, tmp_path, change):
+        data = fig2_network().to_dict()
+        data.update(change)
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["clicks", "--network", str(path)])
+        assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("command", readme_commands())
+def test_readme_command_succeeds(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my_network.json").write_text(json.dumps(fig2_network().to_dict()))
+    assert cli.main(shlex.split(command)[1:]) == 0

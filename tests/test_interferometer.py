@@ -14,7 +14,7 @@ from twinbeam.interferometer import (
     apply_correction,
     build_tree,
     coincidence,
-    correction_phase,
+    correction_for_branch,
     detect,
     entangled_yield,
     feedback_run,
@@ -71,6 +71,25 @@ class TestNetworkValidation:
     def test_dict_round_trip(self):
         net = fig2_network()
         assert Network.from_dict(net.to_dict()) == net
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"inputs": "AB"},
+            {"monitored": []},
+            {"monitored": "CD"},
+            {"splitters": [["A", "B", "D", 1]], "monitored": ["1", "D"]},
+            {"splitters": [["A", "B", "D"]]},
+            {"splitters": "ABDC"},
+        ],
+        ids=["string-inputs", "empty-monitored", "string-monitored", "integer-port",
+             "three-ports", "string-splitters"],
+    )
+    def test_from_dict_rejects_malformed_document(self, change):
+        data = {"splitters": [["A", "B", "D", "C"]], "inputs": ["A", "B"], "monitored": ["C", "D"]}
+        data.update(change)
+        with pytest.raises(NetworkError):
+            Network.from_dict(data)
 
 
 class TestRunNetwork:
@@ -259,34 +278,33 @@ class TestFeedback:
             feedback_run(0, Statistics.BOSON)
 
 
+def detected_branches(net, statistics):
+    return detect(run_network(net, opposite_spin_input(statistics, net)), net.monitored)
+
+
 class TestCorrection:
     def test_fermion_eg_pattern_needs_no_correction(self):
-        assert correction_phase(frozenset({"E", "G"}), Statistics.FERMION) == {}
+        branches = detected_branches(fig2_network(), Statistics.FERMION)
+        assert correction_for_branch(branches[{"E", "G"}]) == {}
 
     def test_fermion_gh_pattern_gets_phase(self):
-        correction = correction_phase(frozenset({"G", "H"}), Statistics.FERMION)
+        branches = detected_branches(fig2_network(), Statistics.FERMION)
+        correction = correction_for_branch(branches[{"G", "H"}])
         assert set(correction) == {"G"}
         assert np.allclose(correction["G"], np.diag([1.0, -1.0]))
 
     def test_rejects_single_detector_pattern(self):
+        branches = detected_branches(fig2_network(), Statistics.FERMION)
         with pytest.raises(NetworkError):
-            correction_phase(frozenset({"E"}), Statistics.FERMION)
-
-    def test_rejects_unknown_pattern(self):
-        with pytest.raises(NetworkError):
-            correction_phase(frozenset({"Z", "W"}), Statistics.FERMION)
+            correction_for_branch(branches[{"E"}])
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     @pytest.mark.parametrize("depth", [2, 3])
     def test_all_tree_coincidences_correct_to_target(self, statistics, depth):
-        net = build_tree(depth)
-        branches = detect(run_network(net, opposite_spin_input(statistics, net)), net.monitored)
-        for branch in branches:
+        for branch in detected_branches(build_tree(depth), statistics):
             if not coincidence(branch.pattern):
                 continue
-            corrected = apply_correction(
-                branch.state, correction_phase(branch.pattern, statistics)
-            )
+            corrected = apply_correction(branch.state, correction_for_branch(branch))
             p1, p2 = sorted(branch.pattern)
             dm = reduce_to_spin_dm(corrected, p1, p2)
             assert abs(dm.fidelity(PSI_PLUS) - 1.0) < 1e-9
@@ -294,29 +312,27 @@ class TestCorrection:
 
 class TestSampleClicks:
     def test_deterministic_given_seed(self):
-        net = fig1_network()
-        state = opposite_pair(Statistics.BOSON)
-        a = sample_clicks(net, state, 5000, seed=11)
-        b = sample_clicks(net, state, 5000, seed=11)
+        branches = detected_branches(fig1_network(), Statistics.BOSON)
+        a = sample_clicks(branches, 5000, seed=11)
+        b = sample_clicks(branches, 5000, seed=11)
         assert a == b
 
     def test_single_trial(self):
-        histogram = sample_clicks(fig1_network(), opposite_pair(Statistics.BOSON), 1, seed=3)
+        histogram = sample_clicks(detected_branches(fig1_network(), Statistics.BOSON), 1, seed=3)
         assert sum(histogram.values()) == 1 and len(histogram) == 1
 
     def test_frequencies_near_exact(self):
         trials = 100_000
-        histogram = sample_clicks(fig1_network(), opposite_pair(Statistics.FERMION), trials, seed=5)
+        branches = detected_branches(fig1_network(), Statistics.FERMION)
+        histogram = sample_clicks(branches, trials, seed=5)
         sigma = math.sqrt(0.25 / trials)
         freq = histogram[frozenset({"C", "D"})] / trials
         assert abs(freq - 0.5) < 3.0 * sigma
 
     def test_chi_square_against_exact(self):
-        net = fig2_network()
-        state = opposite_pair(Statistics.BOSON)
+        branches = detected_branches(fig2_network(), Statistics.BOSON)
         trials = 100_000
-        histogram = sample_clicks(net, state, trials, seed=17)
-        branches = detect(run_network(net, state), net.monitored)
+        histogram = sample_clicks(branches, trials, seed=17)
         chi2 = sum(
             (histogram.get(b.pattern, 0) - trials * b.probability) ** 2 / (trials * b.probability)
             for b in branches
@@ -326,4 +342,4 @@ class TestSampleClicks:
 
     def test_requires_positive_trials(self):
         with pytest.raises(ValueError):
-            sample_clicks(fig1_network(), opposite_pair(Statistics.BOSON), 0, seed=1)
+            sample_clicks(detected_branches(fig1_network(), Statistics.BOSON), 0, seed=1)

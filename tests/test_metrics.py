@@ -89,6 +89,14 @@ class TestReduceToSpinDM:
         dm = reduce_to_spin_dm(coincidence_state(statistics, math.sqrt(overlap_sq)), "C", "D")
         dm.validate()
 
+    def test_matrix_is_a_read_only_copy(self):
+        matrix = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        dm = TwoQubitDM(matrix, ("C", "D"))
+        matrix[0, 0] = 0.5
+        assert dm.matrix[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            dm.matrix[0, 0] = 0.5
+
 
 class TestConcurrence:
     def test_bell_states_are_maximal(self):
