@@ -51,14 +51,12 @@ from .interferometer import (
 from .metrics import (
     PSI_MINUS,
     PSI_PLUS,
-    ChshSettings,
     TwoQubitDM,
     chsh_expectation,
     classify_bell,
     coincidence_spin_dm,
     complementarity_check,
     concurrence,
-    default_chsh_settings,
     distinguishability,
     dual_relabel,
     gaussian_overlap,

@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from enum import Enum, IntEnum
 from itertools import product
-from typing import Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,8 +117,9 @@ class FockState:
         self._terms = {k: complex(v) for k, v in terms.items() if abs(v) > PRUNE_THRESHOLD}
 
     @property
-    def terms(self) -> dict[Monomial, complex]:
-        return dict(self._terms)
+    def terms(self) -> Mapping[Monomial, complex]:
+        """Read-only view of the canonical monomials and their amplitudes."""
+        return MappingProxyType(self._terms)
 
     def amplitude(self, modes: Iterable[Mode]) -> complex:
         """Amplitude of the canonical monomial built from ``modes`` (sign folded in)."""
@@ -133,7 +135,7 @@ class FockState:
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero state")
-        return FockState(self.statistics, {m: a / n for m, a in self._terms.items()})
+        return self / n
 
     def is_vacuum(self) -> bool:
         return not self._terms or set(self._terms) == {()}
@@ -165,6 +167,9 @@ class FockState:
         return FockState(self.statistics, {m: a * scalar for m, a in self._terms.items()})
 
     __rmul__ = __mul__
+
+    def __truediv__(self, scalar: complex) -> "FockState":
+        return FockState(self.statistics, {m: a / scalar for m, a in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockState):

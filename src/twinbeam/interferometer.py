@@ -42,8 +42,14 @@ _REFLECT = 1j / math.sqrt(2.0)
 #: detection patterns are just sets of firing detector paths
 ExcitationPattern = frozenset[str]
 
-#: resource guard for tree construction
-MAX_TREE_DEPTH = 12
+#: where one particle on a path ends up: ((path, amplitude), ...) per path
+PathTable = dict[str, tuple[tuple[str, complex], ...]]
+
+#: most monomials a propagation may expand a state into
+MAX_MONOMIALS = 2 ** 20
+
+#: deepest tree whose opposite-spin pair, 4**depth monomials, stays within that limit
+MAX_TREE_DEPTH = (MAX_MONOMIALS.bit_length() - 1) // 2
 
 PROBABILITY_TOL = 1e-9
 
@@ -62,7 +68,7 @@ class BeamSplitter:
         if len(set(ports)) != 4:
             raise NetworkError(f"splitter ports must be four distinct paths, got {ports}")
 
-    def path_table(self) -> dict[str, tuple[tuple[str, complex], ...]]:
+    def path_table(self) -> PathTable:
         return {
             self.in1: ((self.out1, _TRANSMIT), (self.out2, _REFLECT)),
             self.in2: ((self.out2, _TRANSMIT), (self.out1, _REFLECT)),
@@ -111,6 +117,22 @@ class Network:
                 raise NetworkError(f"monitored path {p!r} does not exist in the network")
             if p in consumed:
                 raise NetworkError(f"monitored path {p!r} is not terminal")
+
+    def path_map(self) -> PathTable:
+        """Where one particle entering each network input ends up.
+
+        The splitters are composed in order into
+        ``{input path: ((terminal path, amplitude), ...)}``.
+        """
+        images = {p: {p: 1.0 + 0j} for p in self.inputs}
+        for bs in self.splitters:
+            for port, outputs in bs.path_table().items():
+                for image in images.values():
+                    amp = image.pop(port, None)
+                    if amp is not None:
+                        for out, c in outputs:
+                            image[out] = image.get(out, 0j) + amp * c
+        return {p: tuple(image.items()) for p, image in images.items()}
 
     def to_dict(self) -> dict:
         """JSON-ready description: splitters as port 4-tuples plus path lists."""
@@ -184,30 +206,24 @@ def _pattern_sort_key(pattern: ExcitationPattern):
 
 
 def run_network(net: Network, state: FockState) -> FockState:
-    """Propagate a state through every splitter, in order; returns it normalized.
+    """Propagate a state through the whole network; returns it normalized.
 
-    Consecutive splitters acting on disjoint paths commute and are
-    applied in one pass, which keeps deep trees cheap.
+    Splitters act on paths alone, so every creation operator is
+    replaced once by its image under :meth:`Network.path_map`.  A state
+    that would expand into more than :data:`MAX_MONOMIALS` monomials is
+    refused with :class:`NetworkError` before any expansion.
     """
     stray = state.paths() - set(net.inputs)
     if stray:
         raise NetworkError(f"input occupies paths {sorted(stray)} outside the network inputs")
-    batch: dict[str, tuple[tuple[str, complex], ...]] = {}
-    batch_outputs: set[str] = set()
-    for bs in net.splitters:
-        if bs.in1 in batch_outputs or bs.in2 in batch_outputs:
-            state = _apply_path_table(state, batch)
-            batch, batch_outputs = {}, set()
-        batch.update(bs.path_table())
-        batch_outputs.update((bs.out1, bs.out2))
-    if batch:
-        state = _apply_path_table(state, batch)
-    return state.normalized()
+    table = net.path_map()
+    size = sum(math.prod(len(table[m.path]) for m in monomial) for monomial in state.terms)
+    if size > MAX_MONOMIALS:
+        raise NetworkError(f"propagation would make {size} monomials, over {MAX_MONOMIALS}")
+    return _apply_path_table(state, table).normalized()
 
 
-def _apply_path_table(
-    state: FockState, table: dict[str, tuple[tuple[str, complex], ...]]
-) -> FockState:
+def _apply_path_table(state: FockState, table: PathTable) -> FockState:
     subs: Substitution = {}
     for mode in state.modes():
         images = table.get(mode.path)
@@ -222,8 +238,6 @@ def detect(state: FockState, monitored: Sequence[str]) -> BranchSet:
     Monomials sharing a pattern stay coherent; each branch state is
     renormalized and weighted by the squared norm of its component.
     """
-    if abs(state.norm() - 1.0) > 1e-7:
-        raise ValueError("detect requires a normalized state")
     monitored_set = set(monitored)
     groups: dict[ExcitationPattern, dict] = {}
     for monomial, amp in state.terms.items():
@@ -231,10 +245,13 @@ def detect(state: FockState, monitored: Sequence[str]) -> BranchSet:
         groups.setdefault(pattern, {})[monomial] = amp
     branches = []
     for pattern in sorted(groups, key=_pattern_sort_key):
-        component = FockState(state.statistics, groups[pattern])
-        p = component.norm() ** 2
-        branches.append(Branch(pattern, component.normalized(), p))
+        # popped, so each group's terms are freed once its branch holds a copy
+        component = FockState(state.statistics, groups.pop(pattern))
+        n = component.norm()
+        branches.append(Branch(pattern, component / n, n ** 2))
     total = sum(b.probability for b in branches)
+    if abs(math.sqrt(total) - 1.0) > 1e-7:
+        raise ValueError("detect requires a normalized state")
     branches = [Branch(b.pattern, b.state, b.probability / total) for b in branches]
     return BranchSet(tuple(branches))
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import OccupancyError
-from .fock import FockState, Mode, Spin, Statistics, make_product_state
+from .fock import FockState, Mode, Monomial, Spin, Statistics, make_product_state
 from .interferometer import coincidence, detect, fig1_network, postselect, run_network
 
 DM_TOL = 1e-9
@@ -71,8 +72,40 @@ class TwoQubitDM:
         return float(np.real(v.conj() @ self.matrix @ v))
 
 
-def _spin_index(s1: Spin, s2: Spin) -> int:
-    return 2 * int(s1) + int(s2)
+def _pair_matrix(state: FockState, path_x: str, path_y: str, place: Callable) -> np.ndarray:
+    """4x4 density matrix of a two-particle state on two paths, internal tags traced out.
+
+    ``place(monomial, amp, p1, p2)``, p1 being the smaller path, returns
+    a canonical monomial's basis row and amplitude or raises
+    :class:`OccupancyError`.  Each tag pair is one column of the 4xT
+    amplitude array v, and rho = v v† / tr.
+    """
+    if path_x == path_y:
+        raise ValueError("the two paths must differ")
+    p1, p2 = sorted((path_x, path_y))
+    columns: dict[tuple[int, int], int] = {}
+    entries: list[tuple[int, int, complex]] = []
+    for monomial, amp in state.terms.items():
+        row, amp = place(monomial, amp, p1, p2)
+        col = columns.setdefault((monomial[0].tag, monomial[1].tag), len(columns))
+        entries.append((row, col, amp))
+    if not entries:
+        raise OccupancyError("state has no two-particle support on the given paths")
+    v = np.zeros((4, len(columns)), dtype=complex)
+    for row, col, amp in entries:
+        v[row, col] += amp
+    rho = v @ v.conj().T
+    rho /= np.trace(rho).real
+    return rho
+
+
+def _spin_place(monomial: Monomial, amp: complex, p1: str, p2: str) -> tuple[int, complex]:
+    if len(monomial) != 2 or monomial[0].path != p1 or monomial[1].path != p2:
+        raise OccupancyError(
+            f"monomial {monomial} does not have one particle in each of {p1!r} and {p2!r}"
+        )
+    m1, m2 = monomial
+    return 2 * int(m1.spin) + int(m2.spin), amp
 
 
 def reduce_to_spin_dm(state: FockState, path_x: str, path_y: str) -> TwoQubitDM:
@@ -83,28 +116,8 @@ def reduce_to_spin_dm(state: FockState, path_x: str, path_y: str) -> TwoQubitDM:
     coefficients of |s1 s2> (x) |t1 t2>, and the tag factor is traced
     out.
     """
-    if path_x == path_y:
-        raise ValueError("the two paths must differ")
-    p1, p2 = sorted((path_x, path_y))
-    columns: dict[tuple[int, int], int] = {}
-    entries: list[tuple[int, int, complex]] = []
-    for monomial, amp in state.terms.items():
-        if len(monomial) != 2 or monomial[0].path != p1 or monomial[1].path != p2:
-            raise OccupancyError(
-                f"monomial {monomial} does not have one particle in each of {p1!r} and {p2!r}"
-            )
-        m1, m2 = monomial
-        tags = (m1.tag, m2.tag)
-        col = columns.setdefault(tags, len(columns))
-        entries.append((_spin_index(m1.spin, m2.spin), col, amp))
-    if not entries:
-        raise OccupancyError("state has no two-particle support on the given paths")
-    v = np.zeros((4, len(columns)), dtype=complex)
-    for row, col, amp in entries:
-        v[row, col] += amp
-    rho = v @ v.conj().T
-    rho /= np.trace(rho).real
-    return TwoQubitDM(rho, (p1, p2))
+    rho = _pair_matrix(state, path_x, path_y, _spin_place)
+    return TwoQubitDM(rho, tuple(sorted((path_x, path_y))))
 
 
 def dual_relabel(state: FockState, path_x: str, path_y: str) -> TwoQubitDM:
@@ -117,15 +130,10 @@ def dual_relabel(state: FockState, path_x: str, path_y: str) -> TwoQubitDM:
     in one path) are allowed.  Tag slots keep their canonical (path)
     order and are traced out.
     """
-    if path_x == path_y:
-        raise ValueError("the two paths must differ")
-    p1, p2 = sorted((path_x, path_y))
-    path_index = {p1: 0, p2: 1}
     eta = -1.0 if state.statistics is Statistics.FERMION else 1.0
-    columns: dict[tuple[int, int], int] = {}
-    entries: list[tuple[int, int, complex]] = []
-    for monomial, amp in state.terms.items():
-        if len(monomial) != 2 or any(m.path not in path_index for m in monomial):
+
+    def place(monomial: Monomial, amp: complex, p1: str, p2: str) -> tuple[int, complex]:
+        if len(monomial) != 2 or any(m.path not in (p1, p2) for m in monomial):
             raise OccupancyError(f"monomial {monomial} is not supported on {p1!r}, {p2!r}")
         m1, m2 = monomial
         if {m1.spin, m2.spin} != {Spin.UP, Spin.DOWN}:
@@ -134,18 +142,9 @@ def dual_relabel(state: FockState, path_x: str, path_y: str) -> TwoQubitDM:
             up, down, reorder = m1, m2, 1.0
         else:
             up, down, reorder = m2, m1, eta
-        row = 2 * path_index[up.path] + path_index[down.path]
-        tags = (m1.tag, m2.tag)
-        col = columns.setdefault(tags, len(columns))
-        entries.append((row, col, amp * reorder))
-    if not entries:
-        raise OccupancyError("state has no two-particle support on the given paths")
-    v = np.zeros((4, len(columns)), dtype=complex)
-    for row, col, amp in entries:
-        v[row, col] += amp
-    rho = v @ v.conj().T
-    rho /= np.trace(rho).real
-    return TwoQubitDM(rho, ("up", "down"))
+        return 2 * int(up.path == p2) + int(down.path == p2), amp * reorder
+
+    return TwoQubitDM(_pair_matrix(state, path_x, path_y, place), ("up", "down"))
 
 
 def concurrence(dm: TwoQubitDM) -> float:
@@ -164,49 +163,29 @@ def concurrence(dm: TwoQubitDM) -> float:
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 
-@dataclass(frozen=True)
-class ChshSettings:
-    """Four single-qubit measurement directions as unit Bloch vectors."""
-
-    a: np.ndarray
-    a_prime: np.ndarray
-    b: np.ndarray
-    b_prime: np.ndarray
-
-    def __post_init__(self):
-        for name in ("a", "a_prime", "b", "b_prime"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,):
-                raise ValueError(f"setting {name} must be a 3-vector")
-            if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-                raise ValueError(f"setting {name} must have unit Bloch norm")
-            object.__setattr__(self, name, v)
-
-
-def default_chsh_settings() -> ChshSettings:
-    """x and y on the first qubit, their diagonal combinations on the second."""
-    s = 1.0 / math.sqrt(2.0)
-    return ChshSettings(
-        a=np.array([1.0, 0.0, 0.0]),
-        a_prime=np.array([0.0, 1.0, 0.0]),
-        b=np.array([s, s, 0.0]),
-        b_prime=np.array([s, -s, 0.0]),
-    )
-
-
 def _bloch_observable(v: np.ndarray) -> np.ndarray:
     return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
 
 
-def chsh_expectation(dm: TwoQubitDM, settings: ChshSettings | None = None) -> float:
-    """Expectation of a b + a b' + a' b - a' b' in the given state."""
-    settings = settings or default_chsh_settings()
-    a = _bloch_observable(settings.a)
-    a_p = _bloch_observable(settings.a_prime)
-    b = _bloch_observable(settings.b)
-    b_p = _bloch_observable(settings.b_prime)
+def _chsh_operator() -> np.ndarray:
+    s = 1.0 / math.sqrt(2.0)
+    a = _bloch_observable(np.array([1.0, 0.0, 0.0]))
+    a_p = _bloch_observable(np.array([0.0, 1.0, 0.0]))
+    b = _bloch_observable(np.array([s, s, 0.0]))
+    b_p = _bloch_observable(np.array([s, -s, 0.0]))
     operator = np.kron(a, b + b_p) + np.kron(a_p, b - b_p)
-    value = float(np.real(np.trace(dm.matrix @ operator)))
+    operator.flags.writeable = False
+    return operator
+
+
+#: a b + a b' + a' b - a' b' with a, a' = x, y on the first qubit and
+#: b, b' = (x + y)/sqrt2, (x - y)/sqrt2 on the second
+CHSH_OPERATOR = _chsh_operator()
+
+
+def chsh_expectation(dm: TwoQubitDM) -> float:
+    """Expectation of :data:`CHSH_OPERATOR` in the given state."""
+    value = float(np.real(np.trace(dm.matrix @ CHSH_OPERATOR)))
     bound = 2.0 * math.sqrt(2.0) + 1e-9
     if abs(value) > bound:
         raise ValueError(f"CHSH value {value} exceeds the quantum bound")
@@ -214,7 +193,7 @@ def chsh_expectation(dm: TwoQubitDM, settings: ChshSettings | None = None) -> fl
 
 
 def infer_concurrence_from_chsh(dm: TwoQubitDM, statistics: Statistics) -> float:
-    """Concurrence read off the default-settings CHSH value.
+    """Concurrence read off the CHSH value.
 
     Valid for the coincidence family produced by the single-splitter
     setup, whose CHSH value is +-2 sqrt(2) times the concurrence (+ for
@@ -223,7 +202,7 @@ def infer_concurrence_from_chsh(dm: TwoQubitDM, statistics: Statistics) -> float
     divisor = 2.0 * math.sqrt(2.0)
     if statistics is Statistics.BOSON:
         divisor = -divisor
-    return chsh_expectation(dm, default_chsh_settings()) / divisor
+    return chsh_expectation(dm) / divisor
 
 
 def distinguishability(overlap: complex) -> float:

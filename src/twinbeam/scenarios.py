@@ -55,6 +55,9 @@ VERDICT_DEAD_ZONE = 0.1
 #: deepest tree the tree scenario and ``twinbeam clicks --depth`` accept
 MAX_SCENARIO_TREE_DEPTH = 7
 
+#: feedback trajectories drawn at once, which bounds the memory of a sampled run
+FEEDBACK_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -277,14 +280,15 @@ def scenario_feedback(
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     rounds = feedback_run(depth, statistics)
-    success_round = None
+    # counts[k]: sampled trajectories whose first success came in round k (0: none)
+    counts = np.zeros(depth + 1, dtype=np.int64)
     if trials > 0:
         rng = np.random.default_rng(seed)
         per_round = np.array([r.success_probability for r in rounds])
-        draws = rng.random((trials, depth)) < per_round[np.newaxis, :]
-        any_success = draws.any(axis=1)
-        first = np.where(any_success, draws.argmax(axis=1) + 1, 0)
-        success_round = first
+        for start in range(0, trials, FEEDBACK_CHUNK):
+            draws = rng.random((min(FEEDBACK_CHUNK, trials - start), depth)) < per_round
+            first = np.where(draws.any(axis=1), draws.argmax(axis=1) + 1, 0)
+            counts += np.bincount(first, minlength=depth + 1)
     rows = []
     for r in rounds:
         dm = reduce_to_spin_dm(r.conditional_state, "C", "D")
@@ -296,21 +300,17 @@ def scenario_feedback(
             "bell_state": classify_bell(dm) or "other",
             "concurrence": concurrence(dm),
         }
-        if success_round is not None:
-            row["sampled_successes"] = int(np.sum(success_round == r.round))
-            row["sampled_cumulative_success"] = float(
-                np.sum((success_round > 0) & (success_round <= r.round)) / trials
-            )
+        if trials > 0:
+            row["sampled_successes"] = int(counts[r.round])
+            row["sampled_cumulative_success"] = float(counts[1 : r.round + 1].sum() / trials)
         rows.append(row)
     scalars = {
         "cumulative_failure": Scalar(rounds[-1].cumulative_failure),
         "cumulative_success": Scalar(1.0 - rounds[-1].cumulative_failure),
         "rounds": Scalar(depth),
     }
-    if success_round is not None:
-        scalars["sampled_success"] = Scalar(
-            float(np.sum(success_round > 0) / trials), SAMPLED
-        )
+    if trials > 0:
+        scalars["sampled_success"] = Scalar(float(counts[1:].sum() / trials), SAMPLED)
         scalars["trials"] = Scalar(trials)
         scalars["seed"] = Scalar(seed)
     return ScenarioReport(

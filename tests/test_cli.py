@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from twinbeam import cli
+from twinbeam import cli, interferometer
 from twinbeam.errors import ImpossiblePostselectionError
-from twinbeam.interferometer import fig2_network
+from twinbeam.interferometer import build_tree, fig2_network
 from twinbeam.reporting import canonical_json
 from twinbeam.scenarios import SCENARIOS
 
@@ -179,6 +179,15 @@ class TestClicks:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["clicks", "--network", str(path)])
         assert excinfo.value.code == 2
+
+    def test_oversize_network_file_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(interferometer, "MAX_MONOMIALS", 64)
+        path = tmp_path / "tree4.json"
+        path.write_text(json.dumps(build_tree(4).to_dict()))
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["clicks", "--network", str(path)])
+        assert excinfo.value.code == 2
+        assert "monomials" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", readme_commands())

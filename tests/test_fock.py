@@ -211,6 +211,12 @@ class TestStateBasics:
         state = FockState(Statistics.BOSON, {(A_UP,): 1.0, (B_DOWN,): 1e-13})
         assert set(state.terms) == {(A_UP,)}
 
+    def test_terms_are_read_only(self):
+        state = make_product_state(Statistics.BOSON, [A_UP])
+        with pytest.raises(TypeError):
+            state.terms[(B_DOWN,)] = 1.0
+        assert set(state.terms) == {(A_UP,)}
+
     def test_addition_requires_matching_statistics(self):
         x = make_product_state(Statistics.FERMION, [A_UP])
         y = make_product_state(Statistics.BOSON, [A_UP])

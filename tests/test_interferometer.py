@@ -4,11 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import BOTH_STATISTICS
+from conftest import BOTH_STATISTICS, random_network, random_two_particle_state
+from twinbeam import interferometer
 from twinbeam.errors import ImpossiblePostselectionError, NetworkError
-from twinbeam.fock import FockState, Mode, Spin, Statistics, make_product_state, vacuum
+from twinbeam.fock import (
+    FockState,
+    Mode,
+    Spin,
+    Statistics,
+    make_product_state,
+    substitute_modes,
+    vacuum,
+)
 from twinbeam.interferometer import (
+    MAX_MONOMIALS,
+    MAX_TREE_DEPTH,
     BeamSplitter,
     Network,
     apply_correction,
@@ -32,6 +45,21 @@ UP, DOWN = Spin.UP, Spin.DOWN
 
 def opposite_pair(statistics):
     return make_product_state(statistics, [Mode("A", UP), Mode("B", DOWN)])
+
+
+def apply_splitter(state, bs):
+    """One splitter substituted on its own, without the network's path map."""
+    table = bs.path_table()
+    return substitute_modes(state, {
+        mode: tuple((Mode(p, mode.spin, mode.tag), c) for p, c in table[mode.path])
+        for mode in state.modes()
+        if mode.path in table
+    })
+
+
+def assert_same_state(x, y, tol=1e-12):
+    for monomial in set(x.terms) | set(y.terms):
+        assert abs(x.terms.get(monomial, 0j) - y.terms.get(monomial, 0j)) < tol
 
 
 class TestNetworkValidation:
@@ -122,16 +150,47 @@ class TestRunNetwork:
             if len(paths) == 1:
                 assert abs(amp - 0.25j) < 1e-12 or abs(amp + 0.25j) < 1e-12
 
-    def test_batching_matches_sequential(self):
-        # apply the three tree splitters one net at a time and compare
+    def test_path_map_matches_sequential(self):
+        # the composed three-splitter map against one single-splitter net at a time
         state = opposite_pair(Statistics.BOSON)
         whole = run_network(fig2_network(), state)
         stepwise = state
         for bs in fig2_network().splitters:
             inputs = tuple(stepwise.paths() | {bs.in1, bs.in2})
             stepwise = run_network(Network((bs,), inputs, ()), stepwise)
-        for monomial in set(whole.terms) | set(stepwise.terms):
-            assert abs(whole.terms.get(monomial, 0j) - stepwise.terms.get(monomial, 0j)) < 1e-12
+        assert_same_state(whole, stepwise)
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), statistics=st.sampled_from(BOTH_STATISTICS))
+    def test_random_networks_match_splitter_by_splitter(self, seed, statistics):
+        rng = np.random.default_rng(seed)
+        inputs = ("P", "Q", "R")
+        net = random_network(rng, inputs, n_splitters=int(rng.integers(1, 6)))
+        state = random_two_particle_state(rng, statistics, paths=inputs, tags=(0, 1))
+        for image in net.path_map().values():
+            assert abs(sum(abs(c) ** 2 for _, c in image) - 1.0) < 1e-12
+        stepwise = state
+        for bs in net.splitters:
+            stepwise = apply_splitter(stepwise, bs)
+        assert_same_state(run_network(net, state), stepwise.normalized())
+
+    def test_oversize_propagation_is_refused(self, monkeypatch):
+        # a depth-4 tree expands the pair into 4**4 = 256 monomials
+        def no_substitution(*args):
+            raise AssertionError("substituted before the size check")
+
+        monkeypatch.setattr(interferometer, "MAX_MONOMIALS", 64)
+        monkeypatch.setattr(interferometer, "substitute_modes", no_substitution)
+        with pytest.raises(NetworkError):
+            run_network(build_tree(4), opposite_pair(Statistics.FERMION))
+
+
+class TestPathMap:
+    def test_fig2(self):
+        table = fig2_network().path_map()
+        assert set(table) == {"A", "B"}
+        assert dict(table["A"]) == pytest.approx({"G": 0.5, "H": 0.5j, "E": 0.5j, "F": -0.5})
+        assert dict(table["B"]) == pytest.approx({"E": 0.5, "F": 0.5j, "G": 0.5j, "H": -0.5})
 
 
 class TestDetect:
@@ -224,8 +283,10 @@ class TestBuildTree:
         assert len(net.splitters) == 7
         assert len(net.monitored) == 8
 
-    @pytest.mark.parametrize("depth", [0, 13])
+    @pytest.mark.parametrize("depth", [0, MAX_TREE_DEPTH + 1, 13])
     def test_depth_guard(self, depth):
+        # every tree build_tree accepts stays within the propagation limit
+        assert 4 ** MAX_TREE_DEPTH <= MAX_MONOMIALS < 4 ** (MAX_TREE_DEPTH + 1)
         with pytest.raises(ValueError):
             build_tree(depth)
 

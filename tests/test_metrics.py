@@ -12,14 +12,12 @@ from twinbeam.interferometer import coincidence, detect, fig1_network, postselec
 from twinbeam.metrics import (
     PSI_MINUS,
     PSI_PLUS,
-    ChshSettings,
     TwoQubitDM,
     chsh_expectation,
     classify_bell,
     coincidence_spin_dm,
     complementarity_check,
     concurrence,
-    default_chsh_settings,
     distinguishability,
     dual_relabel,
     gaussian_overlap,
@@ -147,19 +145,6 @@ class TestChsh:
         matrix /= np.trace(matrix).real
         value = chsh_expectation(TwoQubitDM(matrix, ("C", "D")))
         assert abs(value) <= 2.0 + 1e-9
-
-    def test_settings_must_be_unit_vectors(self):
-        with pytest.raises(ValueError):
-            ChshSettings(
-                a=np.array([2.0, 0.0, 0.0]),
-                a_prime=np.array([0.0, 1.0, 0.0]),
-                b=np.array([1.0, 0.0, 0.0]),
-                b_prime=np.array([0.0, 1.0, 0.0]),
-            )
-
-    def test_default_settings_are_valid(self):
-        settings = default_chsh_settings()
-        assert abs(np.linalg.norm(settings.b) - 1.0) < 1e-12
 
 
 class TestInferConcurrenceFromChsh:

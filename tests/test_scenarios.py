@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import BOTH_STATISTICS
+from twinbeam import scenarios
 from twinbeam.fock import Mode, Spin, Statistics, make_product_state
 from twinbeam.interferometer import coincidence, detect, fig1_network, run_network
 from twinbeam.scenarios import (
@@ -203,6 +204,11 @@ class TestFeedback:
         sigma = math.sqrt(exact * (1 - exact) / trials)
         assert abs(report.scalar("sampled_success") - exact) < 3.0 * sigma
         assert report.scalars["sampled_success"].provenance == "sampled"
+
+    def test_sampling_does_not_depend_on_chunk_size(self, monkeypatch):
+        report = scenario_feedback(4, Statistics.BOSON, trials=50, seed=8)
+        monkeypatch.setattr(scenarios, "FEEDBACK_CHUNK", 7)
+        assert scenario_feedback(4, Statistics.BOSON, trials=50, seed=8).to_json() == report.to_json()
 
     def test_round_table_tracks_bell_identity(self):
         report = scenario_feedback(2, Statistics.FERMION, trials=0)
