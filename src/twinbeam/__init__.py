@@ -52,17 +52,20 @@ from .metrics import (
     PSI_MINUS,
     PSI_PLUS,
     TwoQubitDM,
+    bell_labels,
     chsh_expectation,
     classify_bell,
     coincidence_spin_dm,
     complementarity_check,
     concurrence,
+    concurrences,
     distinguishability,
     dual_relabel,
     gaussian_overlap,
     infer_concurrence_from_chsh,
     reduce_to_spin_dm,
     tagged_opposite_spin_input,
+    validate_dms,
 )
 from .oracle import FirstQuantizedState, cross_check, oracle_detect, oracle_evolve
 from .reporting import Scalar, ScenarioReport

@@ -24,6 +24,9 @@ from .interferometer import coincidence, detect, fig1_network, postselect, run_n
 
 DM_TOL = 1e-9
 
+#: a matrix is labelled with a Bell state when its fidelity exceeds 1 - BELL_TOL
+BELL_TOL = 1e-9
+
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -33,6 +36,9 @@ PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
 
 _SY_SY = np.kron(SIGMA_Y, SIGMA_Y)
+
+# an object array, so that every label of a stack is one shared str, not a copy per matrix
+_BELL_NAMES = np.array(["", "psi_plus", "psi_minus"], dtype=object)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,28 +63,57 @@ class TwoQubitDM:
         self.validate()
 
     def validate(self) -> None:
-        m = self.matrix
-        if not np.allclose(m, m.conj().T, atol=DM_TOL, rtol=0.0):
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > DM_TOL or abs(np.trace(m).imag) > DM_TOL:
-            raise ValueError("density matrix trace is not 1 within tolerance")
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if eigs.min() < -DM_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
+        validate_dms(self.matrix)
 
     def fidelity(self, pure: np.ndarray) -> float:
         """Overlap <psi| rho |psi> with a pure state vector."""
-        v = np.asarray(pure, dtype=complex)
-        return float(np.real(v.conj() @ self.matrix @ v))
+        return float(_fidelities(self.matrix, pure))
 
 
-def _pair_matrix(state: FockState, path_x: str, path_y: str, place: Callable) -> np.ndarray:
+def validate_dms(rho: np.ndarray) -> None:
+    """Check that every matrix of a ``(..., 4, 4)`` stack is a density matrix.
+
+    Hermitian, unit trace and positive semidefinite, each within
+    :data:`DM_TOL`.  The first invalid matrix in C order raises the
+    :class:`ValueError` of its first failed check.
+    """
+    rho = np.asarray(rho)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"density matrix must be 4x4, got {rho.shape[-2:]}")
+    flat = rho.reshape(-1, 4, 4)
+    adjoint = flat.conj().swapaxes(-1, -2)
+    # np.allclose(m, m†, atol=DM_TOL, rtol=0), equal infinities included
+    hermitian = ((np.abs(flat - adjoint) <= DM_TOL) | (flat == adjoint)).all(axis=(-1, -2))
+    trace = np.trace(flat, axis1=-2, axis2=-1)
+    bad_trace = (np.abs(trace.real - 1.0) > DM_TOL) | (np.abs(trace.imag) > DM_TOL)
+    failed = ~hermitian | bad_trace
+    # eigenvalues only before the first matrix that fails an earlier check
+    n = int(failed.argmax()) if failed.any() else len(flat)
+    lowest = np.linalg.eigvalsh((flat[:n] + adjoint[:n]) / 2.0).min(axis=-1)
+    negative = lowest < -DM_TOL
+    if negative.any():
+        raise ValueError(f"density matrix has negative eigenvalue {lowest[negative.argmax()]}")
+    if n < len(flat):
+        if not hermitian[n]:
+            raise ValueError("density matrix is not Hermitian within tolerance")
+        raise ValueError("density matrix trace is not 1 within tolerance")
+
+
+def _fidelities(rho: np.ndarray, pure: np.ndarray) -> np.ndarray:
+    v = np.asarray(pure, dtype=complex)
+    return np.real(v.conj() @ rho @ v)
+
+
+def _pair_matrix(
+    state: FockState, path_x: str, path_y: str, place: Callable, out: np.ndarray | None = None
+) -> np.ndarray:
     """4x4 density matrix of a two-particle state on two paths, internal tags traced out.
 
     ``place(monomial, amp, p1, p2)``, p1 being the smaller path, returns
     a canonical monomial's basis row and amplitude or raises
     :class:`OccupancyError`.  Each tag pair is one column of the 4xT
-    amplitude array v, and rho = v v† / tr.
+    amplitude array v, and rho = v v† / tr, written into ``out`` if
+    given.  Not validated.
     """
     if path_x == path_y:
         raise ValueError("the two paths must differ")
@@ -94,7 +129,7 @@ def _pair_matrix(state: FockState, path_x: str, path_y: str, place: Callable) ->
     v = np.zeros((4, len(columns)), dtype=complex)
     for row, col, amp in entries:
         v[row, col] += amp
-    rho = v @ v.conj().T
+    rho = np.matmul(v, v.conj().T, out=out)
     rho /= np.trace(rho).real
     return rho
 
@@ -147,20 +182,27 @@ def dual_relabel(state: FockState, path_x: str, path_y: str) -> TwoQubitDM:
     return TwoQubitDM(_pair_matrix(state, path_x, path_y, place), ("up", "down"))
 
 
-def concurrence(dm: TwoQubitDM) -> float:
-    """Wootters concurrence C = max(0, l1 - l2 - l3 - l4).
+def concurrences(rho: np.ndarray) -> np.ndarray:
+    """Wootters concurrence C = max(0, l1 - l2 - l3 - l4) of each matrix in a stack.
 
-    The l_i are the decreasing square roots of the eigenvalues of
-    rho (sy x sy) rho* (sy x sy), conjugation taken in the
-    computational basis.  They are computed as the singular values of
+    ``rho`` has shape ``(..., 4, 4)``.  The l_i are the decreasing
+    square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy),
+    conjugation taken in the computational basis.  They are computed as the singular values of
     sqrt(rho) (sy x sy) sqrt(rho)*, which shares that spectrum but
     stays in well-conditioned Hermitian factorizations.
     """
-    rho = dm.matrix
-    eigvals, eigvecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
+    rho = np.asarray(rho)
+    eigvals, eigvecs = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2.0)
+    roots = np.sqrt(np.clip(eigvals, 0.0, None))[..., None, :]
+    root = (eigvecs * roots) @ eigvecs.conj().swapaxes(-1, -2)
     lams = np.linalg.svd(root @ _SY_SY @ root.conj(), compute_uv=False)
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+    c = lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
+    return np.where(c > 0.0, c, 0.0)
+
+
+def concurrence(dm: TwoQubitDM) -> float:
+    """Wootters concurrence of one density matrix (see :func:`concurrences`)."""
+    return float(concurrences(dm.matrix))
 
 
 def _bloch_observable(v: np.ndarray) -> np.ndarray:
@@ -256,10 +298,17 @@ def complementarity_check(
     return entanglement, discrimination, entanglement + discrimination
 
 
-def classify_bell(dm: TwoQubitDM, tol: float = 1e-9) -> str | None:
+def bell_labels(rho: np.ndarray) -> np.ndarray:
+    """Name of the Bell state each matrix of a ``(..., 4, 4)`` stack equals, or ``""``.
+
+    A matrix is ``"psi_plus"`` (tested first) or ``"psi_minus"`` when its
+    fidelity with that state exceeds ``1 - BELL_TOL``.
+    """
+    plus = _fidelities(rho, PSI_PLUS) > 1.0 - BELL_TOL
+    minus = _fidelities(rho, PSI_MINUS) > 1.0 - BELL_TOL
+    return _BELL_NAMES[np.where(plus, 1, 2 * minus)]
+
+
+def classify_bell(dm: TwoQubitDM) -> str | None:
     """Name the Bell state a density matrix equals, if any."""
-    if dm.fidelity(PSI_PLUS) > 1.0 - tol:
-        return "psi_plus"
-    if dm.fidelity(PSI_MINUS) > 1.0 - tol:
-        return "psi_minus"
-    return None
+    return str(bell_labels(dm.matrix)) or None

@@ -30,16 +30,21 @@ from .interferometer import (
 )
 from .metrics import (
     TwoQubitDM,
+    _pair_matrix,
+    _spin_place,
+    bell_labels,
     chsh_expectation,
     classify_bell,
     coincidence_spin_dm,
     complementarity_check,
     concurrence,
+    concurrences,
     distinguishability,
     gaussian_overlap,
     infer_concurrence_from_chsh,
     reduce_to_spin_dm,
     dual_relabel,
+    validate_dms,
 )
 from .reporting import SAMPLED, Scalar, ScenarioReport
 
@@ -57,6 +62,10 @@ MAX_SCENARIO_TREE_DEPTH = 7
 
 #: feedback trajectories drawn at once, which bounds the memory of a sampled run
 FEEDBACK_CHUNK = 4096
+
+#: coincidence spin matrices validated and evaluated at once in a branch table;
+#: stacking all 8,128 of a depth-7 tree at once raises the peak memory by half
+METRICS_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -103,6 +112,17 @@ def _correction_label(correction: dict[str, np.ndarray]) -> str:
 
 def _branch_rows(branches) -> list[dict]:
     rows = []
+    spin_dms = np.empty((METRICS_CHUNK, 4, 4), dtype=complex)
+    pending: list[dict] = []
+
+    def evaluate_pending() -> None:
+        rho = spin_dms[: len(pending)]
+        validate_dms(rho)
+        for row, c, label in zip(pending, concurrences(rho).tolist(), bell_labels(rho).tolist()):
+            row["concurrence"] = c
+            row["bell_state"] = label or "other"
+        pending.clear()
+
     for b in branches:
         row: dict = {
             "pattern": "+".join(sorted(b.pattern)) or "none",
@@ -111,15 +131,19 @@ def _branch_rows(branches) -> list[dict]:
         }
         if coincidence(b.pattern):
             p1, p2 = sorted(b.pattern)
-            dm = reduce_to_spin_dm(b.state, p1, p2)
-            row["concurrence"] = concurrence(dm)
-            row["bell_state"] = classify_bell(dm) or "other"
+            _pair_matrix(b.state, p1, p2, _spin_place, out=spin_dms[len(pending)])
+            # placeholders keep the column order; evaluate_pending fills them
+            row["concurrence"] = row["bell_state"] = None
             row["correction"] = _correction_label(correction_for_branch(b))
+            pending.append(row)
+            if len(pending) == METRICS_CHUNK:
+                evaluate_pending()
         else:
             row["concurrence"] = 0.0
             row["bell_state"] = ""
             row["correction"] = ""
         rows.append(row)
+    evaluate_pending()
     return rows
 
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, formats, determinism."""
 
+import hashlib
 import json
 import re
 import shlex
@@ -195,3 +196,40 @@ def test_readme_command_succeeds(capsys, tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "my_network.json").write_text(json.dumps(fig2_network().to_dict()))
     assert cli.main(shlex.split(command)[1:]) == 0
+
+
+#: SHA-256 of ``twinbeam run <command> --statistics <s> --format json`` stdout,
+#: recorded before the two-qubit metrics were batched; any drift in a reported
+#: number or in the canonical encoding changes them
+PINNED_JSON_SHA256 = {
+    ("tree --depth 4", "boson"):
+        "6cc03df8bb5f830d742081d3d3195ea6c400b6e83cb4b61d202c0673201e0a00",
+    ("tree --depth 4", "fermion"):
+        "4c15110f4de11ab219a5257da8e30be722b2351bc99ea8cdbe619e2a7ba1b288",
+    ("complementarity --grid 11", "boson"):
+        "d6af71145b8033346985fb8bd5c0eae33b8cd97bd9226b92384c66189b382052",
+    ("complementarity --grid 11", "fermion"):
+        "f0fca7a8c6e3cfd36af3d3c525d35a1d49f106d8536febe026436db9f35bc0b2",
+    ("gaussian --velocity 1 --width 1 --delay-max 2 --grid 11", "boson"):
+        "5b87a6556691fc47dfedaa47aa404b174327386ac08fd34f1f0d7379bcaf2b40",
+    ("gaussian --velocity 1 --width 1 --delay-max 2 --grid 11", "fermion"):
+        "a8207773d76426c756c5cde6d97b6ae09e577a03f327964b663f48054c87ef3a",
+    ("mixed-input", "boson"):
+        "ada4c93410d3c648b8009a54ccd85533bd718d4e33e11065fbb0ca2f7358c936",
+    ("mixed-input", "fermion"):
+        "732cd45a91f7ee2ea94da3a465d3a882f48dbbc08e64766e9a87881ba3c56d29",
+    ("dual", "boson"):
+        "26f3f16b08fccdab049c84b7db21dc866ef0a076e146f4839016ad10561b24e7",
+    ("dual", "fermion"):
+        "6706974b4206b45238a7bafc34431f3402d5734dc1110738bc91b926d486b971",
+}
+
+
+def test_json_output_is_pinned(capsys):
+    digests = {}
+    for command, statistics in PINNED_JSON_SHA256:
+        argv = ["run", *command.split(), "--statistics", statistics, "--format", "json"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        digests[command, statistics] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == PINNED_JSON_SHA256

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BOTH_STATISTICS, random_unitary
 from twinbeam.errors import OccupancyError
@@ -13,17 +15,20 @@ from twinbeam.metrics import (
     PSI_MINUS,
     PSI_PLUS,
     TwoQubitDM,
+    bell_labels,
     chsh_expectation,
     classify_bell,
     coincidence_spin_dm,
     complementarity_check,
     concurrence,
+    concurrences,
     distinguishability,
     dual_relabel,
     gaussian_overlap,
     infer_concurrence_from_chsh,
     reduce_to_spin_dm,
     tagged_opposite_spin_input,
+    validate_dms,
 )
 
 UP, DOWN = Spin.UP, Spin.DOWN
@@ -122,6 +127,99 @@ class TestConcurrence:
         local = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
         rotated = TwoQubitDM(local @ base.matrix @ local.conj().T, base.labels)
         assert abs(concurrence(rotated) - concurrence(base)) < 1e-9
+
+
+# Per-matrix reference versions of the stacked checks, kept as they were
+# before batching; the stacked functions must agree with them exactly.
+
+_SY_SY = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
+
+
+def reference_validate(m):
+    if not np.allclose(m, m.conj().T, atol=1e-9, rtol=0.0):
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    if abs(np.trace(m).real - 1.0) > 1e-9 or abs(np.trace(m).imag) > 1e-9:
+        raise ValueError("density matrix trace is not 1 within tolerance")
+    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    if eigs.min() < -1e-9:
+        raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
+
+
+def reference_concurrence(rho):
+    eigvals, eigvecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
+    root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
+    lams = np.linalg.svd(root @ _SY_SY @ root.conj(), compute_uv=False)
+    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+
+
+def reference_bell_label(rho):
+    for name, pure in (("psi_plus", PSI_PLUS), ("psi_minus", PSI_MINUS)):
+        if float(np.real(pure.conj() @ rho @ pure)) > 1.0 - 1e-9:
+            return name
+    return ""
+
+
+def random_stack(seed, n_random, tags):
+    """v v†/tr for random complex 4 x tags arrays v, mixed with Bell, product and I/4 states."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(n_random, 4, tags)) + 1j * rng.normal(size=(n_random, 4, tags))
+    matrices = list(v @ v.conj().swapaxes(-1, -2))
+    product = np.kron(random_unitary(rng, 2)[:, 0], random_unitary(rng, 2)[:, 0])
+    for pure in (PSI_PLUS, PSI_MINUS, product, np.array([0, 1, 0, 0])):
+        matrices.append(np.outer(pure, np.conj(pure)))
+    matrices.append(np.eye(4))
+    stack = np.array(matrices, dtype=complex)[rng.permutation(len(matrices))]
+    return stack / np.trace(stack, axis1=-2, axis2=-1).real[:, None, None]
+
+
+class TestStackedMetrics:
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_random=st.integers(0, 12),
+        tags=st.integers(1, 3),
+    )
+    def test_stack_matches_per_matrix_reference(self, seed, n_random, tags):
+        stack = random_stack(seed, n_random, tags)
+        validate_dms(stack)
+        for m in stack:
+            reference_validate(m)
+        expected = [reference_concurrence(m) for m in stack]
+        assert concurrences(stack).tolist() == expected
+        assert concurrences(stack[None]).tolist() == [expected]
+        assert bell_labels(stack).tolist() == [reference_bell_label(m) for m in stack]
+        for m, c in zip(stack, expected):
+            dm = TwoQubitDM(m, ("C", "D"))
+            assert concurrence(dm) == c
+            assert classify_bell(dm) == (reference_bell_label(m) or None)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.diag([0.4, 0.3, 0.2, 0.1]) + np.diag([1e-6, 0.0, 0.0], k=1),
+            2.0 * np.diag([0.4, 0.3, 0.2, 0.1]),
+            np.diag([0.6, 0.5, 0.1, -0.2]),
+        ],
+        ids=["non-hermitian", "trace-2", "negative-eigenvalue"],
+    )
+    def test_stack_error_is_the_first_invalid_matrix_error(self, bad):
+        bad = bad.astype(complex)
+        with pytest.raises(ValueError) as single:
+            TwoQubitDM(bad, ("C", "D"))
+        with pytest.raises(ValueError) as reference:
+            reference_validate(bad)
+        assert str(single.value) == str(reference.value)
+        stack = random_stack(3, 9, 2)
+        stack[5] = bad
+        # a later, more negative matrix must not change the message
+        stack[8] = np.diag([1.3, 0.1, 0.1, -0.5])
+        with pytest.raises(ValueError) as stacked:
+            validate_dms(stack)
+        assert str(stacked.value) == str(single.value)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="4x4"):
+            validate_dms(np.eye(3, dtype=complex) / 3.0)
 
 
 class TestChsh:

@@ -103,6 +103,16 @@ class TestTree:
             else:
                 assert row["detectors"] == 1
 
+    # 28, 120 and 496 coincidences: a multiple of 7 and two remainders
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    @pytest.mark.parametrize("depth", [3, 4, 5])
+    def test_rows_do_not_depend_on_chunk_size(self, monkeypatch, depth, statistics):
+        report = scenario_tree(depth, statistics)
+        monkeypatch.setattr(scenarios, "METRICS_CHUNK", 7)
+        chunked = scenario_tree(depth, statistics)
+        assert chunked.to_json() == report.to_json()
+        assert chunked.to_csv() == report.to_csv()
+
     def test_depth_guard(self):
         with pytest.raises(ValueError):
             scenario_tree(8, Statistics.BOSON)
