@@ -44,6 +44,7 @@ from .interferometer import (
     fig1_network,
     fig2_network,
     opposite_spin_input,
+    pattern_distribution,
     postselect,
     run_network,
     sample_clicks,

@@ -1,8 +1,11 @@
 """Command-line front end: scenario runs, the catalog, and click sampling.
 
-Exit codes: 0 success, 2 usage or parameter validation error, 3
-scenario error (for example an impossible post-selection).  Identical
-arguments and seed produce byte-identical JSON output.
+Exit codes: 0 success; 2 a usage error, a parameter out of range (a
+plain ``ValueError``) or an invalid or oversize network
+(``NetworkError``); 3 any other error of the package (a
+``TwinbeamError``, for example an impossible post-selection or an
+``OccupancyError`` raised inside a scenario).  Identical arguments and
+seed produce byte-identical JSON output.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ from .interferometer import (
     Network,
     build_tree,
     coincidence,
-    detect,
     fig1_network,
     fig2_network,
     opposite_spin_input,
-    run_network,
+    pattern_distribution,
     sample_clicks,
 )
 from .reporting import SAMPLED, Scalar, ScenarioReport, canonical_json
@@ -105,18 +107,17 @@ def _run_clicks(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Sc
     if len(net.inputs) < 2:
         parser.error("the network needs two input paths for the opposite-spin pair")
     statistics = Statistics.from_name(args.statistics)
-    branches = detect(run_network(net, opposite_spin_input(statistics, net)), net.monitored)
-    histogram = sample_clicks(branches, args.trials, args.seed)
-    exact = branches.probabilities()
+    exact = pattern_distribution(net, opposite_spin_input(statistics, net))
+    histogram = sample_clicks(exact, args.trials, args.seed)
     rows = []
-    for pattern in sorted(set(exact) | set(histogram), key=lambda p: (len(p), sorted(p))):
+    for pattern, probability in exact.items():
         count = histogram.get(pattern, 0)
         rows.append(
             {
                 "pattern": "+".join(sorted(pattern)) or "none",
                 "count": count,
                 "frequency": count / args.trials,
-                "probability": exact.get(pattern, 0.0),
+                "probability": probability,
             }
         )
     coincidence_count = sum(histogram.get(p, 0) for p in histogram if coincidence(p))
@@ -184,32 +185,33 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.command == "list":
-            rows = _catalog_report()
-            if args.format == "json":
-                sys.stdout.write(canonical_json(rows))
-            else:
-                width = max(len(r["name"]) for r in rows)
-                pwidth = max(len(r["parameters"]) for r in rows)
-                for r in rows:
-                    sys.stdout.write(
-                        f"{r['name']:<{width}}  {r['parameters']:<{pwidth}}  {r['claim']}\n"
-                    )
-            return 0
-        try:
-            if args.command == "run":
-                entry, params = _scenario_call(args, parser)
-                report = entry.run(statistics=Statistics.from_name(args.statistics), **params)
-            else:
-                report = _run_clicks(args, parser)
-        except ValueError as exc:
-            parser.error(str(exc))
-        _emit(_render(report, args.format), args.output)
+    if args.command == "list":
+        rows = _catalog_report()
+        if args.format == "json":
+            sys.stdout.write(canonical_json(rows))
+        else:
+            width = max(len(r["name"]) for r in rows)
+            pwidth = max(len(r["parameters"]) for r in rows)
+            for r in rows:
+                sys.stdout.write(
+                    f"{r['name']:<{width}}  {r['parameters']:<{pwidth}}  {r['claim']}\n"
+                )
         return 0
+    try:
+        if args.command == "run":
+            entry, params = _scenario_call(args, parser)
+            report = entry.run(statistics=Statistics.from_name(args.statistics), **params)
+        else:
+            report = _run_clicks(args, parser)
+    except NetworkError as exc:
+        parser.error(str(exc))
     except TwinbeamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        parser.error(str(exc))
+    _emit(_render(report, args.format), args.output)
+    return 0
 
 
 if __name__ == "__main__":

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ImpossiblePostselectionError, NetworkError
 from .fock import (
+    PRUNE_THRESHOLD,
     FockState,
     Mode,
     Spin,
@@ -93,6 +94,8 @@ class Network:
         object.__setattr__(self, "splitters", tuple(self.splitters))
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "monitored", tuple(self.monitored))
+        if len(set(self.inputs)) != len(self.inputs):
+            raise NetworkError("network inputs must be distinct")
         produced: dict[str, int] = {}
         consumed: dict[str, int] = {}
         for k, bs in enumerate(self.splitters):
@@ -213,6 +216,16 @@ def run_network(net: Network, state: FockState) -> FockState:
     that would expand into more than :data:`MAX_MONOMIALS` monomials is
     refused with :class:`NetworkError` before any expansion.
     """
+    return _apply_path_table(state, _checked_path_map(net, state)).normalized()
+
+
+def _checked_path_map(net: Network, state: FockState) -> PathTable:
+    """The network's path map, once ``state`` is known to enter it and to fit.
+
+    Input on a path outside the network inputs, or a state that would
+    expand into more than :data:`MAX_MONOMIALS` monomials, raises
+    :class:`NetworkError`.
+    """
     stray = state.paths() - set(net.inputs)
     if stray:
         raise NetworkError(f"input occupies paths {sorted(stray)} outside the network inputs")
@@ -220,7 +233,7 @@ def run_network(net: Network, state: FockState) -> FockState:
     size = sum(math.prod(len(table[m.path]) for m in monomial) for monomial in state.terms)
     if size > MAX_MONOMIALS:
         raise NetworkError(f"propagation would make {size} monomials, over {MAX_MONOMIALS}")
-    return _apply_path_table(state, table).normalized()
+    return table
 
 
 def _apply_path_table(state: FockState, table: PathTable) -> FockState:
@@ -254,6 +267,111 @@ def detect(state: FockState, monitored: Sequence[str]) -> BranchSet:
         raise ValueError("detect requires a normalized state")
     branches = [Branch(b.pattern, b.state, b.probability / total) for b in branches]
     return BranchSet(tuple(branches))
+
+
+def pattern_distribution(net: Network, state: FockState) -> dict[ExcitationPattern, float]:
+    """Detector-pattern probabilities of a two-particle state after the network.
+
+    The same distribution as ``detect(run_network(net, state),
+    net.monitored).probabilities()``, in the same order, computed from
+    pair amplitudes instead of an expanded state.  The state maps onto
+    one (input path x input path) amplitude block ``B`` per pair of
+    internal (spin, tag) labels, with :func:`twinbeam.oracle.cross_check`'s
+    convention, and each block evolves as ``U B U^T`` with ``U`` the
+    network's transfer matrix: every nonzero ``B[p, q]`` adds
+    ``B[p, q] u_p u_q^T`` on the terminals that paths ``p`` and ``q``
+    reach, so at most twice as many (terminal, terminal) cells are built
+    as the :data:`MAX_MONOMIALS` check counts monomials.  A pattern is
+    kept when one of its second-quantized amplitudes exceeds
+    ``PRUNE_THRESHOLD``, the sparse engine's rule, and the kept
+    probabilities are renormalized.  The input checks and the
+    :data:`MAX_MONOMIALS` refusal are those of :func:`run_network`.
+    """
+    if state.particle_numbers() != {2}:
+        raise ValueError("pattern_distribution requires a two-particle input")
+    table = _checked_path_map(net, state)
+    occupied = state.paths()
+    # monitored terminals come first, sorted, so the pattern keys below
+    # sort in _pattern_sort_key's order: none, single detectors, then pairs
+    reached = dict.fromkeys(t for p in net.inputs if p in occupied for t, _ in table[p])
+    watched = set(net.monitored)
+    monitored = sorted(watched.intersection(reached))
+    terminals = monitored + [t for t in reached if t not in watched]
+    i, j, prob, fires = _pair_cells(state, table, terminals)
+    n = len(monitored)
+    i, j = np.where(i < n, i, -1), np.where(j < n, j, -1)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    # 0: no detector fired; 1 + m: detector m alone; 1 + n + lo * n + hi: lo and hi
+    key = np.where((lo < 0) | (lo == hi), hi + 1, 1 + n + lo * n + hi)
+    keys, group = np.unique(key, return_inverse=True)
+    probs = np.bincount(group, weights=prob)
+    kept = np.bincount(group, weights=fires) > 0
+    values = probs[kept] / probs[kept].sum()
+    keys = keys[kept]
+    singles, pairs = np.searchsorted(keys, [1, n + 1]).tolist()
+    lo, hi = np.divmod(keys[pairs:] - 1 - n, n)
+    patterns = [frozenset()] * singles
+    patterns += [frozenset((monitored[m],)) for m in (keys[singles:pairs] - 1).tolist()]
+    patterns += [frozenset((monitored[a], monitored[b])) for a, b in zip(lo.tolist(), hi.tolist())]
+    return dict(zip(patterns, values.tolist()))
+
+
+def _pair_cells(
+    state: FockState, table: PathTable, terminals: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero pair amplitudes of a two-particle state after the path map.
+
+    Returns flat arrays ``(i, j, prob, fires)``, one entry per internal
+    label pair and (terminal, terminal) position ``(terminals[i],
+    terminals[j])``: the squared first-quantized amplitude, and whether
+    the second-quantized amplitude exceeds ``PRUNE_THRESHOLD``.  A
+    canonical monomial a+_m1 a+_m2 with m1 < m2 puts a/sqrt(2) on input
+    paths (m1, m2) and +-a/sqrt(2) on (m2, m1), and a doubly occupied
+    bosonic mode puts a*sqrt(2) on its diagonal; each such entry spreads
+    over the outer product of the two paths' images.
+    """
+    sign = -1.0 if state.statistics is Statistics.FERMION else 1.0
+    blocks: dict[tuple, complex] = {}
+    labels: dict[tuple, int] = {}
+
+    def add(m1: Mode, m2: Mode, value: complex) -> None:
+        pair = ((m1.spin, m1.tag), (m2.spin, m2.tag))
+        # odd index: both particles carry the same internal label
+        labels.setdefault(pair, 2 * len(labels) + (pair[0] == pair[1]))
+        key = (labels[pair], m1.path, m2.path)
+        blocks[key] = blocks.get(key, 0j) + value
+
+    for (m1, m2), a in state.terms.items():
+        if m1 == m2:
+            add(m1, m2, a * math.sqrt(2.0))
+        else:
+            add(m1, m2, a / math.sqrt(2.0))
+            add(m2, m1, sign * a / math.sqrt(2.0))
+
+    size = len(terminals)
+    row = {t: k for k, t in enumerate(terminals)}
+    images = {
+        p: (np.array([row[t] for t, _ in table[p]]), np.array([c for _, c in table[p]]))
+        for p in state.paths()
+    }
+    parts = []
+    for (k, p, q), b in blocks.items():
+        (rows, u), (cols, v) = images[p], images[q]
+        cell = (rows[:, None] * size + cols).ravel()
+        parts.append((np.full(cell.size, k), cell, ((b * u)[:, None] * v).ravel()))
+    label, cell, psi = (np.concatenate(x) for x in zip(*parts))
+    if len(blocks) > len(labels):
+        # a label pair with several entries: one coherent sum per (label pair, cell)
+        order = np.lexsort((cell, label))
+        label, cell, psi = label[order], cell[order], psi[order]
+        first = np.flatnonzero(np.r_[True, (np.diff(label) != 0) | (np.diff(cell) != 0)])
+        label, cell, psi = label[first], cell[first], np.add.reduceat(psi, first)
+    i, j = np.divmod(cell, size)
+    # second-quantized amplitude: sqrt(2) psi for two distinct modes,
+    # psi / sqrt(2) for both particles in one (path, spin, tag) mode
+    amp = np.abs(psi) * math.sqrt(2.0)
+    amp[(i == j) & (label % 2 == 1)] /= 2.0
+    return i, j, psi.real ** 2 + psi.imag ** 2, amp > PRUNE_THRESHOLD
 
 
 def postselect(
@@ -333,10 +451,7 @@ def opposite_spin_input(statistics: Statistics, net: Network) -> FockState:
 
 def entangled_yield(net: Network, state: FockState) -> float:
     """Total probability of two-detector coincidences at the network output."""
-    if state.particle_numbers() != {2}:
-        raise ValueError("entangled_yield requires a two-particle input")
-    branches = detect(run_network(net, state), net.monitored)
-    return sum(b.probability for b in branches if coincidence(b.pattern))
+    return sum(p for pattern, p in pattern_distribution(net, state).items() if coincidence(pattern))
 
 
 class FeedbackRound(NamedTuple):
@@ -405,15 +520,18 @@ def apply_correction(state: FockState, correction: dict[str, np.ndarray]) -> Foc
     return state
 
 
-def sample_clicks(branches: BranchSet, trials: int, seed: int) -> dict[ExcitationPattern, int]:
-    """Sample detector patterns from the exact distribution of detected branches.
+def sample_clicks(
+    distribution: Mapping[ExcitationPattern, float], trials: int, seed: int
+) -> dict[ExcitationPattern, int]:
+    """Sample detector patterns from an exact pattern distribution.
 
-    Deterministic for a given seed; patterns that never occur are
-    omitted from the histogram.
+    ``distribution`` is :func:`pattern_distribution`'s result or
+    :meth:`BranchSet.probabilities`.  Deterministic for a given seed;
+    patterns that never occur are omitted from the histogram.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
-    probs = np.array([b.probability for b in branches])
+    probs = np.array(list(distribution.values()))
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(trials, probs / probs.sum())
-    return {b.pattern: int(c) for b, c in zip(branches, counts) if c > 0}
+    return {pattern: int(c) for pattern, c in zip(distribution, counts) if c > 0}

@@ -52,3 +52,18 @@ def random_network(rng: np.random.Generator, input_paths: tuple[str, ...], n_spl
         splitters.append(BeamSplitter(in1, in2, out1, out2))
         available.extend([out1, out2])
     return Network(tuple(splitters), tuple(input_paths), tuple(sorted(available)))
+
+
+def one_sided_tree(depth: int) -> Network:
+    """Input A feeds a depth-``depth`` tree through vacuum ports; input B is a detector itself.
+
+    The opposite-spin pair has 2**depth coincidence patterns {leaf, B},
+    each of probability 2**-depth, and no other pattern.
+    """
+    splitters = [BeamSplitter("A", "~", "0", "1")]
+    for level in range(1, depth):
+        for index in range(2 ** level):
+            parent = format(index, f"0{level}b")
+            splitters.append(BeamSplitter(parent, parent + "~", parent + "0", parent + "1"))
+    leaves = tuple(format(i, f"0{depth}b") for i in range(2 ** depth))
+    return Network(tuple(splitters), ("A", "B"), leaves + ("B",))

@@ -8,10 +8,19 @@ from pathlib import Path
 
 import pytest
 
+from conftest import BOTH_STATISTICS, one_sided_tree
 from twinbeam import cli, interferometer
-from twinbeam.errors import ImpossiblePostselectionError
-from twinbeam.interferometer import build_tree, fig2_network
-from twinbeam.reporting import canonical_json
+from twinbeam.errors import ImpossiblePostselectionError, OccupancyError
+from twinbeam.interferometer import (
+    build_tree,
+    coincidence,
+    detect,
+    fig1_network,
+    fig2_network,
+    opposite_spin_input,
+    run_network,
+)
+from twinbeam.reporting import Scalar, ScenarioReport, canonical_json
 from twinbeam.scenarios import SCENARIOS
 
 
@@ -122,6 +131,41 @@ class TestRun:
         assert code == 3
         assert "nothing to select" in err
 
+    def test_package_error_in_scenario_exits_three(self, capsys, monkeypatch):
+        # a TwinbeamError that is also a ValueError is not a parameter error
+        def boom(statistics):
+            raise OccupancyError("two particles on one path")
+
+        monkeypatch.setitem(SCENARIOS, "fig1", SCENARIOS["fig1"]._replace(run=boom))
+        code, _, err = run_cli(capsys, "run", "fig1")
+        assert code == 3
+        assert "two particles on one path" in err
+
+
+CLICKS_NETWORKS = [("--fig 1", fig1_network()), ("--fig 2", fig2_network())]
+CLICKS_NETWORKS += [(f"--depth {d}", build_tree(d)) for d in range(1, 7)]
+
+
+def sparse_clicks_columns(net, statistics):
+    """The exact columns of a clicks report, built from the sparse engine's branches."""
+    branches = detect(run_network(net, opposite_spin_input(statistics, net)), net.monitored)
+    report = ScenarioReport(
+        scenario="clicks",
+        statistics=statistics.value,
+        scalars={"coincidence_probability": Scalar(
+            sum(b.probability for b in branches if coincidence(b.pattern))
+        )},
+        table=[{"pattern": "+".join(sorted(b.pattern)) or "none", "probability": b.probability}
+               for b in branches],
+    )
+    return exact_clicks_columns(report.to_json())
+
+
+def exact_clicks_columns(text):
+    data = json.loads(text)
+    rows = [[row["pattern"], row["probability"]] for row in data["table"]]
+    return json.dumps([data["scalars"]["coincidence_probability"]["value"], rows])
+
 
 class TestClicks:
     def test_builtin_network_histogram(self, capsys):
@@ -151,6 +195,17 @@ class TestClicks:
         data = json.loads(out)
         assert abs(data["scalars"]["coincidence_probability"]["value"] - 0.75) < 1e-9
 
+    def test_one_sided_tree_file(self, capsys, tmp_path):
+        path = tmp_path / "one_sided.json"
+        path.write_text(json.dumps(one_sided_tree(10).to_dict()))
+        code, out, _ = run_cli(
+            capsys, "clicks", "--network", str(path), "--trials", "100", "--format", "json"
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert len(data["table"]) == 2 ** 10
+        assert abs(data["scalars"]["coincidence_probability"]["value"] - 1.0) < 1e-9
+
     def test_requires_exactly_one_source(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["clicks", "--fig", "1", "--depth", "2"])
@@ -169,8 +224,9 @@ class TestClicks:
             {"inputs": "AB"},
             {"monitored": []},
             {"splitters": [["A", "A", "D", "C"]]},
+            {"inputs": ["A", "B", "A"]},
         ],
-        ids=["string-inputs", "empty-monitored", "duplicate-splitter-ports"],
+        ids=["string-inputs", "empty-monitored", "duplicate-splitter-ports", "duplicate-inputs"],
     )
     def test_invalid_network_file_is_usage_error(self, capsys, tmp_path, change):
         data = fig2_network().to_dict()
@@ -180,6 +236,15 @@ class TestClicks:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["clicks", "--network", str(path)])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS, ids=lambda s: s.value)
+    @pytest.mark.parametrize("source,net", CLICKS_NETWORKS, ids=[s for s, _ in CLICKS_NETWORKS])
+    def test_exact_columns_match_sparse_engine(self, capsys, source, net, statistics):
+        argv = ("clicks", *source.split(), "--statistics", statistics.value, "--format", "json")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert exact_clicks_columns(out) == sparse_clicks_columns(net, statistics)
+        assert run_cli(capsys, *argv)[1] == out
 
     def test_oversize_network_file_is_usage_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(interferometer, "MAX_MONOMIALS", 64)

@@ -1,13 +1,14 @@
 """Tests for networks, detection branching, trees, feedback, and corrections."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BOTH_STATISTICS, random_network, random_two_particle_state
+from conftest import BOTH_STATISTICS, one_sided_tree, random_network, random_two_particle_state
 from twinbeam import interferometer
 from twinbeam.errors import ImpossiblePostselectionError, NetworkError
 from twinbeam.fock import (
@@ -34,6 +35,7 @@ from twinbeam.interferometer import (
     fig1_network,
     fig2_network,
     opposite_spin_input,
+    pattern_distribution,
     postselect,
     run_network,
     sample_clicks,
@@ -109,9 +111,10 @@ class TestNetworkValidation:
             {"splitters": [["A", "B", "D", 1]], "monitored": ["1", "D"]},
             {"splitters": [["A", "B", "D"]]},
             {"splitters": "ABDC"},
+            {"inputs": ["A", "B", "A"]},
         ],
         ids=["string-inputs", "empty-monitored", "string-monitored", "integer-port",
-             "three-ports", "string-splitters"],
+             "three-ports", "string-splitters", "duplicate-inputs"],
     )
     def test_from_dict_rejects_malformed_document(self, change):
         data = {"splitters": [["A", "B", "D", "C"]], "inputs": ["A", "B"], "monitored": ["C", "D"]}
@@ -248,6 +251,129 @@ class TestDetect:
         assert abs(got - expected) < 1e-12
 
 
+def bunched_pair(rng, statistics, paths, tags):
+    """Both particles on one random input path; bosons may share one mode."""
+    path = paths[int(rng.integers(len(paths)))]
+    modes = [Mode(path, s, t) for s in (UP, DOWN) for t in tags]
+    i, j = rng.choice(len(modes), size=2, replace=statistics is Statistics.BOSON)
+    return make_product_state(statistics, [modes[i], modes[j]])
+
+
+class TestPatternDistribution:
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), statistics=st.sampled_from(BOTH_STATISTICS))
+    def test_random_networks_match_sparse_engine(self, seed, statistics):
+        rng = np.random.default_rng(seed)
+        inputs, tags = ("P", "Q", "R"), (0, 1)
+        net = random_network(rng, inputs, n_splitters=int(rng.integers(1, 6)))
+        # leave some terminal paths unmonitored
+        monitored = [p for p in net.monitored if rng.random() < 0.7] or [net.monitored[0]]
+        net = Network(net.splitters, net.inputs, tuple(monitored))
+        state = random_two_particle_state(rng, statistics, paths=inputs, tags=tags)
+        bunched = bunched_pair(rng, statistics, inputs, tags)
+        # not normalized: like run_network, pattern_distribution renormalizes
+        state = state + complex(rng.normal(), rng.normal()) * bunched
+        expected = detect(run_network(net, state), net.monitored).probabilities()
+        got = pattern_distribution(net, state)
+        assert list(got) == list(expected)
+        assert all(abs(got[p] - expected[p]) < 1e-12 for p in got)
+        assert abs(sum(got.values()) - 1.0) < 1e-12
+
+    def test_boson_hong_ou_mandel_has_no_coincidence(self):
+        state = make_product_state(Statistics.BOSON, [Mode("A", UP), Mode("B", UP)])
+        got = pattern_distribution(fig1_network(), state)
+        assert got == pytest.approx({frozenset({"C"}): 0.5, frozenset({"D"}): 0.5}, abs=1e-12)
+
+    @pytest.mark.parametrize("eps,fires", [(1.5e-12, False), (2.4e-12, True)])
+    def test_pruning_matches_sparse_engine(self, eps, fires):
+        # the eps part gives C+D second-quantized amplitudes of eps/2 against the 1e-12 threshold
+        hom = make_product_state(Statistics.BOSON, [Mode("A", UP), Mode("B", UP)])
+        state = hom + eps * opposite_pair(Statistics.BOSON)
+        got = pattern_distribution(fig1_network(), state)
+        expected = detect(run_network(fig1_network(), state), ["C", "D"]).probabilities()
+        assert list(got) == list(expected)
+        assert (frozenset({"C", "D"}) in got) is fires
+
+    @pytest.mark.parametrize("eps,fires", [(2.4e-12, False), (3.4e-12, True)])
+    def test_pruning_of_a_doubly_occupied_mode(self, eps, fires):
+        # the normalized A up A up leaves D up D up with monomial amplitude
+        # eps/(2 sqrt2) and C up D up with eps/sqrt2;
+        # the X up X down part keeps the state normalized without reaching C or D
+        fig1 = fig1_network()
+        net = Network(fig1.splitters, ("A", "B", "X"), ("C", "D", "X"))
+        pair = make_product_state(Statistics.BOSON, [Mode("X", UP), Mode("X", DOWN)])
+        state = pair + eps * make_product_state(Statistics.BOSON, [Mode("A", UP), Mode("A", UP)])
+        got = pattern_distribution(net, state)
+        expected = detect(run_network(net, state), net.monitored).probabilities()
+        assert list(got) == list(expected)
+        assert frozenset({"C", "D"}) in got
+        assert (frozenset({"D"}) in got) is fires
+
+    @pytest.mark.parametrize(
+        "modes", [[Mode("A", UP)], [Mode("A", UP), Mode("A", DOWN), Mode("B", UP)], []],
+        ids=["one", "three", "vacuum"],
+    )
+    def test_requires_two_particles(self, modes):
+        with pytest.raises(ValueError, match="two-particle"):
+            pattern_distribution(fig1_network(), make_product_state(Statistics.BOSON, modes))
+
+    def test_rejects_unknown_input_path(self):
+        state = make_product_state(Statistics.BOSON, [Mode("A", UP), Mode("Z", UP)])
+        with pytest.raises(NetworkError, match="outside the network inputs"):
+            pattern_distribution(fig1_network(), state)
+
+    def test_oversize_input_is_refused(self, monkeypatch):
+        # a depth-4 tree expands the pair into 4**4 = 256 monomials
+        def no_array(*args):
+            raise AssertionError("built an array before the size check")
+
+        monkeypatch.setattr(interferometer, "MAX_MONOMIALS", 64)
+        monkeypatch.setattr(interferometer, "_pair_cells", no_array)
+        with pytest.raises(NetworkError, match="256 monomials, over 64"):
+            pattern_distribution(build_tree(4), opposite_pair(Statistics.FERMION))
+
+    def test_deepest_tree_passes_the_size_check(self, monkeypatch):
+        class Checked(Exception):
+            pass
+
+        def stop(*args):
+            raise Checked
+
+        monkeypatch.setattr(interferometer, "_pair_cells", stop)
+        with pytest.raises(Checked):
+            pattern_distribution(build_tree(MAX_TREE_DEPTH), opposite_pair(Statistics.FERMION))
+
+
+    def test_one_sided_tree_builds_only_reached_cells(self):
+        # a (terminal x terminal) array over all 1025 terminals would take 16 MiB per label pair
+        net = one_sided_tree(10)
+        state = opposite_pair(Statistics.FERMION)
+        tracemalloc.start()
+        try:
+            got = pattern_distribution(net, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        expected = detect(run_network(net, state), net.monitored).probabilities()
+        assert list(got) == list(expected) and len(got) == 2 ** 10
+        assert all(abs(got[p] - 2.0 ** -10) < 1e-15 for p in got)
+
+    def test_unreached_paths_cost_nothing(self):
+        # 1,000 unused inputs that are also detectors, none reached by the pair
+        extra = tuple(f"X{k}" for k in range(1000))
+        fig1 = fig1_network()
+        net = Network(fig1.splitters, fig1.inputs + extra, fig1.monitored + extra)
+        tracemalloc.start()
+        try:
+            got = pattern_distribution(net, opposite_pair(Statistics.BOSON))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert got == pattern_distribution(fig1, opposite_pair(Statistics.BOSON))
+
+
 class TestPostselect:
     def test_fig1_coincidence_probability(self):
         out = run_network(fig1_network(), opposite_pair(Statistics.FERMION))
@@ -374,18 +500,19 @@ class TestCorrection:
 class TestSampleClicks:
     def test_deterministic_given_seed(self):
         branches = detected_branches(fig1_network(), Statistics.BOSON)
-        a = sample_clicks(branches, 5000, seed=11)
-        b = sample_clicks(branches, 5000, seed=11)
+        a = sample_clicks(branches.probabilities(), 5000, seed=11)
+        b = sample_clicks(branches.probabilities(), 5000, seed=11)
         assert a == b
 
     def test_single_trial(self):
-        histogram = sample_clicks(detected_branches(fig1_network(), Statistics.BOSON), 1, seed=3)
+        branches = detected_branches(fig1_network(), Statistics.BOSON)
+        histogram = sample_clicks(branches.probabilities(), 1, seed=3)
         assert sum(histogram.values()) == 1 and len(histogram) == 1
 
     def test_frequencies_near_exact(self):
         trials = 100_000
         branches = detected_branches(fig1_network(), Statistics.FERMION)
-        histogram = sample_clicks(branches, trials, seed=5)
+        histogram = sample_clicks(branches.probabilities(), trials, seed=5)
         sigma = math.sqrt(0.25 / trials)
         freq = histogram[frozenset({"C", "D"})] / trials
         assert abs(freq - 0.5) < 3.0 * sigma
@@ -393,7 +520,7 @@ class TestSampleClicks:
     def test_chi_square_against_exact(self):
         branches = detected_branches(fig2_network(), Statistics.BOSON)
         trials = 100_000
-        histogram = sample_clicks(branches, trials, seed=17)
+        histogram = sample_clicks(branches.probabilities(), trials, seed=17)
         chi2 = sum(
             (histogram.get(b.pattern, 0) - trials * b.probability) ** 2 / (trials * b.probability)
             for b in branches
@@ -402,5 +529,6 @@ class TestSampleClicks:
         assert chi2 < 21.67
 
     def test_requires_positive_trials(self):
+        branches = detected_branches(fig1_network(), Statistics.BOSON)
         with pytest.raises(ValueError):
-            sample_clicks(detected_branches(fig1_network(), Statistics.BOSON), 0, seed=1)
+            sample_clicks(branches.probabilities(), 0, seed=1)

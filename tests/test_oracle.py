@@ -8,7 +8,13 @@ import pytest
 from conftest import BOTH_STATISTICS, random_network, random_two_particle_state
 from twinbeam.errors import NotUnitaryError
 from twinbeam.fock import Mode, Spin, Statistics, make_product_state
-from twinbeam.interferometer import detect, fig1_network, fig2_network, run_network
+from twinbeam.interferometer import (
+    detect,
+    fig1_network,
+    fig2_network,
+    pattern_distribution,
+    run_network,
+)
 from twinbeam.oracle import (
     FirstQuantizedState,
     cross_check,
@@ -142,3 +148,22 @@ def test_engine_matches_oracle_on_random_networks(statistics, seed):
     for branch in engine_branches:
         assert abs(branch.probability - oracle_probs[branch.pattern]) < 1e-9
         assert states_match(cross_check(branch.state, labels), oracle_conds[branch.pattern])
+
+
+@pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+@pytest.mark.parametrize("case", ["fig2", "random"])
+def test_pattern_distribution_matches_oracle(statistics, case):
+    if case == "fig2":
+        net, tags = fig2_network(), (0,)
+        state = make_product_state(statistics, [Mode("A", UP), Mode("B", DOWN)])
+    else:
+        rng = np.random.default_rng(4000)
+        net, tags = random_network(rng, ("P", "Q"), n_splitters=4), (0, 1)
+        state = random_two_particle_state(rng, statistics, paths=("P", "Q"), tags=tags)
+    labels = network_labels(net, tags)
+    oracle_probs, _ = oracle_detect(oracle_run(net, cross_check(state, labels)), net.monitored)
+
+    got = pattern_distribution(net, state)
+    assert set(got) == set(oracle_probs)
+    for pattern, p in got.items():
+        assert abs(p - oracle_probs[pattern]) < 1e-12
