@@ -93,7 +93,7 @@ def _clicks_network(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         try:
             data = json.loads(Path(args.network).read_text())
             return Network.from_dict(data)
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, NetworkError) as exc:
+        except (OSError, json.JSONDecodeError, NetworkError) as exc:
             parser.error(f"cannot load network file {args.network!r}: {exc}")
     if args.depth is not None:
         if not 1 <= args.depth <= MAX_SCENARIO_TREE_DEPTH:

@@ -18,6 +18,7 @@ each branch and none across branches.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -146,8 +147,13 @@ class Network:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Network":
-        """Inverse of :meth:`to_dict`; every path name must be a JSON string."""
+    def from_dict(cls, data) -> "Network":
+        """Inverse of :meth:`to_dict`; any other JSON value raises :class:`NetworkError`."""
+        if not isinstance(data, dict):
+            raise NetworkError(f"a network must be a JSON object, got {type(data).__name__}")
+        missing = [k for k in ("splitters", "inputs", "monitored") if k not in data]
+        if missing:
+            raise NetworkError(f"network document lacks {', '.join(missing)}")
         quads = data["splitters"]
         if not isinstance(quads, list) or any(
             not isinstance(q, list) or len(q) != 4 for q in quads
@@ -287,6 +293,36 @@ def pattern_distribution(net: Network, state: FockState) -> dict[ExcitationPatte
     probabilities are renormalized.  The input checks and the
     :data:`MAX_MONOMIALS` refusal are those of :func:`run_network`.
     """
+    # the slice frees the per-cell arrays before the patterns are built
+    keys, probabilities, monitored = _pair_patterns(net, state)[:3]
+    return dict(zip(_patterns(keys, monitored), probabilities.tolist()))
+
+
+class _PairPatterns(NamedTuple):
+    """Pair cells after a network and the detector patterns they fire.
+
+    ``keys`` are the kept patterns in :func:`detect`'s order (see
+    :func:`_patterns`), with their renormalized ``probabilities``.  Cell
+    ``k`` holds the amplitude ``psi[k]`` of the first particle on the
+    ``i[k]``-th terminal the pair reaches (the sorted ``monitored`` ones
+    first) and the second on the ``j[k]``-th, with internal labels
+    ``label_pairs[label[k] // 2]``; ``fires[k]`` is false for a cell the
+    sparse engine prunes.
+    """
+
+    keys: np.ndarray
+    probabilities: np.ndarray
+    monitored: list[str]
+    label_pairs: list[tuple[tuple[Spin, int], tuple[Spin, int]]]
+    label: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    psi: np.ndarray
+    fires: np.ndarray
+
+
+def _pair_patterns(net: Network, state: FockState) -> _PairPatterns:
+    """The pair cells of ``state`` after ``net``, grouped into kept patterns."""
     if state.particle_numbers() != {2}:
         raise ValueError("pattern_distribution requires a two-particle input")
     table = _checked_path_map(net, state)
@@ -297,38 +333,59 @@ def pattern_distribution(net: Network, state: FockState) -> dict[ExcitationPatte
     watched = set(net.monitored)
     monitored = sorted(watched.intersection(reached))
     terminals = monitored + [t for t in reached if t not in watched]
-    i, j, prob, fires = _pair_cells(state, table, terminals)
+    label_pairs, label, i, j, psi = _pair_cells(state, table, terminals)
+    # second-quantized amplitude: sqrt(2) psi for two distinct modes,
+    # psi / sqrt(2) for both particles in one (path, spin, tag) mode
+    amp = np.abs(psi) * math.sqrt(2.0)
+    amp[(i == j) & (label % 2 == 1)] /= 2.0
+    fires = amp > PRUNE_THRESHOLD
+    # per-cell temporaries go as soon as they are used: the cell arrays
+    # stay alive here, and more live arrays raise the peak RSS of clicks
+    del amp
     n = len(monitored)
-    i, j = np.where(i < n, i, -1), np.where(j < n, j, -1)
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     # 0: no detector fired; 1 + m: detector m alone; 1 + n + lo * n + hi: lo and hi
-    key = np.where((lo < 0) | (lo == hi), hi + 1, 1 + n + lo * n + hi)
+    # (terminals from n on are unmonitored)
+    key = np.where(
+        hi < n, np.where(lo == hi, hi + 1, 1 + n + lo * n + hi), np.where(lo < n, lo + 1, 0)
+    )
+    del lo, hi
     keys, group = np.unique(key, return_inverse=True)
-    probs = np.bincount(group, weights=prob)
+    probs = np.bincount(group, weights=psi.real ** 2 + psi.imag ** 2)
     kept = np.bincount(group, weights=fires) > 0
     values = probs[kept] / probs[kept].sum()
-    keys = keys[kept]
+    return _PairPatterns(keys[kept], values, monitored, label_pairs, label, i, j, psi, fires)
+
+
+def _patterns(keys: np.ndarray, monitored: list[str]) -> list[ExcitationPattern]:
+    """The detector patterns of pattern keys over the sorted ``monitored`` paths.
+
+    Key 0 is no detector, ``1 + m`` detector ``m`` alone, and
+    ``1 + n + lo * n + hi`` detectors ``lo < hi`` of ``n``, so ascending
+    keys follow :func:`_pattern_sort_key`.
+    """
+    n = len(monitored)
     singles, pairs = np.searchsorted(keys, [1, n + 1]).tolist()
     lo, hi = np.divmod(keys[pairs:] - 1 - n, n)
     patterns = [frozenset()] * singles
     patterns += [frozenset((monitored[m],)) for m in (keys[singles:pairs] - 1).tolist()]
     patterns += [frozenset((monitored[a], monitored[b])) for a, b in zip(lo.tolist(), hi.tolist())]
-    return dict(zip(patterns, values.tolist()))
+    return patterns
 
 
-def _pair_cells(
-    state: FockState, table: PathTable, terminals: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _pair_cells(state: FockState, table: PathTable, terminals: Sequence[str]) -> tuple:
     """Nonzero pair amplitudes of a two-particle state after the path map.
 
-    Returns flat arrays ``(i, j, prob, fires)``, one entry per internal
-    label pair and (terminal, terminal) position ``(terminals[i],
-    terminals[j])``: the squared first-quantized amplitude, and whether
-    the second-quantized amplitude exceeds ``PRUNE_THRESHOLD``.  A
-    canonical monomial a+_m1 a+_m2 with m1 < m2 puts a/sqrt(2) on input
-    paths (m1, m2) and +-a/sqrt(2) on (m2, m1), and a doubly occupied
-    bosonic mode puts a*sqrt(2) on its diagonal; each such entry spreads
-    over the outer product of the two paths' images.
+    Returns ``(label_pairs, label, i, j, psi)``: the internal label
+    pairs, and flat arrays with one entry per label pair and (terminal,
+    terminal) position ``(terminals[i], terminals[j])``, holding the
+    first-quantized amplitude ``psi``.  ``label // 2`` indexes
+    ``label_pairs``, and ``label`` is odd when both particles carry the
+    same internal label.  A canonical monomial a+_m1 a+_m2 with m1 < m2
+    puts a/sqrt(2) on input paths (m1, m2) and +-a/sqrt(2) on (m2, m1),
+    and a doubly occupied bosonic mode puts a*sqrt(2) on its diagonal;
+    each such entry spreads over the outer product of the two paths'
+    images.
     """
     sign = -1.0 if state.statistics is Statistics.FERMION else 1.0
     blocks: dict[tuple, complex] = {}
@@ -367,11 +424,39 @@ def _pair_cells(
         first = np.flatnonzero(np.r_[True, (np.diff(label) != 0) | (np.diff(cell) != 0)])
         label, cell, psi = label[first], cell[first], np.add.reduceat(psi, first)
     i, j = np.divmod(cell, size)
-    # second-quantized amplitude: sqrt(2) psi for two distinct modes,
-    # psi / sqrt(2) for both particles in one (path, spin, tag) mode
-    amp = np.abs(psi) * math.sqrt(2.0)
-    amp[(i == j) & (label % 2 == 1)] /= 2.0
-    return i, j, psi.real ** 2 + psi.imag ** 2, amp > PRUNE_THRESHOLD
+    return list(labels), label, i, j, psi
+
+
+def _coincidence_blocks(detected: _PairPatterns) -> np.ndarray:
+    """Spin-tag amplitudes of the kept coincidences, a normalized 4xT block each.
+
+    Block ``k`` belongs to the ``k``-th kept pattern ``{p1, p2}``,
+    ``p1 < p2``.  Its entry ``v[2 s1 + s2, c]`` is ``sqrt(2) psi`` of the
+    cell with spin and tag (s1, t1) on p1 and (s2, t2) on p2, up to
+    normalization, ``c`` being the column of (t1, t2); column 0 is the
+    untagged pair (0, 0).  These are the amplitudes that
+    :func:`twinbeam.metrics.reduce_to_spin_dm` reads off a detected branch.
+    """
+    n = len(detected.monitored)
+    pairs = detected.keys[detected.keys > n]
+    columns = {(0, 0): 0}
+    # (spin row, tag column) of each label pair
+    places = np.array([
+        (2 * s1 + s2, columns.setdefault((t1, t2), len(columns)))
+        for (s1, t1), (s2, t2) in detected.label_pairs
+    ])
+    blocks = np.zeros((len(pairs), 4, len(columns)), dtype=complex)
+    i, j = detected.i, detected.j
+    # each coincidence cell that the sparse engine keeps, once: with the
+    # smaller path first, the mirrored cell holding the same amplitude up to sign
+    at = np.flatnonzero((i < j) & (j < n) & detected.fires)
+    key = 1 + n + i[at] * n + j[at]  # the key of detectors i and j, as in _patterns
+    found = np.isin(key, pairs)  # not a cell of a pruned pattern
+    at, block = at[found], np.searchsorted(pairs, key[found])
+    row, col = places[detected.label[at] // 2].T
+    blocks[block, row, col] = detected.psi[at]
+    blocks /= np.linalg.norm(blocks, axis=(1, 2))[:, None, None]
+    return blocks
 
 
 def postselect(
@@ -433,11 +518,15 @@ def _relabel(net: Network, names: dict[str, str]) -> Network:
     return Network(splitters, tuple(rename(p) for p in net.inputs), tuple(rename(p) for p in net.monitored))
 
 
+# fig1 and fig2 are built once and shared: a Network is immutable, and
+# the sweeps ask for fig1 at every point
+@functools.cache
 def fig1_network() -> Network:
     """Single splitter A,B -> D,C with detectors on C and D."""
     return _relabel(build_tree(1), _FIG1_NAMES)
 
 
+@functools.cache
 def fig2_network() -> Network:
     """Three-splitter network: C splits into (E, F), D into (G, H)."""
     return _relabel(build_tree(2), _FIG2_NAMES)
@@ -500,17 +589,32 @@ def correction_for_branch(branch: Branch) -> dict[str, np.ndarray]:
     p1, p2 = sorted(branch.pattern)
     alpha = branch.state.amplitude([Mode(p1, Spin.UP), Mode(p2, Spin.DOWN)])
     beta = branch.state.amplitude([Mode(p1, Spin.DOWN), Mode(p2, Spin.UP)])
-    if abs(abs(alpha) - 1 / math.sqrt(2)) > 1e-9 or abs(abs(beta) - 1 / math.sqrt(2)) > 1e-9:
-        raise NetworkError(
-            f"branch {sorted(branch.pattern)} is not a local-phase image of psi+"
-        )
-    delta = alpha / beta
-    delta /= abs(delta)
-    if abs(delta.imag) < 1e-12:
-        delta = complex(1.0 if delta.real > 0 else -1.0)
+    (delta,) = _correction_phases(np.array([alpha]), np.array([beta]), [branch.pattern]).tolist()
     if delta == 1.0:
         return {}
     return {p1: np.array([[1.0, 0.0], [0.0, delta]], dtype=complex)}
+
+
+def _correction_phases(
+    alpha: np.ndarray, beta: np.ndarray, patterns: Sequence[ExcitationPattern]
+) -> np.ndarray:
+    """Down-spin phase on the smaller path that turns each coincidence into psi+.
+
+    ``alpha`` and ``beta`` are the normalized amplitudes of |up down>
+    and |down up> on the coincidences ``patterns``; each must have
+    magnitude 1/sqrt(2), or :class:`NetworkError` names the first that
+    does not.  The phase is ``alpha / beta`` on the unit circle, snapped
+    to +-1 within 1e-12 of the real axis; 1 means no correction.
+    """
+    half = 1 / math.sqrt(2)
+    bad = (np.abs(np.abs(alpha) - half) > 1e-9) | (np.abs(np.abs(beta) - half) > 1e-9)
+    if bad.any():
+        raise NetworkError(
+            f"branch {sorted(patterns[int(bad.argmax())])} is not a local-phase image of psi+"
+        )
+    delta = alpha / beta
+    delta /= np.abs(delta)
+    return np.where(np.abs(delta.imag) < 1e-12, np.where(delta.real > 0, 1.0, -1.0), delta)
 
 
 def apply_correction(state: FockState, correction: dict[str, np.ndarray]) -> FockState:

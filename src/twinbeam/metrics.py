@@ -104,16 +104,13 @@ def _fidelities(rho: np.ndarray, pure: np.ndarray) -> np.ndarray:
     return np.real(v.conj() @ rho @ v)
 
 
-def _pair_matrix(
-    state: FockState, path_x: str, path_y: str, place: Callable, out: np.ndarray | None = None
-) -> np.ndarray:
+def _pair_matrix(state: FockState, path_x: str, path_y: str, place: Callable) -> np.ndarray:
     """4x4 density matrix of a two-particle state on two paths, internal tags traced out.
 
     ``place(monomial, amp, p1, p2)``, p1 being the smaller path, returns
     a canonical monomial's basis row and amplitude or raises
     :class:`OccupancyError`.  Each tag pair is one column of the 4xT
-    amplitude array v, and rho = v v† / tr, written into ``out`` if
-    given.  Not validated.
+    amplitude array v, and rho = v v† / tr.  Not validated.
     """
     if path_x == path_y:
         raise ValueError("the two paths must differ")
@@ -129,7 +126,7 @@ def _pair_matrix(
     v = np.zeros((4, len(columns)), dtype=complex)
     for row, col, amp in entries:
         v[row, col] += amp
-    rho = np.matmul(v, v.conj().T, out=out)
+    rho = v @ v.conj().T
     rho /= np.trace(rho).real
     return rho
 

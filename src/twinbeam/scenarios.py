@@ -17,10 +17,14 @@ import numpy as np
 from .errors import StatisticsMismatchError
 from .fock import FockState, Mode, Spin, Statistics, apply_spin_rotation, make_product_state
 from .interferometer import (
+    ExcitationPattern,
     Network,
+    _coincidence_blocks,
+    _correction_phases,
+    _pair_patterns,
+    _patterns,
     build_tree,
     coincidence,
-    correction_for_branch,
     detect,
     feedback_run,
     fig1_network,
@@ -30,8 +34,6 @@ from .interferometer import (
 )
 from .metrics import (
     TwoQubitDM,
-    _pair_matrix,
-    _spin_place,
     bell_labels,
     chsh_expectation,
     classify_bell,
@@ -100,51 +102,55 @@ def unpolarized_pair(statistics: Statistics) -> Ensemble:
     return Ensemble(tuple(components))
 
 
-def _correction_label(correction: dict[str, np.ndarray]) -> str:
-    if not correction:
+def _correction_label(path: str, phase: complex) -> str:
+    if phase == 1.0:
         return "identity"
-    parts = []
-    for path, u in sorted(correction.items()):
-        phase = complex(u[1, 1])
-        parts.append(f"{path}:down-phase {math.atan2(phase.imag, phase.real) / math.pi:.6g}pi")
-    return "; ".join(parts)
+    return f"{path}:down-phase {math.atan2(phase.imag, phase.real) / math.pi:.6g}pi"
 
 
-def _branch_rows(branches) -> list[dict]:
-    rows = []
-    spin_dms = np.empty((METRICS_CHUNK, 4, 4), dtype=complex)
-    pending: list[dict] = []
+_BRANCH_COLUMNS = ("pattern", "detectors", "probability", "concurrence", "bell_state", "correction")
 
-    def evaluate_pending() -> None:
-        rho = spin_dms[: len(pending)]
+
+def _branch_rows(
+    patterns: list[ExcitationPattern], probabilities: list[float], blocks: np.ndarray
+) -> list[dict]:
+    """One table row per detector pattern, in :func:`detect`'s order.
+
+    The coincidences come last, and ``blocks`` holds their normalized
+    spin-tag amplitudes (``interferometer._coincidence_blocks``); their
+    spin matrices ``v v† / tr`` are evaluated :data:`METRICS_CHUNK` at a time.
+    """
+    first = len(patterns) - len(blocks)
+    rows = [
+        dict(zip(_BRANCH_COLUMNS, ("+".join(sorted(p)) or "none", len(p), prob, 0.0, "", "")))
+        for p, prob in zip(patterns[:first], probabilities)
+    ]
+    pairs = [sorted(p) for p in patterns[first:]]
+    # alpha / beta: |up down> over |down up> in the untagged column
+    phases = _correction_phases(blocks[:, 1, 0], blocks[:, 2, 0], pairs).tolist()
+    for start in range(0, len(blocks), METRICS_CHUNK):
+        v = blocks[start : start + METRICS_CHUNK]
+        rho = v @ v.conj().swapaxes(-1, -2)
+        rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
         validate_dms(rho)
-        for row, c, label in zip(pending, concurrences(rho).tolist(), bell_labels(rho).tolist()):
-            row["concurrence"] = c
-            row["bell_state"] = label or "other"
-        pending.clear()
-
-    for b in branches:
-        row: dict = {
-            "pattern": "+".join(sorted(b.pattern)) or "none",
-            "detectors": len(b.pattern),
-            "probability": b.probability,
-        }
-        if coincidence(b.pattern):
-            p1, p2 = sorted(b.pattern)
-            _pair_matrix(b.state, p1, p2, _spin_place, out=spin_dms[len(pending)])
-            # placeholders keep the column order; evaluate_pending fills them
-            row["concurrence"] = row["bell_state"] = None
-            row["correction"] = _correction_label(correction_for_branch(b))
-            pending.append(row)
-            if len(pending) == METRICS_CHUNK:
-                evaluate_pending()
-        else:
-            row["concurrence"] = 0.0
-            row["bell_state"] = ""
-            row["correction"] = ""
-        rows.append(row)
-    evaluate_pending()
+        metrics = zip(concurrences(rho).tolist(), bell_labels(rho).tolist())
+        for k, (c, label) in enumerate(metrics, start):
+            p1, p2 = pairs[k]
+            correction = _correction_label(p1, phases[k])
+            values = (f"{p1}+{p2}", 2, probabilities[first + k], c, label or "other", correction)
+            rows.append(dict(zip(_BRANCH_COLUMNS, values)))
     return rows
+
+
+def _branch_table(net: Network, statistics: Statistics) -> tuple[float, list[dict]]:
+    """Coincidence probability and branch rows of the opposite-spin pair after ``net``."""
+    detected = _pair_patterns(net, opposite_spin_input(statistics, net))
+    blocks = _coincidence_blocks(detected)
+    keys, probabilities, monitored = detected[:3]
+    del detected  # the per-cell arrays, before the patterns and rows are built
+    patterns, probabilities = _patterns(keys, monitored), probabilities.tolist()
+    total = sum(probabilities[len(patterns) - len(blocks) :])
+    return total, _branch_rows(patterns, probabilities, blocks)
 
 
 def _spin_pair_label(state: FockState) -> str:
@@ -153,44 +159,35 @@ def _spin_pair_label(state: FockState) -> str:
     return ",".join(names[m.spin] for m in monomial)
 
 
-def _coincidence_summary(net: Network, statistics: Statistics):
-    branches = detect(run_network(net, opposite_spin_input(statistics, net)), net.monitored)
-    total = sum(b.probability for b in branches if coincidence(b.pattern))
-    return branches, total
-
-
 def scenario_fig1(statistics: Statistics) -> ScenarioReport:
     """Single splitter on an opposite-spin pair: heralded Bell-pair source."""
-    net = fig1_network()
-    branches, total = _coincidence_summary(net, statistics)
-    pair = branches[{"C", "D"}]
-    dm = reduce_to_spin_dm(pair.state, "C", "D")
+    total, rows = _branch_table(fig1_network(), statistics)
+    pair = rows[-1]
     return ScenarioReport(
         scenario="fig1",
         statistics=statistics.value,
         parameters={},
         scalars={
             "coincidence_probability": Scalar(total),
-            "bell_state": Scalar(classify_bell(dm) or "other"),
-            "concurrence": Scalar(concurrence(dm)),
+            "bell_state": Scalar(pair["bell_state"]),
+            "concurrence": Scalar(pair["concurrence"]),
         },
-        table=_branch_rows(branches),
+        table=rows,
     )
 
 
 def scenario_fig2(statistics: Statistics) -> ScenarioReport:
     """Three splitters, four detectors: coincidences in 3/4 of the cases."""
-    net = fig2_network()
-    branches, total = _coincidence_summary(net, statistics)
+    total, rows = _branch_table(fig2_network(), statistics)
     return ScenarioReport(
         scenario="fig2",
         statistics=statistics.value,
         parameters={},
         scalars={
             "coincidence_probability": Scalar(total),
-            "patterns": Scalar(len(branches)),
+            "patterns": Scalar(len(rows)),
         },
-        table=_branch_rows(branches),
+        table=rows,
     )
 
 
@@ -199,7 +196,7 @@ def scenario_tree(depth: int, statistics: Statistics) -> ScenarioReport:
     if not 1 <= depth <= MAX_SCENARIO_TREE_DEPTH:
         raise ValueError(f"tree scenario supports depths 1 through {MAX_SCENARIO_TREE_DEPTH}")
     net = build_tree(depth)
-    branches, total = _coincidence_summary(net, statistics)
+    total, rows = _branch_table(net, statistics)
     return ScenarioReport(
         scenario="tree",
         statistics=statistics.value,
@@ -210,14 +207,14 @@ def scenario_tree(depth: int, statistics: Statistics) -> ScenarioReport:
             "splitters": Scalar(len(net.splitters)),
             "outputs": Scalar(len(net.monitored)),
         },
-        table=_branch_rows(branches),
+        table=rows,
     )
 
 
 def scenario_statistics_test(statistics: Statistics) -> ScenarioReport:
     """Identify the statistics from rotated spin correlations after coincidence."""
     net = fig1_network()
-    branches, _ = _coincidence_summary(net, statistics)
+    branches = detect(run_network(net, opposite_spin_input(statistics, net)), net.monitored)
     state = branches[{"C", "D"}].state
     for path in ("C", "D"):
         state = apply_spin_rotation(state, path, SPIN_MIXER)
@@ -420,7 +417,7 @@ def scenario_gaussian(
 def scenario_dual(statistics: Statistics) -> ScenarioReport:
     """Read the coincidence state both ways: spins entangled, paths entangled."""
     net = fig1_network()
-    branches, _ = _coincidence_summary(net, statistics)
+    branches = detect(run_network(net, opposite_spin_input(statistics, net)), net.monitored)
     state = branches[{"C", "D"}].state
     spin_dm = reduce_to_spin_dm(state, "C", "D")
     path_dm = dual_relabel(state, "C", "D")

@@ -237,6 +237,15 @@ class TestClicks:
             cli.main(["clicks", "--network", str(path)])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("text", ["[]", "1", "null", "{}", '{"splitters": []}'])
+    def test_network_file_without_a_network_is_usage_error(self, capsys, tmp_path, text):
+        path = tmp_path / "invalid.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["clicks", "--network", str(path)])
+        assert excinfo.value.code == 2
+        assert "cannot load network file" in capsys.readouterr().err
+
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS, ids=lambda s: s.value)
     @pytest.mark.parametrize("source,net", CLICKS_NETWORKS, ids=[s for s, _ in CLICKS_NETWORKS])
     def test_exact_columns_match_sparse_engine(self, capsys, source, net, statistics):
@@ -287,6 +296,18 @@ PINNED_JSON_SHA256 = {
         "26f3f16b08fccdab049c84b7db21dc866ef0a076e146f4839016ad10561b24e7",
     ("dual", "fermion"):
         "6706974b4206b45238a7bafc34431f3402d5734dc1110738bc91b926d486b971",
+    ("tree --depth 7", "boson"):
+        "6b1370188eceed8cc9a1d6504ebcbae505be0d63e69b446c2dbf2a3a6a7878e8",
+    ("tree --depth 7", "fermion"):
+        "a4a311501ed87b3a83204182f5cfd8cc8803613704ec783985bd306cf00edd3c",
+    ("fig1", "boson"):
+        "72c2d9e54980cc53910fec3589ed4218430cc68033c799660a4cbc59dac42ab1",
+    ("fig1", "fermion"):
+        "ccf27c619f9040b03a19dfba0c206bad8cf8fb6613057b2f707cbfea34a9f106",
+    ("fig2", "boson"):
+        "24189a834913c313e7e6b2b09305f688b24e40d0e5949370e0714512b7309ca9",
+    ("fig2", "fermion"):
+        "7f816e42b0baf5ba59c20cd3c29e4fc2486df1b88a30075b8eab5cd0a76b1c94",
 }
 
 

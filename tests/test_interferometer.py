@@ -40,7 +40,7 @@ from twinbeam.interferometer import (
     run_network,
     sample_clicks,
 )
-from twinbeam.metrics import PSI_PLUS, concurrence, reduce_to_spin_dm
+from twinbeam.metrics import PSI_PLUS, concurrence, concurrences, reduce_to_spin_dm, validate_dms
 
 UP, DOWN = Spin.UP, Spin.DOWN
 
@@ -62,6 +62,42 @@ def apply_splitter(state, bs):
 def assert_same_state(x, y, tol=1e-12):
     for monomial in set(x.terms) | set(y.terms):
         assert abs(x.terms.get(monomial, 0j) - y.terms.get(monomial, 0j)) < tol
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+
+#: documents with the three keys, made of a few path names or of any JSON
+_NAMES = st.lists(st.sampled_from("ABCDEF"), max_size=4)
+_QUADS = st.lists(
+    st.lists(st.sampled_from("ABCDEF") | JSON_VALUES, min_size=4, max_size=4), max_size=3
+)
+NETWORK_LIKE_DOCUMENTS = st.fixed_dictionaries(
+    {
+        "splitters": _QUADS | JSON_VALUES,
+        "inputs": _NAMES | JSON_VALUES,
+        "monitored": _NAMES | JSON_VALUES,
+    }
+)
+
+
+@st.composite
+def edited_network_documents(draw):
+    """A random network's document, one key at most replaced by other JSON or dropped."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = random_network(rng, ("P", "Q"), int(rng.integers(1, 4))).to_dict()
+    key = draw(st.sampled_from([None, "splitters", "inputs", "monitored"]))
+    value = draw(st.none() | _NAMES | _QUADS | JSON_VALUES)
+    if key is not None:
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+    return data
 
 
 class TestNetworkValidation:
@@ -121,6 +157,25 @@ class TestNetworkValidation:
         data.update(change)
         with pytest.raises(NetworkError):
             Network.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [[], 1, None, "network", {}, {"splitters": []}, {"inputs": ["A"], "monitored": ["A"]}],
+        ids=["list", "number", "null", "string", "empty-object", "splitters-only",
+             "no-splitters"],
+    )
+    def test_from_dict_rejects_non_network_document(self, data):
+        with pytest.raises(NetworkError):
+            Network.from_dict(data)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.one_of(JSON_VALUES, NETWORK_LIKE_DOCUMENTS, edited_network_documents()))
+    def test_from_dict_gives_network_or_network_error(self, data):
+        try:
+            net = Network.from_dict(data)
+        except NetworkError:
+            return
+        assert Network.from_dict(net.to_dict()) == net
 
 
 class TestRunNetwork:
@@ -372,6 +427,92 @@ class TestPatternDistribution:
             tracemalloc.stop()
         assert peak < 2 ** 20
         assert got == pattern_distribution(fig1, opposite_pair(Statistics.BOSON))
+
+
+class TestCoincidenceBlocks:
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), statistics=st.sampled_from(BOTH_STATISTICS))
+    def test_random_networks_match_detected_branches(self, seed, statistics):
+        rng = np.random.default_rng(seed)
+        inputs = ("P", "Q", "R")
+        net = random_network(rng, inputs, n_splitters=int(rng.integers(1, 6)))
+        state = random_two_particle_state(rng, statistics, paths=inputs, tags=(0, 1), n_terms=4)
+        detected = interferometer._pair_patterns(net, state)
+        patterns = interferometer._patterns(detected.keys, detected.monitored)
+        distribution = pattern_distribution(net, state)
+        assert patterns == list(distribution)
+        assert detected.probabilities.tolist() == list(distribution.values())
+        blocks = interferometer._coincidence_blocks(detected)
+        coincidences = [p for p in patterns if coincidence(p)]
+        assert patterns[len(patterns) - len(blocks):] == coincidences
+        branches = detect(run_network(net, state), net.monitored)
+        for pattern, v in zip(coincidences, blocks):
+            rho = v @ v.conj().T
+            rho /= np.trace(rho).real
+            branch = branches[pattern].state
+            assert np.abs(rho - reduce_to_spin_dm(branch, *pattern).matrix).max() < 1e-12
+            # column 0: the untagged amplitudes, as correction_for_branch reads them
+            p1, p2 = sorted(pattern)
+            for row, (s1, s2) in ((1, (UP, DOWN)), (2, (DOWN, UP))):
+                assert abs(v[row, 0] - branch.amplitude([Mode(p1, s1), Mode(p2, s2)])) < 1e-12
+        if len(blocks):
+            rho = blocks @ blocks.conj().swapaxes(-1, -2)
+            validate_dms(rho)
+            c = concurrences(rho)
+            assert ((c >= 0.0) & (c <= 1.0 + 1e-12)).all()
+
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    @pytest.mark.parametrize(
+        "net", [build_tree(d) for d in range(1, 6)] + [fig2_network()],
+        ids=[f"tree{d}" for d in range(1, 6)] + ["fig2"],
+    )
+    def test_phases_match_correction_for_branch(self, net, statistics):
+        detected = interferometer._pair_patterns(net, opposite_spin_input(statistics, net))
+        blocks = interferometer._coincidence_blocks(detected)
+        patterns = interferometer._patterns(detected.keys, detected.monitored)
+        coincidences = patterns[len(patterns) - len(blocks):]
+        phases = interferometer._correction_phases(blocks[:, 1, 0], blocks[:, 2, 0], coincidences)
+        branches = detected_branches(net, statistics)
+        assert len(phases) == sum(coincidence(b.pattern) for b in branches) > 0
+        for pattern, phase in zip(coincidences, phases.tolist()):
+            correction = correction_for_branch(branches[pattern])
+            if phase == 1.0:
+                assert correction == {}
+            else:
+                (path, matrix), = correction.items()
+                assert path == min(pattern)
+                assert np.abs(matrix - np.diag([1.0, phase])).max() < 1e-12
+
+    def test_pruned_cells_stay_out_of_the_blocks(self):
+        # C+D monomials: 2e-12 from the untagged pair, kept, and 0.8e-12
+        # from the tagged one, which the sparse engine prunes
+        hom = make_product_state(Statistics.BOSON, [Mode("A", UP), Mode("B", UP)])
+        untagged = opposite_pair(Statistics.BOSON)
+        tagged = make_product_state(Statistics.BOSON, [Mode("A", UP, 1), Mode("B", DOWN, 1)])
+        state = hom + 4e-12 * untagged + 1.6e-12 * tagged
+        net = fig1_network()
+        (v,) = interferometer._coincidence_blocks(interferometer._pair_patterns(net, state))
+        branch = detect(run_network(net, state), net.monitored)[{"C", "D"}].state
+        assert not v[:, 1:].any()
+        rho = v @ v.conj().T / np.trace(v @ v.conj().T)
+        assert np.abs(rho - reduce_to_spin_dm(branch, "C", "D").matrix).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "alpha,expected",
+        [(1j, 1j), (-1.0, -1.0), (1.0, 1.0), (np.exp(1e-13j), 1.0),
+         (np.exp(0.3j) * (1 + 5e-10), np.exp(0.3j))],
+        ids=["i", "minus-one", "one", "snapped", "unit-circle"],
+    )
+    def test_phase_rule(self, alpha, expected):
+        half = np.array([1 / math.sqrt(2)], dtype=complex)
+        (phase,) = interferometer._correction_phases(alpha * half, half, [frozenset({"C", "D"})])
+        assert abs(phase - expected) < 1e-15
+
+    def test_phases_reject_a_non_bell_coincidence(self):
+        pattern = frozenset({"C", "D"})
+        alpha, beta = np.array([1.0 + 0j]), np.array([0j])
+        with pytest.raises(NetworkError, match=r"\['C', 'D'\] is not a local-phase image"):
+            interferometer._correction_phases(alpha, beta, [pattern])
 
 
 class TestPostselect:

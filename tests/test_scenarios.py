@@ -95,6 +95,14 @@ class TestTree:
         }
         assert tree_bell == named_bell
 
+    def test_correction_label_is_alpha_over_beta(self):
+        # (i |up down> + |down up>) / sqrt2 needs the down phase i on X
+        v = np.zeros((1, 4, 1), dtype=complex)
+        v[0, 1:3, 0] = np.array([1j, 1.0]) / math.sqrt(2.0)
+        (row,) = scenarios._branch_rows([frozenset({"Y", "X"})], [1.0], v)
+        assert row["pattern"] == "X+Y" and row["correction"] == "X:down-phase 0.5pi"
+        assert abs(row["concurrence"] - 1.0) < 1e-12 and row["bell_state"] == "other"
+
     def test_every_coincidence_branch_is_maximally_entangled(self):
         report = scenario_tree(3, Statistics.BOSON)
         for row in report.table:
