@@ -319,3 +319,29 @@ def test_json_output_is_pinned(capsys):
         assert code == 0
         digests[command, statistics] = hashlib.sha256(out.encode()).hexdigest()
     assert digests == PINNED_JSON_SHA256
+
+
+#: SHA-256 of ``twinbeam clicks <source> --statistics <s> --format json`` stdout
+#: (default trials and seed), recorded before the JSON writer streamed rows;
+#: the seeded counts follow the probabilities bit for bit, so a different
+#: BLAS build may move them
+PINNED_CLICKS_JSON_SHA256 = {
+    ("--fig 2", "boson"):
+        "1e6da83af90c27c7928b1ed226cc543dfa2ec96a58108eeceada3d904ea6b5c9",
+    ("--fig 2", "fermion"):
+        "1f7570ac25074a60cba6e022e4f96a9bd5c4afdb63a6431b62caa5379e0bcc5f",
+    ("--depth 5", "boson"):
+        "2db49aa251319542386d0527d7f094942698f9b9157cc78adfe48b0654e61d45",
+    ("--depth 5", "fermion"):
+        "6ec2102215f3558fcda7651b63dc94b2e8ba98eb1b1976b929444e3a77ba1e8c",
+}
+
+
+def test_clicks_json_output_is_pinned(capsys):
+    digests = {}
+    for source, statistics in PINNED_CLICKS_JSON_SHA256:
+        argv = ["clicks", *source.split(), "--statistics", statistics, "--format", "json"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        digests[source, statistics] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == PINNED_CLICKS_JSON_SHA256
