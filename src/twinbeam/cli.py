@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Any
 
@@ -70,19 +71,12 @@ def _scenario_call(
     return entry, params
 
 
-def _emit(text: str, output: Path | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        output.write_text(text)
-
-
-def _render(report: ScenarioReport, fmt: str) -> str:
-    if fmt == "json":
-        return report.to_json()
-    if fmt == "csv":
-        return report.to_csv()
-    return report.to_table()
+def _emit(report: ScenarioReport, fmt: str, output: Path | None) -> None:
+    with nullcontext(sys.stdout) if output is None else output.open("w") as stream:
+        if fmt == "json":
+            report.write_json(stream)
+        else:
+            stream.write(report.to_csv() if fmt == "csv" else report.to_table())
 
 
 def _clicks_network(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Network:
@@ -210,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except ValueError as exc:
         parser.error(str(exc))
-    _emit(_render(report, args.format), args.output)
+    _emit(report, args.format, args.output)
     return 0
 
 

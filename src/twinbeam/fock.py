@@ -137,9 +137,6 @@ class FockState:
             raise ValueError("cannot normalize the zero state")
         return self / n
 
-    def is_vacuum(self) -> bool:
-        return not self._terms or set(self._terms) == {()}
-
     def particle_numbers(self) -> set[int]:
         """Distinct particle counts across monomials (vacuum counts as 0)."""
         if not self._terms:
@@ -159,9 +156,6 @@ class FockState:
         for m, a in other._terms.items():
             merged[m] = merged.get(m, 0j) + a
         return FockState(self.statistics, merged)
-
-    def __sub__(self, other: "FockState") -> "FockState":
-        return self + (-1.0) * other
 
     def __mul__(self, scalar: complex) -> "FockState":
         return FockState(self.statistics, {m: a * scalar for m, a in self._terms.items()})

@@ -12,12 +12,17 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from itertools import groupby, repeat
+from json.encoder import encode_basestring
+from typing import Any, TextIO
 
 import numpy as np
 
 JSON_DIGITS = 12
 TABLE_DIGITS = 6
+
+#: table rows encoded and written per ``write`` call of ``ScenarioReport.write_json``
+_ROW_CHUNK = 1000
 
 #: provenance flags carried by every scalar result
 EXACT = "exact"
@@ -62,6 +67,65 @@ def _jsonify(value: Any, digits: int = JSON_DIGITS) -> Any:
     raise TypeError(f"cannot serialize value of type {type(value)!r}")
 
 
+def _json_float(x: float) -> str:
+    """``json``'s text of ``_round_float(x, JSON_DIGITS)``."""
+    if math.isfinite(x):
+        return float.__repr__(_round_float(x, JSON_DIGITS))
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+#: encoders of the table cell types that ``_jsonify`` passes through or only rounds
+_CELL_ENCODERS = {
+    str: encode_basestring,
+    int: int.__repr__,
+    float: _json_float,
+    bool: _LITERALS.__getitem__,
+    type(None): _LITERALS.__getitem__,
+}
+
+
+def _json_cell(value: Any) -> str:
+    encode = _CELL_ENCODERS.get(type(value))
+    return encode(value) if encode else _nested_json(_jsonify(value), 3)
+
+
+def _json_column(column: list) -> Any:
+    """Canonical text of each cell of one table column.
+
+    A column of one type is checked once.  A float column encodes each
+    distinct value once: branch tables repeat a few probabilities many times.
+    """
+    kinds = set(map(type, column))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        distinct = set(column)
+        return map(dict(zip(distinct, map(_json_float, distinct))).__getitem__, column)
+    return map(_CELL_ENCODERS.get(kind, _json_cell), column)
+
+
+def _row_template(keys: tuple) -> tuple[str, list]:
+    """``%`` template of a table row with these keys, and the keys in template order."""
+    by_label = {str(k): k for k in keys}  # as in _jsonify, the last key of a label wins
+    labels = sorted(by_label)
+    if not labels:
+        return "\n    {}", []
+    body = ",".join(f"\n      {encode_basestring(k).replace('%', '%%')}: %s" for k in labels)
+    return "\n    {" + body + "\n    }", [by_label[k] for k in labels]
+
+
+def _json_rows(rows: list[dict], templates: dict) -> Any:
+    """Canonical text of each table row, with its leading newline and indent."""
+    for keys, run in groupby(rows, key=tuple):
+        if keys not in templates:
+            templates[keys] = _row_template(keys)
+        template, order = templates[keys]
+        run = list(run)
+        columns = [_json_column([row[k] for row in run]) for k in order]
+        yield from map(template.__mod__, zip(*columns) if columns else repeat((), len(run)))
+
+
 def _cell(value: Any, digits: int) -> str:
     if value is None:
         return ""
@@ -94,8 +158,18 @@ class ScenarioReport:
     def scalar(self, name: str) -> Any:
         return self.scalars[name].value
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
+    def write_json(self, stream: TextIO) -> None:
+        """Write the canonical JSON report to ``stream``, table rows in chunks.
+
+        The bytes are those of ``canonical_json`` applied to the report
+        with every value rounded by the ``_jsonify`` rules; no rounded
+        copy is built.  ``parameters``, ``scalars`` and ``matrices`` go
+        through the generic encoder; each table row fills a template
+        built once per key set, each cell encoded by its exact type.  A
+        value of an unsupported type raises ``TypeError``, possibly after
+        part of the report was written.
+        """
+        head: dict[str, Any] = {
             "scenario": self.scenario,
             "statistics": self.statistics,
             "parameters": _jsonify(self.parameters),
@@ -103,26 +177,38 @@ class ScenarioReport:
                 name: {"value": _jsonify(s.value), "provenance": s.provenance}
                 for name, s in self.scalars.items()
             },
-            "table": [_jsonify(row) for row in self.table],
         }
         if self.matrices:
-            out["matrices"] = {
+            head["matrices"] = {
                 name: [[_jsonify(complex(v)) for v in row] for row in np.asarray(m)]
                 for name, m in self.matrices.items()
             }
-        return out
+        # "table" sorts after every other key: drop the closing "\n}" and append it
+        stream.write(_nested_json(head, 0)[:-2] + ',\n  "table": ')
+        if not self.table:
+            stream.write("[]\n}\n")
+            return
+        templates: dict[tuple, tuple[str, list]] = {}
+        opening = "["
+        for start in range(0, len(self.table), _ROW_CHUNK):
+            chunk = self.table[start:start + _ROW_CHUNK]
+            stream.write(opening + ",".join(_json_rows(chunk, templates)))
+            opening = ","
+        stream.write("\n  ]\n}\n")
 
     def to_json(self) -> str:
-        return canonical_json(self.to_dict())
+        buf = io.StringIO()
+        self.write_json(buf)
+        return buf.getvalue()
+
+    def _columns(self) -> list[str]:
+        """Table column names in order of first appearance."""
+        return list(dict.fromkeys(key for row in self.table for key in row))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         if self.table:
-            header: list[str] = []
-            for row in self.table:
-                for key in row:
-                    if key not in header:
-                        header.append(key)
+            header = self._columns()
             buf.write(",".join(header) + "\n")
             for row in self.table:
                 buf.write(",".join(_cell(row.get(k), JSON_DIGITS) for k in header) + "\n")
@@ -144,11 +230,7 @@ class ScenarioReport:
                 lines.append(f"  {name:<{width}}  {_cell(s.value, TABLE_DIGITS)}  ({s.provenance})")
         if self.table:
             lines.append("")
-            header: list[str] = []
-            for row in self.table:
-                for key in row:
-                    if key not in header:
-                        header.append(key)
+            header = self._columns()
             cells = [[_cell(row.get(k), TABLE_DIGITS) for k in header] for row in self.table]
             widths = [
                 max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
@@ -162,4 +244,10 @@ class ScenarioReport:
 
 def canonical_json(data: Any) -> str:
     """Stable JSON encoding: sorted keys, two-space indent, newline-terminated."""
-    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return _nested_json(data, 0) + "\n"
+
+
+def _nested_json(data: Any, depth: int) -> str:
+    """Canonical encoding of ``data`` as a value nested ``depth`` levels deep."""
+    text = json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False)
+    return text.replace("\n", "\n" + "  " * depth)

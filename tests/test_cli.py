@@ -106,6 +106,12 @@ class TestRun:
         assert code == 0 and out == ""
         data = json.loads(target.read_text())
         assert data["scenario"] == "fig1"
+        for command in ("run tree --depth 4", "clicks --depth 4"):
+            argv = [*command.split(), "--format", "json"]
+            _, stdout, _ = run_cli(capsys, *argv)
+            code, out, _ = run_cli(capsys, *argv, "--output", str(target))
+            assert code == 0 and out == ""
+            assert target.read_bytes() == stdout.encode()
 
     def test_unknown_scenario_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
