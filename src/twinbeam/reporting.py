@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
 from json.encoder import encode_basestring
@@ -91,7 +92,7 @@ def _json_cell(value: Any) -> str:
     return encode(value) if encode else _nested_json(_jsonify(value), 3)
 
 
-def _json_column(column: list) -> Any:
+def _json_column(column: list) -> Iterator[str]:
     """Canonical text of each cell of one table column.
 
     A column of one type is checked once.  A float column encodes each
@@ -115,7 +116,7 @@ def _row_template(keys: tuple) -> tuple[str, list]:
     return "\n    {" + body + "\n    }", [by_label[k] for k in labels]
 
 
-def _json_rows(rows: list[dict], templates: dict) -> Any:
+def _json_rows(rows: list[dict], templates: dict) -> Iterator[str]:
     """Canonical text of each table row, with its leading newline and indent."""
     for keys, run in groupby(rows, key=tuple):
         if keys not in templates:
@@ -197,6 +198,7 @@ class ScenarioReport:
         stream.write("\n  ]\n}\n")
 
     def to_json(self) -> str:
+        """The text ``write_json`` writes."""
         buf = io.StringIO()
         self.write_json(buf)
         return buf.getvalue()
