@@ -279,8 +279,9 @@ def test_readme_command_succeeds(capsys, tmp_path, monkeypatch, command):
 
 
 #: SHA-256 of ``twinbeam run <command> --statistics <s> --format json`` stdout,
-#: recorded before the two-qubit metrics were batched; any drift in a reported
-#: number or in the canonical encoding changes them
+#: recorded before the two-qubit metrics were batched (statistics-test and
+#: feedback: before the library code that only tests called was deleted); any
+#: drift in a reported number or in the canonical encoding changes them
 PINNED_JSON_SHA256 = {
     ("tree --depth 4", "boson"):
         "6cc03df8bb5f830d742081d3d3195ea6c400b6e83cb4b61d202c0673201e0a00",
@@ -314,6 +315,14 @@ PINNED_JSON_SHA256 = {
         "24189a834913c313e7e6b2b09305f688b24e40d0e5949370e0714512b7309ca9",
     ("fig2", "fermion"):
         "7f816e42b0baf5ba59c20cd3c29e4fc2486df1b88a30075b8eab5cd0a76b1c94",
+    ("statistics-test", "boson"):
+        "e94faef6172cf0562e5dcb79d5201993c292965ef5e4ef5bf4e0a49b469e5a97",
+    ("statistics-test", "fermion"):
+        "4a1d0cc6839430d82f3141dff093f1aa2aed2fc956fc4d56075a92e0f833bd8e",
+    ("feedback --depth 4 --trials 1000 --seed 7", "boson"):
+        "7616df046da0b9bec4dab0fa5516a446c2b2839a364d9fe9aecbc707e7813d68",
+    ("feedback --depth 4 --trials 1000 --seed 7", "fermion"):
+        "5f7a17dc4b1f8d6f60b05688d4e0ac6d41b632c284b39a64224567de78d9e84f",
 }
 
 
