@@ -18,12 +18,9 @@ from .errors import (
 from .fock import (
     FockState,
     Mode,
-    SingleParticleUnitary,
     Spin,
     Statistics,
     apply_spin_rotation,
-    apply_unitary,
-    inner_product,
     make_product_state,
     vacuum,
 )
@@ -34,12 +31,10 @@ from .interferometer import (
     ExcitationPattern,
     FeedbackRound,
     Network,
-    apply_correction,
     build_tree,
     coincidence,
     correction_for_branch,
     detect,
-    entangled_yield,
     feedback_run,
     fig1_network,
     fig2_network,
@@ -57,7 +52,6 @@ from .metrics import (
     chsh_expectation,
     classify_bell,
     coincidence_spin_dm,
-    complementarity_check,
     concurrence,
     concurrences,
     distinguishability,
@@ -72,7 +66,6 @@ from .oracle import FirstQuantizedState, cross_check, oracle_detect, oracle_evol
 from .reporting import Scalar, ScenarioReport
 from .scenarios import (
     DEFAULT_SEED,
-    Ensemble,
     list_scenarios,
     scenario_complementarity,
     scenario_dual,
@@ -83,7 +76,6 @@ from .scenarios import (
     scenario_mixed_input,
     scenario_statistics_test,
     scenario_tree,
-    unpolarized_pair,
 )
 
 __version__ = "0.1.0"

@@ -6,7 +6,7 @@ canonical (sorted) order; the sign of the fermionic reordering needed
 to reach that order is absorbed into the amplitude when a term is
 inserted.  Amplitudes weight *raw* operator products, not normalized
 number states, so a mode occupied k times contributes k! to the
-squared norm (see :func:`inner_product`).
+squared norm (see :meth:`FockState.norm`).
 
 Modes carry a path label, a spin, and a small integer tag for any
 extra internal degree of freedom; modes are totally ordered by
@@ -201,31 +201,14 @@ def make_product_state(statistics: Statistics, modes: Sequence[Mode]) -> FockSta
     return FockState(statistics, {key: amp})
 
 
-def inner_product(x: FockState, y: FockState) -> complex:
-    """Sesquilinear inner product <x|y> with k! multi-occupancy weights."""
-    if x.statistics is not y.statistics:
-        raise StatisticsMismatchError("inner product requires matching statistics")
-    small, big = (x._terms, y._terms) if len(x._terms) <= len(y._terms) else (y._terms, x._terms)
-    total = 0j
-    for m, a in small.items():
-        b = big.get(m)
-        if b is not None:
-            if small is x._terms:
-                total += a.conjugate() * b * _monomial_weight(m)
-            else:
-                total += b.conjugate() * a * _monomial_weight(m)
-    return total
-
-
 Substitution = dict[Mode, tuple[tuple[Mode, complex], ...]]
 
 
 def substitute_modes(state: FockState, table: Substitution) -> FockState:
     """Rewrite each creation operator per ``table`` and re-canonicalize.
 
-    Low-level multilinear engine shared by :func:`apply_unitary`, the
-    spin rotations, and the beam-splitter networks.  No unitarity check
-    is performed here.
+    Low-level multilinear engine shared by the spin rotations and the
+    beam-splitter networks.  No unitarity check is performed here.
     """
     fermionic = state.statistics is Statistics.FERMION
     out: dict[Monomial, complex] = {}
@@ -256,65 +239,13 @@ def substitute_modes(state: FockState, table: Substitution) -> FockState:
     return FockState(state.statistics, out)
 
 
-def _require_unitary(matrix: np.ndarray, what: str) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise NotUnitaryError(f"{what} must be a square matrix, got shape {matrix.shape}")
-    gram = matrix.conj().T @ matrix
-    if not np.allclose(gram, np.eye(matrix.shape[0]), atol=UNITARY_TOL, rtol=0.0):
-        raise NotUnitaryError(f"{what} is not unitary within {UNITARY_TOL}")
-    return matrix
-
-
-class SingleParticleUnitary:
-    """A unitary acting on a listed set of modes; all other modes untouched.
-
-    ``matrix[i, j]`` is the coefficient of ``codomain[i]`` in the image
-    of ``domain[j]``.  When ``codomain`` is omitted it equals ``domain``
-    (the usual square case); a distinct codomain expresses maps onto
-    fresh modes, such as a beam splitter feeding previously empty paths.
-    """
-
-    __slots__ = ("domain", "codomain", "matrix")
-
-    def __init__(
-        self,
-        domain: Sequence[Mode],
-        matrix: np.ndarray,
-        codomain: Sequence[Mode] | None = None,
-    ):
-        self.domain = tuple(domain)
-        self.codomain = tuple(codomain) if codomain is not None else self.domain
-        if len(set(self.domain)) != len(self.domain):
-            raise ValueError("unitary domain contains repeated modes")
-        if len(set(self.codomain)) != len(self.codomain):
-            raise ValueError("unitary codomain contains repeated modes")
-        self.matrix = _require_unitary(matrix, "single-particle map")
-        if self.matrix.shape[0] != len(self.domain) or len(self.codomain) != len(self.domain):
-            raise ValueError("matrix shape does not match the mode lists")
-
-    def substitution(self) -> Substitution:
-        table: Substitution = {}
-        for j, src in enumerate(self.domain):
-            images = tuple(
-                (dst, complex(self.matrix[i, j]))
-                for i, dst in enumerate(self.codomain)
-                if abs(self.matrix[i, j]) > PRUNE_THRESHOLD
-            )
-            table[src] = images
-        return table
-
-
-def apply_unitary(state: FockState, u: SingleParticleUnitary) -> FockState:
-    """Replace every a† on u's domain by its image and recombine terms."""
-    return substitute_modes(state, u.substitution())
-
-
 def apply_spin_rotation(state: FockState, path: str, r: np.ndarray) -> FockState:
     """Rotate the spin of every mode on ``path`` by the 2x2 unitary ``r``."""
-    r = _require_unitary(r, "spin rotation")
+    r = np.asarray(r, dtype=complex)
     if r.shape != (2, 2):
-        raise NotUnitaryError("spin rotation must be 2x2")
+        raise NotUnitaryError(f"spin rotation must be 2x2, got shape {r.shape}")
+    if not np.allclose(r.conj().T @ r, np.eye(2), atol=UNITARY_TOL, rtol=0.0):
+        raise NotUnitaryError(f"spin rotation is not unitary within {UNITARY_TOL}")
     tags = {mode.tag for m in state._terms for mode in m if mode.path == path}
     table: Substitution = {}
     for tag in tags:

@@ -33,7 +33,6 @@ from .fock import (
     Spin,
     Statistics,
     Substitution,
-    apply_spin_rotation,
     make_product_state,
     substitute_modes,
 )
@@ -54,6 +53,9 @@ MAX_MONOMIALS = 2 ** 20
 MAX_TREE_DEPTH = (MAX_MONOMIALS.bit_length() - 1) // 2
 
 PROBABILITY_TOL = 1e-9
+
+#: most trials :func:`sample_clicks` draws: numpy's multinomial counts are 64-bit
+MAX_TRIALS = 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
@@ -538,11 +540,6 @@ def opposite_spin_input(statistics: Statistics, net: Network) -> FockState:
     return make_product_state(statistics, [Mode(a, Spin.UP), Mode(b, Spin.DOWN)])
 
 
-def entangled_yield(net: Network, state: FockState) -> float:
-    """Total probability of two-detector coincidences at the network output."""
-    return sum(p for pattern, p in pattern_distribution(net, state).items() if coincidence(pattern))
-
-
 class FeedbackRound(NamedTuple):
     round: int
     success_probability: float
@@ -617,13 +614,6 @@ def _correction_phases(
     return np.where(np.abs(delta.imag) < 1e-12, np.where(delta.real > 0, 1.0, -1.0), delta)
 
 
-def apply_correction(state: FockState, correction: dict[str, np.ndarray]) -> FockState:
-    """Apply a per-path spin correction map to a state."""
-    for path, rotation in sorted(correction.items()):
-        state = apply_spin_rotation(state, path, rotation)
-    return state
-
-
 def sample_clicks(
     distribution: Mapping[ExcitationPattern, float], trials: int, seed: int
 ) -> dict[ExcitationPattern, int]:
@@ -631,10 +621,13 @@ def sample_clicks(
 
     ``distribution`` is :func:`pattern_distribution`'s result or
     :meth:`BranchSet.probabilities`.  Deterministic for a given seed;
-    patterns that never occur are omitted from the histogram.
+    patterns that never occur are omitted from the histogram.  ``trials``
+    must lie in 1 .. :data:`MAX_TRIALS` and ``seed`` be nonnegative.
     """
-    if trials < 1:
-        raise ValueError("at least one trial is required")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     probs = np.array(list(distribution.values()))
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(trials, probs / probs.sum())

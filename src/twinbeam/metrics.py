@@ -65,10 +65,6 @@ class TwoQubitDM:
     def validate(self) -> None:
         validate_dms(self.matrix)
 
-    def fidelity(self, pure: np.ndarray) -> float:
-        """Overlap <psi| rho |psi> with a pure state vector."""
-        return float(_fidelities(self.matrix, pure))
-
 
 def validate_dms(rho: np.ndarray) -> None:
     """Check that every matrix of a ``(..., 4, 4)`` stack is a density matrix.
@@ -280,19 +276,6 @@ def coincidence_spin_dm(statistics: Statistics, overlap: complex) -> TwoQubitDM:
     state = run_network(net, tagged_opposite_spin_input(statistics, overlap))
     _, conditional = postselect(detect(state, net.monitored), coincidence)
     return reduce_to_spin_dm(conditional.branches[0].state, "C", "D")
-
-
-def complementarity_check(
-    overlap: complex, statistics: Statistics
-) -> tuple[float, float, float]:
-    """Run the tagged pair through the full pipeline; returns (E, D, E + D).
-
-    E is the Wootters concurrence of the coincidence spin state and D
-    the tag distinguishability; their sum is the complementarity total.
-    """
-    entanglement = concurrence(coincidence_spin_dm(statistics, overlap))
-    discrimination = distinguishability(overlap)
-    return entanglement, discrimination, entanglement + discrimination
 
 
 def bell_labels(rho: np.ndarray) -> np.ndarray:

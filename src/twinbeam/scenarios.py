@@ -9,12 +9,11 @@ and reports yields, correlations, concurrences and CHSH values in a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import product
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import StatisticsMismatchError
 from .fock import FockState, Mode, Spin, Statistics, apply_spin_rotation, make_product_state
 from .interferometer import (
     ExcitationPattern,
@@ -38,7 +37,6 @@ from .metrics import (
     chsh_expectation,
     classify_bell,
     coincidence_spin_dm,
-    complementarity_check,
     concurrence,
     concurrences,
     distinguishability,
@@ -68,38 +66,6 @@ FEEDBACK_CHUNK = 4096
 #: coincidence spin matrices validated and evaluated at once in a branch table;
 #: stacking all 8,128 of a depth-7 tree at once raises the peak memory by half
 METRICS_CHUNK = 512
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    """Classical mixture of pure inputs sharing one statistics."""
-
-    components: tuple[tuple[float, FockState], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if not self.components:
-            raise ValueError("an ensemble needs at least one component")
-        total = sum(w for w, _ in self.components)
-        if any(w < 0 for w, _ in self.components) or abs(total - 1.0) > 1e-9:
-            raise ValueError("component probabilities must be nonnegative and sum to 1")
-        stats = {s.statistics for _, s in self.components}
-        if len(stats) != 1:
-            raise StatisticsMismatchError("all ensemble components must share statistics")
-
-    @property
-    def statistics(self) -> Statistics:
-        return self.components[0][1].statistics
-
-
-def unpolarized_pair(statistics: Statistics) -> Ensemble:
-    """Each particle in the even spin mixture: four product inputs at 1/4."""
-    components = []
-    for s_a in (Spin.UP, Spin.DOWN):
-        for s_b in (Spin.UP, Spin.DOWN):
-            state = make_product_state(statistics, [Mode("A", s_a), Mode("B", s_b)])
-            components.append((0.25, state))
-    return Ensemble(tuple(components))
 
 
 def _correction_label(path: str, phase: complex) -> str:
@@ -245,12 +211,14 @@ def scenario_statistics_test(statistics: Statistics) -> ScenarioReport:
 def scenario_mixed_input(statistics: Statistics) -> ScenarioReport:
     """Unpolarized inputs: entangled for bosons, separable for fermions."""
     net = fig1_network()
-    ensemble = unpolarized_pair(statistics)
+    # each particle in the even spin mixture: the four spin products at 1/4
+    weight = 0.25
     total = 0.0
     weighted_dm = np.zeros((4, 4), dtype=complex)
     rows = []
     mixture: dict[str, float] = {}
-    for weight, component in ensemble.components:
+    for s_a, s_b in product((Spin.UP, Spin.DOWN), repeat=2):
+        component = make_product_state(statistics, [Mode("A", s_a), Mode("B", s_b)])
         branches = detect(run_network(net, component), net.monitored)
         prob = sum(b.probability for b in branches if coincidence(b.pattern))
         row_label = "+".join(
@@ -300,6 +268,8 @@ def scenario_feedback(
         raise ValueError("feedback scenario supports 1 through 10 rounds")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rounds = feedback_run(depth, statistics)
     # counts[k]: sampled trajectories whose first success came in round k (0: none)
     counts = np.zeros(depth + 1, dtype=np.int64)
@@ -386,11 +356,14 @@ def scenario_gaussian(
     """Entanglement versus packet delay, via the full pipeline."""
     if grid < 2:
         raise ValueError("the delay grid needs at least two points")
+    for name, value in (("velocity", velocity), ("width", width), ("delay_max", delay_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     rows = []
     max_dev = 0.0
     for delay in np.linspace(-delay_max, delay_max, grid):
         overlap = gaussian_overlap(velocity, float(delay), width)
-        entanglement, _, _ = complementarity_check(overlap, statistics)
+        entanglement = concurrence(coincidence_spin_dm(statistics, overlap))
         expected = overlap ** 2
         max_dev = max(max_dev, abs(entanglement - expected))
         rows.append(

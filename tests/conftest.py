@@ -16,6 +16,11 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def fidelity(dm, pure: np.ndarray) -> float:
+    """Overlap <psi| rho |psi> of a :class:`~twinbeam.metrics.TwoQubitDM` with a pure state."""
+    return float(np.real(pure.conj() @ dm.matrix @ pure))
+
+
 def random_two_particle_state(
     rng: np.random.Generator,
     statistics: Statistics,

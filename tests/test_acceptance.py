@@ -9,23 +9,24 @@ import time
 
 import numpy as np
 
-from conftest import BOTH_STATISTICS, random_network, random_two_particle_state
+from conftest import BOTH_STATISTICS, fidelity, random_network, random_two_particle_state
 from twinbeam.fock import Mode, Spin, Statistics, make_product_state
 from twinbeam.interferometer import (
     build_tree,
+    coincidence,
     detect,
-    entangled_yield,
     feedback_run,
     fig1_network,
     fig2_network,
+    pattern_distribution,
     run_network,
 )
 from twinbeam.metrics import (
     PSI_MINUS,
     PSI_PLUS,
     coincidence_spin_dm,
-    complementarity_check,
     concurrence,
+    distinguishability,
     dual_relabel,
     infer_concurrence_from_chsh,
     reduce_to_spin_dm,
@@ -88,8 +89,8 @@ def test_criterion_02_four_detector_structure():
     )
     eg = reduce_to_spin_dm(fermion[{"E", "G"}].state, "E", "G")
     gh = reduce_to_spin_dm(fermion[{"G", "H"}].state, "G", "H")
-    checks.append(abs(eg.fidelity(PSI_PLUS) - 1.0) < 1e-9)
-    checks.append(abs(gh.fidelity(PSI_MINUS) - 1.0) < 1e-9)
+    checks.append(abs(fidelity(eg, PSI_PLUS) - 1.0) < 1e-9)
+    checks.append(abs(fidelity(gh, PSI_MINUS) - 1.0) < 1e-9)
     verdict(2, "four-detector structure", all(checks))
 
 
@@ -99,7 +100,8 @@ def test_criterion_03_tree_yield_law():
     for statistics in BOTH_STATISTICS:
         for depth in range(1, 8):
             t0 = time.perf_counter()
-            got = entangled_yield(build_tree(depth), opposite_pair(statistics))
+            distribution = pattern_distribution(build_tree(depth), opposite_pair(statistics))
+            got = sum(p for pattern, p in distribution.items() if coincidence(pattern))
             dt = time.perf_counter() - t0
             checks.append(abs(got - (1.0 - 0.5 ** depth)) < 1e-9)
             if depth == 7:
@@ -152,10 +154,10 @@ def test_criterion_07_complementarity_sweep():
     for statistics in BOTH_STATISTICS:
         for overlap_sq in np.linspace(0.0, 1.0, 21):
             overlap = math.sqrt(float(overlap_sq))
-            entanglement, _, total = complementarity_check(overlap, statistics)
-            inferred = infer_concurrence_from_chsh(
-                coincidence_spin_dm(statistics, overlap), statistics
-            )
+            dm = coincidence_spin_dm(statistics, overlap)
+            entanglement = concurrence(dm)
+            total = entanglement + distinguishability(overlap)
+            inferred = infer_concurrence_from_chsh(dm, statistics)
             worst_sum = max(worst_sum, abs(total - 1.0))
             worst_e = max(worst_e, abs(entanglement - overlap_sq))
             worst_chsh = max(worst_chsh, abs(inferred - entanglement))
@@ -169,7 +171,7 @@ def test_criterion_08_gaussian_curve():
     for statistics in BOTH_STATISTICS:
         for delay in np.linspace(-4.0, 4.0, 21):
             overlap = math.exp(-(velocity ** 2) * float(delay) ** 2 / (4.0 * width ** 2))
-            entanglement, _, _ = complementarity_check(overlap, statistics)
+            entanglement = concurrence(coincidence_spin_dm(statistics, overlap))
             expected = math.exp(-(velocity ** 2) * float(delay) ** 2 / (2.0 * width ** 2))
             worst = max(worst, abs(entanglement - expected))
     verdict(8, "Gaussian packet curve", worst < 1e-9, f"max dev {worst:.1e}")

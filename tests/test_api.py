@@ -1,0 +1,38 @@
+"""The package's public names: adding or dropping one means editing this test."""
+
+import twinbeam
+
+PUBLIC_NAMES = {
+    # submodules
+    "errors", "fock", "interferometer", "metrics", "oracle", "reporting", "scenarios",
+    # errors
+    "ImpossiblePostselectionError", "NetworkError", "NotUnitaryError", "OccupancyError",
+    "PauliExclusionError", "StatisticsMismatchError", "TwinbeamError",
+    # fock
+    "FockState", "Mode", "Spin", "Statistics", "apply_spin_rotation", "make_product_state",
+    "vacuum",
+    # interferometer
+    "BeamSplitter", "Branch", "BranchSet", "ExcitationPattern", "FeedbackRound", "Network",
+    "build_tree", "coincidence", "correction_for_branch", "detect", "feedback_run",
+    "fig1_network", "fig2_network", "opposite_spin_input", "pattern_distribution",
+    "postselect", "run_network", "sample_clicks",
+    # metrics
+    "PSI_MINUS", "PSI_PLUS", "TwoQubitDM", "bell_labels", "chsh_expectation", "classify_bell",
+    "coincidence_spin_dm", "concurrence", "concurrences", "distinguishability", "dual_relabel",
+    "gaussian_overlap", "infer_concurrence_from_chsh", "reduce_to_spin_dm",
+    "tagged_opposite_spin_input", "validate_dms",
+    # oracle
+    "FirstQuantizedState", "cross_check", "oracle_detect", "oracle_evolve",
+    # reporting
+    "Scalar", "ScenarioReport",
+    # scenarios
+    "DEFAULT_SEED", "list_scenarios", "scenario_complementarity", "scenario_dual",
+    "scenario_feedback", "scenario_fig1", "scenario_fig2", "scenario_gaussian",
+    "scenario_mixed_input", "scenario_statistics_test", "scenario_tree",
+}
+
+
+def test_public_names_are_pinned():
+    assert len(twinbeam.__all__) == len(set(twinbeam.__all__))
+    assert set(twinbeam.__all__) == PUBLIC_NAMES
+    assert all(hasattr(twinbeam, name) for name in PUBLIC_NAMES)

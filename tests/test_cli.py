@@ -128,6 +128,21 @@ class TestRun:
             cli.main(["run", "tree", "--depth", "9"])
         assert excinfo.value.code == 2
 
+    def test_negative_feedback_seed_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["run", "feedback", "--trials", "10", "--seed=-1"])
+        assert excinfo.value.code == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--velocity", "--width", "--delay-max"])
+    def test_non_finite_gaussian_parameter_is_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["run", "gaussian", f"{flag}={value}"])
+        assert excinfo.value.code == 2
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must be finite" in capsys.readouterr().err
+
     def test_scenario_error_exits_three(self, capsys, monkeypatch):
         def boom(statistics):
             raise ImpossiblePostselectionError("nothing to select")
@@ -211,6 +226,26 @@ class TestClicks:
         data = json.loads(out)
         assert len(data["table"]) == 2 ** 10
         assert abs(data["scalars"]["coincidence_probability"]["value"] - 1.0) < 1e-9
+
+    def test_largest_trial_count(self, capsys):
+        trials = str(interferometer.MAX_TRIALS)
+        code, out, _ = run_cli(capsys, "clicks", "--fig", "1", "--trials", trials, "--format", "json")
+        assert code == 0
+        assert sum(row["count"] for row in json.loads(out)["table"]) == interferometer.MAX_TRIALS
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--trials", str(2 ** 63), "trials must be between 1 and"),
+            ("--trials", "0", "trials must be between 1 and"),
+            ("--seed", "-1", "seed must be nonnegative"),
+        ],
+    )
+    def test_out_of_range_sampling_is_usage_error(self, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["clicks", "--fig", "1", f"{flag}={value}"])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_requires_exactly_one_source(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BOTH_STATISTICS, one_sided_tree, random_network, random_two_particle_state
+from conftest import (
+    BOTH_STATISTICS,
+    fidelity,
+    one_sided_tree,
+    random_network,
+    random_two_particle_state,
+)
 from twinbeam import interferometer
 from twinbeam.errors import ImpossiblePostselectionError, NetworkError
 from twinbeam.fock import (
@@ -16,6 +22,7 @@ from twinbeam.fock import (
     Mode,
     Spin,
     Statistics,
+    apply_spin_rotation,
     make_product_state,
     substitute_modes,
     vacuum,
@@ -25,12 +32,10 @@ from twinbeam.interferometer import (
     MAX_TREE_DEPTH,
     BeamSplitter,
     Network,
-    apply_correction,
     build_tree,
     coincidence,
     correction_for_branch,
     detect,
-    entangled_yield,
     feedback_run,
     fig1_network,
     fig2_network,
@@ -560,7 +565,9 @@ class TestBuildTree:
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     @pytest.mark.parametrize("depth", range(1, 6))
     def test_yield_law(self, statistics, depth):
-        got = entangled_yield(build_tree(depth), opposite_pair(statistics))
+        net = build_tree(depth)
+        branches = detect(run_network(net, opposite_pair(statistics)), net.monitored)
+        got = sum(b.probability for b in branches if coincidence(b.pattern))
         assert abs(got - (1.0 - 0.5 ** depth)) < 1e-9
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
@@ -577,7 +584,7 @@ class TestBuildTree:
 
     def test_yield_requires_two_particles(self):
         with pytest.raises(ValueError):
-            entangled_yield(build_tree(1), make_product_state(Statistics.BOSON, [Mode("A", UP)]))
+            pattern_distribution(build_tree(1), make_product_state(Statistics.BOSON, [Mode("A", UP)]))
 
 
 class TestFeedback:
@@ -598,8 +605,8 @@ class TestFeedback:
         rounds = feedback_run(2, Statistics.BOSON)
         first = reduce_to_spin_dm(rounds[0].conditional_state, "C", "D")
         second = reduce_to_spin_dm(rounds[1].conditional_state, "C", "D")
-        assert first.fidelity(PSI_PLUS) < 1e-9
-        assert abs(second.fidelity(PSI_PLUS) - 1.0) < 1e-9
+        assert fidelity(first, PSI_PLUS) < 1e-9
+        assert abs(fidelity(second, PSI_PLUS) - 1.0) < 1e-9
 
     def test_requires_positive_rounds(self):
         with pytest.raises(ValueError):
@@ -632,10 +639,12 @@ class TestCorrection:
         for branch in detected_branches(build_tree(depth), statistics):
             if not coincidence(branch.pattern):
                 continue
-            corrected = apply_correction(branch.state, correction_for_branch(branch))
+            corrected = branch.state
+            for path, rotation in correction_for_branch(branch).items():
+                corrected = apply_spin_rotation(corrected, path, rotation)
             p1, p2 = sorted(branch.pattern)
             dm = reduce_to_spin_dm(corrected, p1, p2)
-            assert abs(dm.fidelity(PSI_PLUS) - 1.0) < 1e-9
+            assert abs(fidelity(dm, PSI_PLUS) - 1.0) < 1e-9
 
 
 class TestSampleClicks:

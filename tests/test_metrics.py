@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BOTH_STATISTICS, random_unitary
+from conftest import BOTH_STATISTICS, fidelity, random_unitary
 from twinbeam.errors import OccupancyError
 from twinbeam.fock import Mode, Spin, Statistics, make_product_state
 from twinbeam.interferometer import coincidence, detect, fig1_network, postselect, run_network
@@ -19,7 +19,6 @@ from twinbeam.metrics import (
     chsh_expectation,
     classify_bell,
     coincidence_spin_dm,
-    complementarity_check,
     concurrence,
     concurrences,
     distinguishability,
@@ -56,12 +55,12 @@ def mixed_fermion_dm():
 class TestReduceToSpinDM:
     def test_fermion_coincidence_is_psi_plus(self):
         dm = reduce_to_spin_dm(coincidence_state(Statistics.FERMION), "C", "D")
-        assert abs(dm.fidelity(PSI_PLUS) - 1.0) < 1e-12
+        assert abs(fidelity(dm, PSI_PLUS) - 1.0) < 1e-12
         assert abs(concurrence(dm) - 1.0) < 1e-9
 
     def test_boson_coincidence_is_psi_minus(self):
         dm = reduce_to_spin_dm(coincidence_state(Statistics.BOSON), "C", "D")
-        assert abs(dm.fidelity(PSI_MINUS) - 1.0) < 1e-12
+        assert abs(fidelity(dm, PSI_MINUS) - 1.0) < 1e-12
 
     def test_product_state_reduces_to_product(self):
         state = make_product_state(Statistics.FERMION, [Mode("C", UP), Mode("D", DOWN)])
@@ -271,18 +270,25 @@ class TestDistinguishability:
             distinguishability(1.5)
 
 
+def complementarity(overlap, statistics):
+    """(E, D, E + D) of a tagged pair, E from the full pipeline."""
+    entanglement = concurrence(coincidence_spin_dm(statistics, overlap))
+    discrimination = distinguishability(overlap)
+    return entanglement, discrimination, entanglement + discrimination
+
+
 class TestComplementarity:
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     def test_extremes(self, statistics):
-        entanglement, discrimination, total = complementarity_check(1.0, statistics)
+        entanglement, discrimination, total = complementarity(1.0, statistics)
         assert abs(entanglement - 1.0) < 1e-9 and abs(discrimination) < 1e-12
-        entanglement, discrimination, total = complementarity_check(0.0, statistics)
+        entanglement, discrimination, total = complementarity(0.0, statistics)
         assert abs(entanglement) < 1e-9 and abs(discrimination - 1.0) < 1e-12
         assert abs(total - 1.0) < 1e-9
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     def test_intermediate_point(self, statistics):
-        entanglement, discrimination, total = complementarity_check(
+        entanglement, discrimination, total = complementarity(
             math.sqrt(0.6), statistics
         )
         assert abs(entanglement - 0.6) < 1e-9
@@ -292,12 +298,12 @@ class TestComplementarity:
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     def test_sum_rule_on_grid(self, statistics):
         for overlap_sq in np.linspace(0.0, 1.0, 21):
-            _, _, total = complementarity_check(math.sqrt(overlap_sq), statistics)
+            _, _, total = complementarity(math.sqrt(overlap_sq), statistics)
             assert abs(total - 1.0) < 1e-9
 
     def test_complex_overlap_phase_is_irrelevant(self):
         phase = complex(math.cos(1.1), math.sin(1.1))
-        entanglement, _, _ = complementarity_check(0.7 * phase, Statistics.BOSON)
+        entanglement, _, _ = complementarity(0.7 * phase, Statistics.BOSON)
         assert abs(entanglement - 0.49) < 1e-9
 
 

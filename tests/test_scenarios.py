@@ -10,7 +10,6 @@ from twinbeam import scenarios
 from twinbeam.fock import Mode, Spin, Statistics, make_product_state
 from twinbeam.interferometer import coincidence, detect, fig1_network, run_network
 from twinbeam.scenarios import (
-    Ensemble,
     list_scenarios,
     scenario_complementarity,
     scenario_dual,
@@ -21,7 +20,6 @@ from twinbeam.scenarios import (
     scenario_mixed_input,
     scenario_statistics_test,
     scenario_tree,
-    unpolarized_pair,
 )
 
 UP, DOWN = Spin.UP, Spin.DOWN
@@ -187,20 +185,10 @@ class TestMixedInput:
 
 class TestEnsemble:
     def test_unpolarized_pair_components(self):
-        ensemble = unpolarized_pair(Statistics.BOSON)
-        assert len(ensemble.components) == 4
-        assert all(abs(w - 0.25) < 1e-12 for w, _ in ensemble.components)
-
-    def test_rejects_bad_weights(self):
-        state = make_product_state(Statistics.BOSON, [Mode("A", UP)])
-        with pytest.raises(ValueError):
-            Ensemble(((0.5, state),))
-
-    def test_rejects_mixed_statistics(self):
-        x = make_product_state(Statistics.BOSON, [Mode("A", UP)])
-        y = make_product_state(Statistics.FERMION, [Mode("A", UP)])
-        with pytest.raises(ValueError):
-            Ensemble(((0.5, x), (0.5, y)))
+        # mixed-input averages over the four spin products, each at weight 1/4
+        report = scenario_mixed_input(Statistics.BOSON)
+        assert [row["input"] for row in report.table] == ["Au+Bu", "Au+Bd", "Ad+Bu", "Ad+Bd"]
+        assert all(row["weight"] == 0.25 for row in report.table)
 
 
 class TestFeedback:
