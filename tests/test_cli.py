@@ -395,3 +395,52 @@ def test_clicks_json_output_is_pinned(capsys):
         assert code == 0
         digests[source, statistics] = hashlib.sha256(out.encode()).hexdigest()
     assert digests == PINNED_CLICKS_JSON_SHA256
+
+
+#: SHA-256 of ``twinbeam <command> --statistics <s> --format <f>`` stdout for
+#: the CSV and table renderers, recorded before the pair engine's pattern
+#: functions were merged into one
+PINNED_TEXT_SHA256 = {
+    ("run fig2", "boson", "csv"):
+        "9ecd84aae2e2079fd6413ba3ddef36bbffdf573ea0b064a622ed55d60de397cd",
+    ("run fig2", "fermion", "csv"):
+        "4ff0d74208011ac38c7370817105ccbf9bc12f15f5c655e42c616148d192ae2f",
+    ("run fig2", "boson", "table"):
+        "afec71fc3db609515612d9bdf993386d807d4613a487d88365c048877a3640de",
+    ("run fig2", "fermion", "table"):
+        "879112989c18dd1df900cfbc98e319afb2f3154de6330282a0d071d57369576f",
+    ("run tree --depth 4", "boson", "csv"):
+        "609197cfcdafe164ba186dcc086b96a69c30fdc809a3e8d7786ee6381c6b7021",
+    ("run tree --depth 4", "fermion", "csv"):
+        "791b1a63b02e63200e50cfe4107f2de877529550ae20e45e9e3ac0d228a684a3",
+    ("run tree --depth 4", "boson", "table"):
+        "25aade98bae2f276a6f8c470e1b114eb16dbf4aae179d5663c6b1c51edd33d17",
+    ("run tree --depth 4", "fermion", "table"):
+        "07834946d7b8cddc25c809ee513af2f8156c718f613110a7d005958c8ec42776",
+    ("run complementarity --grid 11", "boson", "csv"):
+        "f2bf64134f0fb55d34e3c7ce95879d62669b21413742e92ef5bf341dae43f4a4",
+    ("run complementarity --grid 11", "fermion", "csv"):
+        "f2bf64134f0fb55d34e3c7ce95879d62669b21413742e92ef5bf341dae43f4a4",
+    ("run complementarity --grid 11", "boson", "table"):
+        "dde3efec1f7c771e28d5ac569c176dc380d2489e6d3201f7cf1951fb96222f7f",
+    ("run complementarity --grid 11", "fermion", "table"):
+        "39d9ce19ce4a18c316d6915de33570c4306db9b13c0f95ee6fd6e0acf42211e5",
+    ("clicks --fig 2", "boson", "csv"):
+        "2d1b36bb88a4f7d3fed4798d5174876b0c1c18ecbeaa38996f076b747605678e",
+    ("clicks --fig 2", "fermion", "csv"):
+        "2d1b36bb88a4f7d3fed4798d5174876b0c1c18ecbeaa38996f076b747605678e",
+    ("clicks --fig 2", "boson", "table"):
+        "a9faa00861645415dd9fc47e2371a75c776c1474231b045d3fe78b6b5ce8f4bb",
+    ("clicks --fig 2", "fermion", "table"):
+        "b45cf516980d5e3ed04d91df5a915b9acdd711a72befc30eb561889fb97bab20",
+}
+
+
+def test_csv_and_table_output_is_pinned(capsys):
+    digests = {}
+    for command, statistics, fmt in PINNED_TEXT_SHA256:
+        argv = [*command.split(), "--statistics", statistics, "--format", fmt]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        digests[command, statistics, fmt] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == PINNED_TEXT_SHA256
