@@ -6,6 +6,8 @@ spin entanglement, quantum-statistics identification, and the
 entanglement-distinguishability trade-off.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ImpossiblePostselectionError,
     NetworkError,
@@ -33,7 +35,6 @@ from .interferometer import (
     Network,
     build_tree,
     coincidence,
-    correction_for_branch,
     detect,
     feedback_run,
     fig1_network,
@@ -80,4 +81,4 @@ from .scenarios import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n in dir() if not (n.startswith("_") or isinstance(globals()[n], _ModuleType))]

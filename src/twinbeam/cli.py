@@ -21,22 +21,22 @@ from .errors import NetworkError, TwinbeamError
 from .fock import Statistics
 from .interferometer import (
     Network,
-    build_tree,
     coincidence,
     fig1_network,
     fig2_network,
     opposite_spin_input,
     pattern_distribution,
+    pattern_label,
     sample_clicks,
 )
 from .reporting import SAMPLED, Scalar, ScenarioReport, canonical_json
 from .scenarios import (
     DEFAULT_SEED,
-    MAX_SCENARIO_TREE_DEPTH,
     SCENARIOS,
     Param,
     Scenario,
     list_scenarios,
+    tree_network,
 )
 
 _FORMATS = ("table", "json", "csv")
@@ -90,9 +90,7 @@ def _clicks_network(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         except (OSError, json.JSONDecodeError, NetworkError) as exc:
             parser.error(f"cannot load network file {args.network!r}: {exc}")
     if args.depth is not None:
-        if not 1 <= args.depth <= MAX_SCENARIO_TREE_DEPTH:
-            parser.error(f"--depth must be between 1 and {MAX_SCENARIO_TREE_DEPTH}")
-        return build_tree(args.depth)
+        return tree_network(args.depth)
     return fig1_network() if args.fig == 1 else fig2_network()
 
 
@@ -108,7 +106,7 @@ def _run_clicks(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Sc
         count = histogram.get(pattern, 0)
         rows.append(
             {
-                "pattern": "+".join(sorted(pattern)) or "none",
+                "pattern": pattern_label(pattern),
                 "count": count,
                 "frequency": count / args.trials,
                 "probability": probability,

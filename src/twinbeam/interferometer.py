@@ -216,6 +216,11 @@ def _pattern_sort_key(pattern: ExcitationPattern):
     return (len(pattern), tuple(sorted(pattern)))
 
 
+def pattern_label(pattern: ExcitationPattern) -> str:
+    """The firing paths, sorted and joined by ``+``; ``none`` when no detector fired."""
+    return "+".join(sorted(pattern)) or "none"
+
+
 def run_network(net: Network, state: FockState) -> FockState:
     """Propagate a state through the whole network; returns it normalized.
 
@@ -295,36 +300,25 @@ def pattern_distribution(net: Network, state: FockState) -> dict[ExcitationPatte
     probabilities are renormalized.  The input checks and the
     :data:`MAX_MONOMIALS` refusal are those of :func:`run_network`.
     """
-    # the slice frees the per-cell arrays before the patterns are built
-    keys, probabilities, monitored = _pair_patterns(net, state)[:3]
-    return dict(zip(_patterns(keys, monitored), probabilities.tolist()))
+    return dict(zip(*_detect_pairs(net, state)))
 
 
-class _PairPatterns(NamedTuple):
-    """Pair cells after a network and the detector patterns they fire.
+def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) -> tuple:
+    """Kept detector patterns of a two-particle state after ``net``, with their probabilities.
 
-    ``keys`` are the kept patterns in :func:`detect`'s order (see
-    :func:`_patterns`), with their renormalized ``probabilities``.  Cell
-    ``k`` holds the amplitude ``psi[k]`` of the first particle on the
-    ``i[k]``-th terminal the pair reaches (the sorted ``monitored`` ones
-    first) and the second on the ``j[k]``-th, with internal labels
-    ``label_pairs[label[k] // 2]``; ``fires[k]`` is false for a cell the
-    sparse engine prunes.
+    Returns the lists ``(patterns, probabilities)`` that
+    :func:`pattern_distribution` describes.  With ``coincidences`` it
+    returns ``(patterns, probabilities, blocks, phases)``: the
+    coincidences come last among the patterns, and the ``k``-th of them,
+    ``{p1, p2}`` with ``p1 < p2``, has the normalized 4xT spin-tag block
+    ``blocks[k]`` and the correction phase ``phases[k]`` of
+    :func:`_correction_phases`.  A block's entry ``v[2 s1 + s2, c]`` is
+    ``sqrt(2) psi`` of the cell with spin and tag (s1, t1) on p1 and
+    (s2, t2) on p2, up to normalization, ``c`` being the column of
+    (t1, t2); column 0 is the untagged pair (0, 0).  These are the
+    amplitudes that :func:`twinbeam.metrics.reduce_to_spin_dm` reads
+    off a detected branch.
     """
-
-    keys: np.ndarray
-    probabilities: np.ndarray
-    monitored: list[str]
-    label_pairs: list[tuple[tuple[Spin, int], tuple[Spin, int]]]
-    label: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
-    psi: np.ndarray
-    fires: np.ndarray
-
-
-def _pair_patterns(net: Network, state: FockState) -> _PairPatterns:
-    """The pair cells of ``state`` after ``net``, grouped into kept patterns."""
     if state.particle_numbers() != {2}:
         raise ValueError("pattern_distribution requires a two-particle input")
     table = _checked_path_map(net, state)
@@ -340,9 +334,9 @@ def _pair_patterns(net: Network, state: FockState) -> _PairPatterns:
     # psi / sqrt(2) for both particles in one (path, spin, tag) mode
     amp = np.abs(psi) * math.sqrt(2.0)
     amp[(i == j) & (label % 2 == 1)] /= 2.0
-    fires = amp > PRUNE_THRESHOLD
-    # per-cell temporaries go as soon as they are used: the cell arrays
-    # stay alive here, and more live arrays raise the peak RSS of clicks
+    fires = amp > PRUNE_THRESHOLD  # false for a cell the sparse engine prunes
+    # per-cell arrays go as soon as they are used: more live arrays raise
+    # the peak RSS of clicks
     del amp
     n = len(monitored)
     lo, hi = np.minimum(i, j), np.maximum(i, j)
@@ -355,24 +349,36 @@ def _pair_patterns(net: Network, state: FockState) -> _PairPatterns:
     keys, group = np.unique(key, return_inverse=True)
     probs = np.bincount(group, weights=psi.real ** 2 + psi.imag ** 2)
     kept = np.bincount(group, weights=fires) > 0
-    values = probs[kept] / probs[kept].sum()
-    return _PairPatterns(keys[kept], values, monitored, label_pairs, label, i, j, psi, fires)
-
-
-def _patterns(keys: np.ndarray, monitored: list[str]) -> list[ExcitationPattern]:
-    """The detector patterns of pattern keys over the sorted ``monitored`` paths.
-
-    Key 0 is no detector, ``1 + m`` detector ``m`` alone, and
-    ``1 + n + lo * n + hi`` detectors ``lo < hi`` of ``n``, so ascending
-    keys follow :func:`_pattern_sort_key`.
-    """
-    n = len(monitored)
-    singles, pairs = np.searchsorted(keys, [1, n + 1]).tolist()
-    lo, hi = np.divmod(keys[pairs:] - 1 - n, n)
+    keys = keys[kept]
+    probabilities = (probs[kept] / probs[kept].sum()).tolist()
+    singles, first = np.searchsorted(keys, [1, n + 1]).tolist()
+    if coincidences:
+        columns = {(0, 0): 0}
+        # (spin row, tag column) of each label pair
+        places = np.array([
+            (2 * s1 + s2, columns.setdefault((t1, t2), len(columns)))
+            for (s1, t1), (s2, t2) in label_pairs
+        ])
+        blocks = np.zeros((len(keys) - first, 4, len(columns)), dtype=complex)
+        # each coincidence cell that the sparse engine keeps, once: with the
+        # smaller path first, the mirrored cell holding the same amplitude up to
+        # sign; a firing cell's pattern is always kept
+        at = np.flatnonzero((i < j) & (j < n) & fires)
+        block = np.searchsorted(keys[first:], key[at])
+        row, col = places[label[at] // 2].T
+        blocks[block, row, col] = psi[at]
+        blocks /= np.linalg.norm(blocks, axis=(1, 2))[:, None, None]
+        del at, block, row, col
+    del label, i, j, psi, fires, key, group
+    lo, hi = np.divmod(keys[first:] - 1 - n, n)
     patterns = [frozenset()] * singles
-    patterns += [frozenset((monitored[m],)) for m in (keys[singles:pairs] - 1).tolist()]
+    patterns += [frozenset((monitored[m],)) for m in (keys[singles:first] - 1).tolist()]
     patterns += [frozenset((monitored[a], monitored[b])) for a, b in zip(lo.tolist(), hi.tolist())]
-    return patterns
+    if not coincidences:
+        return patterns, probabilities
+    # alpha / beta: |up down> over |down up> in the untagged column
+    phases = _correction_phases(blocks[:, 1, 0], blocks[:, 2, 0], patterns[first:]).tolist()
+    return patterns, probabilities, blocks, phases
 
 
 def _pair_cells(state: FockState, table: PathTable, terminals: Sequence[str]) -> tuple:
@@ -427,38 +433,6 @@ def _pair_cells(state: FockState, table: PathTable, terminals: Sequence[str]) ->
         label, cell, psi = label[first], cell[first], np.add.reduceat(psi, first)
     i, j = np.divmod(cell, size)
     return list(labels), label, i, j, psi
-
-
-def _coincidence_blocks(detected: _PairPatterns) -> np.ndarray:
-    """Spin-tag amplitudes of the kept coincidences, a normalized 4xT block each.
-
-    Block ``k`` belongs to the ``k``-th kept pattern ``{p1, p2}``,
-    ``p1 < p2``.  Its entry ``v[2 s1 + s2, c]`` is ``sqrt(2) psi`` of the
-    cell with spin and tag (s1, t1) on p1 and (s2, t2) on p2, up to
-    normalization, ``c`` being the column of (t1, t2); column 0 is the
-    untagged pair (0, 0).  These are the amplitudes that
-    :func:`twinbeam.metrics.reduce_to_spin_dm` reads off a detected branch.
-    """
-    n = len(detected.monitored)
-    pairs = detected.keys[detected.keys > n]
-    columns = {(0, 0): 0}
-    # (spin row, tag column) of each label pair
-    places = np.array([
-        (2 * s1 + s2, columns.setdefault((t1, t2), len(columns)))
-        for (s1, t1), (s2, t2) in detected.label_pairs
-    ])
-    blocks = np.zeros((len(pairs), 4, len(columns)), dtype=complex)
-    i, j = detected.i, detected.j
-    # each coincidence cell that the sparse engine keeps, once: with the
-    # smaller path first, the mirrored cell holding the same amplitude up to sign
-    at = np.flatnonzero((i < j) & (j < n) & detected.fires)
-    key = 1 + n + i[at] * n + j[at]  # the key of detectors i and j, as in _patterns
-    found = np.isin(key, pairs)  # not a cell of a pruned pattern
-    at, block = at[found], np.searchsorted(pairs, key[found])
-    row, col = places[detected.label[at] // 2].T
-    blocks[block, row, col] = detected.psi[at]
-    blocks /= np.linalg.norm(blocks, axis=(1, 2))[:, None, None]
-    return blocks
 
 
 def postselect(
@@ -540,6 +514,12 @@ def opposite_spin_input(statistics: Statistics, net: Network) -> FockState:
     return make_product_state(statistics, [Mode(a, Spin.UP), Mode(b, Spin.DOWN)])
 
 
+def heralded_pair(state: FockState) -> FockState:
+    """The state of a pair sent through the single splitter, given that C and D both fired."""
+    net = fig1_network()
+    return detect(run_network(net, state), net.monitored)[{"C", "D"}].state
+
+
 class FeedbackRound(NamedTuple):
     round: int
     success_probability: float
@@ -572,24 +552,6 @@ def feedback_run(max_rounds: int, statistics: Statistics) -> list[FeedbackRound]
         bunched = branches[{"D"}]
         state = _apply_path_table(bunched.state, {"D": (("A", 1.0 + 0j),)})
     return rounds
-
-
-def correction_for_branch(branch: Branch) -> dict[str, np.ndarray]:
-    """Local spin unitaries turning a coincidence branch into psi+.
-
-    Returns only the non-identity per-path 2x2 corrections; composing
-    them with the branch state gives the |up down> + |down up> Bell pair
-    on the two firing paths, up to global phase.
-    """
-    if not coincidence(branch.pattern):
-        raise NetworkError(f"pattern {sorted(branch.pattern)} is not a two-detector coincidence")
-    p1, p2 = sorted(branch.pattern)
-    alpha = branch.state.amplitude([Mode(p1, Spin.UP), Mode(p2, Spin.DOWN)])
-    beta = branch.state.amplitude([Mode(p1, Spin.DOWN), Mode(p2, Spin.UP)])
-    (delta,) = _correction_phases(np.array([alpha]), np.array([beta]), [branch.pattern]).tolist()
-    if delta == 1.0:
-        return {}
-    return {p1: np.array([[1.0, 0.0], [0.0, delta]], dtype=complex)}
 
 
 def _correction_phases(

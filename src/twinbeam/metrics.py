@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import OccupancyError
 from .fock import FockState, Mode, Monomial, Spin, Statistics, make_product_state
-from .interferometer import coincidence, detect, fig1_network, postselect, run_network
+from .interferometer import heralded_pair
 
 DM_TOL = 1e-9
 
@@ -106,7 +106,7 @@ def _pair_matrix(state: FockState, path_x: str, path_y: str, place: Callable) ->
     ``place(monomial, amp, p1, p2)``, p1 being the smaller path, returns
     a canonical monomial's basis row and amplitude or raises
     :class:`OccupancyError`.  Each tag pair is one column of the 4xT
-    amplitude array v, and rho = v v† / tr.  Not validated.
+    amplitude array v, and rho is :func:`density_matrices` of it.
     """
     if path_x == path_y:
         raise ValueError("the two paths must differ")
@@ -122,8 +122,13 @@ def _pair_matrix(state: FockState, path_x: str, path_y: str, place: Callable) ->
     v = np.zeros((4, len(columns)), dtype=complex)
     for row, col, amp in entries:
         v[row, col] += amp
-    rho = v @ v.conj().T
-    rho /= np.trace(rho).real
+    return density_matrices(v)
+
+
+def density_matrices(v: np.ndarray) -> np.ndarray:
+    """``v v† / tr`` of each 4xT amplitude array in a ``(..., 4, T)`` stack.  Not validated."""
+    rho = v @ v.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
     return rho
 
 
@@ -272,10 +277,8 @@ def tagged_opposite_spin_input(statistics: Statistics, overlap: complex) -> Fock
 
 def coincidence_spin_dm(statistics: Statistics, overlap: complex) -> TwoQubitDM:
     """Spin state heralded by a coincidence for a tagged opposite-spin pair."""
-    net = fig1_network()
-    state = run_network(net, tagged_opposite_spin_input(statistics, overlap))
-    _, conditional = postselect(detect(state, net.monitored), coincidence)
-    return reduce_to_spin_dm(conditional.branches[0].state, "C", "D")
+    state = heralded_pair(tagged_opposite_spin_input(statistics, overlap))
+    return reduce_to_spin_dm(state, "C", "D")
 
 
 def bell_labels(rho: np.ndarray) -> np.ndarray:

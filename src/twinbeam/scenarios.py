@@ -18,17 +18,16 @@ from .fock import FockState, Mode, Spin, Statistics, apply_spin_rotation, make_p
 from .interferometer import (
     ExcitationPattern,
     Network,
-    _coincidence_blocks,
-    _correction_phases,
-    _pair_patterns,
-    _patterns,
+    _detect_pairs,
     build_tree,
     coincidence,
     detect,
     feedback_run,
     fig1_network,
     fig2_network,
+    heralded_pair,
     opposite_spin_input,
+    pattern_label,
     run_network,
 )
 from .metrics import (
@@ -39,6 +38,7 @@ from .metrics import (
     coincidence_spin_dm,
     concurrence,
     concurrences,
+    density_matrices,
     distinguishability,
     gaussian_overlap,
     infer_concurrence_from_chsh,
@@ -60,6 +60,12 @@ VERDICT_DEAD_ZONE = 0.1
 #: deepest tree the tree scenario and ``twinbeam clicks --depth`` accept
 MAX_SCENARIO_TREE_DEPTH = 7
 
+#: most points a complementarity or gaussian sweep takes: about 27 MiB of table rows
+MAX_GRID = 100_000
+
+#: most sampled feedback trajectories: about two and a half minutes at 10 rounds
+MAX_FEEDBACK_TRIALS = 10 ** 9
+
 #: feedback trajectories drawn at once, which bounds the memory of a sampled run
 FEEDBACK_CHUNK = 4096
 
@@ -68,55 +74,64 @@ FEEDBACK_CHUNK = 4096
 METRICS_CHUNK = 512
 
 
-def _correction_label(path: str, phase: complex) -> str:
+def _check_range(name: str, value: int, low: int, high: int) -> None:
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be between {low} and {high}, got {value}")
+
+
+def tree_network(depth: int) -> Network:
+    """The splitting tree of the tree scenario and of ``twinbeam clicks --depth``."""
+    _check_range("depth", depth, 1, MAX_SCENARIO_TREE_DEPTH)
+    return build_tree(depth)
+
+
+def _sweep(start: float, stop: float, grid: int) -> np.ndarray:
+    """The ``grid`` evenly spaced points of a complementarity or gaussian sweep."""
+    _check_range("grid", grid, 2, MAX_GRID)
+    return np.linspace(start, stop, grid)
+
+
+def _correction_label(pattern: ExcitationPattern, phase: complex) -> str:
     if phase == 1.0:
         return "identity"
-    return f"{path}:down-phase {math.atan2(phase.imag, phase.real) / math.pi:.6g}pi"
+    return f"{min(pattern)}:down-phase {math.atan2(phase.imag, phase.real) / math.pi:.6g}pi"
 
 
 _BRANCH_COLUMNS = ("pattern", "detectors", "probability", "concurrence", "bell_state", "correction")
 
 
 def _branch_rows(
-    patterns: list[ExcitationPattern], probabilities: list[float], blocks: np.ndarray
-) -> list[dict]:
-    """One table row per detector pattern, in :func:`detect`'s order.
+    patterns: list[ExcitationPattern],
+    probabilities: list[float],
+    blocks: np.ndarray,
+    phases: list[complex],
+) -> tuple[float, list[dict]]:
+    """Coincidence probability and one table row per detector pattern, in :func:`detect`'s order.
 
-    The coincidences come last, and ``blocks`` holds their normalized
-    spin-tag amplitudes (``interferometer._coincidence_blocks``); their
-    spin matrices ``v v† / tr`` are evaluated :data:`METRICS_CHUNK` at a time.
+    The coincidences come last, with their normalized spin-tag blocks
+    and correction phases (``interferometer._detect_pairs``); their spin
+    matrices are evaluated :data:`METRICS_CHUNK` at a time.
     """
     first = len(patterns) - len(blocks)
     rows = [
-        dict(zip(_BRANCH_COLUMNS, ("+".join(sorted(p)) or "none", len(p), prob, 0.0, "", "")))
+        dict(zip(_BRANCH_COLUMNS, (pattern_label(p), len(p), prob, 0.0, "", "")))
         for p, prob in zip(patterns[:first], probabilities)
     ]
-    pairs = [sorted(p) for p in patterns[first:]]
-    # alpha / beta: |up down> over |down up> in the untagged column
-    phases = _correction_phases(blocks[:, 1, 0], blocks[:, 2, 0], pairs).tolist()
     for start in range(0, len(blocks), METRICS_CHUNK):
-        v = blocks[start : start + METRICS_CHUNK]
-        rho = v @ v.conj().swapaxes(-1, -2)
-        rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+        rho = density_matrices(blocks[start : start + METRICS_CHUNK])
         validate_dms(rho)
         metrics = zip(concurrences(rho).tolist(), bell_labels(rho).tolist())
-        for k, (c, label) in enumerate(metrics, start):
-            p1, p2 = pairs[k]
-            correction = _correction_label(p1, phases[k])
-            values = (f"{p1}+{p2}", 2, probabilities[first + k], c, label or "other", correction)
-            rows.append(dict(zip(_BRANCH_COLUMNS, values)))
-    return rows
+        for k, (c, label) in enumerate(metrics, first + start):
+            correction = _correction_label(patterns[k], phases[k - first])
+            row = (pattern_label(patterns[k]), 2, probabilities[k], c, label or "other", correction)
+            rows.append(dict(zip(_BRANCH_COLUMNS, row)))
+    return sum(probabilities[first:]), rows
 
 
 def _branch_table(net: Network, statistics: Statistics) -> tuple[float, list[dict]]:
     """Coincidence probability and branch rows of the opposite-spin pair after ``net``."""
-    detected = _pair_patterns(net, opposite_spin_input(statistics, net))
-    blocks = _coincidence_blocks(detected)
-    keys, probabilities, monitored = detected[:3]
-    del detected  # the per-cell arrays, before the patterns and rows are built
-    patterns, probabilities = _patterns(keys, monitored), probabilities.tolist()
-    total = sum(probabilities[len(patterns) - len(blocks) :])
-    return total, _branch_rows(patterns, probabilities, blocks)
+    state = opposite_spin_input(statistics, net)
+    return _branch_rows(*_detect_pairs(net, state, coincidences=True))
 
 
 def _spin_pair_label(state: FockState) -> str:
@@ -159,9 +174,7 @@ def scenario_fig2(statistics: Statistics) -> ScenarioReport:
 
 def scenario_tree(depth: int, statistics: Statistics) -> ScenarioReport:
     """Depth-N splitting tree: entangled yield 1 - 1/2**N."""
-    if not 1 <= depth <= MAX_SCENARIO_TREE_DEPTH:
-        raise ValueError(f"tree scenario supports depths 1 through {MAX_SCENARIO_TREE_DEPTH}")
-    net = build_tree(depth)
+    net = tree_network(depth)
     total, rows = _branch_table(net, statistics)
     return ScenarioReport(
         scenario="tree",
@@ -179,9 +192,7 @@ def scenario_tree(depth: int, statistics: Statistics) -> ScenarioReport:
 
 def scenario_statistics_test(statistics: Statistics) -> ScenarioReport:
     """Identify the statistics from rotated spin correlations after coincidence."""
-    net = fig1_network()
-    branches = detect(run_network(net, opposite_spin_input(statistics, net)), net.monitored)
-    state = branches[{"C", "D"}].state
+    state = heralded_pair(opposite_spin_input(statistics, fig1_network()))
     for path in ("C", "D"):
         state = apply_spin_rotation(state, path, SPIN_MIXER)
     dm = reduce_to_spin_dm(state, "C", "D")
@@ -264,10 +275,8 @@ def scenario_feedback(
     depth: int, statistics: Statistics, trials: int = 0, seed: int = DEFAULT_SEED
 ) -> ScenarioReport:
     """Feedback recycling: failure probability halves every round."""
-    if not 1 <= depth <= 10:
-        raise ValueError("feedback scenario supports 1 through 10 rounds")
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
+    _check_range("depth", depth, 1, 10)
+    _check_range("trials", trials, 0, MAX_FEEDBACK_TRIALS)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     rounds = feedback_run(depth, statistics)
@@ -315,12 +324,10 @@ def scenario_feedback(
 
 def scenario_complementarity(grid: int, statistics: Statistics) -> ScenarioReport:
     """Sweep the tag overlap: entanglement + distinguishability = 1."""
-    if grid < 2:
-        raise ValueError("the overlap grid needs at least two points")
     rows = []
     max_total_dev = 0.0
     max_chsh_dev = 0.0
-    for overlap_sq in np.linspace(0.0, 1.0, grid):
+    for overlap_sq in _sweep(0.0, 1.0, grid):
         overlap = math.sqrt(float(overlap_sq))
         dm = coincidence_spin_dm(statistics, overlap)
         entanglement = concurrence(dm)
@@ -354,14 +361,12 @@ def scenario_gaussian(
     velocity: float, width: float, delay_max: float, grid: int, statistics: Statistics
 ) -> ScenarioReport:
     """Entanglement versus packet delay, via the full pipeline."""
-    if grid < 2:
-        raise ValueError("the delay grid needs at least two points")
     for name, value in (("velocity", velocity), ("width", width), ("delay_max", delay_max)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     rows = []
     max_dev = 0.0
-    for delay in np.linspace(-delay_max, delay_max, grid):
+    for delay in _sweep(-delay_max, delay_max, grid):
         overlap = gaussian_overlap(velocity, float(delay), width)
         entanglement = concurrence(coincidence_spin_dm(statistics, overlap))
         expected = overlap ** 2
@@ -389,9 +394,7 @@ def scenario_gaussian(
 
 def scenario_dual(statistics: Statistics) -> ScenarioReport:
     """Read the coincidence state both ways: spins entangled, paths entangled."""
-    net = fig1_network()
-    branches = detect(run_network(net, opposite_spin_input(statistics, net)), net.monitored)
-    state = branches[{"C", "D"}].state
+    state = heralded_pair(opposite_spin_input(statistics, fig1_network()))
     spin_dm = reduce_to_spin_dm(state, "C", "D")
     path_dm = dual_relabel(state, "C", "D")
     spin_c = concurrence(spin_dm)

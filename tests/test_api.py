@@ -3,8 +3,6 @@
 import twinbeam
 
 PUBLIC_NAMES = {
-    # submodules
-    "errors", "fock", "interferometer", "metrics", "oracle", "reporting", "scenarios",
     # errors
     "ImpossiblePostselectionError", "NetworkError", "NotUnitaryError", "OccupancyError",
     "PauliExclusionError", "StatisticsMismatchError", "TwinbeamError",
@@ -13,7 +11,7 @@ PUBLIC_NAMES = {
     "vacuum",
     # interferometer
     "BeamSplitter", "Branch", "BranchSet", "ExcitationPattern", "FeedbackRound", "Network",
-    "build_tree", "coincidence", "correction_for_branch", "detect", "feedback_run",
+    "build_tree", "coincidence", "detect", "feedback_run",
     "fig1_network", "fig2_network", "opposite_spin_input", "pattern_distribution",
     "postselect", "run_network", "sample_clicks",
     # metrics

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import BOTH_STATISTICS, one_sided_tree
-from twinbeam import cli, interferometer
+from twinbeam import cli, interferometer, scenarios
 from twinbeam.errors import ImpossiblePostselectionError, OccupancyError
 from twinbeam.interferometer import (
     build_tree,
@@ -127,6 +127,29 @@ class TestRun:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["run", "tree", "--depth", "9"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command,message",
+        [
+            ("run tree --depth 8", "depth must be between 1 and 7, got 8"),
+            ("clicks --depth 8", "depth must be between 1 and 7, got 8"),
+            ("run complementarity --grid 1", "grid must be between 2 and 100000, got 1"),
+            ("run complementarity --grid 100001", "grid must be between 2 and 100000, got 100001"),
+            ("run gaussian --grid 100001", "grid must be between 2 and 100000, got 100001"),
+            ("run feedback --trials 1000000001",
+             "trials must be between 0 and 1000000000, got 1000000001"),
+        ],
+    )
+    def test_parameter_past_its_bound_is_usage_error(self, capsys, monkeypatch, command, message):
+        def no_run(*args):
+            raise AssertionError("computed past the range check")
+
+        for name in ("build_tree", "coincidence_spin_dm", "feedback_run"):
+            monkeypatch.setattr(scenarios, name, no_run)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(command.split())
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_negative_feedback_seed_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,6 +1,7 @@
 """Tests for networks, detection branching, trees, feedback, and corrections."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -34,11 +35,11 @@ from twinbeam.interferometer import (
     Network,
     build_tree,
     coincidence,
-    correction_for_branch,
     detect,
     feedback_run,
     fig1_network,
     fig2_network,
+    heralded_pair,
     opposite_spin_input,
     pattern_distribution,
     postselect,
@@ -46,6 +47,7 @@ from twinbeam.interferometer import (
     sample_clicks,
 )
 from twinbeam.metrics import PSI_PLUS, concurrence, concurrences, reduce_to_spin_dm, validate_dms
+from twinbeam.scenarios import scenario_fig2, scenario_tree
 
 UP, DOWN = Spin.UP, Spin.DOWN
 
@@ -442,12 +444,15 @@ class TestCoincidenceBlocks:
         inputs = ("P", "Q", "R")
         net = random_network(rng, inputs, n_splitters=int(rng.integers(1, 6)))
         state = random_two_particle_state(rng, statistics, paths=inputs, tags=(0, 1), n_terms=4)
-        detected = interferometer._pair_patterns(net, state)
-        patterns = interferometer._patterns(detected.keys, detected.monitored)
+        # random coincidences are no local-phase images of psi+, so the phase
+        # rule, tested on its own below, gives way to a stub here
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(interferometer, "_correction_phases", lambda alpha, beta, patterns: alpha)
+            detected = interferometer._detect_pairs(net, state, coincidences=True)
+        patterns, probabilities, blocks, _ = detected
         distribution = pattern_distribution(net, state)
         assert patterns == list(distribution)
-        assert detected.probabilities.tolist() == list(distribution.values())
-        blocks = interferometer._coincidence_blocks(detected)
+        assert probabilities == list(distribution.values())
         coincidences = [p for p in patterns if coincidence(p)]
         assert patterns[len(patterns) - len(blocks):] == coincidences
         branches = detect(run_network(net, state), net.monitored)
@@ -456,7 +461,7 @@ class TestCoincidenceBlocks:
             rho /= np.trace(rho).real
             branch = branches[pattern].state
             assert np.abs(rho - reduce_to_spin_dm(branch, *pattern).matrix).max() < 1e-12
-            # column 0: the untagged amplitudes, as correction_for_branch reads them
+            # column 0: the untagged amplitudes, which the correction phase is read from
             p1, p2 = sorted(pattern)
             for row, (s1, s2) in ((1, (UP, DOWN)), (2, (DOWN, UP))):
                 assert abs(v[row, 0] - branch.amplitude([Mode(p1, s1), Mode(p2, s2)])) < 1e-12
@@ -472,21 +477,20 @@ class TestCoincidenceBlocks:
         ids=[f"tree{d}" for d in range(1, 6)] + ["fig2"],
     )
     def test_phases_match_correction_for_branch(self, net, statistics):
-        detected = interferometer._pair_patterns(net, opposite_spin_input(statistics, net))
-        blocks = interferometer._coincidence_blocks(detected)
-        patterns = interferometer._patterns(detected.keys, detected.monitored)
+        state = opposite_spin_input(statistics, net)
+        patterns, _, blocks, phases = interferometer._detect_pairs(net, state, coincidences=True)
         coincidences = patterns[len(patterns) - len(blocks):]
-        phases = interferometer._correction_phases(blocks[:, 1, 0], blocks[:, 2, 0], coincidences)
         branches = detected_branches(net, statistics)
         assert len(phases) == sum(coincidence(b.pattern) for b in branches) > 0
-        for pattern, phase in zip(coincidences, phases.tolist()):
-            correction = correction_for_branch(branches[pattern])
-            if phase == 1.0:
-                assert correction == {}
-            else:
-                (path, matrix), = correction.items()
-                assert path == min(pattern)
-                assert np.abs(matrix - np.diag([1.0, phase])).max() < 1e-12
+        # the rule applied to each detected branch's |up down> and |down up> amplitudes
+        alpha, beta = np.array([
+            [branches[p].state.amplitude([Mode(min(p), s1), Mode(max(p), s2)])
+             for s1, s2 in ((UP, DOWN), (DOWN, UP))]
+            for p in coincidences
+        ]).T
+        expected = interferometer._correction_phases(alpha, beta, coincidences)
+        assert [phase == 1.0 for phase in phases] == (expected == 1.0).tolist()
+        assert np.abs(np.array(phases) - expected).max() < 1e-12
 
     def test_pruned_cells_stay_out_of_the_blocks(self):
         # C+D monomials: 2e-12 from the untagged pair, kept, and 0.8e-12
@@ -496,7 +500,7 @@ class TestCoincidenceBlocks:
         tagged = make_product_state(Statistics.BOSON, [Mode("A", UP, 1), Mode("B", DOWN, 1)])
         state = hom + 4e-12 * untagged + 1.6e-12 * tagged
         net = fig1_network()
-        (v,) = interferometer._coincidence_blocks(interferometer._pair_patterns(net, state))
+        (v,) = interferometer._detect_pairs(net, state, coincidences=True)[2]
         branch = detect(run_network(net, state), net.monitored)[{"C", "D"}].state
         assert not v[:, 1:].any()
         rho = v @ v.conj().T / np.trace(v @ v.conj().T)
@@ -532,6 +536,12 @@ class TestPostselect:
         out = run_network(fig2_network(), opposite_pair(Statistics.BOSON))
         prob, _ = postselect(detect(out, fig2_network().monitored), coincidence)
         assert abs(prob - 0.75) < 1e-12
+
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    def test_heralded_pair_is_the_postselected_coincidence(self, statistics):
+        out = run_network(fig1_network(), opposite_pair(statistics))
+        _, conditional = postselect(detect(out, ["C", "D"]), coincidence)
+        assert heralded_pair(opposite_pair(statistics)).terms == conditional.branches[0].state.terms
 
     def test_impossible_selection(self):
         out = run_network(fig1_network(), opposite_pair(Statistics.BOSON))
@@ -618,31 +628,30 @@ def detected_branches(net, statistics):
 
 
 class TestCorrection:
+    """The ``correction`` column of the branch tables."""
+
     def test_fermion_eg_pattern_needs_no_correction(self):
-        branches = detected_branches(fig2_network(), Statistics.FERMION)
-        assert correction_for_branch(branches[{"E", "G"}]) == {}
+        corrections = {r["pattern"]: r["correction"] for r in scenario_fig2(Statistics.FERMION).table}
+        assert corrections["E+G"] == "identity"
 
     def test_fermion_gh_pattern_gets_phase(self):
-        branches = detected_branches(fig2_network(), Statistics.FERMION)
-        correction = correction_for_branch(branches[{"G", "H"}])
-        assert set(correction) == {"G"}
-        assert np.allclose(correction["G"], np.diag([1.0, -1.0]))
-
-    def test_rejects_single_detector_pattern(self):
-        branches = detected_branches(fig2_network(), Statistics.FERMION)
-        with pytest.raises(NetworkError):
-            correction_for_branch(branches[{"E"}])
+        corrections = {r["pattern"]: r["correction"] for r in scenario_fig2(Statistics.FERMION).table}
+        assert corrections["G+H"] == "G:down-phase 1pi"
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     @pytest.mark.parametrize("depth", [2, 3])
     def test_all_tree_coincidences_correct_to_target(self, statistics, depth):
-        for branch in detected_branches(build_tree(depth), statistics):
-            if not coincidence(branch.pattern):
-                continue
-            corrected = branch.state
-            for path, rotation in correction_for_branch(branch).items():
-                corrected = apply_spin_rotation(corrected, path, rotation)
-            p1, p2 = sorted(branch.pattern)
+        branches = detected_branches(build_tree(depth), statistics)
+        rows = [r for r in scenario_tree(depth, statistics).table if r["detectors"] == 2]
+        assert len(rows) == sum(coincidence(b.pattern) for b in branches)
+        for row in rows:
+            p1, p2 = row["pattern"].split("+")
+            corrected = branches[{p1, p2}].state
+            if row["correction"] != "identity":
+                path, turns = re.fullmatch(r"(\w+):down-phase (\S+)pi", row["correction"]).groups()
+                assert path == p1
+                phase = np.exp(1j * math.pi * float(turns))
+                corrected = apply_spin_rotation(corrected, path, np.diag([1.0, phase]))
             dm = reduce_to_spin_dm(corrected, p1, p2)
             assert abs(fidelity(dm, PSI_PLUS) - 1.0) < 1e-9
 

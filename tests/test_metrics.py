@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import BOTH_STATISTICS, fidelity, random_unitary
 from twinbeam.errors import OccupancyError
 from twinbeam.fock import Mode, Spin, Statistics, make_product_state
-from twinbeam.interferometer import coincidence, detect, fig1_network, postselect, run_network
+from twinbeam.interferometer import heralded_pair
 from twinbeam.metrics import (
     PSI_MINUS,
     PSI_PLUS,
@@ -40,10 +40,7 @@ def pure_dm(vector, labels=("C", "D")):
 
 
 def coincidence_state(statistics, overlap=1.0):
-    net = fig1_network()
-    out = run_network(net, tagged_opposite_spin_input(statistics, overlap))
-    _, conditional = postselect(detect(out, net.monitored), coincidence)
-    return conditional.branches[0].state
+    return heralded_pair(tagged_opposite_spin_input(statistics, overlap))
 
 
 def mixed_fermion_dm():

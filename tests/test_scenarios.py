@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import BOTH_STATISTICS
-from twinbeam import scenarios
+from twinbeam import interferometer, scenarios
 from twinbeam.fock import Mode, Spin, Statistics, make_product_state
 from twinbeam.interferometer import coincidence, detect, fig1_network, run_network
 from twinbeam.scenarios import (
@@ -97,7 +97,10 @@ class TestTree:
         # (i |up down> + |down up>) / sqrt2 needs the down phase i on X
         v = np.zeros((1, 4, 1), dtype=complex)
         v[0, 1:3, 0] = np.array([1j, 1.0]) / math.sqrt(2.0)
-        (row,) = scenarios._branch_rows([frozenset({"Y", "X"})], [1.0], v)
+        patterns = [frozenset({"Y", "X"})]
+        phases = interferometer._correction_phases(v[:, 1, 0], v[:, 2, 0], patterns).tolist()
+        total, (row,) = scenarios._branch_rows(patterns, [1.0], v, phases)
+        assert total == 1.0
         assert row["pattern"] == "X+Y" and row["correction"] == "X:down-phase 0.5pi"
         assert abs(row["concurrence"] - 1.0) < 1e-12 and row["bell_state"] == "other"
 
