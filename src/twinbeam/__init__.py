@@ -9,7 +9,6 @@ entanglement-distinguishability trade-off.
 from types import ModuleType as _ModuleType
 
 from .errors import (
-    ImpossiblePostselectionError,
     NetworkError,
     NotUnitaryError,
     OccupancyError,
@@ -41,7 +40,6 @@ from .interferometer import (
     fig2_network,
     opposite_spin_input,
     pattern_distribution,
-    postselect,
     run_network,
     sample_clicks,
 )

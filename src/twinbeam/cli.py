@@ -1,9 +1,9 @@
 """Command-line front end: scenario runs, the catalog, and click sampling.
 
 Exit codes: 0 success; 2 a usage error, a parameter out of range (a
-plain ``ValueError``) or an invalid or oversize network
-(``NetworkError``); 3 any other error of the package (a
-``TwinbeamError``, for example an impossible post-selection or an
+plain ``ValueError``), an invalid or oversize network
+(``NetworkError``) or an ``--output`` file that cannot be written; 3 any
+other error of the package (a ``TwinbeamError``, for example an
 ``OccupancyError`` raised inside a scenario).  Identical arguments and
 seed produce byte-identical JSON output.
 """
@@ -15,7 +15,6 @@ import json
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Any
 
 from .errors import NetworkError, TwinbeamError
 from .fock import Statistics
@@ -33,42 +32,11 @@ from .reporting import SAMPLED, Scalar, ScenarioReport, canonical_json
 from .scenarios import (
     DEFAULT_SEED,
     SCENARIOS,
-    Param,
-    Scenario,
     list_scenarios,
     tree_network,
 )
 
 _FORMATS = ("table", "json", "csv")
-
-
-def _run_flags() -> dict[str, Param]:
-    """Every scenario parameter once, in registry order; its first declaration gives the help."""
-    flags: dict[str, Param] = {}
-    for entry in SCENARIOS.values():
-        for param in entry.params:
-            flags.setdefault(param.name, param)
-    return flags
-
-
-def _scenario_call(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> tuple[Scenario, dict[str, Any]]:
-    entry = SCENARIOS.get(args.scenario)
-    if entry is None:
-        parser.error(
-            f"unknown scenario {args.scenario!r}; run 'twinbeam list' for the catalog"
-        )
-    params = {p.name: p.default for p in entry.params}
-    for name in _run_flags():
-        value = getattr(args, name)
-        if value is None:
-            continue
-        if name not in params:
-            flag = "--" + name.replace("_", "-")
-            parser.error(f"scenario {args.scenario!r} does not take {flag}")
-        params[name] = value
-    return entry, params
 
 
 def _emit(report: ScenarioReport, fmt: str, output: Path | None) -> None:
@@ -80,9 +48,6 @@ def _emit(report: ScenarioReport, fmt: str, output: Path | None) -> None:
 
 
 def _clicks_network(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Network:
-    sources = [args.network is not None, args.depth is not None, args.fig is not None]
-    if sum(sources) != 1:
-        parser.error("choose exactly one of --network, --depth, --fig")
     if args.network is not None:
         try:
             data = json.loads(Path(args.network).read_text())
@@ -148,29 +113,32 @@ def build_parser() -> argparse.ArgumentParser:
     list_p = sub.add_parser("list", help="show the scenario catalog")
     list_p.add_argument("--format", choices=("table", "json"), default="table")
 
-    run_p = sub.add_parser("run", help="run one scenario and emit its report")
-    run_p.add_argument("scenario", help="scenario name (see 'twinbeam list')")
-    run_p.add_argument(
-        "--statistics", choices=("boson", "fermion"), default="fermion",
-        help="particle statistics (default fermion)",
-    )
-    for name, param in _run_flags().items():
-        run_p.add_argument(
-            "--" + name.replace("_", "-"), dest=name, type=param.type, default=None,
-            help=param.help,
-        )
-    run_p.add_argument("--format", choices=_FORMATS, default="table")
-    run_p.add_argument("--output", type=Path, default=None, help="write to file instead of stdout")
+    # the report options of every scenario and of clicks
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--statistics", choices=("boson", "fermion"), default="fermion",
+                        help="particle statistics (default fermion)")
+    common.add_argument("--format", choices=_FORMATS, default="table")
+    common.add_argument("--output", type=Path, help="write to file instead of stdout")
 
-    clicks_p = sub.add_parser("clicks", help="sample detector clicks from a network")
-    clicks_p.add_argument("--network", default=None, help="network description JSON file")
-    clicks_p.add_argument("--depth", type=int, default=None, help="use a splitting tree of this depth")
-    clicks_p.add_argument("--fig", type=int, choices=(1, 2), default=None, help="use a built-in network")
-    clicks_p.add_argument("--statistics", choices=("boson", "fermion"), default="fermion")
+    run_p = sub.add_parser("run", help="run one scenario and emit its report")
+    scenario_sub = run_p.add_subparsers(
+        dest="scenario", required=True, help="scenario name (see 'twinbeam list')"
+    )
+    for entry in SCENARIOS.values():
+        scenario_p = scenario_sub.add_parser(entry.name, parents=[common])
+        for param in entry.params:
+            scenario_p.add_argument(
+                "--" + param.name.replace("_", "-"), dest=param.name, type=param.type,
+                default=param.default, help=param.help,
+            )
+
+    clicks_p = sub.add_parser("clicks", parents=[common], help="sample detector clicks from a network")
+    source = clicks_p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--network", help="network description JSON file")
+    source.add_argument("--depth", type=int, help="use a splitting tree of this depth")
+    source.add_argument("--fig", type=int, choices=(1, 2), help="use a built-in network")
     clicks_p.add_argument("--trials", type=int, default=10000)
     clicks_p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    clicks_p.add_argument("--format", choices=_FORMATS, default="table")
-    clicks_p.add_argument("--output", type=Path, default=None)
     return parser
 
 
@@ -191,7 +159,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     try:
         if args.command == "run":
-            entry, params = _scenario_call(args, parser)
+            entry = SCENARIOS[args.scenario]
+            params = {p.name: getattr(args, p.name) for p in entry.params}
             report = entry.run(statistics=Statistics.from_name(args.statistics), **params)
         else:
             report = _run_clicks(args, parser)
@@ -202,7 +171,12 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except ValueError as exc:
         parser.error(str(exc))
-    _emit(report, args.format, args.output)
+    try:
+        _emit(report, args.format, args.output)
+    except OSError as exc:
+        if args.output is None:
+            raise
+        parser.error(f"cannot write output file {str(args.output)!r}: {exc.strerror}")
     return 0
 
 

@@ -23,7 +23,3 @@ class OccupancyError(TwinbeamError, ValueError):
 
 class NetworkError(TwinbeamError, ValueError):
     """A beam-splitter network violates its structural invariants."""
-
-
-class ImpossiblePostselectionError(TwinbeamError, RuntimeError):
-    """Post-selection on an outcome of probability zero."""

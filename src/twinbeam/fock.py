@@ -212,20 +212,11 @@ def substitute_modes(state: FockState, table: Substitution) -> FockState:
     """
     fermionic = state.statistics is Statistics.FERMION
     out: dict[Monomial, complex] = {}
-    identity_cache: dict[Mode, tuple[tuple[Mode, complex], ...]] = {}
     for monomial, amp in state._terms.items():
         if not any(mode in table for mode in monomial):
             out[monomial] = out.get(monomial, 0j) + amp
             continue
-        options = []
-        for mode in monomial:
-            hit = table.get(mode)
-            if hit is None:
-                hit = identity_cache.get(mode)
-                if hit is None:
-                    hit = ((mode, 1.0 + 0j),)
-                    identity_cache[mode] = hit
-            options.append(hit)
+        options = [table.get(mode, ((mode, 1.0 + 0j),)) for mode in monomial]
         for combo in product(*options):
             coeff = amp
             modes = []

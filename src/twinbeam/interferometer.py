@@ -21,11 +21,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ImpossiblePostselectionError, NetworkError
+from .errors import NetworkError
 from .fock import (
     PRUNE_THRESHOLD,
     FockState,
@@ -435,23 +435,6 @@ def _pair_cells(state: FockState, table: PathTable, terminals: Sequence[str]) ->
     return list(labels), label, i, j, psi
 
 
-def postselect(
-    branches: BranchSet, predicate: Callable[[ExcitationPattern], bool]
-) -> tuple[float, BranchSet]:
-    """Keep the branches whose pattern satisfies the predicate.
-
-    Returns the total probability of the kept branches and the
-    renormalized conditional branch set.  Selecting an outcome of zero
-    probability raises :class:`ImpossiblePostselectionError`.
-    """
-    kept = [b for b in branches if predicate(b.pattern)]
-    total = sum(b.probability for b in kept)
-    if total <= 0.0:
-        raise ImpossiblePostselectionError("post-selection matched no branch of nonzero probability")
-    conditional = BranchSet(tuple(Branch(b.pattern, b.state, b.probability / total) for b in kept))
-    return total, conditional
-
-
 def coincidence(pattern: ExcitationPattern) -> bool:
     """True when exactly two distinct detectors fired."""
     return len(pattern) == 2
@@ -477,35 +460,23 @@ def build_tree(depth: int) -> Network:
     return Network(tuple(splitters), ("A", "B"), leaves)
 
 
-_FIG1_NAMES = {"0": "D", "1": "C"}
-_FIG2_NAMES = {"0": "D", "1": "C", "00": "G", "01": "H", "10": "E", "11": "F"}
-
-
-def _relabel(net: Network, names: dict[str, str]) -> Network:
-    def rename(p: str) -> str:
-        if p.endswith("~"):
-            return names.get(p[:-1], p[:-1]) + "~"
-        return names.get(p, p)
-
-    splitters = tuple(
-        BeamSplitter(rename(b.in1), rename(b.in2), rename(b.out1), rename(b.out2))
-        for b in net.splitters
-    )
-    return Network(splitters, tuple(rename(p) for p in net.inputs), tuple(rename(p) for p in net.monitored))
-
-
 # fig1 and fig2 are built once and shared: a Network is immutable, and
 # the sweeps ask for fig1 at every point
 @functools.cache
 def fig1_network() -> Network:
     """Single splitter A,B -> D,C with detectors on C and D."""
-    return _relabel(build_tree(1), _FIG1_NAMES)
+    return Network((BeamSplitter("A", "B", "D", "C"),), ("A", "B"), ("D", "C"))
 
 
 @functools.cache
 def fig2_network() -> Network:
     """Three-splitter network: C splits into (E, F), D into (G, H)."""
-    return _relabel(build_tree(2), _FIG2_NAMES)
+    splitters = (
+        BeamSplitter("A", "B", "D", "C"),
+        BeamSplitter("D", "D~", "G", "H"),
+        BeamSplitter("C", "C~", "E", "F"),
+    )
+    return Network(splitters, ("A", "B"), ("G", "H", "E", "F"))
 
 
 def opposite_spin_input(statistics: Statistics, net: Network) -> FockState:

@@ -450,10 +450,9 @@ class Scenario(NamedTuple):
         return ("statistics",) + tuple(p.name.replace("_", "-") for p in self.params)
 
 
-_DEPTH_HELP = "tree depth or feedback rounds"
 _GRID = Param("grid", int, 21, "number of sweep points")
 
-#: every shipped scenario by name; the command line's flags follow this order
+#: every shipped scenario by name, in the command line's order
 SCENARIOS: dict[str, Scenario] = {
     s.name: s
     for s in (
@@ -474,7 +473,7 @@ SCENARIOS: dict[str, Scenario] = {
         Scenario(
             "tree",
             scenario_tree,
-            (Param("depth", int, 2, _DEPTH_HELP),),
+            (Param("depth", int, 2, "tree depth"),),
             "a depth-N splitting tree delivers entangled pairs with probability "
             "1 - 1/2^N",
         ),
@@ -482,7 +481,7 @@ SCENARIOS: dict[str, Scenario] = {
             "feedback",
             scenario_feedback,
             (
-                Param("depth", int, 7, _DEPTH_HELP),
+                Param("depth", int, 7, "feedback rounds"),
                 Param("trials", int, 0, "Monte Carlo trajectories (0 = exact only)"),
                 Param("seed", int, DEFAULT_SEED, f"sampling seed (default {DEFAULT_SEED})"),
             ),

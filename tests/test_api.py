@@ -4,7 +4,7 @@ import twinbeam
 
 PUBLIC_NAMES = {
     # errors
-    "ImpossiblePostselectionError", "NetworkError", "NotUnitaryError", "OccupancyError",
+    "NetworkError", "NotUnitaryError", "OccupancyError",
     "PauliExclusionError", "StatisticsMismatchError", "TwinbeamError",
     # fock
     "FockState", "Mode", "Spin", "Statistics", "apply_spin_rotation", "make_product_state",
@@ -13,7 +13,7 @@ PUBLIC_NAMES = {
     "BeamSplitter", "Branch", "BranchSet", "ExcitationPattern", "FeedbackRound", "Network",
     "build_tree", "coincidence", "detect", "feedback_run",
     "fig1_network", "fig2_network", "opposite_spin_input", "pattern_distribution",
-    "postselect", "run_network", "sample_clicks",
+    "run_network", "sample_clicks",
     # metrics
     "PSI_MINUS", "PSI_PLUS", "TwoQubitDM", "bell_labels", "chsh_expectation", "classify_bell",
     "coincidence_spin_dm", "concurrence", "concurrences", "distinguishability", "dual_relabel",

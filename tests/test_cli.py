@@ -10,7 +10,7 @@ import pytest
 
 from conftest import BOTH_STATISTICS, one_sided_tree
 from twinbeam import cli, interferometer, scenarios
-from twinbeam.errors import ImpossiblePostselectionError, OccupancyError
+from twinbeam.errors import OccupancyError, TwinbeamError
 from twinbeam.interferometer import (
     build_tree,
     coincidence,
@@ -113,6 +113,35 @@ class TestRun:
             assert code == 0 and out == ""
             assert target.read_bytes() == stdout.encode()
 
+    @pytest.mark.parametrize("command", ["run fig1", "clicks --fig 1"])
+    @pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["no-dir", "a-dir"])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, command, target):
+        path = tmp_path / target
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*command.split(), "--output", str(path)])
+        assert excinfo.value.code == 2
+        assert f"cannot write output file {str(path)!r}" in capsys.readouterr().err
+
+    def test_options_follow_the_scenario(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["run", "--statistics", "boson", "fig1"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "scenario,present,absent",
+        [
+            ("tree", ["--depth", "tree depth"], ["--grid", "--trials", "--seed", "--velocity"]),
+            ("feedback", ["--depth", "feedback rounds", "--trials", "--seed"], ["--grid"]),
+        ],
+    )
+    def test_scenario_help_lists_its_own_flags(self, capsys, scenario, present, absent):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["run", scenario, "-h"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert all(flag in out for flag in present)
+        assert not any(flag in out for flag in absent)
+
     def test_unknown_scenario_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["run", "nonsense"])
@@ -168,7 +197,7 @@ class TestRun:
 
     def test_scenario_error_exits_three(self, capsys, monkeypatch):
         def boom(statistics):
-            raise ImpossiblePostselectionError("nothing to select")
+            raise TwinbeamError("nothing to select")
 
         monkeypatch.setitem(SCENARIOS, "fig1", SCENARIOS["fig1"]._replace(run=boom))
         code, _, err = run_cli(capsys, "run", "fig1")
@@ -270,9 +299,10 @@ class TestClicks:
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
 
-    def test_requires_exactly_one_source(self, capsys):
+    @pytest.mark.parametrize("sources", ["--fig 1 --depth 2", "--trials 10"], ids=["two", "none"])
+    def test_requires_exactly_one_source(self, capsys, sources):
         with pytest.raises(SystemExit) as excinfo:
-            cli.main(["clicks", "--fig", "1", "--depth", "2"])
+            cli.main(["clicks", *sources.split()])
         assert excinfo.value.code == 2
 
     def test_rejects_bad_network_file(self, capsys, tmp_path):
@@ -334,6 +364,11 @@ def test_readme_command_succeeds(capsys, tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "my_network.json").write_text(json.dumps(fig2_network().to_dict()))
     assert cli.main(shlex.split(command)[1:]) == 0
+
+
+@pytest.mark.parametrize("command", readme_commands())
+def test_readme_command_parses(command):
+    cli.build_parser().parse_args(shlex.split(command)[1:])
 
 
 #: SHA-256 of ``twinbeam run <command> --statistics <s> --format json`` stdout,

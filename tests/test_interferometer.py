@@ -17,7 +17,7 @@ from conftest import (
     random_two_particle_state,
 )
 from twinbeam import interferometer
-from twinbeam.errors import ImpossiblePostselectionError, NetworkError
+from twinbeam.errors import NetworkError
 from twinbeam.fock import (
     FockState,
     Mode,
@@ -42,7 +42,6 @@ from twinbeam.interferometer import (
     heralded_pair,
     opposite_spin_input,
     pattern_distribution,
-    postselect,
     run_network,
     sample_clicks,
 )
@@ -112,6 +111,19 @@ class TestNetworkValidation:
         net = fig1_network()
         assert net.splitters == (BeamSplitter("A", "B", "D", "C"),)
         assert set(net.monitored) == {"C", "D"}
+
+    def test_fig_networks_are_pinned(self):
+        # recorded when both were relabelled depth-1 and depth-2 trees
+        assert fig1_network().to_dict() == {
+            "splitters": [["A", "B", "D", "C"]],
+            "inputs": ["A", "B"],
+            "monitored": ["D", "C"],
+        }
+        assert fig2_network().to_dict() == {
+            "splitters": [["A", "B", "D", "C"], ["D", "D~", "G", "H"], ["C", "C~", "E", "F"]],
+            "inputs": ["A", "B"],
+            "monitored": ["G", "H", "E", "F"],
+        }
 
     def test_duplicate_output_rejected(self):
         with pytest.raises(NetworkError):
@@ -527,26 +539,19 @@ class TestCoincidenceBlocks:
 class TestPostselect:
     def test_fig1_coincidence_probability(self):
         out = run_network(fig1_network(), opposite_pair(Statistics.FERMION))
-        prob, conditional = postselect(detect(out, ["C", "D"]), coincidence)
-        assert abs(prob - 0.5) < 1e-12
-        assert len(conditional) == 1
-        assert abs(conditional.branches[0].probability - 1.0) < 1e-12
+        branches = detect(out, ["C", "D"])
+        assert abs(sum(b.probability for b in branches if coincidence(b.pattern)) - 0.5) < 1e-12
 
     def test_fig2_coincidence_probability(self):
         out = run_network(fig2_network(), opposite_pair(Statistics.BOSON))
-        prob, _ = postselect(detect(out, fig2_network().monitored), coincidence)
-        assert abs(prob - 0.75) < 1e-12
+        branches = detect(out, fig2_network().monitored)
+        assert abs(sum(b.probability for b in branches if coincidence(b.pattern)) - 0.75) < 1e-12
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     def test_heralded_pair_is_the_postselected_coincidence(self, statistics):
         out = run_network(fig1_network(), opposite_pair(statistics))
-        _, conditional = postselect(detect(out, ["C", "D"]), coincidence)
-        assert heralded_pair(opposite_pair(statistics)).terms == conditional.branches[0].state.terms
-
-    def test_impossible_selection(self):
-        out = run_network(fig1_network(), opposite_pair(Statistics.BOSON))
-        with pytest.raises(ImpossiblePostselectionError):
-            postselect(detect(out, ["C", "D"]), lambda pattern: len(pattern) == 7)
+        pair = detect(out, ["C", "D"])[{"C", "D"}]
+        assert heralded_pair(opposite_pair(statistics)).terms == pair.state.terms
 
 
 class TestBuildTree:
