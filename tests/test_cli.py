@@ -373,8 +373,10 @@ def test_readme_command_parses(command):
 
 #: SHA-256 of ``twinbeam run <command> --statistics <s> --format json`` stdout,
 #: recorded before the two-qubit metrics were batched (statistics-test and
-#: feedback: before the library code that only tests called was deleted); any
-#: drift in a reported number or in the canonical encoding changes them
+#: feedback: before the library code that only tests called was deleted; the
+#: grid-1001 sweeps, which span two 512-matrix metric chunks: before the sweeps
+#: were stacked); any drift in a reported number or in the canonical encoding
+#: changes them
 PINNED_JSON_SHA256 = {
     ("tree --depth 4", "boson"):
         "6cc03df8bb5f830d742081d3d3195ea6c400b6e83cb4b61d202c0673201e0a00",
@@ -416,6 +418,14 @@ PINNED_JSON_SHA256 = {
         "7616df046da0b9bec4dab0fa5516a446c2b2839a364d9fe9aecbc707e7813d68",
     ("feedback --depth 4 --trials 1000 --seed 7", "fermion"):
         "5f7a17dc4b1f8d6f60b05688d4e0ac6d41b632c284b39a64224567de78d9e84f",
+    ("complementarity --grid 1001", "boson"):
+        "9d669cb569ecf40e8e11e45847c712d8b7847afc5b8200abd1d22e2f989ea2d2",
+    ("complementarity --grid 1001", "fermion"):
+        "a45b0df6f21d8f56fd13f2c1ea447d1bae0b9381973c1f1fe1f807008f95e3bf",
+    ("gaussian --grid 1001", "boson"):
+        "f36ca0a832bdd9ed14bb937f15738d675e9c7b7c1a88f92c6023b6e265f960d3",
+    ("gaussian --grid 1001", "fermion"):
+        "24eea88dd80e4c1ccafbda9263e29693e5e52e00391648bbb8fca359909f6030",
 }
 
 
