@@ -48,15 +48,12 @@ from .metrics import (
     PSI_PLUS,
     TwoQubitDM,
     bell_labels,
-    chsh_expectation,
-    classify_bell,
-    coincidence_spin_dm,
-    concurrence,
+    chsh_values,
+    coincidence_spin_dms,
     concurrences,
     distinguishability,
     dual_relabel,
     gaussian_overlap,
-    infer_concurrence_from_chsh,
     reduce_to_spin_dm,
     tagged_opposite_spin_input,
     validate_dms,

@@ -57,6 +57,14 @@ PROBABILITY_TOL = 1e-9
 #: most trials :func:`sample_clicks` draws: numpy's multinomial counts are 64-bit
 MAX_TRIALS = 2 ** 63 - 1
 
+#: most rounds :func:`feedback_run` takes; it keeps each round's state, about 0.9 KB
+MAX_FEEDBACK_ROUNDS = 10
+
+
+def _check_range(name: str, value: int, low: int, high: int) -> None:
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be between {low} and {high}, got {value}")
+
 
 @dataclass(frozen=True)
 class BeamSplitter:
@@ -505,10 +513,10 @@ def feedback_run(max_rounds: int, statistics: Statistics) -> list[FeedbackRound]
     on coincidence the round succeeds with its conditional spin pair,
     otherwise the bunched pair is re-injected through port A with its
     internal phases intact.  The per-round success probability is 1/2,
-    so the failure probability after round k is 2**-k.
+    so the failure probability after round k is 2**-k.  ``max_rounds``
+    lies in 1 .. :data:`MAX_FEEDBACK_ROUNDS`.
     """
-    if max_rounds < 1:
-        raise ValueError("at least one feedback round is required")
+    _check_range("max_rounds", max_rounds, 1, MAX_FEEDBACK_ROUNDS)
     net = fig1_network()
     state = opposite_spin_input(statistics, net)
     rounds = []
@@ -557,8 +565,7 @@ def sample_clicks(
     patterns that never occur are omitted from the histogram.  ``trials``
     must lie in 1 .. :data:`MAX_TRIALS` and ``seed`` be nonnegative.
     """
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
+    _check_range("trials", trials, 1, MAX_TRIALS)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     probs = np.array(list(distribution.values()))

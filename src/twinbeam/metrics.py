@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ BELL_TOL = 1e-9
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 #: |up down> +- |down up> in the {uu, ud, du, dd} basis
 PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
@@ -193,27 +192,16 @@ def concurrences(rho: np.ndarray) -> np.ndarray:
     eigvals, eigvecs = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2.0)
     roots = np.sqrt(np.clip(eigvals, 0.0, None))[..., None, :]
     root = (eigvecs * roots) @ eigvecs.conj().swapaxes(-1, -2)
+    del eigvecs  # one stack-sized buffer fewer alive in the products below, the peak
     lams = np.linalg.svd(root @ _SY_SY @ root.conj(), compute_uv=False)
     c = lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
     return np.where(c > 0.0, c, 0.0)
 
 
-def concurrence(dm: TwoQubitDM) -> float:
-    """Wootters concurrence of one density matrix (see :func:`concurrences`)."""
-    return float(concurrences(dm.matrix))
-
-
-def _bloch_observable(v: np.ndarray) -> np.ndarray:
-    return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
-
-
 def _chsh_operator() -> np.ndarray:
     s = 1.0 / math.sqrt(2.0)
-    a = _bloch_observable(np.array([1.0, 0.0, 0.0]))
-    a_p = _bloch_observable(np.array([0.0, 1.0, 0.0]))
-    b = _bloch_observable(np.array([s, s, 0.0]))
-    b_p = _bloch_observable(np.array([s, -s, 0.0]))
-    operator = np.kron(a, b + b_p) + np.kron(a_p, b - b_p)
+    b, b_p = s * (SIGMA_X + SIGMA_Y), s * (SIGMA_X - SIGMA_Y)
+    operator = np.kron(SIGMA_X, b + b_p) + np.kron(SIGMA_Y, b - b_p)
     operator.flags.writeable = False
     return operator
 
@@ -223,26 +211,16 @@ def _chsh_operator() -> np.ndarray:
 CHSH_OPERATOR = _chsh_operator()
 
 
-def chsh_expectation(dm: TwoQubitDM) -> float:
-    """Expectation of :data:`CHSH_OPERATOR` in the given state."""
-    value = float(np.real(np.trace(dm.matrix @ CHSH_OPERATOR)))
-    bound = 2.0 * math.sqrt(2.0) + 1e-9
-    if abs(value) > bound:
-        raise ValueError(f"CHSH value {value} exceeds the quantum bound")
-    return value
+def chsh_values(rho: np.ndarray) -> np.ndarray:
+    """Expectation of :data:`CHSH_OPERATOR` in each matrix of a ``(..., 4, 4)`` stack.
 
-
-def infer_concurrence_from_chsh(dm: TwoQubitDM, statistics: Statistics) -> float:
-    """Concurrence read off the CHSH value.
-
-    Valid for the coincidence family produced by the single-splitter
-    setup, whose CHSH value is +-2 sqrt(2) times the concurrence (+ for
-    fermions, - for bosons).
+    The first value beyond the quantum bound 2 sqrt(2) + 1e-9 raises :class:`ValueError`.
     """
-    divisor = 2.0 * math.sqrt(2.0)
-    if statistics is Statistics.BOSON:
-        divisor = -divisor
-    return chsh_expectation(dm) / divisor
+    values = np.einsum("...ij,ji->...", rho, CHSH_OPERATOR).real
+    beyond = np.abs(values) > 2.0 * math.sqrt(2.0) + 1e-9
+    if beyond.any():
+        raise ValueError(f"CHSH value {values[beyond][0]} exceeds the quantum bound")
+    return values
 
 
 def distinguishability(overlap: complex) -> float:
@@ -261,7 +239,12 @@ def gaussian_overlap(velocity: float, delay: float, width: float) -> float:
     """
     if width <= 0.0:
         raise ValueError("packet width must be positive")
-    return math.exp(-(velocity ** 2) * (delay ** 2) / (4.0 * width ** 2))
+    try:
+        return math.exp(-(velocity ** 2) * (delay ** 2) / (4.0 * width ** 2))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(
+            f"velocity {velocity}, delay {delay} and width {width} leave the float range"
+        ) from None
 
 
 def tagged_opposite_spin_input(statistics: Statistics, overlap: complex) -> FockState:
@@ -275,10 +258,18 @@ def tagged_opposite_spin_input(statistics: Statistics, overlap: complex) -> Fock
     return complex(overlap) * parallel + residual * orthogonal
 
 
-def coincidence_spin_dm(statistics: Statistics, overlap: complex) -> TwoQubitDM:
-    """Spin state heralded by a coincidence for a tagged opposite-spin pair."""
-    state = heralded_pair(tagged_opposite_spin_input(statistics, overlap))
-    return reduce_to_spin_dm(state, "C", "D")
+def coincidence_spin_dms(statistics: Statistics, overlaps: Sequence[complex]) -> np.ndarray:
+    """Spin matrices heralded by a coincidence for tagged opposite-spin pairs, one per overlap.
+
+    Each pair goes through the single splitter (:func:`heralded_pair`) and is reduced as in
+    :func:`reduce_to_spin_dm`; the ``(k, 4, 4)`` stack is validated once, by :func:`validate_dms`.
+    """
+    rho = np.empty((len(overlaps), 4, 4), dtype=complex)
+    for k, overlap in enumerate(overlaps):
+        state = heralded_pair(tagged_opposite_spin_input(statistics, overlap))
+        rho[k] = _pair_matrix(state, "C", "D", _spin_place)
+    validate_dms(rho)
+    return rho
 
 
 def bell_labels(rho: np.ndarray) -> np.ndarray:
@@ -290,8 +281,3 @@ def bell_labels(rho: np.ndarray) -> np.ndarray:
     plus = _fidelities(rho, PSI_PLUS) > 1.0 - BELL_TOL
     minus = _fidelities(rho, PSI_MINUS) > 1.0 - BELL_TOL
     return _BELL_NAMES[np.where(plus, 1, 2 * minus)]
-
-
-def classify_bell(dm: TwoQubitDM) -> str | None:
-    """Name the Bell state a density matrix equals, if any."""
-    return str(bell_labels(dm.matrix)) or None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .fock import FockState, Mode, Spin, Statistics, apply_spin_rotation, make_p
 from .interferometer import (
     ExcitationPattern,
     Network,
+    _check_range,
     _detect_pairs,
     build_tree,
     coincidence,
@@ -31,19 +32,15 @@ from .interferometer import (
     run_network,
 )
 from .metrics import (
-    TwoQubitDM,
     bell_labels,
-    chsh_expectation,
-    classify_bell,
-    coincidence_spin_dm,
-    concurrence,
+    chsh_values,
+    coincidence_spin_dms,
     concurrences,
     density_matrices,
     distinguishability,
-    gaussian_overlap,
-    infer_concurrence_from_chsh,
-    reduce_to_spin_dm,
     dual_relabel,
+    gaussian_overlap,
+    reduce_to_spin_dm,
     validate_dms,
 )
 from .reporting import SAMPLED, Scalar, ScenarioReport
@@ -69,14 +66,9 @@ MAX_FEEDBACK_TRIALS = 10 ** 9
 #: feedback trajectories drawn at once, which bounds the memory of a sampled run
 FEEDBACK_CHUNK = 4096
 
-#: coincidence spin matrices validated and evaluated at once in a branch table;
-#: stacking all 8,128 of a depth-7 tree at once raises the peak memory by half
+#: coincidence spin matrices validated and evaluated at once in a branch table or
+#: a sweep; stacking all 8,128 of a depth-7 tree at once raises the peak memory by half
 METRICS_CHUNK = 512
-
-
-def _check_range(name: str, value: int, low: int, high: int) -> None:
-    if not low <= value <= high:
-        raise ValueError(f"{name} must be between {low} and {high}, got {value}")
 
 
 def tree_network(depth: int) -> Network:
@@ -227,7 +219,8 @@ def scenario_mixed_input(statistics: Statistics) -> ScenarioReport:
     total = 0.0
     weighted_dm = np.zeros((4, 4), dtype=complex)
     rows = []
-    mixture: dict[str, float] = {}
+    # (row, mixture weight, spin matrix, spin pair label) of each input with coincidences
+    pairs = []
     for s_a, s_b in product((Spin.UP, Spin.DOWN), repeat=2):
         component = make_product_state(statistics, [Mode("A", s_a), Mode("B", s_b)])
         branches = detect(run_network(net, component), net.monitored)
@@ -236,38 +229,41 @@ def scenario_mixed_input(statistics: Statistics) -> ScenarioReport:
             f"{m.path}{'u' if m.spin is Spin.UP else 'd'}" for m in sorted(component.modes())
         )
         row = {"input": row_label, "weight": weight, "coincidence_probability": prob}
+        row["bell_state"] = ""
         if prob > 0.0:
             pair = branches[{"C", "D"}]
-            dm = reduce_to_spin_dm(pair.state, "C", "D")
-            weighted_dm += weight * prob * dm.matrix
-            label = classify_bell(dm) or _spin_pair_label(pair.state)
-            mixture[label] = mixture.get(label, 0.0) + weight * prob
-            row["bell_state"] = label
-        else:
-            row["bell_state"] = ""
+            dm = reduce_to_spin_dm(pair.state, "C", "D").matrix
+            weighted_dm += weight * prob * dm
+            pairs.append((row, weight * prob, dm, _spin_pair_label(pair.state)))
         total += weight * prob
         rows.append(row)
-    conditional = TwoQubitDM(weighted_dm / total, ("C", "D"))
+    mixture: dict[str, float] = {}
+    labels = bell_labels(np.array([dm for _, _, dm, _ in pairs])).tolist()
+    for (row, w, _, spin_label), label in zip(pairs, labels):
+        row["bell_state"] = label = label or spin_label
+        mixture[label] = mixture.get(label, 0.0) + w
     decomposition = " + ".join(
         f"{w / total:.6g} {label}" for label, w in sorted(mixture.items())
     )
-    chsh_default = chsh_expectation(conditional)
+    conditional = weighted_dm / total
     flip = np.kron(np.diag([1.0, -1.0]), np.eye(2)).astype(complex)
-    flipped = TwoQubitDM(flip @ conditional.matrix @ flip.conj().T, conditional.labels)
-    chsh_best = max(abs(chsh_default), abs(chsh_expectation(flipped)))
+    rho = np.array([conditional, flip @ conditional @ flip.conj().T])
+    validate_dms(rho)
+    chsh_default, chsh_flipped = chsh_values(rho).tolist()
+    chsh_best = max(abs(chsh_default), abs(chsh_flipped))
     return ScenarioReport(
         scenario="mixed-input",
         statistics=statistics.value,
         parameters={},
         scalars={
             "coincidence_probability": Scalar(total),
-            "concurrence": Scalar(concurrence(conditional)),
+            "concurrence": Scalar(concurrences(rho)[0].item()),
             "chsh_default": Scalar(chsh_default),
             "chsh_max_abs": Scalar(chsh_best),
             "conditional_decomposition": Scalar(decomposition),
         },
         table=rows,
-        matrices={"conditional_dm": conditional.matrix},
+        matrices={"conditional_dm": conditional},
     )
 
 
@@ -275,7 +271,6 @@ def scenario_feedback(
     depth: int, statistics: Statistics, trials: int = 0, seed: int = DEFAULT_SEED
 ) -> ScenarioReport:
     """Feedback recycling: failure probability halves every round."""
-    _check_range("depth", depth, 1, 10)
     _check_range("trials", trials, 0, MAX_FEEDBACK_TRIALS)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
@@ -289,16 +284,17 @@ def scenario_feedback(
             draws = rng.random((min(FEEDBACK_CHUNK, trials - start), depth)) < per_round
             first = np.where(draws.any(axis=1), draws.argmax(axis=1) + 1, 0)
             counts += np.bincount(first, minlength=depth + 1)
+    rho = np.array([reduce_to_spin_dm(r.conditional_state, "C", "D").matrix for r in rounds])
+    metrics = zip(bell_labels(rho).tolist(), concurrences(rho).tolist())
     rows = []
-    for r in rounds:
-        dm = reduce_to_spin_dm(r.conditional_state, "C", "D")
+    for r, (label, c) in zip(rounds, metrics):
         row = {
             "round": r.round,
             "success_probability": r.success_probability,
             "cumulative_failure": r.cumulative_failure,
             "cumulative_success": 1.0 - r.cumulative_failure,
-            "bell_state": classify_bell(dm) or "other",
-            "concurrence": concurrence(dm),
+            "bell_state": label or "other",
+            "concurrence": c,
         }
         if trials > 0:
             row["sampled_successes"] = int(counts[r.round])
@@ -322,23 +318,37 @@ def scenario_feedback(
     )
 
 
+def _sweep_metrics(
+    statistics: Statistics, points: np.ndarray, overlap: Callable[[float], float]
+) -> Iterator[tuple[float, float, float, float]]:
+    """Each sweep point, its tag overlap, and the concurrence and CHSH value that pair heralds.
+
+    The spin matrices are built, validated and evaluated :data:`METRICS_CHUNK` at a time.
+    """
+    for start in range(0, len(points), METRICS_CHUNK):
+        chunk = points[start : start + METRICS_CHUNK].tolist()
+        overlaps = [overlap(point) for point in chunk]
+        rho = coincidence_spin_dms(statistics, overlaps)
+        yield from zip(chunk, overlaps, concurrences(rho).tolist(), chsh_values(rho).tolist())
+
+
 def scenario_complementarity(grid: int, statistics: Statistics) -> ScenarioReport:
     """Sweep the tag overlap: entanglement + distinguishability = 1."""
+    # the heralded pair's CHSH value is 2 sqrt2 times its concurrence, negated for bosons
+    divisor = (-1.0 if statistics is Statistics.BOSON else 1.0) * 2.0 * math.sqrt(2.0)
     rows = []
     max_total_dev = 0.0
     max_chsh_dev = 0.0
-    for overlap_sq in _sweep(0.0, 1.0, grid):
-        overlap = math.sqrt(float(overlap_sq))
-        dm = coincidence_spin_dm(statistics, overlap)
-        entanglement = concurrence(dm)
+    metrics = _sweep_metrics(statistics, _sweep(0.0, 1.0, grid), math.sqrt)
+    for overlap_sq, overlap, entanglement, chsh in metrics:
         discrimination = distinguishability(overlap)
         total = entanglement + discrimination
-        chsh_inferred = infer_concurrence_from_chsh(dm, statistics)
+        chsh_inferred = chsh / divisor
         max_total_dev = max(max_total_dev, abs(total - 1.0))
         max_chsh_dev = max(max_chsh_dev, abs(chsh_inferred - entanglement))
         rows.append(
             {
-                "overlap_sq": float(overlap_sq),
+                "overlap_sq": overlap_sq,
                 "entanglement": entanglement,
                 "distinguishability": discrimination,
                 "total": total,
@@ -364,16 +374,16 @@ def scenario_gaussian(
     for name, value in (("velocity", velocity), ("width", width), ("delay_max", delay_max)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    delays = _sweep(-delay_max, delay_max, grid)
+    metrics = _sweep_metrics(statistics, delays, lambda d: gaussian_overlap(velocity, d, width))
     rows = []
     max_dev = 0.0
-    for delay in _sweep(-delay_max, delay_max, grid):
-        overlap = gaussian_overlap(velocity, float(delay), width)
-        entanglement = concurrence(coincidence_spin_dm(statistics, overlap))
+    for delay, overlap, entanglement, _ in metrics:
         expected = overlap ** 2
         max_dev = max(max_dev, abs(entanglement - expected))
         rows.append(
             {
-                "delay": float(delay),
+                "delay": delay,
                 "expected_entanglement": expected,
                 "entanglement": entanglement,
             }
@@ -395,10 +405,8 @@ def scenario_gaussian(
 def scenario_dual(statistics: Statistics) -> ScenarioReport:
     """Read the coincidence state both ways: spins entangled, paths entangled."""
     state = heralded_pair(opposite_spin_input(statistics, fig1_network()))
-    spin_dm = reduce_to_spin_dm(state, "C", "D")
-    path_dm = dual_relabel(state, "C", "D")
-    spin_c = concurrence(spin_dm)
-    path_c = concurrence(path_dm)
+    pictures = (reduce_to_spin_dm(state, "C", "D"), dual_relabel(state, "C", "D"))
+    spin_c, path_c = concurrences(np.array([dm.matrix for dm in pictures])).tolist()
     return ScenarioReport(
         scenario="dual",
         statistics=statistics.value,

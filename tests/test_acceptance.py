@@ -24,11 +24,11 @@ from twinbeam.interferometer import (
 from twinbeam.metrics import (
     PSI_MINUS,
     PSI_PLUS,
-    coincidence_spin_dm,
-    concurrence,
+    chsh_values,
+    coincidence_spin_dms,
+    concurrences,
     distinguishability,
     dual_relabel,
-    infer_concurrence_from_chsh,
     reduce_to_spin_dm,
     tagged_opposite_spin_input,
 )
@@ -114,10 +114,11 @@ def test_criterion_03_tree_yield_law():
 def test_criterion_04_feedback_law():
     checks = []
     for statistics in BOTH_STATISTICS:
-        for r in feedback_run(10, statistics):
+        rounds = feedback_run(10, statistics)
+        for r in rounds:
             checks.append(abs(r.cumulative_failure - 0.5 ** r.round) < 1e-12)
-            dm = reduce_to_spin_dm(r.conditional_state, "C", "D")
-            checks.append(abs(concurrence(dm) - 1.0) < 1e-9)
+        rho = np.array([reduce_to_spin_dm(r.conditional_state, "C", "D").matrix for r in rounds])
+        checks.extend(np.abs(concurrences(rho) - 1.0) < 1e-9)
     trials = 100_000
     report = scenario_feedback(3, Statistics.FERMION, trials=trials, seed=20240229)
     exact = 7 / 8
@@ -152,12 +153,15 @@ def test_criterion_06_mixed_input():
 def test_criterion_07_complementarity_sweep():
     worst_sum = worst_e = worst_chsh = 0.0
     for statistics in BOTH_STATISTICS:
-        for overlap_sq in np.linspace(0.0, 1.0, 21):
-            overlap = math.sqrt(float(overlap_sq))
-            dm = coincidence_spin_dm(statistics, overlap)
-            entanglement = concurrence(dm)
+        overlaps_sq = np.linspace(0.0, 1.0, 21)
+        overlaps = np.sqrt(overlaps_sq)
+        rho = coincidence_spin_dms(statistics, overlaps)
+        sign = -1.0 if statistics is Statistics.BOSON else 1.0
+        chsh = chsh_values(rho) / (sign * ROOT8)
+        for overlap_sq, overlap, entanglement, inferred in zip(
+            overlaps_sq, overlaps, concurrences(rho), chsh
+        ):
             total = entanglement + distinguishability(overlap)
-            inferred = infer_concurrence_from_chsh(dm, statistics)
             worst_sum = max(worst_sum, abs(total - 1.0))
             worst_e = max(worst_e, abs(entanglement - overlap_sq))
             worst_chsh = max(worst_chsh, abs(inferred - entanglement))
@@ -168,12 +172,12 @@ def test_criterion_07_complementarity_sweep():
 def test_criterion_08_gaussian_curve():
     velocity, width = 0.8, 1.3
     worst = 0.0
+    delays = np.linspace(-4.0, 4.0, 21)
+    overlaps = np.exp(-(velocity ** 2) * delays ** 2 / (4.0 * width ** 2))
+    expected = np.exp(-(velocity ** 2) * delays ** 2 / (2.0 * width ** 2))
     for statistics in BOTH_STATISTICS:
-        for delay in np.linspace(-4.0, 4.0, 21):
-            overlap = math.exp(-(velocity ** 2) * float(delay) ** 2 / (4.0 * width ** 2))
-            entanglement = concurrence(coincidence_spin_dm(statistics, overlap))
-            expected = math.exp(-(velocity ** 2) * float(delay) ** 2 / (2.0 * width ** 2))
-            worst = max(worst, abs(entanglement - expected))
+        entanglement = concurrences(coincidence_spin_dms(statistics, overlaps))
+        worst = max(worst, float(np.abs(entanglement - expected).max()))
     verdict(8, "Gaussian packet curve", worst < 1e-9, f"max dev {worst:.1e}")
 
 
@@ -217,7 +221,7 @@ def test_criterion_10_dual_picture():
                 net, tagged_opposite_spin_input(statistics, math.sqrt(float(overlap_sq)))
             )
             pair = detect(state, net.monitored)[{"C", "D"}].state
-            spin = concurrence(reduce_to_spin_dm(pair, "C", "D"))
-            path = concurrence(dual_relabel(pair, "C", "D"))
+            pictures = (reduce_to_spin_dm(pair, "C", "D"), dual_relabel(pair, "C", "D"))
+            spin, path = concurrences(np.array([dm.matrix for dm in pictures]))
             worst = max(worst, abs(spin - path))
     verdict(10, "dual-picture agreement", worst < 1e-9, f"max dev {worst:.1e}")

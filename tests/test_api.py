@@ -15,9 +15,8 @@ PUBLIC_NAMES = {
     "fig1_network", "fig2_network", "opposite_spin_input", "pattern_distribution",
     "run_network", "sample_clicks",
     # metrics
-    "PSI_MINUS", "PSI_PLUS", "TwoQubitDM", "bell_labels", "chsh_expectation", "classify_bell",
-    "coincidence_spin_dm", "concurrence", "concurrences", "distinguishability", "dual_relabel",
-    "gaussian_overlap", "infer_concurrence_from_chsh", "reduce_to_spin_dm",
+    "PSI_MINUS", "PSI_PLUS", "TwoQubitDM", "bell_labels", "chsh_values", "coincidence_spin_dms",
+    "concurrences", "distinguishability", "dual_relabel", "gaussian_overlap", "reduce_to_spin_dm",
     "tagged_opposite_spin_input", "validate_dms",
     # oracle
     "FirstQuantizedState", "cross_check", "oracle_detect", "oracle_evolve",

@@ -167,14 +167,17 @@ class TestRun:
             ("run gaussian --grid 100001", "grid must be between 2 and 100000, got 100001"),
             ("run feedback --trials 1000000001",
              "trials must be between 0 and 1000000000, got 1000000001"),
+            ("run feedback --depth 11", "max_rounds must be between 1 and 10, got 11"),
         ],
     )
     def test_parameter_past_its_bound_is_usage_error(self, capsys, monkeypatch, command, message):
         def no_run(*args):
             raise AssertionError("computed past the range check")
 
-        for name in ("build_tree", "coincidence_spin_dm", "feedback_run"):
+        for name in ("build_tree", "coincidence_spin_dms"):
             monkeypatch.setattr(scenarios, name, no_run)
+        # every feedback round propagates first
+        monkeypatch.setattr(interferometer, "run_network", no_run)
         with pytest.raises(SystemExit) as excinfo:
             cli.main(command.split())
         assert excinfo.value.code == 2
@@ -194,6 +197,17 @@ class TestRun:
         assert excinfo.value.code == 2
         name = flag[2:].replace("-", "_")
         assert f"{name} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "options", ["--velocity 1e200", "--delay-max 1e300", "--width 1e-200"]
+    )
+    def test_gaussian_overlap_out_of_float_range_is_usage_error(self, capsys, options):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["run", "gaussian", *options.split(), "--grid", "3"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "leave the float range" in err
+        assert all(name in err for name in ("velocity", "delay", "width"))
 
     def test_scenario_error_exits_three(self, capsys, monkeypatch):
         def boom(statistics):

@@ -29,6 +29,7 @@ from twinbeam.fock import (
     vacuum,
 )
 from twinbeam.interferometer import (
+    MAX_FEEDBACK_ROUNDS,
     MAX_MONOMIALS,
     MAX_TREE_DEPTH,
     BeamSplitter,
@@ -45,7 +46,7 @@ from twinbeam.interferometer import (
     run_network,
     sample_clicks,
 )
-from twinbeam.metrics import PSI_PLUS, concurrence, concurrences, reduce_to_spin_dm, validate_dms
+from twinbeam.metrics import PSI_PLUS, concurrences, reduce_to_spin_dm, validate_dms
 from twinbeam.scenarios import scenario_fig2, scenario_tree
 
 UP, DOWN = Spin.UP, Spin.DOWN
@@ -612,9 +613,9 @@ class TestFeedback:
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     def test_rounds_stay_maximally_entangled(self, statistics):
-        for r in feedback_run(4, statistics):
-            dm = reduce_to_spin_dm(r.conditional_state, "C", "D")
-            assert abs(concurrence(dm) - 1.0) < 1e-9
+        rounds = feedback_run(4, statistics)
+        rho = np.array([reduce_to_spin_dm(r.conditional_state, "C", "D").matrix for r in rounds])
+        assert np.all(np.abs(concurrences(rho) - 1.0) < 1e-9)
 
     def test_bell_state_alternates_for_bosons(self):
         rounds = feedback_run(2, Statistics.BOSON)
@@ -623,9 +624,14 @@ class TestFeedback:
         assert fidelity(first, PSI_PLUS) < 1e-9
         assert abs(fidelity(second, PSI_PLUS) - 1.0) < 1e-9
 
-    def test_requires_positive_rounds(self):
-        with pytest.raises(ValueError):
-            feedback_run(0, Statistics.BOSON)
+    @pytest.mark.parametrize("rounds", [0, MAX_FEEDBACK_ROUNDS + 1])
+    def test_requires_positive_rounds(self, rounds, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("a round ran before the range check")
+
+        monkeypatch.setattr(interferometer, "run_network", no_run)
+        with pytest.raises(ValueError, match=f"between 1 and 10, got {rounds}"):
+            feedback_run(rounds, Statistics.BOSON)
 
 
 def detected_branches(net, statistics):

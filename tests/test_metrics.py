@@ -12,19 +12,17 @@ from twinbeam.errors import OccupancyError
 from twinbeam.fock import Mode, Spin, Statistics, make_product_state
 from twinbeam.interferometer import heralded_pair
 from twinbeam.metrics import (
+    CHSH_OPERATOR,
     PSI_MINUS,
     PSI_PLUS,
     TwoQubitDM,
     bell_labels,
-    chsh_expectation,
-    classify_bell,
-    coincidence_spin_dm,
-    concurrence,
+    chsh_values,
+    coincidence_spin_dms,
     concurrences,
     distinguishability,
     dual_relabel,
     gaussian_overlap,
-    infer_concurrence_from_chsh,
     reduce_to_spin_dm,
     tagged_opposite_spin_input,
     validate_dms,
@@ -43,6 +41,11 @@ def coincidence_state(statistics, overlap=1.0):
     return heralded_pair(tagged_opposite_spin_input(statistics, overlap))
 
 
+def coincidence_dm(statistics, overlap):
+    """The one spin matrix of a one-point :func:`coincidence_spin_dms` stack."""
+    return coincidence_spin_dms(statistics, [overlap])[0]
+
+
 def mixed_fermion_dm():
     matrix = np.diag([1 / 3, 1 / 6, 1 / 6, 1 / 3]).astype(complex)
     matrix[1, 2] = matrix[2, 1] = 1 / 6
@@ -53,7 +56,7 @@ class TestReduceToSpinDM:
     def test_fermion_coincidence_is_psi_plus(self):
         dm = reduce_to_spin_dm(coincidence_state(Statistics.FERMION), "C", "D")
         assert abs(fidelity(dm, PSI_PLUS) - 1.0) < 1e-12
-        assert abs(concurrence(dm) - 1.0) < 1e-9
+        assert abs(concurrences(dm.matrix) - 1.0) < 1e-9
 
     def test_boson_coincidence_is_psi_minus(self):
         dm = reduce_to_spin_dm(coincidence_state(Statistics.BOSON), "C", "D")
@@ -63,7 +66,7 @@ class TestReduceToSpinDM:
         state = make_product_state(Statistics.FERMION, [Mode("C", UP), Mode("D", DOWN)])
         dm = reduce_to_spin_dm(state, "C", "D")
         assert abs(dm.matrix[1, 1] - 1.0) < 1e-12
-        assert concurrence(dm) == 0.0
+        assert concurrences(dm.matrix) == 0.0
 
     @pytest.mark.parametrize("statistics,sign", [(Statistics.FERMION, 1.0), (Statistics.BOSON, -1.0)])
     def test_tagged_pair_off_diagonals(self, statistics, sign):
@@ -99,16 +102,15 @@ class TestReduceToSpinDM:
 
 class TestConcurrence:
     def test_bell_states_are_maximal(self):
-        assert abs(concurrence(pure_dm(PSI_MINUS)) - 1.0) < 1e-12
-        assert abs(concurrence(pure_dm(PSI_PLUS)) - 1.0) < 1e-12
+        stack = np.array([pure_dm(PSI_MINUS).matrix, pure_dm(PSI_PLUS).matrix])
+        assert np.all(np.abs(concurrences(stack) - 1.0) < 1e-12)
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     def test_quarter_overlap(self, statistics):
-        dm = coincidence_spin_dm(statistics, math.sqrt(0.25))
-        assert abs(concurrence(dm) - 0.25) < 1e-9
+        assert abs(concurrences(coincidence_dm(statistics, math.sqrt(0.25))) - 0.25) < 1e-9
 
     def test_mixed_fermion_state_is_separable(self):
-        assert concurrence(mixed_fermion_dm()) == 0.0
+        assert concurrences(mixed_fermion_dm().matrix) == 0.0
 
     def test_rejects_invalid_matrix(self):
         with pytest.raises(ValueError):
@@ -117,12 +119,14 @@ class TestConcurrence:
     @pytest.mark.parametrize("seed", range(6))
     def test_local_unitary_invariance(self, seed):
         rng = np.random.default_rng(500 + seed)
-        base = coincidence_spin_dm(
+        base = coincidence_dm(
             Statistics.FERMION if seed % 2 else Statistics.BOSON, math.sqrt(rng.random())
         )
         local = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
-        rotated = TwoQubitDM(local @ base.matrix @ local.conj().T, base.labels)
-        assert abs(concurrence(rotated) - concurrence(base)) < 1e-9
+        stack = np.array([base, local @ base @ local.conj().T])
+        validate_dms(stack)
+        c_base, c_rotated = concurrences(stack)
+        assert abs(c_rotated - c_base) < 1e-9
 
 
 # Per-matrix reference versions of the stacked checks, kept as they were
@@ -184,10 +188,11 @@ class TestStackedMetrics:
         assert concurrences(stack).tolist() == expected
         assert concurrences(stack[None]).tolist() == [expected]
         assert bell_labels(stack).tolist() == [reference_bell_label(m) for m in stack]
+        # one unstacked 4x4 matrix gives the same value on its own
         for m, c in zip(stack, expected):
             dm = TwoQubitDM(m, ("C", "D"))
-            assert concurrence(dm) == c
-            assert classify_bell(dm) == (reference_bell_label(m) or None)
+            assert concurrences(dm.matrix).item() == c
+            assert bell_labels(dm.matrix) == reference_bell_label(m)
 
     @pytest.mark.parametrize(
         "bad",
@@ -220,12 +225,12 @@ class TestStackedMetrics:
 
 class TestChsh:
     def test_bell_states_reach_the_bound(self):
-        assert abs(chsh_expectation(pure_dm(PSI_PLUS)) - ROOT8) < 1e-12
-        assert abs(chsh_expectation(pure_dm(PSI_MINUS)) + ROOT8) < 1e-12
+        plus, minus = chsh_values(np.array([pure_dm(PSI_PLUS).matrix, pure_dm(PSI_MINUS).matrix]))
+        assert abs(plus - ROOT8) < 1e-12
+        assert abs(minus + ROOT8) < 1e-12
 
     def test_maximally_mixed_vanishes(self):
-        dm = TwoQubitDM(np.eye(4, dtype=complex) / 4.0, ("C", "D"))
-        assert abs(chsh_expectation(dm)) < 1e-12
+        assert abs(chsh_values(np.eye(4, dtype=complex) / 4.0)) < 1e-12
 
     @pytest.mark.parametrize("seed", range(8))
     def test_separable_states_stay_classical(self, seed):
@@ -237,18 +242,65 @@ class TestChsh:
             pure = np.kron(u, v)
             matrix += rng.random() * np.outer(pure, pure.conj())
         matrix /= np.trace(matrix).real
-        value = chsh_expectation(TwoQubitDM(matrix, ("C", "D")))
-        assert abs(value) <= 2.0 + 1e-9
+        validate_dms(matrix)
+        assert abs(chsh_values(matrix)) <= 2.0 + 1e-9
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_random=st.integers(0, 12),
+        excess=st.floats(1e-8, 1.0),
+        position=st.integers(0, 16),
+    )
+    def test_stack_matches_trace_and_keeps_the_bound(self, seed, n_random, excess, position):
+        stack = random_stack(seed, n_random, 2)
+        expected = [np.trace(m @ CHSH_OPERATOR).real for m in stack]
+        assert np.all(np.abs(chsh_values(stack) - expected) <= 1e-15)
+        # a scaled Bell projector: trace above 1, CHSH value beyond 2 sqrt2
+        beyond = (1.0 + excess) * pure_dm(PSI_PLUS).matrix
+        value = np.trace(beyond @ CHSH_OPERATOR).real
+        position = min(position, len(stack))
+        with pytest.raises(ValueError, match="exceeds the quantum bound") as excinfo:
+            chsh_values(np.insert(stack, position, [beyond, -beyond], axis=0))
+        assert f"CHSH value {value} " in str(excinfo.value)
 
 
-class TestInferConcurrenceFromChsh:
+class TestChshOfCoincidences:
+    """The heralded pair's CHSH value is 2 sqrt2 times its concurrence, negated for bosons."""
+
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     @pytest.mark.parametrize("overlap_sq", [0.0, 0.5, 1.0])
     def test_matches_direct_concurrence(self, statistics, overlap_sq):
-        dm = coincidence_spin_dm(statistics, math.sqrt(overlap_sq))
-        inferred = infer_concurrence_from_chsh(dm, statistics)
+        rho = coincidence_dm(statistics, math.sqrt(overlap_sq))
+        sign = -1.0 if statistics is Statistics.BOSON else 1.0
+        inferred = chsh_values(rho) / (sign * ROOT8)
         assert abs(inferred - overlap_sq) < 1e-9
-        assert abs(inferred - concurrence(dm)) < 1e-9
+        assert abs(inferred - concurrences(rho)) < 1e-9
+
+
+overlaps = st.one_of(
+    st.floats(0.0, 1.0),
+    st.builds(
+        lambda magnitude, phase: magnitude * complex(math.cos(phase), math.sin(phase)),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 2.0 * math.pi),
+    ),
+)
+
+
+class TestCoincidenceSpinDms:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(statistics=st.sampled_from(BOTH_STATISTICS), points=st.lists(overlaps, max_size=6))
+    def test_each_matrix_is_the_single_point_reduction(self, statistics, points):
+        rho = coincidence_spin_dms(statistics, points)
+        assert rho.shape == (len(points), 4, 4)
+        for k, overlap in enumerate(points):
+            dm = reduce_to_spin_dm(coincidence_state(statistics, overlap), "C", "D")
+            assert rho[k].tobytes() == dm.matrix.tobytes()
+
+    def test_rejects_overlap_beyond_one(self):
+        with pytest.raises(ValueError, match="exceeds 1"):
+            coincidence_spin_dms(Statistics.BOSON, [0.5, 1.5])
 
 
 class TestDistinguishability:
@@ -269,7 +321,7 @@ class TestDistinguishability:
 
 def complementarity(overlap, statistics):
     """(E, D, E + D) of a tagged pair, E from the full pipeline."""
-    entanglement = concurrence(coincidence_spin_dm(statistics, overlap))
+    entanglement = concurrences(coincidence_dm(statistics, overlap)).item()
     discrimination = distinguishability(overlap)
     return entanglement, discrimination, entanglement + discrimination
 
@@ -328,11 +380,11 @@ class TestDualRelabel:
     def test_coincidence_state_is_path_entangled(self, statistics):
         dm = dual_relabel(coincidence_state(statistics), "C", "D")
         assert dm.labels == ("up", "down")
-        assert abs(concurrence(dm) - 1.0) < 1e-9
+        assert abs(concurrences(dm.matrix) - 1.0) < 1e-9
 
     def test_product_state_is_path_separable(self):
         state = make_product_state(Statistics.FERMION, [Mode("C", UP), Mode("D", DOWN)])
-        assert concurrence(dual_relabel(state, "C", "D")) == 0.0
+        assert concurrences(dual_relabel(state, "C", "D").matrix) == 0.0
 
     def test_bunched_state_maps_to_same_path(self):
         state = make_product_state(Statistics.BOSON, [Mode("C", UP), Mode("C", DOWN)])
@@ -348,15 +400,15 @@ class TestDualRelabel:
     @pytest.mark.parametrize("overlap_sq", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_agrees_with_spin_picture(self, statistics, overlap_sq):
         state = coincidence_state(statistics, math.sqrt(overlap_sq))
-        spin = concurrence(reduce_to_spin_dm(state, "C", "D"))
-        path = concurrence(dual_relabel(state, "C", "D"))
+        pictures = (reduce_to_spin_dm(state, "C", "D"), dual_relabel(state, "C", "D"))
+        spin, path = concurrences(np.array([dm.matrix for dm in pictures]))
         assert abs(spin - path) < 1e-9
 
 
-class TestClassifyBell:
+class TestBellLabels:
     def test_names_the_bell_states(self):
-        assert classify_bell(pure_dm(PSI_PLUS)) == "psi_plus"
-        assert classify_bell(pure_dm(PSI_MINUS)) == "psi_minus"
+        stack = np.array([pure_dm(PSI_PLUS).matrix, pure_dm(PSI_MINUS).matrix])
+        assert bell_labels(stack).tolist() == ["psi_plus", "psi_minus"]
 
     def test_rejects_everything_else(self):
-        assert classify_bell(TwoQubitDM(np.eye(4, dtype=complex) / 4.0, ("C", "D"))) is None
+        assert bell_labels(np.eye(4, dtype=complex) / 4.0) == ""

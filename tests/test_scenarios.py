@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import BOTH_STATISTICS
-from twinbeam import interferometer, scenarios
+from twinbeam import interferometer, metrics, scenarios
 from twinbeam.fock import Mode, Spin, Statistics, make_product_state
 from twinbeam.interferometer import coincidence, detect, fig1_network, run_network
 from twinbeam.scenarios import (
@@ -244,6 +244,42 @@ class TestComplementarity:
         report = scenario_complementarity(5, Statistics.BOSON)
         assert report.scalar("max_total_deviation") < 1e-9
         assert report.scalar("max_chsh_deviation") < 1e-9
+
+
+SWEEPS = [
+    lambda statistics: scenario_complementarity(30, statistics),
+    lambda statistics: scenario_gaussian(0.8, 1.3, 4.0, 30, statistics),
+]
+
+
+class TestSweepChunks:
+    # 30 points: four chunks of 7 and a remainder of 2
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    @pytest.mark.parametrize("sweep", SWEEPS, ids=["complementarity", "gaussian"])
+    def test_rows_do_not_depend_on_chunk_size(self, monkeypatch, sweep, statistics):
+        report = sweep(statistics)
+        monkeypatch.setattr(scenarios, "METRICS_CHUNK", 7)
+        chunked = sweep(statistics)
+        assert chunked.to_json() == report.to_json()
+        assert chunked.to_csv() == report.to_csv()
+
+    @pytest.mark.parametrize("sweep", SWEEPS, ids=["complementarity", "gaussian"])
+    def test_each_matrix_is_validated_once_in_its_chunk(self, monkeypatch, sweep):
+        def no_single_matrix(*args):
+            raise AssertionError("a sweep point built a TwoQubitDM")
+
+        chunks = []
+        validate_dms = metrics.validate_dms
+
+        def counting(rho):
+            chunks.append(len(rho))
+            validate_dms(rho)
+
+        monkeypatch.setattr(metrics.TwoQubitDM, "__post_init__", no_single_matrix)
+        monkeypatch.setattr(metrics, "validate_dms", counting)
+        monkeypatch.setattr(scenarios, "METRICS_CHUNK", 7)
+        sweep(Statistics.BOSON)
+        assert chunks == [7, 7, 7, 7, 2]
 
 
 class TestGaussian:
