@@ -11,6 +11,7 @@ seed produce byte-identical JSON output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import nullcontext
@@ -101,6 +102,7 @@ def _catalog_report() -> list[dict[str, str]]:
     return rows
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twinbeam",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import OccupancyError
 from .fock import FockState, Mode, Monomial, Spin, Statistics, make_product_state
-from .interferometer import heralded_pair
+from .interferometer import detect, fig1_network, run_network
 
 DM_TOL = 1e-9
 
@@ -99,29 +99,32 @@ def _fidelities(rho: np.ndarray, pure: np.ndarray) -> np.ndarray:
     return np.real(v.conj() @ rho @ v)
 
 
-def _pair_matrix(state: FockState, path_x: str, path_y: str, place: Callable) -> np.ndarray:
-    """4x4 density matrix of a two-particle state on two paths, internal tags traced out.
+def _pair_blocks(
+    states: Sequence[FockState], path_x: str, path_y: str, place: Callable
+) -> np.ndarray:
+    """4xT amplitude arrays of two-particle states on two paths, stacked as ``(n, 4, T)``.
 
     ``place(monomial, amp, p1, p2)``, p1 being the smaller path, returns
     a canonical monomial's basis row and amplitude or raises
-    :class:`OccupancyError`.  Each tag pair is one column of the 4xT
-    amplitude array v, and rho is :func:`density_matrices` of it.
+    :class:`OccupancyError`.  Each tag pair met in any of the states is
+    one column, shared by all of them.
     """
     if path_x == path_y:
         raise ValueError("the two paths must differ")
     p1, p2 = sorted((path_x, path_y))
     columns: dict[tuple[int, int], int] = {}
-    entries: list[tuple[int, int, complex]] = []
-    for monomial, amp in state.terms.items():
-        row, amp = place(monomial, amp, p1, p2)
-        col = columns.setdefault((monomial[0].tag, monomial[1].tag), len(columns))
-        entries.append((row, col, amp))
+    entries: list[tuple[int, int, int, complex]] = []
+    for k, state in enumerate(states):
+        for monomial, amp in state.terms.items():
+            row, amp = place(monomial, amp, p1, p2)
+            col = columns.setdefault((monomial[0].tag, monomial[1].tag), len(columns))
+            entries.append((k, row, col, amp))
     if not entries:
         raise OccupancyError("state has no two-particle support on the given paths")
-    v = np.zeros((4, len(columns)), dtype=complex)
-    for row, col, amp in entries:
-        v[row, col] += amp
-    return density_matrices(v)
+    v = np.zeros((len(states), 4, len(columns)), dtype=complex)
+    for k, row, col, amp in entries:
+        v[k, row, col] += amp
+    return v
 
 
 def density_matrices(v: np.ndarray) -> np.ndarray:
@@ -148,7 +151,7 @@ def reduce_to_spin_dm(state: FockState, path_x: str, path_y: str) -> TwoQubitDM:
     coefficients of |s1 s2> (x) |t1 t2>, and the tag factor is traced
     out.
     """
-    rho = _pair_matrix(state, path_x, path_y, _spin_place)
+    rho = density_matrices(_pair_blocks([state], path_x, path_y, _spin_place)[0])
     return TwoQubitDM(rho, tuple(sorted((path_x, path_y))))
 
 
@@ -176,7 +179,8 @@ def dual_relabel(state: FockState, path_x: str, path_y: str) -> TwoQubitDM:
             up, down, reorder = m2, m1, eta
         return 2 * int(up.path == p2) + int(down.path == p2), amp * reorder
 
-    return TwoQubitDM(_pair_matrix(state, path_x, path_y, place), ("up", "down"))
+    rho = density_matrices(_pair_blocks([state], path_x, path_y, place)[0])
+    return TwoQubitDM(rho, ("up", "down"))
 
 
 def concurrences(rho: np.ndarray) -> np.ndarray:
@@ -226,7 +230,7 @@ def chsh_values(rho: np.ndarray) -> np.ndarray:
 def distinguishability(overlap: complex) -> float:
     """Best success probability for telling the two internal tags apart."""
     mag = abs(overlap)
-    if mag > 1.0 + 1e-12:
+    if not mag <= 1.0 + 1e-12:
         raise ValueError(f"|overlap| = {mag} exceeds 1")
     return 1.0 - min(mag, 1.0) ** 2
 
@@ -250,7 +254,7 @@ def gaussian_overlap(velocity: float, delay: float, width: float) -> float:
 def tagged_opposite_spin_input(statistics: Statistics, overlap: complex) -> FockState:
     """|up> on A with tag 0, |down> on B in a tag state of given overlap with it."""
     mag = abs(overlap)
-    if mag > 1.0 + 1e-12:
+    if not mag <= 1.0 + 1e-12:
         raise ValueError(f"|overlap| = {mag} exceeds 1")
     residual = math.sqrt(max(0.0, 1.0 - mag ** 2))
     parallel = make_product_state(statistics, [Mode("A", Spin.UP, 0), Mode("B", Spin.DOWN, 0)])
@@ -261,13 +265,24 @@ def tagged_opposite_spin_input(statistics: Statistics, overlap: complex) -> Fock
 def coincidence_spin_dms(statistics: Statistics, overlaps: Sequence[complex]) -> np.ndarray:
     """Spin matrices heralded by a coincidence for tagged opposite-spin pairs, one per overlap.
 
-    Each pair goes through the single splitter (:func:`heralded_pair`) and is reduced as in
-    :func:`reduce_to_spin_dm`; the ``(k, 4, 4)`` stack is validated once, by :func:`validate_dms`.
+    Each equals :func:`reduce_to_spin_dm` of :func:`heralded_pair` for that overlap's
+    :func:`tagged_opposite_spin_input`, but the coincidence is linear in the input, so only
+    the tag pairs 0, 0 and 0, 1 are propagated and superposed.  The ``(k, 4, 4)`` stack is
+    validated once, by :func:`validate_dms`.
     """
-    rho = np.empty((len(overlaps), 4, 4), dtype=complex)
-    for k, overlap in enumerate(overlaps):
-        state = heralded_pair(tagged_opposite_spin_input(statistics, overlap))
-        rho[k] = _pair_matrix(state, "C", "D", _spin_place)
+    overlaps = np.asarray(overlaps, dtype=complex)
+    mag = np.abs(overlaps)
+    beyond = ~(mag <= 1.0 + 1e-12)
+    if beyond.any():
+        raise ValueError(f"|overlap| = {mag[beyond.argmax()]} exceeds 1")
+    net = fig1_network()
+    pairs = (tagged_opposite_spin_input(statistics, o) for o in (1.0, 0.0))
+    branches = [detect(run_network(net, pair), net.monitored)[{"C", "D"}] for pair in pairs]
+    # each branch's normalized amplitudes times its amplitude norm: the unnormalized coincidence
+    norms = np.sqrt([b.probability for b in branches])[:, None, None]
+    v_par, v_orth = norms * _pair_blocks([b.state for b in branches], "C", "D", _spin_place)
+    residual = np.sqrt(np.maximum(0.0, 1.0 - mag ** 2))
+    rho = density_matrices(overlaps[:, None, None] * v_par + residual[:, None, None] * v_orth)
     validate_dms(rho)
     return rho
 

@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -229,6 +233,75 @@ class TestRun:
         assert "two particles on one path" in err
 
 
+def fresh_process(argv):
+    """Exit code, stdout and stderr of ``twinbeam <argv>`` in a new interpreter."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "twinbeam.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestCachedParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, tmp_path, monkeypatch):
+        # the help text wraps at the terminal width; the fresh processes inherit it
+        monkeypatch.setenv("COLUMNS", "80")
+        target = tmp_path / "fig1.txt"
+        sequence = [
+            ["run", "tree", "--depth", "9"],
+            ["run", "tree", "--depth", "3", "--format", "json"],
+            ["run", "fig1", "--output", str(target)],
+            ["run", "fig1"],
+            ["run", "tree", "-h"],
+        ]
+        results = []
+        for argv in sequence:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            results.append((code, out, err, target.read_text() if target.exists() else None))
+            target.unlink(missing_ok=True)
+            fresh = fresh_process(argv)
+            assert results[-1] == (*fresh, target.read_text() if target.exists() else None)
+            target.unlink(missing_ok=True)
+        assert [code for code, *_ in results] == [2, 0, 0, 0, 0]
+        # --output wrote the file and nothing else; the next run printed the same bytes
+        assert results[2][1] == "" and results[2][3] == results[3][1] != ""
+        assert results[3][3] is None
+        help_text = results[4][1]
+        assert "--depth" in help_text and "--grid" not in help_text and "--trials" not in help_text
+
+
+class TestSweepPropagation:
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS, ids=lambda s: s.value)
+    @pytest.mark.parametrize("scenario", ["complementarity", "gaussian"])
+    def test_at_most_two_propagations_per_metrics_chunk(
+        self, capsys, monkeypatch, scenario, statistics
+    ):
+        real = interferometer.run_network
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        # every binding in the package, so a call from any layer is counted
+        for name, module in list(sys.modules.items()):
+            if name.startswith("twinbeam") and vars(module).get("run_network") is real:
+                monkeypatch.setattr(module, "run_network", counting)
+        argv = ("run", scenario, "--grid", "1001", "--statistics", statistics.value)
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0 and len(json.loads(out)["table"]) == 1001
+        chunks = math.ceil(1001 / scenarios.METRICS_CHUNK)
+        assert 0 < len(calls) <= 2 * chunks
+
+
 CLICKS_NETWORKS = [("--fig 1", fig1_network()), ("--fig 2", fig2_network())]
 CLICKS_NETWORKS += [(f"--depth {d}", build_tree(d)) for d in range(1, 7)]
 
@@ -389,17 +462,19 @@ def test_readme_command_parses(command):
 #: recorded before the two-qubit metrics were batched (statistics-test and
 #: feedback: before the library code that only tests called was deleted; the
 #: grid-1001 sweeps, which span two 512-matrix metric chunks: before the sweeps
-#: were stacked); any drift in a reported number or in the canonical encoding
-#: changes them
+#: were stacked; complementarity: after its spin matrices were superposed from
+#: two propagated basis pairs, which moved only the last bits of its two
+#: max_*_deviation scalars); any drift in a reported number or in the canonical
+#: encoding changes them
 PINNED_JSON_SHA256 = {
     ("tree --depth 4", "boson"):
         "6cc03df8bb5f830d742081d3d3195ea6c400b6e83cb4b61d202c0673201e0a00",
     ("tree --depth 4", "fermion"):
         "4c15110f4de11ab219a5257da8e30be722b2351bc99ea8cdbe619e2a7ba1b288",
     ("complementarity --grid 11", "boson"):
-        "d6af71145b8033346985fb8bd5c0eae33b8cd97bd9226b92384c66189b382052",
+        "1e8a554349a7ce29bfb60fca6d501a83ed9f5d05f14529d0f76cdf838325ab07",
     ("complementarity --grid 11", "fermion"):
-        "f0fca7a8c6e3cfd36af3d3c525d35a1d49f106d8536febe026436db9f35bc0b2",
+        "8e4463a24862f89527ba5e490344f4dfd6994b51e8a34efc7b74128c146208ea",
     ("gaussian --velocity 1 --width 1 --delay-max 2 --grid 11", "boson"):
         "5b87a6556691fc47dfedaa47aa404b174327386ac08fd34f1f0d7379bcaf2b40",
     ("gaussian --velocity 1 --width 1 --delay-max 2 --grid 11", "fermion"):
@@ -433,9 +508,9 @@ PINNED_JSON_SHA256 = {
     ("feedback --depth 4 --trials 1000 --seed 7", "fermion"):
         "5f7a17dc4b1f8d6f60b05688d4e0ac6d41b632c284b39a64224567de78d9e84f",
     ("complementarity --grid 1001", "boson"):
-        "9d669cb569ecf40e8e11e45847c712d8b7847afc5b8200abd1d22e2f989ea2d2",
+        "ea1f5449b93330de60019b56a0f306be580de5e183eaccd6df3bba2dcd8e157b",
     ("complementarity --grid 1001", "fermion"):
-        "a45b0df6f21d8f56fd13f2c1ea447d1bae0b9381973c1f1fe1f807008f95e3bf",
+        "f6ff86a88ec4fd63e183216fd3eb0d53a931c058491fce33557fad8a41233366",
     ("gaussian --grid 1001", "boson"):
         "f36ca0a832bdd9ed14bb937f15738d675e9c7b7c1a88f92c6023b6e265f960d3",
     ("gaussian --grid 1001", "fermion"):
@@ -481,7 +556,8 @@ def test_clicks_json_output_is_pinned(capsys):
 
 #: SHA-256 of ``twinbeam <command> --statistics <s> --format <f>`` stdout for
 #: the CSV and table renderers, recorded before the pair engine's pattern
-#: functions were merged into one
+#: functions were merged into one (complementarity tables: after its spin
+#: matrices were superposed, which moved the last bits of max_total_deviation)
 PINNED_TEXT_SHA256 = {
     ("run fig2", "boson", "csv"):
         "9ecd84aae2e2079fd6413ba3ddef36bbffdf573ea0b064a622ed55d60de397cd",
@@ -504,9 +580,9 @@ PINNED_TEXT_SHA256 = {
     ("run complementarity --grid 11", "fermion", "csv"):
         "f2bf64134f0fb55d34e3c7ce95879d62669b21413742e92ef5bf341dae43f4a4",
     ("run complementarity --grid 11", "boson", "table"):
-        "dde3efec1f7c771e28d5ac569c176dc380d2489e6d3201f7cf1951fb96222f7f",
+        "4c9a0d788033acb8d3a122c34269ec6f0528988a86d8e3c261e1fbcdd24e91fc",
     ("run complementarity --grid 11", "fermion", "table"):
-        "39d9ce19ce4a18c316d6915de33570c4306db9b13c0f95ee6fd6e0acf42211e5",
+        "fdc8ad44f7a170183a38e1d4860d1dd8711bb29768a953a1c75d5561fcc905ad",
     ("clicks --fig 2", "boson", "csv"):
         "2d1b36bb88a4f7d3fed4798d5174876b0c1c18ecbeaa38996f076b747605678e",
     ("clicks --fig 2", "fermion", "csv"):
