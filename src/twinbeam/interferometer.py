@@ -316,13 +316,12 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
 
     Returns the lists ``(patterns, probabilities)`` that
     :func:`pattern_distribution` describes.  With ``coincidences`` it
-    returns ``(patterns, probabilities, blocks, phases)``: the
-    coincidences come last among the patterns, and the ``k``-th of them,
-    ``{p1, p2}`` with ``p1 < p2``, has the normalized 4xT spin-tag block
-    ``blocks[k]`` and the correction phase ``phases[k]`` of
-    :func:`_correction_phases`.  A block's entry ``v[2 s1 + s2, c]`` is
-    ``sqrt(2) psi`` of the cell with spin and tag (s1, t1) on p1 and
-    (s2, t2) on p2, up to normalization, ``c`` being the column of
+    returns ``(patterns, probabilities, blocks)`` for any two-particle
+    state: the coincidences come last among the patterns, and the
+    ``k``-th of them, ``{p1, p2}`` with ``p1 < p2``, has the normalized
+    4xT spin-tag block ``blocks[k]``.  A block's entry ``v[2 s1 + s2,
+    c]`` is ``sqrt(2) psi`` of the cell with spin and tag (s1, t1) on p1
+    and (s2, t2) on p2, up to normalization, ``c`` being the column of
     (t1, t2); column 0 is the untagged pair (0, 0).  These are the
     amplitudes that :func:`twinbeam.metrics.reduce_to_spin_dm` reads
     off a detected branch.
@@ -384,9 +383,7 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
     patterns += [frozenset((monitored[a], monitored[b])) for a, b in zip(lo.tolist(), hi.tolist())]
     if not coincidences:
         return patterns, probabilities
-    # alpha / beta: |up down> over |down up> in the untagged column
-    phases = _correction_phases(blocks[:, 1, 0], blocks[:, 2, 0], patterns[first:]).tolist()
-    return patterns, probabilities, blocks, phases
+    return patterns, probabilities, blocks
 
 
 def _pair_cells(state: FockState, table: PathTable, terminals: Sequence[str]) -> tuple:
@@ -531,28 +528,6 @@ def feedback_run(max_rounds: int, statistics: Statistics) -> list[FeedbackRound]
         bunched = branches[{"D"}]
         state = _apply_path_table(bunched.state, {"D": (("A", 1.0 + 0j),)})
     return rounds
-
-
-def _correction_phases(
-    alpha: np.ndarray, beta: np.ndarray, patterns: Sequence[ExcitationPattern]
-) -> np.ndarray:
-    """Down-spin phase on the smaller path that turns each coincidence into psi+.
-
-    ``alpha`` and ``beta`` are the normalized amplitudes of |up down>
-    and |down up> on the coincidences ``patterns``; each must have
-    magnitude 1/sqrt(2), or :class:`NetworkError` names the first that
-    does not.  The phase is ``alpha / beta`` on the unit circle, snapped
-    to +-1 within 1e-12 of the real axis; 1 means no correction.
-    """
-    half = 1 / math.sqrt(2)
-    bad = (np.abs(np.abs(alpha) - half) > 1e-9) | (np.abs(np.abs(beta) - half) > 1e-9)
-    if bad.any():
-        raise NetworkError(
-            f"branch {sorted(patterns[int(bad.argmax())])} is not a local-phase image of psi+"
-        )
-    delta = alpha / beta
-    delta /= np.abs(delta)
-    return np.where(np.abs(delta.imag) < 1e-12, np.where(delta.real > 0, 1.0, -1.0), delta)
 
 
 def sample_clicks(

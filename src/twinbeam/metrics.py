@@ -227,35 +227,40 @@ def chsh_values(rho: np.ndarray) -> np.ndarray:
     return values
 
 
-def distinguishability(overlap: complex) -> float:
-    """Best success probability for telling the two internal tags apart."""
-    mag = abs(overlap)
+def _checked_magnitude(mag: float) -> float:
+    """``mag``, the magnitude of a tag overlap, unless it is NaN, inf or beyond 1."""
     if not mag <= 1.0 + 1e-12:
         raise ValueError(f"|overlap| = {mag} exceeds 1")
-    return 1.0 - min(mag, 1.0) ** 2
+    return mag
+
+
+def distinguishability(overlap: complex) -> float:
+    """Best success probability for telling the two internal tags apart."""
+    return 1.0 - min(_checked_magnitude(abs(overlap)), 1.0) ** 2
 
 
 def gaussian_overlap(velocity: float, delay: float, width: float) -> float:
     """Tag overlap of two equal-width Gaussian packets offset in time.
 
     Defined so that the squared overlap, and hence the post-selected
-    entanglement, equals exp(-v**2 dt**2 / (2 sigma**2)).
+    entanglement, equals exp(-v**2 dt**2 / (2 sigma**2)).  The exponent
+    is built from the one ratio v dt / sigma; when that ratio is not
+    finite or its square overflows, :class:`ValueError` names all three.
     """
     if width <= 0.0:
         raise ValueError("packet width must be positive")
-    try:
-        return math.exp(-(velocity ** 2) * (delay ** 2) / (4.0 * width ** 2))
-    except (OverflowError, ZeroDivisionError):
-        raise ValueError(
-            f"velocity {velocity}, delay {delay} and width {width} leave the float range"
-        ) from None
+    ratio = velocity * delay / width
+    if math.isfinite(ratio):
+        try:
+            return math.exp(-(ratio ** 2) / 4.0)
+        except OverflowError:
+            pass
+    raise ValueError(f"velocity {velocity}, delay {delay} and width {width} leave the float range")
 
 
 def tagged_opposite_spin_input(statistics: Statistics, overlap: complex) -> FockState:
     """|up> on A with tag 0, |down> on B in a tag state of given overlap with it."""
-    mag = abs(overlap)
-    if not mag <= 1.0 + 1e-12:
-        raise ValueError(f"|overlap| = {mag} exceeds 1")
+    mag = _checked_magnitude(abs(overlap))
     residual = math.sqrt(max(0.0, 1.0 - mag ** 2))
     parallel = make_product_state(statistics, [Mode("A", Spin.UP, 0), Mode("B", Spin.DOWN, 0)])
     orthogonal = make_product_state(statistics, [Mode("A", Spin.UP, 0), Mode("B", Spin.DOWN, 1)])
@@ -272,9 +277,8 @@ def coincidence_spin_dms(statistics: Statistics, overlaps: Sequence[complex]) ->
     """
     overlaps = np.asarray(overlaps, dtype=complex)
     mag = np.abs(overlaps)
-    beyond = ~(mag <= 1.0 + 1e-12)
-    if beyond.any():
-        raise ValueError(f"|overlap| = {mag[beyond.argmax()]} exceeds 1")
+    for m in mag.tolist():
+        _checked_magnitude(m)
     net = fig1_network()
     pairs = (tagged_opposite_spin_input(statistics, o) for o in (1.0, 0.0))
     branches = [detect(run_network(net, pair), net.monitored)[{"C", "D"}] for pair in pairs]

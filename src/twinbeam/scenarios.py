@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import NetworkError
 from .fock import FockState, Mode, Spin, Statistics, apply_spin_rotation, make_product_state
 from .interferometer import (
     ExcitationPattern,
@@ -83,6 +84,28 @@ def _sweep(start: float, stop: float, grid: int) -> np.ndarray:
     return np.linspace(start, stop, grid)
 
 
+def _correction_phases(
+    alpha: np.ndarray, beta: np.ndarray, patterns: Sequence[ExcitationPattern]
+) -> np.ndarray:
+    """Down-spin phase on the smaller path that turns each coincidence into psi+.
+
+    ``alpha`` and ``beta`` are the normalized amplitudes of |up down>
+    and |down up> on the coincidences ``patterns``; each must have
+    magnitude 1/sqrt(2), or :class:`NetworkError` names the first that
+    does not.  The phase is ``alpha / beta`` on the unit circle, snapped
+    to +-1 within 1e-12 of the real axis; 1 means no correction.
+    """
+    half = 1 / math.sqrt(2)
+    bad = (np.abs(np.abs(alpha) - half) > 1e-9) | (np.abs(np.abs(beta) - half) > 1e-9)
+    if bad.any():
+        raise NetworkError(
+            f"branch {sorted(patterns[int(bad.argmax())])} is not a local-phase image of psi+"
+        )
+    delta = alpha / beta
+    delta /= np.abs(delta)
+    return np.where(np.abs(delta.imag) < 1e-12, np.where(delta.real > 0, 1.0, -1.0), delta)
+
+
 def _correction_label(pattern: ExcitationPattern, phase: complex) -> str:
     if phase == 1.0:
         return "identity"
@@ -92,38 +115,34 @@ def _correction_label(pattern: ExcitationPattern, phase: complex) -> str:
 _BRANCH_COLUMNS = ("pattern", "detectors", "probability", "concurrence", "bell_state", "correction")
 
 
-def _branch_rows(
-    patterns: list[ExcitationPattern],
-    probabilities: list[float],
-    blocks: np.ndarray,
-    phases: list[complex],
-) -> tuple[float, list[dict]]:
-    """Coincidence probability and one table row per detector pattern, in :func:`detect`'s order.
+def _branch_table(net: Network, statistics: Statistics) -> tuple[float, list[dict]]:
+    """Coincidence probability and branch rows of the opposite-spin pair after ``net``.
 
-    The coincidences come last, with their normalized spin-tag blocks
-    and correction phases (``interferometer._detect_pairs``); their spin
-    matrices are evaluated :data:`METRICS_CHUNK` at a time.
+    One row per detector pattern, in :func:`detect`'s order.  The
+    coincidences come last, with their normalized spin-tag blocks
+    (``interferometer._detect_pairs``); their spin matrices and
+    correction phases are evaluated :data:`METRICS_CHUNK` at a time.
     """
+    state = opposite_spin_input(statistics, net)
+    patterns, probabilities, blocks = _detect_pairs(net, state, coincidences=True)
     first = len(patterns) - len(blocks)
     rows = [
         dict(zip(_BRANCH_COLUMNS, (pattern_label(p), len(p), prob, 0.0, "", "")))
         for p, prob in zip(patterns[:first], probabilities)
     ]
-    for start in range(0, len(blocks), METRICS_CHUNK):
-        rho = density_matrices(blocks[start : start + METRICS_CHUNK])
+    for start in range(first, len(patterns), METRICS_CHUNK):
+        stop = min(start + METRICS_CHUNK, len(patterns))
+        chunk = blocks[start - first : stop - first]
+        rho = density_matrices(chunk)
         validate_dms(rho)
-        metrics = zip(concurrences(rho).tolist(), bell_labels(rho).tolist())
-        for k, (c, label) in enumerate(metrics, first + start):
-            correction = _correction_label(patterns[k], phases[k - first])
+        # alpha / beta: |up down> over |down up> in the untagged column
+        phases = _correction_phases(chunk[:, 1, 0], chunk[:, 2, 0], patterns[start:stop]).tolist()
+        metrics = zip(concurrences(rho).tolist(), bell_labels(rho).tolist(), phases)
+        for k, (c, label, phase) in enumerate(metrics, start):
+            correction = _correction_label(patterns[k], phase)
             row = (pattern_label(patterns[k]), 2, probabilities[k], c, label or "other", correction)
             rows.append(dict(zip(_BRANCH_COLUMNS, row)))
     return sum(probabilities[first:]), rows
-
-
-def _branch_table(net: Network, statistics: Statistics) -> tuple[float, list[dict]]:
-    """Coincidence probability and branch rows of the opposite-spin pair after ``net``."""
-    state = opposite_spin_input(statistics, net)
-    return _branch_rows(*_detect_pairs(net, state, coincidences=True))
 
 
 def _spin_pair_label(state: FockState) -> str:

@@ -8,10 +8,12 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from conftest import BOTH_STATISTICS, fidelity, random_network, random_two_particle_state
 from twinbeam.fock import Mode, Spin, Statistics, make_product_state
 from twinbeam.interferometer import (
+    _detect_pairs,
     build_tree,
     coincidence,
     detect,
@@ -27,13 +29,20 @@ from twinbeam.metrics import (
     chsh_values,
     coincidence_spin_dms,
     concurrences,
+    density_matrices,
     distinguishability,
     dual_relabel,
     reduce_to_spin_dm,
     tagged_opposite_spin_input,
+    validate_dms,
 )
 from twinbeam.oracle import cross_check, oracle_detect, oracle_evolve, splitter_unitary, states_match
-from twinbeam.scenarios import scenario_feedback, scenario_mixed_input, scenario_statistics_test
+from twinbeam.scenarios import (
+    SPIN_MIXER,
+    scenario_feedback,
+    scenario_mixed_input,
+    scenario_statistics_test,
+)
 
 UP, DOWN = Spin.UP, Spin.DOWN
 ROOT8 = 2.0 * math.sqrt(2.0)
@@ -128,11 +137,39 @@ def test_criterion_04_feedback_law():
     verdict(4, "feedback failure 2^-N", all(checks), f"sampled={sampled:.5f}")
 
 
-def test_criterion_05_statistics_test():
-    fermion = scenario_statistics_test(Statistics.FERMION).scalar("correlation")
-    boson = scenario_statistics_test(Statistics.BOSON).scalar("correlation")
+ENGINES = ("sparse", "pair")
+
+
+def pair_engine_dm(statistics, overlap):
+    """Spin matrix of the pair engine's {C, D} block for the tagged opposite-spin pair."""
+    net, state = fig1_network(), tagged_opposite_spin_input(statistics, overlap)
+    patterns, _, blocks = _detect_pairs(net, state, coincidences=True)
+    coincidences = patterns[len(patterns) - len(blocks):]
+    rho = density_matrices(blocks[coincidences.index(frozenset({"C", "D"}))])
+    validate_dms(rho)
+    return rho
+
+
+def heralded_dms(engine, statistics, overlaps):
+    """The ``(k, 4, 4)`` spin matrices that a {C, D} coincidence heralds, one per tag overlap."""
+    if engine == "sparse":
+        return coincidence_spin_dms(statistics, overlaps)
+    return np.array([pair_engine_dm(statistics, o) for o in overlaps])
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_criterion_05_statistics_test(engine):
+    correlations = []
+    for statistics in (Statistics.FERMION, Statistics.BOSON):
+        if engine == "sparse":
+            correlations.append(scenario_statistics_test(statistics).scalar("correlation"))
+            continue
+        rotation = np.kron(SPIN_MIXER, SPIN_MIXER)
+        joint = np.real(np.diag(rotation @ pair_engine_dm(statistics, 1.0) @ rotation.conj().T))
+        correlations.append(float(joint[0] - joint[1] - joint[2] + joint[3]))
+    fermion, boson = correlations
     ok = abs(fermion - 1.0) < 1e-12 and abs(boson + 1.0) < 1e-12
-    verdict(5, "spin correlation +-1", ok, f"fermion={fermion}, boson={boson}")
+    verdict(5, f"spin correlation +-1, {engine} engine", ok, f"fermion={fermion}, boson={boson}")
 
 
 def test_criterion_06_mixed_input():
@@ -150,12 +187,13 @@ def test_criterion_06_mixed_input():
     verdict(6, "unpolarized mixed input", ok)
 
 
-def test_criterion_07_complementarity_sweep():
+@pytest.mark.parametrize("engine", ENGINES)
+def test_criterion_07_complementarity_sweep(engine):
     worst_sum = worst_e = worst_chsh = 0.0
     for statistics in BOTH_STATISTICS:
         overlaps_sq = np.linspace(0.0, 1.0, 21)
         overlaps = np.sqrt(overlaps_sq)
-        rho = coincidence_spin_dms(statistics, overlaps)
+        rho = heralded_dms(engine, statistics, overlaps)
         sign = -1.0 if statistics is Statistics.BOSON else 1.0
         chsh = chsh_values(rho) / (sign * ROOT8)
         for overlap_sq, overlap, entanglement, inferred in zip(
@@ -166,19 +204,21 @@ def test_criterion_07_complementarity_sweep():
             worst_e = max(worst_e, abs(entanglement - overlap_sq))
             worst_chsh = max(worst_chsh, abs(inferred - entanglement))
     ok = worst_sum < 1e-9 and worst_e < 1e-9 and worst_chsh < 1e-9
-    verdict(7, "complementarity E + D = 1", ok, f"max dev {max(worst_sum, worst_e):.1e}")
+    name = f"complementarity E + D = 1, {engine} engine"
+    verdict(7, name, ok, f"max dev {max(worst_sum, worst_e):.1e}")
 
 
-def test_criterion_08_gaussian_curve():
+@pytest.mark.parametrize("engine", ENGINES)
+def test_criterion_08_gaussian_curve(engine):
     velocity, width = 0.8, 1.3
     worst = 0.0
     delays = np.linspace(-4.0, 4.0, 21)
     overlaps = np.exp(-(velocity ** 2) * delays ** 2 / (4.0 * width ** 2))
     expected = np.exp(-(velocity ** 2) * delays ** 2 / (2.0 * width ** 2))
     for statistics in BOTH_STATISTICS:
-        entanglement = concurrences(coincidence_spin_dms(statistics, overlaps))
+        entanglement = concurrences(heralded_dms(engine, statistics, overlaps))
         worst = max(worst, float(np.abs(entanglement - expected).max()))
-    verdict(8, "Gaussian packet curve", worst < 1e-9, f"max dev {worst:.1e}")
+    verdict(8, f"Gaussian packet curve, {engine} engine", worst < 1e-9, f"max dev {worst:.1e}")
 
 
 def test_criterion_09_oracle_equivalence():
@@ -212,16 +252,18 @@ def test_criterion_09_oracle_equivalence():
     verdict(9, "engine vs oracle, 200 trials", ok, f"{elapsed:.1f}s")
 
 
-def test_criterion_10_dual_picture():
+@pytest.mark.parametrize("engine", ENGINES)
+def test_criterion_10_dual_picture(engine):
     worst = 0.0
     net = fig1_network()
     for statistics in BOTH_STATISTICS:
-        for overlap_sq in np.linspace(0.0, 1.0, 21):
-            state = run_network(
-                net, tagged_opposite_spin_input(statistics, math.sqrt(float(overlap_sq)))
-            )
+        for overlap in np.sqrt(np.linspace(0.0, 1.0, 21)).tolist():
+            state = run_network(net, tagged_opposite_spin_input(statistics, overlap))
             pair = detect(state, net.monitored)[{"C", "D"}].state
-            pictures = (reduce_to_spin_dm(pair, "C", "D"), dual_relabel(pair, "C", "D"))
-            spin, path = concurrences(np.array([dm.matrix for dm in pictures]))
-            worst = max(worst, abs(spin - path))
-    verdict(10, "dual-picture agreement", worst < 1e-9, f"max dev {worst:.1e}")
+            if engine == "sparse":
+                spin = reduce_to_spin_dm(pair, "C", "D").matrix
+            else:
+                spin = pair_engine_dm(statistics, overlap)
+            spin_c, path_c = concurrences(np.array([spin, dual_relabel(pair, "C", "D").matrix]))
+            worst = max(worst, abs(spin_c - path_c))
+    verdict(10, f"dual-picture agreement, {engine} engine", worst < 1e-9, f"max dev {worst:.1e}")

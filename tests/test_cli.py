@@ -213,6 +213,20 @@ class TestRun:
         assert "leave the float range" in err
         assert all(name in err for name in ("velocity", "delay", "width"))
 
+    @pytest.mark.parametrize(
+        "options,expected",
+        [("--velocity 1e-160 --delay-max 1e160", 0.606530659713),
+         ("--velocity 0 --delay-max 1e300", 1.0)],
+    )
+    def test_gaussian_overlap_of_a_finite_ratio_runs(self, capsys, options, expected):
+        # v dt / sigma is finite although v^2 dt^2 is not
+        code, out, _ = run_cli(
+            capsys, "run", "gaussian", *options.split(), "--grid", "3", "--format", "json"
+        )
+        assert code == 0
+        rows = json.loads(out)["table"]
+        assert [row["expected_entanglement"] for row in rows] == [expected, 1.0, expected]
+
     def test_scenario_error_exits_three(self, capsys, monkeypatch):
         def boom(statistics):
             raise TwinbeamError("nothing to select")

@@ -46,7 +46,13 @@ from twinbeam.interferometer import (
     run_network,
     sample_clicks,
 )
-from twinbeam.metrics import PSI_PLUS, concurrences, reduce_to_spin_dm, validate_dms
+from twinbeam.metrics import (
+    PSI_PLUS,
+    concurrences,
+    reduce_to_spin_dm,
+    tagged_opposite_spin_input,
+    validate_dms,
+)
 from twinbeam.scenarios import scenario_fig2, scenario_tree
 
 UP, DOWN = Spin.UP, Spin.DOWN
@@ -457,12 +463,8 @@ class TestCoincidenceBlocks:
         inputs = ("P", "Q", "R")
         net = random_network(rng, inputs, n_splitters=int(rng.integers(1, 6)))
         state = random_two_particle_state(rng, statistics, paths=inputs, tags=(0, 1), n_terms=4)
-        # random coincidences are no local-phase images of psi+, so the phase
-        # rule, tested on its own below, gives way to a stub here
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(interferometer, "_correction_phases", lambda alpha, beta, patterns: alpha)
-            detected = interferometer._detect_pairs(net, state, coincidences=True)
-        patterns, probabilities, blocks, _ = detected
+        detected = interferometer._detect_pairs(net, state, coincidences=True)
+        patterns, probabilities, blocks = detected
         distribution = pattern_distribution(net, state)
         assert patterns == list(distribution)
         assert probabilities == list(distribution.values())
@@ -485,25 +487,17 @@ class TestCoincidenceBlocks:
             assert ((c >= 0.0) & (c <= 1.0 + 1e-12)).all()
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
-    @pytest.mark.parametrize(
-        "net", [build_tree(d) for d in range(1, 6)] + [fig2_network()],
-        ids=[f"tree{d}" for d in range(1, 6)] + ["fig2"],
-    )
-    def test_phases_match_correction_for_branch(self, net, statistics):
-        state = opposite_spin_input(statistics, net)
-        patterns, _, blocks, phases = interferometer._detect_pairs(net, state, coincidences=True)
-        coincidences = patterns[len(patterns) - len(blocks):]
-        branches = detected_branches(net, statistics)
-        assert len(phases) == sum(coincidence(b.pattern) for b in branches) > 0
-        # the rule applied to each detected branch's |up down> and |down up> amplitudes
-        alpha, beta = np.array([
-            [branches[p].state.amplitude([Mode(min(p), s1), Mode(max(p), s2)])
-             for s1, s2 in ((UP, DOWN), (DOWN, UP))]
-            for p in coincidences
-        ]).T
-        expected = interferometer._correction_phases(alpha, beta, coincidences)
-        assert [phase == 1.0 for phase in phases] == (expected == 1.0).tolist()
-        assert np.abs(np.array(phases) - expected).max() < 1e-12
+    def test_tagged_pair_has_a_coincidence_block(self, statistics):
+        # the tagged coincidence is no local-phase image of psi+, and still heralds a block
+        net, state = fig1_network(), tagged_opposite_spin_input(statistics, 0.5)
+        detected = interferometer._detect_pairs(net, state, coincidences=True)
+        assert len(detected) == 3
+        patterns, probabilities, (v,) = detected
+        assert patterns[-1] == frozenset({"C", "D"})
+        branch = detect(run_network(net, state), net.monitored)[{"C", "D"}]
+        assert abs(probabilities[-1] - branch.probability) < 1e-15
+        rho = v @ v.conj().T / np.trace(v @ v.conj().T).real
+        assert np.abs(rho - reduce_to_spin_dm(branch.state, "C", "D").matrix).max() < 1e-15
 
     def test_pruned_cells_stay_out_of_the_blocks(self):
         # C+D monomials: 2e-12 from the untagged pair, kept, and 0.8e-12
@@ -518,23 +512,6 @@ class TestCoincidenceBlocks:
         assert not v[:, 1:].any()
         rho = v @ v.conj().T / np.trace(v @ v.conj().T)
         assert np.abs(rho - reduce_to_spin_dm(branch, "C", "D").matrix).max() < 1e-12
-
-    @pytest.mark.parametrize(
-        "alpha,expected",
-        [(1j, 1j), (-1.0, -1.0), (1.0, 1.0), (np.exp(1e-13j), 1.0),
-         (np.exp(0.3j) * (1 + 5e-10), np.exp(0.3j))],
-        ids=["i", "minus-one", "one", "snapped", "unit-circle"],
-    )
-    def test_phase_rule(self, alpha, expected):
-        half = np.array([1 / math.sqrt(2)], dtype=complex)
-        (phase,) = interferometer._correction_phases(alpha * half, half, [frozenset({"C", "D"})])
-        assert abs(phase - expected) < 1e-15
-
-    def test_phases_reject_a_non_bell_coincidence(self):
-        pattern = frozenset({"C", "D"})
-        alpha, beta = np.array([1.0 + 0j]), np.array([0j])
-        with pytest.raises(NetworkError, match=r"\['C', 'D'\] is not a local-phase image"):
-            interferometer._correction_phases(alpha, beta, [pattern])
 
 
 class TestPostselect:

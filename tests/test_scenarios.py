@@ -7,8 +7,17 @@ import pytest
 
 from conftest import BOTH_STATISTICS
 from twinbeam import interferometer, metrics, scenarios
+from twinbeam.errors import NetworkError
 from twinbeam.fock import Mode, Spin, Statistics, make_product_state
-from twinbeam.interferometer import coincidence, detect, fig1_network, run_network
+from twinbeam.interferometer import (
+    build_tree,
+    coincidence,
+    detect,
+    fig1_network,
+    fig2_network,
+    opposite_spin_input,
+    run_network,
+)
 from twinbeam.scenarios import (
     list_scenarios,
     scenario_complementarity,
@@ -93,17 +102,6 @@ class TestTree:
         }
         assert tree_bell == named_bell
 
-    def test_correction_label_is_alpha_over_beta(self):
-        # (i |up down> + |down up>) / sqrt2 needs the down phase i on X
-        v = np.zeros((1, 4, 1), dtype=complex)
-        v[0, 1:3, 0] = np.array([1j, 1.0]) / math.sqrt(2.0)
-        patterns = [frozenset({"Y", "X"})]
-        phases = interferometer._correction_phases(v[:, 1, 0], v[:, 2, 0], patterns).tolist()
-        total, (row,) = scenarios._branch_rows(patterns, [1.0], v, phases)
-        assert total == 1.0
-        assert row["pattern"] == "X+Y" and row["correction"] == "X:down-phase 0.5pi"
-        assert abs(row["concurrence"] - 1.0) < 1e-12 and row["bell_state"] == "other"
-
     def test_every_coincidence_branch_is_maximally_entangled(self):
         report = scenario_tree(3, Statistics.BOSON)
         for row in report.table:
@@ -125,6 +123,58 @@ class TestTree:
     def test_depth_guard(self):
         with pytest.raises(ValueError):
             scenario_tree(8, Statistics.BOSON)
+
+
+class TestCorrectionPhases:
+    def test_correction_label_is_alpha_over_beta(self):
+        # (i |up down> + |down up>) / sqrt2 needs the down phase i on X
+        pattern = frozenset({"Y", "X"})
+        alpha, beta = np.array([[1j], [1.0]]) / math.sqrt(2.0)
+        (phase,) = scenarios._correction_phases(alpha, beta, [pattern]).tolist()
+        assert scenarios._correction_label(pattern, phase) == "X:down-phase 0.5pi"
+        assert scenarios._correction_label(pattern, 1.0) == "identity"
+
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    @pytest.mark.parametrize(
+        "net", [build_tree(d) for d in range(1, 6)] + [fig2_network()],
+        ids=[f"tree{d}" for d in range(1, 6)] + ["fig2"],
+    )
+    def test_phases_match_correction_for_branch(self, net, statistics):
+        state = opposite_spin_input(statistics, net)
+        patterns, _, blocks = interferometer._detect_pairs(net, state, coincidences=True)
+        coincidences = patterns[len(patterns) - len(blocks):]
+        phases = scenarios._correction_phases(blocks[:, 1, 0], blocks[:, 2, 0], coincidences)
+        branches = detect(run_network(net, state), net.monitored)
+        assert len(phases) == sum(coincidence(b.pattern) for b in branches) > 0
+        # the rule applied to each detected branch's |up down> and |down up> amplitudes
+        alpha, beta = np.array([
+            [branches[p].state.amplitude([Mode(min(p), s1), Mode(max(p), s2)])
+             for s1, s2 in ((UP, DOWN), (DOWN, UP))]
+            for p in coincidences
+        ]).T
+        expected = scenarios._correction_phases(alpha, beta, coincidences)
+        assert ((phases == 1.0) == (expected == 1.0)).all()
+        assert np.abs(phases - expected).max() < 1e-12
+        rows = scenarios._branch_table(net, statistics)[1][-len(coincidences):]
+        labels = map(scenarios._correction_label, coincidences, phases.tolist())
+        assert [row["correction"] for row in rows] == list(labels)
+
+    @pytest.mark.parametrize(
+        "alpha,expected",
+        [(1j, 1j), (-1.0, -1.0), (1.0, 1.0), (np.exp(1e-13j), 1.0),
+         (np.exp(0.3j) * (1 + 5e-10), np.exp(0.3j))],
+        ids=["i", "minus-one", "one", "snapped", "unit-circle"],
+    )
+    def test_phase_rule(self, alpha, expected):
+        half = np.array([1 / math.sqrt(2)], dtype=complex)
+        (phase,) = scenarios._correction_phases(alpha * half, half, [frozenset({"C", "D"})])
+        assert abs(phase - expected) < 1e-15
+
+    def test_phases_reject_a_non_bell_coincidence(self):
+        pattern = frozenset({"C", "D"})
+        alpha, beta = np.array([1.0 + 0j]), np.array([0j])
+        with pytest.raises(NetworkError, match=r"\['C', 'D'\] is not a local-phase image"):
+            scenarios._correction_phases(alpha, beta, [pattern])
 
 
 class TestStatisticsTest:
