@@ -571,7 +571,9 @@ def test_clicks_json_output_is_pinned(capsys):
 #: SHA-256 of ``twinbeam <command> --statistics <s> --format <f>`` stdout for
 #: the CSV and table renderers, recorded before the pair engine's pattern
 #: functions were merged into one (complementarity tables: after its spin
-#: matrices were superposed, which moved the last bits of max_total_deviation)
+#: matrices were superposed, which moved the last bits of max_total_deviation;
+#: fig1, feedback, statistics-test, mixed-input, gaussian and dual: recorded
+#: before the renderers dropped the value types that no scenario emits)
 PINNED_TEXT_SHA256 = {
     ("run fig2", "boson", "csv"):
         "9ecd84aae2e2079fd6413ba3ddef36bbffdf573ea0b064a622ed55d60de397cd",
@@ -605,6 +607,54 @@ PINNED_TEXT_SHA256 = {
         "a9faa00861645415dd9fc47e2371a75c776c1474231b045d3fe78b6b5ce8f4bb",
     ("clicks --fig 2", "fermion", "table"):
         "b45cf516980d5e3ed04d91df5a915b9acdd711a72befc30eb561889fb97bab20",
+    ("run fig1", "boson", "csv"):
+        "90f6f18eb71c598d82ed0c5ceff8c30706b37fd0c3a28d5e9b14d58f79595848",
+    ("run fig1", "fermion", "csv"):
+        "d8dcfb6704dad11aa504aa73152724032c7265d3570f88bb3d9f860fea15bbff",
+    ("run fig1", "boson", "table"):
+        "b9ab869e2e416fbdae433743d0f4d63d549489aa5f35201b1636d65f64a5afe7",
+    ("run fig1", "fermion", "table"):
+        "7c5e8dcbe806e79b83917e3f9ddac1fb5dfe0449b249ce918ff4d1aac91acde2",
+    ("run feedback", "boson", "csv"):
+        "b195f10fc1c33c01dd68b9f43283a75daea9f93944aab89d39d747d7af85cd59",
+    ("run feedback", "fermion", "csv"):
+        "a132d08af825865371c3c37234eed0978c70ba9b539e34112bcbcce8e40c1ad0",
+    ("run feedback", "boson", "table"):
+        "4000c8677729057afe6c60c9c4fdd95c88a38aea8fcfefbb86f41497f3c7e379",
+    ("run feedback", "fermion", "table"):
+        "c8224c3ed35c8cb3da0d400ae5e5719f8dab83d5f6d8111804f81cf4043cc0f5",
+    ("run statistics-test", "boson", "csv"):
+        "978883db29e23f4a9bb9909a4c98e16b4d03ad3548c5d7faf02c7949a1bf0a73",
+    ("run statistics-test", "fermion", "csv"):
+        "396b0c1112c71ca4d73ddf4db83c10b4846a076f9600149d0476772e5f09ddec",
+    ("run statistics-test", "boson", "table"):
+        "f09a0c44cb7712e2fd2baea46bcfdbf1bf5c0b7c030e8b374e3cb6a2edaa34a9",
+    ("run statistics-test", "fermion", "table"):
+        "cb17348c149e5d7102e7dcd3d75b58354d6bc5c4461dda58c06888f25c38f18a",
+    ("run mixed-input", "boson", "csv"):
+        "c8e2832bb6c5e2db7268896deeb38c41d07b4873af070019c5c524562422e829",
+    ("run mixed-input", "fermion", "csv"):
+        "d1b984394a43df5adbae1a5a6f76112e4e84a0768d763ffa08228fd4aed82297",
+    ("run mixed-input", "boson", "table"):
+        "a6f7ed9d8030689b4a8963bc64a4bc17491d9e4e5d2bed1ab8a8967e0f7427f9",
+    ("run mixed-input", "fermion", "table"):
+        "d654944e94397b1d26f59aaea10f668ef0b6ba07d3d563206486985f99389643",
+    ("run gaussian", "boson", "csv"):
+        "4963439d887eb5b033098678d1a5087e4f0fd545db232aaebe06dc4d83fe34a7",
+    ("run gaussian", "fermion", "csv"):
+        "4963439d887eb5b033098678d1a5087e4f0fd545db232aaebe06dc4d83fe34a7",
+    ("run gaussian", "boson", "table"):
+        "4034eeea94812d739b4cc052c3121bf1fee8743b6904de929867095538d1a671",
+    ("run gaussian", "fermion", "table"):
+        "3d8852295a14102b4be8d9f7ee4260c7dc397624575dcc35f6a78a74041e1cd6",
+    ("run dual", "boson", "csv"):
+        "d29e844454475a0b83583e913d740727a2cbdb9577b0f6ff96308825be4672da",
+    ("run dual", "fermion", "csv"):
+        "d29e844454475a0b83583e913d740727a2cbdb9577b0f6ff96308825be4672da",
+    ("run dual", "boson", "table"):
+        "ef23540414036c483c5e7f9799a3da42537b4183ecb6417cd9b30395112905b2",
+    ("run dual", "fermion", "table"):
+        "09e9d48c6ef1334f5149a690b6225734f71edcfa089d571a34dfa04a2ea8f32c",
 }
 
 
