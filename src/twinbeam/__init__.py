@@ -23,7 +23,6 @@ from .fock import (
     Statistics,
     apply_spin_rotation,
     make_product_state,
-    vacuum,
 )
 from .interferometer import (
     BeamSplitter,
@@ -58,7 +57,6 @@ from .metrics import (
     tagged_opposite_spin_input,
     validate_dms,
 )
-from .oracle import FirstQuantizedState, cross_check, oracle_detect, oracle_evolve
 from .reporting import Scalar, ScenarioReport
 from .scenarios import (
     DEFAULT_SEED,

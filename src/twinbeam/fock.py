@@ -105,9 +105,10 @@ def _monomial_weight(monomial: Monomial) -> float:
 class FockState:
     """Immutable sparse superposition of creation-operator monomials.
 
-    Construct states through :func:`make_product_state`, :func:`vacuum`,
-    and linear combinations; the raw constructor expects keys already in
-    canonical sorted order and does not re-canonicalize.
+    Construct states through :func:`make_product_state` and linear
+    combinations; the raw constructor expects keys already in canonical
+    sorted order and does not re-canonicalize (``FockState(statistics,
+    {(): 1.0})`` is the vacuum).
     """
 
     __slots__ = ("statistics", "_terms")
@@ -179,10 +180,6 @@ class FockState:
             ket = ";".join(str(mode) for mode in m) if m else "vac"
             parts.append(f"({a:.6g})|{ket}⟩")
         return " + ".join(parts)
-
-
-def vacuum(statistics: Statistics) -> FockState:
-    return FockState(statistics, {(): 1.0 + 0j})
 
 
 def make_product_state(statistics: Statistics, modes: Sequence[Mode]) -> FockState:

@@ -18,7 +18,6 @@ each branch and none across branches.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -465,15 +464,11 @@ def build_tree(depth: int) -> Network:
     return Network(tuple(splitters), ("A", "B"), leaves)
 
 
-# fig1 and fig2 are built once and shared: a Network is immutable, and
-# the sweeps ask for fig1 at every point
-@functools.cache
 def fig1_network() -> Network:
     """Single splitter A,B -> D,C with detectors on C and D."""
     return Network((BeamSplitter("A", "B", "D", "C"),), ("A", "B"), ("D", "C"))
 
 
-@functools.cache
 def fig2_network() -> Network:
     """Three-splitter network: C splits into (E, F), D into (G, H)."""
     splitters = (

@@ -13,7 +13,6 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import groupby, repeat
 from json.encoder import encode_basestring
 from typing import Any, TextIO
 
@@ -29,67 +28,50 @@ _ROW_CHUNK = 1000
 EXACT = "exact"
 SAMPLED = "sampled"
 
+#: the types of a table cell, scalar value or parameter
+Value = str | int | float
+
 
 @dataclass(frozen=True)
 class Scalar:
-    value: Any
+    value: Value
     provenance: str = EXACT
 
 
-def _round_float(x: float, digits: int) -> float:
+def _round_float(x: float) -> float:
     if x == 0.0:
         return 0.0
     if not math.isfinite(x):
         return x
-    return float(f"{x:.{digits}g}") + 0.0
-
-
-def _jsonify(value: Any, digits: int = JSON_DIGITS) -> Any:
-    if isinstance(value, bool) or isinstance(value, (str, int, type(None))):
-        return value
-    if isinstance(value, float):
-        return _round_float(value, digits)
-    if isinstance(value, complex):
-        return [_round_float(value.real, digits), _round_float(value.imag, digits)]
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v, digits) for v in value.tolist()]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return _round_float(float(value), digits)
-    if isinstance(value, np.complexfloating):
-        return _jsonify(complex(value), digits)
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v, digits) for v in value]
-    if isinstance(value, frozenset):
-        return sorted(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v, digits) for k, v in value.items()}
-    raise TypeError(f"cannot serialize value of type {type(value)!r}")
+    return float(f"{x:.{JSON_DIGITS}g}") + 0.0
 
 
 def _json_float(x: float) -> str:
-    """``json``'s text of ``_round_float(x, JSON_DIGITS)``."""
+    """``json``'s text of ``_round_float(x)``."""
     if math.isfinite(x):
-        return float.__repr__(_round_float(x, JSON_DIGITS))
+        return float.__repr__(_round_float(x))
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
-_LITERALS = {True: "true", False: "false", None: "null"}
-
-#: encoders of the table cell types that ``_jsonify`` passes through or only rounds
-_CELL_ENCODERS = {
-    str: encode_basestring,
-    int: int.__repr__,
-    float: _json_float,
-    bool: _LITERALS.__getitem__,
-    type(None): _LITERALS.__getitem__,
-}
+#: canonical JSON text of each value type, by exact type (``bool`` and NumPy scalars are refused)
+_CELL_ENCODERS = {str: encode_basestring, int: int.__repr__, float: _json_float}
 
 
-def _json_cell(value: Any) -> str:
-    encode = _CELL_ENCODERS.get(type(value))
-    return encode(value) if encode else _nested_json(_jsonify(value), 3)
+def _kind(value: Any) -> type:
+    """The exact type of a report value, which must be ``str``, ``int`` or ``float``."""
+    kind = type(value)
+    if kind not in _CELL_ENCODERS:
+        raise TypeError(f"a report value must be str, int or float, not {kind.__name__}")
+    return kind
+
+
+def _jsonify(value: Value) -> Value:
+    """A parameter or scalar value as ``json`` encodes it: floats rounded to JSON_DIGITS."""
+    return _round_float(value) if _kind(value) is float else value
+
+
+def _json_cell(value: Value) -> str:
+    return _CELL_ENCODERS[_kind(value)](value)
 
 
 def _json_column(column: list) -> Iterator[str]:
@@ -106,74 +88,62 @@ def _json_column(column: list) -> Iterator[str]:
     return map(_CELL_ENCODERS.get(kind, _json_cell), column)
 
 
-def _row_template(keys: tuple) -> tuple[str, list]:
-    """``%`` template of a table row with these keys, and the keys in template order."""
-    by_label = {str(k): k for k in keys}  # as in _jsonify, the last key of a label wins
-    labels = sorted(by_label)
-    if not labels:
-        return "\n    {}", []
-    body = ",".join(f"\n      {encode_basestring(k).replace('%', '%%')}: %s" for k in labels)
-    return "\n    {" + body + "\n    }", [by_label[k] for k in labels]
-
-
-def _json_rows(rows: list[dict], templates: dict) -> Iterator[str]:
+def _json_rows(rows: list[dict], template: str, keys: list[str]) -> Iterator[str]:
     """Canonical text of each table row, with its leading newline and indent."""
-    for keys, run in groupby(rows, key=tuple):
-        if keys not in templates:
-            templates[keys] = _row_template(keys)
-        template, order = templates[keys]
-        run = list(run)
-        columns = [_json_column([row[k] for row in run]) for k in order]
-        yield from map(template.__mod__, zip(*columns) if columns else repeat((), len(run)))
+    columns = [_json_column([row[k] for row in rows]) for k in keys]
+    yield from map(template.__mod__, zip(*columns))
 
 
-def _cell(value: Any, digits: int) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value + 0.0:.{digits}g}"
-    if isinstance(value, complex):
-        return f"{value.real + 0.0:.{digits}g}{value.imag + 0.0:+.{digits}g}j"
-    return str(value)
+def _cell(value: Value, digits: int) -> str:
+    return f"{value + 0.0:.{digits}g}" if _kind(value) is float else str(value)
 
 
 @dataclass
 class ScenarioReport:
     """Named results of one scenario run.
 
-    ``scalars`` map result names to values tagged exact or sampled;
-    ``table`` holds one flat dict per branch or grid point; ``matrices``
-    carries any density matrices (serialized as row-major [re, im]
-    pairs in JSON).
+    ``table`` holds one flat dict per branch or grid point, at least one,
+    all with the same keys; ``scalars`` map result names to values tagged
+    exact or sampled.  Every cell, scalar value and parameter is a
+    ``str``, ``int`` or ``float``.  ``matrices`` carries any density
+    matrices (serialized as row-major [re, im] pairs in JSON).  Each
+    renderer raises ``ValueError`` for an empty or ragged table and
+    ``TypeError`` for a value of any other type.
     """
 
     scenario: str
     statistics: str
-    parameters: dict[str, Any] = field(default_factory=dict)
+    table: list[dict[str, Value]]
+    parameters: dict[str, Value] = field(default_factory=dict)
     scalars: dict[str, Scalar] = field(default_factory=dict)
-    table: list[dict[str, Any]] = field(default_factory=list)
     matrices: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def scalar(self, name: str) -> Any:
+    def scalar(self, name: str) -> Value:
         return self.scalars[name].value
+
+    def _columns(self) -> list[str]:
+        """The table's column names, in the first row's order."""
+        if not self.table or not self.table[0]:
+            raise ValueError("a report table needs at least one row and one column")
+        keys = self.table[0].keys()
+        if any(row.keys() != keys for row in self.table):
+            raise ValueError("every row of a report table needs the same keys")
+        return list(keys)
 
     def write_json(self, stream: TextIO) -> None:
         """Write the canonical JSON report to ``stream``, table rows in chunks.
 
         The bytes are those of ``canonical_json`` applied to the report
-        with every value rounded by the ``_jsonify`` rules; no rounded
-        copy is built.  ``parameters``, ``scalars`` and ``matrices`` go
-        through the generic encoder; each table row fills a template
-        built once per key set, each cell encoded by its exact type.  A
-        value of an unsupported type raises ``TypeError``, possibly after
-        part of the report was written.
+        with every float rounded to JSON_DIGITS; no rounded copy is
+        built.  Each table row fills one template, each cell encoded by
+        its exact type.  A value of another type raises ``TypeError``,
+        possibly after part of the report was written.
         """
+        keys = sorted(self._columns())
         head: dict[str, Any] = {
             "scenario": self.scenario,
             "statistics": self.statistics,
-            "parameters": _jsonify(self.parameters),
+            "parameters": {k: _jsonify(v) for k, v in self.parameters.items()},
             "scalars": {
                 name: {"value": _jsonify(s.value), "provenance": s.provenance}
                 for name, s in self.scalars.items()
@@ -181,19 +151,20 @@ class ScenarioReport:
         }
         if self.matrices:
             head["matrices"] = {
-                name: [[_jsonify(complex(v)) for v in row] for row in np.asarray(m)]
+                name: [
+                    [[_round_float(v.real), _round_float(v.imag)] for v in map(complex, row)]
+                    for row in np.asarray(m)
+                ]
                 for name, m in self.matrices.items()
             }
         # "table" sorts after every other key: drop the closing "\n}" and append it
         stream.write(_nested_json(head, 0)[:-2] + ',\n  "table": ')
-        if not self.table:
-            stream.write("[]\n}\n")
-            return
-        templates: dict[tuple, tuple[str, list]] = {}
+        body = ",".join(f"\n      {encode_basestring(k).replace('%', '%%')}: %s" for k in keys)
+        template = "\n    {" + body + "\n    }"
         opening = "["
         for start in range(0, len(self.table), _ROW_CHUNK):
             chunk = self.table[start:start + _ROW_CHUNK]
-            stream.write(opening + ",".join(_json_rows(chunk, templates)))
+            stream.write(opening + ",".join(_json_rows(chunk, template, keys)))
             opening = ","
         stream.write("\n  ]\n}\n")
 
@@ -203,24 +174,14 @@ class ScenarioReport:
         self.write_json(buf)
         return buf.getvalue()
 
-    def _columns(self) -> list[str]:
-        """Table column names in order of first appearance."""
-        return list(dict.fromkeys(key for row in self.table for key in row))
-
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        if self.table:
-            header = self._columns()
-            buf.write(",".join(header) + "\n")
-            for row in self.table:
-                buf.write(",".join(_cell(row.get(k), JSON_DIGITS) for k in header) + "\n")
-        else:
-            buf.write("name,value,provenance\n")
-            for name, s in self.scalars.items():
-                buf.write(f"{name},{_cell(s.value, JSON_DIGITS)},{s.provenance}\n")
-        return buf.getvalue()
+        header = self._columns()
+        lines = [",".join(header)]
+        lines += [",".join(_cell(row[k], JSON_DIGITS) for k in header) for row in self.table]
+        return "\n".join(lines) + "\n"
 
     def to_table(self) -> str:
+        header = self._columns()
         lines = [f"scenario: {self.scenario}  [{self.statistics}]"]
         if self.parameters:
             rendered = ", ".join(f"{k}={_cell(v, TABLE_DIGITS)}" for k, v in self.parameters.items())
@@ -230,17 +191,12 @@ class ScenarioReport:
             width = max(len(n) for n in self.scalars)
             for name, s in self.scalars.items():
                 lines.append(f"  {name:<{width}}  {_cell(s.value, TABLE_DIGITS)}  ({s.provenance})")
-        if self.table:
-            lines.append("")
-            header = self._columns()
-            cells = [[_cell(row.get(k), TABLE_DIGITS) for k in header] for row in self.table]
-            widths = [
-                max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-                for i, h in enumerate(header)
-            ]
-            lines.append("  " + "  ".join(h.ljust(w) for h, w in zip(header, widths)))
-            for r in cells:
-                lines.append("  " + "  ".join(c.ljust(w) for c, w in zip(r, widths)))
+        lines.append("")
+        cells = [[_cell(row[k], TABLE_DIGITS) for k in header] for row in self.table]
+        widths = [max(len(h), *(len(r[i]) for r in cells)) for i, h in enumerate(header)]
+        lines.append("  " + "  ".join(h.ljust(w) for h, w in zip(header, widths)))
+        for r in cells:
+            lines.append("  " + "  ".join(c.ljust(w) for c, w in zip(r, widths)))
         return "\n".join(lines) + "\n"
 
 

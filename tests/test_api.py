@@ -1,5 +1,10 @@
 """The package's public names: adding or dropping one means editing this test."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import twinbeam
 
 PUBLIC_NAMES = {
@@ -8,7 +13,6 @@ PUBLIC_NAMES = {
     "PauliExclusionError", "StatisticsMismatchError", "TwinbeamError",
     # fock
     "FockState", "Mode", "Spin", "Statistics", "apply_spin_rotation", "make_product_state",
-    "vacuum",
     # interferometer
     "BeamSplitter", "Branch", "BranchSet", "ExcitationPattern", "FeedbackRound", "Network",
     "build_tree", "coincidence", "detect", "feedback_run",
@@ -18,8 +22,6 @@ PUBLIC_NAMES = {
     "PSI_MINUS", "PSI_PLUS", "TwoQubitDM", "bell_labels", "chsh_values", "coincidence_spin_dms",
     "concurrences", "distinguishability", "dual_relabel", "gaussian_overlap", "reduce_to_spin_dm",
     "tagged_opposite_spin_input", "validate_dms",
-    # oracle
-    "FirstQuantizedState", "cross_check", "oracle_detect", "oracle_evolve",
     # reporting
     "Scalar", "ScenarioReport",
     # scenarios
@@ -33,3 +35,14 @@ def test_public_names_are_pinned():
     assert len(twinbeam.__all__) == len(set(twinbeam.__all__))
     assert set(twinbeam.__all__) == PUBLIC_NAMES
     assert all(hasattr(twinbeam, name) for name in PUBLIC_NAMES)
+
+
+def test_import_leaves_the_oracle_out():
+    # the dense cross-check simulator is imported by name, never by the package
+    src = Path(twinbeam.__file__).resolve().parents[1]
+    code = "import sys, twinbeam; print('twinbeam.oracle' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.stdout == "False\n"

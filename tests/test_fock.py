@@ -16,7 +16,6 @@ from twinbeam.fock import (
     apply_spin_rotation,
     make_product_state,
     substitute_modes,
-    vacuum,
 )
 
 UP, DOWN = Spin.UP, Spin.DOWN
@@ -181,7 +180,7 @@ class TestSpinRotation:
 
 class TestStateBasics:
     def test_vacuum(self):
-        state = vacuum(Statistics.BOSON)
+        state = FockState(Statistics.BOSON, {(): 1.0})
         assert set(state.terms) <= {()}
         assert state.particle_numbers() == {0}
 

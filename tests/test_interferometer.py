@@ -26,7 +26,6 @@ from twinbeam.fock import (
     apply_spin_rotation,
     make_product_state,
     substitute_modes,
-    vacuum,
 )
 from twinbeam.interferometer import (
     MAX_FEEDBACK_ROUNDS,
@@ -216,7 +215,7 @@ class TestRunNetwork:
         assert abs(out.amplitude([Mode("D", UP), Mode("D", DOWN)]) - 0.5j) < 1e-12
 
     def test_vacuum_passes_through(self):
-        out = run_network(fig1_network(), vacuum(Statistics.BOSON))
+        out = run_network(fig1_network(), FockState(Statistics.BOSON, {(): 1.0}))
         assert set(out.terms) <= {()}
 
     def test_rejects_unknown_input_path(self):
@@ -291,7 +290,7 @@ class TestDetect:
         assert abs(pair.amplitude([Mode("D", DOWN), Mode("C", UP)]) + root) < 1e-12
 
     def test_vacuum_single_branch(self):
-        branches = detect(vacuum(Statistics.FERMION), ["C", "D"])
+        branches = detect(FockState(Statistics.FERMION, {(): 1.0}), ["C", "D"])
         assert len(branches) == 1
         only = branches.branches[0]
         assert only.pattern == frozenset() and abs(only.probability - 1.0) < 1e-12

@@ -10,6 +10,7 @@ from twinbeam import interferometer, metrics, scenarios
 from twinbeam.errors import NetworkError
 from twinbeam.fock import Mode, Spin, Statistics, make_product_state
 from twinbeam.interferometer import (
+    Network,
     build_tree,
     coincidence,
     detect,
@@ -33,6 +34,15 @@ from twinbeam.scenarios import (
 
 UP, DOWN = Spin.UP, Spin.DOWN
 ROOT8 = 2.0 * math.sqrt(2.0)
+
+#: two splitter layers whose crossed outputs meet again: its coincidences
+#: carry down-spin phases off the real axis, which no shipped network does
+CROSSED_NETWORK = Network.from_dict({
+    "splitters": [["P", "Q", "w0", "w1"], ["w0", "v2", "w3", "w4"], ["w1", "v5", "w6", "w7"],
+                  ["w4", "w6", "w8", "w9"], ["w8", "w3", "w10", "w11"]],
+    "inputs": ["P", "Q"],
+    "monitored": ["w10", "w11", "w7", "w9"],
+})
 
 
 class TestFig1:
@@ -136,8 +146,8 @@ class TestCorrectionPhases:
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     @pytest.mark.parametrize(
-        "net", [build_tree(d) for d in range(1, 6)] + [fig2_network()],
-        ids=[f"tree{d}" for d in range(1, 6)] + ["fig2"],
+        "net", [build_tree(d) for d in range(1, 6)] + [fig2_network(), CROSSED_NETWORK],
+        ids=[f"tree{d}" for d in range(1, 6)] + ["fig2", "crossed"],
     )
     def test_phases_match_correction_for_branch(self, net, statistics):
         state = opposite_spin_input(statistics, net)
@@ -158,6 +168,14 @@ class TestCorrectionPhases:
         rows = scenarios._branch_table(net, statistics)[1][-len(coincidences):]
         labels = map(scenarios._correction_label, coincidences, phases.tolist())
         assert [row["correction"] for row in rows] == list(labels)
+        bell = {1.0: "psi_plus", -1.0: "psi_minus"}
+        assert [row["bell_state"] for row in rows] == [bell.get(p, "other") for p in phases.tolist()]
+
+    def test_off_axis_phases_are_labelled_other(self):
+        total, rows = scenarios._branch_table(CROSSED_NETWORK, Statistics.FERMION)
+        assert abs(total - 0.6875) < 1e-12
+        other = {row["correction"] for row in rows if row["bell_state"] == "other"}
+        assert {"w10:down-phase 0.25pi", "w7:down-phase 0.5pi", "w11:down-phase -0.75pi"} <= other
 
     @pytest.mark.parametrize(
         "alpha,expected",
