@@ -21,13 +21,11 @@ from .errors import NetworkError, TwinbeamError
 from .fock import Statistics
 from .interferometer import (
     Network,
-    coincidence,
+    _detect_pairs,
+    _draw_counts,
     fig1_network,
     fig2_network,
     opposite_spin_input,
-    pattern_distribution,
-    pattern_label,
-    sample_clicks,
 )
 from .reporting import SAMPLED, Scalar, ScenarioReport, canonical_json
 from .scenarios import (
@@ -65,30 +63,25 @@ def _run_clicks(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Sc
     if len(net.inputs) < 2:
         parser.error("the network needs two input paths for the opposite-spin pair")
     statistics = Statistics.from_name(args.statistics)
-    exact = pattern_distribution(net, opposite_spin_input(statistics, net))
-    histogram = sample_clicks(exact, args.trials, args.seed)
-    rows = []
-    for pattern, probability in exact.items():
-        count = histogram.get(pattern, 0)
-        rows.append(
-            {
-                "pattern": pattern_label(pattern),
-                "count": count,
-                "frequency": count / args.trials,
-                "probability": probability,
-            }
-        )
-    coincidence_count = sum(histogram.get(p, 0) for p in histogram if coincidence(p))
+    kept = _detect_pairs(net, opposite_spin_input(statistics, net))
+    trials, probabilities = args.trials, kept.probabilities
+    counts = _draw_counts(probabilities, trials, args.seed)
+    # the coincidences are the last patterns; counts are Python ints, so each
+    # frequency is one correctly rounded division
+    coincidence_count = sum(counts[kept.first:])
+    coincidence_probability = sum(probabilities[kept.first:])
+    rows = [
+        {"pattern": label, "count": count, "frequency": count / trials, "probability": p}
+        for label, count, p in zip(kept.labels(), counts, probabilities)
+    ]
     return ScenarioReport(
         scenario="clicks",
         statistics=statistics.value,
-        parameters={"trials": args.trials, "seed": args.seed},
+        parameters={"trials": trials, "seed": args.seed},
         scalars={
-            "trials": Scalar(args.trials),
-            "coincidence_frequency": Scalar(coincidence_count / args.trials, SAMPLED),
-            "coincidence_probability": Scalar(
-                sum(p for pat, p in exact.items() if coincidence(pat))
-            ),
+            "trials": Scalar(trials),
+            "coincidence_frequency": Scalar(coincidence_count / trials, SAMPLED),
+            "coincidence_probability": Scalar(coincidence_probability),
         },
         table=rows,
     )

@@ -223,11 +223,6 @@ def _pattern_sort_key(pattern: ExcitationPattern):
     return (len(pattern), tuple(sorted(pattern)))
 
 
-def pattern_label(pattern: ExcitationPattern) -> str:
-    """The firing paths, sorted and joined by ``+``; ``none`` when no detector fired."""
-    return "+".join(sorted(pattern)) or "none"
-
-
 def run_network(net: Network, state: FockState) -> FockState:
     """Propagate a state through the whole network; returns it normalized.
 
@@ -306,24 +301,62 @@ def pattern_distribution(net: Network, state: FockState) -> dict[ExcitationPatte
     ``PRUNE_THRESHOLD``, the sparse engine's rule, and the kept
     probabilities are renormalized.  The input checks and the
     :data:`MAX_MONOMIALS` refusal are those of :func:`run_network`.
+    The pattern sets are built here from the path names that
+    :func:`_detect_pairs` returns; ``twinbeam clicks`` and the branch
+    tables read those names directly.
     """
-    return dict(zip(*_detect_pairs(net, state)))
+    kept = _detect_pairs(net, state)
+    patterns = [frozenset()] * kept.empty
+    patterns += [frozenset((path,)) for path in kept.singles]
+    patterns += map(frozenset, zip(kept.lower, kept.upper))
+    return dict(zip(patterns, kept.probabilities))
 
 
-def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) -> tuple:
+class _KeptPatterns(NamedTuple):
+    """The pair engine's kept detector patterns, in :func:`detect`'s order.
+
+    The pattern in which no detector fired comes first when it is kept
+    (``empty`` is then 1, else 0), then one pattern per detector that
+    fired alone, named in ``singles``, then the coincidences, each named
+    by its two paths ``lower[k] < upper[k]``.  Singles and coincidences
+    are each in the string order of their names.  ``probabilities`` has
+    one entry per pattern; ``blocks`` holds the coincidences' spin-tag
+    blocks when :func:`_detect_pairs` is asked for them.
+    """
+
+    empty: int
+    singles: list[str]
+    lower: list[str]
+    upper: list[str]
+    probabilities: list[float]
+    blocks: np.ndarray | None = None
+
+    @property
+    def first(self) -> int:
+        """The index of the first coincidence."""
+        return self.empty + len(self.singles)
+
+    def labels(self) -> list[str]:
+        """Each pattern's firing paths, sorted and joined by ``+``; ``none`` if none fired."""
+        labels = ["none"] * self.empty + self.singles
+        labels += [f"{a}+{b}" for a, b in zip(self.lower, self.upper)]
+        return labels
+
+
+def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) -> _KeptPatterns:
     """Kept detector patterns of a two-particle state after ``net``, with their probabilities.
 
-    Returns the lists ``(patterns, probabilities)`` that
-    :func:`pattern_distribution` describes.  With ``coincidences`` it
-    returns ``(patterns, probabilities, blocks)`` for any two-particle
-    state: the coincidences come last among the patterns, and the
-    ``k``-th of them, ``{p1, p2}`` with ``p1 < p2``, has the normalized
-    4xT spin-tag block ``blocks[k]``.  A block's entry ``v[2 s1 + s2,
-    c]`` is ``sqrt(2) psi`` of the cell with spin and tag (s1, t1) on p1
-    and (s2, t2) on p2, up to normalization, ``c`` being the column of
-    (t1, t2); column 0 is the untagged pair (0, 0).  These are the
-    amplitudes that :func:`twinbeam.metrics.reduce_to_spin_dm` reads
-    off a detected branch.
+    Returns the patterns and probabilities that
+    :func:`pattern_distribution` describes, named by the monitored paths
+    the pair reaches.  With ``coincidences`` it also returns, for any
+    two-particle state, the normalized 4xT spin-tag block ``blocks[k]``
+    of the ``k``-th coincidence, ``{lower[k], upper[k]}``.  A block's
+    entry ``v[2 s1 + s2, c]`` is ``sqrt(2) psi`` of the cell with spin
+    and tag (s1, t1) on the lower path and (s2, t2) on the upper one, up
+    to normalization, ``c`` being the column of (t1, t2); column 0 is
+    the untagged pair (0, 0).  These are the amplitudes that
+    :func:`twinbeam.metrics.reduce_to_spin_dm` reads off a detected
+    branch.
     """
     if state.particle_numbers() != {2}:
         raise ValueError("pattern_distribution requires a two-particle input")
@@ -357,7 +390,8 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
     kept = np.bincount(group, weights=fires) > 0
     keys = keys[kept]
     probabilities = (probs[kept] / probs[kept].sum()).tolist()
-    singles, first = np.searchsorted(keys, [1, n + 1]).tolist()
+    empty, first = np.searchsorted(keys, [1, n + 1]).tolist()
+    blocks = None
     if coincidences:
         columns = {(0, 0): 0}
         # (spin row, tag column) of each label pair
@@ -377,12 +411,15 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
         del at, block, row, col
     del label, i, j, psi, fires, key, group
     lo, hi = np.divmod(keys[first:] - 1 - n, n)
-    patterns = [frozenset()] * singles
-    patterns += [frozenset((monitored[m],)) for m in (keys[singles:first] - 1).tolist()]
-    patterns += [frozenset((monitored[a], monitored[b])) for a, b in zip(lo.tolist(), hi.tolist())]
-    if not coincidences:
-        return patterns, probabilities
-    return patterns, probabilities, blocks
+    name = monitored.__getitem__
+    return _KeptPatterns(
+        empty,
+        list(map(name, (keys[empty:first] - 1).tolist())),
+        list(map(name, lo.tolist())),
+        list(map(name, hi.tolist())),
+        probabilities,
+        blocks,
+    )
 
 
 def _pair_cells(state: FockState, table: PathTable, terminals: Sequence[str]) -> tuple:
@@ -535,10 +572,20 @@ def sample_clicks(
     patterns that never occur are omitted from the histogram.  ``trials``
     must lie in 1 .. :data:`MAX_TRIALS` and ``seed`` be nonnegative.
     """
+    counts = _draw_counts(list(distribution.values()), trials, seed)
+    return {pattern: c for pattern, c in zip(distribution, counts) if c > 0}
+
+
+def _draw_counts(probabilities: Sequence[float], trials: int, seed: int) -> list[int]:
+    """Seeded multinomial counts of ``trials`` draws, one Python int per probability.
+
+    The draw behind :func:`sample_clicks` and ``twinbeam clicks``; the
+    probabilities are renormalized, ``trials`` must lie in 1 ..
+    :data:`MAX_TRIALS` and ``seed`` be nonnegative.
+    """
     _check_range("trials", trials, 1, MAX_TRIALS)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    probs = np.array(list(distribution.values()))
+    probs = np.array(probabilities)
     rng = np.random.default_rng(seed)
-    counts = rng.multinomial(trials, probs / probs.sum())
-    return {pattern: int(c) for pattern, c in zip(distribution, counts) if c > 0}
+    return rng.multinomial(trials, probs / probs.sum()).tolist()

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import NetworkError
 from .fock import FockState, Mode, Spin, Statistics, apply_spin_rotation, make_product_state
 from .interferometer import (
-    ExcitationPattern,
     Network,
     _check_range,
     _detect_pairs,
@@ -29,7 +28,6 @@ from .interferometer import (
     fig2_network,
     heralded_pair,
     opposite_spin_input,
-    pattern_label,
     run_network,
 )
 from .metrics import (
@@ -85,31 +83,31 @@ def _sweep(start: float, stop: float, grid: int) -> np.ndarray:
 
 
 def _correction_phases(
-    alpha: np.ndarray, beta: np.ndarray, patterns: Sequence[ExcitationPattern]
+    alpha: np.ndarray, beta: np.ndarray, lower: Sequence[str], upper: Sequence[str]
 ) -> np.ndarray:
-    """Down-spin phase on the smaller path that turns each coincidence into psi+.
+    """Down-spin phase on the lower path that turns each coincidence into psi+.
 
     ``alpha`` and ``beta`` are the normalized amplitudes of |up down>
-    and |down up> on the coincidences ``patterns``; each must have
-    magnitude 1/sqrt(2), or :class:`NetworkError` names the first that
-    does not.  The phase is ``alpha / beta`` on the unit circle, snapped
-    to +-1 within 1e-12 of the real axis; 1 means no correction.
+    and |down up> on the coincidences of the paths ``lower[k] <
+    upper[k]``; each must have magnitude 1/sqrt(2), or
+    :class:`NetworkError` names the first that does not.  The phase is
+    ``alpha / beta`` on the unit circle, snapped to +-1 within 1e-12 of
+    the real axis; 1 means no correction.
     """
     half = 1 / math.sqrt(2)
     bad = (np.abs(np.abs(alpha) - half) > 1e-9) | (np.abs(np.abs(beta) - half) > 1e-9)
     if bad.any():
-        raise NetworkError(
-            f"branch {sorted(patterns[int(bad.argmax())])} is not a local-phase image of psi+"
-        )
+        k = int(bad.argmax())
+        raise NetworkError(f"branch {[lower[k], upper[k]]} is not a local-phase image of psi+")
     delta = alpha / beta
     delta /= np.abs(delta)
     return np.where(np.abs(delta.imag) < 1e-12, np.where(delta.real > 0, 1.0, -1.0), delta)
 
 
-def _correction_label(pattern: ExcitationPattern, phase: complex) -> str:
+def _correction_label(lower: str, phase: complex) -> str:
     if phase == 1.0:
         return "identity"
-    return f"{min(pattern)}:down-phase {math.atan2(phase.imag, phase.real) / math.pi:.6g}pi"
+    return f"{lower}:down-phase {math.atan2(phase.imag, phase.real) / math.pi:.6g}pi"
 
 
 _BRANCH_COLUMNS = ("pattern", "detectors", "probability", "concurrence", "bell_state", "correction")
@@ -123,24 +121,23 @@ def _branch_table(net: Network, statistics: Statistics) -> tuple[float, list[dic
     (``interferometer._detect_pairs``); their spin matrices and
     correction phases are evaluated :data:`METRICS_CHUNK` at a time.
     """
-    state = opposite_spin_input(statistics, net)
-    patterns, probabilities, blocks = _detect_pairs(net, state, coincidences=True)
-    first = len(patterns) - len(blocks)
+    kept = _detect_pairs(net, opposite_spin_input(statistics, net), coincidences=True)
+    labels, probabilities, first = kept.labels(), kept.probabilities, kept.first
+    detectors = [0] * kept.empty + [1] * len(kept.singles)
     rows = [
-        dict(zip(_BRANCH_COLUMNS, (pattern_label(p), len(p), prob, 0.0, "", "")))
-        for p, prob in zip(patterns[:first], probabilities)
+        dict(zip(_BRANCH_COLUMNS, (label, n, prob, 0.0, "", "")))
+        for label, n, prob in zip(labels[:first], detectors, probabilities)
     ]
-    for start in range(first, len(patterns), METRICS_CHUNK):
-        stop = min(start + METRICS_CHUNK, len(patterns))
-        chunk = blocks[start - first : stop - first]
-        rho = density_matrices(chunk)
+    for start in range(0, len(kept.blocks), METRICS_CHUNK):
+        chunk = slice(start, start + METRICS_CHUNK)
+        blocks, lower = kept.blocks[chunk], kept.lower[chunk]
+        rho = density_matrices(blocks)
         validate_dms(rho)
         # alpha / beta: |up down> over |down up> in the untagged column
-        phases = _correction_phases(chunk[:, 1, 0], chunk[:, 2, 0], patterns[start:stop]).tolist()
-        metrics = zip(concurrences(rho).tolist(), bell_labels(rho).tolist(), phases)
-        for k, (c, label, phase) in enumerate(metrics, start):
-            correction = _correction_label(patterns[k], phase)
-            row = (pattern_label(patterns[k]), 2, probabilities[k], c, label or "other", correction)
+        phases = _correction_phases(blocks[:, 1, 0], blocks[:, 2, 0], lower, kept.upper[chunk])
+        metrics = zip(lower, concurrences(rho).tolist(), bell_labels(rho).tolist(), phases.tolist())
+        for k, (path, c, bell, phase) in enumerate(metrics, first + start):
+            row = (labels[k], 2, probabilities[k], c, bell or "other", _correction_label(path, phase))
             rows.append(dict(zip(_BRANCH_COLUMNS, row)))
     return sum(probabilities[first:]), rows
 

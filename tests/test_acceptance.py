@@ -143,9 +143,9 @@ ENGINES = ("sparse", "pair")
 def pair_engine_dm(statistics, overlap):
     """Spin matrix of the pair engine's {C, D} block for the tagged opposite-spin pair."""
     net, state = fig1_network(), tagged_opposite_spin_input(statistics, overlap)
-    patterns, _, blocks = _detect_pairs(net, state, coincidences=True)
-    coincidences = patterns[len(patterns) - len(blocks):]
-    rho = density_matrices(blocks[coincidences.index(frozenset({"C", "D"}))])
+    kept = _detect_pairs(net, state, coincidences=True)
+    coincidences = list(zip(kept.lower, kept.upper))
+    rho = density_matrices(kept.blocks[coincidences.index(("C", "D"))])
     validate_dms(rho)
     return rho
 

@@ -4,28 +4,40 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import BOTH_STATISTICS, one_sided_tree
+from conftest import BOTH_STATISTICS, one_sided_tree, random_network
 from twinbeam import cli, interferometer, scenarios
 from twinbeam.errors import OccupancyError, TwinbeamError
 from twinbeam.interferometer import (
+    Network,
     build_tree,
     coincidence,
     detect,
     fig1_network,
     fig2_network,
     opposite_spin_input,
+    pattern_distribution,
     run_network,
+    sample_clicks,
 )
 from twinbeam.reporting import Scalar, ScenarioReport, canonical_json
 from twinbeam.scenarios import SCENARIOS
+
+
+def pattern_label(pattern) -> str:
+    """A clicks row's name of a pattern: its paths sorted and joined by ``+``, or ``none``."""
+    return "+".join(sorted(pattern)) or "none"
 
 
 def readme_commands() -> list[str]:
@@ -329,7 +341,7 @@ def sparse_clicks_columns(net, statistics):
         scalars={"coincidence_probability": Scalar(
             sum(b.probability for b in branches if coincidence(b.pattern))
         )},
-        table=[{"pattern": "+".join(sorted(b.pattern)) or "none", "probability": b.probability}
+        table=[{"pattern": pattern_label(b.pattern), "probability": b.probability}
                for b in branches],
     )
     return exact_clicks_columns(report.to_json())
@@ -385,6 +397,54 @@ class TestClicks:
         code, out, _ = run_cli(capsys, "clicks", "--fig", "1", "--trials", trials, "--format", "json")
         assert code == 0
         assert sum(row["count"] for row in json.loads(out)["table"]) == interferometer.MAX_TRIALS
+
+    @pytest.mark.parametrize("trials", [interferometer.MAX_TRIALS, 9 * 10 ** 18])
+    def test_frequencies_divide_python_ints(self, trials):
+        parser = cli.build_parser()
+        args = parser.parse_args(["clicks", "--fig", "2", "--trials", str(trials)])
+        rows = cli._run_clicks(args, parser).table
+        counts = [row["count"] for row in rows]
+        assert max(counts) > 2 ** 53 and all(type(c) is int for c in counts)
+        frequencies = [row["frequency"] for row in rows]
+        assert frequencies == [c / trials for c in counts]
+        if trials != interferometer.MAX_TRIALS:
+            # a float count rounds twice, which this trial count shows in some row
+            assert frequencies != [float(c) / trials for c in counts]
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        statistics=st.sampled_from(BOTH_STATISTICS),
+        trials=st.integers(1, interferometer.MAX_TRIALS),
+        sample_seed=st.integers(0, 2 ** 63),
+    )
+    def test_report_follows_the_distribution_and_its_sample(
+        self, tmp_path_factory, seed, statistics, trials, sample_seed
+    ):
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, ("P", "Q", "R"), n_splitters=int(rng.integers(1, 7)))
+        # detectors on a random nonempty subset of the terminals, so that some
+        # patterns are empty or single
+        watched = [p for p in net.monitored if rng.random() < 0.7] or [net.monitored[-1]]
+        net = Network(net.splitters, net.inputs, tuple(watched))
+        path = tmp_path_factory.mktemp("clicks") / "net.json"
+        path.write_text(json.dumps(net.to_dict()))
+        parser = cli.build_parser()
+        args = parser.parse_args([
+            "clicks", "--network", str(path), "--statistics", statistics.value,
+            "--trials", str(trials), "--seed", str(sample_seed),
+        ])
+        report = cli._run_clicks(args, parser)
+        distribution = pattern_distribution(net, opposite_spin_input(statistics, net))
+        histogram = sample_clicks(distribution, trials, sample_seed)
+        rows = report.table
+        assert [row["pattern"] for row in rows] == list(map(pattern_label, distribution))
+        assert [row["probability"] for row in rows] == list(distribution.values())
+        assert [row["count"] for row in rows] == [histogram.get(p, 0) for p in distribution]
+        pairs = [row for row, p in zip(rows, distribution) if coincidence(p)]
+        assert report.scalar("coincidence_probability") == sum(r["probability"] for r in pairs)
+        coincident = sum(r["count"] for r in pairs)
+        assert report.scalar("coincidence_frequency") == coincident / trials
 
     @pytest.mark.parametrize(
         "flag,value,message",
@@ -566,6 +626,51 @@ def test_clicks_json_output_is_pinned(capsys):
         assert code == 0
         digests[source, statistics] = hashlib.sha256(out.encode()).hexdigest()
     assert digests == PINNED_CLICKS_JSON_SHA256
+
+
+def shuffled_tree(depth: int, seed: int) -> dict:
+    """Depth-``depth`` tree as a network dict, its paths renamed to shuffled numbers.
+
+    The benchmark's recipe for its clicks network, with decimal names:
+    string order ("10" before "9") differs from both numeric and tree order.
+    """
+    data = build_tree(depth).to_dict()
+    names = sorted({p for quad in data["splitters"] for p in quad})
+    numbers = [str(k) for k in range(len(names))]
+    random.Random(seed).shuffle(numbers)
+    rename = dict(zip(names, numbers))
+    return {
+        "splitters": [[rename[p] for p in quad] for quad in data["splitters"]],
+        "inputs": [rename[p] for p in data["inputs"]],
+        "monitored": [rename[p] for p in data["monitored"]],
+    }
+
+
+#: SHA-256 of ``twinbeam clicks --network <shuffled_tree(5, 3)> --statistics <s>
+#: --format <f>`` stdout (default trials and seed), recorded before the clicks
+#: report was built from the pair engine's index arrays
+PINNED_SHUFFLED_CLICKS_SHA256 = {
+    ("boson", "json"):
+        "ebd25177c328ed6ebc6b8d7a1667a75b9d5d808911672705044ffe7c2909905d",
+    ("fermion", "json"):
+        "113d4e3ab4f1866ef48bde8e0893b7971e53e51f32917ac577e32eae3e5528ac",
+    ("boson", "csv"):
+        "c0e6f4750c713930954c516c3863ecd4fc6b6dd4a8edb31938d57584ca94c516",
+    ("fermion", "csv"):
+        "c0e6f4750c713930954c516c3863ecd4fc6b6dd4a8edb31938d57584ca94c516",
+}
+
+
+def test_shuffled_tree_clicks_output_is_pinned(capsys, tmp_path):
+    path = tmp_path / "shuffled.json"
+    path.write_text(json.dumps(shuffled_tree(5, 3)))
+    digests = {}
+    for statistics, fmt in PINNED_SHUFFLED_CLICKS_SHA256:
+        argv = ["clicks", "--network", str(path), "--statistics", statistics, "--format", fmt]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        digests[statistics, fmt] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == PINNED_SHUFFLED_CLICKS_SHA256
 
 
 #: SHA-256 of ``twinbeam <command> --statistics <s> --format <f>`` stdout for

@@ -462,13 +462,17 @@ class TestCoincidenceBlocks:
         inputs = ("P", "Q", "R")
         net = random_network(rng, inputs, n_splitters=int(rng.integers(1, 6)))
         state = random_two_particle_state(rng, statistics, paths=inputs, tags=(0, 1), n_terms=4)
-        detected = interferometer._detect_pairs(net, state, coincidences=True)
-        patterns, probabilities, blocks = detected
+        kept = interferometer._detect_pairs(net, state, coincidences=True)
+        blocks = kept.blocks
         distribution = pattern_distribution(net, state)
-        assert patterns == list(distribution)
-        assert probabilities == list(distribution.values())
+        patterns = list(distribution)
+        assert kept.labels() == ["+".join(sorted(p)) or "none" for p in patterns]
+        assert kept.probabilities == list(distribution.values())
         coincidences = [p for p in patterns if coincidence(p)]
-        assert patterns[len(patterns) - len(blocks):] == coincidences
+        assert patterns[kept.first:] == coincidences
+        assert list(map(frozenset, zip(kept.lower, kept.upper))) == coincidences
+        assert len(blocks) == len(coincidences)
+        assert all(a < b for a, b in zip(kept.lower, kept.upper))
         branches = detect(run_network(net, state), net.monitored)
         for pattern, v in zip(coincidences, blocks):
             rho = v @ v.conj().T
@@ -489,10 +493,9 @@ class TestCoincidenceBlocks:
     def test_tagged_pair_has_a_coincidence_block(self, statistics):
         # the tagged coincidence is no local-phase image of psi+, and still heralds a block
         net, state = fig1_network(), tagged_opposite_spin_input(statistics, 0.5)
-        detected = interferometer._detect_pairs(net, state, coincidences=True)
-        assert len(detected) == 3
-        patterns, probabilities, (v,) = detected
-        assert patterns[-1] == frozenset({"C", "D"})
+        kept = interferometer._detect_pairs(net, state, coincidences=True)
+        probabilities, (v,) = kept.probabilities, kept.blocks
+        assert (kept.lower, kept.upper) == (["C"], ["D"])
         branch = detect(run_network(net, state), net.monitored)[{"C", "D"}]
         assert abs(probabilities[-1] - branch.probability) < 1e-15
         rho = v @ v.conj().T / np.trace(v @ v.conj().T).real
@@ -506,7 +509,7 @@ class TestCoincidenceBlocks:
         tagged = make_product_state(Statistics.BOSON, [Mode("A", UP, 1), Mode("B", DOWN, 1)])
         state = hom + 4e-12 * untagged + 1.6e-12 * tagged
         net = fig1_network()
-        (v,) = interferometer._detect_pairs(net, state, coincidences=True)[2]
+        (v,) = interferometer._detect_pairs(net, state, coincidences=True).blocks
         branch = detect(run_network(net, state), net.monitored)[{"C", "D"}].state
         assert not v[:, 1:].any()
         rho = v @ v.conj().T / np.trace(v @ v.conj().T)
