@@ -4,8 +4,10 @@ Exit codes: 0 success; 2 a usage error, a parameter out of range (a
 plain ``ValueError``), an invalid or oversize network
 (``NetworkError``) or an ``--output`` file that cannot be written; 3 any
 other error of the package (a ``TwinbeamError``, for example an
-``OccupancyError`` raised inside a scenario).  Identical arguments and
-seed produce byte-identical JSON output.
+``OccupancyError`` raised inside a scenario); 141 (128 + SIGPIPE) the
+reader closed the output pipe before the report was written, as a
+shell reports a writer killed by a closed pipe.  Identical arguments
+and seed produce byte-identical JSON output.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -44,6 +47,8 @@ def _emit(report: ScenarioReport, fmt: str, output: Path | None) -> None:
             report.write_json(stream)
         else:
             stream.write(report.to_csv() if fmt == "csv" else report.to_table())
+        # a reader that closed the pipe shows here, not in the interpreter's flush at exit
+        stream.flush()
 
 
 def _clicks_network(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Network:
@@ -70,10 +75,6 @@ def _run_clicks(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Sc
     # frequency is one correctly rounded division
     coincidence_count = sum(counts[kept.first:])
     coincidence_probability = sum(probabilities[kept.first:])
-    rows = [
-        {"pattern": label, "count": count, "frequency": count / trials, "probability": p}
-        for label, count, p in zip(kept.labels(), counts, probabilities)
-    ]
     return ScenarioReport(
         scenario="clicks",
         statistics=statistics.value,
@@ -83,16 +84,13 @@ def _run_clicks(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Sc
             "coincidence_frequency": Scalar(coincidence_count / trials, SAMPLED),
             "coincidence_probability": Scalar(coincidence_probability),
         },
-        table=rows,
+        table={
+            "pattern": kept.labels(),
+            "count": counts,
+            "frequency": [count / trials for count in counts],
+            "probability": probabilities,
+        },
     )
-
-
-def _catalog_report() -> list[dict[str, str]]:
-    rows = [
-        {"name": info.name, "parameters": " ".join(info.parameters), "claim": info.claim}
-        for info in list_scenarios()
-    ]
-    return rows
 
 
 @functools.cache
@@ -141,7 +139,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "list":
-        rows = _catalog_report()
+        rows = [
+            {"name": info.name, "parameters": " ".join(info.parameters), "claim": info.claim}
+            for info in list_scenarios()
+        ]
         if args.format == "json":
             sys.stdout.write(canonical_json(rows))
         else:
@@ -168,6 +169,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
     try:
         _emit(report, args.format, args.output)
+    except BrokenPipeError:
+        if args.output is None:
+            # the interpreter flushes stdout at exit: let that write go nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OSError as exc:
         if args.output is None:
             raise

@@ -88,12 +88,6 @@ def _json_column(column: list) -> Iterator[str]:
     return map(_CELL_ENCODERS.get(kind, _json_cell), column)
 
 
-def _json_rows(rows: list[dict], template: str, keys: list[str]) -> Iterator[str]:
-    """Canonical text of each table row, with its leading newline and indent."""
-    columns = [_json_column([row[k] for row in rows]) for k in keys]
-    yield from map(template.__mod__, zip(*columns))
-
-
 def _cell(value: Value, digits: int) -> str:
     return f"{value + 0.0:.{digits}g}" if _kind(value) is float else str(value)
 
@@ -102,18 +96,18 @@ def _cell(value: Value, digits: int) -> str:
 class ScenarioReport:
     """Named results of one scenario run.
 
-    ``table`` holds one flat dict per branch or grid point, at least one,
-    all with the same keys; ``scalars`` map result names to values tagged
-    exact or sampled.  Every cell, scalar value and parameter is a
-    ``str``, ``int`` or ``float``.  ``matrices`` carries any density
-    matrices (serialized as row-major [re, im] pairs in JSON).  Each
-    renderer raises ``ValueError`` for an empty or ragged table and
-    ``TypeError`` for a value of any other type.
+    ``table`` maps each column name to its list of cells, one per branch
+    or grid point, every column the same nonzero length; ``scalars`` map
+    result names to values tagged exact or sampled.  Every cell, scalar
+    value and parameter is a ``str``, ``int`` or ``float``.  ``matrices``
+    carries any density matrices (serialized as row-major [re, im] pairs
+    in JSON).  Each renderer raises ``ValueError`` for an empty or ragged
+    table and ``TypeError`` for a value of any other type.
     """
 
     scenario: str
     statistics: str
-    table: list[dict[str, Value]]
+    table: dict[str, list[Value]]
     parameters: dict[str, Value] = field(default_factory=dict)
     scalars: dict[str, Scalar] = field(default_factory=dict)
     matrices: dict[str, np.ndarray] = field(default_factory=dict)
@@ -121,25 +115,27 @@ class ScenarioReport:
     def scalar(self, name: str) -> Value:
         return self.scalars[name].value
 
-    def _columns(self) -> list[str]:
-        """The table's column names, in the first row's order."""
-        if not self.table or not self.table[0]:
+    def _rows(self) -> int:
+        """The number of table rows: the one length of every column."""
+        lengths = set(map(len, self.table.values()))
+        if len(lengths) > 1:
+            raise ValueError("every column of a report table needs the same length")
+        if not lengths or 0 in lengths:
             raise ValueError("a report table needs at least one row and one column")
-        keys = self.table[0].keys()
-        if any(row.keys() != keys for row in self.table):
-            raise ValueError("every row of a report table needs the same keys")
-        return list(keys)
+        return lengths.pop()
 
     def write_json(self, stream: TextIO) -> None:
         """Write the canonical JSON report to ``stream``, table rows in chunks.
 
         The bytes are those of ``canonical_json`` applied to the report
-        with every float rounded to JSON_DIGITS; no rounded copy is
-        built.  Each table row fills one template, each cell encoded by
-        its exact type.  A value of another type raises ``TypeError``,
-        possibly after part of the report was written.
+        with every float rounded to JSON_DIGITS and the table as a list
+        of row objects; no rounded copy is built.  Each chunk of
+        :data:`_ROW_CHUNK` rows is encoded column by column, each cell by
+        its column's exact type, and each row fills one template.  A
+        value of another type raises ``TypeError``, possibly after part
+        of the report was written.
         """
-        keys = sorted(self._columns())
+        rows, keys = self._rows(), sorted(self.table)
         head: dict[str, Any] = {
             "scenario": self.scenario,
             "statistics": self.statistics,
@@ -162,9 +158,9 @@ class ScenarioReport:
         body = ",".join(f"\n      {encode_basestring(k).replace('%', '%%')}: %s" for k in keys)
         template = "\n    {" + body + "\n    }"
         opening = "["
-        for start in range(0, len(self.table), _ROW_CHUNK):
-            chunk = self.table[start:start + _ROW_CHUNK]
-            stream.write(opening + ",".join(_json_rows(chunk, template, keys)))
+        for start in range(0, rows, _ROW_CHUNK):
+            cells = [_json_column(self.table[k][start:start + _ROW_CHUNK]) for k in keys]
+            stream.write(opening + ",".join(map(template.__mod__, zip(*cells))))
             opening = ","
         stream.write("\n  ]\n}\n")
 
@@ -175,13 +171,13 @@ class ScenarioReport:
         return buf.getvalue()
 
     def to_csv(self) -> str:
-        header = self._columns()
-        lines = [",".join(header)]
-        lines += [",".join(_cell(row[k], JSON_DIGITS) for k in header) for row in self.table]
-        return "\n".join(lines) + "\n"
+        self._rows()
+        columns = [[_cell(v, JSON_DIGITS) for v in column] for column in self.table.values()]
+        # the empty last line ends the text with a newline, without a second copy of it
+        return "\n".join([",".join(self.table), *map(",".join, zip(*columns)), ""])
 
     def to_table(self) -> str:
-        header = self._columns()
+        self._rows()
         lines = [f"scenario: {self.scenario}  [{self.statistics}]"]
         if self.parameters:
             rendered = ", ".join(f"{k}={_cell(v, TABLE_DIGITS)}" for k, v in self.parameters.items())
@@ -192,12 +188,14 @@ class ScenarioReport:
             for name, s in self.scalars.items():
                 lines.append(f"  {name:<{width}}  {_cell(s.value, TABLE_DIGITS)}  ({s.provenance})")
         lines.append("")
-        cells = [[_cell(row[k], TABLE_DIGITS) for k in header] for row in self.table]
-        widths = [max(len(h), *(len(r[i]) for r in cells)) for i, h in enumerate(header)]
-        lines.append("  " + "  ".join(h.ljust(w) for h, w in zip(header, widths)))
-        for r in cells:
-            lines.append("  " + "  ".join(c.ljust(w) for c, w in zip(r, widths)))
-        return "\n".join(lines) + "\n"
+        cells = [[_cell(v, TABLE_DIGITS) for v in column] for column in self.table.values()]
+        widths = [max(len(name), max(map(len, column))) for name, column in zip(self.table, cells)]
+        template = "  " + "  ".join(f"%-{width}s" for width in widths)
+        lines.append(template % tuple(self.table))
+        lines += map(template.__mod__, zip(*cells))
+        # the empty last line ends the text with a newline, without a second copy of it
+        lines.append("")
+        return "\n".join(lines)
 
 
 def canonical_json(data: Any) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,7 +56,8 @@ VERDICT_DEAD_ZONE = 0.1
 #: deepest tree the tree scenario and ``twinbeam clicks --depth`` accept
 MAX_SCENARIO_TREE_DEPTH = 7
 
-#: most points a complementarity or gaussian sweep takes: about 27 MiB of table rows
+#: most points a complementarity or gaussian sweep takes: a report of that many
+#: points holds about 15 MiB of table columns
 MAX_GRID = 100_000
 
 #: most sampled feedback trajectories: about two and a half minutes at 10 rounds
@@ -76,10 +77,10 @@ def tree_network(depth: int) -> Network:
     return build_tree(depth)
 
 
-def _sweep(start: float, stop: float, grid: int) -> np.ndarray:
+def _sweep(start: float, stop: float, grid: int) -> list[float]:
     """The ``grid`` evenly spaced points of a complementarity or gaussian sweep."""
     _check_range("grid", grid, 2, MAX_GRID)
-    return np.linspace(start, stop, grid)
+    return np.linspace(start, stop, grid).tolist()
 
 
 def _correction_phases(
@@ -110,11 +111,8 @@ def _correction_label(lower: str, phase: complex) -> str:
     return f"{lower}:down-phase {math.atan2(phase.imag, phase.real) / math.pi:.6g}pi"
 
 
-_BRANCH_COLUMNS = ("pattern", "detectors", "probability", "concurrence", "bell_state", "correction")
-
-
-def _branch_table(net: Network, statistics: Statistics) -> tuple[float, list[dict]]:
-    """Coincidence probability and branch rows of the opposite-spin pair after ``net``.
+def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str, list]]:
+    """Coincidence probability and branch table of the opposite-spin pair after ``net``.
 
     One row per detector pattern, in :func:`detect`'s order.  The
     coincidences come last, with their normalized spin-tag blocks
@@ -122,12 +120,15 @@ def _branch_table(net: Network, statistics: Statistics) -> tuple[float, list[dic
     correction phases are evaluated :data:`METRICS_CHUNK` at a time.
     """
     kept = _detect_pairs(net, opposite_spin_input(statistics, net), coincidences=True)
-    labels, probabilities, first = kept.labels(), kept.probabilities, kept.first
-    detectors = [0] * kept.empty + [1] * len(kept.singles)
-    rows = [
-        dict(zip(_BRANCH_COLUMNS, (label, n, prob, 0.0, "", "")))
-        for label, n, prob in zip(labels[:first], detectors, probabilities)
-    ]
+    probabilities, first = kept.probabilities, kept.first
+    table = {
+        "pattern": kept.labels(),
+        "detectors": [0] * kept.empty + [1] * len(kept.singles) + [2] * len(kept.blocks),
+        "probability": probabilities,
+        "concurrence": [0.0] * first,
+        "bell_state": [""] * first,
+        "correction": [""] * first,
+    }
     for start in range(0, len(kept.blocks), METRICS_CHUNK):
         chunk = slice(start, start + METRICS_CHUNK)
         blocks, lower = kept.blocks[chunk], kept.lower[chunk]
@@ -135,11 +136,10 @@ def _branch_table(net: Network, statistics: Statistics) -> tuple[float, list[dic
         validate_dms(rho)
         # alpha / beta: |up down> over |down up> in the untagged column
         phases = _correction_phases(blocks[:, 1, 0], blocks[:, 2, 0], lower, kept.upper[chunk])
-        metrics = zip(lower, concurrences(rho).tolist(), bell_labels(rho).tolist(), phases.tolist())
-        for k, (path, c, bell, phase) in enumerate(metrics, first + start):
-            row = (labels[k], 2, probabilities[k], c, bell or "other", _correction_label(path, phase))
-            rows.append(dict(zip(_BRANCH_COLUMNS, row)))
-    return sum(probabilities[first:]), rows
+        table["concurrence"] += concurrences(rho).tolist()
+        table["bell_state"] += [label or "other" for label in bell_labels(rho).tolist()]
+        table["correction"] += map(_correction_label, lower, phases.tolist())
+    return sum(probabilities[first:]), table
 
 
 def _spin_pair_label(state: FockState) -> str:
@@ -150,40 +150,39 @@ def _spin_pair_label(state: FockState) -> str:
 
 def scenario_fig1(statistics: Statistics) -> ScenarioReport:
     """Single splitter on an opposite-spin pair: heralded Bell-pair source."""
-    total, rows = _branch_table(fig1_network(), statistics)
-    pair = rows[-1]
+    total, table = _branch_table(fig1_network(), statistics)
     return ScenarioReport(
         scenario="fig1",
         statistics=statistics.value,
         parameters={},
         scalars={
             "coincidence_probability": Scalar(total),
-            "bell_state": Scalar(pair["bell_state"]),
-            "concurrence": Scalar(pair["concurrence"]),
+            "bell_state": Scalar(table["bell_state"][-1]),
+            "concurrence": Scalar(table["concurrence"][-1]),
         },
-        table=rows,
+        table=table,
     )
 
 
 def scenario_fig2(statistics: Statistics) -> ScenarioReport:
     """Three splitters, four detectors: coincidences in 3/4 of the cases."""
-    total, rows = _branch_table(fig2_network(), statistics)
+    total, table = _branch_table(fig2_network(), statistics)
     return ScenarioReport(
         scenario="fig2",
         statistics=statistics.value,
         parameters={},
         scalars={
             "coincidence_probability": Scalar(total),
-            "patterns": Scalar(len(rows)),
+            "patterns": Scalar(len(table["pattern"])),
         },
-        table=rows,
+        table=table,
     )
 
 
 def scenario_tree(depth: int, statistics: Statistics) -> ScenarioReport:
     """Depth-N splitting tree: entangled yield 1 - 1/2**N."""
     net = tree_network(depth)
-    total, rows = _branch_table(net, statistics)
+    total, table = _branch_table(net, statistics)
     return ScenarioReport(
         scenario="tree",
         statistics=statistics.value,
@@ -194,7 +193,7 @@ def scenario_tree(depth: int, statistics: Statistics) -> ScenarioReport:
             "splitters": Scalar(len(net.splitters)),
             "outputs": Scalar(len(net.monitored)),
         },
-        table=rows,
+        table=table,
     )
 
 
@@ -212,7 +211,6 @@ def scenario_statistics_test(statistics: Statistics) -> ScenarioReport:
         verdict = Statistics.BOSON.value
     else:
         verdict = "inconclusive"
-    names = ("up,up", "up,down", "down,up", "down,down")
     return ScenarioReport(
         scenario="statistics-test",
         statistics=statistics.value,
@@ -221,9 +219,10 @@ def scenario_statistics_test(statistics: Statistics) -> ScenarioReport:
             "correlation": Scalar(correlation),
             "verdict": Scalar(verdict),
         },
-        table=[
-            {"outcome": name, "probability": float(p)} for name, p in zip(names, joint)
-        ],
+        table={
+            "outcome": ["up,up", "up,down", "down,up", "down,down"],
+            "probability": joint.tolist(),
+        },
     )
 
 
@@ -234,29 +233,27 @@ def scenario_mixed_input(statistics: Statistics) -> ScenarioReport:
     weight = 0.25
     total = 0.0
     weighted_dm = np.zeros((4, 4), dtype=complex)
-    rows = []
+    inputs, probabilities = [], []
     # (row, mixture weight, spin matrix, spin pair label) of each input with coincidences
     pairs = []
     for s_a, s_b in product((Spin.UP, Spin.DOWN), repeat=2):
         component = make_product_state(statistics, [Mode("A", s_a), Mode("B", s_b)])
         branches = detect(run_network(net, component), net.monitored)
         prob = sum(b.probability for b in branches if coincidence(b.pattern))
-        row_label = "+".join(
-            f"{m.path}{'u' if m.spin is Spin.UP else 'd'}" for m in sorted(component.modes())
-        )
-        row = {"input": row_label, "weight": weight, "coincidence_probability": prob}
-        row["bell_state"] = ""
+        spins = (f"{m.path}{'u' if m.spin is Spin.UP else 'd'}" for m in sorted(component.modes()))
+        inputs.append("+".join(spins))
+        probabilities.append(prob)
         if prob > 0.0:
             pair = branches[{"C", "D"}]
             dm = reduce_to_spin_dm(pair.state, "C", "D").matrix
             weighted_dm += weight * prob * dm
-            pairs.append((row, weight * prob, dm, _spin_pair_label(pair.state)))
+            pairs.append((len(inputs) - 1, weight * prob, dm, _spin_pair_label(pair.state)))
         total += weight * prob
-        rows.append(row)
     mixture: dict[str, float] = {}
+    bell_states = [""] * len(inputs)
     labels = bell_labels(np.array([dm for _, _, dm, _ in pairs])).tolist()
     for (row, w, _, spin_label), label in zip(pairs, labels):
-        row["bell_state"] = label = label or spin_label
+        bell_states[row] = label = label or spin_label
         mixture[label] = mixture.get(label, 0.0) + w
     decomposition = " + ".join(
         f"{w / total:.6g} {label}" for label, w in sorted(mixture.items())
@@ -278,7 +275,12 @@ def scenario_mixed_input(statistics: Statistics) -> ScenarioReport:
             "chsh_max_abs": Scalar(chsh_best),
             "conditional_decomposition": Scalar(decomposition),
         },
-        table=rows,
+        table={
+            "input": inputs,
+            "weight": [weight] * len(inputs),
+            "coincidence_probability": probabilities,
+            "bell_state": bell_states,
+        },
         matrices={"conditional_dm": conditional},
     )
 
@@ -301,21 +303,17 @@ def scenario_feedback(
             first = np.where(draws.any(axis=1), draws.argmax(axis=1) + 1, 0)
             counts += np.bincount(first, minlength=depth + 1)
     rho = np.array([reduce_to_spin_dm(r.conditional_state, "C", "D").matrix for r in rounds])
-    metrics = zip(bell_labels(rho).tolist(), concurrences(rho).tolist())
-    rows = []
-    for r, (label, c) in zip(rounds, metrics):
-        row = {
-            "round": r.round,
-            "success_probability": r.success_probability,
-            "cumulative_failure": r.cumulative_failure,
-            "cumulative_success": 1.0 - r.cumulative_failure,
-            "bell_state": label or "other",
-            "concurrence": c,
-        }
-        if trials > 0:
-            row["sampled_successes"] = int(counts[r.round])
-            row["sampled_cumulative_success"] = float(counts[1 : r.round + 1].sum() / trials)
-        rows.append(row)
+    table = {
+        "round": [r.round for r in rounds],
+        "success_probability": [r.success_probability for r in rounds],
+        "cumulative_failure": [r.cumulative_failure for r in rounds],
+        "cumulative_success": [1.0 - r.cumulative_failure for r in rounds],
+        "bell_state": [label or "other" for label in bell_labels(rho).tolist()],
+        "concurrence": concurrences(rho).tolist(),
+    }
+    if trials > 0:
+        table["sampled_successes"] = counts[1:].tolist()
+        table["sampled_cumulative_success"] = (counts[1:].cumsum() / trials).tolist()
     scalars = {
         "cumulative_failure": Scalar(rounds[-1].cumulative_failure),
         "cumulative_success": Scalar(1.0 - rounds[-1].cumulative_failure),
@@ -330,47 +328,38 @@ def scenario_feedback(
         statistics=statistics.value,
         parameters={"depth": depth, "trials": trials, "seed": seed},
         scalars=scalars,
-        table=rows,
+        table=table,
     )
 
 
 def _sweep_metrics(
-    statistics: Statistics, points: np.ndarray, overlap: Callable[[float], float]
-) -> Iterator[tuple[float, float, float, float]]:
-    """Each sweep point, its tag overlap, and the concurrence and CHSH value that pair heralds.
+    statistics: Statistics, points: list[float], overlap: Callable[[float], float]
+) -> tuple[list[float], list[float], list[float]]:
+    """The tag overlap of each sweep point, and the concurrence and CHSH value that pair heralds.
 
     The spin matrices are built, validated and evaluated :data:`METRICS_CHUNK` at a time.
     """
+    overlaps, entanglement, chsh = [], [], []
     for start in range(0, len(points), METRICS_CHUNK):
-        chunk = points[start : start + METRICS_CHUNK].tolist()
-        overlaps = [overlap(point) for point in chunk]
-        rho = coincidence_spin_dms(statistics, overlaps)
-        yield from zip(chunk, overlaps, concurrences(rho).tolist(), chsh_values(rho).tolist())
+        chunk = [overlap(point) for point in points[start : start + METRICS_CHUNK]]
+        rho = coincidence_spin_dms(statistics, chunk)
+        overlaps += chunk
+        entanglement += concurrences(rho).tolist()
+        chsh += chsh_values(rho).tolist()
+    return overlaps, entanglement, chsh
 
 
 def scenario_complementarity(grid: int, statistics: Statistics) -> ScenarioReport:
     """Sweep the tag overlap: entanglement + distinguishability = 1."""
     # the heralded pair's CHSH value is 2 sqrt2 times its concurrence, negated for bosons
     divisor = (-1.0 if statistics is Statistics.BOSON else 1.0) * 2.0 * math.sqrt(2.0)
-    rows = []
-    max_total_dev = 0.0
-    max_chsh_dev = 0.0
-    metrics = _sweep_metrics(statistics, _sweep(0.0, 1.0, grid), math.sqrt)
-    for overlap_sq, overlap, entanglement, chsh in metrics:
-        discrimination = distinguishability(overlap)
-        total = entanglement + discrimination
-        chsh_inferred = chsh / divisor
-        max_total_dev = max(max_total_dev, abs(total - 1.0))
-        max_chsh_dev = max(max_chsh_dev, abs(chsh_inferred - entanglement))
-        rows.append(
-            {
-                "overlap_sq": overlap_sq,
-                "entanglement": entanglement,
-                "distinguishability": discrimination,
-                "total": total,
-                "entanglement_chsh": chsh_inferred,
-            }
-        )
+    overlaps_sq = _sweep(0.0, 1.0, grid)
+    overlaps, entanglement, chsh = _sweep_metrics(statistics, overlaps_sq, math.sqrt)
+    discrimination = list(map(distinguishability, overlaps))
+    total = [e + d for e, d in zip(entanglement, discrimination)]
+    chsh_inferred = [value / divisor for value in chsh]
+    max_total_dev = max(0.0, *(abs(t - 1.0) for t in total))
+    max_chsh_dev = max(0.0, *(abs(c - e) for c, e in zip(chsh_inferred, entanglement)))
     return ScenarioReport(
         scenario="complementarity",
         statistics=statistics.value,
@@ -379,7 +368,13 @@ def scenario_complementarity(grid: int, statistics: Statistics) -> ScenarioRepor
             "max_total_deviation": Scalar(max_total_dev),
             "max_chsh_deviation": Scalar(max_chsh_dev),
         },
-        table=rows,
+        table={
+            "overlap_sq": overlaps_sq,
+            "entanglement": entanglement,
+            "distinguishability": discrimination,
+            "total": total,
+            "entanglement_chsh": chsh_inferred,
+        },
     )
 
 
@@ -391,19 +386,11 @@ def scenario_gaussian(
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     delays = _sweep(-delay_max, delay_max, grid)
-    metrics = _sweep_metrics(statistics, delays, lambda d: gaussian_overlap(velocity, d, width))
-    rows = []
-    max_dev = 0.0
-    for delay, overlap, entanglement, _ in metrics:
-        expected = overlap ** 2
-        max_dev = max(max_dev, abs(entanglement - expected))
-        rows.append(
-            {
-                "delay": delay,
-                "expected_entanglement": expected,
-                "entanglement": entanglement,
-            }
-        )
+    overlaps, entanglement, _ = _sweep_metrics(
+        statistics, delays, lambda d: gaussian_overlap(velocity, d, width)
+    )
+    expected = [overlap ** 2 for overlap in overlaps]
+    max_dev = max(0.0, *(abs(e - x) for e, x in zip(entanglement, expected)))
     return ScenarioReport(
         scenario="gaussian",
         statistics=statistics.value,
@@ -414,7 +401,7 @@ def scenario_gaussian(
             "grid": grid,
         },
         scalars={"max_deviation": Scalar(max_dev)},
-        table=rows,
+        table={"delay": delays, "expected_entanglement": expected, "entanglement": entanglement},
     )
 
 
@@ -432,18 +419,14 @@ def scenario_dual(statistics: Statistics) -> ScenarioReport:
             "path_concurrence": Scalar(path_c),
             "difference": Scalar(abs(spin_c - path_c)),
         },
-        table=[
-            {
-                "picture": "paths label particles, spins entangled",
-                "qubits": "C,D",
-                "concurrence": spin_c,
-            },
-            {
-                "picture": "spins label particles, paths entangled",
-                "qubits": "up,down",
-                "concurrence": path_c,
-            },
-        ],
+        table={
+            "picture": [
+                "paths label particles, spins entangled",
+                "spins label particles, paths entangled",
+            ],
+            "qubits": ["C,D", "up,down"],
+            "concurrence": [spin_c, path_c],
+        },
     )
 
 

@@ -10,6 +10,11 @@ from twinbeam.interferometer import BeamSplitter, Network
 BOTH_STATISTICS = (Statistics.BOSON, Statistics.FERMION)
 
 
+def table_rows(table: dict[str, list]) -> list[dict]:
+    """A report table as one dict per row, for checks that read several columns of a row."""
+    return [dict(zip(table, row)) for row in zip(*table.values())]
+
+
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BOTH_STATISTICS, one_sided_tree, random_network
+from conftest import BOTH_STATISTICS, one_sided_tree, random_network, table_rows
 from twinbeam import cli, interferometer, scenarios
 from twinbeam.errors import OccupancyError, TwinbeamError
 from twinbeam.interferometer import (
@@ -259,14 +259,51 @@ class TestRun:
         assert "two particles on one path" in err
 
 
+#: the command line of ``twinbeam`` in a new interpreter
+TWINBEAM = (sys.executable, "-m", "twinbeam.cli")
+
+
+def package_env():
+    """The environment of a new interpreter that imports this checkout's package."""
+    return {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+
 def fresh_process(argv):
     """Exit code, stdout and stderr of ``twinbeam <argv>`` in a new interpreter."""
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run(
-        [sys.executable, "-m", "twinbeam.cli", *argv], capture_output=True, text=True, env=env
-    )
+    done = subprocess.run([*TWINBEAM, *argv], capture_output=True, text=True, env=package_env())
     return done.returncode, done.stdout, done.stderr
+
+
+class TestProcess:
+    """What a shell sees of one ``twinbeam`` process: its exit code, stderr and memory."""
+
+    def test_closed_pipe_exits_141_without_a_traceback(self):
+        argv = [*TWINBEAM, "run", "tree", "--depth", "7", "--format", "json"]
+        proc = subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env()
+        )
+        # the 1.7 MB report outgrows the pipe, so the writer meets its closed end
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (141, b"")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in KiB on Linux")
+    def test_depth_ten_clicks_table_stays_under_400_mib(self, tmp_path):
+        path = tmp_path / "tree10.json"
+        path.write_text(json.dumps(build_tree(10).to_dict()))
+        # the probe waits for the one command, so its children's peak is that command's
+        probe = (
+            "import resource, subprocess, sys; "
+            "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True); "
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+        )
+        argv = [*TWINBEAM, "clicks", "--network", str(path), "--format", "table"]
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            capture_output=True, text=True, env=package_env(), check=True,
+        )
+        assert int(done.stdout) <= 400 * 1024
 
 
 class TestCachedParser:
@@ -341,8 +378,10 @@ def sparse_clicks_columns(net, statistics):
         scalars={"coincidence_probability": Scalar(
             sum(b.probability for b in branches if coincidence(b.pattern))
         )},
-        table=[{"pattern": pattern_label(b.pattern), "probability": b.probability}
-               for b in branches],
+        table={
+            "pattern": [pattern_label(b.pattern) for b in branches],
+            "probability": [b.probability for b in branches],
+        },
     )
     return exact_clicks_columns(report.to_json())
 
@@ -402,10 +441,10 @@ class TestClicks:
     def test_frequencies_divide_python_ints(self, trials):
         parser = cli.build_parser()
         args = parser.parse_args(["clicks", "--fig", "2", "--trials", str(trials)])
-        rows = cli._run_clicks(args, parser).table
-        counts = [row["count"] for row in rows]
+        table = cli._run_clicks(args, parser).table
+        counts = table["count"]
         assert max(counts) > 2 ** 53 and all(type(c) is int for c in counts)
-        frequencies = [row["frequency"] for row in rows]
+        frequencies = table["frequency"]
         assert frequencies == [c / trials for c in counts]
         if trials != interferometer.MAX_TRIALS:
             # a float count rounds twice, which this trial count shows in some row
@@ -437,10 +476,10 @@ class TestClicks:
         report = cli._run_clicks(args, parser)
         distribution = pattern_distribution(net, opposite_spin_input(statistics, net))
         histogram = sample_clicks(distribution, trials, sample_seed)
-        rows = report.table
-        assert [row["pattern"] for row in rows] == list(map(pattern_label, distribution))
-        assert [row["probability"] for row in rows] == list(distribution.values())
-        assert [row["count"] for row in rows] == [histogram.get(p, 0) for p in distribution]
+        rows = table_rows(report.table)
+        assert report.table["pattern"] == list(map(pattern_label, distribution))
+        assert report.table["probability"] == list(distribution.values())
+        assert report.table["count"] == [histogram.get(p, 0) for p in distribution]
         pairs = [row for row, p in zip(rows, distribution) if coincidence(p)]
         assert report.scalar("coincidence_probability") == sum(r["probability"] for r in pairs)
         coincident = sum(r["count"] for r in pairs)

@@ -15,6 +15,7 @@ from conftest import (
     one_sided_tree,
     random_network,
     random_two_particle_state,
+    table_rows,
 )
 from twinbeam import interferometer
 from twinbeam.errors import NetworkError
@@ -621,18 +622,21 @@ class TestCorrection:
     """The ``correction`` column of the branch tables."""
 
     def test_fermion_eg_pattern_needs_no_correction(self):
-        corrections = {r["pattern"]: r["correction"] for r in scenario_fig2(Statistics.FERMION).table}
+        table = scenario_fig2(Statistics.FERMION).table
+        corrections = dict(zip(table["pattern"], table["correction"]))
         assert corrections["E+G"] == "identity"
 
     def test_fermion_gh_pattern_gets_phase(self):
-        corrections = {r["pattern"]: r["correction"] for r in scenario_fig2(Statistics.FERMION).table}
+        table = scenario_fig2(Statistics.FERMION).table
+        corrections = dict(zip(table["pattern"], table["correction"]))
         assert corrections["G+H"] == "G:down-phase 1pi"
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     @pytest.mark.parametrize("depth", [2, 3])
     def test_all_tree_coincidences_correct_to_target(self, statistics, depth):
         branches = detected_branches(build_tree(depth), statistics)
-        rows = [r for r in scenario_tree(depth, statistics).table if r["detectors"] == 2]
+        report = scenario_tree(depth, statistics)
+        rows = [r for r in table_rows(report.table) if r["detectors"] == 2]
         assert len(rows) == sum(coincidence(b.pattern) for b in branches)
         for row in rows:
             p1, p2 = row["pattern"].split("+")

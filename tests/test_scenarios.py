@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import BOTH_STATISTICS
+from conftest import BOTH_STATISTICS, table_rows
 from twinbeam import interferometer, metrics, scenarios
 from twinbeam.errors import NetworkError
 from twinbeam.fock import Mode, Spin, Statistics, make_product_state
@@ -68,7 +68,8 @@ class TestFig2:
 
     def test_fermion_bell_assignments(self):
         report = scenario_fig2(Statistics.FERMION)
-        bell = {row["pattern"]: row["bell_state"] for row in report.table if row["detectors"] == 2}
+        rows = table_rows(report.table)
+        bell = {row["pattern"]: row["bell_state"] for row in rows if row["detectors"] == 2}
         assert bell == {
             "E+G": "psi_plus",
             "E+H": "psi_plus",
@@ -80,7 +81,8 @@ class TestFig2:
 
     def test_boson_bell_assignments(self):
         report = scenario_fig2(Statistics.BOSON)
-        bell = {row["pattern"]: row["bell_state"] for row in report.table if row["detectors"] == 2}
+        rows = table_rows(report.table)
+        bell = {row["pattern"]: row["bell_state"] for row in rows if row["detectors"] == 2}
         assert bell == {
             "E+G": "psi_minus",
             "E+H": "psi_minus",
@@ -102,19 +104,21 @@ class TestTree:
         named = scenario_fig2(Statistics.FERMION)
         renaming = {"00": "G", "01": "H", "10": "E", "11": "F"}
         tree_bell = {}
-        for row in tree.table:
+        for row in table_rows(tree.table):
             if row["detectors"] != 2:
                 continue
             pattern = "+".join(sorted(renaming[p] for p in row["pattern"].split("+")))
             tree_bell[pattern] = row["bell_state"]
         named_bell = {
-            row["pattern"]: row["bell_state"] for row in named.table if row["detectors"] == 2
+            row["pattern"]: row["bell_state"]
+            for row in table_rows(named.table)
+            if row["detectors"] == 2
         }
         assert tree_bell == named_bell
 
     def test_every_coincidence_branch_is_maximally_entangled(self):
         report = scenario_tree(3, Statistics.BOSON)
-        for row in report.table:
+        for row in table_rows(report.table):
             if row["detectors"] == 2:
                 assert abs(row["concurrence"] - 1.0) < 1e-9
             else:
@@ -165,16 +169,17 @@ class TestCorrectionPhases:
         expected = scenarios._correction_phases(alpha, beta, lower, upper)
         assert ((phases == 1.0) == (expected == 1.0)).all()
         assert np.abs(phases - expected).max() < 1e-12
-        rows = scenarios._branch_table(net, statistics)[1][-len(coincidences):]
+        table = scenarios._branch_table(net, statistics)[1]
         labels = map(scenarios._correction_label, map(min, coincidences), phases.tolist())
-        assert [row["correction"] for row in rows] == list(labels)
+        assert table["correction"][-len(coincidences):] == list(labels)
         bell = {1.0: "psi_plus", -1.0: "psi_minus"}
-        assert [row["bell_state"] for row in rows] == [bell.get(p, "other") for p in phases.tolist()]
+        expected_bell = [bell.get(p, "other") for p in phases.tolist()]
+        assert table["bell_state"][-len(coincidences):] == expected_bell
 
     def test_off_axis_phases_are_labelled_other(self):
-        total, rows = scenarios._branch_table(CROSSED_NETWORK, Statistics.FERMION)
+        total, table = scenarios._branch_table(CROSSED_NETWORK, Statistics.FERMION)
         assert abs(total - 0.6875) < 1e-12
-        other = {row["correction"] for row in rows if row["bell_state"] == "other"}
+        other = {c for c, b in zip(table["correction"], table["bell_state"]) if b == "other"}
         assert {"w10:down-phase 0.25pi", "w7:down-phase 0.5pi", "w11:down-phase -0.75pi"} <= other
 
     @pytest.mark.parametrize(
@@ -199,7 +204,7 @@ class TestStatisticsTest:
         report = scenario_statistics_test(Statistics.FERMION)
         assert abs(report.scalar("correlation") - 1.0) < 1e-12
         assert report.scalar("verdict") == "fermion"
-        joint = {row["outcome"]: row["probability"] for row in report.table}
+        joint = dict(zip(report.table["outcome"], report.table["probability"]))
         assert abs(joint["up,up"] - 0.5) < 1e-12
         assert abs(joint["down,down"] - 0.5) < 1e-12
         assert joint["up,down"] < 1e-12 and joint["down,up"] < 1e-12
@@ -257,8 +262,8 @@ class TestEnsemble:
     def test_unpolarized_pair_components(self):
         # mixed-input averages over the four spin products, each at weight 1/4
         report = scenario_mixed_input(Statistics.BOSON)
-        assert [row["input"] for row in report.table] == ["Au+Bu", "Au+Bd", "Ad+Bu", "Ad+Bd"]
-        assert all(row["weight"] == 0.25 for row in report.table)
+        assert report.table["input"] == ["Au+Bu", "Au+Bd", "Ad+Bu", "Ad+Bd"]
+        assert report.table["weight"] == [0.25] * 4
 
 
 class TestFeedback:
@@ -288,22 +293,23 @@ class TestFeedback:
 
     def test_round_table_tracks_bell_identity(self):
         report = scenario_feedback(2, Statistics.FERMION, trials=0)
-        assert [row["bell_state"] for row in report.table] == ["psi_plus", "psi_minus"]
+        assert report.table["bell_state"] == ["psi_plus", "psi_minus"]
 
 
 class TestComplementarity:
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     def test_grid_rows_satisfy_sum_rule(self, statistics):
         report = scenario_complementarity(21, statistics)
-        assert len(report.table) == 21
-        for row in report.table:
+        rows = table_rows(report.table)
+        assert len(rows) == 21
+        for row in rows:
             assert abs(row["total"] - 1.0) < 1e-9
             assert abs(row["entanglement"] - row["overlap_sq"]) < 1e-9
             assert abs(row["entanglement_chsh"] - row["entanglement"]) < 1e-9
 
     def test_extreme_rows(self):
         report = scenario_complementarity(11, Statistics.FERMION)
-        first, last = report.table[0], report.table[-1]
+        first, *_, last = table_rows(report.table)
         assert first["overlap_sq"] == 0.0 and abs(first["distinguishability"] - 1.0) < 1e-12
         assert last["overlap_sq"] == 1.0 and abs(last["entanglement"] - 1.0) < 1e-9
 
@@ -352,19 +358,19 @@ class TestSweepChunks:
 class TestGaussian:
     def test_zero_delay_is_maximal(self):
         report = scenario_gaussian(1.0, 1.0, 2.0 * math.sqrt(2.0), 5, Statistics.BOSON)
-        middle = report.table[len(report.table) // 2]
+        rows = table_rows(report.table)
+        middle = rows[len(rows) // 2]
         assert middle["delay"] == 0.0 and abs(middle["entanglement"] - 1.0) < 1e-9
 
     def test_reference_point_hits_one_over_e(self):
         report = scenario_gaussian(1.0, 1.0, 2.0 * math.sqrt(2.0), 5, Statistics.FERMION)
-        point = report.table[3]
+        point = table_rows(report.table)[3]
         assert abs(point["delay"] - math.sqrt(2.0)) < 1e-12
         assert abs(point["entanglement"] - math.exp(-1.0)) < 1e-9
 
     def test_monotone_in_absolute_delay(self):
         report = scenario_gaussian(0.7, 1.3, 3.0, 21, Statistics.BOSON)
-        rows = report.table
-        values = [row["entanglement"] for row in rows]
+        values = report.table["entanglement"]
         middle = len(values) // 2
         for i in range(middle, len(values) - 1):
             assert values[i] > values[i + 1]
