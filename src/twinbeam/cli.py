@@ -172,7 +172,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         if args.output is None:
             # the interpreter flushes stdout at exit: let that write go nowhere
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 141
     except OSError as exc:
         if args.output is None:

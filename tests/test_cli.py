@@ -285,8 +285,8 @@ class TestProcess:
         # the 1.7 MB report outgrows the pipe, so the writer meets its closed end
         assert len(proc.stdout.read(10)) == 10
         proc.stdout.close()
-        err = proc.stderr.read()
-        assert (proc.wait(timeout=120), err) == (141, b"")
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, b"")
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in KiB on Linux")
     def test_depth_ten_clicks_table_stays_under_400_mib(self, tmp_path):
