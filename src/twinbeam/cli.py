@@ -26,17 +26,13 @@ from .interferometer import (
     Network,
     _detect_pairs,
     _draw_counts,
+    build_tree,
     fig1_network,
     fig2_network,
     opposite_spin_input,
 )
 from .reporting import SAMPLED, Scalar, ScenarioReport, canonical_json
-from .scenarios import (
-    DEFAULT_SEED,
-    SCENARIOS,
-    list_scenarios,
-    tree_network,
-)
+from .scenarios import DEFAULT_SEED, SCENARIOS, list_scenarios
 
 _FORMATS = ("table", "json", "csv")
 
@@ -59,7 +55,7 @@ def _clicks_network(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         except (OSError, json.JSONDecodeError, NetworkError) as exc:
             parser.error(f"cannot load network file {args.network!r}: {exc}")
     if args.depth is not None:
-        return tree_network(args.depth)
+        return build_tree(args.depth)
     return fig1_network() if args.fig == 1 else fig2_network()
 
 

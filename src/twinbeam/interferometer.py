@@ -93,7 +93,8 @@ class Network:
     ``inputs`` are the only paths a state may occupy on entry; splitter
     input ports that are neither network inputs nor earlier outputs are
     permanently empty vacuum ports.  ``monitored`` paths carry the
-    which-way detectors and must be terminal.
+    which-way detectors and must be terminal; none is named ``none`` or
+    holds a ``+``, which name the patterns of ``twinbeam clicks``.
     """
 
     splitters: tuple[BeamSplitter, ...]
@@ -130,6 +131,8 @@ class Network:
                 raise NetworkError(f"monitored path {p!r} does not exist in the network")
             if p in consumed:
                 raise NetworkError(f"monitored path {p!r} is not terminal")
+            if p == "none" or "+" in p:
+                raise NetworkError(f"monitored path {p!r} would make pattern labels ambiguous")
 
     def path_map(self) -> PathTable:
         """Where one particle entering each network input ends up.
@@ -488,10 +491,9 @@ def build_tree(depth: int) -> Network:
     by a binary string s is further split into s+"0" (out1) and s+"1"
     (out2), the unused second port of that splitter being the vacuum
     path s+"~".  Depth 1 is the single-splitter setup; depth 2 adds the
-    two second-stage splitters.
+    two second-stage splitters.  ``depth`` lies in 1 .. :data:`MAX_TREE_DEPTH`.
     """
-    if not 1 <= depth <= MAX_TREE_DEPTH:
-        raise ValueError(f"tree depth must be between 1 and {MAX_TREE_DEPTH}, got {depth}")
+    _check_range("depth", depth, 1, MAX_TREE_DEPTH)
     splitters = [BeamSplitter("A", "B", "0", "1")]
     for level in range(1, depth):
         for index in range(2 ** level):

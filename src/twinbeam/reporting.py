@@ -8,6 +8,7 @@ re-serialization is the identity.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
@@ -171,10 +172,14 @@ class ScenarioReport:
         return buf.getvalue()
 
     def to_csv(self) -> str:
+        """The header and rows as newline-terminated CSV lines, with ``csv``'s minimal quoting."""
         self._rows()
         columns = [[_cell(v, JSON_DIGITS) for v in column] for column in self.table.values()]
-        # the empty last line ends the text with a newline, without a second copy of it
-        return "\n".join([",".join(self.table), *map(",".join, zip(*columns)), ""])
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(self.table)
+        writer.writerows(zip(*columns))
+        return buf.getvalue()
 
     def to_table(self) -> str:
         self._rows()

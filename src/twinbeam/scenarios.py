@@ -9,7 +9,7 @@ and reports yields, correlations, concurrences and CHSH values in a
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import accumulate, product
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -17,9 +17,11 @@ import numpy as np
 from .errors import NetworkError
 from .fock import FockState, Mode, Spin, Statistics, apply_spin_rotation, make_product_state
 from .interferometer import (
+    MAX_TRIALS,
     Network,
     _check_range,
     _detect_pairs,
+    _draw_counts,
     build_tree,
     coincidence,
     detect,
@@ -53,28 +55,13 @@ SPIN_MIXER = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 #: correlation magnitudes below this are reported as inconclusive
 VERDICT_DEAD_ZONE = 0.1
 
-#: deepest tree the tree scenario and ``twinbeam clicks --depth`` accept
-MAX_SCENARIO_TREE_DEPTH = 7
-
 #: most points a complementarity or gaussian sweep takes: a report of that many
 #: points holds about 15 MiB of table columns
 MAX_GRID = 100_000
 
-#: most sampled feedback trajectories: about two and a half minutes at 10 rounds
-MAX_FEEDBACK_TRIALS = 10 ** 9
-
-#: feedback trajectories drawn at once, which bounds the memory of a sampled run
-FEEDBACK_CHUNK = 4096
-
 #: coincidence spin matrices validated and evaluated at once in a branch table or
 #: a sweep; stacking all 8,128 of a depth-7 tree at once raises the peak memory by half
 METRICS_CHUNK = 512
-
-
-def tree_network(depth: int) -> Network:
-    """The splitting tree of the tree scenario and of ``twinbeam clicks --depth``."""
-    _check_range("depth", depth, 1, MAX_SCENARIO_TREE_DEPTH)
-    return build_tree(depth)
 
 
 def _sweep(start: float, stop: float, grid: int) -> list[float]:
@@ -181,7 +168,7 @@ def scenario_fig2(statistics: Statistics) -> ScenarioReport:
 
 def scenario_tree(depth: int, statistics: Statistics) -> ScenarioReport:
     """Depth-N splitting tree: entangled yield 1 - 1/2**N."""
-    net = tree_network(depth)
+    net = build_tree(depth)
     total, table = _branch_table(net, statistics)
     return ScenarioReport(
         scenario="tree",
@@ -288,39 +275,40 @@ def scenario_mixed_input(statistics: Statistics) -> ScenarioReport:
 def scenario_feedback(
     depth: int, statistics: Statistics, trials: int = 0, seed: int = DEFAULT_SEED
 ) -> ScenarioReport:
-    """Feedback recycling: failure probability halves every round."""
-    _check_range("trials", trials, 0, MAX_FEEDBACK_TRIALS)
+    """Feedback recycling: failure probability halves every round.
+
+    ``trials`` sampled trajectories (0: exact only) come from one seeded
+    draw: a trajectory's first success lands in round k with probability
+    ``F(k-1) p(k)`` and never with ``F(depth)``, ``F`` being the
+    cumulative failure (``F(0) = 1``) and ``p`` the success probability.
+    """
+    _check_range("trials", trials, 0, MAX_TRIALS)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     rounds = feedback_run(depth, statistics)
-    # counts[k]: sampled trajectories whose first success came in round k (0: none)
-    counts = np.zeros(depth + 1, dtype=np.int64)
-    if trials > 0:
-        rng = np.random.default_rng(seed)
-        per_round = np.array([r.success_probability for r in rounds])
-        for start in range(0, trials, FEEDBACK_CHUNK):
-            draws = rng.random((min(FEEDBACK_CHUNK, trials - start), depth)) < per_round
-            first = np.where(draws.any(axis=1), draws.argmax(axis=1) + 1, 0)
-            counts += np.bincount(first, minlength=depth + 1)
     rho = np.array([reduce_to_spin_dm(r.conditional_state, "C", "D").matrix for r in rounds])
+    failures = [r.cumulative_failure for r in rounds]
     table = {
         "round": [r.round for r in rounds],
         "success_probability": [r.success_probability for r in rounds],
-        "cumulative_failure": [r.cumulative_failure for r in rounds],
-        "cumulative_success": [1.0 - r.cumulative_failure for r in rounds],
+        "cumulative_failure": failures,
+        "cumulative_success": [1.0 - f for f in failures],
         "bell_state": [label or "other" for label in bell_labels(rho).tolist()],
         "concurrence": concurrences(rho).tolist(),
     }
-    if trials > 0:
-        table["sampled_successes"] = counts[1:].tolist()
-        table["sampled_cumulative_success"] = (counts[1:].cumsum() / trials).tolist()
     scalars = {
-        "cumulative_failure": Scalar(rounds[-1].cumulative_failure),
-        "cumulative_success": Scalar(1.0 - rounds[-1].cumulative_failure),
+        "cumulative_failure": Scalar(failures[-1]),
+        "cumulative_success": Scalar(1.0 - failures[-1]),
         "rounds": Scalar(depth),
     }
     if trials > 0:
-        scalars["sampled_success"] = Scalar(float(counts[1:].sum() / trials), SAMPLED)
+        first_success = [f * r.success_probability for f, r in zip([1.0, *failures], rounds)]
+        # counts[k]: trajectories whose first success came in round k (0: none)
+        counts = _draw_counts([failures[-1], *first_success], trials, seed)
+        cumulative = list(accumulate(counts[1:]))
+        table["sampled_successes"] = counts[1:]
+        table["sampled_cumulative_success"] = [c / trials for c in cumulative]
+        scalars["sampled_success"] = Scalar(cumulative[-1] / trials, SAMPLED)
         scalars["trials"] = Scalar(trials)
         scalars["seed"] = Scalar(seed)
     return ScenarioReport(

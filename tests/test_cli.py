@@ -1,6 +1,8 @@
 """Tests for the command-line interface: exit codes, formats, determinism."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -103,6 +105,31 @@ class TestRun:
             cells = line.split(",")
             assert abs(float(cells[e_col]) + float(cells[d_col]) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("statistics", ["boson", "fermion"])
+    @pytest.mark.parametrize("scenario", list(SCENARIOS))
+    def test_csv_rows_parse_to_the_header_width(self, capsys, scenario, statistics):
+        code, out, _ = run_cli(capsys, "run", scenario, "--statistics", statistics, "--format", "csv")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert rows and all(len(row) == len(header) for row in rows)
+
+    def test_csv_quotes_cells_holding_a_comma(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "run", "statistics-test", "--format", "csv")
+        assert code == 0
+        outcomes = [row[0] for row in csv.reader(io.StringIO(out))]
+        assert outcomes == ["outcome", "up,up", "up,down", "down,up", "down,down"]
+        assert out.splitlines()[1].startswith('"up,up",')
+        path = tmp_path / "commas.json"
+        path.write_text(json.dumps(
+            {"splitters": [["A", "B", "x,1", "y,2"]], "inputs": ["A", "B"],
+             "monitored": ["x,1", "y,2"]}
+        ))
+        code, out, _ = run_cli(capsys, "clicks", "--network", str(path), "--format", "csv")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert [row[0] for row in rows] == ["x,1", "y,2", "x,1+y,2"]
+        assert all(len(row) == len(header) for row in rows)
+
     def test_json_output_is_byte_identical(self, capsys):
         argv = ("run", "feedback", "--depth", "3", "--trials", "1000", "--seed", "7",
                 "--format", "json")
@@ -170,34 +197,47 @@ class TestRun:
 
     def test_out_of_range_depth_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            cli.main(["run", "tree", "--depth", "9"])
+            cli.main(["run", "tree", "--depth", "11"])
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize(
         "command,message",
         [
-            ("run tree --depth 8", "depth must be between 1 and 7, got 8"),
-            ("clicks --depth 8", "depth must be between 1 and 7, got 8"),
+            ("run tree --depth 11", "depth must be between 1 and 10, got 11"),
+            ("clicks --depth 11", "depth must be between 1 and 10, got 11"),
             ("run complementarity --grid 1", "grid must be between 2 and 100000, got 1"),
             ("run complementarity --grid 100001", "grid must be between 2 and 100000, got 100001"),
             ("run gaussian --grid 100001", "grid must be between 2 and 100000, got 100001"),
-            ("run feedback --trials 1000000001",
-             "trials must be between 0 and 1000000000, got 1000000001"),
+            ("run feedback --trials 9223372036854775808",
+             "trials must be between 0 and 9223372036854775807, got 9223372036854775808"),
             ("run feedback --depth 11", "max_rounds must be between 1 and 10, got 11"),
+            ("run feedback --trials -1", "trials must be between 0 and 9223372036854775807, got -1"),
+            # exact only, so no draw checks the seed
+            ("run feedback --seed=-1 --trials 0", "seed must be nonnegative, got -1"),
         ],
     )
     def test_parameter_past_its_bound_is_usage_error(self, capsys, monkeypatch, command, message):
         def no_run(*args):
             raise AssertionError("computed past the range check")
 
-        for name in ("build_tree", "coincidence_spin_dms"):
+        # build_tree checks its depth itself; the branch tables and clicks detect next
+        for name in ("_detect_pairs", "coincidence_spin_dms"):
             monkeypatch.setattr(scenarios, name, no_run)
+        monkeypatch.setattr(cli, "_detect_pairs", no_run)
         # every feedback round propagates first
         monkeypatch.setattr(interferometer, "run_network", no_run)
         with pytest.raises(SystemExit) as excinfo:
             cli.main(command.split())
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_feedback_samples_the_most_trials(self, capsys):
+        argv = ["run", "feedback", "--depth", "10", "--trials", "9223372036854775807"]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        scalars = json.loads(out)["scalars"]
+        assert scalars["trials"]["value"] == 2 ** 63 - 1
+        assert abs(scalars["sampled_success"]["value"] - (1 - 2 ** -10)) < 1e-6
 
     def test_negative_feedback_seed_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -274,6 +314,15 @@ def fresh_process(argv):
     return done.returncode, done.stdout, done.stderr
 
 
+#: prints the peak resident KiB of the command in its arguments; the probe waits
+#: for that one command, so its children's peak is that command's
+MAXRSS_PROBE = (
+    "import resource, subprocess, sys; "
+    "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True); "
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+)
+
+
 class TestProcess:
     """What a shell sees of one ``twinbeam`` process: its exit code, stderr and memory."""
 
@@ -292,18 +341,25 @@ class TestProcess:
     def test_depth_ten_clicks_table_stays_under_400_mib(self, tmp_path):
         path = tmp_path / "tree10.json"
         path.write_text(json.dumps(build_tree(10).to_dict()))
-        # the probe waits for the one command, so its children's peak is that command's
-        probe = (
-            "import resource, subprocess, sys; "
-            "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True); "
-            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
-        )
         argv = [*TWINBEAM, "clicks", "--network", str(path), "--format", "table"]
         done = subprocess.run(
-            [sys.executable, "-c", probe, *argv],
+            [sys.executable, "-c", MAXRSS_PROBE, *argv],
             capture_output=True, text=True, env=package_env(), check=True,
         )
         assert int(done.stdout) <= 400 * 1024
+
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in KiB on Linux")
+    def test_depth_ten_tree_table_stays_under_512_mib(self, tmp_path):
+        argv = [*TWINBEAM, "run", "tree", "--depth", "10", "--format", "table",
+                "--output", str(tmp_path / "tree10.txt")]
+        done = subprocess.run(
+            [sys.executable, "-c", MAXRSS_PROBE, *argv],
+            capture_output=True, text=True, env=package_env(), check=True,
+        )
+        assert int(done.stdout) <= 512 * 1024
+        with open(tmp_path / "tree10.txt") as report:
+            assert report.readline() == "scenario: tree  [fermion]\n"
 
 
 class TestCachedParser:
@@ -315,7 +371,7 @@ class TestCachedParser:
         monkeypatch.setenv("COLUMNS", "80")
         target = tmp_path / "fig1.txt"
         sequence = [
-            ["run", "tree", "--depth", "9"],
+            ["run", "tree", "--depth", "11"],
             ["run", "tree", "--depth", "3", "--format", "json"],
             ["run", "fig1", "--output", str(target)],
             ["run", "fig1"],
@@ -505,6 +561,18 @@ class TestClicks:
             cli.main(["clicks", *sources.split()])
         assert excinfo.value.code == 2
 
+    def test_monitored_path_named_like_a_pattern_is_usage_error(self, capsys, tmp_path):
+        # else one pattern would print as "none" and a coincidence as "none+x+y"
+        path = tmp_path / "ambiguous.json"
+        path.write_text(json.dumps(
+            {"splitters": [["A", "B", "none", "x+y"]], "inputs": ["A", "B"],
+             "monitored": ["none", "x+y"]}
+        ))
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["clicks", "--network", str(path)])
+        assert excinfo.value.code == 2
+        assert "pattern labels ambiguous" in capsys.readouterr().err
+
     def test_rejects_bad_network_file(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -577,8 +645,9 @@ def test_readme_command_parses(command):
 #: grid-1001 sweeps, which span two 512-matrix metric chunks: before the sweeps
 #: were stacked; complementarity: after its spin matrices were superposed from
 #: two propagated basis pairs, which moved only the last bits of its two
-#: max_*_deviation scalars); any drift in a reported number or in the canonical
-#: encoding changes them
+#: max_*_deviation scalars; sampled feedback: after its trajectories came from
+#: one multinomial draw, which changed only its sampled_* fields); any drift in
+#: a reported number or in the canonical encoding changes them
 PINNED_JSON_SHA256 = {
     ("tree --depth 4", "boson"):
         "6cc03df8bb5f830d742081d3d3195ea6c400b6e83cb4b61d202c0673201e0a00",
@@ -617,9 +686,9 @@ PINNED_JSON_SHA256 = {
     ("statistics-test", "fermion"):
         "4a1d0cc6839430d82f3141dff093f1aa2aed2fc956fc4d56075a92e0f833bd8e",
     ("feedback --depth 4 --trials 1000 --seed 7", "boson"):
-        "7616df046da0b9bec4dab0fa5516a446c2b2839a364d9fe9aecbc707e7813d68",
+        "48fb070f46b52bc71de3140921bcfd864d29ee019a334514a7b72076ae0a0466",
     ("feedback --depth 4 --trials 1000 --seed 7", "fermion"):
-        "5f7a17dc4b1f8d6f60b05688d4e0ac6d41b632c284b39a64224567de78d9e84f",
+        "5d553b0d6cf2ed3d82cfdfcb306d19734ae86fda056ed99a754e1bc98c8e59ad",
     ("complementarity --grid 1001", "boson"):
         "ea1f5449b93330de60019b56a0f306be580de5e183eaccd6df3bba2dcd8e157b",
     ("complementarity --grid 1001", "fermion"):
@@ -717,7 +786,9 @@ def test_shuffled_tree_clicks_output_is_pinned(capsys, tmp_path):
 #: functions were merged into one (complementarity tables: after its spin
 #: matrices were superposed, which moved the last bits of max_total_deviation;
 #: fig1, feedback, statistics-test, mixed-input, gaussian and dual: recorded
-#: before the renderers dropped the value types that no scenario emits)
+#: before the renderers dropped the value types that no scenario emits; the CSV
+#: of statistics-test, fermion mixed-input and dual: after cells holding a
+#: comma were quoted)
 PINNED_TEXT_SHA256 = {
     ("run fig2", "boson", "csv"):
         "9ecd84aae2e2079fd6413ba3ddef36bbffdf573ea0b064a622ed55d60de397cd",
@@ -768,9 +839,9 @@ PINNED_TEXT_SHA256 = {
     ("run feedback", "fermion", "table"):
         "c8224c3ed35c8cb3da0d400ae5e5719f8dab83d5f6d8111804f81cf4043cc0f5",
     ("run statistics-test", "boson", "csv"):
-        "978883db29e23f4a9bb9909a4c98e16b4d03ad3548c5d7faf02c7949a1bf0a73",
+        "b66391c528713886f7048b26bbc7e13386f965cff9d0bd2080325f8d18302582",
     ("run statistics-test", "fermion", "csv"):
-        "396b0c1112c71ca4d73ddf4db83c10b4846a076f9600149d0476772e5f09ddec",
+        "e927cb957e7fc97e151f85e1b043925e0b6ee8ecad6f17438334a3579edd8e8b",
     ("run statistics-test", "boson", "table"):
         "f09a0c44cb7712e2fd2baea46bcfdbf1bf5c0b7c030e8b374e3cb6a2edaa34a9",
     ("run statistics-test", "fermion", "table"):
@@ -778,7 +849,7 @@ PINNED_TEXT_SHA256 = {
     ("run mixed-input", "boson", "csv"):
         "c8e2832bb6c5e2db7268896deeb38c41d07b4873af070019c5c524562422e829",
     ("run mixed-input", "fermion", "csv"):
-        "d1b984394a43df5adbae1a5a6f76112e4e84a0768d763ffa08228fd4aed82297",
+        "6ea98eb52a21a3d6000b144f551a6804f416a79610abc3546aca8321eed022d9",
     ("run mixed-input", "boson", "table"):
         "a6f7ed9d8030689b4a8963bc64a4bc17491d9e4e5d2bed1ab8a8967e0f7427f9",
     ("run mixed-input", "fermion", "table"):
@@ -792,9 +863,9 @@ PINNED_TEXT_SHA256 = {
     ("run gaussian", "fermion", "table"):
         "3d8852295a14102b4be8d9f7ee4260c7dc397624575dcc35f6a78a74041e1cd6",
     ("run dual", "boson", "csv"):
-        "d29e844454475a0b83583e913d740727a2cbdb9577b0f6ff96308825be4672da",
+        "dab1a183e5b4132ecf40599480eca431b6c81d133f9f03d1ad704257dc0f7942",
     ("run dual", "fermion", "csv"):
-        "d29e844454475a0b83583e913d740727a2cbdb9577b0f6ff96308825be4672da",
+        "dab1a183e5b4132ecf40599480eca431b6c81d133f9f03d1ad704257dc0f7942",
     ("run dual", "boson", "table"):
         "ef23540414036c483c5e7f9799a3da42537b4183ecb6417cd9b30395112905b2",
     ("run dual", "fermion", "table"):

@@ -156,6 +156,12 @@ class TestNetworkValidation:
                 ("C", "F"),
             )
 
+    @pytest.mark.parametrize("name", ["none", "x+y", "+"])
+    def test_monitored_path_cannot_look_like_a_pattern_label(self, name):
+        # clicks names a pattern by its paths joined by "+", and no click "none"
+        with pytest.raises(NetworkError, match="pattern labels ambiguous"):
+            Network((BeamSplitter("A", "B", "C", name),), ("A", "B"), ("C", name))
+
     def test_splitter_ports_distinct(self):
         with pytest.raises(NetworkError):
             BeamSplitter("A", "A", "C", "D")

@@ -136,7 +136,7 @@ class TestTree:
 
     def test_depth_guard(self):
         with pytest.raises(ValueError):
-            scenario_tree(8, Statistics.BOSON)
+            scenario_tree(11, Statistics.BOSON)
 
 
 class TestCorrectionPhases:
@@ -286,10 +286,28 @@ class TestFeedback:
         assert abs(report.scalar("sampled_success") - exact) < 3.0 * sigma
         assert report.scalars["sampled_success"].provenance == "sampled"
 
-    def test_sampling_does_not_depend_on_chunk_size(self, monkeypatch):
-        report = scenario_feedback(4, Statistics.BOSON, trials=50, seed=8)
-        monkeypatch.setattr(scenarios, "FEEDBACK_CHUNK", 7)
-        assert scenario_feedback(4, Statistics.BOSON, trials=50, seed=8).to_json() == report.to_json()
+    def test_counts_are_one_draw_of_the_first_success_probabilities(self):
+        report = scenario_feedback(6, Statistics.BOSON, trials=5000, seed=11)
+        failures = [1.0, *report.table["cumulative_failure"]]
+        first_success = [f * p for f, p in zip(failures, report.table["success_probability"])]
+        counts = interferometer._draw_counts([failures[-1], *first_success], 5000, 11)
+        assert report.table["sampled_successes"] == counts[1:]
+        assert report.table["sampled_cumulative_success"] == [
+            sum(counts[1:k + 1]) / 5000 for k in range(1, 7)
+        ]
+        assert report.scalar("sampled_success") == sum(counts[1:]) / 5000
+
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    def test_first_successes_follow_the_closed_form(self, statistics):
+        # chi-square over the 11 outcomes (first success in round 1..10, or none):
+        # the 0.999 quantile for 10 degrees of freedom is 29.59
+        trials, depth = 10 ** 6, 10
+        report = scenario_feedback(depth, statistics, trials=trials)
+        successes = report.table["sampled_successes"]
+        observed = [trials - sum(successes), *successes]
+        expected = [trials * 0.5 ** depth] + [trials * 0.5 ** k for k in range(1, depth + 1)]
+        chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+        assert chi2 < 29.59
 
     def test_round_table_tracks_bell_identity(self):
         report = scenario_feedback(2, Statistics.FERMION, trials=0)
