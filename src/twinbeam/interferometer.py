@@ -93,8 +93,8 @@ class Network:
     ``inputs`` are the only paths a state may occupy on entry; splitter
     input ports that are neither network inputs nor earlier outputs are
     permanently empty vacuum ports.  ``monitored`` paths carry the
-    which-way detectors and must be terminal; none is named ``none`` or
-    holds a ``+``, which name the patterns of ``twinbeam clicks``.
+    which-way detectors and must be terminal; none may be named ``none``
+    or hold a ``+``, the marks of ``twinbeam clicks``' pattern labels.
     """
 
     splitters: tuple[BeamSplitter, ...]

@@ -348,7 +348,6 @@ class TestProcess:
         )
         assert int(done.stdout) <= 400 * 1024
 
-
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in KiB on Linux")
     def test_depth_ten_tree_table_stays_under_512_mib(self, tmp_path):
         argv = [*TWINBEAM, "run", "tree", "--depth", "10", "--format", "table",
