@@ -32,7 +32,6 @@ from .interferometer import (
     FeedbackRound,
     Network,
     build_tree,
-    coincidence,
     detect,
     feedback_run,
     fig1_network,

@@ -479,11 +479,6 @@ def _pair_cells(state: FockState, table: PathTable, terminals: Sequence[str]) ->
     return list(labels), label, i, j, psi
 
 
-def coincidence(pattern: ExcitationPattern) -> bool:
-    """True when exactly two distinct detectors fired."""
-    return len(pattern) == 2
-
-
 def build_tree(depth: int) -> Network:
     """Binary splitting tree with detectors on the 2**depth leaf paths.
 
@@ -524,10 +519,16 @@ def opposite_spin_input(statistics: Statistics, net: Network) -> FockState:
     return make_product_state(statistics, [Mode(a, Spin.UP), Mode(b, Spin.DOWN)])
 
 
-def heralded_pair(state: FockState) -> FockState:
-    """The state of a pair sent through the single splitter, given that C and D both fired."""
+def heralded_pair(state: FockState) -> Branch:
+    """The C+D branch that :func:`detect` gives for a pair sent through the single splitter.
+
+    A pair that never fires both detectors gets probability 0.0 and the zero state.
+    """
     net = fig1_network()
-    return detect(run_network(net, state), net.monitored)[{"C", "D"}].state
+    for branch in detect(run_network(net, state), net.monitored):
+        if branch.pattern == {"C", "D"}:
+            return branch
+    return Branch(frozenset(("C", "D")), FockState(state.statistics, {}), 0.0)
 
 
 class FeedbackRound(NamedTuple):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import OccupancyError
 from .fock import FockState, Mode, Monomial, Spin, Statistics, make_product_state
-from .interferometer import detect, fig1_network, run_network
+from .interferometer import heralded_pair
 
 DM_TOL = 1e-9
 
@@ -270,7 +270,7 @@ def tagged_opposite_spin_input(statistics: Statistics, overlap: complex) -> Fock
 def coincidence_spin_dms(statistics: Statistics, overlaps: Sequence[complex]) -> np.ndarray:
     """Spin matrices heralded by a coincidence for tagged opposite-spin pairs, one per overlap.
 
-    Each equals :func:`reduce_to_spin_dm` of :func:`heralded_pair` for that overlap's
+    Each equals :func:`reduce_to_spin_dm` of the :func:`heralded_pair` state of that overlap's
     :func:`tagged_opposite_spin_input`, but the coincidence is linear in the input, so only
     the tag pairs 0, 0 and 0, 1 are propagated and superposed.  The ``(k, 4, 4)`` stack is
     validated once, by :func:`validate_dms`.
@@ -279,9 +279,7 @@ def coincidence_spin_dms(statistics: Statistics, overlaps: Sequence[complex]) ->
     mag = np.abs(overlaps)
     for m in mag.tolist():
         _checked_magnitude(m)
-    net = fig1_network()
-    pairs = (tagged_opposite_spin_input(statistics, o) for o in (1.0, 0.0))
-    branches = [detect(run_network(net, pair), net.monitored)[{"C", "D"}] for pair in pairs]
+    branches = [heralded_pair(tagged_opposite_spin_input(statistics, o)) for o in (1.0, 0.0)]
     # each branch's normalized amplitudes times its amplitude norm: the unnormalized coincidence
     norms = np.sqrt([b.probability for b in branches])[:, None, None]
     v_par, v_orth = norms * _pair_blocks([b.state for b in branches], "C", "D", _spin_place)

@@ -154,8 +154,8 @@ class ScenarioReport:
                 ]
                 for name, m in self.matrices.items()
             }
-        # "table" sorts after every other key: drop the closing "\n}" and append it
-        stream.write(_nested_json(head, 0)[:-2] + ',\n  "table": ')
+        # "table" sorts after every other key: drop the closing "\n}\n" and append it
+        stream.write(canonical_json(head)[:-3] + ',\n  "table": ')
         body = ",".join(f"\n      {encode_basestring(k).replace('%', '%%')}: %s" for k in keys)
         template = "\n    {" + body + "\n    }"
         opening = "["
@@ -205,10 +205,4 @@ class ScenarioReport:
 
 def canonical_json(data: Any) -> str:
     """Stable JSON encoding: sorted keys, two-space indent, newline-terminated."""
-    return _nested_json(data, 0) + "\n"
-
-
-def _nested_json(data: Any, depth: int) -> str:
-    """Canonical encoding of ``data`` as a value nested ``depth`` levels deep."""
-    text = json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False)
-    return text.replace("\n", "\n" + "  " * depth)
+    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"

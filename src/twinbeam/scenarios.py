@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import NetworkError
-from .fock import FockState, Mode, Spin, Statistics, apply_spin_rotation, make_product_state
+from .fock import Mode, Spin, Statistics, apply_spin_rotation, make_product_state
 from .interferometer import (
     MAX_TRIALS,
     Network,
@@ -23,14 +23,11 @@ from .interferometer import (
     _detect_pairs,
     _draw_counts,
     build_tree,
-    coincidence,
-    detect,
     feedback_run,
     fig1_network,
     fig2_network,
     heralded_pair,
     opposite_spin_input,
-    run_network,
 )
 from .metrics import (
     bell_labels,
@@ -51,6 +48,9 @@ DEFAULT_SEED = 1905
 
 #: rotation |up> -> (|up>+|down>)/sqrt2, |down> -> (|up>-|down>)/sqrt2
 SPIN_MIXER = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+
+#: the two-qubit spin basis |s1 s2>, in the row order 2 s1 + s2 of a spin matrix
+SPIN_PAIRS = ("up,up", "up,down", "down,up", "down,down")
 
 #: correlation magnitudes below this are reported as inconclusive
 VERDICT_DEAD_ZONE = 0.1
@@ -129,12 +129,6 @@ def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str
     return sum(probabilities[first:]), table
 
 
-def _spin_pair_label(state: FockState) -> str:
-    names = {Spin.UP: "up", Spin.DOWN: "down"}
-    monomial = next(iter(state.terms))
-    return ",".join(names[m.spin] for m in monomial)
-
-
 def scenario_fig1(statistics: Statistics) -> ScenarioReport:
     """Single splitter on an opposite-spin pair: heralded Bell-pair source."""
     total, table = _branch_table(fig1_network(), statistics)
@@ -186,7 +180,7 @@ def scenario_tree(depth: int, statistics: Statistics) -> ScenarioReport:
 
 def scenario_statistics_test(statistics: Statistics) -> ScenarioReport:
     """Identify the statistics from rotated spin correlations after coincidence."""
-    state = heralded_pair(opposite_spin_input(statistics, fig1_network()))
+    state = heralded_pair(opposite_spin_input(statistics, fig1_network())).state
     for path in ("C", "D"):
         state = apply_spin_rotation(state, path, SPIN_MIXER)
     dm = reduce_to_spin_dm(state, "C", "D")
@@ -207,7 +201,7 @@ def scenario_statistics_test(statistics: Statistics) -> ScenarioReport:
             "verdict": Scalar(verdict),
         },
         table={
-            "outcome": ["up,up", "up,down", "down,up", "down,down"],
+            "outcome": list(SPIN_PAIRS),
             "probability": joint.tolist(),
         },
     )
@@ -215,32 +209,27 @@ def scenario_statistics_test(statistics: Statistics) -> ScenarioReport:
 
 def scenario_mixed_input(statistics: Statistics) -> ScenarioReport:
     """Unpolarized inputs: entangled for bosons, separable for fermions."""
-    net = fig1_network()
     # each particle in the even spin mixture: the four spin products at 1/4
     weight = 0.25
+    spins = list(product(Spin, repeat=2))
+    inputs = [f"A{'ud'[a]}+B{'ud'[b]}" for a, b in spins]
+    pairs = [
+        heralded_pair(make_product_state(statistics, [Mode("A", a), Mode("B", b)]))
+        for a, b in spins
+    ]
+    # the spin matrices of the inputs that give coincidences, in input order
+    rows = [k for k, pair in enumerate(pairs) if pair.probability > 0.0]
+    dms = np.array([reduce_to_spin_dm(pairs[k].state, "C", "D").matrix for k in rows])
     total = 0.0
     weighted_dm = np.zeros((4, 4), dtype=complex)
-    inputs, probabilities = [], []
-    # (row, mixture weight, spin matrix, spin pair label) of each input with coincidences
-    pairs = []
-    for s_a, s_b in product((Spin.UP, Spin.DOWN), repeat=2):
-        component = make_product_state(statistics, [Mode("A", s_a), Mode("B", s_b)])
-        branches = detect(run_network(net, component), net.monitored)
-        prob = sum(b.probability for b in branches if coincidence(b.pattern))
-        spins = (f"{m.path}{'u' if m.spin is Spin.UP else 'd'}" for m in sorted(component.modes()))
-        inputs.append("+".join(spins))
-        probabilities.append(prob)
-        if prob > 0.0:
-            pair = branches[{"C", "D"}]
-            dm = reduce_to_spin_dm(pair.state, "C", "D").matrix
-            weighted_dm += weight * prob * dm
-            pairs.append((len(inputs) - 1, weight * prob, dm, _spin_pair_label(pair.state)))
-        total += weight * prob
     mixture: dict[str, float] = {}
     bell_states = [""] * len(inputs)
-    labels = bell_labels(np.array([dm for _, _, dm, _ in pairs])).tolist()
-    for (row, w, _, spin_label), label in zip(pairs, labels):
-        bell_states[row] = label = label or spin_label
+    for k, dm, label in zip(rows, dms, bell_labels(dms).tolist()):
+        w = weight * pairs[k].probability
+        total += w
+        weighted_dm += w * dm
+        # a product coincidence |s1 s2> has its one nonzero diagonal entry at 2 s1 + s2
+        bell_states[k] = label = label or SPIN_PAIRS[dm.diagonal().real.argmax()]
         mixture[label] = mixture.get(label, 0.0) + w
     decomposition = " + ".join(
         f"{w / total:.6g} {label}" for label, w in sorted(mixture.items())
@@ -265,7 +254,7 @@ def scenario_mixed_input(statistics: Statistics) -> ScenarioReport:
         table={
             "input": inputs,
             "weight": [weight] * len(inputs),
-            "coincidence_probability": probabilities,
+            "coincidence_probability": [pair.probability for pair in pairs],
             "bell_state": bell_states,
         },
         matrices={"conditional_dm": conditional},
@@ -395,7 +384,7 @@ def scenario_gaussian(
 
 def scenario_dual(statistics: Statistics) -> ScenarioReport:
     """Read the coincidence state both ways: spins entangled, paths entangled."""
-    state = heralded_pair(opposite_spin_input(statistics, fig1_network()))
+    state = heralded_pair(opposite_spin_input(statistics, fig1_network())).state
     pictures = (reduce_to_spin_dm(state, "C", "D"), dual_relabel(state, "C", "D"))
     spin_c, path_c = concurrences(np.array([dm.matrix for dm in pictures])).tolist()
     return ScenarioReport(

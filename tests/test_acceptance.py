@@ -15,7 +15,6 @@ from twinbeam.fock import Mode, Spin, Statistics, make_product_state
 from twinbeam.interferometer import (
     _detect_pairs,
     build_tree,
-    coincidence,
     detect,
     feedback_run,
     fig1_network,
@@ -110,7 +109,7 @@ def test_criterion_03_tree_yield_law():
         for depth in range(1, 8):
             t0 = time.perf_counter()
             distribution = pattern_distribution(build_tree(depth), opposite_pair(statistics))
-            got = sum(p for pattern, p in distribution.items() if coincidence(pattern))
+            got = sum(p for pattern, p in distribution.items() if len(pattern) == 2)
             dt = time.perf_counter() - t0
             checks.append(abs(got - (1.0 - 0.5 ** depth)) < 1e-9)
             if depth == 7:

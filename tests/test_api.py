@@ -15,7 +15,7 @@ PUBLIC_NAMES = {
     "FockState", "Mode", "Spin", "Statistics", "apply_spin_rotation", "make_product_state",
     # interferometer
     "BeamSplitter", "Branch", "BranchSet", "ExcitationPattern", "FeedbackRound", "Network",
-    "build_tree", "coincidence", "detect", "feedback_run",
+    "build_tree", "detect", "feedback_run",
     "fig1_network", "fig2_network", "opposite_spin_input", "pattern_distribution",
     "run_network", "sample_clicks",
     # metrics

@@ -24,7 +24,6 @@ from twinbeam.errors import OccupancyError, TwinbeamError
 from twinbeam.interferometer import (
     Network,
     build_tree,
-    coincidence,
     detect,
     fig1_network,
     fig2_network,
@@ -112,6 +111,16 @@ class TestRun:
         assert code == 0
         header, *rows = csv.reader(io.StringIO(out))
         assert rows and all(len(row) == len(header) for row in rows)
+
+    @pytest.mark.parametrize("statistics", ["boson", "fermion"])
+    @pytest.mark.parametrize("command", [*SCENARIOS, "feedback --trials 1000"])
+    def test_each_json_column_holds_one_cell_type(self, capsys, command, statistics):
+        argv = ("run", *command.split(), "--statistics", statistics, "--format", "json")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        rows = json.loads(out)["table"]
+        for column in rows[0]:
+            assert len({type(row[column]) for row in rows}) == 1, column
 
     def test_csv_quotes_cells_holding_a_comma(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "run", "statistics-test", "--format", "csv")
@@ -431,7 +440,7 @@ def sparse_clicks_columns(net, statistics):
         scenario="clicks",
         statistics=statistics.value,
         scalars={"coincidence_probability": Scalar(
-            sum(b.probability for b in branches if coincidence(b.pattern))
+            sum(b.probability for b in branches if len(b.pattern) == 2)
         )},
         table={
             "pattern": [pattern_label(b.pattern) for b in branches],
@@ -535,7 +544,7 @@ class TestClicks:
         assert report.table["pattern"] == list(map(pattern_label, distribution))
         assert report.table["probability"] == list(distribution.values())
         assert report.table["count"] == [histogram.get(p, 0) for p in distribution]
-        pairs = [row for row, p in zip(rows, distribution) if coincidence(p)]
+        pairs = [row for row, p in zip(rows, distribution) if len(p) == 2]
         assert report.scalar("coincidence_probability") == sum(r["probability"] for r in pairs)
         coincident = sum(r["count"] for r in pairs)
         assert report.scalar("coincidence_frequency") == coincident / trials
@@ -645,7 +654,9 @@ def test_readme_command_parses(command):
 #: were stacked; complementarity: after its spin matrices were superposed from
 #: two propagated basis pairs, which moved only the last bits of its two
 #: max_*_deviation scalars; sampled feedback: after its trajectories came from
-#: one multinomial draw, which changed only its sampled_* fields); any drift in
+#: one multinomial draw, which changed only its sampled_* fields; boson
+#: mixed-input: after its two zero coincidence probabilities became 0.0, not
+#: the int 0, in a float column); any drift in
 #: a reported number or in the canonical encoding changes them
 PINNED_JSON_SHA256 = {
     ("tree --depth 4", "boson"):
@@ -661,7 +672,7 @@ PINNED_JSON_SHA256 = {
     ("gaussian --velocity 1 --width 1 --delay-max 2 --grid 11", "fermion"):
         "a8207773d76426c756c5cde6d97b6ae09e577a03f327964b663f48054c87ef3a",
     ("mixed-input", "boson"):
-        "ada4c93410d3c648b8009a54ccd85533bd718d4e33e11065fbb0ca2f7358c936",
+        "3498f7b37f1838623b3e7f198a60d197bde9288d14e4465a372351f129413ad6",
     ("mixed-input", "fermion"):
         "732cd45a91f7ee2ea94da3a465d3a882f48dbbc08e64766e9a87881ba3c56d29",
     ("dual", "boson"):

@@ -35,7 +35,6 @@ from twinbeam.interferometer import (
     BeamSplitter,
     Network,
     build_tree,
-    coincidence,
     detect,
     feedback_run,
     fig1_network,
@@ -334,7 +333,7 @@ class TestDetect:
         state = make_product_state(statistics, [Mode("A", UP), Mode("B", UP)])
         out = run_network(fig1_network(), state)
         branches = detect(out, ["C", "D"])
-        got = sum(b.probability for b in branches if coincidence(b.pattern))
+        got = sum(b.probability for b in branches if len(b.pattern) == 2)
         assert abs(got - expected) < 1e-12
 
 
@@ -475,7 +474,7 @@ class TestCoincidenceBlocks:
         patterns = list(distribution)
         assert kept.labels() == ["+".join(sorted(p)) or "none" for p in patterns]
         assert kept.probabilities == list(distribution.values())
-        coincidences = [p for p in patterns if coincidence(p)]
+        coincidences = [p for p in patterns if len(p) == 2]
         assert patterns[kept.first:] == coincidences
         assert list(map(frozenset, zip(kept.lower, kept.upper))) == coincidences
         assert len(blocks) == len(coincidences)
@@ -527,18 +526,43 @@ class TestPostselect:
     def test_fig1_coincidence_probability(self):
         out = run_network(fig1_network(), opposite_pair(Statistics.FERMION))
         branches = detect(out, ["C", "D"])
-        assert abs(sum(b.probability for b in branches if coincidence(b.pattern)) - 0.5) < 1e-12
+        assert abs(sum(b.probability for b in branches if len(b.pattern) == 2) - 0.5) < 1e-12
 
     def test_fig2_coincidence_probability(self):
         out = run_network(fig2_network(), opposite_pair(Statistics.BOSON))
         branches = detect(out, fig2_network().monitored)
-        assert abs(sum(b.probability for b in branches if coincidence(b.pattern)) - 0.75) < 1e-12
+        assert abs(sum(b.probability for b in branches if len(b.pattern) == 2) - 0.75) < 1e-12
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     def test_heralded_pair_is_the_postselected_coincidence(self, statistics):
         out = run_network(fig1_network(), opposite_pair(statistics))
         pair = detect(out, ["C", "D"])[{"C", "D"}]
-        assert heralded_pair(opposite_pair(statistics)).terms == pair.state.terms
+        heralded = heralded_pair(opposite_pair(statistics))
+        assert heralded.state.terms == pair.state.terms
+        assert heralded.probability == pair.probability
+
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    @pytest.mark.parametrize(
+        "spins", [(UP, UP), (UP, DOWN), (DOWN, UP), (DOWN, DOWN)], ids=["uu", "ud", "du", "dd"]
+    )
+    def test_heralded_pair_of_each_spin_product(self, statistics, spins):
+        state = make_product_state(statistics, [Mode("A", spins[0]), Mode("B", spins[1])])
+        branches = detect(run_network(fig1_network(), state), ["C", "D"])
+        coincidences = [b for b in branches if len(b.pattern) == 2]
+        heralded = heralded_pair(state)
+        assert heralded.pattern == frozenset({"C", "D"})
+        assert type(heralded.probability) is float
+        assert heralded.probability == sum(b.probability for b in coincidences)
+        if spins[0] != spins[1]:
+            expected = 0.5
+        else:
+            expected = 1.0 if statistics is Statistics.FERMION else 0.0
+        assert abs(heralded.probability - expected) < 1e-12
+        if coincidences:
+            assert heralded.state.terms == coincidences[0].state.terms
+        else:
+            # bosons with equal spins bunch: the zero branch holds no terms
+            assert heralded.probability == 0.0 and not heralded.state.terms
 
 
 class TestBuildTree:
@@ -569,7 +593,7 @@ class TestBuildTree:
     def test_yield_law(self, statistics, depth):
         net = build_tree(depth)
         branches = detect(run_network(net, opposite_pair(statistics)), net.monitored)
-        got = sum(b.probability for b in branches if coincidence(b.pattern))
+        got = sum(b.probability for b in branches if len(b.pattern) == 2)
         assert abs(got - (1.0 - 0.5 ** depth)) < 1e-9
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
@@ -643,7 +667,7 @@ class TestCorrection:
         branches = detected_branches(build_tree(depth), statistics)
         report = scenario_tree(depth, statistics)
         rows = [r for r in table_rows(report.table) if r["detectors"] == 2]
-        assert len(rows) == sum(coincidence(b.pattern) for b in branches)
+        assert len(rows) == sum(len(b.pattern) == 2 for b in branches)
         for row in rows:
             p1, p2 = row["pattern"].split("+")
             corrected = branches[{p1, p2}].state

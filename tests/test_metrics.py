@@ -38,7 +38,7 @@ def pure_dm(vector, labels=("C", "D")):
 
 
 def coincidence_state(statistics, overlap=1.0):
-    return heralded_pair(tagged_opposite_spin_input(statistics, overlap))
+    return heralded_pair(tagged_opposite_spin_input(statistics, overlap)).state
 
 
 def coincidence_dm(statistics, overlap):

@@ -12,7 +12,6 @@ from twinbeam.fock import Mode, Spin, Statistics, make_product_state
 from twinbeam.interferometer import (
     Network,
     build_tree,
-    coincidence,
     detect,
     fig1_network,
     fig2_network,
@@ -159,7 +158,7 @@ class TestCorrectionPhases:
         coincidences = list(map(frozenset, zip(lower, upper)))
         phases = scenarios._correction_phases(blocks[:, 1, 0], blocks[:, 2, 0], lower, upper)
         branches = detect(run_network(net, state), net.monitored)
-        assert len(phases) == sum(coincidence(b.pattern) for b in branches) > 0
+        assert len(phases) == sum(len(b.pattern) == 2 for b in branches) > 0
         # the rule applied to each detected branch's |up down> and |down up> amplitudes
         alpha, beta = np.array([
             [branches[p].state.amplitude([Mode(min(p), s1), Mode(max(p), s2)])
@@ -254,7 +253,7 @@ class TestMixedInput:
             for s_b in (UP, DOWN):
                 state = make_product_state(Statistics.FERMION, [Mode("A", s_a), Mode("B", s_b)])
                 branches = detect(run_network(net, state), net.monitored)
-                total += 0.25 * sum(b.probability for b in branches if coincidence(b.pattern))
+                total += 0.25 * sum(b.probability for b in branches if len(b.pattern) == 2)
         assert abs(report.scalar("coincidence_probability") - total) < 1e-12
 
 
