@@ -37,9 +37,7 @@ from .interferometer import (
     fig1_network,
     fig2_network,
     opposite_spin_input,
-    pattern_distribution,
     run_network,
-    sample_clicks,
 )
 from .metrics import (
     PSI_MINUS,

@@ -70,7 +70,7 @@ def _run_clicks(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Sc
     # the coincidences are the last patterns; counts are Python ints, so each
     # frequency is one correctly rounded division
     coincidence_count = sum(counts[kept.first:])
-    coincidence_probability = sum(probabilities[kept.first:])
+    coincidence_probability = sum(probabilities[kept.first:], 0.0)
     return ScenarioReport(
         scenario="clicks",
         statistics=statistics.value,

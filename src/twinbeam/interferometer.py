@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,7 +53,7 @@ MAX_TREE_DEPTH = (MAX_MONOMIALS.bit_length() - 1) // 2
 
 PROBABILITY_TOL = 1e-9
 
-#: most trials :func:`sample_clicks` draws: numpy's multinomial counts are 64-bit
+#: most trials :func:`_draw_counts` draws: numpy's multinomial counts are 64-bit
 MAX_TRIALS = 2 ** 63 - 1
 
 #: most rounds :func:`feedback_run` takes; it keeps each round's state, about 0.9 KB
@@ -218,9 +218,6 @@ class BranchSet:
                 return b
         raise KeyError(f"no branch with pattern {sorted(key)}")
 
-    def probabilities(self) -> dict[ExcitationPattern, float]:
-        return {b.pattern: b.probability for b in self.branches}
-
 
 def _pattern_sort_key(pattern: ExcitationPattern):
     return (len(pattern), tuple(sorted(pattern)))
@@ -287,34 +284,6 @@ def detect(state: FockState, monitored: Sequence[str]) -> BranchSet:
     return BranchSet(tuple(branches))
 
 
-def pattern_distribution(net: Network, state: FockState) -> dict[ExcitationPattern, float]:
-    """Detector-pattern probabilities of a two-particle state after the network.
-
-    The same distribution as ``detect(run_network(net, state),
-    net.monitored).probabilities()``, in the same order, computed from
-    pair amplitudes instead of an expanded state.  The state maps onto
-    one (input path x input path) amplitude block ``B`` per pair of
-    internal (spin, tag) labels, with :func:`twinbeam.oracle.cross_check`'s
-    convention, and each block evolves as ``U B U^T`` with ``U`` the
-    network's transfer matrix: every nonzero ``B[p, q]`` adds
-    ``B[p, q] u_p u_q^T`` on the terminals that paths ``p`` and ``q``
-    reach, so at most twice as many (terminal, terminal) cells are built
-    as the :data:`MAX_MONOMIALS` check counts monomials.  A pattern is
-    kept when one of its second-quantized amplitudes exceeds
-    ``PRUNE_THRESHOLD``, the sparse engine's rule, and the kept
-    probabilities are renormalized.  The input checks and the
-    :data:`MAX_MONOMIALS` refusal are those of :func:`run_network`.
-    The pattern sets are built here from the path names that
-    :func:`_detect_pairs` returns; ``twinbeam clicks`` and the branch
-    tables read those names directly.
-    """
-    kept = _detect_pairs(net, state)
-    patterns = [frozenset()] * kept.empty
-    patterns += [frozenset((path,)) for path in kept.singles]
-    patterns += map(frozenset, zip(kept.lower, kept.upper))
-    return dict(zip(patterns, kept.probabilities))
-
-
 class _KeptPatterns(NamedTuple):
     """The pair engine's kept detector patterns, in :func:`detect`'s order.
 
@@ -349,9 +318,24 @@ class _KeptPatterns(NamedTuple):
 def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) -> _KeptPatterns:
     """Kept detector patterns of a two-particle state after ``net``, with their probabilities.
 
-    Returns the patterns and probabilities that
-    :func:`pattern_distribution` describes, named by the monitored paths
-    the pair reaches.  With ``coincidences`` it also returns, for any
+    The patterns of ``detect(run_network(net, state), net.monitored)``,
+    in the same order and named by the monitored paths the pair reaches,
+    computed from pair amplitudes instead of an expanded state; ``twinbeam
+    clicks`` and the branch tables read those names directly.  The state
+    maps onto one (input path x input path) amplitude block ``B`` per pair
+    of internal (spin, tag) labels, with
+    :func:`twinbeam.oracle.cross_check`'s convention, and each block
+    evolves as ``U B U^T`` with ``U`` the network's transfer matrix: every
+    nonzero ``B[p, q]`` adds ``B[p, q] u_p u_q^T`` on the terminals that
+    paths ``p`` and ``q`` reach, so at most twice as many (terminal,
+    terminal) cells are built as the :data:`MAX_MONOMIALS` check counts
+    monomials.  A pattern is kept when one of its second-quantized
+    amplitudes exceeds ``PRUNE_THRESHOLD``, the sparse engine's rule, and
+    the kept probabilities are renormalized.  A state of any particle
+    number but two raises ``ValueError``; the input checks and the
+    :data:`MAX_MONOMIALS` refusal are those of :func:`run_network`.
+
+    With ``coincidences`` it also returns, for any
     two-particle state, the normalized 4xT spin-tag block ``blocks[k]``
     of the ``k``-th coincidence, ``{lower[k], upper[k]}``.  A block's
     entry ``v[2 s1 + s2, c]`` is ``sqrt(2) psi`` of the cell with spin
@@ -362,7 +346,7 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
     branch.
     """
     if state.particle_numbers() != {2}:
-        raise ValueError("pattern_distribution requires a two-particle input")
+        raise ValueError("the pair engine requires a two-particle input")
     table = _checked_path_map(net, state)
     occupied = state.paths()
     # monitored terminals come first, sorted, so the pattern keys below
@@ -538,53 +522,39 @@ class FeedbackRound(NamedTuple):
     conditional_state: FockState
 
 
-def feedback_run(max_rounds: int, statistics: Statistics) -> list[FeedbackRound]:
+def feedback_run(depth: int, statistics: Statistics) -> list[FeedbackRound]:
     """Recycle bunched pairs through the single-splitter setup.
 
     Each round sends the current pair through the A,B -> D,C splitter;
     on coincidence the round succeeds with its conditional spin pair,
     otherwise the bunched pair is re-injected through port A with its
     internal phases intact.  The per-round success probability is 1/2,
-    so the failure probability after round k is 2**-k.  ``max_rounds``
-    lies in 1 .. :data:`MAX_FEEDBACK_ROUNDS`.
+    so the failure probability after round k is 2**-k.  ``depth``, the
+    number of rounds, lies in 1 .. :data:`MAX_FEEDBACK_ROUNDS`.
     """
-    _check_range("max_rounds", max_rounds, 1, MAX_FEEDBACK_ROUNDS)
+    _check_range("depth", depth, 1, MAX_FEEDBACK_ROUNDS)
     net = fig1_network()
     state = opposite_spin_input(statistics, net)
     rounds = []
     cumulative_failure = 1.0
-    for k in range(1, max_rounds + 1):
+    for k in range(1, depth + 1):
         branches = detect(run_network(net, state), net.monitored)
         success = branches[{"C", "D"}]
         cumulative_failure *= 1.0 - success.probability
         rounds.append(FeedbackRound(k, success.probability, cumulative_failure, success.state))
-        if k == max_rounds:
+        if k == depth:
             break
         bunched = branches[{"D"}]
         state = _apply_path_table(bunched.state, {"D": (("A", 1.0 + 0j),)})
     return rounds
 
 
-def sample_clicks(
-    distribution: Mapping[ExcitationPattern, float], trials: int, seed: int
-) -> dict[ExcitationPattern, int]:
-    """Sample detector patterns from an exact pattern distribution.
-
-    ``distribution`` is :func:`pattern_distribution`'s result or
-    :meth:`BranchSet.probabilities`.  Deterministic for a given seed;
-    patterns that never occur are omitted from the histogram.  ``trials``
-    must lie in 1 .. :data:`MAX_TRIALS` and ``seed`` be nonnegative.
-    """
-    counts = _draw_counts(list(distribution.values()), trials, seed)
-    return {pattern: c for pattern, c in zip(distribution, counts) if c > 0}
-
-
 def _draw_counts(probabilities: Sequence[float], trials: int, seed: int) -> list[int]:
     """Seeded multinomial counts of ``trials`` draws, one Python int per probability.
 
-    The draw behind :func:`sample_clicks` and ``twinbeam clicks``; the
-    probabilities are renormalized, ``trials`` must lie in 1 ..
-    :data:`MAX_TRIALS` and ``seed`` be nonnegative.
+    The draw behind ``twinbeam clicks`` and the feedback scenario's
+    sampled trajectories; the probabilities are renormalized, ``trials``
+    must lie in 1 .. :data:`MAX_TRIALS` and ``seed`` be nonnegative.
     """
     _check_range("trials", trials, 1, MAX_TRIALS)
     if seed < 0:

@@ -126,7 +126,7 @@ def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str
         table["concurrence"] += concurrences(rho).tolist()
         table["bell_state"] += [label or "other" for label in bell_labels(rho).tolist()]
         table["correction"] += map(_correction_label, lower, phases.tolist())
-    return sum(probabilities[first:]), table
+    return sum(probabilities[first:], 0.0), table
 
 
 def scenario_fig1(statistics: Statistics) -> ScenarioReport:

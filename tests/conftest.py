@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from twinbeam.fock import FockState, Mode, Spin, Statistics
-from twinbeam.interferometer import BeamSplitter, Network
+from twinbeam.interferometer import BeamSplitter, Network, _detect_pairs
 
 BOTH_STATISTICS = (Statistics.BOSON, Statistics.FERMION)
 
@@ -13,6 +13,25 @@ BOTH_STATISTICS = (Statistics.BOSON, Statistics.FERMION)
 def table_rows(table: dict[str, list]) -> list[dict]:
     """A report table as one dict per row, for checks that read several columns of a row."""
     return [dict(zip(table, row)) for row in zip(*table.values())]
+
+
+def pattern_label(pattern) -> str:
+    """A detector pattern as ``twinbeam clicks`` names it.
+
+    Its paths sorted and joined by ``+``, or ``none`` when no detector fired.
+    """
+    return "+".join(sorted(pattern)) or "none"
+
+
+def branch_probabilities(branches) -> dict[str, float]:
+    """Each detected branch's probability keyed by its pattern's label, in the branches' order."""
+    return {pattern_label(b.pattern): b.probability for b in branches}
+
+
+def pair_probabilities(net: Network, state: FockState) -> dict[str, float]:
+    """The pair engine's kept pattern probabilities keyed by label, in its order."""
+    kept = _detect_pairs(net, state)
+    return dict(zip(kept.labels(), kept.probabilities))
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

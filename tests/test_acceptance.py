@@ -19,7 +19,6 @@ from twinbeam.interferometer import (
     feedback_run,
     fig1_network,
     fig2_network,
-    pattern_distribution,
     run_network,
 )
 from twinbeam.metrics import (
@@ -84,12 +83,11 @@ def test_criterion_02_four_detector_structure():
     for statistics in BOTH_STATISTICS:
         net = fig2_network()
         branches = detect(run_network(net, opposite_pair(statistics)), net.monitored)
-        probs = branches.probabilities()
-        checks.append(len(probs) == 10)
-        for pattern, p in probs.items():
-            expected = 0.125 if len(pattern) == 2 else 0.0625
-            checks.append(abs(p - expected) < 1e-12)
-        total = sum(p for pattern, p in probs.items() if len(pattern) == 2)
+        checks.append(len(branches) == 10)
+        for branch in branches:
+            expected = 0.125 if len(branch.pattern) == 2 else 0.0625
+            checks.append(abs(branch.probability - expected) < 1e-12)
+        total = sum(b.probability for b in branches if len(b.pattern) == 2)
         checks.append(abs(total - 0.75) < 1e-12)
     fermion = detect(
         run_network(fig2_network(), opposite_pair(Statistics.FERMION)),
@@ -108,8 +106,8 @@ def test_criterion_03_tree_yield_law():
     for statistics in BOTH_STATISTICS:
         for depth in range(1, 8):
             t0 = time.perf_counter()
-            distribution = pattern_distribution(build_tree(depth), opposite_pair(statistics))
-            got = sum(p for pattern, p in distribution.items() if len(pattern) == 2)
+            kept = _detect_pairs(build_tree(depth), opposite_pair(statistics))
+            got = sum(p for label, p in zip(kept.labels(), kept.probabilities) if "+" in label)
             dt = time.perf_counter() - t0
             checks.append(abs(got - (1.0 - 0.5 ** depth)) < 1e-9)
             if depth == 7:
@@ -240,7 +238,7 @@ def test_criterion_09_oracle_equivalence():
             for bs in net.splitters:
                 fq = oracle_evolve(fq, splitter_unitary(labels, bs.in1, bs.in2, bs.out1, bs.out2))
             probs, conds = oracle_detect(fq, net.monitored)
-            checks.append(set(engine.probabilities()) == set(probs))
+            checks.append({b.pattern for b in engine} == set(probs))
             for branch in engine:
                 checks.append(abs(branch.probability - probs[branch.pattern]) < 1e-9)
                 checks.append(

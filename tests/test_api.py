@@ -1,5 +1,6 @@
 """The package's public names: adding or dropping one means editing this test."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -16,8 +17,7 @@ PUBLIC_NAMES = {
     # interferometer
     "BeamSplitter", "Branch", "BranchSet", "ExcitationPattern", "FeedbackRound", "Network",
     "build_tree", "detect", "feedback_run",
-    "fig1_network", "fig2_network", "opposite_spin_input", "pattern_distribution",
-    "run_network", "sample_clicks",
+    "fig1_network", "fig2_network", "opposite_spin_input", "run_network",
     # metrics
     "PSI_MINUS", "PSI_PLUS", "TwoQubitDM", "bell_labels", "chsh_values", "coincidence_spin_dms",
     "concurrences", "distinguishability", "dual_relabel", "gaussian_overlap", "reduce_to_spin_dm",
@@ -46,3 +46,19 @@ def test_import_leaves_the_oracle_out():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert done.stdout == "False\n"
+
+
+def test_every_public_name_is_used_by_the_package():
+    # a public name only tests call is a second path beside the one the package runs;
+    # the oracle is left out, since it exists to be called by tests
+    package = Path(twinbeam.__file__).resolve().parent
+    used = set()
+    for module in package.glob("*.py"):
+        if module.name in ("__init__.py", "oracle.py"):
+            continue
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(twinbeam.__all__) - used) == []

@@ -18,27 +18,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BOTH_STATISTICS, one_sided_tree, random_network, table_rows
+from conftest import BOTH_STATISTICS, one_sided_tree, pattern_label, random_network, table_rows
 from twinbeam import cli, interferometer, scenarios
 from twinbeam.errors import OccupancyError, TwinbeamError
 from twinbeam.interferometer import (
     Network,
+    _detect_pairs,
+    _draw_counts,
     build_tree,
     detect,
     fig1_network,
     fig2_network,
     opposite_spin_input,
-    pattern_distribution,
     run_network,
-    sample_clicks,
 )
 from twinbeam.reporting import Scalar, ScenarioReport, canonical_json
 from twinbeam.scenarios import SCENARIOS
-
-
-def pattern_label(pattern) -> str:
-    """A clicks row's name of a pattern: its paths sorted and joined by ``+``, or ``none``."""
-    return "+".join(sorted(pattern)) or "none"
 
 
 def readme_commands() -> list[str]:
@@ -219,7 +214,7 @@ class TestRun:
             ("run gaussian --grid 100001", "grid must be between 2 and 100000, got 100001"),
             ("run feedback --trials 9223372036854775808",
              "trials must be between 0 and 9223372036854775807, got 9223372036854775808"),
-            ("run feedback --depth 11", "max_rounds must be between 1 and 10, got 11"),
+            ("run feedback --depth 11", "depth must be between 1 and 10, got 11"),
             ("run feedback --trials -1", "trials must be between 0 and 9223372036854775807, got -1"),
             # exact only, so no draw checks the seed
             ("run feedback --seed=-1 --trials 0", "seed must be nonnegative, got -1"),
@@ -495,6 +490,18 @@ class TestClicks:
         assert len(data["table"]) == 2 ** 10
         assert abs(data["scalars"]["coincidence_probability"]["value"] - 1.0) < 1e-9
 
+    def test_no_possible_coincidence_is_a_float_zero(self, capsys, tmp_path):
+        # one detector: the pair never fires two, and the empty coincidence sum is still a float
+        path = tmp_path / "one_detector.json"
+        net = {"splitters": [["A", "B", "D", "C"]], "inputs": ["A", "B"], "monitored": ["C"]}
+        path.write_text(json.dumps(net))
+        code, out, _ = run_cli(capsys, "clicks", "--network", str(path), "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert [row["pattern"] for row in data["table"]] == ["none", "C"]
+        value = data["scalars"]["coincidence_probability"]["value"]
+        assert type(value) is float and value == 0.0
+
     def test_largest_trial_count(self, capsys):
         trials = str(interferometer.MAX_TRIALS)
         code, out, _ = run_cli(capsys, "clicks", "--fig", "1", "--trials", trials, "--format", "json")
@@ -538,13 +545,15 @@ class TestClicks:
             "--trials", str(trials), "--seed", str(sample_seed),
         ])
         report = cli._run_clicks(args, parser)
-        distribution = pattern_distribution(net, opposite_spin_input(statistics, net))
-        histogram = sample_clicks(distribution, trials, sample_seed)
+        state = opposite_spin_input(statistics, net)
+        branches = detect(run_network(net, state), net.monitored)
+        probabilities = _detect_pairs(net, state).probabilities
         rows = table_rows(report.table)
-        assert report.table["pattern"] == list(map(pattern_label, distribution))
-        assert report.table["probability"] == list(distribution.values())
-        assert report.table["count"] == [histogram.get(p, 0) for p in distribution]
-        pairs = [row for row, p in zip(rows, distribution) if len(p) == 2]
+        assert report.table["pattern"] == [pattern_label(b.pattern) for b in branches]
+        assert report.table["probability"] == probabilities
+        assert all(abs(p - b.probability) < 1e-12 for p, b in zip(probabilities, branches))
+        assert report.table["count"] == _draw_counts(probabilities, trials, sample_seed)
+        pairs = [row for row, b in zip(rows, branches) if len(b.pattern) == 2]
         assert report.scalar("coincidence_probability") == sum(r["probability"] for r in pairs)
         coincident = sum(r["count"] for r in pairs)
         assert report.scalar("coincidence_frequency") == coincident / trials

@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     BOTH_STATISTICS,
+    branch_probabilities,
     fidelity,
     one_sided_tree,
+    pair_probabilities,
+    pattern_label,
     random_network,
     random_two_particle_state,
     table_rows,
@@ -34,6 +37,8 @@ from twinbeam.interferometer import (
     MAX_TREE_DEPTH,
     BeamSplitter,
     Network,
+    _detect_pairs,
+    _draw_counts,
     build_tree,
     detect,
     feedback_run,
@@ -41,9 +46,7 @@ from twinbeam.interferometer import (
     fig2_network,
     heralded_pair,
     opposite_spin_input,
-    pattern_distribution,
     run_network,
-    sample_clicks,
 )
 from twinbeam.metrics import (
     PSI_PLUS,
@@ -286,10 +289,10 @@ class TestDetect:
     def test_single_splitter_boson_branches(self):
         out = run_network(fig1_network(), opposite_pair(Statistics.BOSON))
         branches = detect(out, ["C", "D"])
-        probs = branches.probabilities()
-        assert abs(probs[frozenset({"C", "D"})] - 0.5) < 1e-12
-        assert abs(probs[frozenset({"C"})] - 0.25) < 1e-12
-        assert abs(probs[frozenset({"D"})] - 0.25) < 1e-12
+        probs = branch_probabilities(branches)
+        assert abs(probs["C+D"] - 0.5) < 1e-12
+        assert abs(probs["C"] - 0.25) < 1e-12
+        assert abs(probs["D"] - 0.25) < 1e-12
         pair = branches[{"C", "D"}].state
         root = 1.0 / math.sqrt(2.0)
         assert abs(pair.amplitude([Mode("D", UP), Mode("C", DOWN)]) - root) < 1e-12
@@ -345,7 +348,7 @@ def bunched_pair(rng, statistics, paths, tags):
     return make_product_state(statistics, [modes[i], modes[j]])
 
 
-class TestPatternDistribution:
+class TestDetectPairs:
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), statistics=st.sampled_from(BOTH_STATISTICS))
     def test_random_networks_match_sparse_engine(self, seed, statistics):
@@ -357,28 +360,28 @@ class TestPatternDistribution:
         net = Network(net.splitters, net.inputs, tuple(monitored))
         state = random_two_particle_state(rng, statistics, paths=inputs, tags=tags)
         bunched = bunched_pair(rng, statistics, inputs, tags)
-        # not normalized: like run_network, pattern_distribution renormalizes
+        # not normalized: like run_network, the pair engine renormalizes
         state = state + complex(rng.normal(), rng.normal()) * bunched
-        expected = detect(run_network(net, state), net.monitored).probabilities()
-        got = pattern_distribution(net, state)
+        expected = branch_probabilities(detect(run_network(net, state), net.monitored))
+        got = pair_probabilities(net, state)
         assert list(got) == list(expected)
         assert all(abs(got[p] - expected[p]) < 1e-12 for p in got)
         assert abs(sum(got.values()) - 1.0) < 1e-12
 
     def test_boson_hong_ou_mandel_has_no_coincidence(self):
         state = make_product_state(Statistics.BOSON, [Mode("A", UP), Mode("B", UP)])
-        got = pattern_distribution(fig1_network(), state)
-        assert got == pytest.approx({frozenset({"C"}): 0.5, frozenset({"D"}): 0.5}, abs=1e-12)
+        got = pair_probabilities(fig1_network(), state)
+        assert got == pytest.approx({"C": 0.5, "D": 0.5}, abs=1e-12)
 
     @pytest.mark.parametrize("eps,fires", [(1.5e-12, False), (2.4e-12, True)])
     def test_pruning_matches_sparse_engine(self, eps, fires):
         # the eps part gives C+D second-quantized amplitudes of eps/2 against the 1e-12 threshold
         hom = make_product_state(Statistics.BOSON, [Mode("A", UP), Mode("B", UP)])
         state = hom + eps * opposite_pair(Statistics.BOSON)
-        got = pattern_distribution(fig1_network(), state)
-        expected = detect(run_network(fig1_network(), state), ["C", "D"]).probabilities()
+        got = pair_probabilities(fig1_network(), state)
+        expected = branch_probabilities(detect(run_network(fig1_network(), state), ["C", "D"]))
         assert list(got) == list(expected)
-        assert (frozenset({"C", "D"}) in got) is fires
+        assert ("C+D" in got) is fires
 
     @pytest.mark.parametrize("eps,fires", [(2.4e-12, False), (3.4e-12, True)])
     def test_pruning_of_a_doubly_occupied_mode(self, eps, fires):
@@ -389,11 +392,11 @@ class TestPatternDistribution:
         net = Network(fig1.splitters, ("A", "B", "X"), ("C", "D", "X"))
         pair = make_product_state(Statistics.BOSON, [Mode("X", UP), Mode("X", DOWN)])
         state = pair + eps * make_product_state(Statistics.BOSON, [Mode("A", UP), Mode("A", UP)])
-        got = pattern_distribution(net, state)
-        expected = detect(run_network(net, state), net.monitored).probabilities()
+        got = pair_probabilities(net, state)
+        expected = branch_probabilities(detect(run_network(net, state), net.monitored))
         assert list(got) == list(expected)
-        assert frozenset({"C", "D"}) in got
-        assert (frozenset({"D"}) in got) is fires
+        assert "C+D" in got
+        assert ("D" in got) is fires
 
     @pytest.mark.parametrize(
         "modes", [[Mode("A", UP)], [Mode("A", UP), Mode("A", DOWN), Mode("B", UP)], []],
@@ -401,12 +404,12 @@ class TestPatternDistribution:
     )
     def test_requires_two_particles(self, modes):
         with pytest.raises(ValueError, match="two-particle"):
-            pattern_distribution(fig1_network(), make_product_state(Statistics.BOSON, modes))
+            _detect_pairs(fig1_network(), make_product_state(Statistics.BOSON, modes))
 
     def test_rejects_unknown_input_path(self):
         state = make_product_state(Statistics.BOSON, [Mode("A", UP), Mode("Z", UP)])
         with pytest.raises(NetworkError, match="outside the network inputs"):
-            pattern_distribution(fig1_network(), state)
+            _detect_pairs(fig1_network(), state)
 
     def test_oversize_input_is_refused(self, monkeypatch):
         # a depth-4 tree expands the pair into 4**4 = 256 monomials
@@ -416,7 +419,7 @@ class TestPatternDistribution:
         monkeypatch.setattr(interferometer, "MAX_MONOMIALS", 64)
         monkeypatch.setattr(interferometer, "_pair_cells", no_array)
         with pytest.raises(NetworkError, match="256 monomials, over 64"):
-            pattern_distribution(build_tree(4), opposite_pair(Statistics.FERMION))
+            _detect_pairs(build_tree(4), opposite_pair(Statistics.FERMION))
 
     def test_deepest_tree_passes_the_size_check(self, monkeypatch):
         class Checked(Exception):
@@ -427,7 +430,7 @@ class TestPatternDistribution:
 
         monkeypatch.setattr(interferometer, "_pair_cells", stop)
         with pytest.raises(Checked):
-            pattern_distribution(build_tree(MAX_TREE_DEPTH), opposite_pair(Statistics.FERMION))
+            _detect_pairs(build_tree(MAX_TREE_DEPTH), opposite_pair(Statistics.FERMION))
 
 
     def test_one_sided_tree_builds_only_reached_cells(self):
@@ -436,12 +439,12 @@ class TestPatternDistribution:
         state = opposite_pair(Statistics.FERMION)
         tracemalloc.start()
         try:
-            got = pattern_distribution(net, state)
+            got = pair_probabilities(net, state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
-        expected = detect(run_network(net, state), net.monitored).probabilities()
+        expected = branch_probabilities(detect(run_network(net, state), net.monitored))
         assert list(got) == list(expected) and len(got) == 2 ** 10
         assert all(abs(got[p] - 2.0 ** -10) < 1e-15 for p in got)
 
@@ -452,12 +455,12 @@ class TestPatternDistribution:
         net = Network(fig1.splitters, fig1.inputs + extra, fig1.monitored + extra)
         tracemalloc.start()
         try:
-            got = pattern_distribution(net, opposite_pair(Statistics.BOSON))
+            got = pair_probabilities(net, opposite_pair(Statistics.BOSON))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
-        assert got == pattern_distribution(fig1, opposite_pair(Statistics.BOSON))
+        assert got == pair_probabilities(fig1, opposite_pair(Statistics.BOSON))
 
 
 class TestCoincidenceBlocks:
@@ -468,18 +471,20 @@ class TestCoincidenceBlocks:
         inputs = ("P", "Q", "R")
         net = random_network(rng, inputs, n_splitters=int(rng.integers(1, 6)))
         state = random_two_particle_state(rng, statistics, paths=inputs, tags=(0, 1), n_terms=4)
-        kept = interferometer._detect_pairs(net, state, coincidences=True)
+        kept = _detect_pairs(net, state, coincidences=True)
         blocks = kept.blocks
-        distribution = pattern_distribution(net, state)
-        patterns = list(distribution)
-        assert kept.labels() == ["+".join(sorted(p)) or "none" for p in patterns]
-        assert kept.probabilities == list(distribution.values())
+        # the blocks leave the patterns and their probabilities as they are
+        plain = _detect_pairs(net, state)
+        assert (kept.labels(), kept.probabilities) == (plain.labels(), plain.probabilities)
+        branches = detect(run_network(net, state), net.monitored)
+        patterns = [b.pattern for b in branches]
+        assert kept.labels() == list(map(pattern_label, patterns))
+        assert all(abs(p - b.probability) < 1e-12 for p, b in zip(kept.probabilities, branches))
         coincidences = [p for p in patterns if len(p) == 2]
         assert patterns[kept.first:] == coincidences
         assert list(map(frozenset, zip(kept.lower, kept.upper))) == coincidences
         assert len(blocks) == len(coincidences)
         assert all(a < b for a, b in zip(kept.lower, kept.upper))
-        branches = detect(run_network(net, state), net.monitored)
         for pattern, v in zip(coincidences, blocks):
             rho = v @ v.conj().T
             rho /= np.trace(rho).real
@@ -610,7 +615,7 @@ class TestBuildTree:
 
     def test_yield_requires_two_particles(self):
         with pytest.raises(ValueError):
-            pattern_distribution(build_tree(1), make_product_state(Statistics.BOSON, [Mode("A", UP)]))
+            _detect_pairs(build_tree(1), make_product_state(Statistics.BOSON, [Mode("A", UP)]))
 
 
 class TestFeedback:
@@ -680,38 +685,41 @@ class TestCorrection:
             assert abs(fidelity(dm, PSI_PLUS) - 1.0) < 1e-9
 
 
-class TestSampleClicks:
+def drawn_clicks(net, statistics, trials, seed):
+    """Exact and seeded click counts of the opposite-spin pair, as ``clicks`` draws them."""
+    exact = pair_probabilities(net, opposite_spin_input(statistics, net))
+    return exact, dict(zip(exact, _draw_counts(list(exact.values()), trials, seed)))
+
+
+class TestDrawCounts:
     def test_deterministic_given_seed(self):
-        branches = detected_branches(fig1_network(), Statistics.BOSON)
-        a = sample_clicks(branches.probabilities(), 5000, seed=11)
-        b = sample_clicks(branches.probabilities(), 5000, seed=11)
+        _, a = drawn_clicks(fig1_network(), Statistics.BOSON, 5000, seed=11)
+        _, b = drawn_clicks(fig1_network(), Statistics.BOSON, 5000, seed=11)
         assert a == b
 
     def test_single_trial(self):
-        branches = detected_branches(fig1_network(), Statistics.BOSON)
-        histogram = sample_clicks(branches.probabilities(), 1, seed=3)
-        assert sum(histogram.values()) == 1 and len(histogram) == 1
+        _, counts = drawn_clicks(fig1_network(), Statistics.BOSON, 1, seed=3)
+        assert sorted(counts.values()) == [0, 0, 1]
 
     def test_frequencies_near_exact(self):
         trials = 100_000
-        branches = detected_branches(fig1_network(), Statistics.FERMION)
-        histogram = sample_clicks(branches.probabilities(), trials, seed=5)
+        _, counts = drawn_clicks(fig1_network(), Statistics.FERMION, trials, seed=5)
         sigma = math.sqrt(0.25 / trials)
-        freq = histogram[frozenset({"C", "D"})] / trials
+        freq = counts["C+D"] / trials
         assert abs(freq - 0.5) < 3.0 * sigma
 
     def test_chi_square_against_exact(self):
-        branches = detected_branches(fig2_network(), Statistics.BOSON)
         trials = 100_000
-        histogram = sample_clicks(branches.probabilities(), trials, seed=17)
-        chi2 = sum(
-            (histogram.get(b.pattern, 0) - trials * b.probability) ** 2 / (trials * b.probability)
-            for b in branches
-        )
+        exact, counts = drawn_clicks(fig2_network(), Statistics.BOSON, trials, seed=17)
+        assert len(exact) == 10
+        chi2 = sum((counts[k] - trials * p) ** 2 / (trials * p) for k, p in exact.items())
         # 9 degrees of freedom; 99% quantile is 21.67
         assert chi2 < 21.67
 
-    def test_requires_positive_trials(self):
-        branches = detected_branches(fig1_network(), Statistics.BOSON)
-        with pytest.raises(ValueError):
-            sample_clicks(branches.probabilities(), 0, seed=1)
+    @pytest.mark.parametrize(
+        "trials,seed,message",
+        [(0, 1, "trials must be between 1 and"), (10, -1, "seed must be nonnegative, got -1")],
+    )
+    def test_rejects_a_bad_trial_count_or_seed(self, trials, seed, message):
+        with pytest.raises(ValueError, match=message):
+            _draw_counts([0.5, 0.5], trials, seed)

@@ -5,14 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import BOTH_STATISTICS, random_network, random_two_particle_state
+from conftest import (
+    BOTH_STATISTICS,
+    pair_probabilities,
+    pattern_label,
+    random_network,
+    random_two_particle_state,
+)
 from twinbeam.errors import NotUnitaryError
 from twinbeam.fock import Mode, Spin, Statistics, make_product_state
 from twinbeam.interferometer import (
     detect,
     fig1_network,
     fig2_network,
-    pattern_distribution,
     run_network,
 )
 from twinbeam.oracle import (
@@ -144,7 +149,7 @@ def test_engine_matches_oracle_on_random_networks(statistics, seed):
     engine_branches = detect(run_network(net, state), net.monitored)
     oracle_probs, oracle_conds = oracle_detect(oracle_run(net, cross_check(state, labels)), net.monitored)
 
-    assert set(engine_branches.probabilities()) == set(oracle_probs)
+    assert {b.pattern for b in engine_branches} == set(oracle_probs)
     for branch in engine_branches:
         assert abs(branch.probability - oracle_probs[branch.pattern]) < 1e-9
         assert states_match(cross_check(branch.state, labels), oracle_conds[branch.pattern])
@@ -152,7 +157,7 @@ def test_engine_matches_oracle_on_random_networks(statistics, seed):
 
 @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
 @pytest.mark.parametrize("case", ["fig2", "random"])
-def test_pattern_distribution_matches_oracle(statistics, case):
+def test_pair_engine_matches_oracle(statistics, case):
     if case == "fig2":
         net, tags = fig2_network(), (0,)
         state = make_product_state(statistics, [Mode("A", UP), Mode("B", DOWN)])
@@ -163,7 +168,8 @@ def test_pattern_distribution_matches_oracle(statistics, case):
     labels = network_labels(net, tags)
     oracle_probs, _ = oracle_detect(oracle_run(net, cross_check(state, labels)), net.monitored)
 
-    got = pattern_distribution(net, state)
-    assert set(got) == set(oracle_probs)
-    for pattern, p in got.items():
-        assert abs(p - oracle_probs[pattern]) < 1e-12
+    expected = {pattern_label(pattern): p for pattern, p in oracle_probs.items()}
+    got = pair_probabilities(net, state)
+    assert set(got) == set(expected)
+    for label, p in got.items():
+        assert abs(p - expected[label]) < 1e-12
