@@ -190,7 +190,8 @@ def concurrences(rho: np.ndarray) -> np.ndarray:
     square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy),
     conjugation taken in the computational basis.  They are computed as the singular values of
     sqrt(rho) (sy x sy) sqrt(rho)*, which shares that spectrum but
-    stays in well-conditioned Hermitian factorizations.
+    stays in well-conditioned Hermitian factorizations.  For pure
+    states :func:`pure_concurrences` gives the same value in closed form.
     """
     rho = np.asarray(rho)
     eigvals, eigvecs = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2.0)
@@ -200,6 +201,16 @@ def concurrences(rho: np.ndarray) -> np.ndarray:
     lams = np.linalg.svd(root @ _SY_SY @ root.conj(), compute_uv=False)
     c = lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
     return np.where(c > 0.0, c, 0.0)
+
+
+def pure_concurrences(v: np.ndarray) -> np.ndarray:
+    """Concurrence ``2 |v0 v3 - v1 v2|`` of each pure state in a ``(..., 4)`` stack.
+
+    ``v`` holds normalized amplitudes in the {00, 01, 10, 11} basis; the
+    value equals :func:`concurrences` of ``v v†`` without the 4x4 work.
+    """
+    v = np.asarray(v)
+    return 2.0 * np.abs(v[..., 0] * v[..., 3] - v[..., 1] * v[..., 2])
 
 
 def _chsh_operator() -> np.ndarray:

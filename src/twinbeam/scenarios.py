@@ -9,6 +9,7 @@ and reports yields, correlations, concurrences and CHSH values in a
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import accumulate, product
 from typing import Callable, NamedTuple, Sequence
 
@@ -38,6 +39,7 @@ from .metrics import (
     distinguishability,
     dual_relabel,
     gaussian_overlap,
+    pure_concurrences,
     reduce_to_spin_dm,
     validate_dms,
 )
@@ -92,10 +94,17 @@ def _correction_phases(
     return np.where(np.abs(delta.imag) < 1e-12, np.where(delta.real > 0, 1.0, -1.0), delta)
 
 
+@lru_cache(maxsize=64)
+def _down_phase(phase: complex) -> str:
+    # a tree's coincidences share two phases; keying by value is safe because an
+    # imaginary part is either a snapped +-1's +0.0 or at least 1e-12 in magnitude
+    return f"down-phase {math.atan2(phase.imag, phase.real) / math.pi:.6g}pi"
+
+
 def _correction_label(lower: str, phase: complex) -> str:
     if phase == 1.0:
         return "identity"
-    return f"{lower}:down-phase {math.atan2(phase.imag, phase.real) / math.pi:.6g}pi"
+    return lower + ":" + _down_phase(phase)
 
 
 def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str, list]]:
@@ -103,8 +112,10 @@ def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str
 
     One row per detector pattern, in :func:`detect`'s order.  The
     coincidences come last, with their normalized spin-tag blocks
-    (``interferometer._detect_pairs``); their spin matrices and
-    correction phases are evaluated :data:`METRICS_CHUNK` at a time.
+    (``interferometer._detect_pairs``).  The input is untagged, so each
+    block has one tag column, a pure state whose concurrence is
+    :func:`pure_concurrences`; its spin matrix is still built, validated
+    and Bell-labelled.  Blocks are evaluated :data:`METRICS_CHUNK` at a time.
     """
     kept = _detect_pairs(net, opposite_spin_input(statistics, net), coincidences=True)
     probabilities, first = kept.probabilities, kept.first
@@ -123,7 +134,7 @@ def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str
         validate_dms(rho)
         # alpha / beta: |up down> over |down up> in the untagged column
         phases = _correction_phases(blocks[:, 1, 0], blocks[:, 2, 0], lower, kept.upper[chunk])
-        table["concurrence"] += concurrences(rho).tolist()
+        table["concurrence"] += pure_concurrences(blocks[:, :, 0]).tolist()
         table["bell_state"] += [label or "other" for label in bell_labels(rho).tolist()]
         table["correction"] += map(_correction_label, lower, phases.tolist())
     return sum(probabilities[first:], 0.0), table

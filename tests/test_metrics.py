@@ -20,9 +20,11 @@ from twinbeam.metrics import (
     chsh_values,
     coincidence_spin_dms,
     concurrences,
+    density_matrices,
     distinguishability,
     dual_relabel,
     gaussian_overlap,
+    pure_concurrences,
     reduce_to_spin_dm,
     tagged_opposite_spin_input,
     validate_dms,
@@ -127,6 +129,42 @@ class TestConcurrence:
         validate_dms(stack)
         c_base, c_rotated = concurrences(stack)
         assert abs(c_rotated - c_base) < 1e-9
+
+
+class TestPureConcurrences:
+    """The closed form against the Wootters pipeline on the same pure states."""
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_random=st.integers(1, 12))
+    def test_matches_wootters_on_random_pure_states(self, seed, n_random):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=(n_random, 4)) + 1j * rng.normal(size=(n_random, 4))
+        product = np.kron(random_unitary(rng, 2)[:, 0], random_unitary(rng, 2)[:, 0])
+        v = np.concatenate([v / np.linalg.norm(v, axis=-1, keepdims=True), [product]])
+        reference = concurrences(density_matrices(v[..., None]))
+        closed = pure_concurrences(v)
+        assert closed.shape == reference.shape == (n_random + 1,)
+        assert np.abs(closed - reference).max() < 1e-12
+        assert closed[-1] < 1e-12
+        assert pure_concurrences(v[None]).tolist() == [closed.tolist()]
+        # one unstacked 4-vector gives the same value on its own
+        for single, c in zip(v, reference.tolist()):
+            value = pure_concurrences(single)
+            assert value.shape == ()
+            assert abs(value - c) < 1e-12
+
+    def test_product_states_are_exactly_separable(self):
+        # real factors, so that v0 v3 and v1 v2 round alike (complex products may not)
+        up, down = np.eye(2, dtype=complex)
+        factors = [up, down, (up + down) / math.sqrt(2.0), (up - 2.0 * down) / math.sqrt(5.0)]
+        products = np.array([np.kron(a, b) for a in factors for b in factors])
+        assert pure_concurrences(products).tolist() == [0.0] * len(products)
+        assert concurrences(density_matrices(products[..., None])).max() < 1e-12
+
+    def test_bell_states_are_maximal(self):
+        phased = np.array([0, 1, np.exp(0.7j), 0]) / math.sqrt(2.0)
+        closed = pure_concurrences(np.array([PSI_PLUS, PSI_MINUS, phased]))
+        assert np.abs(closed - 1.0).max() < 1e-12
 
 
 # Per-matrix reference versions of the stacked checks, kept as they were

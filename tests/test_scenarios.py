@@ -169,6 +169,12 @@ class TestCorrectionPhases:
         assert ((phases == 1.0) == (expected == 1.0)).all()
         assert np.abs(phases - expected).max() < 1e-12
         table = scenarios._branch_table(net, statistics)[1]
+        # an untagged input gives one tag column, so the closed-form concurrence
+        # must match the Wootters pipeline on the same blocks
+        assert blocks.shape[2] == 1
+        wootters = metrics.concurrences(metrics.density_matrices(blocks))
+        closed = np.array(table["concurrence"][-len(coincidences):])
+        assert np.abs(closed - wootters).max() < 1e-12
         labels = map(scenarios._correction_label, map(min, coincidences), phases.tolist())
         assert table["correction"][-len(coincidences):] == list(labels)
         bell = {1.0: "psi_plus", -1.0: "psi_minus"}
