@@ -24,7 +24,7 @@ from .interferometer import heralded_pair
 
 DM_TOL = 1e-9
 
-#: a matrix is labelled with a Bell state when its fidelity exceeds 1 - BELL_TOL
+#: a block is labelled with a Bell state when its fidelity exceeds 1 - BELL_TOL
 BELL_TOL = 1e-9
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -36,8 +36,11 @@ PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
 
 _SY_SY = np.kron(SIGMA_Y, SIGMA_Y)
 
-# an object array, so that every label of a stack is one shared str, not a copy per matrix
+# an object array, so that every label of a stack is one shared str, not a copy per block
 _BELL_NAMES = np.array(["", "psi_plus", "psi_minus"], dtype=object)
+
+# <psi+| and <psi-| as the two columns of a 4x2 matrix
+_BELL_BRAS = np.array([PSI_PLUS, PSI_MINUS]).conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,11 +97,6 @@ def validate_dms(rho: np.ndarray) -> None:
         raise ValueError("density matrix trace is not 1 within tolerance")
 
 
-def _fidelities(rho: np.ndarray, pure: np.ndarray) -> np.ndarray:
-    v = np.asarray(pure, dtype=complex)
-    return np.real(v.conj() @ rho @ v)
-
-
 def _pair_blocks(
     states: Sequence[FockState], path_x: str, path_y: str, place: Callable
 ) -> np.ndarray:
@@ -143,6 +141,15 @@ def _spin_place(monomial: Monomial, amp: complex, p1: str, p2: str) -> tuple[int
     return 2 * int(m1.spin) + int(m2.spin), amp
 
 
+def spin_blocks(states: Sequence[FockState], path_x: str, path_y: str) -> np.ndarray:
+    """Spin-tag blocks ``v[k, 2 s1 + s2, (t1, t2)]`` of states with one particle on each path.
+
+    Qubit 1 is the lexicographically smaller path; the ``(n, 4, T)``
+    stack shares one tag-pair column set, as :func:`_pair_blocks` builds it.
+    """
+    return _pair_blocks(states, path_x, path_y, _spin_place)
+
+
 def reduce_to_spin_dm(state: FockState, path_x: str, path_y: str) -> TwoQubitDM:
     """Spin density matrix of a state with one particle in each given path.
 
@@ -151,7 +158,7 @@ def reduce_to_spin_dm(state: FockState, path_x: str, path_y: str) -> TwoQubitDM:
     coefficients of |s1 s2> (x) |t1 t2>, and the tag factor is traced
     out.
     """
-    rho = density_matrices(_pair_blocks([state], path_x, path_y, _spin_place)[0])
+    rho = density_matrices(spin_blocks([state], path_x, path_y)[0])
     return TwoQubitDM(rho, tuple(sorted((path_x, path_y))))
 
 
@@ -293,19 +300,24 @@ def coincidence_spin_dms(statistics: Statistics, overlaps: Sequence[complex]) ->
     branches = [heralded_pair(tagged_opposite_spin_input(statistics, o)) for o in (1.0, 0.0)]
     # each branch's normalized amplitudes times its amplitude norm: the unnormalized coincidence
     norms = np.sqrt([b.probability for b in branches])[:, None, None]
-    v_par, v_orth = norms * _pair_blocks([b.state for b in branches], "C", "D", _spin_place)
+    v_par, v_orth = norms * spin_blocks([b.state for b in branches], "C", "D")
     residual = np.sqrt(np.maximum(0.0, 1.0 - mag ** 2))
     rho = density_matrices(overlaps[:, None, None] * v_par + residual[:, None, None] * v_orth)
     validate_dms(rho)
     return rho
 
 
-def bell_labels(rho: np.ndarray) -> np.ndarray:
-    """Name of the Bell state each matrix of a ``(..., 4, 4)`` stack equals, or ``""``.
+def bell_labels(v: np.ndarray) -> np.ndarray:
+    """Name of the Bell state each 4xT amplitude block of a ``(..., 4, T)`` stack holds, or ``""``.
 
-    A matrix is ``"psi_plus"`` (tested first) or ``"psi_minus"`` when its
-    fidelity with that state exceeds ``1 - BELL_TOL``.
+    A block's fidelity with a pure state psi is ``sum_c |<psi|v[:, c]>|^2 / |v|^2``,
+    which is ``<psi| v v† / tr |psi>``, so a tag-mixed block is labelled as its spin
+    matrix would be.  It is ``"psi_plus"`` (tested first) or ``"psi_minus"`` when
+    that fidelity exceeds ``1 - BELL_TOL``.  A ``(..., 4, 4)`` matrix reads as T = 4.
     """
-    plus = _fidelities(rho, PSI_PLUS) > 1.0 - BELL_TOL
-    minus = _fidelities(rho, PSI_MINUS) > 1.0 - BELL_TOL
-    return _BELL_NAMES[np.where(plus, 1, 2 * minus)]
+    v = np.asarray(v)
+    # (..., T, 2) overlaps in one product, summed over the tag columns
+    overlaps = (np.abs(v.swapaxes(-1, -2) @ _BELL_BRAS) ** 2).sum(axis=-2)
+    # the fidelity test multiplied out by |v|^2, so that a zero block is no Bell state
+    bell = overlaps > (1.0 - BELL_TOL) * (np.abs(v) ** 2).sum(axis=(-2, -1))[..., None]
+    return _BELL_NAMES[np.where(bell[..., 0], 1, 2 * bell[..., 1])]

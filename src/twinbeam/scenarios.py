@@ -9,7 +9,6 @@ and reports yields, correlations, concurrences and CHSH values in a
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import accumulate, product
 from typing import Callable, NamedTuple, Sequence
 
@@ -41,6 +40,7 @@ from .metrics import (
     gaussian_overlap,
     pure_concurrences,
     reduce_to_spin_dm,
+    spin_blocks,
     validate_dms,
 )
 from .reporting import SAMPLED, Scalar, ScenarioReport
@@ -61,8 +61,7 @@ VERDICT_DEAD_ZONE = 0.1
 #: points holds about 15 MiB of table columns
 MAX_GRID = 100_000
 
-#: coincidence spin matrices validated and evaluated at once in a branch table or
-#: a sweep; stacking all 8,128 of a depth-7 tree at once raises the peak memory by half
+#: coincidence spin matrices built, validated and evaluated at once in a sweep
 METRICS_CHUNK = 512
 
 
@@ -72,39 +71,27 @@ def _sweep(start: float, stop: float, grid: int) -> list[float]:
     return np.linspace(start, stop, grid).tolist()
 
 
-def _correction_phases(
-    alpha: np.ndarray, beta: np.ndarray, lower: Sequence[str], upper: Sequence[str]
-) -> np.ndarray:
+def _correction_phases(v: np.ndarray, lower: Sequence[str], upper: Sequence[str]) -> np.ndarray:
     """Down-spin phase on the lower path that turns each coincidence into psi+.
 
-    ``alpha`` and ``beta`` are the normalized amplitudes of |up down>
-    and |down up> on the coincidences of the paths ``lower[k] <
-    upper[k]``; each must have magnitude 1/sqrt(2), or
-    :class:`NetworkError` names the first that does not.  The phase is
-    ``alpha / beta`` on the unit circle, snapped to +-1 within 1e-12 of
-    the real axis; 1 means no correction.
+    ``v`` holds the normalized untagged amplitudes, shape ``(n, 4)``, of
+    the coincidences of the paths ``lower[k] < upper[k]``.  Each must be
+    a local-phase image of psi+: ``|v1|`` and ``|v2|`` within 1e-9 of
+    1/sqrt(2), ``|v0|`` and ``|v3|`` within 1e-9 of 0, so that a NaN or
+    infinite amplitude fails too; :class:`NetworkError` names the first
+    that is not.  The phase is ``v1 / v2`` (|up down> over |down up>) on
+    the unit circle, snapped to +-1 within 1e-12 of the real axis; 1
+    means no correction.
     """
     half = 1 / math.sqrt(2)
-    bad = (np.abs(np.abs(alpha) - half) > 1e-9) | (np.abs(np.abs(beta) - half) > 1e-9)
+    close = np.abs(np.abs(v) - [0.0, half, half, 0.0]) <= 1e-9
+    bad = ~close.all(axis=-1)
     if bad.any():
         k = int(bad.argmax())
         raise NetworkError(f"branch {[lower[k], upper[k]]} is not a local-phase image of psi+")
-    delta = alpha / beta
+    delta = v[:, 1] / v[:, 2]
     delta /= np.abs(delta)
     return np.where(np.abs(delta.imag) < 1e-12, np.where(delta.real > 0, 1.0, -1.0), delta)
-
-
-@lru_cache(maxsize=64)
-def _down_phase(phase: complex) -> str:
-    # a tree's coincidences share two phases; keying by value is safe because an
-    # imaginary part is either a snapped +-1's +0.0 or at least 1e-12 in magnitude
-    return f"down-phase {math.atan2(phase.imag, phase.real) / math.pi:.6g}pi"
-
-
-def _correction_label(lower: str, phase: complex) -> str:
-    if phase == 1.0:
-        return "identity"
-    return lower + ":" + _down_phase(phase)
 
 
 def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str, list]]:
@@ -113,30 +100,27 @@ def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str
     One row per detector pattern, in :func:`detect`'s order.  The
     coincidences come last, with their normalized spin-tag blocks
     (``interferometer._detect_pairs``).  The input is untagged, so each
-    block has one tag column, a pure state whose concurrence is
-    :func:`pure_concurrences`; its spin matrix is still built, validated
-    and Bell-labelled.  Blocks are evaluated :data:`METRICS_CHUNK` at a time.
+    block has one tag column, a pure state: its concurrence is
+    :func:`pure_concurrences`, its Bell label :func:`bell_labels` of the
+    block, and :func:`_correction_phases` checks it.  No spin matrix is built.
     """
     kept = _detect_pairs(net, opposite_spin_input(statistics, net), coincidences=True)
-    probabilities, first = kept.probabilities, kept.first
+    probabilities, first, lower = kept.probabilities, kept.first, kept.lower
+    untagged = kept.blocks[:, :, 0]
+    phases = _correction_phases(untagged, lower, kept.upper).tolist()
+    # a tree's coincidences share two phases; keying by value is safe because an
+    # imaginary part is either a snapped +-1's +0.0 or at least 1e-12 in magnitude
+    names = {p: f"down-phase {math.atan2(p.imag, p.real) / math.pi:.6g}pi" for p in set(phases)}
     table = {
         "pattern": kept.labels(),
         "detectors": [0] * kept.empty + [1] * len(kept.singles) + [2] * len(kept.blocks),
         "probability": probabilities,
-        "concurrence": [0.0] * first,
-        "bell_state": [""] * first,
-        "correction": [""] * first,
+        "concurrence": [0.0] * first + pure_concurrences(untagged).tolist(),
+        "bell_state": [""] * first + [b or "other" for b in bell_labels(kept.blocks).tolist()],
+        "correction": [""] * first + [
+            "identity" if p == 1.0 else f"{low}:{names[p]}" for low, p in zip(lower, phases)
+        ],
     }
-    for start in range(0, len(kept.blocks), METRICS_CHUNK):
-        chunk = slice(start, start + METRICS_CHUNK)
-        blocks, lower = kept.blocks[chunk], kept.lower[chunk]
-        rho = density_matrices(blocks)
-        validate_dms(rho)
-        # alpha / beta: |up down> over |down up> in the untagged column
-        phases = _correction_phases(blocks[:, 1, 0], blocks[:, 2, 0], lower, kept.upper[chunk])
-        table["concurrence"] += pure_concurrences(blocks[:, :, 0]).tolist()
-        table["bell_state"] += [label or "other" for label in bell_labels(rho).tolist()]
-        table["correction"] += map(_correction_label, lower, phases.tolist())
     return sum(probabilities[first:], 0.0), table
 
 
@@ -228,14 +212,14 @@ def scenario_mixed_input(statistics: Statistics) -> ScenarioReport:
         heralded_pair(make_product_state(statistics, [Mode("A", a), Mode("B", b)]))
         for a, b in spins
     ]
-    # the spin matrices of the inputs that give coincidences, in input order
+    # the spin blocks of the inputs that give coincidences, in input order
     rows = [k for k, pair in enumerate(pairs) if pair.probability > 0.0]
-    dms = np.array([reduce_to_spin_dm(pairs[k].state, "C", "D").matrix for k in rows])
+    v = spin_blocks([pairs[k].state for k in rows], "C", "D")
     total = 0.0
     weighted_dm = np.zeros((4, 4), dtype=complex)
     mixture: dict[str, float] = {}
     bell_states = [""] * len(inputs)
-    for k, dm, label in zip(rows, dms, bell_labels(dms).tolist()):
+    for k, dm, label in zip(rows, density_matrices(v), bell_labels(v).tolist()):
         w = weight * pairs[k].probability
         total += w
         weighted_dm += w * dm
@@ -286,14 +270,16 @@ def scenario_feedback(
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     rounds = feedback_run(depth, statistics)
-    rho = np.array([reduce_to_spin_dm(r.conditional_state, "C", "D").matrix for r in rounds])
+    v = spin_blocks([r.conditional_state for r in rounds], "C", "D")
+    rho = density_matrices(v)
+    validate_dms(rho)
     failures = [r.cumulative_failure for r in rounds]
     table = {
         "round": [r.round for r in rounds],
         "success_probability": [r.success_probability for r in rounds],
         "cumulative_failure": failures,
         "cumulative_success": [1.0 - f for f in failures],
-        "bell_state": [label or "other" for label in bell_labels(rho).tolist()],
+        "bell_state": [label or "other" for label in bell_labels(v).tolist()],
         "concurrence": concurrences(rho).tolist(),
     }
     scalars = {

@@ -1,6 +1,7 @@
 """Tests for reductions, concurrence, CHSH, and the complementarity pipeline."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,17 +198,30 @@ def reference_bell_label(rho):
     return ""
 
 
-def random_stack(seed, n_random, tags):
-    """v v†/tr for random complex 4 x tags arrays v, mixed with Bell, product and I/4 states."""
+def random_blocks(seed, n_random, tags):
+    """Random complex 4 x tags blocks, mixed with Bell, product and |01> states.
+
+    Each pure state sits in its own random unit vector over the tag columns, a
+    global phase included, so that its block is tag-mixed but its spin state pure.
+    """
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n_random, 4, tags)) + 1j * rng.normal(size=(n_random, 4, tags))
-    matrices = list(v @ v.conj().swapaxes(-1, -2))
     product = np.kron(random_unitary(rng, 2)[:, 0], random_unitary(rng, 2)[:, 0])
-    for pure in (PSI_PLUS, PSI_MINUS, product, np.array([0, 1, 0, 0])):
-        matrices.append(np.outer(pure, np.conj(pure)))
-    matrices.append(np.eye(4))
-    stack = np.array(matrices, dtype=complex)[rng.permutation(len(matrices))]
-    return stack / np.trace(stack, axis1=-2, axis2=-1).real[:, None, None]
+    pure = [
+        np.outer(state, random_unitary(rng, tags)[0])
+        for state in (PSI_PLUS, PSI_MINUS, product, np.array([0, 1, 0, 0]))
+    ]
+    blocks = np.concatenate([v, pure])
+    return blocks[rng.permutation(len(blocks))]
+
+
+#: the maximally mixed block: its spin matrix v v†/tr is I/4
+MIXED_BLOCK = np.eye(4, dtype=complex) / 2.0
+
+
+def random_stack(seed, n_random, tags):
+    """The spin matrices v v†/tr of :func:`random_blocks`, then I/4."""
+    return np.concatenate([density_matrices(random_blocks(seed, n_random, tags)), [np.eye(4) / 4]])
 
 
 class TestStackedMetrics:
@@ -225,12 +239,27 @@ class TestStackedMetrics:
         expected = [reference_concurrence(m) for m in stack]
         assert concurrences(stack).tolist() == expected
         assert concurrences(stack[None]).tolist() == [expected]
-        assert bell_labels(stack).tolist() == [reference_bell_label(m) for m in stack]
         # one unstacked 4x4 matrix gives the same value on its own
         for m, c in zip(stack, expected):
             dm = TwoQubitDM(m, ("C", "D"))
             assert concurrences(dm.matrix).item() == c
-            assert bell_labels(dm.matrix) == reference_bell_label(m)
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_random=st.integers(0, 12),
+        tags=st.integers(1, 3),
+    )
+    def test_bell_labels_match_the_spin_matrix_reference(self, seed, n_random, tags):
+        blocks = random_blocks(seed, n_random, tags)
+        expected = [reference_bell_label(m) for m in density_matrices(blocks)]
+        assert bell_labels(blocks).tolist() == expected
+        assert bell_labels(blocks[None]).tolist() == [expected]
+        assert expected.count("psi_plus") >= 1 and expected.count("psi_minus") >= 1
+        # one unstacked 4xT block gives the same label on its own
+        for block, label in zip(blocks, expected):
+            assert bell_labels(block) == label
+        assert bell_labels(MIXED_BLOCK) == reference_bell_label(np.eye(4) / 4.0) == ""
 
     @pytest.mark.parametrize(
         "bad",
@@ -482,8 +511,26 @@ class TestDualRelabel:
 
 class TestBellLabels:
     def test_names_the_bell_states(self):
-        stack = np.array([pure_dm(PSI_PLUS).matrix, pure_dm(PSI_MINUS).matrix])
-        assert bell_labels(stack).tolist() == ["psi_plus", "psi_minus"]
+        blocks = np.array([PSI_PLUS, PSI_MINUS])[..., None]
+        assert bell_labels(blocks).tolist() == ["psi_plus", "psi_minus"]
+
+    def test_tag_mixed_bell_state_keeps_its_label(self):
+        # psi- times a two-column tag state, unnormalized: its spin matrix is still psi-
+        assert bell_labels(np.outer(PSI_MINUS, [0.6, 0.8j]) * 3.0) == "psi_minus"
 
     def test_rejects_everything_else(self):
-        assert bell_labels(np.eye(4, dtype=complex) / 4.0) == ""
+        assert bell_labels(MIXED_BLOCK) == ""
+        assert bell_labels(np.array([0, 1, 0, 0], dtype=complex)[:, None]) == ""
+
+    def test_zero_block_is_no_bell_state(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bell_labels(np.zeros((2, 4, 1), dtype=complex)).tolist() == ["", ""]
+
+    def test_reads_a_matrix_as_a_four_column_block(self):
+        # as a density matrix, fidelity 1 - 1e-6 with psi+: no label; as a block its
+        # spin matrix is rho^2 / tr, of fidelity about 1 - 1e-12: psi+
+        p = 1.0 - 1e-6
+        rho = p * pure_dm(PSI_PLUS).matrix + (1.0 - p) * pure_dm(PSI_MINUS).matrix
+        assert reference_bell_label(rho) == ""
+        assert bell_labels(rho) == "psi_plus"

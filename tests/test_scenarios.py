@@ -123,28 +123,46 @@ class TestTree:
             else:
                 assert row["detectors"] == 1
 
-    # 28, 120 and 496 coincidences: a multiple of 7 and two remainders
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
-    @pytest.mark.parametrize("depth", [3, 4, 5])
-    def test_rows_do_not_depend_on_chunk_size(self, monkeypatch, depth, statistics):
-        report = scenario_tree(depth, statistics)
-        monkeypatch.setattr(scenarios, "METRICS_CHUNK", 7)
-        chunked = scenario_tree(depth, statistics)
-        assert chunked.to_json() == report.to_json()
-        assert chunked.to_csv() == report.to_csv()
+    def test_branch_table_builds_no_spin_matrix(self, monkeypatch, statistics):
+        expected = scenario_tree(5, statistics).to_json()
+
+        def no_matrices(*args):
+            raise AssertionError("the branch table built or validated a spin matrix")
+
+        monkeypatch.setattr(scenarios, "density_matrices", no_matrices)
+        monkeypatch.setattr(scenarios, "validate_dms", no_matrices)
+        assert scenario_tree(5, statistics).to_json() == expected
 
     def test_depth_guard(self):
         with pytest.raises(ValueError):
             scenario_tree(11, Statistics.BOSON)
 
 
+def untagged(*amplitudes):
+    """One coincidence's (1, 4) untagged column, as _correction_phases takes it."""
+    return np.array([amplitudes], dtype=complex)
+
+
+def correction_label(lower, phase):
+    """The branch table's correction entry for a down-spin phase on the path ``lower``."""
+    if phase == 1.0:
+        return "identity"
+    return f"{lower}:down-phase {math.atan2(phase.imag, phase.real) / math.pi:.6g}pi"
+
+
+HALF = 1 / math.sqrt(2.0)
+
+
 class TestCorrectionPhases:
-    def test_correction_label_is_alpha_over_beta(self):
-        # (i |up down> + |down up>) / sqrt2 needs the down phase i on X
-        alpha, beta = np.array([[1j], [1.0]]) / math.sqrt(2.0)
-        (phase,) = scenarios._correction_phases(alpha, beta, ["X"], ["Y"]).tolist()
-        assert scenarios._correction_label("X", phase) == "X:down-phase 0.5pi"
-        assert scenarios._correction_label("X", 1.0) == "identity"
+    def test_correction_label_is_alpha_over_beta(self, monkeypatch):
+        # (i |up down> + |down up>) / sqrt2 needs the down phase i on X; psi+ needs none
+        blocks = np.array([[0, 1j, 1, 0], [0, 1, 1, 0]])[..., None] * HALF
+        kept = interferometer._KeptPatterns(0, [], ["X", "X"], ["Y", "Z"], [0.5, 0.5], blocks)
+        monkeypatch.setattr(scenarios, "_detect_pairs", lambda *args, **kwargs: kept)
+        table = scenarios._branch_table(fig1_network(), Statistics.FERMION)[1]
+        assert table["correction"] == ["X:down-phase 0.5pi", "identity"]
+        assert table["bell_state"] == ["other", "psi_plus"]
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     @pytest.mark.parametrize(
@@ -156,16 +174,16 @@ class TestCorrectionPhases:
         kept = interferometer._detect_pairs(net, state, coincidences=True)
         lower, upper, blocks = kept.lower, kept.upper, kept.blocks
         coincidences = list(map(frozenset, zip(lower, upper)))
-        phases = scenarios._correction_phases(blocks[:, 1, 0], blocks[:, 2, 0], lower, upper)
+        phases = scenarios._correction_phases(blocks[:, :, 0], lower, upper)
         branches = detect(run_network(net, state), net.monitored)
         assert len(phases) == sum(len(b.pattern) == 2 for b in branches) > 0
-        # the rule applied to each detected branch's |up down> and |down up> amplitudes
-        alpha, beta = np.array([
+        # the rule applied to each detected branch's four spin amplitudes
+        amplitudes = np.array([
             [branches[p].state.amplitude([Mode(min(p), s1), Mode(max(p), s2)])
-             for s1, s2 in ((UP, DOWN), (DOWN, UP))]
+             for s1, s2 in ((UP, UP), (UP, DOWN), (DOWN, UP), (DOWN, DOWN))]
             for p in coincidences
-        ]).T
-        expected = scenarios._correction_phases(alpha, beta, lower, upper)
+        ])
+        expected = scenarios._correction_phases(amplitudes, lower, upper)
         assert ((phases == 1.0) == (expected == 1.0)).all()
         assert np.abs(phases - expected).max() < 1e-12
         table = scenarios._branch_table(net, statistics)[1]
@@ -175,7 +193,7 @@ class TestCorrectionPhases:
         wootters = metrics.concurrences(metrics.density_matrices(blocks))
         closed = np.array(table["concurrence"][-len(coincidences):])
         assert np.abs(closed - wootters).max() < 1e-12
-        labels = map(scenarios._correction_label, map(min, coincidences), phases.tolist())
+        labels = map(correction_label, map(min, coincidences), phases.tolist())
         assert table["correction"][-len(coincidences):] == list(labels)
         bell = {1.0: "psi_plus", -1.0: "psi_minus"}
         expected_bell = [bell.get(p, "other") for p in phases.tolist()]
@@ -194,14 +212,33 @@ class TestCorrectionPhases:
         ids=["i", "minus-one", "one", "snapped", "unit-circle"],
     )
     def test_phase_rule(self, alpha, expected):
-        half = np.array([1 / math.sqrt(2)], dtype=complex)
-        (phase,) = scenarios._correction_phases(alpha * half, half, ["C"], ["D"])
+        (phase,) = scenarios._correction_phases(untagged(0, alpha * HALF, HALF, 0), ["C"], ["D"])
         assert abs(phase - expected) < 1e-15
 
     def test_phases_reject_a_non_bell_coincidence(self):
-        alpha, beta = np.array([1.0 + 0j]), np.array([0j])
         with pytest.raises(NetworkError, match=r"\['C', 'D'\] is not a local-phase image"):
-            scenarios._correction_phases(alpha, beta, ["C"], ["D"])
+            scenarios._correction_phases(untagged(0, 1, 0, 0), ["C"], ["D"])
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            # NaN fails every comparison, so a test of the form |x| > tol lets it through
+            untagged(0, math.nan, HALF, 0),
+            untagged(0, HALF, HALF, math.inf),
+            # psi+ plus a little |up up>: |v1| and |v2| alone still read 1/sqrt2
+            untagged(1e-6, HALF, HALF, 0),
+            untagged(0, 2 * HALF, 2 * HALF, 0),
+        ],
+        ids=["nan", "inf", "up-up-weight", "scaled-by-two"],
+    )
+    def test_phases_reject_every_block_off_psi_plus(self, v):
+        with pytest.raises(NetworkError, match=r"\['C', 'D'\] is not a local-phase image"):
+            scenarios._correction_phases(v, ["C"], ["D"])
+
+    def test_phases_name_the_first_bad_coincidence(self):
+        v = np.concatenate([untagged(0, HALF, HALF, 0), untagged(0, HALF, math.nan, 0)])
+        with pytest.raises(NetworkError, match=r"\['E', 'F'\]"):
+            scenarios._correction_phases(v, ["C", "E"], ["D", "F"])
 
 
 class TestStatisticsTest:
@@ -269,6 +306,34 @@ class TestEnsemble:
         report = scenario_mixed_input(Statistics.BOSON)
         assert report.table["input"] == ["Au+Bu", "Au+Bd", "Ad+Bu", "Ad+Bd"]
         assert report.table["weight"] == [0.25] * 4
+
+
+class TestPureStateStacks:
+    """feedback and mixed-input label their pure coincidences from one stack of spin blocks."""
+
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    @pytest.mark.parametrize(
+        "run,shape",
+        [(lambda s: scenario_feedback(5, s), (5, 4, 4)), (scenario_mixed_input, (2, 4, 4))],
+        ids=["feedback", "mixed-input"],
+    )
+    def test_no_single_matrix_and_one_validated_stack(self, monkeypatch, run, shape, statistics):
+        def no_single_matrix(*args):
+            raise AssertionError("the scenario built a TwoQubitDM")
+
+        shapes = []
+        validate_dms = scenarios.validate_dms
+
+        def recording(rho):
+            shapes.append(rho.shape)
+            validate_dms(rho)
+
+        expected = run(statistics).to_json()
+        monkeypatch.setattr(metrics.TwoQubitDM, "__post_init__", no_single_matrix)
+        monkeypatch.setattr(scenarios, "validate_dms", recording)
+        assert run(statistics).to_json() == expected
+        # mixed-input validates the conditional matrix and its flipped image
+        assert shapes == [shape]
 
 
 class TestFeedback:
