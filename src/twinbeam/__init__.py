@@ -45,7 +45,6 @@ from .metrics import (
     TwoQubitDM,
     bell_labels,
     chsh_values,
-    coincidence_spin_dms,
     concurrences,
     distinguishability,
     dual_relabel,

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import OccupancyError
 from .fock import FockState, Mode, Monomial, Spin, Statistics, make_product_state
-from .interferometer import heralded_pair
 
 DM_TOL = 1e-9
 
@@ -283,28 +282,6 @@ def tagged_opposite_spin_input(statistics: Statistics, overlap: complex) -> Fock
     parallel = make_product_state(statistics, [Mode("A", Spin.UP, 0), Mode("B", Spin.DOWN, 0)])
     orthogonal = make_product_state(statistics, [Mode("A", Spin.UP, 0), Mode("B", Spin.DOWN, 1)])
     return complex(overlap) * parallel + residual * orthogonal
-
-
-def coincidence_spin_dms(statistics: Statistics, overlaps: Sequence[complex]) -> np.ndarray:
-    """Spin matrices heralded by a coincidence for tagged opposite-spin pairs, one per overlap.
-
-    Each equals :func:`reduce_to_spin_dm` of the :func:`heralded_pair` state of that overlap's
-    :func:`tagged_opposite_spin_input`, but the coincidence is linear in the input, so only
-    the tag pairs 0, 0 and 0, 1 are propagated and superposed.  The ``(k, 4, 4)`` stack is
-    validated once, by :func:`validate_dms`.
-    """
-    overlaps = np.asarray(overlaps, dtype=complex)
-    mag = np.abs(overlaps)
-    for m in mag.tolist():
-        _checked_magnitude(m)
-    branches = [heralded_pair(tagged_opposite_spin_input(statistics, o)) for o in (1.0, 0.0)]
-    # each branch's normalized amplitudes times its amplitude norm: the unnormalized coincidence
-    norms = np.sqrt([b.probability for b in branches])[:, None, None]
-    v_par, v_orth = norms * spin_blocks([b.state for b in branches], "C", "D")
-    residual = np.sqrt(np.maximum(0.0, 1.0 - mag ** 2))
-    rho = density_matrices(overlaps[:, None, None] * v_par + residual[:, None, None] * v_orth)
-    validate_dms(rho)
-    return rho
 
 
 def bell_labels(v: np.ndarray) -> np.ndarray:

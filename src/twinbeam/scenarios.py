@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, product
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .interferometer import (
 from .metrics import (
     bell_labels,
     chsh_values,
-    coincidence_spin_dms,
     concurrences,
     density_matrices,
     distinguishability,
@@ -41,6 +40,7 @@ from .metrics import (
     pure_concurrences,
     reduce_to_spin_dm,
     spin_blocks,
+    tagged_opposite_spin_input,
     validate_dms,
 )
 from .reporting import SAMPLED, Scalar, ScenarioReport
@@ -306,21 +306,24 @@ def scenario_feedback(
     )
 
 
-def _sweep_metrics(
-    statistics: Statistics, points: list[float], overlap: Callable[[float], float]
-) -> tuple[list[float], list[float], list[float]]:
-    """The tag overlap of each sweep point, and the concurrence and CHSH value that pair heralds.
+def _heralded_dms(statistics: Statistics, overlaps: Sequence[complex]) -> Iterator[np.ndarray]:
+    """Spin matrices a coincidence heralds for tagged opposite-spin pairs, one per overlap.
 
-    The spin matrices are built, validated and evaluated :data:`METRICS_CHUNK` at a time.
+    The coincidence is linear in the input, so only the tag pairs 0, 0 and 0, 1 are
+    heralded, once per call, and superposed: the block of an overlap ``o`` is
+    ``o v_par + sqrt(1 - |o|^2) v_orth``.  One validated ``(k, 4, 4)`` stack is
+    yielded per :data:`METRICS_CHUNK` overlaps.
     """
-    overlaps, entanglement, chsh = [], [], []
-    for start in range(0, len(points), METRICS_CHUNK):
-        chunk = [overlap(point) for point in points[start : start + METRICS_CHUNK]]
-        rho = coincidence_spin_dms(statistics, chunk)
-        overlaps += chunk
-        entanglement += concurrences(rho).tolist()
-        chsh += chsh_values(rho).tolist()
-    return overlaps, entanglement, chsh
+    branches = [heralded_pair(tagged_opposite_spin_input(statistics, o)) for o in (1.0, 0.0)]
+    # each branch's normalized amplitudes times its amplitude norm: the unnormalized coincidence
+    norms = np.sqrt([b.probability for b in branches])[:, None, None]
+    v_par, v_orth = norms * spin_blocks([b.state for b in branches], "C", "D")
+    for start in range(0, len(overlaps), METRICS_CHUNK):
+        chunk = np.asarray(overlaps[start : start + METRICS_CHUNK], dtype=complex)
+        residual = np.sqrt(np.maximum(0.0, 1.0 - np.abs(chunk) ** 2))
+        rho = density_matrices(chunk[:, None, None] * v_par + residual[:, None, None] * v_orth)
+        validate_dms(rho)
+        yield rho
 
 
 def scenario_complementarity(grid: int, statistics: Statistics) -> ScenarioReport:
@@ -328,7 +331,11 @@ def scenario_complementarity(grid: int, statistics: Statistics) -> ScenarioRepor
     # the heralded pair's CHSH value is 2 sqrt2 times its concurrence, negated for bosons
     divisor = (-1.0 if statistics is Statistics.BOSON else 1.0) * 2.0 * math.sqrt(2.0)
     overlaps_sq = _sweep(0.0, 1.0, grid)
-    overlaps, entanglement, chsh = _sweep_metrics(statistics, overlaps_sq, math.sqrt)
+    overlaps = list(map(math.sqrt, overlaps_sq))
+    entanglement, chsh = [], []
+    for rho in _heralded_dms(statistics, overlaps):
+        entanglement += concurrences(rho).tolist()
+        chsh += chsh_values(rho).tolist()
     discrimination = list(map(distinguishability, overlaps))
     total = [e + d for e, d in zip(entanglement, discrimination)]
     chsh_inferred = [value / divisor for value in chsh]
@@ -360,9 +367,10 @@ def scenario_gaussian(
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     delays = _sweep(-delay_max, delay_max, grid)
-    overlaps, entanglement, _ = _sweep_metrics(
-        statistics, delays, lambda d: gaussian_overlap(velocity, d, width)
-    )
+    overlaps = [gaussian_overlap(velocity, d, width) for d in delays]
+    entanglement = []
+    for rho in _heralded_dms(statistics, overlaps):
+        entanglement += concurrences(rho).tolist()
     expected = [overlap ** 2 for overlap in overlaps]
     max_dev = max(0.0, *(abs(e - x) for e, x in zip(entanglement, expected)))
     return ScenarioReport(

@@ -25,7 +25,6 @@ from twinbeam.metrics import (
     PSI_MINUS,
     PSI_PLUS,
     chsh_values,
-    coincidence_spin_dms,
     concurrences,
     density_matrices,
     distinguishability,
@@ -37,6 +36,7 @@ from twinbeam.metrics import (
 from twinbeam.oracle import cross_check, oracle_detect, oracle_evolve, splitter_unitary, states_match
 from twinbeam.scenarios import (
     SPIN_MIXER,
+    _heralded_dms,
     scenario_feedback,
     scenario_mixed_input,
     scenario_statistics_test,
@@ -150,7 +150,7 @@ def pair_engine_dm(statistics, overlap):
 def heralded_dms(engine, statistics, overlaps):
     """The ``(k, 4, 4)`` spin matrices that a {C, D} coincidence heralds, one per tag overlap."""
     if engine == "sparse":
-        return coincidence_spin_dms(statistics, overlaps)
+        return np.concatenate(list(_heralded_dms(statistics, overlaps)))
     return np.array([pair_engine_dm(statistics, o) for o in overlaps])
 
 

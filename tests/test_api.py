@@ -19,8 +19,8 @@ PUBLIC_NAMES = {
     "build_tree", "detect", "feedback_run",
     "fig1_network", "fig2_network", "opposite_spin_input", "run_network",
     # metrics
-    "PSI_MINUS", "PSI_PLUS", "TwoQubitDM", "bell_labels", "chsh_values", "coincidence_spin_dms",
-    "concurrences", "distinguishability", "dual_relabel", "gaussian_overlap", "reduce_to_spin_dm",
+    "PSI_MINUS", "PSI_PLUS", "TwoQubitDM", "bell_labels", "chsh_values", "concurrences",
+    "distinguishability", "dual_relabel", "gaussian_overlap", "reduce_to_spin_dm",
     "tagged_opposite_spin_input", "validate_dms",
     # reporting
     "Scalar", "ScenarioReport",
@@ -62,3 +62,15 @@ def test_every_public_name_is_used_by_the_package():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(set(twinbeam.__all__) - used) == []
+
+
+def test_metrics_depends_only_on_errors_and_fock():
+    # the two-qubit algebra sits below the interferometer and the scenarios
+    source = Path(twinbeam.__file__).resolve().parent / "metrics.py"
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert {name for name in imported if name.startswith((".", "twinbeam"))} == {".errors", ".fock"}

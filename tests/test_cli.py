@@ -4,7 +4,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import random
 import re
@@ -225,7 +224,7 @@ class TestRun:
             raise AssertionError("computed past the range check")
 
         # build_tree checks its depth itself; the branch tables and clicks detect next
-        for name in ("_detect_pairs", "coincidence_spin_dms"):
+        for name in ("_detect_pairs", "_heralded_dms"):
             monkeypatch.setattr(scenarios, name, no_run)
         monkeypatch.setattr(cli, "_detect_pairs", no_run)
         # every feedback round propagates first
@@ -403,9 +402,12 @@ class TestCachedParser:
 class TestSweepPropagation:
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS, ids=lambda s: s.value)
     @pytest.mark.parametrize("scenario", ["complementarity", "gaussian"])
-    def test_at_most_two_propagations_per_metrics_chunk(
-        self, capsys, monkeypatch, scenario, statistics
+    # 2, 3 and 143 metrics chunks
+    @pytest.mark.parametrize("grid, chunk", [(1001, 512), (1025, 512), (1001, 7)])
+    def test_two_propagations_per_sweep(
+        self, capsys, monkeypatch, scenario, statistics, grid, chunk
     ):
+        monkeypatch.setattr(scenarios, "METRICS_CHUNK", chunk)
         real = interferometer.run_network
         calls = []
 
@@ -417,11 +419,11 @@ class TestSweepPropagation:
         for name, module in list(sys.modules.items()):
             if name.startswith("twinbeam") and vars(module).get("run_network") is real:
                 monkeypatch.setattr(module, "run_network", counting)
-        argv = ("run", scenario, "--grid", "1001", "--statistics", statistics.value)
+        argv = ("run", scenario, "--grid", str(grid), "--statistics", statistics.value)
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
-        assert code == 0 and len(json.loads(out)["table"]) == 1001
-        chunks = math.ceil(1001 / scenarios.METRICS_CHUNK)
-        assert 0 < len(calls) <= 2 * chunks
+        assert code == 0 and len(json.loads(out)["table"]) == grid
+        # the two tag basis pairs, heralded once and shared by every chunk
+        assert len(calls) == 2
 
 
 CLICKS_NETWORKS = [("--fig 1", fig1_network()), ("--fig 2", fig2_network())]

@@ -19,7 +19,6 @@ from twinbeam.metrics import (
     TwoQubitDM,
     bell_labels,
     chsh_values,
-    coincidence_spin_dms,
     concurrences,
     density_matrices,
     distinguishability,
@@ -30,6 +29,7 @@ from twinbeam.metrics import (
     tagged_opposite_spin_input,
     validate_dms,
 )
+from twinbeam.scenarios import METRICS_CHUNK, _heralded_dms
 
 UP, DOWN = Spin.UP, Spin.DOWN
 ROOT8 = 2.0 * math.sqrt(2.0)
@@ -44,9 +44,16 @@ def coincidence_state(statistics, overlap=1.0):
     return heralded_pair(tagged_opposite_spin_input(statistics, overlap)).state
 
 
+def heralded_stack(statistics, overlaps):
+    """The chunks of the sweeps' ``scenarios._heralded_dms`` as one ``(k, 4, 4)`` stack."""
+    chunks = list(_heralded_dms(statistics, overlaps))
+    assert all(0 < len(rho) <= METRICS_CHUNK for rho in chunks)
+    return np.concatenate([np.empty((0, 4, 4), dtype=complex), *chunks])
+
+
 def coincidence_dm(statistics, overlap):
-    """The one spin matrix of a one-point :func:`coincidence_spin_dms` stack."""
-    return coincidence_spin_dms(statistics, [overlap])[0]
+    """The one spin matrix of a one-point :func:`heralded_stack`."""
+    return heralded_stack(statistics, [overlap])[0]
 
 
 def mixed_fermion_dm():
@@ -367,11 +374,11 @@ def per_point_spin_dms(statistics, points):
     return np.array(matrices).reshape(-1, 4, 4)
 
 
-class TestCoincidenceSpinDms:
+class TestHeraldedDms:
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(statistics=st.sampled_from(BOTH_STATISTICS), points=st.lists(overlaps, max_size=6))
     def test_each_matrix_matches_the_single_point_reduction(self, statistics, points):
-        rho = coincidence_spin_dms(statistics, points)
+        rho = heralded_stack(statistics, points)
         assert rho.shape == (len(points), 4, 4)
         reference = per_point_spin_dms(statistics, points)
         np.testing.assert_allclose(rho, reference, rtol=0.0, atol=SUPERPOSITION_ATOL)
@@ -383,13 +390,10 @@ class TestCoincidenceSpinDms:
         ids=["basis", "complementarity-grid-1001"],
     )
     def test_fixed_overlaps_match_the_single_point_reduction(self, statistics, points):
-        rho = coincidence_spin_dms(statistics, points)
+        rho = heralded_stack(statistics, points)
+        assert rho.shape == (len(points), 4, 4)
         reference = per_point_spin_dms(statistics, points)
         np.testing.assert_allclose(rho, reference, rtol=0.0, atol=SUPERPOSITION_ATOL)
-
-    def test_rejects_overlap_beyond_one(self):
-        with pytest.raises(ValueError, match="exceeds 1"):
-            coincidence_spin_dms(Statistics.BOSON, [0.5, 1.5])
 
 
 @pytest.mark.parametrize("overlap", [math.nan, complex(math.nan, 0.0), math.inf, 1.0 + 1e-9])
@@ -398,9 +402,8 @@ class TestCoincidenceSpinDms:
     [
         distinguishability,
         lambda overlap: tagged_opposite_spin_input(Statistics.FERMION, overlap),
-        lambda overlap: coincidence_spin_dms(Statistics.FERMION, [0.5, overlap]),
     ],
-    ids=["distinguishability", "tagged_opposite_spin_input", "coincidence_spin_dms"],
+    ids=["distinguishability", "tagged_opposite_spin_input"],
 )
 def test_overlap_outside_the_unit_disc_raises(check, overlap):
     with pytest.raises(ValueError, match=r"\|overlap\| = .* exceeds 1"):

@@ -430,14 +430,14 @@ class TestSweepChunks:
             raise AssertionError("a sweep point built a TwoQubitDM")
 
         chunks = []
-        validate_dms = metrics.validate_dms
+        validate_dms = scenarios.validate_dms
 
         def counting(rho):
             chunks.append(len(rho))
             validate_dms(rho)
 
         monkeypatch.setattr(metrics.TwoQubitDM, "__post_init__", no_single_matrix)
-        monkeypatch.setattr(metrics, "validate_dms", counting)
+        monkeypatch.setattr(scenarios, "validate_dms", counting)
         monkeypatch.setattr(scenarios, "METRICS_CHUNK", 7)
         sweep(Statistics.BOSON)
         assert chunks == [7, 7, 7, 7, 2]
