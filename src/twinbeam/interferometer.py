@@ -323,13 +323,15 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
     computed from pair amplitudes instead of an expanded state; ``twinbeam
     clicks`` and the branch tables read those names directly.  The state
     maps onto one (input path x input path) amplitude block ``B`` per pair
-    of internal (spin, tag) labels, with
-    :func:`twinbeam.oracle.cross_check`'s convention, and each block
-    evolves as ``U B U^T`` with ``U`` the network's transfer matrix: every
-    nonzero ``B[p, q]`` adds ``B[p, q] u_p u_q^T`` on the terminals that
-    paths ``p`` and ``q`` reach, so at most twice as many (terminal,
-    terminal) cells are built as the :data:`MAX_MONOMIALS` check counts
-    monomials.  A pattern is kept when one of its second-quantized
+    of internal (spin, tag) labels: a canonical monomial a+_m1 a+_m2 with
+    m1 < m2 and amplitude a puts a/sqrt(2) on (m1, m2) and a/sqrt(2) on
+    (m2, m1), negated there for fermions, and a doubly occupied bosonic
+    mode puts a*sqrt(2) on its diagonal, so the blocks keep the state's
+    norm.  Each block evolves as ``U B U^T`` with ``U`` the network's
+    transfer matrix: every nonzero ``B[p, q]`` adds ``B[p, q] u_p u_q^T``
+    on the terminals that paths ``p`` and ``q`` reach, so at most twice as
+    many (terminal, terminal) cells are built as the :data:`MAX_MONOMIALS`
+    check counts monomials.  A pattern is kept when one of its second-quantized
     amplitudes exceeds ``PRUNE_THRESHOLD``, the sparse engine's rule, and
     the kept probabilities are renormalized.  A state of any particle
     number but two raises ``ValueError``; the input checks and the
@@ -417,11 +419,8 @@ def _pair_cells(state: FockState, table: PathTable, terminals: Sequence[str]) ->
     terminal) position ``(terminals[i], terminals[j])``, holding the
     first-quantized amplitude ``psi``.  ``label // 2`` indexes
     ``label_pairs``, and ``label`` is odd when both particles carry the
-    same internal label.  A canonical monomial a+_m1 a+_m2 with m1 < m2
-    puts a/sqrt(2) on input paths (m1, m2) and +-a/sqrt(2) on (m2, m1),
-    and a doubly occupied bosonic mode puts a*sqrt(2) on its diagonal;
-    each such entry spreads over the outer product of the two paths'
-    images.
+    same internal label.  Each input entry, in :func:`_detect_pairs`'
+    convention, spreads over the outer product of its two paths' images.
     """
     sign = -1.0 if state.statistics is Statistics.FERMION else 1.0
     blocks: dict[tuple, complex] = {}

@@ -44,15 +44,9 @@ _BELL_BRAS = np.array([PSI_PLUS, PSI_MINUS]).conj().T
 
 @dataclass(frozen=True, eq=False)
 class TwoQubitDM:
-    """4x4 density matrix of two qubits, basis {00, 01, 10, 11}.
-
-    ``labels`` name the two qubits: the two firing paths in the spin
-    picture (lexicographically smaller path first), or the two spin
-    values in the dual path picture.
-    """
+    """4x4 density matrix of two qubits, basis {00, 01, 10, 11}."""
 
     matrix: np.ndarray = field(repr=False)
-    labels: tuple[str, str]
 
     def __post_init__(self):
         # a private read-only copy: validated once here, it cannot change afterwards
@@ -158,7 +152,7 @@ def reduce_to_spin_dm(state: FockState, path_x: str, path_y: str) -> TwoQubitDM:
     out.
     """
     rho = density_matrices(spin_blocks([state], path_x, path_y)[0])
-    return TwoQubitDM(rho, tuple(sorted((path_x, path_y))))
+    return TwoQubitDM(rho)
 
 
 def dual_relabel(state: FockState, path_x: str, path_y: str) -> TwoQubitDM:
@@ -186,7 +180,7 @@ def dual_relabel(state: FockState, path_x: str, path_y: str) -> TwoQubitDM:
         return 2 * int(up.path == p2) + int(down.path == p2), amp * reorder
 
     rho = density_matrices(_pair_blocks([state], path_x, path_y, place)[0])
-    return TwoQubitDM(rho, ("up", "down"))
+    return TwoQubitDM(rho)
 
 
 def concurrences(rho: np.ndarray) -> np.ndarray:

@@ -1,10 +1,9 @@
 """Brute-force first-quantized simulator for exactly two particles.
 
-Validation back end for the sparse engine: states are dense amplitude
-matrices over ordered pairs of single-particle labels, evolved by
-``U (x) U``.  It deliberately shares no evolution code with
-:mod:`twinbeam.fock`; only the basis-mapping convention in
-:func:`cross_check` is common to both.
+A dense reference: states are amplitude matrices over ordered pairs of
+single-particle labels, evolved one splitter at a time by ``U (x) U``.
+It shares no evolution code with :mod:`twinbeam.fock` or the pair
+engine.
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotUnitaryError, StatisticsMismatchError
-from .fock import PRUNE_THRESHOLD, FockState, Mode, Spin, Statistics
+from .errors import NotUnitaryError
+from .fock import PRUNE_THRESHOLD, Mode, Spin, Statistics
 
 SYMMETRY_TOL = 1e-12
 NORM_TOL = 1e-9
@@ -48,9 +47,6 @@ class FirstQuantizedState:
         if abs(np.linalg.norm(m) - 1.0) > NORM_TOL:
             raise ValueError("state is not normalized")
         object.__setattr__(self, "amplitudes", m)
-
-    def index(self, label: Mode) -> int:
-        return self.labels.index(label)
 
 
 def pair_state(
@@ -118,38 +114,6 @@ def oracle_detect(
     return probs, conditionals
 
 
-def cross_check(
-    fock_state: FockState, labels: Sequence[Mode] | None = None
-) -> FirstQuantizedState:
-    """Map a two-particle Fock state onto the first-quantized basis.
-
-    The fermionic sign convention matches the sparse engine: a canonical
-    monomial a†_m1 a†_m2 |0> with m1 < m2 carries +1/sqrt(2) on
-    (m1, m2) and -1/sqrt(2) on (m2, m1); a doubly occupied bosonic mode
-    maps onto the diagonal with weight sqrt(2).
-    """
-    if fock_state.particle_numbers() != {2}:
-        raise ValueError("cross_check requires exactly two particles in every monomial")
-    if labels is None:
-        labels = sorted(fock_state.modes())
-    labels = tuple(sorted(labels))
-    index = {m: k for k, m in enumerate(labels)}
-    n = len(labels)
-    out = np.zeros((n, n), dtype=complex)
-    sign = -1.0 if fock_state.statistics is Statistics.FERMION else 1.0
-    for (m1, m2), amp in fock_state.terms.items():
-        try:
-            i, j = index[m1], index[m2]
-        except KeyError as missing:
-            raise ValueError(f"mode {missing} not present in the label space") from None
-        if i == j:
-            out[i, i] += amp * math.sqrt(2.0)
-        else:
-            out[i, j] += amp / math.sqrt(2.0)
-            out[j, i] += sign * amp / math.sqrt(2.0)
-    return FirstQuantizedState(fock_state.statistics, labels, out)
-
-
 def splitter_unitary(labels: Sequence[Mode], in1: str, in2: str, out1: str, out2: str) -> np.ndarray:
     """Single-particle matrix of one 50:50 splitter over a full label space.
 
@@ -180,18 +144,3 @@ def splitter_unitary(labels: Sequence[Mode], in1: str, in2: str, out1: str, out2
             u[i2, o2] = t
             u[i1, o2] = r
     return u
-
-
-def states_match(
-    x: FirstQuantizedState, y: FirstQuantizedState, tol: float = 1e-9
-) -> bool:
-    """Equality up to a global phase, on a shared label space."""
-    if x.statistics is not y.statistics:
-        raise StatisticsMismatchError("cannot compare states with different statistics")
-    if x.labels != y.labels:
-        raise ValueError("states live on different label spaces")
-    overlap = np.vdot(x.amplitudes, y.amplitudes)
-    if abs(overlap) < 1e-15:
-        return False
-    phase = overlap / abs(overlap)
-    return bool(np.allclose(x.amplitudes * phase, y.amplitudes, atol=tol, rtol=0.0))

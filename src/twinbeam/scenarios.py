@@ -241,7 +241,7 @@ def scenario_mixed_input(statistics: Statistics) -> ScenarioReport:
         parameters={},
         scalars={
             "coincidence_probability": Scalar(total),
-            "concurrence": Scalar(concurrences(rho)[0].item()),
+            "concurrence": Scalar(concurrences(conditional).item()),
             "chsh_default": Scalar(chsh_default),
             "chsh_max_abs": Scalar(chsh_best),
             "conditional_decomposition": Scalar(decomposition),

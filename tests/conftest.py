@@ -1,11 +1,20 @@
-"""Shared helpers: random states, unitaries, and feed-forward networks."""
+"""Shared helpers: random states, unitaries, feed-forward networks, and the two engines compared."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from twinbeam.fock import FockState, Mode, Spin, Statistics
-from twinbeam.interferometer import BeamSplitter, Network, _detect_pairs
+from twinbeam.interferometer import (
+    BeamSplitter,
+    Network,
+    _detect_pairs,
+    _pair_cells,
+    detect,
+    run_network,
+)
 
 BOTH_STATISTICS = (Statistics.BOSON, Statistics.FERMION)
 
@@ -32,6 +41,79 @@ def pair_probabilities(net: Network, state: FockState) -> dict[str, float]:
     """The pair engine's kept pattern probabilities keyed by label, in its order."""
     kept = _detect_pairs(net, state)
     return dict(zip(kept.labels(), kept.probabilities))
+
+
+def fock_cells(state: FockState) -> dict[tuple, complex]:
+    """First-quantized amplitudes of a two-particle state, keyed by ``(label, label, path, path)``.
+
+    The convention the pair engine holds to: a canonical monomial a+_m1 a+_m2
+    with m1 < m2 and amplitude a puts a/sqrt(2) on (m1, m2) and a/sqrt(2) on
+    (m2, m1), negated there for fermions, and a doubly occupied bosonic mode
+    puts a*sqrt(2) on its diagonal.  A label is a (spin, tag) pair.
+    """
+    sign = -1.0 if state.statistics is Statistics.FERMION else 1.0
+    cells = {}
+    for (m1, m2), a in state.terms.items():
+        if m1 == m2:
+            entries = [(m1, m1, a * math.sqrt(2.0))]
+        else:
+            entries = [(m1, m2, a / math.sqrt(2.0)), (m2, m1, sign * a / math.sqrt(2.0))]
+        for x, y, value in entries:
+            cells[(x.spin, x.tag), (y.spin, y.tag), x.path, y.path] = value
+    return cells
+
+
+def pair_engine_cells(net: Network, state: FockState) -> dict[str, dict[tuple, complex]]:
+    """The pair engine's amplitudes after ``net``, keyed as :func:`fock_cells` keys them.
+
+    Grouped by the label of the pattern each cell fires; not normalized.
+    """
+    table = net.path_map()
+    terminals = sorted({t for p in state.paths() for t, _ in table[p]})
+    label_pairs, label, i, j, psi = _pair_cells(state, table, terminals)
+    groups: dict[str, dict[tuple, complex]] = {}
+    for k, a, b, value in zip(label.tolist(), i.tolist(), j.tolist(), psi.tolist()):
+        x, y = terminals[a], terminals[b]
+        pattern = pattern_label({x, y}.intersection(net.monitored))
+        groups.setdefault(pattern, {})[(*label_pairs[k // 2], x, y)] = value
+    return groups
+
+
+def matches_up_to_phase(x: dict, y: dict) -> bool:
+    """Whether amplitude map ``x`` equals ``y`` normalized, up to one global phase.
+
+    Entry by entry within 1e-9; a key missing from one map is a zero there.
+    """
+    keys = list(set(x) | set(y))
+    a = np.array([x.get(k, 0j) for k in keys])
+    b = np.array([y.get(k, 0j) for k in keys])
+    b /= np.linalg.norm(b)
+    overlap = np.vdot(a, b)
+    if abs(overlap) < 1e-15:
+        return False
+    return bool(np.allclose(a * overlap / abs(overlap), b, atol=1e-9, rtol=0.0))
+
+
+def engine_differences(net: Network, state: FockState) -> list[str]:
+    """Where the sparse engine's branches of ``state`` after ``net`` differ from the pair engine's.
+
+    Empty when both give the same patterns in the same order, each
+    probability within 1e-9 and each conditional state, bunched ones
+    included, equal up to a global phase within 1e-9.
+    """
+    branches = detect(run_network(net, state), net.monitored)
+    kept = _detect_pairs(net, state)
+    patterns = [pattern_label(b.pattern) for b in branches]
+    if patterns != kept.labels():
+        return [f"patterns {patterns} != {kept.labels()}"]
+    cells = pair_engine_cells(net, state)
+    differences = []
+    for branch, pattern, p in zip(branches, patterns, kept.probabilities):
+        if not abs(branch.probability - p) < 1e-9:
+            differences.append(f"{pattern}: probability {branch.probability} != {p}")
+        if not matches_up_to_phase(fock_cells(branch.state), cells[pattern]):
+            differences.append(f"{pattern}: conditional states differ")
+    return differences
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     BOTH_STATISTICS,
     branch_probabilities,
+    engine_differences,
     fidelity,
     one_sided_tree,
     pair_probabilities,
@@ -368,6 +369,15 @@ class TestDetectPairs:
         assert all(abs(got[p] - expected[p]) < 1e-12 for p in got)
         assert abs(sum(got.values()) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_network_branches_match_sparse_engine(self, statistics, seed):
+        # every branch, bunched ones included: its probability and its state up to phase
+        rng = np.random.default_rng(3000 + seed)
+        net = random_network(rng, ("P", "Q"), n_splitters=int(rng.integers(1, 5)))
+        state = random_two_particle_state(rng, statistics, paths=("P", "Q"), tags=(0, 1))
+        assert engine_differences(net, state) == []
+
     def test_boson_hong_ou_mandel_has_no_coincidence(self):
         state = make_product_state(Statistics.BOSON, [Mode("A", UP), Mode("B", UP)])
         got = pair_probabilities(fig1_network(), state)
@@ -638,6 +648,21 @@ class TestFeedback:
         second = reduce_to_spin_dm(rounds[1].conditional_state, "C", "D")
         assert fidelity(first, PSI_PLUS) < 1e-9
         assert abs(fidelity(second, PSI_PLUS) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    def test_reinjected_pair_is_a_fixed_point(self, statistics, monkeypatch):
+        # each round from the second on propagates the same bunched pair, i |A up; A down>
+        inputs = []
+        propagate = interferometer.run_network
+
+        def recording(net, state):
+            inputs.append(state)
+            return propagate(net, state)
+
+        monkeypatch.setattr(interferometer, "run_network", recording)
+        feedback_run(MAX_FEEDBACK_ROUNDS, statistics)
+        bunched = 1j * make_product_state(statistics, [Mode("A", UP), Mode("A", DOWN)])
+        assert inputs[1:] == [bunched] * (MAX_FEEDBACK_ROUNDS - 1)
 
     @pytest.mark.parametrize("rounds", [0, MAX_FEEDBACK_ROUNDS + 1])
     def test_requires_positive_rounds(self, rounds, monkeypatch):

@@ -1,47 +1,32 @@
-"""Tests for the first-quantized oracle and engine/oracle agreement."""
-
-import math
+"""Tests for the first-quantized oracle and its agreement with the pair engine."""
 
 import numpy as np
 import pytest
 
-from conftest import (
-    BOTH_STATISTICS,
-    pair_probabilities,
-    pattern_label,
-    random_network,
-    random_two_particle_state,
-)
+from conftest import BOTH_STATISTICS, pair_probabilities, pattern_label
 from twinbeam.errors import NotUnitaryError
 from twinbeam.fock import Mode, Spin, Statistics, make_product_state
-from twinbeam.interferometer import (
-    detect,
-    fig1_network,
-    fig2_network,
-    run_network,
-)
+from twinbeam.interferometer import fig2_network
 from twinbeam.oracle import (
     FirstQuantizedState,
-    cross_check,
     oracle_detect,
     oracle_evolve,
     pair_state,
     splitter_unitary,
-    states_match,
 )
 
 UP, DOWN = Spin.UP, Spin.DOWN
 
 
-def full_labels(paths, tags=(0,)):
-    return tuple(sorted(Mode(p, s, t) for p in paths for s in (UP, DOWN) for t in tags))
+def full_labels(paths):
+    return tuple(sorted(Mode(p, s) for p in paths for s in (UP, DOWN)))
 
 
-def network_labels(net, tags=(0,)):
+def network_labels(net):
     paths = set(net.inputs)
     for bs in net.splitters:
         paths.update((bs.in1, bs.in2, bs.out1, bs.out2))
-    return full_labels(sorted(paths), tags)
+    return full_labels(paths)
 
 
 def oracle_run(net, state):
@@ -62,7 +47,7 @@ class TestEvolve:
         labels = full_labels("ABCD")
         state = pair_state(Statistics.BOSON, labels, Mode("A", UP), Mode("B", UP))
         out = oracle_evolve(state, splitter_unitary(labels, "A", "B", "D", "C"))
-        i, j = out.index(Mode("C", UP)), out.index(Mode("D", UP))
+        i, j = out.labels.index(Mode("C", UP)), out.labels.index(Mode("D", UP))
         assert abs(out.amplitudes[i, j]) < 1e-12
         assert abs(out.amplitudes[j, i]) < 1e-12
 
@@ -108,68 +93,14 @@ class TestDetect:
             assert abs(p - expected) < 1e-12
 
 
-class TestCrossCheck:
-    def test_antisymmetrized_pair(self):
-        state = make_product_state(Statistics.FERMION, [Mode("A", UP), Mode("B", DOWN)])
-        fq = cross_check(state)
-        i, j = fq.index(Mode("A", UP)), fq.index(Mode("B", DOWN))
-        assert abs(fq.amplitudes[i, j] - 1.0 / math.sqrt(2.0)) < 1e-12
-        assert abs(fq.amplitudes[j, i] + 1.0 / math.sqrt(2.0)) < 1e-12
-
-    def test_rejects_wrong_particle_number(self):
-        with pytest.raises(ValueError):
-            cross_check(make_product_state(Statistics.BOSON, [Mode("A", UP)]))
-
-    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
-    def test_splitter_output_round_trip(self, statistics):
-        net = fig1_network()
-        labels = network_labels(net)
-        fock_in = make_product_state(statistics, [Mode("A", UP), Mode("B", DOWN)])
-        engine_out = cross_check(run_network(net, fock_in), labels)
-        oracle_out = oracle_run(net, cross_check(fock_in, labels))
-        assert states_match(engine_out, oracle_out)
-
-    def test_coincidence_state_round_trip(self):
-        net = fig1_network()
-        fock_in = make_product_state(Statistics.FERMION, [Mode("A", UP), Mode("B", DOWN)])
-        pair = detect(run_network(net, fock_in), net.monitored)[{"C", "D"}]
-        labels = full_labels("CD")
-        fq = cross_check(pair.state, labels)
-        assert abs(np.linalg.norm(fq.amplitudes) - 1.0) < 1e-12
-
-
 @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
-@pytest.mark.parametrize("seed", range(12))
-def test_engine_matches_oracle_on_random_networks(statistics, seed):
-    rng = np.random.default_rng(3000 + seed)
-    net = random_network(rng, ("P", "Q"), n_splitters=int(rng.integers(1, 5)))
-    state = random_two_particle_state(rng, statistics, paths=("P", "Q"), tags=(0, 1))
-    labels = network_labels(net, tags=(0, 1))
-
-    engine_branches = detect(run_network(net, state), net.monitored)
-    oracle_probs, oracle_conds = oracle_detect(oracle_run(net, cross_check(state, labels)), net.monitored)
-
-    assert {b.pattern for b in engine_branches} == set(oracle_probs)
-    for branch in engine_branches:
-        assert abs(branch.probability - oracle_probs[branch.pattern]) < 1e-9
-        assert states_match(cross_check(branch.state, labels), oracle_conds[branch.pattern])
-
-
-@pytest.mark.parametrize("statistics", BOTH_STATISTICS)
-@pytest.mark.parametrize("case", ["fig2", "random"])
-def test_pair_engine_matches_oracle(statistics, case):
-    if case == "fig2":
-        net, tags = fig2_network(), (0,)
-        state = make_product_state(statistics, [Mode("A", UP), Mode("B", DOWN)])
-    else:
-        rng = np.random.default_rng(4000)
-        net, tags = random_network(rng, ("P", "Q"), n_splitters=4), (0, 1)
-        state = random_two_particle_state(rng, statistics, paths=("P", "Q"), tags=tags)
-    labels = network_labels(net, tags)
-    oracle_probs, _ = oracle_detect(oracle_run(net, cross_check(state, labels)), net.monitored)
+def test_pair_engine_matches_oracle(statistics):
+    net = fig2_network()
+    state = pair_state(statistics, network_labels(net), Mode("A", UP), Mode("B", DOWN))
+    oracle_probs, _ = oracle_detect(oracle_run(net, state), net.monitored)
 
     expected = {pattern_label(pattern): p for pattern, p in oracle_probs.items()}
-    got = pair_probabilities(net, state)
+    got = pair_probabilities(net, make_product_state(statistics, [Mode("A", UP), Mode("B", DOWN)]))
     assert set(got) == set(expected)
     for label, p in got.items():
         assert abs(p - expected[label]) < 1e-12
