@@ -1,12 +1,21 @@
 """Tests for the first-quantized oracle and its agreement with the pair engine."""
 
+import math
+
 import numpy as np
 import pytest
 
-from conftest import BOTH_STATISTICS, pair_probabilities, pattern_label
+from conftest import (
+    BOTH_STATISTICS,
+    fock_cells,
+    matches_up_to_phase,
+    pair_engine_cells,
+    pair_probabilities,
+    pattern_label,
+)
 from twinbeam.errors import NotUnitaryError
 from twinbeam.fock import Mode, Spin, Statistics, make_product_state
-from twinbeam.interferometer import fig2_network
+from twinbeam.interferometer import fig1_network, fig2_network
 from twinbeam.oracle import (
     FirstQuantizedState,
     oracle_detect,
@@ -33,6 +42,21 @@ def oracle_run(net, state):
     for bs in net.splitters:
         state = oracle_evolve(state, splitter_unitary(state.labels, bs.in1, bs.in2, bs.out1, bs.out2))
     return state
+
+
+def oracle_cells(state):
+    """The oracle's nonzero amplitudes keyed as ``conftest.fock_cells`` keys them."""
+    cells = {}
+    for i, x in enumerate(state.labels):
+        for j, y in enumerate(state.labels):
+            if state.amplitudes[i, j] != 0:
+                cells[(x.spin, x.tag), (y.spin, y.tag), x.path, y.path] = complex(state.amplitudes[i, j])
+    return cells
+
+
+def cells_close(x, y, atol=1e-12):
+    """Whether two amplitude maps agree entry by entry, phase included; a missing key is a zero."""
+    return all(abs(x.get(k, 0j) - y.get(k, 0j)) <= atol for k in set(x) | set(y))
 
 
 class TestEvolve:
@@ -91,6 +115,44 @@ class TestDetect:
         for pattern, p in probs.items():
             expected = 0.125 if len(pattern) == 2 else 0.0625
             assert abs(p - expected) < 1e-12
+
+
+class TestCellConvention:
+    """The test helpers' first-quantized convention, held against the oracle's dense states."""
+
+    def test_antisymmetrized_pair(self):
+        state = make_product_state(Statistics.FERMION, [Mode("A", UP), Mode("B", DOWN)])
+        cells = fock_cells(state)
+        assert abs(cells[(UP, 0), (DOWN, 0), "A", "B"] - 1.0 / math.sqrt(2.0)) < 1e-12
+        assert abs(cells[(DOWN, 0), (UP, 0), "B", "A"] + 1.0 / math.sqrt(2.0)) < 1e-12
+        oracle_in = pair_state(Statistics.FERMION, full_labels("AB"), Mode("A", UP), Mode("B", DOWN))
+        assert cells_close(cells, oracle_cells(oracle_in))
+
+    def test_doubly_occupied_mode(self):
+        state = make_product_state(Statistics.BOSON, [Mode("A", UP), Mode("A", UP)])
+        expected = oracle_cells(pair_state(Statistics.BOSON, full_labels("A"), Mode("A", UP), Mode("A", UP)))
+        assert cells_close(fock_cells(state), expected)
+
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    def test_splitter_output_round_trip(self, statistics):
+        net = fig1_network()
+        one, two = Mode("A", UP), Mode("B", DOWN)
+        engine_out = {}
+        for group in pair_engine_cells(net, make_product_state(statistics, [one, two])).values():
+            engine_out.update(group)
+        oracle_out = oracle_run(net, pair_state(statistics, network_labels(net), one, two))
+        assert cells_close(engine_out, oracle_cells(oracle_out))
+
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    def test_conditional_states_match_pair_engine(self, statistics):
+        net = fig2_network()
+        one, two = Mode("A", UP), Mode("B", DOWN)
+        oracle_out = oracle_run(net, pair_state(statistics, network_labels(net), one, two))
+        _, conditionals = oracle_detect(oracle_out, net.monitored)
+        groups = pair_engine_cells(net, make_product_state(statistics, [one, two]))
+        assert set(groups) == {pattern_label(pattern) for pattern in conditionals}
+        for pattern, conditional in conditionals.items():
+            assert matches_up_to_phase(oracle_cells(conditional), groups[pattern_label(pattern)])
 
 
 @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
