@@ -529,22 +529,22 @@ def feedback_run(depth: int, statistics: Statistics) -> list[FeedbackRound]:
     otherwise the bunched pair is re-injected through port A with its
     internal phases intact.  The per-round success probability is 1/2,
     so the failure probability after round k is 2**-k.  ``depth``, the
-    number of rounds, lies in 1 .. :data:`MAX_FEEDBACK_ROUNDS`.
+    number of rounds, lies in 1 .. :data:`MAX_FEEDBACK_ROUNDS`.  The
+    re-injected pair ``i |A up; A down>`` bunches back into itself, so its
+    branches, detected once, serve every round from the second on.
     """
     _check_range("depth", depth, 1, MAX_FEEDBACK_ROUNDS)
     net = fig1_network()
-    state = opposite_spin_input(statistics, net)
+    branches = detect(run_network(net, opposite_spin_input(statistics, net)), net.monitored)
     rounds = []
     cumulative_failure = 1.0
     for k in range(1, depth + 1):
-        branches = detect(run_network(net, state), net.monitored)
+        if k == 2:
+            reinjected = _apply_path_table(branches[{"D"}].state, {"D": (("A", 1.0 + 0j),)})
+            branches = detect(run_network(net, reinjected), net.monitored)
         success = branches[{"C", "D"}]
         cumulative_failure *= 1.0 - success.probability
         rounds.append(FeedbackRound(k, success.probability, cumulative_failure, success.state))
-        if k == depth:
-            break
-        bunched = branches[{"D"}]
-        state = _apply_path_table(bunched.state, {"D": (("A", 1.0 + 0j),)})
     return rounds
 
 

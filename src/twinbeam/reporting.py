@@ -22,7 +22,7 @@ import numpy as np
 JSON_DIGITS = 12
 TABLE_DIGITS = 6
 
-#: table rows encoded and written per ``write`` call of ``ScenarioReport.write_json``
+#: table rows that ``ScenarioReport.write_json`` joins from one flat list and writes at once
 _ROW_CHUNK = 1000
 
 #: provenance flags carried by every scalar result
@@ -78,14 +78,15 @@ def _json_cell(value: Value) -> str:
 def _json_column(column: list) -> Iterator[str]:
     """Canonical text of each cell of one table column.
 
-    A column of one type is checked once.  A float column encodes each
-    distinct value once: branch tables repeat a few probabilities many times.
+    A column of one type is checked once.  A float or int column encodes
+    each distinct value once (probabilities and click counts repeat); the
+    mostly distinct pattern names of a str column are encoded cell by cell.
     """
     kinds = set(map(type, column))
     kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is float:
+    if kind is float or kind is int:
         distinct = set(column)
-        return map(dict(zip(distinct, map(_json_float, distinct))).__getitem__, column)
+        return map(dict(zip(distinct, map(_CELL_ENCODERS[kind], distinct))).__getitem__, column)
     return map(_CELL_ENCODERS.get(kind, _json_cell), column)
 
 
@@ -132,9 +133,10 @@ class ScenarioReport:
         with every float rounded to JSON_DIGITS and the table as a list
         of row objects; no rounded copy is built.  Each chunk of
         :data:`_ROW_CHUNK` rows is encoded column by column, each cell by
-        its column's exact type, and each row fills one template.  A
-        value of another type raises ``TypeError``, possibly after part
-        of the report was written.
+        its column's exact type, and slice-assigned into the cell slots of
+        one flat list that repeats a row's fixed text; the list is joined
+        and written in one ``write``.  A value of another type raises
+        ``TypeError``, possibly after part of the report was written.
         """
         rows, keys = self._rows(), sorted(self.table)
         head: dict[str, Any] = {
@@ -156,13 +158,18 @@ class ScenarioReport:
             }
         # "table" sorts after every other key: drop the closing "\n}\n" and append it
         stream.write(canonical_json(head)[:-3] + ',\n  "table": ')
-        body = ",".join(f"\n      {encode_basestring(k).replace('%', '%%')}: %s" for k in keys)
-        template = "\n    {" + body + "\n    }"
-        opening = "["
+        # a row's slots: each column's key text and cell, then "}"; rows after the first open ","
+        step = 2 * len(keys) + 1
+        row = [""] * step
+        row[::2] = [f",\n      {encode_basestring(k)}: " for k in keys] + ["\n    }"]
+        row[0] = ",\n    {" + row[0][1:]
         for start in range(0, rows, _ROW_CHUNK):
-            cells = [_json_column(self.table[k][start:start + _ROW_CHUNK]) for k in keys]
-            stream.write(opening + ",".join(map(template.__mod__, zip(*cells))))
-            opening = ","
+            flat = row * min(_ROW_CHUNK, rows - start)
+            for c, k in enumerate(keys):
+                flat[2 * c + 1::step] = _json_column(self.table[k][start:start + _ROW_CHUNK])
+            if not start:
+                flat[0] = "[" + row[0][1:]
+            stream.write("".join(flat))
         stream.write("\n  ]\n}\n")
 
     def to_json(self) -> str:

@@ -650,8 +650,10 @@ class TestFeedback:
         assert abs(fidelity(second, PSI_PLUS) - 1.0) < 1e-9
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
-    def test_reinjected_pair_is_a_fixed_point(self, statistics, monkeypatch):
-        # each round from the second on propagates the same bunched pair, i |A up; A down>
+    @pytest.mark.parametrize("depth", [1, MAX_FEEDBACK_ROUNDS])
+    def test_reinjected_pair_is_a_fixed_point(self, statistics, depth, monkeypatch):
+        # the second round re-injects the bunched pair i |A up; A down>, which bunches back
+        # into itself, so it is propagated once and serves every later round
         inputs = []
         propagate = interferometer.run_network
 
@@ -660,9 +662,14 @@ class TestFeedback:
             return propagate(net, state)
 
         monkeypatch.setattr(interferometer, "run_network", recording)
-        feedback_run(MAX_FEEDBACK_ROUNDS, statistics)
+        rounds = feedback_run(depth, statistics)
+        net = fig1_network()
         bunched = 1j * make_product_state(statistics, [Mode("A", UP), Mode("A", DOWN)])
-        assert inputs[1:] == [bunched] * (MAX_FEEDBACK_ROUNDS - 1)
+        assert inputs == [opposite_spin_input(statistics, net), bunched][:depth]
+        assert len(rounds) == depth
+        again = detect(propagate(net, bunched), net.monitored)[{"D"}].state
+        to_a = {mode: ((Mode("A", mode.spin, mode.tag), 1.0 + 0j),) for mode in again.modes()}
+        assert substitute_modes(again, to_a) == bunched
 
     @pytest.mark.parametrize("rounds", [0, MAX_FEEDBACK_ROUNDS + 1])
     def test_requires_positive_rounds(self, rounds, monkeypatch):

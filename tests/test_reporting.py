@@ -62,7 +62,7 @@ VALUES = st.one_of(INTS, FLOATS, TEXT)
 COLUMN_KINDS = st.sampled_from(
     [INTS, FLOATS, st.sampled_from([0.25, 0.5, -0.0, math.nan]), TEXT, VALUES]
 )
-#: column names, including labels that need escaping in the row template
+#: column names, including labels that need escaping in JSON or were template syntax
 KEYS = st.one_of(TEXT, st.sampled_from(["p", "q", "1", "%s", '"']))
 
 
@@ -126,6 +126,42 @@ class TestWriteJson:
         # the head, one write per 1,000 rows, and the closing brackets
         assert stream.write.call_count == 1 + 3 + 1
         assert stream.getvalue() == canonical_json(reference_to_dict(report))
+
+    @pytest.mark.parametrize("rows", [3, 4, 5, 8, 9])
+    def test_chunk_boundaries(self, rows):
+        # rows on either side of a 4-row chunk; a str, an int and two float columns, whose
+        # names were template syntax ("%s") or need escaping in JSON
+        indices = range(rows)
+        table = {
+            "%s": [f"%s{i}" for i in indices],
+            '"': [i % 3 for i in indices],
+            "\\": [i / 3 for i in indices],
+            "é€": [float(i % 2) for i in indices],
+        }
+        report = report_of(table, scalars={"y": Scalar(0.5)})
+        stream = mock.Mock(wraps=io.StringIO())
+        with mock.patch.object(reporting, "_ROW_CHUNK", 4):
+            report.write_json(stream)
+        assert stream.write.call_count == 1 + math.ceil(rows / 4) + 1
+        assert stream.getvalue() == canonical_json(reference_to_dict(report))
+
+    @pytest.mark.parametrize("column", [[1, True], [True, 1]], ids=["int-bool", "bool-int"])
+    def test_bool_in_int_column_raises_type_error(self, column):
+        with pytest.raises(TypeError, match="must be str, int or float, not bool"):
+            report_of({"x": column}).to_json()
+
+    @pytest.mark.parametrize(
+        "column", [[1, 1.0, 1, 1.0], [2**70, -(2**70), 2**70, 0, -(2**70)]],
+        ids=["int-and-float", "big-ints"],
+    )
+    def test_int_cells_keep_their_exact_text(self, column):
+        # an int column encodes each distinct value once; 1 == 1.0 must not share a text
+        report = report_of({"x": column})
+        out = report.to_json()
+        assert out == canonical_json(reference_to_dict(report))
+        assert [line.split(": ")[1] for line in out.splitlines() if '"x": ' in line] == list(
+            map(repr, column)
+        )
 
 
 class TestContract:
