@@ -202,9 +202,9 @@ class ScenarioReport:
         lines.append("")
         cells = [[_cell(v, TABLE_DIGITS) for v in column] for column in self.table.values()]
         widths = [max(len(name), max(map(len, column))) for name, column in zip(self.table, cells)]
-        template = "  " + "  ".join(f"%-{width}s" for width in widths)
-        lines.append(template % tuple(self.table))
-        lines += map(template.__mod__, zip(*cells))
+        template = "  " + "  ".join(f"{{:<{width}}}" for width in widths)
+        lines.append(template.format(*self.table))
+        lines += (template.format(*row) for row in zip(*cells))
         # the empty last line ends the text with a newline, without a second copy of it
         lines.append("")
         return "\n".join(lines)
