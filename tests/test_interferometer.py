@@ -662,11 +662,10 @@ class TestFeedback:
             return propagate(net, state)
 
         monkeypatch.setattr(interferometer, "run_network", recording)
-        rounds = feedback_run(depth, statistics)
+        feedback_run(depth, statistics)
         net = fig1_network()
         bunched = 1j * make_product_state(statistics, [Mode("A", UP), Mode("A", DOWN)])
         assert inputs == [opposite_spin_input(statistics, net), bunched][:depth]
-        assert len(rounds) == depth
         again = detect(propagate(net, bunched), net.monitored)[{"D"}].state
         to_a = {mode: ((Mode("A", mode.spin, mode.tag), 1.0 + 0j),) for mode in again.modes()}
         assert substitute_modes(again, to_a) == bunched

@@ -62,7 +62,7 @@ VALUES = st.one_of(INTS, FLOATS, TEXT)
 COLUMN_KINDS = st.sampled_from(
     [INTS, FLOATS, st.sampled_from([0.25, 0.5, -0.0, math.nan]), TEXT, VALUES]
 )
-#: column names, including labels that need escaping in JSON or were template syntax
+#: column names, including labels that look like format syntax or need escaping in JSON
 KEYS = st.one_of(TEXT, st.sampled_from(["p", "q", "1", "%s", '"']))
 
 
@@ -129,8 +129,8 @@ class TestWriteJson:
 
     @pytest.mark.parametrize("rows", [3, 4, 5, 8, 9])
     def test_chunk_boundaries(self, rows):
-        # rows on either side of a 4-row chunk; a str, an int and two float columns, whose
-        # names were template syntax ("%s") or need escaping in JSON
+        # rows on either side of a 4-row chunk; a str, an int and two float columns, under
+        # names that look like format syntax or need escaping in JSON
         indices = range(rows)
         table = {
             "%s": [f"%s{i}" for i in indices],
