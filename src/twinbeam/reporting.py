@@ -75,18 +75,38 @@ def _json_cell(value: Value) -> str:
     return _CELL_ENCODERS[_kind(value)](value)
 
 
+def _json_floats(values: list[float]) -> list[str]:
+    """``_json_float`` of each value, all formatted to JSON_DIGITS by one ``%`` call.
+
+    A decimal of at most 12 significant digits round-trips through a
+    double, so a ``%.12g`` text without exponent has the digits of
+    ``repr`` of the rounded float: one with a ``.`` is that ``repr``, and
+    an integer lacks only its ``.0``.  Exponent forms (every subnormal
+    among them), ``-0``, NaN and the infinities go through ``_json_float``.
+    """
+    texts = (f"%.{JSON_DIGITS}g\0" * len(values) % tuple(values)).split("\0")
+    return [
+        t if "." in t and "e" not in t
+        else t + ".0" if t.lstrip("-").isdigit() and t != "-0"
+        else _json_float(x)
+        for t, x in zip(texts, values)
+    ]
+
+
 def _json_column(column: list) -> Iterator[str]:
     """Canonical text of each cell of one table column.
 
     A column of one type is checked once.  A float or int column encodes
-    each distinct value once (probabilities and click counts repeat); the
-    mostly distinct pattern names of a str column are encoded cell by cell.
+    each distinct value once (probabilities and click counts repeat), a
+    float column's all in one ``%`` call (``_json_floats``); the mostly
+    distinct pattern names of a str column are encoded cell by cell.
     """
     kinds = set(map(type, column))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind is float or kind is int:
-        distinct = set(column)
-        return map(dict(zip(distinct, map(_CELL_ENCODERS[kind], distinct))).__getitem__, column)
+        distinct = list(set(column))
+        texts = _json_floats(distinct) if kind is float else map(int.__repr__, distinct)
+        return map(dict(zip(distinct, texts)).__getitem__, column)
     return map(_CELL_ENCODERS.get(kind, _json_cell), column)
 
 

@@ -163,6 +163,34 @@ class TestWriteJson:
             map(repr, column)
         )
 
+    @pytest.mark.parametrize("order", [1, -1], ids=["0.0-first", "-0.0-first"])
+    def test_float_column_matches_json_float_on_edge_values(self, order):
+        # values whose 12-digit text carries an exponent, rounds to an integer or to a
+        # power of ten, or is a subnormal's; 0.0 == -0.0, so the column encodes
+        # whichever of them comes first
+        column = SPECIAL_FLOATS + [
+            999999999999.5, 9.99999999999e15, 1e16, 0.99999999999999, 123456789012.0,
+            1e-5, 1e-4, -1e-320, 2.225073858507e-308,
+        ]
+        column = column[::order]
+        assert list(reporting._json_column(column)) == list(map(reporting._json_float, column))
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(
+        drawn=st.lists(st.floats(), min_size=1, max_size=100),
+        padding=st.integers(0, 2400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_float_column_matches_json_float(self, drawn, padding, seed):
+        # Hypothesis keeps its lists short, so random bit patterns pad the column to up
+        # to 2,500 cells, across the 1,000-row chunks of the writer
+        rng = np.random.default_rng(seed)
+        column = drawn + rng.integers(0, 2**64, padding, np.uint64).view(np.float64).tolist()
+        rng.shuffle(column)
+        assert list(reporting._json_column(column)) == list(map(reporting._json_float, column))
+        report = report_of({"x": column})
+        assert report.to_json() == canonical_json(reference_to_dict(report))
+
 
 class TestContract:
     @pytest.mark.parametrize("render", RENDERERS.values(), ids=RENDERERS)
