@@ -152,11 +152,12 @@ class ScenarioReport:
         The bytes are those of ``canonical_json`` applied to the report
         with every float rounded to JSON_DIGITS and the table as a list
         of row objects; no rounded copy is built.  Each chunk of
-        :data:`_ROW_CHUNK` rows is encoded column by column, each cell by
-        its column's exact type, and slice-assigned into the cell slots of
-        one flat list that repeats a row's fixed text; the list is joined
-        and written in one ``write``.  A value of another type raises
-        ``TypeError``, possibly after part of the report was written.
+        :data:`_ROW_CHUNK` rows is encoded column by column by
+        ``_json_column`` (a float column's distinct values in one ``%``
+        call) and slice-assigned into the cell slots of one flat list that
+        repeats a row's fixed text; the list is joined and written in one
+        ``write``.  A value of another type raises ``TypeError``, possibly
+        after part of the report was written.
         """
         rows, keys = self._rows(), sorted(self.table)
         head: dict[str, Any] = {
