@@ -42,7 +42,6 @@ from .interferometer import (
 from .metrics import (
     PSI_MINUS,
     PSI_PLUS,
-    TwoQubitDM,
     bell_labels,
     chsh_values,
     concurrences,

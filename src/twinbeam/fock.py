@@ -16,6 +16,7 @@ multi-particle ket.
 
 from __future__ import annotations
 
+import cmath
 import math
 from enum import Enum, IntEnum
 from itertools import product
@@ -114,6 +115,10 @@ class FockState:
     __slots__ = ("statistics", "_terms")
 
     def __init__(self, statistics: Statistics, terms: dict[Monomial, complex]):
+        # NaN would fail the pruning test below and vanish silently, so non-finite raises first
+        if not all(map(cmath.isfinite, terms.values())):
+            bad = next(k for k, v in terms.items() if not cmath.isfinite(v))
+            raise ValueError(f"amplitude {terms[bad]} of {bad} is not finite")
         self.statistics = statistics
         self._terms = {k: complex(v) for k, v in terms.items() if abs(v) > PRUNE_THRESHOLD}
 

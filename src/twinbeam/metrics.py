@@ -1,12 +1,13 @@
-"""Two-qubit reductions and entanglement measures.
+"""Two-qubit reductions and entanglement measures on amplitude blocks.
 
-Post-selected two-particle states are mapped to first-quantized
-two-qubit density matrices in two dual ways: paths label the particles
-and the spins are the qubits (:func:`reduce_to_spin_dm`), or spins
-label the particles and the paths are the qubits
-(:func:`dual_relabel`).  Internal tags are traced out in both, with
-the tag slots ordered by path, so the two reductions differ only by a
-relabeling of the middle two basis vectors and always agree on
+A post-selected two-particle state is a ``(4, T)`` block ``v``: rows
+are the two-qubit basis {00, 01, 10, 11}, columns the internal tag
+pairs, and its density matrix, tags traced out, is ``v v† / |v|^2``.
+Every measure reads a ``(..., 4, T)`` stack of blocks without forming
+that matrix.  Paths label the particles and spins are the qubits in
+:func:`reduce_to_spin_dm`; spins label the particles and paths are the
+qubits in :func:`dual_relabel`.  Both order the tag columns by path, so
+the two blocks differ by a swap of the middle rows and always agree on
 concurrence.
 """
 
@@ -33,7 +34,6 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
 
-_SY_SY = np.kron(SIGMA_Y, SIGMA_Y)
 
 # an object array, so that every label of a stack is one shared str, not a copy per block
 _BELL_NAMES = np.array(["", "psi_plus", "psi_minus"], dtype=object)
@@ -42,6 +42,7 @@ _BELL_NAMES = np.array(["", "psi_plus", "psi_minus"], dtype=object)
 _BELL_BRAS = np.array([PSI_PLUS, PSI_MINUS]).conj().T
 
 
+# No package code builds one: it stays only because perfbench/tracer.py wraps its methods.
 @dataclass(frozen=True, eq=False)
 class TwoQubitDM:
     """4x4 density matrix of two qubits, basis {00, 01, 10, 11}."""
@@ -143,27 +144,34 @@ def spin_blocks(states: Sequence[FockState], path_x: str, path_y: str) -> np.nda
     return _pair_blocks(states, path_x, path_y, _spin_place)
 
 
-def reduce_to_spin_dm(state: FockState, path_x: str, path_y: str) -> TwoQubitDM:
-    """Spin density matrix of a state with one particle in each given path.
+def _unit_block(v: np.ndarray) -> np.ndarray:
+    """``v / |v|``; a norm that is not finite (an amplitude overflowed) raises ValueError."""
+    norm = np.linalg.norm(v)
+    if not math.isfinite(norm):
+        raise ValueError(f"amplitude block norm {norm} is not finite")
+    return v / norm
+
+
+def reduce_to_spin_dm(state: FockState, path_x: str, path_y: str) -> np.ndarray:
+    """Unit spin-tag block, ``(4, T)``, of a state with one particle in each given path.
 
     Qubit 1 is the lexicographically smaller path.  Canonical monomial
     amplitudes (fermionic reordering signs already folded in) become
-    coefficients of |s1 s2> (x) |t1 t2>, and the tag factor is traced
-    out.
+    the coefficients ``v[2 s1 + s2, (t1, t2)]`` of |s1 s2> (x) |t1 t2>;
+    the spin density matrix is ``v v†``, the tags traced out.
     """
-    rho = density_matrices(spin_blocks([state], path_x, path_y)[0])
-    return TwoQubitDM(rho)
+    return _unit_block(spin_blocks([state], path_x, path_y)[0])
 
 
-def dual_relabel(state: FockState, path_x: str, path_y: str) -> TwoQubitDM:
-    """Path density matrix with the spins used as particle labels.
+def dual_relabel(state: FockState, path_x: str, path_y: str) -> np.ndarray:
+    """Unit path-tag block, ``(4, T)``, with the spins used as particle labels.
 
     Qubit 1 is the up particle's path, qubit 2 the down particle's, in
     the basis {XX, XY, YX, YY} with X the lexicographically smaller of
     the two paths.  Every monomial must hold exactly one up and one
     down particle on the given paths; bunched monomials (both particles
     in one path) are allowed.  Tag slots keep their canonical (path)
-    order and are traced out.
+    order and are the block's columns.
     """
     eta = -1.0 if state.statistics is Statistics.FERMION else 1.0
 
@@ -179,38 +187,34 @@ def dual_relabel(state: FockState, path_x: str, path_y: str) -> TwoQubitDM:
             up, down, reorder = m2, m1, eta
         return 2 * int(up.path == p2) + int(down.path == p2), amp * reorder
 
-    rho = density_matrices(_pair_blocks([state], path_x, path_y, place)[0])
-    return TwoQubitDM(rho)
+    return _unit_block(_pair_blocks([state], path_x, path_y, place)[0])
 
 
-def concurrences(rho: np.ndarray) -> np.ndarray:
-    """Wootters concurrence C = max(0, l1 - l2 - l3 - l4) of each matrix in a stack.
-
-    ``rho`` has shape ``(..., 4, 4)``.  The l_i are the decreasing
-    square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy),
-    conjugation taken in the computational basis.  They are computed as the singular values of
-    sqrt(rho) (sy x sy) sqrt(rho)*, which shares that spectrum but
-    stays in well-conditioned Hermitian factorizations.  For pure
-    states :func:`pure_concurrences` gives the same value in closed form.
-    """
-    rho = np.asarray(rho)
-    eigvals, eigvecs = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2.0)
-    roots = np.sqrt(np.clip(eigvals, 0.0, None))[..., None, :]
-    root = (eigvecs * roots) @ eigvecs.conj().swapaxes(-1, -2)
-    del eigvecs  # one stack-sized buffer fewer alive in the products below, the peak
-    lams = np.linalg.svd(root @ _SY_SY @ root.conj(), compute_uv=False)
-    c = lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
-    return np.where(c > 0.0, c, 0.0)
+def _norms_sq(v: np.ndarray) -> np.ndarray:
+    """``|v|^2`` of each block of a ``(..., 4, T)`` stack: the trace of ``v v†``."""
+    return np.einsum("...ij,...ij->...", v.conj(), v).real
 
 
-def pure_concurrences(v: np.ndarray) -> np.ndarray:
-    """Concurrence ``2 |v0 v3 - v1 v2|`` of each pure state in a ``(..., 4)`` stack.
+def concurrences(v: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of ``v v† / |v|^2`` for each block of a ``(..., 4, T)`` stack.
 
-    ``v`` holds normalized amplitudes in the {00, 01, 10, 11} basis; the
-    value equals :func:`concurrences` of ``v v†`` without the 4x4 work.
+    C = max(0, l1 - l2 - ... - lT).  The l_i, the decreasing square
+    roots of the eigenvalues of rho (sy x sy) rho* (sy x sy), are the
+    singular values of the symmetric T x T matrix ``vᵀ (sy x sy) v``
+    over ``|v|^2`` (Wootters, PRL 80, 2245, 1998), so no 4x4 matrix is
+    formed.  A one-column block, a pure state, takes the closed form
+    ``2 |v1 v2 - v0 v3| / |v|^2`` without the singular value decomposition.
     """
     v = np.asarray(v)
-    return 2.0 * np.abs(v[..., 0] * v[..., 3] - v[..., 1] * v[..., 2])
+    # vᵀ (sy x sy) v is a + aᵀ, a[b, c] = v1b v2c - v0b v3c: a product state gives exactly 0
+    a = v[..., 1, :, None] * v[..., 2, None, :] - v[..., 0, :, None] * v[..., 3, None, :]
+    tau = a + a.swapaxes(-1, -2)
+    if v.shape[-1] == 1:
+        c = np.abs(tau[..., 0, 0])
+    else:
+        lams = np.linalg.svd(tau, compute_uv=False)
+        c = np.maximum(lams[..., 0] - lams[..., 1:].sum(axis=-1), 0.0)
+    return c / _norms_sq(v)
 
 
 def _chsh_operator() -> np.ndarray:
@@ -226,16 +230,14 @@ def _chsh_operator() -> np.ndarray:
 CHSH_OPERATOR = _chsh_operator()
 
 
-def chsh_values(rho: np.ndarray) -> np.ndarray:
-    """Expectation of :data:`CHSH_OPERATOR` in each matrix of a ``(..., 4, 4)`` stack.
+def chsh_values(v: np.ndarray) -> np.ndarray:
+    """CHSH value, the expectation of :data:`CHSH_OPERATOR`, of each block of a ``(..., 4, T)`` stack.
 
-    The first value beyond the quantum bound 2 sqrt(2) + 1e-9 raises :class:`ValueError`.
+    ``sum_c v_c† O v_c / |v|^2`` over the tag columns ``v_c``: ``tr(O rho)`` for the
+    density matrix ``rho = v v† / |v|^2``, so no value passes the quantum bound.
     """
-    values = np.einsum("...ij,ji->...", rho, CHSH_OPERATOR).real
-    beyond = np.abs(values) > 2.0 * math.sqrt(2.0) + 1e-9
-    if beyond.any():
-        raise ValueError(f"CHSH value {values[beyond][0]} exceeds the quantum bound")
-    return values
+    v = np.asarray(v)
+    return (v.conj() * (CHSH_OPERATOR @ v)).real.sum(axis=(-2, -1)) / _norms_sq(v)
 
 
 def _checked_magnitude(mag: float) -> float:
@@ -290,5 +292,5 @@ def bell_labels(v: np.ndarray) -> np.ndarray:
     # (..., T, 2) overlaps in one product, summed over the tag columns
     overlaps = (np.abs(v.swapaxes(-1, -2) @ _BELL_BRAS) ** 2).sum(axis=-2)
     # the fidelity test multiplied out by |v|^2, so that a zero block is no Bell state
-    bell = overlaps > (1.0 - BELL_TOL) * (np.abs(v) ** 2).sum(axis=(-2, -1))[..., None]
+    bell = overlaps > (1.0 - BELL_TOL) * _norms_sq(v)[..., None]
     return _BELL_NAMES[np.where(bell[..., 0], 1, 2 * bell[..., 1])]

@@ -37,7 +37,6 @@ from .metrics import (
     distinguishability,
     dual_relabel,
     gaussian_overlap,
-    pure_concurrences,
     reduce_to_spin_dm,
     spin_blocks,
     tagged_opposite_spin_input,
@@ -61,7 +60,7 @@ VERDICT_DEAD_ZONE = 0.1
 #: points holds about 15 MiB of table columns
 MAX_GRID = 100_000
 
-#: coincidence spin matrices built, validated and evaluated at once in a sweep
+#: coincidence spin-tag blocks built and evaluated at once in a sweep
 METRICS_CHUNK = 512
 
 
@@ -100,9 +99,9 @@ def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str
     One row per detector pattern, in :func:`detect`'s order.  The
     coincidences come last, with their normalized spin-tag blocks
     (``interferometer._detect_pairs``).  The input is untagged, so each
-    block has one tag column, a pure state: its concurrence is
-    :func:`pure_concurrences`, its Bell label :func:`bell_labels` of the
-    block, and :func:`_correction_phases` checks it.  No spin matrix is built.
+    block has one tag column, a pure state: :func:`concurrences` takes its
+    closed form, :func:`bell_labels` names it, and :func:`_correction_phases`
+    checks it.  No spin matrix is built.
     """
     kept = _detect_pairs(net, opposite_spin_input(statistics, net), coincidences=True)
     probabilities, first, lower = kept.probabilities, kept.first, kept.lower
@@ -115,7 +114,7 @@ def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str
         "pattern": kept.labels(),
         "detectors": [0] * kept.empty + [1] * len(kept.singles) + [2] * len(kept.blocks),
         "probability": probabilities,
-        "concurrence": [0.0] * first + pure_concurrences(untagged).tolist(),
+        "concurrence": [0.0] * first + concurrences(kept.blocks).tolist(),
         "bell_state": [""] * first + [b or "other" for b in bell_labels(kept.blocks).tolist()],
         "correction": [""] * first + [
             "identity" if p == 1.0 else f"{low}:{names[p]}" for low, p in zip(lower, phases)
@@ -178,8 +177,7 @@ def scenario_statistics_test(statistics: Statistics) -> ScenarioReport:
     state = heralded_pair(opposite_spin_input(statistics, fig1_network())).state
     for path in ("C", "D"):
         state = apply_spin_rotation(state, path, SPIN_MIXER)
-    dm = reduce_to_spin_dm(state, "C", "D")
-    joint = np.real(np.diag(dm.matrix))
+    joint = (np.abs(reduce_to_spin_dm(state, "C", "D")) ** 2).sum(axis=-1)
     correlation = float(joint[0] - joint[1] - joint[2] + joint[3])
     if correlation > VERDICT_DEAD_ZONE:
         verdict = Statistics.FERMION.value
@@ -215,25 +213,24 @@ def scenario_mixed_input(statistics: Statistics) -> ScenarioReport:
     # the spin blocks of the inputs that give coincidences, in input order
     rows = [k for k, pair in enumerate(pairs) if pair.probability > 0.0]
     v = spin_blocks([pairs[k].state for k in rows], "C", "D")
-    total = 0.0
-    weighted_dm = np.zeros((4, 4), dtype=complex)
+    weights = [weight * pairs[k].probability for k in rows]
+    total = sum(weights)
     mixture: dict[str, float] = {}
     bell_states = [""] * len(inputs)
-    for k, dm, label in zip(rows, density_matrices(v), bell_labels(v).tolist()):
-        w = weight * pairs[k].probability
-        total += w
-        weighted_dm += w * dm
-        # a product coincidence |s1 s2> has its one nonzero diagonal entry at 2 s1 + s2
-        bell_states[k] = label = label or SPIN_PAIRS[dm.diagonal().real.argmax()]
+    for k, w, block, label in zip(rows, weights, v, bell_labels(v).tolist()):
+        # a product coincidence |s1 s2> has its one nonzero row at 2 s1 + s2
+        bell_states[k] = label = label or SPIN_PAIRS[(np.abs(block) ** 2).sum(axis=-1).argmax()]
         mixture[label] = mixture.get(label, 0.0) + w
     decomposition = " + ".join(
         f"{w / total:.6g} {label}" for label, w in sorted(mixture.items())
     )
-    conditional = weighted_dm / total
-    flip = np.kron(np.diag([1.0, -1.0]), np.eye(2)).astype(complex)
-    rho = np.array([conditional, flip @ conditional @ flip.conj().T])
-    validate_dms(rho)
-    chsh_default, chsh_flipped = chsh_values(rho).tolist()
+    # the conditional mixture as one block, with the columns sqrt(w_k) v_k of every coincidence
+    mixed = np.concatenate(np.sqrt(weights)[:, None, None] * v, axis=-1)
+    conditional = density_matrices(mixed)
+    validate_dms(conditional)
+    # the image with the first qubit's z flipped
+    flipped = np.diag([1.0, 1.0, -1.0, -1.0]) @ mixed
+    chsh_default, chsh_flipped = chsh_values(np.array([mixed, flipped])).tolist()
     chsh_best = max(abs(chsh_default), abs(chsh_flipped))
     return ScenarioReport(
         scenario="mixed-input",
@@ -241,7 +238,7 @@ def scenario_mixed_input(statistics: Statistics) -> ScenarioReport:
         parameters={},
         scalars={
             "coincidence_probability": Scalar(total),
-            "concurrence": Scalar(concurrences(conditional).item()),
+            "concurrence": Scalar(concurrences(mixed).item()),
             "chsh_default": Scalar(chsh_default),
             "chsh_max_abs": Scalar(chsh_best),
             "conditional_decomposition": Scalar(decomposition),
@@ -271,8 +268,6 @@ def scenario_feedback(
         raise ValueError(f"seed must be nonnegative, got {seed}")
     rounds = feedback_run(depth, statistics)
     v = spin_blocks([r.conditional_state for r in rounds], "C", "D")
-    rho = density_matrices(v)
-    validate_dms(rho)
     failures = [r.cumulative_failure for r in rounds]
     table = {
         "round": [r.round for r in rounds],
@@ -280,7 +275,7 @@ def scenario_feedback(
         "cumulative_failure": failures,
         "cumulative_success": [1.0 - f for f in failures],
         "bell_state": [label or "other" for label in bell_labels(v).tolist()],
-        "concurrence": concurrences(rho).tolist(),
+        "concurrence": concurrences(v).tolist(),
     }
     scalars = {
         "cumulative_failure": Scalar(failures[-1]),
@@ -306,13 +301,13 @@ def scenario_feedback(
     )
 
 
-def _heralded_dms(statistics: Statistics, overlaps: Sequence[complex]) -> Iterator[np.ndarray]:
-    """Spin matrices a coincidence heralds for tagged opposite-spin pairs, one per overlap.
+def _heralded_blocks(statistics: Statistics, overlaps: Sequence[complex]) -> Iterator[np.ndarray]:
+    """Spin-tag blocks a coincidence heralds for tagged opposite-spin pairs, one per overlap.
 
     The coincidence is linear in the input, so only the tag pairs 0, 0 and 0, 1 are
     heralded, once per call, and superposed: the block of an overlap ``o`` is
-    ``o v_par + sqrt(1 - |o|^2) v_orth``.  One validated ``(k, 4, 4)`` stack is
-    yielded per :data:`METRICS_CHUNK` overlaps.
+    ``o v_par + sqrt(1 - |o|^2) v_orth``, not normalized.  One ``(k, 4, T)`` stack is
+    yielded per :data:`METRICS_CHUNK` overlaps; the caller range-checks the overlaps.
     """
     branches = [heralded_pair(tagged_opposite_spin_input(statistics, o)) for o in (1.0, 0.0)]
     # each branch's normalized amplitudes times its amplitude norm: the unnormalized coincidence
@@ -321,9 +316,7 @@ def _heralded_dms(statistics: Statistics, overlaps: Sequence[complex]) -> Iterat
     for start in range(0, len(overlaps), METRICS_CHUNK):
         chunk = np.asarray(overlaps[start : start + METRICS_CHUNK], dtype=complex)
         residual = np.sqrt(np.maximum(0.0, 1.0 - np.abs(chunk) ** 2))
-        rho = density_matrices(chunk[:, None, None] * v_par + residual[:, None, None] * v_orth)
-        validate_dms(rho)
-        yield rho
+        yield chunk[:, None, None] * v_par + residual[:, None, None] * v_orth
 
 
 def scenario_complementarity(grid: int, statistics: Statistics) -> ScenarioReport:
@@ -332,11 +325,11 @@ def scenario_complementarity(grid: int, statistics: Statistics) -> ScenarioRepor
     divisor = (-1.0 if statistics is Statistics.BOSON else 1.0) * 2.0 * math.sqrt(2.0)
     overlaps_sq = _sweep(0.0, 1.0, grid)
     overlaps = list(map(math.sqrt, overlaps_sq))
-    entanglement, chsh = [], []
-    for rho in _heralded_dms(statistics, overlaps):
-        entanglement += concurrences(rho).tolist()
-        chsh += chsh_values(rho).tolist()
     discrimination = list(map(distinguishability, overlaps))
+    entanglement, chsh = [], []
+    for v in _heralded_blocks(statistics, overlaps):
+        entanglement += concurrences(v).tolist()
+        chsh += chsh_values(v).tolist()
     total = [e + d for e, d in zip(entanglement, discrimination)]
     chsh_inferred = [value / divisor for value in chsh]
     max_total_dev = max(0.0, *(abs(t - 1.0) for t in total))
@@ -369,8 +362,8 @@ def scenario_gaussian(
     delays = _sweep(-delay_max, delay_max, grid)
     overlaps = [gaussian_overlap(velocity, d, width) for d in delays]
     entanglement = []
-    for rho in _heralded_dms(statistics, overlaps):
-        entanglement += concurrences(rho).tolist()
+    for v in _heralded_blocks(statistics, overlaps):
+        entanglement += concurrences(v).tolist()
     expected = [overlap ** 2 for overlap in overlaps]
     max_dev = max(0.0, *(abs(e - x) for e, x in zip(entanglement, expected)))
     return ScenarioReport(
@@ -390,8 +383,8 @@ def scenario_gaussian(
 def scenario_dual(statistics: Statistics) -> ScenarioReport:
     """Read the coincidence state both ways: spins entangled, paths entangled."""
     state = heralded_pair(opposite_spin_input(statistics, fig1_network())).state
-    pictures = (reduce_to_spin_dm(state, "C", "D"), dual_relabel(state, "C", "D"))
-    spin_c, path_c = concurrences(np.array([dm.matrix for dm in pictures])).tolist()
+    pictures = np.array([reduce_to_spin_dm(state, "C", "D"), dual_relabel(state, "C", "D")])
+    spin_c, path_c = concurrences(pictures).tolist()
     return ScenarioReport(
         scenario="dual",
         statistics=statistics.value,

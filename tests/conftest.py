@@ -1,4 +1,5 @@
-"""Shared helpers: random states, unitaries, feed-forward networks, and the two engines compared."""
+"""Shared helpers: random states, unitaries, feed-forward networks, the two engines compared,
+and the 4x4 references that the block metrics are held to."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from twinbeam.interferometer import (
     detect,
     run_network,
 )
+from twinbeam.metrics import CHSH_OPERATOR
 
 BOTH_STATISTICS = (Statistics.BOSON, Statistics.FERMION)
 
@@ -122,9 +124,33 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def fidelity(dm, pure: np.ndarray) -> float:
-    """Overlap <psi| rho |psi> of a :class:`~twinbeam.metrics.TwoQubitDM` with a pure state."""
-    return float(np.real(pure.conj() @ dm.matrix @ pure))
+def fidelity(v: np.ndarray, pure: np.ndarray) -> float:
+    """Overlap <psi| v v† / |v|^2 |psi> of a ``(4, T)`` spin-tag block with a pure state."""
+    return float((np.abs(pure.conj() @ v) ** 2).sum() / (np.abs(v) ** 2).sum())
+
+
+_SY_SY = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
+
+
+def wootters_concurrences(rho: np.ndarray) -> np.ndarray:
+    """The reference concurrence of each 4x4 density matrix of a ``(..., 4, 4)`` stack.
+
+    Wootters' C = max(0, l1 - l2 - l3 - l4), the l_i being the decreasing
+    singular values of sqrt(rho) (sy x sy) sqrt(rho)*, which share the
+    spectrum of the square roots of rho (sy x sy) rho* (sy x sy).
+    """
+    rho = np.asarray(rho)
+    eigvals, eigvecs = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2.0)
+    roots = np.sqrt(np.clip(eigvals, 0.0, None))[..., None, :]
+    root = (eigvecs * roots) @ eigvecs.conj().swapaxes(-1, -2)
+    lams = np.linalg.svd(root @ _SY_SY @ root.conj(), compute_uv=False)
+    c = lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
+    return np.where(c > 0.0, c, 0.0)
+
+
+def chsh_traces(rho: np.ndarray) -> np.ndarray:
+    """The reference CHSH value tr(rho O) of each matrix of a ``(..., 4, 4)`` stack."""
+    return np.einsum("...ij,ji->...", rho, CHSH_OPERATOR).real
 
 
 def random_two_particle_state(

@@ -38,11 +38,10 @@ from twinbeam.metrics import (
     dual_relabel,
     reduce_to_spin_dm,
     tagged_opposite_spin_input,
-    validate_dms,
 )
 from twinbeam.scenarios import (
     SPIN_MIXER,
-    _heralded_dms,
+    _heralded_blocks,
     scenario_feedback,
     scenario_mixed_input,
     scenario_statistics_test,
@@ -129,8 +128,8 @@ def test_criterion_04_feedback_law():
         rounds = feedback_run(10, statistics)
         for r in rounds:
             checks.append(abs(r.cumulative_failure - 0.5 ** r.round) < 1e-12)
-        rho = np.array([reduce_to_spin_dm(r.conditional_state, "C", "D").matrix for r in rounds])
-        checks.extend(np.abs(concurrences(rho) - 1.0) < 1e-9)
+        v = np.array([reduce_to_spin_dm(r.conditional_state, "C", "D") for r in rounds])
+        checks.extend(np.abs(concurrences(v) - 1.0) < 1e-9)
     trials = 100_000
     report = scenario_feedback(3, Statistics.FERMION, trials=trials, seed=20240229)
     exact = 7 / 8
@@ -143,21 +142,24 @@ def test_criterion_04_feedback_law():
 ENGINES = ("sparse", "pair")
 
 
-def pair_engine_dm(statistics, overlap):
-    """Spin matrix of the pair engine's {C, D} block for the tagged opposite-spin pair."""
+def pair_engine_block(statistics, overlap):
+    """The pair engine's {C, D} spin-tag block for the tagged opposite-spin pair."""
     net, state = fig1_network(), tagged_opposite_spin_input(statistics, overlap)
     kept = _detect_pairs(net, state, coincidences=True)
     coincidences = list(zip(kept.lower, kept.upper))
-    rho = density_matrices(kept.blocks[coincidences.index(("C", "D"))])
-    validate_dms(rho)
-    return rho
+    return kept.blocks[coincidences.index(("C", "D"))]
 
 
-def heralded_dms(engine, statistics, overlaps):
-    """The ``(k, 4, 4)`` spin matrices that a {C, D} coincidence heralds, one per tag overlap."""
+def heralded_metrics(engine, statistics, overlaps):
+    """Concurrence and CHSH value of the block a {C, D} coincidence heralds, one per tag overlap."""
     if engine == "sparse":
-        return np.concatenate(list(_heralded_dms(statistics, overlaps)))
-    return np.array([pair_engine_dm(statistics, o) for o in overlaps])
+        stacks = list(_heralded_blocks(statistics, overlaps))
+    else:
+        stacks = [pair_engine_block(statistics, o)[None] for o in overlaps]
+    return (
+        np.concatenate([concurrences(v) for v in stacks]),
+        np.concatenate([chsh_values(v) for v in stacks]),
+    )
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -168,7 +170,7 @@ def test_criterion_05_statistics_test(engine):
             correlations.append(scenario_statistics_test(statistics).scalar("correlation"))
             continue
         rotation = np.kron(SPIN_MIXER, SPIN_MIXER)
-        joint = np.real(np.diag(rotation @ pair_engine_dm(statistics, 1.0) @ rotation.conj().T))
+        joint = (np.abs(rotation @ pair_engine_block(statistics, 1.0)) ** 2).sum(axis=-1)
         correlations.append(float(joint[0] - joint[1] - joint[2] + joint[3]))
     fermion, boson = correlations
     ok = abs(fermion - 1.0) < 1e-12 and abs(boson + 1.0) < 1e-12
@@ -176,22 +178,19 @@ def test_criterion_05_statistics_test(engine):
 
 
 def pair_engine_mixture(statistics):
-    """The pair engine's conditional spin matrix of the unpolarized input, with the flipped image.
+    """The pair engine's conditional block of the unpolarized input, with the flipped image.
 
-    The four spin products each weigh 1/4; their {C, D} blocks mix by
-    weight times coincidence probability.
+    The four spin products each weigh 1/4; their {C, D} blocks are the
+    columns, each times the square root of weight times coincidence probability.
     """
-    weighted = np.zeros((4, 4), dtype=complex)
+    columns = []
     for a, b in product(Spin, repeat=2):
         state = make_product_state(statistics, [Mode("A", a), Mode("B", b)])
         kept = _detect_pairs(fig1_network(), state, coincidences=True)
         if kept.lower:  # C+D, the single splitter's one coincidence
-            weighted += 0.25 * kept.probabilities[kept.first] * density_matrices(kept.blocks[0])
-    conditional = weighted / np.trace(weighted).real
-    flip = np.kron(np.diag([1.0, -1.0]), np.eye(2))
-    rho = np.array([conditional, flip @ conditional @ flip])
-    validate_dms(rho)
-    return rho
+            columns.append(math.sqrt(0.25 * kept.probabilities[kept.first]) * kept.blocks[0])
+    mixed = np.concatenate(columns, axis=-1)
+    return np.array([mixed, np.diag([1.0, 1.0, -1.0, -1.0]) @ mixed])
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -206,9 +205,9 @@ def test_criterion_06_mixed_input(engine):
                 report.matrices["conditional_dm"],
             )
         else:
-            rho = pair_engine_mixture(statistics)
-            chsh = float(np.abs(chsh_values(rho)).max())
-            values[statistics] = (concurrences(rho[0]).item(), chsh, rho[0])
+            v = pair_engine_mixture(statistics)
+            chsh = float(np.abs(chsh_values(v)).max())
+            values[statistics] = (concurrences(v[0]).item(), chsh, density_matrices(v[0]))
     expected = np.diag([1 / 3, 1 / 6, 1 / 6, 1 / 3]).astype(complex)
     expected[1, 2] = expected[2, 1] = 1 / 6
     boson_c, boson_chsh, _ = values[Statistics.BOSON]
@@ -229,11 +228,10 @@ def test_criterion_07_complementarity_sweep(engine):
     for statistics in BOTH_STATISTICS:
         overlaps_sq = np.linspace(0.0, 1.0, 21)
         overlaps = np.sqrt(overlaps_sq)
-        rho = heralded_dms(engine, statistics, overlaps)
+        concurrence, chsh = heralded_metrics(engine, statistics, overlaps)
         sign = -1.0 if statistics is Statistics.BOSON else 1.0
-        chsh = chsh_values(rho) / (sign * ROOT8)
         for overlap_sq, overlap, entanglement, inferred in zip(
-            overlaps_sq, overlaps, concurrences(rho), chsh
+            overlaps_sq, overlaps, concurrence, chsh / (sign * ROOT8)
         ):
             total = entanglement + distinguishability(overlap)
             worst_sum = max(worst_sum, abs(total - 1.0))
@@ -252,7 +250,7 @@ def test_criterion_08_gaussian_curve(engine):
     overlaps = np.exp(-(velocity ** 2) * delays ** 2 / (4.0 * width ** 2))
     expected = np.exp(-(velocity ** 2) * delays ** 2 / (2.0 * width ** 2))
     for statistics in BOTH_STATISTICS:
-        entanglement = concurrences(heralded_dms(engine, statistics, overlaps))
+        entanglement = heralded_metrics(engine, statistics, overlaps)[0]
         worst = max(worst, float(np.abs(entanglement - expected).max()))
     verdict(8, f"Gaussian packet curve, {engine} engine", worst < 1e-9, f"max dev {worst:.1e}")
 
@@ -282,9 +280,10 @@ def test_criterion_10_dual_picture(engine):
             state = run_network(net, tagged_opposite_spin_input(statistics, overlap))
             pair = detect(state, net.monitored)[{"C", "D"}].state
             if engine == "sparse":
-                spin = reduce_to_spin_dm(pair, "C", "D").matrix
+                spin = reduce_to_spin_dm(pair, "C", "D")
             else:
-                spin = pair_engine_dm(statistics, overlap)
-            spin_c, path_c = concurrences(np.array([spin, dual_relabel(pair, "C", "D").matrix]))
+                spin = pair_engine_block(statistics, overlap)
+            # the pair engine's block may hold other tag columns than the dual picture's
+            spin_c, path_c = concurrences(spin), concurrences(dual_relabel(pair, "C", "D"))
             worst = max(worst, abs(spin_c - path_c))
     verdict(10, f"dual-picture agreement, {engine} engine", worst < 1e-9, f"max dev {worst:.1e}")

@@ -19,7 +19,7 @@ PUBLIC_NAMES = {
     "build_tree", "detect", "feedback_run",
     "fig1_network", "fig2_network", "opposite_spin_input", "run_network",
     # metrics
-    "PSI_MINUS", "PSI_PLUS", "TwoQubitDM", "bell_labels", "chsh_values", "concurrences",
+    "PSI_MINUS", "PSI_PLUS", "bell_labels", "chsh_values", "concurrences",
     "distinguishability", "dual_relabel", "gaussian_overlap", "reduce_to_spin_dm",
     "tagged_opposite_spin_input", "validate_dms",
     # reporting

@@ -66,6 +66,10 @@ class TestList:
         assert first == second
 
 
+def no_blocks(*args):
+    raise AssertionError("a sweep built blocks before its range checks")
+
+
 class TestRun:
     def test_tree_json_contains_yield(self, capsys):
         code, out, _ = run_cli(
@@ -224,7 +228,7 @@ class TestRun:
             raise AssertionError("computed past the range check")
 
         # build_tree checks its depth itself; the branch tables and clicks detect next
-        for name in ("_detect_pairs", "_heralded_dms"):
+        for name in ("_detect_pairs", "_heralded_blocks"):
             monkeypatch.setattr(scenarios, name, no_run)
         monkeypatch.setattr(cli, "_detect_pairs", no_run)
         # every feedback round propagates first
@@ -250,7 +254,8 @@ class TestRun:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag", ["--velocity", "--width", "--delay-max"])
-    def test_non_finite_gaussian_parameter_is_usage_error(self, capsys, flag, value):
+    def test_non_finite_gaussian_parameter_is_usage_error(self, capsys, monkeypatch, flag, value):
+        monkeypatch.setattr(scenarios, "_heralded_blocks", no_blocks)
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["run", "gaussian", f"{flag}={value}"])
         assert excinfo.value.code == 2
@@ -260,7 +265,8 @@ class TestRun:
     @pytest.mark.parametrize(
         "options", ["--velocity 1e200", "--delay-max 1e300", "--width 1e-200"]
     )
-    def test_gaussian_overlap_out_of_float_range_is_usage_error(self, capsys, options):
+    def test_gaussian_overlap_out_of_float_range_is_usage_error(self, capsys, monkeypatch, options):
+        monkeypatch.setattr(scenarios, "_heralded_blocks", no_blocks)
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["run", "gaussian", *options.split(), "--grid", "3"])
         assert excinfo.value.code == 2
@@ -667,21 +673,23 @@ def test_readme_command_parses(command):
 #: max_*_deviation scalars; sampled feedback: after its trajectories came from
 #: one multinomial draw, which changed only its sampled_* fields; boson
 #: mixed-input: after its two zero coincidence probabilities became 0.0, not
-#: the int 0, in a float column); any drift in
-#: a reported number or in the canonical encoding changes them
+#: the int 0, in a float column; complementarity and gaussian: after their
+#: concurrence and CHSH values were read off amplitude blocks, which moved only
+#: their max_*deviation scalars); any drift in a reported number or in the
+#: canonical encoding changes them
 PINNED_JSON_SHA256 = {
     ("tree --depth 4", "boson"):
         "6cc03df8bb5f830d742081d3d3195ea6c400b6e83cb4b61d202c0673201e0a00",
     ("tree --depth 4", "fermion"):
         "4c15110f4de11ab219a5257da8e30be722b2351bc99ea8cdbe619e2a7ba1b288",
     ("complementarity --grid 11", "boson"):
-        "1e8a554349a7ce29bfb60fca6d501a83ed9f5d05f14529d0f76cdf838325ab07",
+        "081cc3659b6eeda0f6b1d22b4698983596d1cdaa6db6d67f70f47c2862ea83d4",
     ("complementarity --grid 11", "fermion"):
-        "8e4463a24862f89527ba5e490344f4dfd6994b51e8a34efc7b74128c146208ea",
+        "c3b585ab8bd0f8ce31d0a72affc62acc9a8d0e2957b3ee49f53875dfb09bb0f6",
     ("gaussian --velocity 1 --width 1 --delay-max 2 --grid 11", "boson"):
-        "5b87a6556691fc47dfedaa47aa404b174327386ac08fd34f1f0d7379bcaf2b40",
+        "1b4df395ee15b142708e46d0a555ee5f8e22cf0497e93ad36747dbae941d9b0e",
     ("gaussian --velocity 1 --width 1 --delay-max 2 --grid 11", "fermion"):
-        "a8207773d76426c756c5cde6d97b6ae09e577a03f327964b663f48054c87ef3a",
+        "0d6dc9881cb78cdefb47a9db75946c07c546e8ceea6b336e774e15a553ce98bd",
     ("mixed-input", "boson"):
         "3498f7b37f1838623b3e7f198a60d197bde9288d14e4465a372351f129413ad6",
     ("mixed-input", "fermion"):
@@ -711,13 +719,13 @@ PINNED_JSON_SHA256 = {
     ("feedback --depth 4 --trials 1000 --seed 7", "fermion"):
         "5d553b0d6cf2ed3d82cfdfcb306d19734ae86fda056ed99a754e1bc98c8e59ad",
     ("complementarity --grid 1001", "boson"):
-        "ea1f5449b93330de60019b56a0f306be580de5e183eaccd6df3bba2dcd8e157b",
+        "c763baf7377979dd65b12497df4b66d02fd3ec66cc6218de9753c191e57ee139",
     ("complementarity --grid 1001", "fermion"):
-        "f6ff86a88ec4fd63e183216fd3eb0d53a931c058491fce33557fad8a41233366",
+        "a93e03447a6446184b3b9cd8541382b8ca4d299986b51b20836d23571e21f488",
     ("gaussian --grid 1001", "boson"):
-        "f36ca0a832bdd9ed14bb937f15738d675e9c7b7c1a88f92c6023b6e265f960d3",
+        "df0419976afda1bee6964022f8b98a7b064295fb4d74e0573de95837d518d788",
     ("gaussian --grid 1001", "fermion"):
-        "24eea88dd80e4c1ccafbda9263e29693e5e52e00391648bbb8fca359909f6030",
+        "fe78f59867cbe0e1c9e5835074525c21368b2e942dda5c11d8e1f8f09957b2ed",
 }
 
 
@@ -809,7 +817,8 @@ def test_shuffled_tree_clicks_output_is_pinned(capsys, tmp_path):
 #: fig1, feedback, statistics-test, mixed-input, gaussian and dual: recorded
 #: before the renderers dropped the value types that no scenario emits; the CSV
 #: of statistics-test, fermion mixed-input and dual: after cells holding a
-#: comma were quoted)
+#: comma were quoted; complementarity and gaussian tables: after their metrics
+#: were read off amplitude blocks, which moved only their deviation scalars)
 PINNED_TEXT_SHA256 = {
     ("run fig2", "boson", "csv"):
         "9ecd84aae2e2079fd6413ba3ddef36bbffdf573ea0b064a622ed55d60de397cd",
@@ -832,9 +841,9 @@ PINNED_TEXT_SHA256 = {
     ("run complementarity --grid 11", "fermion", "csv"):
         "f2bf64134f0fb55d34e3c7ce95879d62669b21413742e92ef5bf341dae43f4a4",
     ("run complementarity --grid 11", "boson", "table"):
-        "4c9a0d788033acb8d3a122c34269ec6f0528988a86d8e3c261e1fbcdd24e91fc",
+        "91831a81ab2bfe219eb2513ea68ffd78d2ff3637bb884e3f39c613e62d897257",
     ("run complementarity --grid 11", "fermion", "table"):
-        "fdc8ad44f7a170183a38e1d4860d1dd8711bb29768a953a1c75d5561fcc905ad",
+        "b4c9b7aecc9815c78c6a70e224d2c24f698c4bc81d9974257b5fe11bf71e7384",
     ("clicks --fig 2", "boson", "csv"):
         "2d1b36bb88a4f7d3fed4798d5174876b0c1c18ecbeaa38996f076b747605678e",
     ("clicks --fig 2", "fermion", "csv"):
@@ -880,9 +889,9 @@ PINNED_TEXT_SHA256 = {
     ("run gaussian", "fermion", "csv"):
         "4963439d887eb5b033098678d1a5087e4f0fd545db232aaebe06dc4d83fe34a7",
     ("run gaussian", "boson", "table"):
-        "4034eeea94812d739b4cc052c3121bf1fee8743b6904de929867095538d1a671",
+        "395bbf9b843950c105cd2bcfe9d6c57b2106be47f882e53a3ad78d060efa0417",
     ("run gaussian", "fermion", "table"):
-        "3d8852295a14102b4be8d9f7ee4260c7dc397624575dcc35f6a78a74041e1cd6",
+        "dad5ee1ef350913dde4644d40cdb5fbb6b24ba99efb0d10a1418eccbecf7964d",
     ("run dual", "boson", "csv"):
         "dab1a183e5b4132ecf40599480eca431b6c81d133f9f03d1ad704257dc0f7942",
     ("run dual", "fermion", "csv"):

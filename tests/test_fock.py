@@ -188,6 +188,21 @@ class TestStateBasics:
         state = FockState(Statistics.BOSON, {(A_UP,): 1.0, (B_DOWN,): 1e-13})
         assert set(state.terms) == {(A_UP,)}
 
+    @pytest.mark.parametrize(
+        "amplitude", [math.nan, complex(math.nan, 0.0), math.inf, complex(0.0, -math.inf)],
+        ids=["nan", "complex-nan", "inf", "complex-inf"],
+    )
+    def test_non_finite_amplitude_raises(self, amplitude):
+        # NaN fails the pruning test |a| > threshold, so it would otherwise vanish silently
+        with pytest.raises(ValueError, match="is not finite"):
+            FockState(Statistics.BOSON, {(A_UP,): 1.0, (B_DOWN,): amplitude})
+
+    @pytest.mark.parametrize("scalar", [math.nan, math.inf])
+    def test_non_finite_scaling_raises(self, scalar):
+        pair = make_product_state(Statistics.FERMION, [A_UP, B_DOWN])
+        with pytest.raises(ValueError, match="is not finite"):
+            pair * scalar
+
     def test_terms_are_read_only(self):
         state = make_product_state(Statistics.BOSON, [A_UP])
         with pytest.raises(TypeError):

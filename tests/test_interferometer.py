@@ -52,6 +52,7 @@ from twinbeam.interferometer import (
 from twinbeam.metrics import (
     PSI_PLUS,
     concurrences,
+    density_matrices,
     reduce_to_spin_dm,
     tagged_opposite_spin_input,
     validate_dms,
@@ -499,15 +500,14 @@ class TestCoincidenceBlocks:
             rho = v @ v.conj().T
             rho /= np.trace(rho).real
             branch = branches[pattern].state
-            assert np.abs(rho - reduce_to_spin_dm(branch, *pattern).matrix).max() < 1e-12
+            assert np.abs(rho - density_matrices(reduce_to_spin_dm(branch, *pattern))).max() < 1e-12
             # column 0: the untagged amplitudes, which the correction phase is read from
             p1, p2 = sorted(pattern)
             for row, (s1, s2) in ((1, (UP, DOWN)), (2, (DOWN, UP))):
                 assert abs(v[row, 0] - branch.amplitude([Mode(p1, s1), Mode(p2, s2)])) < 1e-12
         if len(blocks):
-            rho = blocks @ blocks.conj().swapaxes(-1, -2)
-            validate_dms(rho)
-            c = concurrences(rho)
+            validate_dms(blocks @ blocks.conj().swapaxes(-1, -2))
+            c = concurrences(blocks)
             assert ((c >= 0.0) & (c <= 1.0 + 1e-12)).all()
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
@@ -520,7 +520,8 @@ class TestCoincidenceBlocks:
         branch = detect(run_network(net, state), net.monitored)[{"C", "D"}]
         assert abs(probabilities[-1] - branch.probability) < 1e-15
         rho = v @ v.conj().T / np.trace(v @ v.conj().T).real
-        assert np.abs(rho - reduce_to_spin_dm(branch.state, "C", "D").matrix).max() < 1e-15
+        reduced = density_matrices(reduce_to_spin_dm(branch.state, "C", "D"))
+        assert np.abs(rho - reduced).max() < 1e-15
 
     def test_pruned_cells_stay_out_of_the_blocks(self):
         # C+D monomials: 2e-12 from the untagged pair, kept, and 0.8e-12
@@ -534,7 +535,7 @@ class TestCoincidenceBlocks:
         branch = detect(run_network(net, state), net.monitored)[{"C", "D"}].state
         assert not v[:, 1:].any()
         rho = v @ v.conj().T / np.trace(v @ v.conj().T)
-        assert np.abs(rho - reduce_to_spin_dm(branch, "C", "D").matrix).max() < 1e-12
+        assert np.abs(rho - density_matrices(reduce_to_spin_dm(branch, "C", "D"))).max() < 1e-12
 
 
 class TestPostselect:
@@ -639,8 +640,8 @@ class TestFeedback:
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     def test_rounds_stay_maximally_entangled(self, statistics):
         rounds = feedback_run(4, statistics)
-        rho = np.array([reduce_to_spin_dm(r.conditional_state, "C", "D").matrix for r in rounds])
-        assert np.all(np.abs(concurrences(rho) - 1.0) < 1e-9)
+        v = np.array([reduce_to_spin_dm(r.conditional_state, "C", "D") for r in rounds])
+        assert np.all(np.abs(concurrences(v) - 1.0) < 1e-9)
 
     def test_bell_state_alternates_for_bosons(self):
         rounds = feedback_run(2, Statistics.BOSON)
@@ -712,8 +713,8 @@ class TestCorrection:
                 assert path == p1
                 phase = np.exp(1j * math.pi * float(turns))
                 corrected = apply_spin_rotation(corrected, path, np.diag([1.0, phase]))
-            dm = reduce_to_spin_dm(corrected, p1, p2)
-            assert abs(fidelity(dm, PSI_PLUS) - 1.0) < 1e-9
+            v = reduce_to_spin_dm(corrected, p1, p2)
+            assert abs(fidelity(v, PSI_PLUS) - 1.0) < 1e-9
 
 
 def drawn_clicks(net, statistics, trials, seed):

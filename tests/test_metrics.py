@@ -8,15 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BOTH_STATISTICS, fidelity, random_unitary
+from conftest import (
+    BOTH_STATISTICS,
+    chsh_traces,
+    fidelity,
+    random_unitary,
+    wootters_concurrences,
+)
 from twinbeam.errors import OccupancyError
 from twinbeam.fock import Mode, Spin, Statistics, make_product_state
 from twinbeam.interferometer import heralded_pair
 from twinbeam.metrics import (
-    CHSH_OPERATOR,
     PSI_MINUS,
     PSI_PLUS,
-    TwoQubitDM,
     bell_labels,
     chsh_values,
     concurrences,
@@ -24,67 +28,66 @@ from twinbeam.metrics import (
     distinguishability,
     dual_relabel,
     gaussian_overlap,
-    pure_concurrences,
     reduce_to_spin_dm,
     tagged_opposite_spin_input,
     validate_dms,
 )
-from twinbeam.scenarios import METRICS_CHUNK, _heralded_dms
+from twinbeam.scenarios import METRICS_CHUNK, _heralded_blocks
 
 UP, DOWN = Spin.UP, Spin.DOWN
 ROOT8 = 2.0 * math.sqrt(2.0)
 
 
-def pure_dm(vector):
+def projector(vector):
     v = np.asarray(vector, dtype=complex)
-    return TwoQubitDM(np.outer(v, v.conj()))
+    return np.outer(v, v.conj())
 
 
 def coincidence_state(statistics, overlap=1.0):
     return heralded_pair(tagged_opposite_spin_input(statistics, overlap)).state
 
 
-def heralded_stack(statistics, overlaps):
-    """The chunks of the sweeps' ``scenarios._heralded_dms`` as one ``(k, 4, 4)`` stack."""
-    chunks = list(_heralded_dms(statistics, overlaps))
-    assert all(0 < len(rho) <= METRICS_CHUNK for rho in chunks)
-    return np.concatenate([np.empty((0, 4, 4), dtype=complex), *chunks])
+def heralded_spin_dms(statistics, overlaps):
+    """Spin matrices of the sweeps' ``scenarios._heralded_blocks``, one ``(k, 4, 4)`` stack."""
+    chunks = list(_heralded_blocks(statistics, overlaps))
+    assert all(0 < len(v) <= METRICS_CHUNK for v in chunks)
+    return np.concatenate([np.empty((0, 4, 4), dtype=complex), *map(density_matrices, chunks)])
 
 
-def coincidence_dm(statistics, overlap):
-    """The one spin matrix of a one-point :func:`heralded_stack`."""
-    return heralded_stack(statistics, [overlap])[0]
+def coincidence_block(statistics, overlap):
+    """The one ``(4, T)`` block of a one-point sweep."""
+    (v,) = next(_heralded_blocks(statistics, [overlap]))
+    return v
 
 
-def mixed_fermion_dm():
-    matrix = np.diag([1 / 3, 1 / 6, 1 / 6, 1 / 3]).astype(complex)
-    matrix[1, 2] = matrix[2, 1] = 1 / 6
-    return TwoQubitDM(matrix)
+def mixed_fermion_block():
+    """|up up>, |down down> and psi+ as three columns of weight 1/3: a separable mixture."""
+    return np.array([[1, 0, 0, 0], [0, 0, 0, 1], PSI_PLUS]).T / math.sqrt(3.0)
 
 
 class TestReduceToSpinDM:
     def test_fermion_coincidence_is_psi_plus(self):
-        dm = reduce_to_spin_dm(coincidence_state(Statistics.FERMION), "C", "D")
-        assert abs(fidelity(dm, PSI_PLUS) - 1.0) < 1e-12
-        assert abs(concurrences(dm.matrix) - 1.0) < 1e-9
+        v = reduce_to_spin_dm(coincidence_state(Statistics.FERMION), "C", "D")
+        assert abs(fidelity(v, PSI_PLUS) - 1.0) < 1e-12
+        assert abs(concurrences(v) - 1.0) < 1e-9
 
     def test_boson_coincidence_is_psi_minus(self):
-        dm = reduce_to_spin_dm(coincidence_state(Statistics.BOSON), "C", "D")
-        assert abs(fidelity(dm, PSI_MINUS) - 1.0) < 1e-12
+        v = reduce_to_spin_dm(coincidence_state(Statistics.BOSON), "C", "D")
+        assert abs(fidelity(v, PSI_MINUS) - 1.0) < 1e-12
 
     def test_product_state_reduces_to_product(self):
         state = make_product_state(Statistics.FERMION, [Mode("C", UP), Mode("D", DOWN)])
-        dm = reduce_to_spin_dm(state, "C", "D")
-        assert abs(dm.matrix[1, 1] - 1.0) < 1e-12
-        assert concurrences(dm.matrix) == 0.0
+        v = reduce_to_spin_dm(state, "C", "D")
+        assert abs(density_matrices(v)[1, 1] - 1.0) < 1e-12
+        assert concurrences(v) == 0.0
 
     @pytest.mark.parametrize("statistics,sign", [(Statistics.FERMION, 1.0), (Statistics.BOSON, -1.0)])
     def test_tagged_pair_off_diagonals(self, statistics, sign):
         overlap = math.sqrt(0.4)
-        dm = reduce_to_spin_dm(coincidence_state(statistics, overlap), "C", "D")
-        assert abs(dm.matrix[1, 1] - 0.5) < 1e-12
-        assert abs(dm.matrix[2, 2] - 0.5) < 1e-12
-        assert abs(dm.matrix[1, 2] - sign * 0.4 / 2.0) < 1e-12
+        rho = density_matrices(reduce_to_spin_dm(coincidence_state(statistics, overlap), "C", "D"))
+        assert abs(rho[1, 1] - 0.5) < 1e-12
+        assert abs(rho[2, 2] - 0.5) < 1e-12
+        assert abs(rho[1, 2] - sign * 0.4 / 2.0) < 1e-12
 
     def test_occupancy_violation_names_monomial(self):
         state = make_product_state(Statistics.BOSON, [Mode("C", UP), Mode("C", DOWN)])
@@ -94,92 +97,48 @@ class TestReduceToSpinDM:
     def test_qubit_order_is_lexicographic(self):
         # C up, D down is |01> with C the first qubit, |10> with D first
         state = make_product_state(Statistics.FERMION, [Mode("C", UP), Mode("D", DOWN)])
-        assert reduce_to_spin_dm(state, "D", "C").matrix[1, 1] == 1.0
+        assert density_matrices(reduce_to_spin_dm(state, "D", "C"))[1, 1] == 1.0
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     @pytest.mark.parametrize("overlap_sq", [0.0, 0.3, 0.8, 1.0])
     def test_output_is_valid_density_matrix(self, statistics, overlap_sq):
-        dm = reduce_to_spin_dm(coincidence_state(statistics, math.sqrt(overlap_sq)), "C", "D")
-        dm.validate()
+        v = reduce_to_spin_dm(coincidence_state(statistics, math.sqrt(overlap_sq)), "C", "D")
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-15
+        validate_dms(density_matrices(v))
 
-    def test_matrix_is_a_read_only_copy(self):
-        matrix = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-        dm = TwoQubitDM(matrix)
-        matrix[0, 0] = 0.5
-        assert dm.matrix[0, 0] == 1.0
-        with pytest.raises(ValueError):
-            dm.matrix[0, 0] = 0.5
+    @pytest.mark.parametrize("reduce", [reduce_to_spin_dm, dual_relabel])
+    def test_overflowing_block_raises(self, reduce):
+        # amplitudes of 1e200 are finite, their squared norm is not
+        state = 1e200 * coincidence_state(Statistics.FERMION)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="norm inf is not finite"):
+            reduce(state, "C", "D")
 
 
 class TestConcurrence:
     def test_bell_states_are_maximal(self):
-        stack = np.array([pure_dm(PSI_MINUS).matrix, pure_dm(PSI_PLUS).matrix])
-        assert np.all(np.abs(concurrences(stack) - 1.0) < 1e-12)
+        blocks = np.array([PSI_MINUS, PSI_PLUS])[..., None]
+        assert np.all(np.abs(concurrences(blocks) - 1.0) < 1e-12)
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     def test_quarter_overlap(self, statistics):
-        assert abs(concurrences(coincidence_dm(statistics, math.sqrt(0.25))) - 0.25) < 1e-9
+        assert abs(concurrences(coincidence_block(statistics, math.sqrt(0.25))) - 0.25) < 1e-9
 
     def test_mixed_fermion_state_is_separable(self):
-        assert concurrences(mixed_fermion_dm().matrix) == 0.0
-
-    def test_rejects_invalid_matrix(self):
-        with pytest.raises(ValueError):
-            TwoQubitDM(np.eye(4, dtype=complex))
+        assert concurrences(mixed_fermion_block()) == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_local_unitary_invariance(self, seed):
         rng = np.random.default_rng(500 + seed)
-        base = coincidence_dm(
+        base = coincidence_block(
             Statistics.FERMION if seed % 2 else Statistics.BOSON, math.sqrt(rng.random())
         )
         local = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
-        stack = np.array([base, local @ base @ local.conj().T])
-        validate_dms(stack)
-        c_base, c_rotated = concurrences(stack)
+        c_base, c_rotated = concurrences(np.array([base, local @ base]))
         assert abs(c_rotated - c_base) < 1e-9
 
 
-class TestPureConcurrences:
-    """The closed form against the Wootters pipeline on the same pure states."""
-
-    @settings(max_examples=50, derandomize=True, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n_random=st.integers(1, 12))
-    def test_matches_wootters_on_random_pure_states(self, seed, n_random):
-        rng = np.random.default_rng(seed)
-        v = rng.normal(size=(n_random, 4)) + 1j * rng.normal(size=(n_random, 4))
-        product = np.kron(random_unitary(rng, 2)[:, 0], random_unitary(rng, 2)[:, 0])
-        v = np.concatenate([v / np.linalg.norm(v, axis=-1, keepdims=True), [product]])
-        reference = concurrences(density_matrices(v[..., None]))
-        closed = pure_concurrences(v)
-        assert closed.shape == reference.shape == (n_random + 1,)
-        assert np.abs(closed - reference).max() < 1e-12
-        assert closed[-1] < 1e-12
-        assert pure_concurrences(v[None]).tolist() == [closed.tolist()]
-        # one unstacked 4-vector gives the same value on its own
-        for single, c in zip(v, reference.tolist()):
-            value = pure_concurrences(single)
-            assert value.shape == ()
-            assert abs(value - c) < 1e-12
-
-    def test_product_states_are_exactly_separable(self):
-        # real factors, so that v0 v3 and v1 v2 round alike (complex products may not)
-        up, down = np.eye(2, dtype=complex)
-        factors = [up, down, (up + down) / math.sqrt(2.0), (up - 2.0 * down) / math.sqrt(5.0)]
-        products = np.array([np.kron(a, b) for a in factors for b in factors])
-        assert pure_concurrences(products).tolist() == [0.0] * len(products)
-        assert concurrences(density_matrices(products[..., None])).max() < 1e-12
-
-    def test_bell_states_are_maximal(self):
-        phased = np.array([0, 1, np.exp(0.7j), 0]) / math.sqrt(2.0)
-        closed = pure_concurrences(np.array([PSI_PLUS, PSI_MINUS, phased]))
-        assert np.abs(closed - 1.0).max() < 1e-12
-
-
-# Per-matrix reference versions of the stacked checks, kept as they were
-# before batching; the stacked functions must agree with them exactly.
-
-_SY_SY = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
+# Per-matrix reference version of the stacked check, kept as it was before
+# batching; the stacked function must agree with it exactly.
 
 
 def reference_validate(m):
@@ -190,13 +149,6 @@ def reference_validate(m):
     eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
     if eigs.min() < -1e-9:
         raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
-
-
-def reference_concurrence(rho):
-    eigvals, eigvecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
-    lams = np.linalg.svd(root @ _SY_SY @ root.conj(), compute_uv=False)
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 
 def reference_bell_label(rho):
@@ -223,6 +175,22 @@ def random_blocks(seed, n_random, tags):
     return blocks[rng.permutation(len(blocks))]
 
 
+def block_cases(seed, n_random, tags):
+    """:func:`random_blocks`, unnormalized, then the same blocks with one column of zeros.
+
+    Each block is scaled by a random factor in [0.1, 10); the zero-column
+    copies come only with two or more tags, so that no block is zero.
+    """
+    rng = np.random.default_rng([seed, 1])
+    blocks = random_blocks(seed, n_random, tags)
+    blocks = blocks * rng.uniform(0.1, 10.0, size=(len(blocks), 1, 1))
+    if tags == 1:
+        return blocks
+    zeroed = blocks.copy()
+    zeroed[np.arange(len(blocks)), :, rng.integers(tags, size=len(blocks))] = 0.0
+    return np.concatenate([blocks, zeroed])
+
+
 #: the maximally mixed block: its spin matrix v v†/tr is I/4
 MIXED_BLOCK = np.eye(4, dtype=complex) / 2.0
 
@@ -232,6 +200,52 @@ def random_stack(seed, n_random, tags):
     return np.concatenate([density_matrices(random_blocks(seed, n_random, tags)), [np.eye(4) / 4]])
 
 
+class TestBlockFormulas:
+    """The block metrics against the 4x4 references on ``v v† / |v|^2``."""
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_random=st.integers(0, 12), tags=st.integers(1, 4))
+    def test_concurrences_match_wootters(self, seed, n_random, tags):
+        blocks = block_cases(seed, n_random, tags)
+        values = concurrences(blocks)
+        assert values.shape == (len(blocks),)
+        assert np.abs(values - wootters_concurrences(density_matrices(blocks))).max() < 1e-12
+        assert concurrences(blocks[None]).tolist() == [values.tolist()]
+        # one unstacked block gives the same value on its own
+        for block, c in zip(blocks, values.tolist()):
+            assert concurrences(block).item() == c
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_random=st.integers(0, 12), tags=st.integers(1, 4))
+    def test_chsh_values_match_the_trace(self, seed, n_random, tags):
+        blocks = block_cases(seed, n_random, tags)
+        values = chsh_values(blocks)
+        assert values.shape == (len(blocks),)
+        assert np.abs(values - chsh_traces(density_matrices(blocks))).max() < 1e-12
+        assert chsh_values(blocks[None]).tolist() == [values.tolist()]
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_random=st.integers(0, 12), tags=st.integers(1, 4))
+    def test_chsh_values_keep_the_quantum_bound(self, seed, n_random, tags):
+        # v v† / |v|^2 is a density matrix for every nonzero block, so no bound check is needed
+        assert np.abs(chsh_values(block_cases(seed, n_random, tags))).max() <= ROOT8 + 1e-12
+
+    def test_product_states_are_exactly_separable(self):
+        # real factors, so that v0 v3 and v1 v2 round alike (complex products may not)
+        up, down = np.eye(2, dtype=complex)
+        factors = [up, down, (up + down) / math.sqrt(2.0), (up - 2.0 * down) / math.sqrt(5.0)]
+        products = np.array([np.kron(a, b) for a in factors for b in factors])[..., None]
+        assert concurrences(products).tolist() == [0.0] * len(products)
+        # a second, empty tag column takes the singular values of vᵀ (sy x sy) v instead
+        tagged = np.concatenate([products, np.zeros_like(products)], axis=-1)
+        assert concurrences(tagged).tolist() == [0.0] * len(products)
+
+    def test_bell_states_are_maximal(self):
+        phased = np.array([0, 1, np.exp(0.7j), 0]) / math.sqrt(2.0)
+        closed = concurrences(np.array([PSI_PLUS, PSI_MINUS, phased])[..., None])
+        assert np.abs(closed - 1.0).max() < 1e-12
+
+
 class TestStackedMetrics:
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(
@@ -239,18 +253,11 @@ class TestStackedMetrics:
         n_random=st.integers(0, 12),
         tags=st.integers(1, 3),
     )
-    def test_stack_matches_per_matrix_reference(self, seed, n_random, tags):
+    def test_validation_matches_per_matrix_reference(self, seed, n_random, tags):
         stack = random_stack(seed, n_random, tags)
         validate_dms(stack)
         for m in stack:
             reference_validate(m)
-        expected = [reference_concurrence(m) for m in stack]
-        assert concurrences(stack).tolist() == expected
-        assert concurrences(stack[None]).tolist() == [expected]
-        # one unstacked 4x4 matrix gives the same value on its own
-        for m, c in zip(stack, expected):
-            dm = TwoQubitDM(m)
-            assert concurrences(dm.matrix).item() == c
 
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(
@@ -281,7 +288,7 @@ class TestStackedMetrics:
     def test_stack_error_is_the_first_invalid_matrix_error(self, bad):
         bad = bad.astype(complex)
         with pytest.raises(ValueError) as single:
-            TwoQubitDM(bad)
+            validate_dms(bad)
         with pytest.raises(ValueError) as reference:
             reference_validate(bad)
         assert str(single.value) == str(reference.value)
@@ -300,44 +307,23 @@ class TestStackedMetrics:
 
 class TestChsh:
     def test_bell_states_reach_the_bound(self):
-        plus, minus = chsh_values(np.array([pure_dm(PSI_PLUS).matrix, pure_dm(PSI_MINUS).matrix]))
+        plus, minus = chsh_values(np.array([PSI_PLUS, PSI_MINUS])[..., None])
         assert abs(plus - ROOT8) < 1e-12
         assert abs(minus + ROOT8) < 1e-12
 
     def test_maximally_mixed_vanishes(self):
-        assert abs(chsh_values(np.eye(4, dtype=complex) / 4.0)) < 1e-12
+        assert abs(chsh_values(MIXED_BLOCK)) < 1e-12
 
     @pytest.mark.parametrize("seed", range(8))
     def test_separable_states_stay_classical(self, seed):
         rng = np.random.default_rng(700 + seed)
-        matrix = np.zeros((4, 4), dtype=complex)
+        columns = []
         for _ in range(3):
             u = random_unitary(rng, 2)[:, 0]
             v = random_unitary(rng, 2)[:, 0]
             pure = np.kron(u, v)
-            matrix += rng.random() * np.outer(pure, pure.conj())
-        matrix /= np.trace(matrix).real
-        validate_dms(matrix)
-        assert abs(chsh_values(matrix)) <= 2.0 + 1e-9
-
-    @settings(max_examples=50, derandomize=True, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n_random=st.integers(0, 12),
-        excess=st.floats(1e-8, 1.0),
-        position=st.integers(0, 16),
-    )
-    def test_stack_matches_trace_and_keeps_the_bound(self, seed, n_random, excess, position):
-        stack = random_stack(seed, n_random, 2)
-        expected = [np.trace(m @ CHSH_OPERATOR).real for m in stack]
-        assert np.all(np.abs(chsh_values(stack) - expected) <= 1e-15)
-        # a scaled Bell projector: trace above 1, CHSH value beyond 2 sqrt2
-        beyond = (1.0 + excess) * pure_dm(PSI_PLUS).matrix
-        value = np.trace(beyond @ CHSH_OPERATOR).real
-        position = min(position, len(stack))
-        with pytest.raises(ValueError, match="exceeds the quantum bound") as excinfo:
-            chsh_values(np.insert(stack, position, [beyond, -beyond], axis=0))
-        assert f"CHSH value {value} " in str(excinfo.value)
+            columns.append(math.sqrt(rng.random()) * pure)
+        assert abs(chsh_values(np.array(columns).T)) <= 2.0 + 1e-9
 
 
 class TestChshOfCoincidences:
@@ -346,11 +332,11 @@ class TestChshOfCoincidences:
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     @pytest.mark.parametrize("overlap_sq", [0.0, 0.5, 1.0])
     def test_matches_direct_concurrence(self, statistics, overlap_sq):
-        rho = coincidence_dm(statistics, math.sqrt(overlap_sq))
+        v = coincidence_block(statistics, math.sqrt(overlap_sq))
         sign = -1.0 if statistics is Statistics.BOSON else 1.0
-        inferred = chsh_values(rho) / (sign * ROOT8)
+        inferred = chsh_values(v) / (sign * ROOT8)
         assert abs(inferred - overlap_sq) < 1e-9
-        assert abs(inferred - concurrences(rho)) < 1e-9
+        assert abs(inferred - concurrences(v)) < 1e-9
 
 
 overlaps = st.one_of(
@@ -371,15 +357,15 @@ SUPERPOSITION_ATOL = 1e-15
 
 def per_point_spin_dms(statistics, points):
     """The reference: one sparse pipeline and one reduction per overlap."""
-    matrices = [reduce_to_spin_dm(coincidence_state(statistics, o), "C", "D").matrix for o in points]
-    return np.array(matrices).reshape(-1, 4, 4)
+    blocks = [reduce_to_spin_dm(coincidence_state(statistics, o), "C", "D") for o in points]
+    return np.array([density_matrices(v) for v in blocks]).reshape(-1, 4, 4)
 
 
-class TestHeraldedDms:
+class TestHeraldedBlocks:
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(statistics=st.sampled_from(BOTH_STATISTICS), points=st.lists(overlaps, max_size=6))
     def test_each_matrix_matches_the_single_point_reduction(self, statistics, points):
-        rho = heralded_stack(statistics, points)
+        rho = heralded_spin_dms(statistics, points)
         assert rho.shape == (len(points), 4, 4)
         reference = per_point_spin_dms(statistics, points)
         np.testing.assert_allclose(rho, reference, rtol=0.0, atol=SUPERPOSITION_ATOL)
@@ -391,7 +377,7 @@ class TestHeraldedDms:
         ids=["basis", "complementarity-grid-1001"],
     )
     def test_fixed_overlaps_match_the_single_point_reduction(self, statistics, points):
-        rho = heralded_stack(statistics, points)
+        rho = heralded_spin_dms(statistics, points)
         assert rho.shape == (len(points), 4, 4)
         reference = per_point_spin_dms(statistics, points)
         np.testing.assert_allclose(rho, reference, rtol=0.0, atol=SUPERPOSITION_ATOL)
@@ -429,7 +415,7 @@ class TestDistinguishability:
 
 def complementarity(overlap, statistics):
     """(E, D, E + D) of a tagged pair, E from the full pipeline."""
-    entanglement = concurrences(coincidence_dm(statistics, overlap)).item()
+    entanglement = concurrences(coincidence_block(statistics, overlap)).item()
     discrimination = distinguishability(overlap)
     return entanglement, discrimination, entanglement + discrimination
 
@@ -486,23 +472,23 @@ class TestGaussianOverlap:
 class TestDualRelabel:
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     def test_coincidence_state_is_path_entangled(self, statistics):
-        dm = dual_relabel(coincidence_state(statistics), "C", "D")
-        assert abs(concurrences(dm.matrix) - 1.0) < 1e-9
+        v = dual_relabel(coincidence_state(statistics), "C", "D")
+        assert abs(concurrences(v) - 1.0) < 1e-9
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     def test_qubit_order_is_up_then_down(self, statistics):
         # up on D, down on C is |YX> = |10> with the up particle first, |01> with down first
         state = make_product_state(statistics, [Mode("C", DOWN), Mode("D", UP)])
-        assert dual_relabel(state, "C", "D").matrix[2, 2] == 1.0
+        assert density_matrices(dual_relabel(state, "C", "D"))[2, 2] == 1.0
 
     def test_product_state_is_path_separable(self):
         state = make_product_state(Statistics.FERMION, [Mode("C", UP), Mode("D", DOWN)])
-        assert concurrences(dual_relabel(state, "C", "D").matrix) == 0.0
+        assert concurrences(dual_relabel(state, "C", "D")) == 0.0
 
     def test_bunched_state_maps_to_same_path(self):
         state = make_product_state(Statistics.BOSON, [Mode("C", UP), Mode("C", DOWN)])
-        dm = dual_relabel(state, "C", "D")
-        assert abs(dm.matrix[0, 0] - 1.0) < 1e-12
+        rho = density_matrices(dual_relabel(state, "C", "D"))
+        assert abs(rho[0, 0] - 1.0) < 1e-12
 
     def test_rejects_equal_spins(self):
         state = make_product_state(Statistics.FERMION, [Mode("C", UP), Mode("D", UP)])
@@ -513,8 +499,8 @@ class TestDualRelabel:
     @pytest.mark.parametrize("overlap_sq", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_agrees_with_spin_picture(self, statistics, overlap_sq):
         state = coincidence_state(statistics, math.sqrt(overlap_sq))
-        pictures = (reduce_to_spin_dm(state, "C", "D"), dual_relabel(state, "C", "D"))
-        spin, path = concurrences(np.array([dm.matrix for dm in pictures]))
+        pictures = np.array([reduce_to_spin_dm(state, "C", "D"), dual_relabel(state, "C", "D")])
+        spin, path = concurrences(pictures)
         assert abs(spin - path) < 1e-9
 
 
@@ -540,6 +526,6 @@ class TestBellLabels:
         # as a density matrix, fidelity 1 - 1e-6 with psi+: no label; as a block its
         # spin matrix is rho^2 / tr, of fidelity about 1 - 1e-12: psi+
         p = 1.0 - 1e-6
-        rho = p * pure_dm(PSI_PLUS).matrix + (1.0 - p) * pure_dm(PSI_MINUS).matrix
+        rho = p * projector(PSI_PLUS) + (1.0 - p) * projector(PSI_MINUS)
         assert reference_bell_label(rho) == ""
         assert bell_labels(rho) == "psi_plus"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import BOTH_STATISTICS, table_rows
+from conftest import BOTH_STATISTICS, table_rows, wootters_concurrences
 from twinbeam import interferometer, metrics, scenarios
 from twinbeam.errors import NetworkError
 from twinbeam.fock import Mode, Spin, Statistics, make_product_state
@@ -19,6 +19,7 @@ from twinbeam.interferometer import (
     run_network,
 )
 from twinbeam.scenarios import (
+    SCENARIOS,
     list_scenarios,
     scenario_complementarity,
     scenario_dual,
@@ -188,9 +189,9 @@ class TestCorrectionPhases:
         assert np.abs(phases - expected).max() < 1e-12
         table = scenarios._branch_table(net, statistics)[1]
         # an untagged input gives one tag column, so the closed-form concurrence
-        # must match the Wootters pipeline on the same blocks
+        # must match the 4x4 Wootters reference on the same blocks
         assert blocks.shape[2] == 1
-        wootters = metrics.concurrences(metrics.density_matrices(blocks))
+        wootters = wootters_concurrences(metrics.density_matrices(blocks))
         closed = np.array(table["concurrence"][-len(coincidences):])
         assert np.abs(closed - wootters).max() < 1e-12
         labels = map(correction_label, map(min, coincidences), phases.tolist())
@@ -308,32 +309,19 @@ class TestEnsemble:
         assert report.table["weight"] == [0.25] * 4
 
 
-class TestPureStateStacks:
-    """feedback and mixed-input label their pure coincidences from one stack of spin blocks."""
+@pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_no_scenario_builds_a_two_qubit_dm(monkeypatch, name, statistics):
+    # every two-qubit quantity is read off amplitude blocks, not a validated 4x4 object
+    scenario = SCENARIOS[name]
+    defaults = {p.name: p.default for p in scenario.params}
+    expected = scenario.run(statistics=statistics, **defaults).to_json()
 
-    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
-    @pytest.mark.parametrize(
-        "run,shape",
-        [(lambda s: scenario_feedback(5, s), (5, 4, 4)), (scenario_mixed_input, (2, 4, 4))],
-        ids=["feedback", "mixed-input"],
-    )
-    def test_no_single_matrix_and_one_validated_stack(self, monkeypatch, run, shape, statistics):
-        def no_single_matrix(*args):
-            raise AssertionError("the scenario built a TwoQubitDM")
+    def no_matrix(*args):
+        raise AssertionError(f"{name} built a TwoQubitDM")
 
-        shapes = []
-        validate_dms = scenarios.validate_dms
-
-        def recording(rho):
-            shapes.append(rho.shape)
-            validate_dms(rho)
-
-        expected = run(statistics).to_json()
-        monkeypatch.setattr(metrics.TwoQubitDM, "__post_init__", no_single_matrix)
-        monkeypatch.setattr(scenarios, "validate_dms", recording)
-        assert run(statistics).to_json() == expected
-        # mixed-input validates the conditional matrix and its flipped image
-        assert shapes == [shape]
+    monkeypatch.setattr(metrics.TwoQubitDM, "__post_init__", no_matrix)
+    assert scenario.run(statistics=statistics, **defaults).to_json() == expected
 
 
 class TestFeedback:
@@ -423,24 +411,6 @@ class TestSweepChunks:
         chunked = sweep(statistics)
         assert chunked.to_json() == report.to_json()
         assert chunked.to_csv() == report.to_csv()
-
-    @pytest.mark.parametrize("sweep", SWEEPS, ids=["complementarity", "gaussian"])
-    def test_each_matrix_is_validated_once_in_its_chunk(self, monkeypatch, sweep):
-        def no_single_matrix(*args):
-            raise AssertionError("a sweep point built a TwoQubitDM")
-
-        chunks = []
-        validate_dms = scenarios.validate_dms
-
-        def counting(rho):
-            chunks.append(len(rho))
-            validate_dms(rho)
-
-        monkeypatch.setattr(metrics.TwoQubitDM, "__post_init__", no_single_matrix)
-        monkeypatch.setattr(scenarios, "validate_dms", counting)
-        monkeypatch.setattr(scenarios, "METRICS_CHUNK", 7)
-        sweep(Statistics.BOSON)
-        assert chunks == [7, 7, 7, 7, 2]
 
 
 class TestGaussian:
