@@ -144,9 +144,14 @@ def spin_blocks(states: Sequence[FockState], path_x: str, path_y: str) -> np.nda
     return _pair_blocks(states, path_x, path_y, _spin_place)
 
 
+def _norms_sq(v: np.ndarray) -> np.ndarray:
+    """``|v|^2`` of each block of a ``(..., 4, T)`` stack: the trace of ``v v†``."""
+    return np.einsum("...ij,...ij->...", v.conj(), v).real
+
+
 def _unit_block(v: np.ndarray) -> np.ndarray:
     """``v / |v|``; a norm that is not finite (an amplitude overflowed) raises ValueError."""
-    norm = np.linalg.norm(v)
+    norm = math.sqrt(_norms_sq(v))
     if not math.isfinite(norm):
         raise ValueError(f"amplitude block norm {norm} is not finite")
     return v / norm
@@ -188,11 +193,6 @@ def dual_relabel(state: FockState, path_x: str, path_y: str) -> np.ndarray:
         return 2 * int(up.path == p2) + int(down.path == p2), amp * reorder
 
     return _unit_block(_pair_blocks([state], path_x, path_y, place)[0])
-
-
-def _norms_sq(v: np.ndarray) -> np.ndarray:
-    """``|v|^2`` of each block of a ``(..., 4, T)`` stack: the trace of ``v v†``."""
-    return np.einsum("...ij,...ij->...", v.conj(), v).real
 
 
 def concurrences(v: np.ndarray) -> np.ndarray:
