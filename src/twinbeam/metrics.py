@@ -34,7 +34,6 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
 
-
 # an object array, so that every label of a stack is one shared str, not a copy per block
 _BELL_NAMES = np.array(["", "psi_plus", "psi_minus"], dtype=object)
 
@@ -145,8 +144,10 @@ def spin_blocks(states: Sequence[FockState], path_x: str, path_y: str) -> np.nda
 
 
 def _norms_sq(v: np.ndarray) -> np.ndarray:
-    """``|v|^2`` of each block of a ``(..., 4, T)`` stack: the trace of ``v v†``."""
-    return np.einsum("...ij,...ij->...", v.conj(), v).real
+    """``|v|^2`` of each ``(4, T)`` block of a stack, summed on a float view of ``v``, or 1 if 0."""
+    f = np.ascontiguousarray(v, dtype=complex).view(np.float64)
+    n = np.einsum("...ij,...ij->...", f, f)
+    return np.where(n == 0.0, 1.0, n)
 
 
 def _unit_block(v: np.ndarray) -> np.ndarray:
@@ -203,16 +204,16 @@ def concurrences(v: np.ndarray) -> np.ndarray:
     singular values of the symmetric T x T matrix ``vᵀ (sy x sy) v``
     over ``|v|^2`` (Wootters, PRL 80, 2245, 1998), so no 4x4 matrix is
     formed.  A one-column block, a pure state, takes the closed form
-    ``2 |v1 v2 - v0 v3| / |v|^2`` without the singular value decomposition.
+    ``2 |v1 v2 - v0 v3| / |v|^2`` with no decomposition.  A zero block gives 0.
     """
     v = np.asarray(v)
-    # vᵀ (sy x sy) v is a + aᵀ, a[b, c] = v1b v2c - v0b v3c: a product state gives exactly 0
-    a = v[..., 1, :, None] * v[..., 2, None, :] - v[..., 0, :, None] * v[..., 3, None, :]
-    tau = a + a.swapaxes(-1, -2)
     if v.shape[-1] == 1:
-        c = np.abs(tau[..., 0, 0])
+        # 2 (v1 v2 - v0 v3) is vᵀ (sy x sy) v: a product state gives exactly 0
+        c = 2.0 * np.abs(v[..., 1, 0] * v[..., 2, 0] - v[..., 0, 0] * v[..., 3, 0])
     else:
-        lams = np.linalg.svd(tau, compute_uv=False)
+        # vᵀ (sy x sy) v is a + aᵀ, a[b, c] = v1b v2c - v0b v3c
+        a = v[..., 1, :, None] * v[..., 2, None, :] - v[..., 0, :, None] * v[..., 3, None, :]
+        lams = np.linalg.svd(a + a.swapaxes(-1, -2), compute_uv=False)
         c = np.maximum(lams[..., 0] - lams[..., 1:].sum(axis=-1), 0.0)
     return c / _norms_sq(v)
 
@@ -233,11 +234,10 @@ CHSH_OPERATOR = _chsh_operator()
 def chsh_values(v: np.ndarray) -> np.ndarray:
     """CHSH value, the expectation of :data:`CHSH_OPERATOR`, of each block of a ``(..., 4, T)`` stack.
 
-    ``sum_c v_c† O v_c / |v|^2`` over the tag columns ``v_c``: ``tr(O rho)`` for the
-    density matrix ``rho = v v† / |v|^2``, so no value passes the quantum bound.
+    ``sum_c v_c† O v_c / |v|^2`` over the tag columns ``v_c``: ``tr(O rho)`` for the density
+    matrix ``rho = v v† / |v|^2``, so no value passes the quantum bound.  A zero block gives 0.
     """
-    v = np.asarray(v)
-    return (v.conj() * (CHSH_OPERATOR @ v)).real.sum(axis=(-2, -1)) / _norms_sq(v)
+    return (np.conj(v) * (CHSH_OPERATOR @ v)).real.sum(axis=(-2, -1)) / _norms_sq(v)
 
 
 def _checked_magnitude(mag: float) -> float:

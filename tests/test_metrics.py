@@ -21,6 +21,7 @@ from twinbeam.interferometer import heralded_pair
 from twinbeam.metrics import (
     PSI_MINUS,
     PSI_PLUS,
+    TwoQubitDM,
     bell_labels,
     chsh_values,
     concurrences,
@@ -106,6 +107,14 @@ class TestReduceToSpinDM:
         assert abs(np.linalg.norm(v) - 1.0) < 1e-15
         validate_dms(density_matrices(v))
 
+    def test_matrix_is_a_read_only_copy(self):
+        matrix = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        dm = TwoQubitDM(matrix)
+        matrix[0, 0] = 0.5
+        assert dm.matrix[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            dm.matrix[0, 0] = 0.5
+
     @pytest.mark.parametrize("reduce", [reduce_to_spin_dm, dual_relabel])
     def test_overflowing_block_raises(self, reduce):
         # amplitudes of 1e200 are finite, their squared norm is not
@@ -125,6 +134,10 @@ class TestConcurrence:
 
     def test_mixed_fermion_state_is_separable(self):
         assert concurrences(mixed_fermion_block()) == 0.0
+
+    def test_rejects_invalid_matrix(self):
+        with pytest.raises(ValueError):
+            TwoQubitDM(np.eye(4, dtype=complex))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_local_unitary_invariance(self, seed):
@@ -240,6 +253,14 @@ class TestBlockFormulas:
         tagged = np.concatenate([products, np.zeros_like(products)], axis=-1)
         assert concurrences(tagged).tolist() == [0.0] * len(products)
 
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 4, 1)], ids=["block", "stack"])
+    def test_zero_block_gives_zero(self, shape):
+        # no spin matrix: no entanglement, no CHSH value and no Bell label, and no warning
+        zeros, stack = np.zeros(shape), shape[:-2]
+        assert np.array_equal(concurrences(zeros), np.zeros(stack))
+        assert np.array_equal(chsh_values(zeros), np.zeros(stack))
+        assert np.array_equal(bell_labels(zeros), np.full(stack, "", dtype=object))
+
     def test_bell_states_are_maximal(self):
         phased = np.array([0, 1, np.exp(0.7j), 0]) / math.sqrt(2.0)
         closed = concurrences(np.array([PSI_PLUS, PSI_MINUS, phased])[..., None])
@@ -253,11 +274,13 @@ class TestStackedMetrics:
         n_random=st.integers(0, 12),
         tags=st.integers(1, 3),
     )
-    def test_validation_matches_per_matrix_reference(self, seed, n_random, tags):
+    def test_stack_matches_per_matrix_reference(self, seed, n_random, tags):
         stack = random_stack(seed, n_random, tags)
         validate_dms(stack)
         for m in stack:
             reference_validate(m)
+            # one unstacked 4x4 matrix is valid on its own, and kept as it was given
+            assert np.array_equal(TwoQubitDM(m).matrix, m)
 
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(
@@ -288,7 +311,7 @@ class TestStackedMetrics:
     def test_stack_error_is_the_first_invalid_matrix_error(self, bad):
         bad = bad.astype(complex)
         with pytest.raises(ValueError) as single:
-            validate_dms(bad)
+            TwoQubitDM(bad)
         with pytest.raises(ValueError) as reference:
             reference_validate(bad)
         assert str(single.value) == str(reference.value)
