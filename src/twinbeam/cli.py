@@ -52,7 +52,7 @@ def _clicks_network(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         try:
             data = json.loads(Path(args.network).read_text())
             return Network.from_dict(data)
-        except (OSError, json.JSONDecodeError, NetworkError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, NetworkError) as exc:
             parser.error(f"cannot load network file {args.network!r}: {exc}")
     if args.depth is not None:
         return build_tree(args.depth)

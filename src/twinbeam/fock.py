@@ -21,7 +21,7 @@ import math
 from enum import Enum, IntEnum
 from itertools import product
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -126,13 +126,6 @@ class FockState:
     def terms(self) -> Mapping[Monomial, complex]:
         """Read-only view of the canonical monomials and their amplitudes."""
         return MappingProxyType(self._terms)
-
-    def amplitude(self, modes: Iterable[Mode]) -> complex:
-        """Amplitude of the canonical monomial built from ``modes`` (sign folded in)."""
-        key, sign = _canonicalize(tuple(modes), self.statistics is Statistics.FERMION)
-        if key is None:
-            return 0j
-        return sign * self._terms.get(key, 0j)
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 * _monomial_weight(m) for m, a in self._terms.items()))

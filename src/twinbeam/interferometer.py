@@ -59,6 +59,10 @@ MAX_TRIALS = 2 ** 63 - 1
 #: most rounds :func:`feedback_run` takes; it keeps each round's state, about 0.9 KB
 MAX_FEEDBACK_ROUNDS = 10
 
+#: most possible pattern keys per cell for which :func:`_detect_pairs` groups
+#: its cells with one bin per key instead of sorting them
+_DENSE_KEYS_PER_CELL = 4
+
 
 def _check_range(name: str, value: int, low: int, high: int) -> None:
     if not low <= value <= high:
@@ -163,9 +167,14 @@ class Network:
         """Inverse of :meth:`to_dict`; any other JSON value raises :class:`NetworkError`."""
         if not isinstance(data, dict):
             raise NetworkError(f"a network must be a JSON object, got {type(data).__name__}")
-        missing = [k for k in ("splitters", "inputs", "monitored") if k not in data]
+        keys = ("splitters", "inputs", "monitored")
+        missing = [k for k in keys if k not in data]
         if missing:
             raise NetworkError(f"network document lacks {', '.join(missing)}")
+        unexpected = [k for k in data if k not in keys]
+        if unexpected:
+            names = ", ".join(map(repr, unexpected))
+            raise NetworkError(f"network document has unexpected keys {names}")
         quads = data["splitters"]
         if not isinstance(quads, list) or any(
             not isinstance(q, list) or len(q) != 4 for q in quads
@@ -369,15 +378,21 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
     n = len(monitored)
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     # 0: no detector fired; 1 + m: detector m alone; 1 + n + lo * n + hi: lo and hi
-    # (terminals from n on are unmonitored)
+    # (terminals from n on are unmonitored); lo * n is 64-bit, n * n may not fit 32
     key = np.where(
-        hi < n, np.where(lo == hi, hi + 1, 1 + n + lo * n + hi), np.where(lo < n, lo + 1, 0)
+        hi < n,
+        np.where(lo == hi, hi + 1, 1 + n + lo * np.int64(n) + hi),
+        np.where(lo < n, lo + 1, 0),
     )
     del lo, hi
-    keys, group = np.unique(key, return_inverse=True)
+    if 1 + n + n * n <= _DENSE_KEYS_PER_CELL * key.size:
+        # one bin per possible key; bincount sums each bin in cell order
+        keys, group = None, key
+    else:
+        keys, group = np.unique(key, return_inverse=True)
     probs = np.bincount(group, weights=psi.real ** 2 + psi.imag ** 2)
-    kept = np.bincount(group, weights=fires) > 0
-    keys = keys[kept]
+    kept = np.flatnonzero(np.bincount(group[fires], minlength=probs.size))
+    keys = kept if keys is None else keys[kept]
     probabilities = (probs[kept] / probs[kept].sum()).tolist()
     empty, first = np.searchsorted(keys, [1, n + 1]).tolist()
     blocks = None
@@ -443,22 +458,31 @@ def _pair_cells(state: FockState, table: PathTable, terminals: Sequence[str]) ->
     size = len(terminals)
     row = {t: k for k, t in enumerate(terminals)}
     images = {
-        p: (np.array([row[t] for t, _ in table[p]]), np.array([c for _, c in table[p]]))
+        p: (
+            np.array([row[t] for t, _ in table[p]], dtype=np.int32),
+            np.array([c for _, c in table[p]]),
+        )
         for p in state.paths()
     }
     parts = []
     for (k, p, q), b in blocks.items():
         (rows, u), (cols, v) = images[p], images[q]
-        cell = (rows[:, None] * size + cols).ravel()
-        parts.append((np.full(cell.size, k), cell, ((b * u)[:, None] * v).ravel()))
-    label, cell, psi = (np.concatenate(x) for x in zip(*parts))
+        parts.append((
+            np.full(rows.size * cols.size, k, dtype=np.int32),
+            np.repeat(rows, cols.size),
+            np.tile(cols, rows.size),
+            ((b * u)[:, None] * v).ravel(),
+        ))
+    label, i, j, psi = (np.concatenate(x) for x in zip(*parts))
+    del parts
     if len(blocks) > len(labels):
         # a label pair with several entries: one coherent sum per (label pair, cell)
+        cell = i * np.int64(size) + j
         order = np.lexsort((cell, label))
-        label, cell, psi = label[order], cell[order], psi[order]
-        first = np.flatnonzero(np.r_[True, (np.diff(label) != 0) | (np.diff(cell) != 0)])
-        label, cell, psi = label[first], cell[first], np.add.reduceat(psi, first)
-    i, j = np.divmod(cell, size)
+        cell, psi = cell[order], psi[order]
+        first = np.flatnonzero(np.r_[True, (np.diff(label[order]) != 0) | (np.diff(cell) != 0)])
+        keep = order[first]
+        label, i, j, psi = label[keep], i[keep], j[keep], np.add.reduceat(psi, first)
     return list(labels), label, i, j, psi
 
 

@@ -45,6 +45,22 @@ def pair_probabilities(net: Network, state: FockState) -> dict[str, float]:
     return dict(zip(kept.labels(), kept.probabilities))
 
 
+def amplitude(state: FockState, modes) -> complex:
+    """Amplitude of the canonical monomial built from ``modes``, the sign of its sort folded in.
+
+    Sorting fermion modes into canonical order flips the sign once per
+    swapped pair; two fermions in one mode give 0.
+    """
+    modes = list(modes)
+    value = state.terms.get(tuple(sorted(modes)), 0j)
+    if state.statistics is Statistics.BOSON:
+        return value
+    if len(set(modes)) < len(modes):
+        return 0j
+    swaps = sum(b < a for k, a in enumerate(modes) for b in modes[k + 1:])
+    return -value if swaps % 2 else value
+
+
 def fock_cells(state: FockState) -> dict[tuple, complex]:
     """First-quantized amplitudes of a two-particle state, keyed by ``(label, label, path, path)``.
 

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (
     BOTH_STATISTICS,
+    amplitude,
     engine_differences,
     fidelity,
     random_network,
@@ -68,10 +69,10 @@ def test_criterion_01_single_splitter_exactness():
         out = run_network(fig1_network(), opposite_pair(statistics))
         worst = max(
             worst,
-            abs(out.amplitude([Mode("D", UP), Mode("C", DOWN)]) - 0.5),
-            abs(out.amplitude([Mode("D", DOWN), Mode("C", UP)]) - pair_sign * 0.5),
-            abs(out.amplitude([Mode("C", UP), Mode("C", DOWN)]) - 0.5j),
-            abs(out.amplitude([Mode("D", UP), Mode("D", DOWN)]) - 0.5j),
+            abs(amplitude(out, [Mode("D", UP), Mode("C", DOWN)]) - 0.5),
+            abs(amplitude(out, [Mode("D", DOWN), Mode("C", UP)]) - pair_sign * 0.5),
+            abs(amplitude(out, [Mode("C", UP), Mode("C", DOWN)]) - 0.5j),
+            abs(amplitude(out, [Mode("D", UP), Mode("D", DOWN)]) - 0.5j),
         )
     net, state = fig1_network(), opposite_pair(Statistics.FERMION)
     run_network(net, state)

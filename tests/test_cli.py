@@ -612,8 +612,10 @@ class TestClicks:
             {"monitored": []},
             {"splitters": [["A", "A", "D", "C"]]},
             {"inputs": ["A", "B", "A"]},
+            {"extra": 1},
         ],
-        ids=["string-inputs", "empty-monitored", "duplicate-splitter-ports", "duplicate-inputs"],
+        ids=["string-inputs", "empty-monitored", "duplicate-splitter-ports", "duplicate-inputs",
+             "extra-key"],
     )
     def test_invalid_network_file_is_usage_error(self, capsys, tmp_path, change):
         data = fig2_network().to_dict()
@@ -624,10 +626,11 @@ class TestClicks:
             cli.main(["clicks", "--network", str(path)])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("text", ["[]", "1", "null", "{}", '{"splitters": []}'])
+    # the last is not UTF-8
+    @pytest.mark.parametrize("text", [b"[]", b"1", b"null", b"{}", b'{"splitters": []}', b"\xff\xfe"])
     def test_network_file_without_a_network_is_usage_error(self, capsys, tmp_path, text):
         path = tmp_path / "invalid.json"
-        path.write_text(text)
+        path.write_bytes(text)
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["clicks", "--network", str(path)])
         assert excinfo.value.code == 2

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     BOTH_STATISTICS,
+    amplitude,
     branch_probabilities,
     engine_differences,
     fidelity,
@@ -184,9 +186,10 @@ class TestNetworkValidation:
             {"splitters": [["A", "B", "D"]]},
             {"splitters": "ABDC"},
             {"inputs": ["A", "B", "A"]},
+            {"extra": 1},
         ],
         ids=["string-inputs", "empty-monitored", "string-monitored", "integer-port",
-             "three-ports", "string-splitters", "duplicate-inputs"],
+             "three-ports", "string-splitters", "duplicate-inputs", "extra-key"],
     )
     def test_from_dict_rejects_malformed_document(self, change):
         data = {"splitters": [["A", "B", "D", "C"]], "inputs": ["A", "B"], "monitored": ["C", "D"]}
@@ -220,10 +223,10 @@ class TestRunNetwork:
     )
     def test_single_splitter_amplitudes(self, statistics, pair_sign):
         out = run_network(fig1_network(), opposite_pair(statistics))
-        assert abs(out.amplitude([Mode("D", UP), Mode("C", DOWN)]) - 0.5) < 1e-12
-        assert abs(out.amplitude([Mode("D", DOWN), Mode("C", UP)]) - pair_sign * 0.5) < 1e-12
-        assert abs(out.amplitude([Mode("C", UP), Mode("C", DOWN)]) - 0.5j) < 1e-12
-        assert abs(out.amplitude([Mode("D", UP), Mode("D", DOWN)]) - 0.5j) < 1e-12
+        assert abs(amplitude(out, [Mode("D", UP), Mode("C", DOWN)]) - 0.5) < 1e-12
+        assert abs(amplitude(out, [Mode("D", DOWN), Mode("C", UP)]) - pair_sign * 0.5) < 1e-12
+        assert abs(amplitude(out, [Mode("C", UP), Mode("C", DOWN)]) - 0.5j) < 1e-12
+        assert abs(amplitude(out, [Mode("D", UP), Mode("D", DOWN)]) - 0.5j) < 1e-12
 
     def test_vacuum_passes_through(self):
         out = run_network(fig1_network(), FockState(Statistics.BOSON, {(): 1.0}))
@@ -297,8 +300,8 @@ class TestDetect:
         assert abs(probs["D"] - 0.25) < 1e-12
         pair = branches[{"C", "D"}].state
         root = 1.0 / math.sqrt(2.0)
-        assert abs(pair.amplitude([Mode("D", UP), Mode("C", DOWN)]) - root) < 1e-12
-        assert abs(pair.amplitude([Mode("D", DOWN), Mode("C", UP)]) + root) < 1e-12
+        assert abs(amplitude(pair, [Mode("D", UP), Mode("C", DOWN)]) - root) < 1e-12
+        assert abs(amplitude(pair, [Mode("D", DOWN), Mode("C", UP)]) + root) < 1e-12
 
     def test_vacuum_single_branch(self):
         branches = detect(FockState(Statistics.FERMION, {(): 1.0}), ["C", "D"])
@@ -350,25 +353,46 @@ def bunched_pair(rng, statistics, paths, tags):
     return make_product_state(statistics, [modes[i], modes[j]])
 
 
+def random_tagged_case(seed: int, statistics: Statistics) -> tuple[Network, FockState]:
+    """A random network, some terminals unmonitored, and a tagged pair with a bunched part.
+
+    Several entries share a label pair, so the pair engine sums them coherently.
+    """
+    rng = np.random.default_rng(seed)
+    inputs, tags = ("P", "Q", "R"), (0, 1)
+    net = random_network(rng, inputs, n_splitters=int(rng.integers(1, 6)))
+    monitored = [p for p in net.monitored if rng.random() < 0.7] or [net.monitored[0]]
+    net = Network(net.splitters, net.inputs, tuple(monitored))
+    state = random_two_particle_state(rng, statistics, paths=inputs, tags=tags)
+    bunched = bunched_pair(rng, statistics, inputs, tags)
+    # not normalized: like run_network, the pair engine renormalizes
+    return net, state + complex(rng.normal(), rng.normal()) * bunched
+
+
 class TestDetectPairs:
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), statistics=st.sampled_from(BOTH_STATISTICS))
     def test_random_networks_match_sparse_engine(self, seed, statistics):
-        rng = np.random.default_rng(seed)
-        inputs, tags = ("P", "Q", "R"), (0, 1)
-        net = random_network(rng, inputs, n_splitters=int(rng.integers(1, 6)))
-        # leave some terminal paths unmonitored
-        monitored = [p for p in net.monitored if rng.random() < 0.7] or [net.monitored[0]]
-        net = Network(net.splitters, net.inputs, tuple(monitored))
-        state = random_two_particle_state(rng, statistics, paths=inputs, tags=tags)
-        bunched = bunched_pair(rng, statistics, inputs, tags)
-        # not normalized: like run_network, the pair engine renormalizes
-        state = state + complex(rng.normal(), rng.normal()) * bunched
+        net, state = random_tagged_case(seed, statistics)
         expected = branch_probabilities(detect(run_network(net, state), net.monitored))
         got = pair_probabilities(net, state)
         assert list(got) == list(expected)
         assert all(abs(got[p] - expected[p]) < 1e-12 for p in got)
         assert abs(sum(got.values()) - 1.0) < 1e-12
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), statistics=st.sampled_from(BOTH_STATISTICS))
+    def test_dense_and_sorted_grouping_agree(self, seed, statistics):
+        net, state = random_tagged_case(seed, statistics)
+        kept = []
+        # one bin per possible pattern key, then a sort of the keys that occur
+        for keys_per_cell in (math.inf, 0):
+            with mock.patch.object(interferometer, "_DENSE_KEYS_PER_CELL", keys_per_cell):
+                kept.append(_detect_pairs(net, state, coincidences=True))
+        dense, ordered = kept
+        # names and probabilities, bit for bit
+        assert dense[:-1] == ordered[:-1]
+        assert np.array_equal(dense.blocks, ordered.blocks)
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     @pytest.mark.parametrize("seed", range(12))
@@ -459,6 +483,19 @@ class TestDetectPairs:
         assert list(got) == list(expected) and len(got) == 2 ** 10
         assert all(abs(got[p] - 2.0 ** -10) < 1e-15 for p in got)
 
+    def test_tree_detection_memory(self):
+        # 131,072 cells: 64-bit terminal indices and a sort of the pattern keys peaked at 11.6 MiB
+        net = build_tree(8)
+        state = opposite_pair(Statistics.FERMION)
+        tracemalloc.start()
+        try:
+            kept = _detect_pairs(net, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 2 ** 20
+        assert len(kept.probabilities) == 2 ** 8 * (2 ** 8 + 1) // 2
+
     def test_unreached_paths_cost_nothing(self):
         # 1,000 unused inputs that are also detectors, none reached by the pair
         extra = tuple(f"X{k}" for k in range(1000))
@@ -504,7 +541,7 @@ class TestCoincidenceBlocks:
             # column 0: the untagged amplitudes, which the correction phase is read from
             p1, p2 = sorted(pattern)
             for row, (s1, s2) in ((1, (UP, DOWN)), (2, (DOWN, UP))):
-                assert abs(v[row, 0] - branch.amplitude([Mode(p1, s1), Mode(p2, s2)])) < 1e-12
+                assert abs(v[row, 0] - amplitude(branch, [Mode(p1, s1), Mode(p2, s2)])) < 1e-12
         if len(blocks):
             validate_dms(blocks @ blocks.conj().swapaxes(-1, -2))
             c = concurrences(blocks)

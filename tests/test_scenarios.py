@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import BOTH_STATISTICS, table_rows, wootters_concurrences
+from conftest import BOTH_STATISTICS, amplitude, table_rows, wootters_concurrences
 from twinbeam import interferometer, metrics, scenarios
 from twinbeam.errors import NetworkError
 from twinbeam.fock import Mode, Spin, Statistics, make_product_state
@@ -180,7 +180,7 @@ class TestCorrectionPhases:
         assert len(phases) == sum(len(b.pattern) == 2 for b in branches) > 0
         # the rule applied to each detected branch's four spin amplitudes
         amplitudes = np.array([
-            [branches[p].state.amplitude([Mode(min(p), s1), Mode(max(p), s2)])
+            [amplitude(branches[p].state, [Mode(min(p), s1), Mode(max(p), s2)])
              for s1, s2 in ((UP, UP), (UP, DOWN), (DOWN, UP), (DOWN, DOWN))]
             for p in coincidences
         ])
