@@ -59,8 +59,9 @@ MAX_TRIALS = 2 ** 63 - 1
 #: most rounds :func:`feedback_run` takes; it keeps each round's state, about 0.9 KB
 MAX_FEEDBACK_ROUNDS = 10
 
-#: most possible pattern keys per cell for which :func:`_detect_pairs` groups
-#: its cells with one bin per key instead of sorting them
+#: most possible pattern keys per cell for which :func:`_detect_pairs` groups its
+#: cells with one bin per key instead of sorting them; the bins then take no more
+#: memory than a few per-cell arrays, however many detectors the pair reaches
 _DENSE_KEYS_PER_CELL = 4
 
 
@@ -432,7 +433,7 @@ def _pair_cells(state: FockState, table: PathTable, terminals: Sequence[str]) ->
     Returns ``(label_pairs, label, i, j, psi)``: the internal label
     pairs, and flat arrays with one entry per label pair and (terminal,
     terminal) position ``(terminals[i], terminals[j])``, holding the
-    first-quantized amplitude ``psi``.  ``label // 2`` indexes
+    first-quantized amplitude ``psi``; ``label``, ``i`` and ``j`` are 32-bit.  ``label // 2`` indexes
     ``label_pairs``, and ``label`` is odd when both particles carry the
     same internal label.  Each input entry, in :func:`_detect_pairs`'
     convention, spreads over the outer product of its two paths' images.
