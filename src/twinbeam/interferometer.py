@@ -433,9 +433,9 @@ def _pair_cells(state: FockState, table: PathTable, terminals: Sequence[str]) ->
     Returns ``(label_pairs, label, i, j, psi)``: the internal label
     pairs, and flat arrays with one entry per label pair and (terminal,
     terminal) position ``(terminals[i], terminals[j])``, holding the
-    first-quantized amplitude ``psi``; ``label``, ``i`` and ``j`` are 32-bit.  ``label // 2`` indexes
-    ``label_pairs``, and ``label`` is odd when both particles carry the
-    same internal label.  Each input entry, in :func:`_detect_pairs`'
+    first-quantized amplitude ``psi``; ``label``, ``i`` and ``j`` are
+    32-bit.  ``label // 2`` indexes ``label_pairs``, and ``label`` is odd
+    when both particles carry the same internal label.  Each input entry, in :func:`_detect_pairs`'
     convention, spreads over the outer product of its two paths' images.
     """
     sign = -1.0 if state.statistics is Statistics.FERMION else 1.0

@@ -626,8 +626,10 @@ class TestClicks:
             cli.main(["clicks", "--network", str(path)])
         assert excinfo.value.code == 2
 
-    # the last is not UTF-8
-    @pytest.mark.parametrize("text", [b"[]", b"1", b"null", b"{}", b'{"splitters": []}', b"\xff\xfe"])
+    @pytest.mark.parametrize(
+        # the last is not UTF-8
+        "text", [b"[]", b"1", b"null", b"{}", b'{"splitters": []}', b"\xff\xfe"]
+    )
     def test_network_file_without_a_network_is_usage_error(self, capsys, tmp_path, text):
         path = tmp_path / "invalid.json"
         path.write_bytes(text)
