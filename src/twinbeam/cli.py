@@ -20,6 +20,8 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
+import numpy as np
+
 from .errors import NetworkError, TwinbeamError
 from .fock import Statistics
 from .interferometer import (
@@ -65,12 +67,15 @@ def _run_clicks(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Sc
         parser.error("the network needs two input paths for the opposite-spin pair")
     statistics = Statistics.from_name(args.statistics)
     kept = _detect_pairs(net, opposite_spin_input(statistics, net))
-    trials, probabilities = args.trials, kept.probabilities
+    trials, probabilities, first = args.trials, kept.probabilities, kept.first
     counts = _draw_counts(probabilities, trials, args.seed)
-    # the coincidences are the last patterns; counts are Python ints, so each
-    # frequency is one correctly rounded division
-    coincidence_count = sum(counts[kept.first:])
-    coincidence_probability = sum(probabilities[kept.first:], 0.0)
+    # one correctly rounded division of Python ints per distinct count: a float64
+    # count would round twice above 2^53
+    distinct, inverse = np.unique(counts, return_inverse=True)
+    frequencies = np.array([count / trials for count in distinct.tolist()])[inverse]
+    # the coincidences are the last patterns, their probabilities summed in order
+    coincidence_count = int(counts[first:].sum())
+    coincidence_probability = sum(probabilities[first:].tolist(), 0.0)
     return ScenarioReport(
         scenario="clicks",
         statistics=statistics.value,
@@ -83,7 +88,7 @@ def _run_clicks(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Sc
         table={
             "pattern": kept.labels(),
             "count": counts,
-            "frequency": [count / trials for count in counts],
+            "frequency": frequencies,
             "probability": probabilities,
         },
     )

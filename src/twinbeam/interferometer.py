@@ -301,16 +301,17 @@ class _KeptPatterns(NamedTuple):
     (``empty`` is then 1, else 0), then one pattern per detector that
     fired alone, named in ``singles``, then the coincidences, each named
     by its two paths ``lower[k] < upper[k]``.  Singles and coincidences
-    are each in the string order of their names.  ``probabilities`` has
-    one entry per pattern; ``blocks`` holds the coincidences' spin-tag
-    blocks when :func:`_detect_pairs` is asked for them.
+    are each in the string order of their names.  ``probabilities`` is a
+    float64 array with one entry per pattern; ``blocks`` holds the
+    coincidences' spin-tag blocks when :func:`_detect_pairs` is asked for
+    them.
     """
 
     empty: int
     singles: list[str]
     lower: list[str]
     upper: list[str]
-    probabilities: list[float]
+    probabilities: np.ndarray
     blocks: np.ndarray | None = None
 
     @property
@@ -394,7 +395,7 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
     probs = np.bincount(group, weights=psi.real ** 2 + psi.imag ** 2)
     kept = np.flatnonzero(np.bincount(group[fires], minlength=probs.size))
     keys = kept if keys is None else keys[kept]
-    probabilities = (probs[kept] / probs[kept].sum()).tolist()
+    probabilities = probs[kept] / probs[kept].sum()
     empty, first = np.searchsorted(keys, [1, n + 1]).tolist()
     blocks = None
     if coincidences:
@@ -573,8 +574,10 @@ def feedback_run(depth: int, statistics: Statistics) -> list[FeedbackRound]:
     return rounds
 
 
-def _draw_counts(probabilities: Sequence[float], trials: int, seed: int) -> list[int]:
-    """Seeded multinomial counts of ``trials`` draws, one Python int per probability.
+def _draw_counts(
+    probabilities: Sequence[float] | np.ndarray, trials: int, seed: int
+) -> np.ndarray:
+    """Seeded multinomial counts of ``trials`` draws, an int64 array with one per probability.
 
     The draw behind ``twinbeam clicks`` and the feedback scenario's
     sampled trajectories; the probabilities are renormalized, ``trials``
@@ -583,6 +586,6 @@ def _draw_counts(probabilities: Sequence[float], trials: int, seed: int) -> list
     _check_range("trials", trials, 1, MAX_TRIALS)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    probs = np.array(probabilities)
+    probs = np.asarray(probabilities)
     rng = np.random.default_rng(seed)
-    return rng.multinomial(trials, probs / probs.sum()).tolist()
+    return rng.multinomial(trials, probs / probs.sum())

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from typing import Any, TextIO
@@ -31,6 +31,8 @@ SAMPLED = "sampled"
 
 #: the types of a table cell, scalar value or parameter
 Value = str | int | float
+#: a table column: a list of cells, or a 1-D float64 or int64 array
+Column = list[Value] | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -93,21 +95,43 @@ def _json_floats(values: list[float]) -> list[str]:
     ]
 
 
-def _json_column(column: list) -> Iterator[str]:
-    """Canonical text of each cell of one table column.
+#: the array dtypes a table column may have
+_ARRAY_DTYPES = (np.dtype(np.float64), np.dtype(np.int64))
 
-    A column of one type is checked once.  A float or int column encodes
-    each distinct value once (probabilities and click counts repeat), a
-    float column's all in one ``%`` call (``_json_floats``); the mostly
-    distinct pattern names of a str column are encoded cell by cell.
+
+def _json_column(column: Column) -> Callable[[int, int], Iterable[str]]:
+    """The canonical texts of rows ``start:stop`` of one table column, as a function of both.
+
+    A numeric column (a float64 or int64 array, or a list of only floats
+    or only ints) takes one ``np.unique``: each distinct value is encoded
+    once, a float column's all by one ``%`` call (``_json_floats``), and
+    each slice gathers its cells' texts.  Str columns, whose pattern names
+    are mostly distinct, and mixed lists are encoded cell by cell.
     """
-    kinds = set(map(type, column))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is float or kind is int:
-        distinct = list(set(column))
-        texts = _json_floats(distinct) if kind is float else map(int.__repr__, distinct)
-        return map(dict(zip(distinct, texts)).__getitem__, column)
-    return map(_CELL_ENCODERS.get(kind, _json_cell), column)
+    if isinstance(column, list):
+        kinds = set(map(type, column))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind is float:
+            column = np.array(column, dtype=np.float64)
+        elif kind is int:
+            # never through float64; np.unique sorts the Python ints that int64 cannot hold
+            try:
+                column = np.array(column, dtype=np.int64)
+            except OverflowError:
+                column = np.array(column, dtype=object)
+        else:
+            encode = _CELL_ENCODERS.get(kind, _json_cell)
+            return lambda start, stop: map(encode, column[start:stop])
+    distinct, inverse = np.unique(column, return_inverse=True)
+    values = distinct.tolist()
+    texts = _json_floats(values) if column.dtype == np.float64 else map(int.__repr__, values)
+    texts = np.array(list(texts), dtype=object)
+    return lambda start, stop: texts[inverse[start:stop]].tolist()
+
+
+def _cells(column: Column) -> list[Value]:
+    """A table column's cells as Python values."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 def _cell(value: Value, digits: int) -> str:
@@ -118,18 +142,20 @@ def _cell(value: Value, digits: int) -> str:
 class ScenarioReport:
     """Named results of one scenario run.
 
-    ``table`` maps each column name to its list of cells, one per branch
-    or grid point, every column the same nonzero length; ``scalars`` map
-    result names to values tagged exact or sampled.  Every cell, scalar
+    ``table`` maps each column name to its cells, one per branch or grid
+    point, every column the same nonzero length: a list of cells, or a
+    1-D NumPy array of dtype float64 or int64; ``scalars`` map result
+    names to values tagged exact or sampled.  Every listed cell, scalar
     value and parameter is a ``str``, ``int`` or ``float``.  ``matrices``
     carries any density matrices (serialized as row-major [re, im] pairs
     in JSON).  Each renderer raises ``ValueError`` for an empty or ragged
-    table and ``TypeError`` for a value of any other type.
+    table and ``TypeError`` for a column that is neither such a list nor
+    such an array, or a value of any other type.
     """
 
     scenario: str
     statistics: str
-    table: dict[str, list[Value]]
+    table: dict[str, Column]
     parameters: dict[str, Value] = field(default_factory=dict)
     scalars: dict[str, Scalar] = field(default_factory=dict)
     matrices: dict[str, np.ndarray] = field(default_factory=dict)
@@ -138,7 +164,18 @@ class ScenarioReport:
         return self.scalars[name].value
 
     def _rows(self) -> int:
-        """The number of table rows: the one length of every column."""
+        """The number of table rows: the one length of every column, each a list or array."""
+        for name, column in self.table.items():
+            if isinstance(column, np.ndarray):
+                if column.ndim != 1 or column.dtype not in _ARRAY_DTYPES:
+                    raise TypeError(
+                        f"column {name!r} must be a 1-D float64 or int64 array, "
+                        f"not {column.ndim}-D {column.dtype}"
+                    )
+            elif not isinstance(column, list):
+                raise TypeError(
+                    f"column {name!r} must be a list or an array, not {type(column).__name__}"
+                )
         lengths = set(map(len, self.table.values()))
         if len(lengths) > 1:
             raise ValueError("every column of a report table needs the same length")
@@ -151,13 +188,13 @@ class ScenarioReport:
 
         The bytes are those of ``canonical_json`` applied to the report
         with every float rounded to JSON_DIGITS and the table as a list
-        of row objects; no rounded copy is built.  Each chunk of
-        :data:`_ROW_CHUNK` rows is encoded column by column by
-        ``_json_column`` (a float column's distinct values in one ``%``
-        call) and slice-assigned into the cell slots of one flat list that
-        repeats a row's fixed text; the list is joined and written in one
-        ``write``.  A value of another type raises ``TypeError``, possibly
-        after part of the report was written.
+        of row objects; no rounded copy is built.  Each column's encoder,
+        ``_json_column``, is built once, before the rows; each chunk of
+        :data:`_ROW_CHUNK` rows takes its texts column by column and
+        slice-assigns them into the cell slots of one flat list that repeats
+        a row's fixed text; the list is joined and written in one ``write``.
+        A listed value of another type raises ``TypeError``, possibly after
+        part of the report was written.
         """
         rows, keys = self._rows(), sorted(self.table)
         head: dict[str, Any] = {
@@ -184,10 +221,12 @@ class ScenarioReport:
         row = [""] * step
         row[::2] = [f",\n      {encode_basestring(k)}: " for k in keys] + ["\n    }"]
         row[0] = ",\n    {" + row[0][1:]
+        columns = [_json_column(self.table[k]) for k in keys]
         for start in range(0, rows, _ROW_CHUNK):
-            flat = row * min(_ROW_CHUNK, rows - start)
-            for c, k in enumerate(keys):
-                flat[2 * c + 1::step] = _json_column(self.table[k][start:start + _ROW_CHUNK])
+            stop = min(start + _ROW_CHUNK, rows)
+            flat = row * (stop - start)
+            for c, texts in enumerate(columns):
+                flat[2 * c + 1::step] = texts(start, stop)
             if not start:
                 flat[0] = "[" + row[0][1:]
             stream.write("".join(flat))
@@ -202,7 +241,7 @@ class ScenarioReport:
     def to_csv(self) -> str:
         """The header and rows as newline-terminated CSV lines, with ``csv``'s minimal quoting."""
         self._rows()
-        columns = [[_cell(v, JSON_DIGITS) for v in column] for column in self.table.values()]
+        columns = [[_cell(v, JSON_DIGITS) for v in _cells(c)] for c in self.table.values()]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.table)
@@ -221,7 +260,7 @@ class ScenarioReport:
             for name, s in self.scalars.items():
                 lines.append(f"  {name:<{width}}  {_cell(s.value, TABLE_DIGITS)}  ({s.provenance})")
         lines.append("")
-        cells = [[_cell(v, TABLE_DIGITS) for v in column] for column in self.table.values()]
+        cells = [[_cell(v, TABLE_DIGITS) for v in _cells(c)] for c in self.table.values()]
         widths = [max(len(name), max(map(len, column))) for name, column in zip(self.table, cells)]
         template = "  " + "  ".join(f"{{:<{width}}}" for width in widths)
         lines.append(template.format(*self.table))

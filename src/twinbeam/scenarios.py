@@ -42,7 +42,7 @@ from .metrics import (
     tagged_opposite_spin_input,
     validate_dms,
 )
-from .reporting import SAMPLED, Scalar, ScenarioReport
+from .reporting import SAMPLED, Column, Scalar, ScenarioReport
 
 #: documented default seed for every sampled quantity
 DEFAULT_SEED = 1905
@@ -93,7 +93,7 @@ def _correction_phases(v: np.ndarray, lower: Sequence[str], upper: Sequence[str]
     return np.where(np.abs(delta.imag) < 1e-12, np.where(delta.real > 0, 1.0, -1.0), delta)
 
 
-def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str, list]]:
+def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str, Column]]:
     """Coincidence probability and branch table of the opposite-spin pair after ``net``.
 
     One row per detector pattern, in :func:`detect`'s order.  The
@@ -101,7 +101,7 @@ def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str
     (``interferometer._detect_pairs``).  The input is untagged, so each
     block has one tag column, a pure state: :func:`concurrences` takes its
     closed form, :func:`bell_labels` names it, and :func:`_correction_phases`
-    checks it.  No spin matrix is built.
+    checks it.  No spin matrix is built.  The numeric columns are arrays.
     """
     kept = _detect_pairs(net, opposite_spin_input(statistics, net), coincidences=True)
     probabilities, first, lower = kept.probabilities, kept.first, kept.lower
@@ -112,15 +112,16 @@ def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str
     names = {p: f"down-phase {math.atan2(p.imag, p.real) / math.pi:.6g}pi" for p in set(phases)}
     table = {
         "pattern": kept.labels(),
-        "detectors": [0] * kept.empty + [1] * len(kept.singles) + [2] * len(kept.blocks),
+        "detectors": np.repeat(np.arange(3), [kept.empty, len(kept.singles), len(kept.blocks)]),
         "probability": probabilities,
-        "concurrence": [0.0] * first + concurrences(kept.blocks).tolist(),
+        "concurrence": np.concatenate([np.zeros(first), concurrences(kept.blocks)]),
         "bell_state": [""] * first + [b or "other" for b in bell_labels(kept.blocks).tolist()],
         "correction": [""] * first + [
             "identity" if p == 1.0 else f"{low}:{names[p]}" for low, p in zip(lower, phases)
         ],
     }
-    return sum(probabilities[first:], 0.0), table
+    # summed in order: np.sum adds pairwise and may change the last bit
+    return sum(probabilities[first:].tolist(), 0.0), table
 
 
 def scenario_fig1(statistics: Statistics) -> ScenarioReport:
@@ -133,7 +134,7 @@ def scenario_fig1(statistics: Statistics) -> ScenarioReport:
         scalars={
             "coincidence_probability": Scalar(total),
             "bell_state": Scalar(table["bell_state"][-1]),
-            "concurrence": Scalar(table["concurrence"][-1]),
+            "concurrence": Scalar(float(table["concurrence"][-1])),
         },
         table=table,
     )
@@ -285,7 +286,7 @@ def scenario_feedback(
     if trials > 0:
         first_success = [f * r.success_probability for f, r in zip([1.0, *failures], rounds)]
         # counts[k]: trajectories whose first success came in round k (0: none)
-        counts = _draw_counts([failures[-1], *first_success], trials, seed)
+        counts = _draw_counts([failures[-1], *first_success], trials, seed).tolist()
         cumulative = list(accumulate(counts[1:]))
         table["sampled_successes"] = counts[1:]
         table["sampled_cumulative_success"] = [c / trials for c in cumulative]

@@ -21,9 +21,10 @@ from twinbeam.metrics import CHSH_OPERATOR
 BOTH_STATISTICS = (Statistics.BOSON, Statistics.FERMION)
 
 
-def table_rows(table: dict[str, list]) -> list[dict]:
-    """A report table as one dict per row, for checks that read several columns of a row."""
-    return [dict(zip(table, row)) for row in zip(*table.values())]
+def table_rows(table: dict[str, list | np.ndarray]) -> list[dict]:
+    """A report table as one dict per row of Python values, for checks across columns."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+    return [dict(zip(table, row)) for row in zip(*columns)]
 
 
 def pattern_label(pattern) -> str:

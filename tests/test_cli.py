@@ -521,13 +521,14 @@ class TestClicks:
         parser = cli.build_parser()
         args = parser.parse_args(["clicks", "--fig", "2", "--trials", str(trials)])
         table = cli._run_clicks(args, parser).table
-        counts = table["count"]
-        assert max(counts) > 2 ** 53 and all(type(c) is int for c in counts)
-        frequencies = table["frequency"]
-        assert frequencies == [c / trials for c in counts]
+        counts, frequencies = table["count"], table["frequency"]
+        assert (counts.dtype, frequencies.dtype) == (np.int64, np.float64)
+        assert counts.max() > 2 ** 53 and sum(map(int, counts)) == trials
+        # each frequency is the correctly rounded quotient of Python ints
+        assert frequencies.tolist() == [int(c) / trials for c in counts]
         if trials != interferometer.MAX_TRIALS:
             # a float count rounds twice, which this trial count shows in some row
-            assert frequencies != [float(c) / trials for c in counts]
+            assert frequencies.tolist() != [float(c) / trials for c in counts]
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(
@@ -558,9 +559,11 @@ class TestClicks:
         probabilities = _detect_pairs(net, state).probabilities
         rows = table_rows(report.table)
         assert report.table["pattern"] == [pattern_label(b.pattern) for b in branches]
-        assert report.table["probability"] == probabilities
+        assert report.table["probability"].tolist() == probabilities.tolist()
         assert all(abs(p - b.probability) < 1e-12 for p, b in zip(probabilities, branches))
-        assert report.table["count"] == _draw_counts(probabilities, trials, sample_seed)
+        counts = report.table["count"]
+        assert counts.dtype == np.int64
+        assert counts.tolist() == _draw_counts(probabilities, trials, sample_seed).tolist()
         pairs = [row for row, b in zip(rows, branches) if len(b.pattern) == 2]
         assert report.scalar("coincidence_probability") == sum(r["probability"] for r in pairs)
         coincident = sum(r["count"] for r in pairs)
@@ -745,9 +748,11 @@ def test_json_output_is_pinned(capsys):
 
 
 #: SHA-256 of ``twinbeam clicks <source> --statistics <s> --format json`` stdout
-#: (default trials and seed), recorded before the JSON writer streamed rows;
-#: the seeded counts follow the probabilities bit for bit, so a different
-#: BLAS build may move them
+#: (default trials and seed unless given), recorded before the JSON writer
+#: streamed rows (depth 8, the benchmark's clicks size, whose 32,896 rows span
+#: 33 chunks of the writer: before numeric columns became arrays); the seeded
+#: counts follow the probabilities bit for bit, so a different BLAS build may
+#: move them
 PINNED_CLICKS_JSON_SHA256 = {
     ("--fig 2", "boson"):
         "1e6da83af90c27c7928b1ed226cc543dfa2ec96a58108eeceada3d904ea6b5c9",
@@ -757,6 +762,10 @@ PINNED_CLICKS_JSON_SHA256 = {
         "2db49aa251319542386d0527d7f094942698f9b9157cc78adfe48b0654e61d45",
     ("--depth 5", "fermion"):
         "6ec2102215f3558fcda7651b63dc94b2e8ba98eb1b1976b929444e3a77ba1e8c",
+    ("--depth 8 --trials 100000 --seed 28", "boson"):
+        "fa8057007d5b8f1ba880871af215e400c45c2576c735a1383701900ed0bd5dfe",
+    ("--depth 8 --trials 100000 --seed 28", "fermion"):
+        "202b9d1cc3fca648f754f048b1631963bb22603e15d0ae5d7be419002bafdea8",
 }
 
 

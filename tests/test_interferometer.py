@@ -391,7 +391,9 @@ class TestDetectPairs:
                 kept.append(_detect_pairs(net, state, coincidences=True))
         dense, ordered = kept
         # names and probabilities, bit for bit
-        assert dense[:-1] == ordered[:-1]
+        assert dense[:4] == ordered[:4]
+        bits = [k.probabilities.view(np.uint64) for k in kept]
+        assert np.array_equal(*bits)
         assert np.array_equal(dense.blocks, ordered.blocks)
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
@@ -523,7 +525,9 @@ class TestCoincidenceBlocks:
         blocks = kept.blocks
         # the blocks leave the patterns and their probabilities as they are
         plain = _detect_pairs(net, state)
-        assert (kept.labels(), kept.probabilities) == (plain.labels(), plain.probabilities)
+        assert kept.labels() == plain.labels()
+        bits = [k.probabilities.view(np.uint64) for k in (kept, plain)]
+        assert np.array_equal(*bits)
         branches = detect(run_network(net, state), net.monitored)
         patterns = [b.pattern for b in branches]
         assert kept.labels() == list(map(pattern_label, patterns))

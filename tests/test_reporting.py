@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinbeam import reporting
@@ -53,6 +53,12 @@ TEXT = st.text(
     st.one_of(st.sampled_from('"\\\n\r\t\b\f\x00\x1f\x7f%/é€ 😀'), st.characters()),
     max_size=6,
 )
+#: SPECIAL_FLOATS and floats whose 12-digit text carries an exponent, rounds to an
+#: integer or to a power of ten, or is a subnormal's
+EDGE_FLOATS = SPECIAL_FLOATS + [
+    999999999999.5, 9.99999999999e15, 1e16, 0.99999999999999, 123456789012.0,
+    1e-5, 1e-4, -1e-320, 2.225073858507e-308,
+]
 FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
 INTS = st.one_of(st.integers(-5, 5), st.integers(-(2**70), 2**70))
 COMPLEX = st.builds(complex, FLOATS, FLOATS)
@@ -105,6 +111,11 @@ UNSUPPORTED = [None, True, np.float64(0.5), 1j, [1.0], {1, 2}, object(), np.bool
 
 def report_of(table, **fields) -> ScenarioReport:
     return ScenarioReport(scenario="s", statistics="boson", table=table, **fields)
+
+
+def json_texts(column) -> list[str]:
+    """The JSON text of each cell of one column, from the writer's column encoder."""
+    return list(reporting._json_column(column)(0, len(column)))
 
 
 class TestWriteJson:
@@ -166,14 +177,10 @@ class TestWriteJson:
     @pytest.mark.parametrize("order", [1, -1], ids=["0.0-first", "-0.0-first"])
     def test_float_column_matches_json_float_on_edge_values(self, order):
         # values whose 12-digit text carries an exponent, rounds to an integer or to a
-        # power of ten, or is a subnormal's; 0.0 == -0.0, so the column encodes
+        # power of ten, or is a subnormal's; 0.0 == -0.0 share one distinct value,
         # whichever of them comes first
-        column = SPECIAL_FLOATS + [
-            999999999999.5, 9.99999999999e15, 1e16, 0.99999999999999, 123456789012.0,
-            1e-5, 1e-4, -1e-320, 2.225073858507e-308,
-        ]
-        column = column[::order]
-        assert list(reporting._json_column(column)) == list(map(reporting._json_float, column))
+        column = EDGE_FLOATS[::order]
+        assert json_texts(column) == list(map(reporting._json_float, column))
 
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(
@@ -187,7 +194,7 @@ class TestWriteJson:
         rng = np.random.default_rng(seed)
         column = drawn + rng.integers(0, 2**64, padding, np.uint64).view(np.float64).tolist()
         rng.shuffle(column)
-        assert list(reporting._json_column(column)) == list(map(reporting._json_float, column))
+        assert json_texts(column) == list(map(reporting._json_float, column))
         report = report_of({"x": column})
         assert report.to_json() == canonical_json(reference_to_dict(report))
 
@@ -197,9 +204,9 @@ class TestContract:
     @pytest.mark.parametrize(
         "table",
         [{}, {"a": []}, {"a": [], "b": []}, {"a": [1], "b": []}, {"a": [1], "b": [1, 2]},
-         {"a": [1, 2], "b": [1]}],
+         {"a": [1, 2], "b": [1]}, {"a": np.array([])}, {"a": [1], "b": np.arange(2)}],
         ids=["no-columns", "no-rows", "no-rows-two-columns", "empty-column", "longer-column",
-             "shorter-column"],
+             "shorter-column", "empty-array", "longer-array"],
     )
     def test_empty_or_ragged_table_raises_value_error(self, render, table):
         with pytest.raises(ValueError, match="report table"):
@@ -229,3 +236,100 @@ class TestColumns:
         report = report_of({"b": [1, 3], "a": [2.5, 0.5]})
         assert report.to_csv() == "b,a\n1,2.5\n3,0.5\n"
         assert report.to_table().splitlines()[2].split() == ["b", "a"]
+
+
+#: floats for the list-or-array columns: the edge values, 1e+-300, and values that
+#: round to an integer at 12 digits
+COLUMN_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from(EDGE_FLOATS + [1e300, -1e-300, 1e-300, 2.0 - 1e-13, -7.0 + 1e-12]),
+)
+#: ints inside int64, at its ends, and beyond it (a list column only)
+COLUMN_INTS = st.one_of(
+    st.integers(-5, 5),
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([-1, 2**63 - 1, -(2**63), 2**63, -(2**63) - 1]),
+)
+
+
+@st.composite
+def numeric_tables(draw) -> dict[str, list]:
+    """Float and int list columns, each drawn from a few values, so that cells repeat."""
+    rows = draw(st.integers(1, 40))
+    table = {}
+    for key in draw(st.lists(KEYS, min_size=1, max_size=3, unique=True)):
+        pool = draw(st.lists(draw(st.sampled_from([COLUMN_FLOATS, COLUMN_INTS])), min_size=1,
+                             max_size=6))
+        table[key] = draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows))
+    return table
+
+
+def as_arrays(table: dict[str, list]) -> dict[str, list | np.ndarray]:
+    """Each column as a float64 or int64 array; an int column beyond int64 stays a list."""
+    arrays = {}
+    for key, column in table.items():
+        if all(type(v) is float for v in column):
+            arrays[key] = np.array(column, dtype=np.float64)
+        elif all(-(2**63) <= v < 2**63 for v in column):
+            arrays[key] = np.array(column, dtype=np.int64)
+        else:
+            arrays[key] = column
+    return arrays
+
+
+#: columns that are neither a list nor a 1-D float64 or int64 array, each built afresh;
+#: a str, a sequence of its characters, once gave one row per character
+BAD_COLUMNS = {
+    "str": lambda: "ab",
+    "tuple": lambda: (1, 2),
+    "generator": lambda: (v for v in [1, 2]),
+    "dict": lambda: {1: 0.5, 2: 0.5},
+    "bool-array": lambda: np.array([True, False]),
+    "complex-array": lambda: np.array([1j, 1.0]),
+    "float32-array": lambda: np.array([0.5, 1.0], dtype=np.float32),
+    "int32-array": lambda: np.array([1, 2], dtype=np.int32),
+    "uint64-array": lambda: np.array([1, 2], dtype=np.uint64),
+    "object-array": lambda: np.array([1, 2], dtype=object),
+    "str-array": lambda: np.array(["a", "b"]),
+    "0-d-array": lambda: np.array(0.5),
+    "2-d-array": lambda: np.zeros((2, 1)),
+    "2-d-int-array": lambda: np.zeros((2, 2), dtype=np.int64),
+}
+
+
+class TestArrayColumns:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(table=numeric_tables(), chunk=st.sampled_from([1, 2, 5, 1000]))
+    @example(table={"x": [-1, 2**63]}, chunk=1000)
+    @example(table={"x": [2**63, -1, 2**63]}, chunk=2)
+    def test_list_and_array_columns_render_alike(self, table, chunk):
+        listed, arrayed = report_of(table), report_of(as_arrays(table))
+        with mock.patch.object(reporting, "_ROW_CHUNK", chunk):
+            out = listed.to_json()
+            assert arrayed.to_json() == out
+        # the per-cell oracle, built on _json_float and int's repr
+        assert out == canonical_json(reference_to_dict(listed))
+        assert arrayed.to_csv() == listed.to_csv()
+        assert arrayed.to_table() == listed.to_table()
+
+    def test_int_list_beyond_int64_keeps_its_exact_text(self):
+        # np.array([-1, 2**63]) would be float64, which rounds 2**63 + 1 to 2**63
+        column = [-1, 2**63 + 1, 2**63 + 1, -1]
+        out = report_of({"x": column}).to_json()
+        assert [line.split(": ")[1] for line in out.splitlines() if '"x": ' in line] == list(
+            map(repr, column)
+        )
+
+    @pytest.mark.parametrize("render", RENDERERS.values(), ids=RENDERERS)
+    @pytest.mark.parametrize("make", BAD_COLUMNS.values(), ids=BAD_COLUMNS)
+    def test_other_column_raises_type_error(self, render, make):
+        with pytest.raises(TypeError, match="column 'x' must be"):
+            render(report_of({"p": [0.5, 0.5], "x": make()}))
+
+    def test_json_encodes_each_distinct_value_once(self):
+        column = np.array([0.25, 0.5, 0.25, 0.25, 0.5])
+        with mock.patch.object(reporting, "_json_floats", wraps=reporting._json_floats) as spy:
+            out = report_of({"x": column}).to_json()
+        spy.assert_called_once_with([0.25, 0.5])
+        assert out == report_of({"x": column.tolist()}).to_json()

@@ -159,7 +159,9 @@ class TestCorrectionPhases:
     def test_correction_label_is_alpha_over_beta(self, monkeypatch):
         # (i |up down> + |down up>) / sqrt2 needs the down phase i on X; psi+ needs none
         blocks = np.array([[0, 1j, 1, 0], [0, 1, 1, 0]])[..., None] * HALF
-        kept = interferometer._KeptPatterns(0, [], ["X", "X"], ["Y", "Z"], [0.5, 0.5], blocks)
+        kept = interferometer._KeptPatterns(
+            0, [], ["X", "X"], ["Y", "Z"], np.array([0.5, 0.5]), blocks
+        )
         monkeypatch.setattr(scenarios, "_detect_pairs", lambda *args, **kwargs: kept)
         table = scenarios._branch_table(fig1_network(), Statistics.FERMION)[1]
         assert table["correction"] == ["X:down-phase 0.5pi", "identity"]
@@ -348,7 +350,7 @@ class TestFeedback:
         report = scenario_feedback(6, Statistics.BOSON, trials=5000, seed=11)
         failures = [1.0, *report.table["cumulative_failure"]]
         first_success = [f * p for f, p in zip(failures, report.table["success_probability"])]
-        counts = interferometer._draw_counts([failures[-1], *first_success], 5000, 11)
+        counts = interferometer._draw_counts([failures[-1], *first_success], 5000, 11).tolist()
         assert report.table["sampled_successes"] == counts[1:]
         assert report.table["sampled_cumulative_success"] == [
             sum(counts[1:k + 1]) / 5000 for k in range(1, 7)
