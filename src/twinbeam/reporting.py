@@ -166,15 +166,12 @@ class ScenarioReport:
     def _rows(self) -> int:
         """The number of table rows: the one length of every column, each a list or array."""
         for name, column in self.table.items():
-            if isinstance(column, np.ndarray):
-                if column.ndim != 1 or column.dtype not in _ARRAY_DTYPES:
-                    raise TypeError(
-                        f"column {name!r} must be a 1-D float64 or int64 array, "
-                        f"not {column.ndim}-D {column.dtype}"
-                    )
-            elif not isinstance(column, list):
+            array = isinstance(column, np.ndarray)
+            if not (isinstance(column, list) or array and column.ndim == 1
+                    and column.dtype in _ARRAY_DTYPES):
+                kind = f"a {column.ndim}-D {column.dtype} array" if array else type(column).__name__
                 raise TypeError(
-                    f"column {name!r} must be a list or an array, not {type(column).__name__}"
+                    f"column {name!r} must be a list or a 1-D float64 or int64 array, not {kind}"
                 )
         lengths = set(map(len, self.table.values()))
         if len(lengths) > 1:
@@ -193,7 +190,7 @@ class ScenarioReport:
         :data:`_ROW_CHUNK` rows takes its texts column by column and
         slice-assigns them into the cell slots of one flat list that repeats
         a row's fixed text; the list is joined and written in one ``write``.
-        A listed value of another type raises ``TypeError``, possibly after
+        A list cell of another type raises ``TypeError``, possibly after
         part of the report was written.
         """
         rows, keys = self._rows(), sorted(self.table)
