@@ -748,9 +748,9 @@ def test_json_output_is_pinned(capsys):
 
 
 #: SHA-256 of ``twinbeam clicks <source> --statistics <s> --format json`` stdout
-#: (default trials and seed unless given), recorded before the JSON writer
-#: streamed rows (depth 8, the benchmark's clicks size, whose 32,896 rows span
-#: 33 chunks of the writer: before numeric columns became arrays); the seeded
+#: (default trials and seed unless given): fig 2 and depth 5 recorded before the
+#: JSON writer streamed rows, depth 8 (the benchmark's clicks size, 32,896 rows in
+#: 33 chunks of the writer) before numeric columns became arrays; the seeded
 #: counts follow the probabilities bit for bit, so a different BLAS build may
 #: move them
 PINNED_CLICKS_JSON_SHA256 = {

@@ -177,7 +177,7 @@ class TestWriteJson:
     @pytest.mark.parametrize("order", [1, -1], ids=["0.0-first", "-0.0-first"])
     def test_float_column_matches_json_float_on_edge_values(self, order):
         # values whose 12-digit text carries an exponent, rounds to an integer or to a
-        # power of ten, or is a subnormal's; 0.0 == -0.0 share one distinct value,
+        # power of ten, or is a subnormal's; 0.0 and -0.0 are one distinct value,
         # whichever of them comes first
         column = EDGE_FLOATS[::order]
         assert json_texts(column) == list(map(reporting._json_float, column))
