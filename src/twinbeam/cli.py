@@ -73,9 +73,7 @@ def _run_clicks(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Sc
     # count would round twice above 2^53
     distinct, inverse = np.unique(counts, return_inverse=True)
     frequencies = np.array([count / trials for count in distinct.tolist()])[inverse]
-    # the coincidences are the last patterns, their probabilities summed in order
     coincidence_count = int(counts[first:].sum())
-    coincidence_probability = sum(probabilities[first:].tolist(), 0.0)
     return ScenarioReport(
         scenario="clicks",
         statistics=statistics.value,
@@ -83,7 +81,7 @@ def _run_clicks(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Sc
         scalars={
             "trials": Scalar(trials),
             "coincidence_frequency": Scalar(coincidence_count / trials, SAMPLED),
-            "coincidence_probability": Scalar(coincidence_probability),
+            "coincidence_probability": Scalar(kept.coincidence_probability),
         },
         table={
             "pattern": kept.labels(),

@@ -319,6 +319,14 @@ class _KeptPatterns(NamedTuple):
         """The index of the first coincidence."""
         return self.empty + len(self.singles)
 
+    @property
+    def coincidence_probability(self) -> float:
+        """The coincidences' probabilities, summed in order.
+
+        ``np.sum`` adds pairwise and may change the last bit.
+        """
+        return sum(self.probabilities[self.first:].tolist(), 0.0)
+
     def labels(self) -> list[str]:
         """Each pattern's firing paths, sorted and joined by ``+``; ``none`` if none fired."""
         labels = ["none"] * self.empty + self.singles

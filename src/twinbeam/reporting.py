@@ -56,25 +56,22 @@ def _json_float(x: float) -> str:
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
-#: canonical JSON text of each value type, by exact type (``bool`` and NumPy scalars are refused)
-_CELL_ENCODERS = {str: encode_basestring, int: int.__repr__, float: _json_float}
-
-
-def _kind(value: Any) -> type:
-    """The exact type of a report value, which must be ``str``, ``int`` or ``float``."""
-    kind = type(value)
-    if kind not in _CELL_ENCODERS:
-        raise TypeError(f"a report value must be str, int or float, not {kind.__name__}")
-    return kind
+def _kinds(values: Iterable[Any]) -> set[type]:
+    """The exact types of report values, each of which must be ``str``, ``int`` or ``float``."""
+    kinds = set(map(type, values))
+    for other in sorted(kinds - {str, int, float}, key=repr):
+        raise TypeError(f"a report value must be str, int or float, not {other.__name__}")
+    return kinds
 
 
 def _jsonify(value: Value) -> Value:
     """A parameter or scalar value as ``json`` encodes it: floats rounded to JSON_DIGITS."""
-    return _round_float(value) if _kind(value) is float else value
+    return _round_float(value) if float in _kinds([value]) else value
 
 
-def _json_cell(value: Value) -> str:
-    return _CELL_ENCODERS[_kind(value)](value)
+def _g_floats(values: list[float], digits: int) -> list[str]:
+    """Each value's ``%.{digits}g`` text, all formatted by one ``%`` call."""
+    return ((f"\0%.{digits}g" * len(values))[1:] % tuple(values)).split("\0")
 
 
 def _json_floats(values: list[float]) -> list[str]:
@@ -86,30 +83,33 @@ def _json_floats(values: list[float]) -> list[str]:
     an integer lacks only its ``.0``.  Exponent forms (every subnormal
     among them), ``-0``, NaN and the infinities go through ``_json_float``.
     """
-    texts = (f"%.{JSON_DIGITS}g\0" * len(values) % tuple(values)).split("\0")
     return [
         t if "." in t and "e" not in t
         else t + ".0" if t.lstrip("-").isdigit() and t != "-0"
         else _json_float(x)
-        for t, x in zip(texts, values)
+        for t, x in zip(_g_floats(values, JSON_DIGITS), values)
     ]
 
 
+#: per renderer, the text of a str and the texts of a column's distinct floats; the float
+#: formatters are looked up when called, so that a test can wrap them
+_JSON = (encode_basestring, lambda values: _json_floats(values))
+_CSV = (str, lambda values: _g_floats(values, JSON_DIGITS))
+_TABLE = (str, lambda values: _g_floats(values, TABLE_DIGITS))
 #: the array dtypes a table column may have
 _ARRAY_DTYPES = (np.dtype(np.float64), np.dtype(np.int64))
 
 
-def _json_column(column: Column) -> Callable[[int, int], Iterable[str]]:
-    """The canonical texts of rows ``start:stop`` of one table column, as a function of both.
+def _column(column: Column, text: Callable, floats: Callable) -> Callable[..., Iterable[str]]:
+    """The texts of rows ``start:stop`` of one table column, as a function of both.
 
-    A numeric column (a float64 or int64 array, or a list of only floats
-    or only ints) takes one ``np.unique``: each distinct value is encoded
-    once, a float column's all by one ``%`` call (``_json_floats``), and
-    each slice gathers its cells' texts.  Str columns, whose pattern names
-    are mostly distinct, and mixed lists are encoded cell by cell.
+    A list column's cell types are checked first.  A numeric column (a float64 or
+    int64 array, or a list of only floats or only ints) takes one ``np.unique``: each
+    distinct value gets its text once, a float column's all by one ``floats`` call.
+    Str cells go through ``text`` and mixed lists through :func:`_text`.
     """
     if isinstance(column, list):
-        kinds = set(map(type, column))
+        kinds = _kinds(column)
         kind = kinds.pop() if len(kinds) == 1 else None
         if kind is float:
             column = np.array(column, dtype=np.float64)
@@ -120,22 +120,19 @@ def _json_column(column: Column) -> Callable[[int, int], Iterable[str]]:
             except OverflowError:
                 column = np.array(column, dtype=object)
         else:
-            encode = _CELL_ENCODERS.get(kind, _json_cell)
+            encode = text if kind is str else lambda value: _text(value, text, floats)
             return lambda start, stop: map(encode, column[start:stop])
     distinct, inverse = np.unique(column, return_inverse=True)
-    values = distinct.tolist()
-    texts = _json_floats(values) if column.dtype == np.float64 else map(int.__repr__, values)
+    # np.unique merges 0.0 and -0.0 and may keep -0.0; unlike + 0.0, == never warns on a NaN
+    distinct[distinct == 0] = 0
+    texts = floats(distinct.tolist()) if column.dtype == np.float64 else map(str, distinct.tolist())
     texts = np.array(list(texts), dtype=object)
     return lambda start, stop: texts[inverse[start:stop]].tolist()
 
 
-def _cells(column: Column) -> list[Value]:
-    """A table column's cells as Python values."""
-    return column.tolist() if isinstance(column, np.ndarray) else column
-
-
-def _cell(value: Value, digits: int) -> str:
-    return f"{value + 0.0:.{digits}g}" if _kind(value) is float else str(value)
+def _text(value: Value, *style: Callable) -> str:
+    """One value's text, as a column of it is encoded by ``_column(column, *style)``."""
+    return "".join(_column([value], *style)(0, 1))
 
 
 @dataclass
@@ -186,14 +183,13 @@ class ScenarioReport:
         The bytes are those of ``canonical_json`` applied to the report
         with every float rounded to JSON_DIGITS and the table as a list
         of row objects; no rounded copy is built.  Each column's encoder,
-        ``_json_column``, is built once, before the rows; each chunk of
+        ``_column``, is built once, before anything is written; each chunk of
         :data:`_ROW_CHUNK` rows takes its texts column by column and
         slice-assigns them into the cell slots of one flat list that repeats
         a row's fixed text; the list is joined and written in one ``write``.
-        A list cell of another type raises ``TypeError``, possibly after
-        part of the report was written.
         """
         rows, keys = self._rows(), sorted(self.table)
+        columns = [_column(self.table[k], *_JSON) for k in keys]
         head: dict[str, Any] = {
             "scenario": self.scenario,
             "statistics": self.statistics,
@@ -218,7 +214,6 @@ class ScenarioReport:
         row = [""] * step
         row[::2] = [f",\n      {encode_basestring(k)}: " for k in keys] + ["\n    }"]
         row[0] = ",\n    {" + row[0][1:]
-        columns = [_json_column(self.table[k]) for k in keys]
         for start in range(0, rows, _ROW_CHUNK):
             stop = min(start + _ROW_CHUNK, rows)
             flat = row * (stop - start)
@@ -237,8 +232,8 @@ class ScenarioReport:
 
     def to_csv(self) -> str:
         """The header and rows as newline-terminated CSV lines, with ``csv``'s minimal quoting."""
-        self._rows()
-        columns = [[_cell(v, JSON_DIGITS) for v in _cells(c)] for c in self.table.values()]
+        rows = self._rows()
+        columns = [_column(c, *_CSV)(0, rows) for c in self.table.values()]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.table)
@@ -246,18 +241,18 @@ class ScenarioReport:
         return buf.getvalue()
 
     def to_table(self) -> str:
-        self._rows()
+        rows = self._rows()
         lines = [f"scenario: {self.scenario}  [{self.statistics}]"]
         if self.parameters:
-            rendered = ", ".join(f"{k}={_cell(v, TABLE_DIGITS)}" for k, v in self.parameters.items())
+            rendered = ", ".join(f"{k}={_text(v, *_TABLE)}" for k, v in self.parameters.items())
             lines.append(f"parameters: {rendered}")
         if self.scalars:
             lines.append("")
             width = max(len(n) for n in self.scalars)
             for name, s in self.scalars.items():
-                lines.append(f"  {name:<{width}}  {_cell(s.value, TABLE_DIGITS)}  ({s.provenance})")
+                lines.append(f"  {name:<{width}}  {_text(s.value, *_TABLE)}  ({s.provenance})")
         lines.append("")
-        cells = [[_cell(v, TABLE_DIGITS) for v in _cells(c)] for c in self.table.values()]
+        cells = [list(_column(c, *_TABLE)(0, rows)) for c in self.table.values()]
         widths = [max(len(name), max(map(len, column))) for name, column in zip(self.table, cells)]
         template = "  " + "  ".join(f"{{:<{width}}}" for width in widths)
         lines.append(template.format(*self.table))

@@ -120,8 +120,7 @@ def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str
             "identity" if p == 1.0 else f"{low}:{names[p]}" for low, p in zip(lower, phases)
         ],
     }
-    # summed in order: np.sum adds pairwise and may change the last bit
-    return sum(probabilities[first:].tolist(), 0.0), table
+    return kept.coincidence_probability, table
 
 
 def scenario_fig1(statistics: Statistics) -> ScenarioReport:

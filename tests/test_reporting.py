@@ -1,5 +1,6 @@
-"""Tests for the report renderers: the streaming JSON writer against the generic encoder."""
+"""Tests for the report renderers: JSON against the generic encoder, CSV and table per cell."""
 
+import csv
 import io
 import json
 import math
@@ -115,7 +116,7 @@ def report_of(table, **fields) -> ScenarioReport:
 
 def json_texts(column) -> list[str]:
     """The JSON text of each cell of one column, from the writer's column encoder."""
-    return list(reporting._json_column(column)(0, len(column)))
+    return list(reporting._column(column, *reporting._JSON)(0, len(column)))
 
 
 class TestWriteJson:
@@ -219,6 +220,14 @@ class TestContract:
             render(report_of({"x": [1.5, value]}))
         with pytest.raises(TypeError, match="must be str, int or float"):
             render(report_of({"x": [value]}))
+
+    @pytest.mark.parametrize("value", UNSUPPORTED, ids=lambda v: type(v).__name__)
+    def test_write_json_checks_cells_before_writing(self, value):
+        for column in ([1.5, value], [value]):
+            stream = mock.Mock(wraps=io.StringIO())
+            with pytest.raises(TypeError, match="must be str, int or float"):
+                report_of({"x": column}).write_json(stream)
+            stream.write.assert_not_called()
 
     @pytest.mark.parametrize("render", [RENDERERS["write_json"], RENDERERS["to_table"]],
                              ids=["write_json", "to_table"])
@@ -327,9 +336,90 @@ class TestArrayColumns:
         with pytest.raises(TypeError, match="column 'x' must be"):
             render(report_of({"p": [0.5, 0.5], "x": make()}))
 
-    def test_json_encodes_each_distinct_value_once(self):
+    @pytest.mark.parametrize(
+        "render, formatter, digits",
+        [(ScenarioReport.to_json, "_json_floats", ()), (ScenarioReport.to_csv, "_g_floats", (12,)),
+         (ScenarioReport.to_table, "_g_floats", (6,))],
+        ids=["to_json", "to_csv", "to_table"],
+    )
+    def test_each_distinct_value_is_formatted_once(self, render, formatter, digits):
         column = np.array([0.25, 0.5, 0.25, 0.25, 0.5])
-        with mock.patch.object(reporting, "_json_floats", wraps=reporting._json_floats) as spy:
-            out = report_of({"x": column}).to_json()
-        spy.assert_called_once_with([0.25, 0.5])
-        assert out == report_of({"x": column.tolist()}).to_json()
+        wrapped = getattr(reporting, formatter)
+        with mock.patch.object(reporting, formatter, wraps=wrapped) as spy:
+            out = render(report_of({"x": column}))
+        spy.assert_called_once_with([0.25, 0.5], *digits)
+        assert out == render(report_of({"x": column.tolist()}))
+
+
+def listed(column) -> list:
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def reference_cell(value, digits: int) -> str:
+    """A cell, scalar value or parameter as CSV (12 digits) and tables (6) show it."""
+    return f"{value + 0.0:.{digits}g}" if type(value) is float else str(value)
+
+
+def reference_csv(report: ScenarioReport) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(report.table)
+    rows = zip(*map(listed, report.table.values()))
+    writer.writerows([reference_cell(v, 12) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def reference_table(report: ScenarioReport) -> str:
+    lines = [f"scenario: {report.scenario}  [{report.statistics}]"]
+    if report.parameters:
+        rendered = (f"{k}={reference_cell(v, 6)}" for k, v in report.parameters.items())
+        lines.append("parameters: " + ", ".join(rendered))
+    if report.scalars:
+        width = max(map(len, report.scalars))
+        lines.append("")
+        for name, s in report.scalars.items():
+            lines.append(f"  {name.ljust(width)}  {reference_cell(s.value, 6)}  ({s.provenance})")
+    rows = [list(report.table)] + [
+        [reference_cell(v, 6) for v in row] for row in zip(*map(listed, report.table.values()))
+    ]
+    widths = [max(len(row[c]) for row in rows) for c in range(len(report.table))]
+    lines.append("")
+    lines += ["  " + "  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+#: -0.0 before and after 0.0, in lists and arrays, NaN, the infinities, subnormals, ints
+#: beyond int64 and a mixed list
+EDGE_COLUMNS = {
+    "-0.0-first": [-0.0, 0.0, -0.0],
+    "0.0-first": [0.0, -0.0],
+    "-0.0-first-array": np.array([-0.0, 0.0]),
+    "0.0-first-array": np.array([0.0, -0.0, 1.0]),
+    "special": [math.nan, math.inf, -math.inf, 5e-324, -1e-310, 2.2250738585072014e-308],
+    "special-array": np.array([math.nan, -math.inf, 5e-324, -0.0]),
+    "big-ints": [2**70, -1, -(2**63) - 1, 2**70],
+    "mixed": [1, 0.5, "a,b", -0.0, 2**64, '"q"', math.nan, "", "x\ny"],
+}
+
+
+class TestCsvAndTable:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        report=st.one_of(
+            REPORTS,
+            st.builds(report_of, numeric_tables()),
+            st.builds(report_of, numeric_tables().map(as_arrays)),
+        )
+    )
+    def test_match_the_per_cell_reference(self, report):
+        assert report.to_csv() == reference_csv(report)
+        assert report.to_table() == reference_table(report)
+
+    @pytest.mark.parametrize("column", EDGE_COLUMNS.values(), ids=EDGE_COLUMNS)
+    def test_edge_values_match_the_per_cell_reference(self, column):
+        # a parameter and a scalar of such values too, in the table's head
+        report = report_of(
+            {"x": column}, parameters={"p": -0.0, "q": 2**64}, scalars={"y": Scalar(math.nan)}
+        )
+        assert report.to_csv() == reference_csv(report)
+        assert report.to_table() == reference_table(report)
