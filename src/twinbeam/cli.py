@@ -33,8 +33,8 @@ from .interferometer import (
     fig2_network,
     opposite_spin_input,
 )
-from .reporting import SAMPLED, Scalar, ScenarioReport, canonical_json
-from .scenarios import DEFAULT_SEED, SCENARIOS, list_scenarios
+from .reporting import SAMPLED, Coded, Scalar, ScenarioReport, canonical_json
+from .scenarios import DEFAULT_SEED, SCENARIOS, _pattern_column, list_scenarios
 
 _FORMATS = ("table", "json", "csv")
 
@@ -72,7 +72,7 @@ def _run_clicks(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Sc
     # one correctly rounded division of Python ints per distinct count: a float64
     # count would round twice above 2^53
     distinct, inverse = np.unique(counts, return_inverse=True)
-    frequencies = np.array([count / trials for count in distinct.tolist()])[inverse]
+    distinct = distinct.tolist()
     coincidence_count = int(counts[first:].sum())
     return ScenarioReport(
         scenario="clicks",
@@ -84,9 +84,9 @@ def _run_clicks(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Sc
             "coincidence_probability": Scalar(kept.coincidence_probability),
         },
         table={
-            "pattern": kept.labels(),
-            "count": counts,
-            "frequency": frequencies,
+            "pattern": _pattern_column(kept),
+            "count": Coded(distinct, inverse),
+            "frequency": Coded([count / trials for count in distinct], inverse),
             "probability": probabilities,
         },
     )

@@ -297,27 +297,25 @@ def detect(state: FockState, monitored: Sequence[str]) -> BranchSet:
 class _KeptPatterns(NamedTuple):
     """The pair engine's kept detector patterns, in :func:`detect`'s order.
 
-    The pattern in which no detector fired comes first when it is kept
-    (``empty`` is then 1, else 0), then one pattern per detector that
-    fired alone, named in ``singles``, then the coincidences, each named
-    by its two paths ``lower[k] < upper[k]``.  Singles and coincidences
-    are each in the string order of their names.  ``probabilities`` is a
+    ``names`` are the monitored paths the pair reaches, in string order,
+    and row ``r`` of the int64 array ``codes``, shape ``(patterns, 2)``,
+    names pattern ``r``'s paths by their indices there.  The pattern in
+    which no detector fired comes first when it is kept (``empty`` is then
+    1, else 0), coded ``(len(names), -1)``; then one pattern per detector
+    that fired alone, ``(m, -1)``; then, from row ``first`` on, the
+    coincidences, ``(lo, hi)`` with ``lo < hi``.  Singles and coincidences
+    are each in the string order of their paths.  ``probabilities`` is a
     float64 array with one entry per pattern; ``blocks`` holds the
     coincidences' spin-tag blocks when :func:`_detect_pairs` is asked for
     them.
     """
 
+    names: list[str]
+    codes: np.ndarray
     empty: int
-    singles: list[str]
-    lower: list[str]
-    upper: list[str]
+    first: int
     probabilities: np.ndarray
     blocks: np.ndarray | None = None
-
-    @property
-    def first(self) -> int:
-        """The index of the first coincidence."""
-        return self.empty + len(self.singles)
 
     @property
     def coincidence_probability(self) -> float:
@@ -326,12 +324,6 @@ class _KeptPatterns(NamedTuple):
         ``np.sum`` adds pairwise and may change the last bit.
         """
         return sum(self.probabilities[self.first:].tolist(), 0.0)
-
-    def labels(self) -> list[str]:
-        """Each pattern's firing paths, sorted and joined by ``+``; ``none`` if none fired."""
-        labels = ["none"] * self.empty + self.singles
-        labels += [f"{a}+{b}" for a, b in zip(self.lower, self.upper)]
-        return labels
 
 
 def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) -> _KeptPatterns:
@@ -358,7 +350,7 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
 
     With ``coincidences`` it also returns, for any
     two-particle state, the normalized 4xT spin-tag block ``blocks[k]``
-    of the ``k``-th coincidence, ``{lower[k], upper[k]}``.  A block's
+    of the ``k``-th coincidence, the paths of ``codes[first + k]``.  A block's
     entry ``v[2 s1 + s2, c]`` is ``sqrt(2) psi`` of the cell with spin
     and tag (s1, t1) on the lower path and (s2, t2) on the upper one, up
     to normalization, ``c`` being the column of (t1, t2); column 0 is
@@ -424,16 +416,11 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
         blocks /= np.linalg.norm(blocks, axis=(1, 2))[:, None, None]
         del at, block, row, col
     del label, i, j, psi, fires, key, group
-    lo, hi = np.divmod(keys[first:] - 1 - n, n)
-    name = monitored.__getitem__
-    return _KeptPatterns(
-        empty,
-        list(map(name, (keys[empty:first] - 1).tolist())),
-        list(map(name, lo.tolist())),
-        list(map(name, hi.tolist())),
-        probabilities,
-        blocks,
-    )
+    codes = np.full((len(keys), 2), -1)
+    codes[:empty, 0] = n
+    codes[empty:first, 0] = keys[empty:first] - 1
+    codes[first:, 0], codes[first:, 1] = np.divmod(keys[first:] - 1 - n, n)
+    return _KeptPatterns(monitored, codes, empty, first, probabilities, blocks)
 
 
 def _pair_cells(state: FockState, table: PathTable, terminals: Sequence[str]) -> tuple:

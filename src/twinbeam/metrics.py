@@ -288,9 +288,14 @@ def bell_labels(v: np.ndarray) -> np.ndarray:
     matrix would be.  It is ``"psi_plus"`` (tested first) or ``"psi_minus"`` when
     that fidelity exceeds ``1 - BELL_TOL``.  A ``(..., 4, 4)`` matrix reads as T = 4.
     """
+    return _BELL_NAMES[_bell_index(v)]
+
+
+def _bell_index(v: np.ndarray) -> np.ndarray:
+    """Each block's index in ``_BELL_NAMES``: 0 for no Bell state, 1 for psi+, 2 for psi-."""
     v = np.asarray(v)
     # (..., T, 2) overlaps in one product, summed over the tag columns
     overlaps = (np.abs(v.swapaxes(-1, -2) @ _BELL_BRAS) ** 2).sum(axis=-2)
     # the fidelity test multiplied out by |v|^2, so that a zero block is no Bell state
     bell = overlaps > (1.0 - BELL_TOL) * _norms_sq(v)[..., None]
-    return _BELL_NAMES[np.where(bell[..., 0], 1, 2 * bell[..., 1])]
+    return np.where(bell[..., 0], 1, 2 * bell[..., 1])

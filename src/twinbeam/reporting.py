@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from typing import Any, TextIO
@@ -31,8 +31,41 @@ SAMPLED = "sampled"
 
 #: the types of a table cell, scalar value or parameter
 Value = str | int | float
-#: a table column: a list of cells, or a 1-D float64 or int64 array
-Column = list[Value] | np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Coded:
+    """A table column of repeated cells: its distinct ``values`` and one integer code per row.
+
+    With 1-D ``codes``, row ``r`` holds ``values[codes[r]]``.  With codes of
+    shape ``(rows, 2)`` it holds the compound name ``values[c0] + "+" +
+    values[c1]``, or ``values[c0]`` alone where ``c1`` is -1.  Each value is
+    encoded once, and a value that no code names is never written.
+    """
+
+    values: list[Value]
+    codes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+
+def _check_coded(name: str, column: Coded) -> None:
+    """Raise unless ``column`` is a list of values and codes that each name one of them."""
+    values, codes = column.values, column.codes
+    if not (isinstance(values, list) and isinstance(codes, np.ndarray) and codes.dtype.kind in "iu"
+            and (codes.ndim == 1 or codes.shape[1:] == (2,) and set(map(type, values)) <= {str})):
+        raise TypeError(f"coded column {name!r} needs a list of values and integer codes of "
+                        "shape (rows,), or str values and codes of shape (rows, 2)")
+    # an index array would wrap a negative code round to the last values unnoticed; the
+    # least code is 0, or -1 in a second part
+    least = (0, -1)[:codes.ndim]
+    if codes.size and (codes.max() >= len(values) or (codes.min(axis=0) < least).any()):
+        raise ValueError(f"coded column {name!r} has a code outside its {len(values)} values")
+
+
+#: a table column: a list of cells, a 1-D float64 or int64 array, or a coded column
+Column = list[Value] | np.ndarray | Coded
 
 
 @dataclass(frozen=True)
@@ -100,14 +133,28 @@ _TABLE = (str, lambda values: _g_floats(values, TABLE_DIGITS))
 _ARRAY_DTYPES = (np.dtype(np.float64), np.dtype(np.int64))
 
 
-def _column(column: Column, text: Callable, floats: Callable) -> Callable[..., Iterable[str]]:
-    """The texts of rows ``start:stop`` of one table column, as a function of both.
+def _column(column: Column, text: Callable, floats: Callable) -> list[tuple]:
+    """The slots of one table column: pairs ``(texts, codes)``, whose text for row ``r``
+    is ``texts[codes[r]]``, or ``texts[r]`` if ``codes`` is None; a cell joins its slots.
 
     A list column's cell types are checked first.  A numeric column (a float64 or
     int64 array, or a list of only floats or only ints) takes one ``np.unique``: each
     distinct value gets its text once, a float column's all by one ``floats`` call.
-    Str cells go through ``text`` and mixed lists through :func:`_text`.
+    Str cells go through ``text``; a mixed list encodes each kind's cells as one
+    column.  A coded column encodes each value once.  With two codes it has two
+    slots: ``text`` of the first part without its closing quote, and ``"+"`` and the
+    second part's without its opening quote, which is the joined name's ``text``
+    because ``text`` escapes character by character; code -1 gives the closing quote.
     """
+    if isinstance(column, Coded):
+        texts, codes = _texts(column.values, text, floats), column.codes
+        if codes.ndim == 1:
+            return [(np.array(texts, dtype=object), codes)]
+        half = len(text("")) // 2
+        first = [t[:len(t) - half] for t in texts]
+        second = ["+" + t[half:] for t in texts] + [text("")[half:]]
+        return [(np.array(first, dtype=object), codes[:, 0]),
+                (np.array(second, dtype=object), codes[:, 1])]
     if isinstance(column, list):
         kinds = _kinds(column)
         kind = kinds.pop() if len(kinds) == 1 else None
@@ -119,20 +166,54 @@ def _column(column: Column, text: Callable, floats: Callable) -> Callable[..., I
                 column = np.array(column, dtype=np.int64)
             except OverflowError:
                 column = np.array(column, dtype=object)
+        elif kind is str:
+            return [(list(map(text, column)), None)]
         else:
-            encode = text if kind is str else lambda value: _text(value, text, floats)
-            return lambda start, stop: map(encode, column[start:stop])
+            # each kind's cells as one column, their texts dealt back in row order
+            texts = np.empty(len(column), dtype=object)
+            for kind in kinds:
+                at = [r for r, value in enumerate(column) if type(value) is kind]
+                texts[at] = _texts([column[r] for r in at], text, floats)
+            return [(texts.tolist(), None)]
     distinct, inverse = np.unique(column, return_inverse=True)
     # np.unique merges 0.0 and -0.0 and may keep -0.0; unlike + 0.0, == never warns on a NaN
     distinct[distinct == 0] = 0
     texts = floats(distinct.tolist()) if column.dtype == np.float64 else map(str, distinct.tolist())
-    texts = np.array(list(texts), dtype=object)
-    return lambda start, stop: texts[inverse[start:stop]].tolist()
+    return [(np.array(list(texts), dtype=object), inverse)]
+
+
+def _take(slot: tuple, start: int, stop: int) -> list[str]:
+    """The texts of rows ``start:stop`` in one slot of :func:`_column`."""
+    texts, codes = slot
+    return texts[start:stop] if codes is None else texts[codes[start:stop]].tolist()
+
+
+def _texts(values: list[Value], *style: Callable) -> list[str]:
+    """Each value's text, as a list column of them is encoded by ``_column(values, *style)``."""
+    return _take(_column(values, *style)[0], 0, len(values))
 
 
 def _text(value: Value, *style: Callable) -> str:
     """One value's text, as a column of it is encoded by ``_column(column, *style)``."""
-    return "".join(_column([value], *style)(0, 1))
+    return _texts([value], *style)[0]
+
+
+def _chunks(fixed: list[str], slots: list[tuple], rows: int) -> Iterator[list[str]]:
+    """Table rows as flat lists of :data:`_ROW_CHUNK` rows each.
+
+    A row is ``fixed[0]``, the text of slot 0, ``fixed[1]``, and so on to
+    ``fixed[-1]``: each chunk repeats the fixed texts and slice-assigns each
+    slot's texts into its places.
+    """
+    step = 2 * len(slots) + 1
+    row = [""] * step
+    row[::2] = fixed
+    for start in range(0, rows, _ROW_CHUNK):
+        stop = min(start + _ROW_CHUNK, rows)
+        flat = row * (stop - start)
+        for c, slot in enumerate(slots):
+            flat[2 * c + 1::step] = _take(slot, start, stop)
+        yield flat
 
 
 @dataclass
@@ -140,14 +221,14 @@ class ScenarioReport:
     """Named results of one scenario run.
 
     ``table`` maps each column name to its cells, one per branch or grid
-    point, every column the same nonzero length: a list of cells, or a
-    1-D NumPy array of dtype float64 or int64; ``scalars`` map result
-    names to values tagged exact or sampled.  Every listed cell, scalar
-    value and parameter is a ``str``, ``int`` or ``float``.  ``matrices``
-    carries any density matrices (serialized as row-major [re, im] pairs
-    in JSON).  Each renderer raises ``ValueError`` for an empty or ragged
-    table and ``TypeError`` for a column that is neither such a list nor
-    such an array, or a value of any other type.
+    point, every column the same nonzero length: a list of cells, a 1-D
+    NumPy array of dtype float64 or int64, or a :class:`Coded` column;
+    ``scalars`` map result names to values tagged exact or sampled.  Every
+    listed cell, coded value, scalar value and parameter is a ``str``,
+    ``int`` or ``float``.  ``matrices`` carries any density matrices
+    (serialized as row-major [re, im] pairs in JSON).  Each renderer raises
+    ``ValueError`` for an empty or ragged table or a code that names no
+    value, and ``TypeError`` for any other column or value.
     """
 
     scenario: str
@@ -161,14 +242,18 @@ class ScenarioReport:
         return self.scalars[name].value
 
     def _rows(self) -> int:
-        """The number of table rows: the one length of every column, each a list or array."""
+        """The number of table rows: the one length of every column, each checked first."""
         for name, column in self.table.items():
+            if isinstance(column, Coded):
+                _check_coded(name, column)
+                continue
             array = isinstance(column, np.ndarray)
             if not (isinstance(column, list) or array and column.ndim == 1
                     and column.dtype in _ARRAY_DTYPES):
                 kind = f"a {column.ndim}-D {column.dtype} array" if array else type(column).__name__
                 raise TypeError(
-                    f"column {name!r} must be a list or a 1-D float64 or int64 array, not {kind}"
+                    f"column {name!r} must be a list, a 1-D float64 or int64 array or coded, "
+                    f"not {kind}"
                 )
         lengths = set(map(len, self.table.values()))
         if len(lengths) > 1:
@@ -182,14 +267,17 @@ class ScenarioReport:
 
         The bytes are those of ``canonical_json`` applied to the report
         with every float rounded to JSON_DIGITS and the table as a list
-        of row objects; no rounded copy is built.  Each column's encoder,
-        ``_column``, is built once, before anything is written; each chunk of
-        :data:`_ROW_CHUNK` rows takes its texts column by column and
-        slice-assigns them into the cell slots of one flat list that repeats
-        a row's fixed text; the list is joined and written in one ``write``.
+        of row objects; no rounded copy is built.  Each column's slots,
+        ``_column``, are built once, before anything is written; each chunk of
+        :data:`_ROW_CHUNK` rows is one flat list (:func:`_chunks`), joined and
+        written in one ``write``.
         """
         rows, keys = self._rows(), sorted(self.table)
-        columns = [_column(self.table[k], *_JSON) for k in keys]
+        fixed, slots = [], []
+        for k in keys:
+            column = _column(self.table[k], *_JSON)
+            fixed += [f",\n      {encode_basestring(k)}: "] + [""] * (len(column) - 1)
+            slots += column
         head: dict[str, Any] = {
             "scenario": self.scenario,
             "statistics": self.statistics,
@@ -209,18 +297,11 @@ class ScenarioReport:
             }
         # "table" sorts after every other key: drop the closing "\n}\n" and append it
         stream.write(canonical_json(head)[:-3] + ',\n  "table": ')
-        # a row's slots: each column's key text and cell, then "}"; rows after the first open ","
-        step = 2 * len(keys) + 1
-        row = [""] * step
-        row[::2] = [f",\n      {encode_basestring(k)}: " for k in keys] + ["\n    }"]
-        row[0] = ",\n    {" + row[0][1:]
-        for start in range(0, rows, _ROW_CHUNK):
-            stop = min(start + _ROW_CHUNK, rows)
-            flat = row * (stop - start)
-            for c, texts in enumerate(columns):
-                flat[2 * c + 1::step] = texts(start, stop)
-            if not start:
-                flat[0] = "[" + row[0][1:]
+        # rows after the first open ","
+        fixed[0] = ",\n    {" + fixed[0][1:]
+        for n, flat in enumerate(_chunks(fixed + ["\n    }"], slots, rows)):
+            if not n:
+                flat[0] = "[" + fixed[0][1:]
             stream.write("".join(flat))
         stream.write("\n  ]\n}\n")
 
@@ -233,7 +314,10 @@ class ScenarioReport:
     def to_csv(self) -> str:
         """The header and rows as newline-terminated CSV lines, with ``csv``'s minimal quoting."""
         rows = self._rows()
-        columns = [_column(c, *_CSV)(0, rows) for c in self.table.values()]
+        columns = []
+        for column in self.table.values():
+            parts = [_take(slot, 0, rows) for slot in _column(column, *_CSV)]
+            columns.append(parts[0] if len(parts) == 1 else map(str.__add__, *parts))
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.table)
@@ -241,6 +325,7 @@ class ScenarioReport:
         return buf.getvalue()
 
     def to_table(self) -> str:
+        """The head, then the table in columns, each left-aligned to its widest used cell."""
         rows = self._rows()
         lines = [f"scenario: {self.scenario}  [{self.statistics}]"]
         if self.parameters:
@@ -252,14 +337,28 @@ class ScenarioReport:
             for name, s in self.scalars.items():
                 lines.append(f"  {name:<{width}}  {_text(s.value, *_TABLE)}  ({s.provenance})")
         lines.append("")
-        cells = [list(_column(c, *_TABLE)(0, rows)) for c in self.table.values()]
-        widths = [max(len(name), max(map(len, column))) for name, column in zip(self.table, cells)]
-        template = "  " + "  ".join(f"{{:<{width}}}" for width in widths)
-        lines.append(template.format(*self.table))
-        lines += (template.format(*row) for row in zip(*cells))
-        # the empty last line ends the text with a newline, without a second copy of it
+        header, fixed, slots = [], [], []
+        for name, column in self.table.items():
+            parts = _column(column, *_TABLE)
+            # each row's cell length, from the lengths of the texts its codes name
+            length = sum(np.array(list(map(len, texts)))[slice(None) if codes is None else codes]
+                         for texts, codes in parts)
+            width = max(len(name), int(length.max()))
+            header.append(name.ljust(width))
+            if len(parts) == 1:
+                # one slot: its distinct texts padded once
+                ((texts, codes),) = parts
+                parts = [(np.array([t.ljust(width) for t in texts], dtype=object), codes)]
+            else:
+                parts.append((np.array([" " * n for n in range(width + 1)], dtype=object),
+                              width - length))
+            fixed += ["  "] + [""] * (len(parts) - 1)
+            slots += parts
+        lines.append("  " + "  ".join(header))
+        # the empty last line ends the head with a newline; every row ends with its own
         lines.append("")
-        return "\n".join(lines)
+        body = ("".join(flat) for flat in _chunks(fixed + ["\n"], slots, rows))
+        return "\n".join(lines) + "".join(body)
 
 
 def canonical_json(data: Any) -> str:

@@ -20,6 +20,7 @@ from .interferometer import (
     MAX_TRIALS,
     Network,
     _check_range,
+    _KeptPatterns,
     _detect_pairs,
     _draw_counts,
     build_tree,
@@ -30,6 +31,7 @@ from .interferometer import (
     opposite_spin_input,
 )
 from .metrics import (
+    _bell_index,
     bell_labels,
     chsh_values,
     concurrences,
@@ -42,7 +44,7 @@ from .metrics import (
     tagged_opposite_spin_input,
     validate_dms,
 )
-from .reporting import SAMPLED, Column, Scalar, ScenarioReport
+from .reporting import SAMPLED, Coded, Column, Scalar, ScenarioReport
 
 #: documented default seed for every sampled quantity
 DEFAULT_SEED = 1905
@@ -70,27 +72,32 @@ def _sweep(start: float, stop: float, grid: int) -> list[float]:
     return np.linspace(start, stop, grid).tolist()
 
 
-def _correction_phases(v: np.ndarray, lower: Sequence[str], upper: Sequence[str]) -> np.ndarray:
+def _correction_phases(v: np.ndarray, names: Sequence[str], codes: np.ndarray) -> np.ndarray:
     """Down-spin phase on the lower path that turns each coincidence into psi+.
 
     ``v`` holds the normalized untagged amplitudes, shape ``(n, 4)``, of
-    the coincidences of the paths ``lower[k] < upper[k]``.  Each must be
-    a local-phase image of psi+: ``|v1|`` and ``|v2|`` within 1e-9 of
-    1/sqrt(2), ``|v0|`` and ``|v3|`` within 1e-9 of 0, so that a NaN or
-    infinite amplitude fails too; :class:`NetworkError` names the first
-    that is not.  The phase is ``v1 / v2`` (|up down> over |down up>) on
-    the unit circle, snapped to +-1 within 1e-12 of the real axis; 1
-    means no correction.
+    the coincidences of the paths ``names[lo] < names[hi]``, ``(lo, hi)``
+    being the rows of ``codes``.  Each must be a local-phase image of psi+:
+    ``|v1|`` and ``|v2|`` within 1e-9 of 1/sqrt(2), ``|v0|`` and ``|v3|``
+    within 1e-9 of 0, so that a NaN or infinite amplitude fails too;
+    :class:`NetworkError` names the first that is not.  The phase is
+    ``v1 / v2`` (|up down> over |down up>) on the unit circle, snapped to
+    +-1 within 1e-12 of the real axis; 1 means no correction.
     """
     half = 1 / math.sqrt(2)
     close = np.abs(np.abs(v) - [0.0, half, half, 0.0]) <= 1e-9
     bad = ~close.all(axis=-1)
     if bad.any():
-        k = int(bad.argmax())
-        raise NetworkError(f"branch {[lower[k], upper[k]]} is not a local-phase image of psi+")
+        paths = [names[c] for c in codes[bad.argmax()].tolist()]
+        raise NetworkError(f"branch {paths} is not a local-phase image of psi+")
     delta = v[:, 1] / v[:, 2]
     delta /= np.abs(delta)
     return np.where(np.abs(delta.imag) < 1e-12, np.where(delta.real > 0, 1.0, -1.0), delta)
+
+
+def _pattern_column(kept: _KeptPatterns) -> Coded:
+    """The ``pattern`` column of the kept patterns: firing paths joined by ``+``, or ``none``."""
+    return Coded([*kept.names, "none"], kept.codes)
 
 
 def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str, Column]]:
@@ -100,25 +107,33 @@ def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str
     coincidences come last, with their normalized spin-tag blocks
     (``interferometer._detect_pairs``).  The input is untagged, so each
     block has one tag column, a pure state: :func:`concurrences` takes its
-    closed form, :func:`bell_labels` names it, and :func:`_correction_phases`
-    checks it.  No spin matrix is built.  The numeric columns are arrays.
+    closed form, :func:`bell_labels`' index names it, and
+    :func:`_correction_phases` checks it.  No spin matrix is built.  The
+    numeric columns are arrays and the others coded, so that no cell is
+    built as a string.
     """
     kept = _detect_pairs(net, opposite_spin_input(statistics, net), coincidences=True)
-    probabilities, first, lower = kept.probabilities, kept.first, kept.lower
-    untagged = kept.blocks[:, :, 0]
-    phases = _correction_phases(untagged, lower, kept.upper).tolist()
-    # a tree's coincidences share two phases; keying by value is safe because an
-    # imaginary part is either a snapped +-1's +0.0 or at least 1e-12 in magnitude
-    names = {p: f"down-phase {math.atan2(p.imag, p.real) / math.pi:.6g}pi" for p in set(phases)}
+    probabilities, first, names, blocks = kept.probabilities, kept.first, kept.names, kept.blocks
+    pairs = kept.codes[first:]
+    phases = _correction_phases(blocks[:, :, 0], names, pairs)
+    # a tree's coincidences share two phases; an imaginary part is either a
+    # snapped +-1's +0.0 or at least 1e-12 in magnitude, so equal phases are one value
+    distinct, phase = np.unique(phases, return_inverse=True)
+    turns = [f"down-phase {math.atan2(p.imag, p.real) / math.pi:.6g}pi" for p in distinct.tolist()]
+    # correction codes: 0 no coincidence, 1 identity, 2 + lower path x distinct phase
+    correction = np.zeros(len(probabilities), dtype=np.int64)
+    correction[first:] = np.where(phases == 1.0, 1, 2 + pairs[:, 0] * len(turns) + phase)
+    bell = np.full(len(probabilities), 3)
+    bell[first:] = _bell_index(blocks)
+    detectors = [kept.empty, first - kept.empty, len(blocks)]
     table = {
-        "pattern": kept.labels(),
-        "detectors": np.repeat(np.arange(3), [kept.empty, len(kept.singles), len(kept.blocks)]),
+        "pattern": _pattern_column(kept),
+        "detectors": Coded([0, 1, 2], np.repeat(np.arange(3), detectors)),
         "probability": probabilities,
-        "concurrence": np.concatenate([np.zeros(first), concurrences(kept.blocks)]),
-        "bell_state": [""] * first + [b or "other" for b in bell_labels(kept.blocks).tolist()],
-        "correction": [""] * first + [
-            "identity" if p == 1.0 else f"{low}:{names[p]}" for low, p in zip(lower, phases)
-        ],
+        "concurrence": np.concatenate([np.zeros(first), concurrences(blocks)]),
+        "bell_state": Coded(["other", "psi_plus", "psi_minus", ""], bell),
+        "correction": Coded(["", "identity"] + [f"{p}:{t}" for p in names for t in turns],
+                            correction),
     }
     return kept.coincidence_probability, table
 
@@ -126,13 +141,14 @@ def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str
 def scenario_fig1(statistics: Statistics) -> ScenarioReport:
     """Single splitter on an opposite-spin pair: heralded Bell-pair source."""
     total, table = _branch_table(fig1_network(), statistics)
+    bell = table["bell_state"]
     return ScenarioReport(
         scenario="fig1",
         statistics=statistics.value,
         parameters={},
         scalars={
             "coincidence_probability": Scalar(total),
-            "bell_state": Scalar(table["bell_state"][-1]),
+            "bell_state": Scalar(bell.values[bell.codes[-1]]),
             "concurrence": Scalar(float(table["concurrence"][-1])),
         },
         table=table,

@@ -17,14 +17,24 @@ from twinbeam.interferometer import (
     run_network,
 )
 from twinbeam.metrics import CHSH_OPERATOR
+from twinbeam.reporting import Coded
 
 BOTH_STATISTICS = (Statistics.BOSON, Statistics.FERMION)
 
 
-def table_rows(table: dict[str, list | np.ndarray]) -> list[dict]:
+def cells(column: list | np.ndarray | Coded) -> list:
+    """A report column's cells as Python values; a coded column's joined as the renderers join them."""
+    if not isinstance(column, Coded):
+        return column.tolist() if isinstance(column, np.ndarray) else column
+    values = column.values
+    if column.codes.ndim == 1:
+        return [values[c] for c in column.codes.tolist()]
+    return [values[a] + ("" if b == -1 else "+" + values[b]) for a, b in column.codes.tolist()]
+
+
+def table_rows(table: dict[str, list | np.ndarray | Coded]) -> list[dict]:
     """A report table as one dict per row of Python values, for checks across columns."""
-    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
-    return [dict(zip(table, row)) for row in zip(*columns)]
+    return [dict(zip(table, row)) for row in zip(*map(cells, table.values()))]
 
 
 def pattern_label(pattern) -> str:
@@ -35,6 +45,21 @@ def pattern_label(pattern) -> str:
     return "+".join(sorted(pattern)) or "none"
 
 
+def kept_paths(kept) -> list[tuple[str, ...]]:
+    """Each of the pair engine's kept patterns as its firing paths in string order.
+
+    Read off ``kept.names`` and ``kept.codes``; the pattern in which no
+    detector fired is ``()``.
+    """
+    names = kept.names
+    return [tuple(names[c] for c in row if 0 <= c < len(names)) for row in kept.codes.tolist()]
+
+
+def kept_labels(kept) -> list[str]:
+    """Each of the pair engine's kept patterns as ``twinbeam clicks`` names it."""
+    return list(map(pattern_label, kept_paths(kept)))
+
+
 def branch_probabilities(branches) -> dict[str, float]:
     """Each detected branch's probability keyed by its pattern's label, in the branches' order."""
     return {pattern_label(b.pattern): b.probability for b in branches}
@@ -43,7 +68,7 @@ def branch_probabilities(branches) -> dict[str, float]:
 def pair_probabilities(net: Network, state: FockState) -> dict[str, float]:
     """The pair engine's kept pattern probabilities keyed by label, in its order."""
     kept = _detect_pairs(net, state)
-    return dict(zip(kept.labels(), kept.probabilities))
+    return dict(zip(kept_labels(kept), kept.probabilities))
 
 
 def amplitude(state: FockState, modes) -> complex:
@@ -123,8 +148,8 @@ def engine_differences(net: Network, state: FockState) -> list[str]:
     branches = detect(run_network(net, state), net.monitored)
     kept = _detect_pairs(net, state)
     patterns = [pattern_label(b.pattern) for b in branches]
-    if patterns != kept.labels():
-        return [f"patterns {patterns} != {kept.labels()}"]
+    if patterns != kept_labels(kept):
+        return [f"patterns {patterns} != {kept_labels(kept)}"]
     cells = pair_engine_cells(net, state)
     differences = []
     for branch, pattern, p in zip(branches, patterns, kept.probabilities):

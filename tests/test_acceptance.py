@@ -16,6 +16,8 @@ from conftest import (
     amplitude,
     engine_differences,
     fidelity,
+    kept_labels,
+    kept_paths,
     random_network,
     random_two_particle_state,
 )
@@ -113,7 +115,7 @@ def test_criterion_03_tree_yield_law():
         for depth in range(1, 8):
             t0 = time.perf_counter()
             kept = _detect_pairs(build_tree(depth), opposite_pair(statistics))
-            got = sum(p for label, p in zip(kept.labels(), kept.probabilities) if "+" in label)
+            got = sum(p for label, p in zip(kept_labels(kept), kept.probabilities) if "+" in label)
             dt = time.perf_counter() - t0
             checks.append(abs(got - (1.0 - 0.5 ** depth)) < 1e-9)
             if depth == 7:
@@ -147,7 +149,7 @@ def pair_engine_block(statistics, overlap):
     """The pair engine's {C, D} spin-tag block for the tagged opposite-spin pair."""
     net, state = fig1_network(), tagged_opposite_spin_input(statistics, overlap)
     kept = _detect_pairs(net, state, coincidences=True)
-    coincidences = list(zip(kept.lower, kept.upper))
+    coincidences = kept_paths(kept)[kept.first:]
     return kept.blocks[coincidences.index(("C", "D"))]
 
 
@@ -188,7 +190,7 @@ def pair_engine_mixture(statistics):
     for a, b in product(Spin, repeat=2):
         state = make_product_state(statistics, [Mode("A", a), Mode("B", b)])
         kept = _detect_pairs(fig1_network(), state, coincidences=True)
-        if kept.lower:  # C+D, the single splitter's one coincidence
+        if len(kept.codes) > kept.first:  # C+D, the single splitter's one coincidence
             columns.append(math.sqrt(0.25 * kept.probabilities[kept.first]) * kept.blocks[0])
     mixed = np.concatenate(columns, axis=-1)
     return np.array([mixed, np.diag([1.0, 1.0, -1.0, -1.0]) @ mixed])

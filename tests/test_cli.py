@@ -17,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BOTH_STATISTICS, one_sided_tree, pattern_label, random_network, table_rows
+from conftest import (
+    BOTH_STATISTICS, cells, one_sided_tree, pattern_label, random_network, table_rows,
+)
 from twinbeam import cli, interferometer, scenarios
 from twinbeam.errors import OccupancyError, TwinbeamError
 from twinbeam.interferometer import (
@@ -521,14 +523,14 @@ class TestClicks:
         parser = cli.build_parser()
         args = parser.parse_args(["clicks", "--fig", "2", "--trials", str(trials)])
         table = cli._run_clicks(args, parser).table
-        counts, frequencies = table["count"], table["frequency"]
-        assert (counts.dtype, frequencies.dtype) == (np.int64, np.float64)
-        assert counts.max() > 2 ** 53 and sum(map(int, counts)) == trials
+        counts, frequencies = cells(table["count"]), cells(table["frequency"])
+        assert {*map(type, counts), *map(type, frequencies)} == {int, float}
+        assert max(counts) > 2 ** 53 and sum(counts) == trials
         # each frequency is the correctly rounded quotient of Python ints
-        assert frequencies.tolist() == [int(c) / trials for c in counts]
+        assert frequencies == [c / trials for c in counts]
         if trials != interferometer.MAX_TRIALS:
             # a float count rounds twice, which this trial count shows in some row
-            assert frequencies.tolist() != [float(c) / trials for c in counts]
+            assert frequencies != [float(c) / trials for c in counts]
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(
@@ -558,12 +560,10 @@ class TestClicks:
         branches = detect(run_network(net, state), net.monitored)
         probabilities = _detect_pairs(net, state).probabilities
         rows = table_rows(report.table)
-        assert report.table["pattern"] == [pattern_label(b.pattern) for b in branches]
+        assert cells(report.table["pattern"]) == [pattern_label(b.pattern) for b in branches]
         assert report.table["probability"].tolist() == probabilities.tolist()
         assert all(abs(p - b.probability) < 1e-12 for p, b in zip(probabilities, branches))
-        counts = report.table["count"]
-        assert counts.dtype == np.int64
-        assert counts.tolist() == _draw_counts(probabilities, trials, sample_seed).tolist()
+        assert cells(report.table["count"]) == _draw_counts(probabilities, trials, sample_seed).tolist()
         pairs = [row for row, b in zip(rows, branches) if len(b.pattern) == 2]
         assert report.scalar("coincidence_probability") == sum(r["probability"] for r in pairs)
         coincident = sum(r["count"] for r in pairs)
@@ -832,7 +832,9 @@ def test_shuffled_tree_clicks_output_is_pinned(capsys, tmp_path):
 #: before the renderers dropped the value types that no scenario emits; the CSV
 #: of statistics-test, fermion mixed-input and dual: after cells holding a
 #: comma were quoted; complementarity and gaussian tables: after their metrics
-#: were read off amplitude blocks, which moved only their deviation scalars)
+#: were read off amplitude blocks, which moved only their deviation scalars; the
+#: depth-7 tree and the benchmark-sized clicks run: recorded before pattern labels
+#: and repeated strings became coded columns)
 PINNED_TEXT_SHA256 = {
     ("run fig2", "boson", "csv"):
         "9ecd84aae2e2079fd6413ba3ddef36bbffdf573ea0b064a622ed55d60de397cd",
@@ -914,6 +916,22 @@ PINNED_TEXT_SHA256 = {
         "ef23540414036c483c5e7f9799a3da42537b4183ecb6417cd9b30395112905b2",
     ("run dual", "fermion", "table"):
         "09e9d48c6ef1334f5149a690b6225734f71edcfa089d571a34dfa04a2ea8f32c",
+    ("run tree --depth 7", "boson", "csv"):
+        "0706a7e10423d00dc04785b17bee9d301b6234a6f1f60af0a8190aa577fc164d",
+    ("run tree --depth 7", "fermion", "csv"):
+        "083f58b78a020074851892ef8ee8a33a1a0d844336105bf7a6b55985874d2df0",
+    ("run tree --depth 7", "boson", "table"):
+        "c903f1daee942d52989f04e4ce50f91deb44450149446721a7bdae5973f4515e",
+    ("run tree --depth 7", "fermion", "table"):
+        "69021957e256bdaaf0ea839112075d46c4cec9d13252843c1aa4a12203707086",
+    ("clicks --depth 8 --trials 100000 --seed 28", "boson", "csv"):
+        "c0a43405b046d7f6064f26b6e3c71b6dc5328db454e6c627a83ace3a502a34f9",
+    ("clicks --depth 8 --trials 100000 --seed 28", "fermion", "csv"):
+        "c0a43405b046d7f6064f26b6e3c71b6dc5328db454e6c627a83ace3a502a34f9",
+    ("clicks --depth 8 --trials 100000 --seed 28", "boson", "table"):
+        "2d2e0bf77c7b66923c572a43ef87e315ed31324f7f7910472261fa75e392747c",
+    ("clicks --depth 8 --trials 100000 --seed 28", "fermion", "table"):
+        "04204673bf8faccde6dc277d780961961f8c8cd136288f6fccfcd3aa593bd65e",
 }
 
 

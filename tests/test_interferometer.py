@@ -14,8 +14,11 @@ from conftest import (
     BOTH_STATISTICS,
     amplitude,
     branch_probabilities,
+    cells,
     engine_differences,
     fidelity,
+    kept_labels,
+    kept_paths,
     one_sided_tree,
     pair_probabilities,
     pattern_label,
@@ -390,8 +393,9 @@ class TestDetectPairs:
             with mock.patch.object(interferometer, "_DENSE_KEYS_PER_CELL", keys_per_cell):
                 kept.append(_detect_pairs(net, state, coincidences=True))
         dense, ordered = kept
-        # names and probabilities, bit for bit
-        assert dense[:4] == ordered[:4]
+        # names, codes and probabilities, bit for bit
+        assert (dense.names, dense.empty, dense.first) == (ordered.names, ordered.empty, ordered.first)
+        assert np.array_equal(dense.codes, ordered.codes)
         bits = [k.probabilities.view(np.uint64) for k in kept]
         assert np.array_equal(*bits)
         assert np.array_equal(dense.blocks, ordered.blocks)
@@ -525,18 +529,19 @@ class TestCoincidenceBlocks:
         blocks = kept.blocks
         # the blocks leave the patterns and their probabilities as they are
         plain = _detect_pairs(net, state)
-        assert kept.labels() == plain.labels()
+        assert np.array_equal(kept.codes, plain.codes) and kept.names == plain.names
         bits = [k.probabilities.view(np.uint64) for k in (kept, plain)]
         assert np.array_equal(*bits)
         branches = detect(run_network(net, state), net.monitored)
         patterns = [b.pattern for b in branches]
-        assert kept.labels() == list(map(pattern_label, patterns))
+        assert kept_labels(kept) == list(map(pattern_label, patterns))
         assert all(abs(p - b.probability) < 1e-12 for p, b in zip(kept.probabilities, branches))
         coincidences = [p for p in patterns if len(p) == 2]
         assert patterns[kept.first:] == coincidences
-        assert list(map(frozenset, zip(kept.lower, kept.upper))) == coincidences
+        pairs = kept_paths(kept)[kept.first:]
+        assert list(map(frozenset, pairs)) == coincidences
         assert len(blocks) == len(coincidences)
-        assert all(a < b for a, b in zip(kept.lower, kept.upper))
+        assert all(a < b for a, b in pairs)
         for pattern, v in zip(coincidences, blocks):
             rho = v @ v.conj().T
             rho /= np.trace(rho).real
@@ -557,7 +562,7 @@ class TestCoincidenceBlocks:
         net, state = fig1_network(), tagged_opposite_spin_input(statistics, 0.5)
         kept = interferometer._detect_pairs(net, state, coincidences=True)
         probabilities, (v,) = kept.probabilities, kept.blocks
-        assert (kept.lower, kept.upper) == (["C"], ["D"])
+        assert kept_paths(kept)[kept.first:] == [("C", "D")]
         branch = detect(run_network(net, state), net.monitored)[{"C", "D"}]
         assert abs(probabilities[-1] - branch.probability) < 1e-15
         rho = v @ v.conj().T / np.trace(v @ v.conj().T).real
@@ -731,12 +736,12 @@ class TestCorrection:
 
     def test_fermion_eg_pattern_needs_no_correction(self):
         table = scenario_fig2(Statistics.FERMION).table
-        corrections = dict(zip(table["pattern"], table["correction"]))
+        corrections = dict(zip(cells(table["pattern"]), cells(table["correction"])))
         assert corrections["E+G"] == "identity"
 
     def test_fermion_gh_pattern_gets_phase(self):
         table = scenario_fig2(Statistics.FERMION).table
-        corrections = dict(zip(table["pattern"], table["correction"]))
+        corrections = dict(zip(cells(table["pattern"]), cells(table["correction"])))
         assert corrections["G+H"] == "G:down-phase 1pi"
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)

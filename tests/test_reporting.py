@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import cells
 from twinbeam import reporting
-from twinbeam.reporting import EXACT, SAMPLED, Scalar, ScenarioReport, canonical_json
+from twinbeam.reporting import EXACT, SAMPLED, Coded, Scalar, ScenarioReport, canonical_json
 
 
 def rounded(value: Any) -> Any:
@@ -115,8 +116,8 @@ def report_of(table, **fields) -> ScenarioReport:
 
 
 def json_texts(column) -> list[str]:
-    """The JSON text of each cell of one column, from the writer's column encoder."""
-    return list(reporting._column(column, *reporting._JSON)(0, len(column)))
+    """The JSON text of each cell of one list column, from the writer's column encoder."""
+    return reporting._texts(column, *reporting._JSON)
 
 
 class TestWriteJson:
@@ -423,3 +424,118 @@ class TestCsvAndTable:
         )
         assert report.to_csv() == reference_csv(report)
         assert report.to_table() == reference_table(report)
+
+
+#: detector names, among them ones that need escaping in JSON or quoting in CSV
+NAMES = st.one_of(TEXT, st.sampled_from(['"', "\\", ",", "\n", "é€", 'a"b\\c,d\ne', "none"]))
+
+
+@st.composite
+def coded_columns(draw, rows: int) -> Coded:
+    """A coded column of ``rows`` rows: one or two codes over names, or one over any values.
+
+    Some values are never named by a code.
+    """
+    two = draw(st.booleans())
+    values = draw(st.lists(NAMES if two else st.one_of(VALUES, COLUMN_FLOATS, COLUMN_INTS),
+                           min_size=1, max_size=6))
+    codes = st.lists(st.integers(0, len(values) - 1), min_size=rows, max_size=rows)
+    if not two:
+        return Coded(values, np.array(draw(codes)))
+    second = st.lists(st.integers(-1, len(values) - 1), min_size=rows, max_size=rows)
+    return Coded(values, np.array([draw(codes), draw(second)]).T)
+
+
+@st.composite
+def coded_tables(draw) -> dict[str, Coded | list]:
+    rows = draw(st.integers(1, 30))
+    keys = draw(st.lists(KEYS, min_size=1, max_size=3, unique=True))
+    table = {key: draw(coded_columns(rows)) for key in keys}
+    # a list column beside them, so that the slots of several columns share a row
+    table[draw(KEYS.filter(lambda k: k not in table))] = [float(r) for r in range(rows)]
+    return table
+
+
+#: coded columns that each renderer must refuse, and the error it raises
+BAD_CODED = {
+    "negative-code": (Coded(["a", "b"], np.array([0, -1])), ValueError),
+    "negative-first-part": (Coded(["a", "b"], np.array([[-1, 0]])), ValueError),
+    "second-part-below-minus-one": (Coded(["a", "b"], np.array([[0, -2]])), ValueError),
+    "out-of-range": (Coded(["a", "b"], np.array([0, 2])), ValueError),
+    "out-of-range-second-part": (Coded(["a"], np.array([[0, 1]])), ValueError),
+    "no-values": (Coded([], np.array([0])), ValueError),
+    "float-codes": (Coded(["a", "b"], np.array([0.0, 1.0])), TypeError),
+    "bool-codes": (Coded(["a", "b"], np.array([False, True])), TypeError),
+    "list-codes": (Coded(["a", "b"], [0, 1]), TypeError),
+    "0-d-codes": (Coded(["a", "b"], np.array(0)), TypeError),
+    "three-codes": (Coded(["a", "b"], np.zeros((2, 3), dtype=np.int64)), TypeError),
+    "3-d-codes": (Coded(["a", "b"], np.zeros((2, 2, 1), dtype=np.int64)), TypeError),
+    "tuple-values": (Coded(("a", "b"), np.array([0, 1])), TypeError),
+    "int-values-in-two-codes": (Coded([1, 2], np.array([[0, 1], [1, -1]])), TypeError),
+    "none-value": (Coded(["a", None], np.array([0, 0])), TypeError),
+    "numpy-float-value": (Coded([0.5, np.float64(0.5)], np.array([0, 1])), TypeError),
+    "bool-value": (Coded([1, True], np.array([1, 0])), TypeError),
+}
+
+
+class TestCodedColumns:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(table=coded_tables(), chunk=st.sampled_from([1, 2, 5, 1000]))
+    @example(
+        table={"pattern": Coded(['"', "\\", ",", "\n", "é€", "none"],
+                                np.array([[5, -1], [0, -1], [0, 1], [2, 3], [4, 4]])),
+               "p": [0.5] * 5},
+        chunk=2,
+    )
+    def test_coded_and_plain_columns_render_alike(self, table, chunk):
+        coded, plain = report_of(table), report_of({k: cells(c) for k, c in table.items()})
+        with mock.patch.object(reporting, "_ROW_CHUNK", chunk):
+            assert coded.to_json() == plain.to_json()
+            assert coded.to_table() == plain.to_table()
+        assert coded.to_csv() == plain.to_csv()
+        assert plain.to_json() == canonical_json(reference_to_dict(plain))
+
+    def test_unused_values_do_not_widen_the_table(self):
+        column = Coded(["a", "a-very-long-unused-name", "b"], np.array([[0, 2], [2, -1]]))
+        assert report_of({"x": column}).to_table().endswith("\n  x  \n  a+b\n  b  \n")
+
+    def test_each_value_is_encoded_once(self):
+        # the slots hold one text per value (and the second part's "no value"), not one per row
+        column = Coded(["C", "D", "none"], np.array([[2, -1], [0, -1], [0, 1]] * 1000))
+        for style in (reporting._JSON, reporting._CSV, reporting._TABLE):
+            slots = reporting._column(column, *style)
+            assert [len(texts) for texts, _ in slots] == [3, 4]
+        assert [list(texts) for texts, _ in reporting._column(column, *reporting._JSON)] == [
+            ['"C', '"D', '"none'], ['+C"', '+D"', '+none"', '"']
+        ]
+
+    @pytest.mark.parametrize("render", RENDERERS.values(), ids=RENDERERS)
+    @pytest.mark.parametrize("column, error", BAD_CODED.values(), ids=BAD_CODED)
+    def test_bad_coded_column_raises(self, render, column, error):
+        with pytest.raises(error):
+            render(report_of({"x": column}))
+
+    @pytest.mark.parametrize("column, error", BAD_CODED.values(), ids=BAD_CODED)
+    def test_write_json_checks_coded_columns_before_writing(self, column, error):
+        stream = mock.Mock(wraps=io.StringIO())
+        with pytest.raises(error):
+            report_of({"x": column}).write_json(stream)
+        stream.write.assert_not_called()
+
+
+class TestMixedColumns:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(column=st.lists(st.one_of(VALUES, COLUMN_FLOATS, COLUMN_INTS), min_size=1,
+                           max_size=40))
+    @example(column=[1, 1.0, -0.0, 0, "0", 2**70, math.nan, "x"])
+    def test_texts_match_each_cells_own_text(self, column):
+        # each kind's cells are encoded as one column and dealt back in row order
+        for style in (reporting._JSON, reporting._CSV, reporting._TABLE):
+            assert reporting._texts(column, *style) == [reporting._text(v, *style) for v in column]
+
+    def test_a_long_int_and_float_column(self):
+        column = [k if k % 3 else k / 7 for k in range(20_000)]
+        for style in (reporting._JSON, reporting._CSV, reporting._TABLE):
+            assert reporting._texts(column, *style) == [reporting._text(v, *style) for v in column]
+        report = report_of({"x": column})
+        assert report.to_json() == canonical_json(reference_to_dict(report))

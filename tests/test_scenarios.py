@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import BOTH_STATISTICS, amplitude, table_rows, wootters_concurrences
+from conftest import (
+    BOTH_STATISTICS, amplitude, cells, kept_paths, table_rows, wootters_concurrences,
+)
 from twinbeam import interferometer, metrics, scenarios
 from twinbeam.errors import NetworkError
 from twinbeam.fock import Mode, Spin, Statistics, make_product_state
@@ -153,6 +155,8 @@ def correction_label(lower, phase):
 
 
 HALF = 1 / math.sqrt(2.0)
+#: the names and codes of the one coincidence C+D, as _correction_phases takes them
+CD = (["C", "D"], np.array([[0, 1]]))
 
 
 class TestCorrectionPhases:
@@ -160,12 +164,12 @@ class TestCorrectionPhases:
         # (i |up down> + |down up>) / sqrt2 needs the down phase i on X; psi+ needs none
         blocks = np.array([[0, 1j, 1, 0], [0, 1, 1, 0]])[..., None] * HALF
         kept = interferometer._KeptPatterns(
-            0, [], ["X", "X"], ["Y", "Z"], np.array([0.5, 0.5]), blocks
+            ["X", "Y", "Z"], np.array([[0, 1], [0, 2]]), 0, 0, np.array([0.5, 0.5]), blocks
         )
         monkeypatch.setattr(scenarios, "_detect_pairs", lambda *args, **kwargs: kept)
         table = scenarios._branch_table(fig1_network(), Statistics.FERMION)[1]
-        assert table["correction"] == ["X:down-phase 0.5pi", "identity"]
-        assert table["bell_state"] == ["other", "psi_plus"]
+        assert cells(table["correction"]) == ["X:down-phase 0.5pi", "identity"]
+        assert cells(table["bell_state"]) == ["other", "psi_plus"]
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     @pytest.mark.parametrize(
@@ -175,9 +179,9 @@ class TestCorrectionPhases:
     def test_phases_match_correction_for_branch(self, net, statistics):
         state = opposite_spin_input(statistics, net)
         kept = interferometer._detect_pairs(net, state, coincidences=True)
-        lower, upper, blocks = kept.lower, kept.upper, kept.blocks
-        coincidences = list(map(frozenset, zip(lower, upper)))
-        phases = scenarios._correction_phases(blocks[:, :, 0], lower, upper)
+        names, pairs, blocks = kept.names, kept.codes[kept.first:], kept.blocks
+        coincidences = list(map(frozenset, kept_paths(kept)[kept.first:]))
+        phases = scenarios._correction_phases(blocks[:, :, 0], names, pairs)
         branches = detect(run_network(net, state), net.monitored)
         assert len(phases) == sum(len(b.pattern) == 2 for b in branches) > 0
         # the rule applied to each detected branch's four spin amplitudes
@@ -186,7 +190,7 @@ class TestCorrectionPhases:
              for s1, s2 in ((UP, UP), (UP, DOWN), (DOWN, UP), (DOWN, DOWN))]
             for p in coincidences
         ])
-        expected = scenarios._correction_phases(amplitudes, lower, upper)
+        expected = scenarios._correction_phases(amplitudes, names, pairs)
         assert ((phases == 1.0) == (expected == 1.0)).all()
         assert np.abs(phases - expected).max() < 1e-12
         table = scenarios._branch_table(net, statistics)[1]
@@ -197,15 +201,16 @@ class TestCorrectionPhases:
         closed = np.array(table["concurrence"][-len(coincidences):])
         assert np.abs(closed - wootters).max() < 1e-12
         labels = map(correction_label, map(min, coincidences), phases.tolist())
-        assert table["correction"][-len(coincidences):] == list(labels)
+        assert cells(table["correction"])[-len(coincidences):] == list(labels)
         bell = {1.0: "psi_plus", -1.0: "psi_minus"}
         expected_bell = [bell.get(p, "other") for p in phases.tolist()]
-        assert table["bell_state"][-len(coincidences):] == expected_bell
+        assert cells(table["bell_state"])[-len(coincidences):] == expected_bell
 
     def test_off_axis_phases_are_labelled_other(self):
         total, table = scenarios._branch_table(CROSSED_NETWORK, Statistics.FERMION)
         assert abs(total - 0.6875) < 1e-12
-        other = {c for c, b in zip(table["correction"], table["bell_state"]) if b == "other"}
+        rows = zip(cells(table["correction"]), cells(table["bell_state"]))
+        other = {c for c, b in rows if b == "other"}
         assert {"w10:down-phase 0.25pi", "w7:down-phase 0.5pi", "w11:down-phase -0.75pi"} <= other
 
     @pytest.mark.parametrize(
@@ -215,12 +220,12 @@ class TestCorrectionPhases:
         ids=["i", "minus-one", "one", "snapped", "unit-circle"],
     )
     def test_phase_rule(self, alpha, expected):
-        (phase,) = scenarios._correction_phases(untagged(0, alpha * HALF, HALF, 0), ["C"], ["D"])
+        (phase,) = scenarios._correction_phases(untagged(0, alpha * HALF, HALF, 0), *CD)
         assert abs(phase - expected) < 1e-15
 
     def test_phases_reject_a_non_bell_coincidence(self):
         with pytest.raises(NetworkError, match=r"\['C', 'D'\] is not a local-phase image"):
-            scenarios._correction_phases(untagged(0, 1, 0, 0), ["C"], ["D"])
+            scenarios._correction_phases(untagged(0, 1, 0, 0), *CD)
 
     @pytest.mark.parametrize(
         "v",
@@ -236,12 +241,12 @@ class TestCorrectionPhases:
     )
     def test_phases_reject_every_block_off_psi_plus(self, v):
         with pytest.raises(NetworkError, match=r"\['C', 'D'\] is not a local-phase image"):
-            scenarios._correction_phases(v, ["C"], ["D"])
+            scenarios._correction_phases(v, *CD)
 
     def test_phases_name_the_first_bad_coincidence(self):
         v = np.concatenate([untagged(0, HALF, HALF, 0), untagged(0, HALF, math.nan, 0)])
         with pytest.raises(NetworkError, match=r"\['E', 'F'\]"):
-            scenarios._correction_phases(v, ["C", "E"], ["D", "F"])
+            scenarios._correction_phases(v, ["C", "D", "E", "F"], np.array([[0, 1], [2, 3]]))
 
 
 class TestStatisticsTest:
