@@ -72,7 +72,6 @@ def _run_clicks(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Sc
     # one correctly rounded division of Python ints per distinct count: a float64
     # count would round twice above 2^53
     distinct, inverse = np.unique(counts, return_inverse=True)
-    distinct = distinct.tolist()
     coincidence_count = int(counts[first:].sum())
     return ScenarioReport(
         scenario="clicks",
@@ -86,7 +85,7 @@ def _run_clicks(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Sc
         table={
             "pattern": _pattern_column(kept),
             "count": Coded(distinct, inverse),
-            "frequency": Coded([count / trials for count in distinct], inverse),
+            "frequency": Coded(np.array([count / trials for count in distinct.tolist()]), inverse),
             "probability": probabilities,
         },
     )

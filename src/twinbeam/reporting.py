@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from typing import Any, TextIO
@@ -29,21 +29,31 @@ _ROW_CHUNK = 1000
 EXACT = "exact"
 SAMPLED = "sampled"
 
-#: the types of a table cell, scalar value or parameter
+#: the types of a scalar value or parameter
 Value = str | int | float
+
+
+def _plain(column: Any) -> bool:
+    """Whether ``column`` is a list of str or a 1-D float64 or int64 array."""
+    if isinstance(column, list):
+        return set(map(type, column)) <= {str}
+    return (isinstance(column, np.ndarray) and column.ndim == 1
+            and column.dtype in (np.float64, np.int64))
 
 
 @dataclass(frozen=True, eq=False)
 class Coded:
     """A table column of repeated cells: its distinct ``values`` and one integer code per row.
 
-    With 1-D ``codes``, row ``r`` holds ``values[codes[r]]``.  With codes of
-    shape ``(rows, 2)`` it holds the compound name ``values[c0] + "+" +
-    values[c1]``, or ``values[c0]`` alone where ``c1`` is -1.  Each value is
-    encoded once, and a value that no code names is never written.
+    ``values`` is a list of str or a 1-D float64 or int64 array.  With 1-D
+    ``codes``, row ``r`` holds ``values[codes[r]]``.  With codes of shape
+    ``(rows, 2)``, over str values only, it holds the compound name
+    ``values[c0] + "+" + values[c1]``, or ``values[c0]`` alone where ``c1`` is
+    -1.  Each value is encoded once, and a value that no code names is never
+    written.
     """
 
-    values: list[Value]
+    values: list[str] | np.ndarray
     codes: np.ndarray
 
     def __len__(self) -> int:
@@ -51,12 +61,13 @@ class Coded:
 
 
 def _check_coded(name: str, column: Coded) -> None:
-    """Raise unless ``column`` is a list of values and codes that each name one of them."""
+    """Raise unless ``column`` has plain values and codes that each name one of them."""
     values, codes = column.values, column.codes
-    if not (isinstance(values, list) and isinstance(codes, np.ndarray) and codes.dtype.kind in "iu"
-            and (codes.ndim == 1 or codes.shape[1:] == (2,) and set(map(type, values)) <= {str})):
-        raise TypeError(f"coded column {name!r} needs a list of values and integer codes of "
-                        "shape (rows,), or str values and codes of shape (rows, 2)")
+    if not (_plain(values) and isinstance(codes, np.ndarray) and codes.dtype.kind in "iu"
+            and (codes.ndim == 1 or codes.shape[1:] == (2,) and isinstance(values, list))):
+        raise TypeError(f"coded column {name!r} needs values that are a list of str or a 1-D "
+                        "float64 or int64 array and integer codes of shape (rows,), or str "
+                        "values and codes of shape (rows, 2)")
     # an index array would wrap a negative code round to the last values unnoticed; the
     # least code is 0, or -1 in a second part
     least = (0, -1)[:codes.ndim]
@@ -64,8 +75,8 @@ def _check_coded(name: str, column: Coded) -> None:
         raise ValueError(f"coded column {name!r} has a code outside its {len(values)} values")
 
 
-#: a table column: a list of cells, a 1-D float64 or int64 array, or a coded column
-Column = list[Value] | np.ndarray | Coded
+#: a table column: a list of str, a 1-D float64 or int64 array, or a coded column
+Column = list[str] | np.ndarray | Coded
 
 
 @dataclass(frozen=True)
@@ -89,17 +100,22 @@ def _json_float(x: float) -> str:
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
-def _kinds(values: Iterable[Any]) -> set[type]:
-    """The exact types of report values, each of which must be ``str``, ``int`` or ``float``."""
-    kinds = set(map(type, values))
-    for other in sorted(kinds - {str, int, float}, key=repr):
-        raise TypeError(f"a report value must be str, int or float, not {other.__name__}")
-    return kinds
+def _kind(value: Value) -> type:
+    """The exact type of a scalar value or parameter: ``str``, ``int`` or ``float``."""
+    kind = type(value)
+    if kind not in (str, int, float):
+        raise TypeError(f"a report value must be str, int or float, not {kind.__name__}")
+    return kind
 
 
 def _jsonify(value: Value) -> Value:
     """A parameter or scalar value as ``json`` encodes it: floats rounded to JSON_DIGITS."""
-    return _round_float(value) if float in _kinds([value]) else value
+    return _round_float(value) if _kind(value) is float else value
+
+
+def _text(value: Value) -> str:
+    """A parameter or scalar value as a table shows it: floats to TABLE_DIGITS, -0.0 as 0."""
+    return f"{value + 0.0:.{TABLE_DIGITS}g}" if _kind(value) is float else str(value)
 
 
 def _g_floats(values: list[float], digits: int) -> list[str]:
@@ -129,22 +145,20 @@ def _json_floats(values: list[float]) -> list[str]:
 _JSON = (encode_basestring, lambda values: _json_floats(values))
 _CSV = (str, lambda values: _g_floats(values, JSON_DIGITS))
 _TABLE = (str, lambda values: _g_floats(values, TABLE_DIGITS))
-#: the array dtypes a table column may have
-_ARRAY_DTYPES = (np.dtype(np.float64), np.dtype(np.int64))
 
 
 def _column(column: Column, text: Callable, floats: Callable) -> list[tuple]:
     """The slots of one table column: pairs ``(texts, codes)``, whose text for row ``r``
     is ``texts[codes[r]]``, or ``texts[r]`` if ``codes`` is None; a cell joins its slots.
 
-    A list column's cell types are checked first.  A numeric column (a float64 or
-    int64 array, or a list of only floats or only ints) takes one ``np.unique``: each
-    distinct value gets its text once, a float column's all by one ``floats`` call.
-    Str cells go through ``text``; a mixed list encodes each kind's cells as one
-    column.  A coded column encodes each value once.  With two codes it has two
-    slots: ``text`` of the first part without its closing quote, and ``"+"`` and the
-    second part's without its opening quote, which is the joined name's ``text``
-    because ``text`` escapes character by character; code -1 gives the closing quote.
+    ``column`` has passed ``ScenarioReport._rows``.  A list of str takes ``text`` per
+    cell.  A float64 or int64 array takes one
+    ``np.unique``: each distinct value gets its text once, a float column's all by one
+    ``floats`` call.  A coded column encodes each of its values once, as a column of
+    them.  With two codes it has two slots: ``text`` of the first part without its
+    closing quote, and ``"+"`` and the second part's without its opening quote, which
+    is the joined name's ``text`` because ``text`` escapes character by character;
+    code -1 gives the closing quote.
     """
     if isinstance(column, Coded):
         texts, codes = _texts(column.values, text, floats), column.codes
@@ -156,25 +170,7 @@ def _column(column: Column, text: Callable, floats: Callable) -> list[tuple]:
         return [(np.array(first, dtype=object), codes[:, 0]),
                 (np.array(second, dtype=object), codes[:, 1])]
     if isinstance(column, list):
-        kinds = _kinds(column)
-        kind = kinds.pop() if len(kinds) == 1 else None
-        if kind is float:
-            column = np.array(column, dtype=np.float64)
-        elif kind is int:
-            # never through float64; np.unique sorts the Python ints that int64 cannot hold
-            try:
-                column = np.array(column, dtype=np.int64)
-            except OverflowError:
-                column = np.array(column, dtype=object)
-        elif kind is str:
-            return [(list(map(text, column)), None)]
-        else:
-            # each kind's cells as one column, their texts dealt back in row order
-            texts = np.empty(len(column), dtype=object)
-            for kind in kinds:
-                at = [r for r, value in enumerate(column) if type(value) is kind]
-                texts[at] = _texts([column[r] for r in at], text, floats)
-            return [(texts.tolist(), None)]
+        return [(list(map(text, column)), None)]
     distinct, inverse = np.unique(column, return_inverse=True)
     # np.unique merges 0.0 and -0.0 and may keep -0.0; unlike + 0.0, == never warns on a NaN
     distinct[distinct == 0] = 0
@@ -188,14 +184,9 @@ def _take(slot: tuple, start: int, stop: int) -> list[str]:
     return texts[start:stop] if codes is None else texts[codes[start:stop]].tolist()
 
 
-def _texts(values: list[Value], *style: Callable) -> list[str]:
-    """Each value's text, as a list column of them is encoded by ``_column(values, *style)``."""
+def _texts(values: list[str] | np.ndarray, *style: Callable) -> list[str]:
+    """Each value's text, as a column of them is encoded by ``_column(values, *style)``."""
     return _take(_column(values, *style)[0], 0, len(values))
-
-
-def _text(value: Value, *style: Callable) -> str:
-    """One value's text, as a column of it is encoded by ``_column(column, *style)``."""
-    return _texts([value], *style)[0]
 
 
 def _chunks(fixed: list[str], slots: list[tuple], rows: int) -> Iterator[list[str]]:
@@ -221,14 +212,15 @@ class ScenarioReport:
     """Named results of one scenario run.
 
     ``table`` maps each column name to its cells, one per branch or grid
-    point, every column the same nonzero length: a list of cells, a 1-D
-    NumPy array of dtype float64 or int64, or a :class:`Coded` column;
-    ``scalars`` map result names to values tagged exact or sampled.  Every
-    listed cell, coded value, scalar value and parameter is a ``str``,
-    ``int`` or ``float``.  ``matrices`` carries any density matrices
-    (serialized as row-major [re, im] pairs in JSON).  Each renderer raises
-    ``ValueError`` for an empty or ragged table or a code that names no
-    value, and ``TypeError`` for any other column or value.
+    point, every column the same nonzero length.  A column is one of three
+    things: a list of ``str``, a 1-D NumPy array of dtype float64 or int64,
+    or a :class:`Coded` column whose values are one of those two; a list of
+    numbers is refused, not converted.  ``scalars`` map result names to
+    values tagged exact or sampled.  Every scalar value and parameter is a
+    ``str``, ``int`` or ``float``.  ``matrices`` carries any density
+    matrices (serialized as row-major [re, im] pairs in JSON).  Each
+    renderer raises ``ValueError`` for an empty or ragged table or a code
+    that names no value, and ``TypeError`` for any other column or value.
     """
 
     scenario: str
@@ -246,15 +238,14 @@ class ScenarioReport:
         for name, column in self.table.items():
             if isinstance(column, Coded):
                 _check_coded(name, column)
-                continue
-            array = isinstance(column, np.ndarray)
-            if not (isinstance(column, list) or array and column.ndim == 1
-                    and column.dtype in _ARRAY_DTYPES):
-                kind = f"a {column.ndim}-D {column.dtype} array" if array else type(column).__name__
-                raise TypeError(
-                    f"column {name!r} must be a list, a 1-D float64 or int64 array or coded, "
-                    f"not {kind}"
-                )
+            elif not _plain(column):
+                kind = type(column).__name__
+                if isinstance(column, np.ndarray):
+                    kind = f"a {column.ndim}-D {column.dtype} array"
+                elif isinstance(column, list):
+                    kind = "a list of " + ", ".join(sorted({type(v).__name__ for v in column}))
+                raise TypeError(f"column {name!r} must be a list of str, a 1-D float64 or int64 "
+                                f"array or coded, not {kind}")
         lengths = set(map(len, self.table.values()))
         if len(lengths) > 1:
             raise ValueError("every column of a report table needs the same length")
@@ -329,13 +320,13 @@ class ScenarioReport:
         rows = self._rows()
         lines = [f"scenario: {self.scenario}  [{self.statistics}]"]
         if self.parameters:
-            rendered = ", ".join(f"{k}={_text(v, *_TABLE)}" for k, v in self.parameters.items())
+            rendered = ", ".join(f"{k}={_text(v)}" for k, v in self.parameters.items())
             lines.append(f"parameters: {rendered}")
         if self.scalars:
             lines.append("")
             width = max(len(n) for n in self.scalars)
             for name, s in self.scalars.items():
-                lines.append(f"  {name:<{width}}  {_text(s.value, *_TABLE)}  ({s.provenance})")
+                lines.append(f"  {name:<{width}}  {_text(s.value)}  ({s.provenance})")
         lines.append("")
         header, fixed, slots = [], [], []
         for name, column in self.table.items():

@@ -66,10 +66,10 @@ MAX_GRID = 100_000
 METRICS_CHUNK = 512
 
 
-def _sweep(start: float, stop: float, grid: int) -> list[float]:
+def _sweep(start: float, stop: float, grid: int) -> np.ndarray:
     """The ``grid`` evenly spaced points of a complementarity or gaussian sweep."""
     _check_range("grid", grid, 2, MAX_GRID)
-    return np.linspace(start, stop, grid).tolist()
+    return np.linspace(start, stop, grid)
 
 
 def _correction_phases(v: np.ndarray, names: Sequence[str], codes: np.ndarray) -> np.ndarray:
@@ -128,7 +128,7 @@ def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str
     detectors = [kept.empty, first - kept.empty, len(blocks)]
     table = {
         "pattern": _pattern_column(kept),
-        "detectors": Coded([0, 1, 2], np.repeat(np.arange(3), detectors)),
+        "detectors": Coded(np.arange(3), np.repeat(np.arange(3), detectors)),
         "probability": probabilities,
         "concurrence": np.concatenate([np.zeros(first), concurrences(blocks)]),
         "bell_state": Coded(["other", "psi_plus", "psi_minus", ""], bell),
@@ -211,7 +211,7 @@ def scenario_statistics_test(statistics: Statistics) -> ScenarioReport:
         },
         table={
             "outcome": list(SPIN_PAIRS),
-            "probability": joint.tolist(),
+            "probability": joint,
         },
     )
 
@@ -261,8 +261,8 @@ def scenario_mixed_input(statistics: Statistics) -> ScenarioReport:
         },
         table={
             "input": inputs,
-            "weight": [weight] * len(inputs),
-            "coincidence_probability": [pair.probability for pair in pairs],
+            "weight": np.full(len(inputs), weight),
+            "coincidence_probability": np.array([pair.probability for pair in pairs]),
             "bell_state": bell_states,
         },
         matrices={"conditional_dm": conditional},
@@ -286,12 +286,12 @@ def scenario_feedback(
     v = spin_blocks([r.conditional_state for r in rounds], "C", "D")
     failures = [r.cumulative_failure for r in rounds]
     table = {
-        "round": [r.round for r in rounds],
-        "success_probability": [r.success_probability for r in rounds],
-        "cumulative_failure": failures,
-        "cumulative_success": [1.0 - f for f in failures],
-        "bell_state": [label or "other" for label in bell_labels(v).tolist()],
-        "concurrence": concurrences(v).tolist(),
+        "round": np.arange(1, depth + 1),
+        "success_probability": np.array([r.success_probability for r in rounds]),
+        "cumulative_failure": np.array(failures),
+        "cumulative_success": 1.0 - np.array(failures),
+        "bell_state": Coded(["other", "psi_plus", "psi_minus"], _bell_index(v)),
+        "concurrence": concurrences(v),
     }
     scalars = {
         "cumulative_failure": Scalar(failures[-1]),
@@ -301,10 +301,11 @@ def scenario_feedback(
     if trials > 0:
         first_success = [f * r.success_probability for f, r in zip([1.0, *failures], rounds)]
         # counts[k]: trajectories whose first success came in round k (0: none)
-        counts = _draw_counts([failures[-1], *first_success], trials, seed).tolist()
-        cumulative = list(accumulate(counts[1:]))
+        counts = _draw_counts([failures[-1], *first_success], trials, seed)
+        # Python ints, each fraction one correctly rounded division: trials may pass 2^53
+        cumulative = list(accumulate(counts[1:].tolist()))
         table["sampled_successes"] = counts[1:]
-        table["sampled_cumulative_success"] = [c / trials for c in cumulative]
+        table["sampled_cumulative_success"] = np.array([c / trials for c in cumulative])
         scalars["sampled_success"] = Scalar(cumulative[-1] / trials, SAMPLED)
         scalars["trials"] = Scalar(trials)
         scalars["seed"] = Scalar(seed)
@@ -340,16 +341,17 @@ def scenario_complementarity(grid: int, statistics: Statistics) -> ScenarioRepor
     # the heralded pair's CHSH value is 2 sqrt2 times its concurrence, negated for bosons
     divisor = (-1.0 if statistics is Statistics.BOSON else 1.0) * 2.0 * math.sqrt(2.0)
     overlaps_sq = _sweep(0.0, 1.0, grid)
-    overlaps = list(map(math.sqrt, overlaps_sq))
-    discrimination = list(map(distinguishability, overlaps))
+    overlaps = np.sqrt(overlaps_sq)
+    discrimination = np.array(list(map(distinguishability, overlaps.tolist())))
     entanglement, chsh = [], []
     for v in _heralded_blocks(statistics, overlaps):
-        entanglement += concurrences(v).tolist()
-        chsh += chsh_values(v).tolist()
-    total = [e + d for e, d in zip(entanglement, discrimination)]
-    chsh_inferred = [value / divisor for value in chsh]
-    max_total_dev = max(0.0, *(abs(t - 1.0) for t in total))
-    max_chsh_dev = max(0.0, *(abs(c - e) for c, e in zip(chsh_inferred, entanglement)))
+        entanglement.append(concurrences(v))
+        chsh.append(chsh_values(v))
+    entanglement = np.concatenate(entanglement)
+    total = entanglement + discrimination
+    chsh_inferred = np.concatenate(chsh) / divisor
+    max_total_dev = max(0.0, float(np.abs(total - 1.0).max()))
+    max_chsh_dev = max(0.0, float(np.abs(chsh_inferred - entanglement).max()))
     return ScenarioReport(
         scenario="complementarity",
         statistics=statistics.value,
@@ -376,12 +378,12 @@ def scenario_gaussian(
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     delays = _sweep(-delay_max, delay_max, grid)
-    overlaps = [gaussian_overlap(velocity, d, width) for d in delays]
-    entanglement = []
-    for v in _heralded_blocks(statistics, overlaps):
-        entanglement += concurrences(v).tolist()
-    expected = [overlap ** 2 for overlap in overlaps]
-    max_dev = max(0.0, *(abs(e - x) for e, x in zip(entanglement, expected)))
+    # per point through math.exp, and squared by Python's float power: NumPy's exp and
+    # square may differ in the last bit
+    overlaps = [gaussian_overlap(velocity, d, width) for d in delays.tolist()]
+    entanglement = np.concatenate([concurrences(v) for v in _heralded_blocks(statistics, overlaps)])
+    expected = np.array([overlap ** 2 for overlap in overlaps])
+    max_dev = max(0.0, float(np.abs(entanglement - expected).max()))
     return ScenarioReport(
         scenario="gaussian",
         statistics=statistics.value,
@@ -400,7 +402,8 @@ def scenario_dual(statistics: Statistics) -> ScenarioReport:
     """Read the coincidence state both ways: spins entangled, paths entangled."""
     state = heralded_pair(opposite_spin_input(statistics, fig1_network())).state
     pictures = np.array([reduce_to_spin_dm(state, "C", "D"), dual_relabel(state, "C", "D")])
-    spin_c, path_c = concurrences(pictures).tolist()
+    concurrence = concurrences(pictures)
+    spin_c, path_c = concurrence.tolist()
     return ScenarioReport(
         scenario="dual",
         statistics=statistics.value,
@@ -416,7 +419,7 @@ def scenario_dual(statistics: Statistics) -> ScenarioReport:
                 "spins label particles, paths entangled",
             ],
             "qubits": ["C,D", "up,down"],
-            "concurrence": [spin_c, path_c],
+            "concurrence": concurrence,
         },
     )
 

@@ -26,7 +26,7 @@ def cells(column: list | np.ndarray | Coded) -> list:
     """A report column's cells as Python values; a coded column's joined as the renderers join them."""
     if not isinstance(column, Coded):
         return column.tolist() if isinstance(column, np.ndarray) else column
-    values = column.values
+    values = column.values.tolist() if isinstance(column.values, np.ndarray) else column.values
     if column.codes.ndim == 1:
         return [values[c] for c in column.codes.tolist()]
     return [values[a] + ("" if b == -1 else "+" + values[b]) for a, b in column.codes.tolist()]

@@ -248,6 +248,15 @@ class TestRun:
         assert scalars["trials"]["value"] == 2 ** 63 - 1
         assert abs(scalars["sampled_success"]["value"] - (1 - 2 ** -10)) < 1e-6
 
+    @pytest.mark.parametrize("command", ["clicks --fig 1", "run feedback --depth 2 --trials 10"])
+    def test_table_shows_a_seed_beyond_int64_exactly(self, capsys, command):
+        # parameters and scalars stay Python ints, which no int64 array could hold
+        code, out, _ = run_cli(capsys, *command.split(), "--seed", str(2 ** 70))
+        assert code == 0
+        assert f", seed={2 ** 70}\n" in out
+        if command.startswith("run"):
+            assert re.search(rf"^  seed +{2 ** 70}  \(exact\)$", out, re.M)
+
     def test_negative_feedback_seed_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["run", "feedback", "--trials", "10", "--seed=-1"])
@@ -449,7 +458,7 @@ def sparse_clicks_columns(net, statistics):
         )},
         table={
             "pattern": [pattern_label(b.pattern) for b in branches],
-            "probability": [b.probability for b in branches],
+            "probability": np.array([b.probability for b in branches]),
         },
     )
     return exact_clicks_columns(report.to_json())
@@ -834,7 +843,8 @@ def test_shuffled_tree_clicks_output_is_pinned(capsys, tmp_path):
 #: comma were quoted; complementarity and gaussian tables: after their metrics
 #: were read off amplitude blocks, which moved only their deviation scalars; the
 #: depth-7 tree and the benchmark-sized clicks run: recorded before pattern labels
-#: and repeated strings became coded columns)
+#: and repeated strings became coded columns; the sampled feedback run: recorded
+#: before the scenarios passed their numeric columns as arrays)
 PINNED_TEXT_SHA256 = {
     ("run fig2", "boson", "csv"):
         "9ecd84aae2e2079fd6413ba3ddef36bbffdf573ea0b064a622ed55d60de397cd",
@@ -932,6 +942,14 @@ PINNED_TEXT_SHA256 = {
         "2d2e0bf77c7b66923c572a43ef87e315ed31324f7f7910472261fa75e392747c",
     ("clicks --depth 8 --trials 100000 --seed 28", "fermion", "table"):
         "04204673bf8faccde6dc277d780961961f8c8cd136288f6fccfcd3aa593bd65e",
+    ("run feedback --depth 4 --trials 1000 --seed 7", "boson", "csv"):
+        "c18f313a40778fe06a0421547a25027bfcc14eab567543a4203a31c8fcc0fe3e",
+    ("run feedback --depth 4 --trials 1000 --seed 7", "fermion", "csv"):
+        "cc721e2dd35b895048fa4f987afcd505b6fd13a32d97c86fa21dcde7f3825561",
+    ("run feedback --depth 4 --trials 1000 --seed 7", "boson", "table"):
+        "095d766711091a6d019c7dbefd7545ba213a5febf7afa94ccdd98f145b333f56",
+    ("run feedback --depth 4 --trials 1000 --seed 7", "fermion", "table"):
+        "c0f33eeb99076ecb01815d51d65e5ecd674c83004bce41c7cf177dd230d644e2",
 }
 
 

@@ -1,6 +1,7 @@
 """Tests for the named end-to-end scenarios."""
 
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -313,7 +314,7 @@ class TestEnsemble:
         # mixed-input averages over the four spin products, each at weight 1/4
         report = scenario_mixed_input(Statistics.BOSON)
         assert report.table["input"] == ["Au+Bu", "Au+Bd", "Ad+Bu", "Ad+Bd"]
-        assert report.table["weight"] == [0.25] * 4
+        assert cells(report.table["weight"]) == [0.25] * 4
 
 
 @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
@@ -353,14 +354,25 @@ class TestFeedback:
 
     def test_counts_are_one_draw_of_the_first_success_probabilities(self):
         report = scenario_feedback(6, Statistics.BOSON, trials=5000, seed=11)
-        failures = [1.0, *report.table["cumulative_failure"]]
-        first_success = [f * p for f, p in zip(failures, report.table["success_probability"])]
+        failures = [1.0, *cells(report.table["cumulative_failure"])]
+        successes = cells(report.table["success_probability"])
+        first_success = [f * p for f, p in zip(failures, successes)]
         counts = interferometer._draw_counts([failures[-1], *first_success], 5000, 11).tolist()
-        assert report.table["sampled_successes"] == counts[1:]
-        assert report.table["sampled_cumulative_success"] == [
+        assert cells(report.table["sampled_successes"]) == counts[1:]
+        assert cells(report.table["sampled_cumulative_success"]) == [
             sum(counts[1:k + 1]) / 5000 for k in range(1, 7)
         ]
         assert report.scalar("sampled_success") == sum(counts[1:]) / 5000
+
+    def test_sampled_fractions_divide_python_ints(self):
+        trials = 9 * 10**18
+        table = scenario_feedback(10, Statistics.BOSON, trials=trials, seed=1905).table
+        counts = cells(table["sampled_successes"])
+        fractions = cells(table["sampled_cumulative_success"])
+        # each fraction is the correctly rounded quotient of Python ints
+        assert fractions == [c / trials for c in accumulate(counts)]
+        # a float64 cumulative count rounds twice, which this trial count shows in some row
+        assert fractions != (np.cumsum(counts) / trials).tolist()
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     def test_first_successes_follow_the_closed_form(self, statistics):
@@ -368,7 +380,7 @@ class TestFeedback:
         # the 0.999 quantile for 10 degrees of freedom is 29.59
         trials, depth = 10 ** 6, 10
         report = scenario_feedback(depth, statistics, trials=trials)
-        successes = report.table["sampled_successes"]
+        successes = cells(report.table["sampled_successes"])
         observed = [trials - sum(successes), *successes]
         expected = [trials * 0.5 ** depth] + [trials * 0.5 ** k for k in range(1, depth + 1)]
         chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
@@ -376,7 +388,7 @@ class TestFeedback:
 
     def test_round_table_tracks_bell_identity(self):
         report = scenario_feedback(2, Statistics.FERMION, trials=0)
-        assert report.table["bell_state"] == ["psi_plus", "psi_minus"]
+        assert cells(report.table["bell_state"]) == ["psi_plus", "psi_minus"]
 
 
 class TestComplementarity:
