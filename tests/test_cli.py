@@ -509,6 +509,20 @@ class TestClicks:
         assert len(data["table"]) == 2 ** 10
         assert abs(data["scalars"]["coincidence_probability"]["value"] - 1.0) < 1e-9
 
+    def test_one_input_network_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "one_input.json"
+        net = {"splitters": [["A", "B", "D", "C"]], "inputs": ["A"], "monitored": ["C", "D"]}
+        path.write_text(json.dumps(net))
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["clicks", "--network", str(path)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "usage: twinbeam [-h] {list,run,clicks} ...\n"
+            "twinbeam: error: the network needs two input paths for the opposite-spin pair\n"
+        )
+
     def test_no_possible_coincidence_is_a_float_zero(self, capsys, tmp_path):
         # one detector: the pair never fires two, and the empty coincidence sum is still a float
         path = tmp_path / "one_detector.json"
