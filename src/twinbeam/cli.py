@@ -20,21 +20,11 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-import numpy as np
-
 from .errors import NetworkError, TwinbeamError
 from .fock import Statistics
-from .interferometer import (
-    Network,
-    _detect_pairs,
-    _draw_counts,
-    build_tree,
-    fig1_network,
-    fig2_network,
-    opposite_spin_input,
-)
-from .reporting import SAMPLED, Coded, Scalar, ScenarioReport, canonical_json
-from .scenarios import DEFAULT_SEED, SCENARIOS, _pattern_column, list_scenarios
+from .interferometer import Network, build_tree, fig1_network, fig2_network
+from .reporting import ScenarioReport, canonical_json
+from .scenarios import DEFAULT_SEED, SCENARIOS, list_scenarios, scenario_clicks
 
 _FORMATS = ("table", "json", "csv")
 
@@ -59,36 +49,6 @@ def _clicks_network(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     if args.depth is not None:
         return build_tree(args.depth)
     return fig1_network() if args.fig == 1 else fig2_network()
-
-
-def _run_clicks(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ScenarioReport:
-    net = _clicks_network(args, parser)
-    if len(net.inputs) < 2:
-        parser.error("the network needs two input paths for the opposite-spin pair")
-    statistics = Statistics.from_name(args.statistics)
-    kept = _detect_pairs(net, opposite_spin_input(statistics, net))
-    trials, probabilities, first = args.trials, kept.probabilities, kept.first
-    counts = _draw_counts(probabilities, trials, args.seed)
-    # one correctly rounded division of Python ints per distinct count: a float64
-    # count would round twice above 2^53
-    distinct, inverse = np.unique(counts, return_inverse=True)
-    coincidence_count = int(counts[first:].sum())
-    return ScenarioReport(
-        scenario="clicks",
-        statistics=statistics.value,
-        parameters={"trials": trials, "seed": args.seed},
-        scalars={
-            "trials": Scalar(trials),
-            "coincidence_frequency": Scalar(coincidence_count / trials, SAMPLED),
-            "coincidence_probability": Scalar(kept.coincidence_probability),
-        },
-        table={
-            "pattern": _pattern_column(kept),
-            "count": Coded(distinct, inverse),
-            "frequency": Coded(np.array([count / trials for count in distinct.tolist()]), inverse),
-            "probability": probabilities,
-        },
-    )
 
 
 @functools.cache
@@ -151,13 +111,14 @@ def main(argv: list[str] | None = None) -> int:
                     f"{r['name']:<{width}}  {r['parameters']:<{pwidth}}  {r['claim']}\n"
                 )
         return 0
+    statistics = Statistics.from_name(args.statistics)
     try:
         if args.command == "run":
             entry = SCENARIOS[args.scenario]
             params = {p.name: getattr(args, p.name) for p in entry.params}
-            report = entry.run(statistics=Statistics.from_name(args.statistics), **params)
+            report = entry.run(statistics=statistics, **params)
         else:
-            report = _run_clicks(args, parser)
+            report = scenario_clicks(_clicks_network(args, parser), statistics, args.trials, args.seed)
     except NetworkError as exc:
         parser.error(str(exc))
     except TwinbeamError as exc:

@@ -47,10 +47,9 @@ class Coded:
 
     ``values`` is a list of str or a 1-D float64 or int64 array.  With 1-D
     ``codes``, row ``r`` holds ``values[codes[r]]``.  With codes of shape
-    ``(rows, 2)``, over str values only, it holds the compound name
-    ``values[c0] + "+" + values[c1]``, or ``values[c0]`` alone where ``c1`` is
-    -1.  Each value is encoded once, and a value that no code names is never
-    written.
+    ``(rows, 2)``, over str values only, it holds ``values[c0] + values[c1]``.
+    Every code is at least 0.  Each value is encoded once, and a value that no
+    code names is never written.
     """
 
     values: list[str] | np.ndarray
@@ -68,10 +67,8 @@ def _check_coded(name: str, column: Coded) -> None:
         raise TypeError(f"coded column {name!r} needs values that are a list of str or a 1-D "
                         "float64 or int64 array and integer codes of shape (rows,), or str "
                         "values and codes of shape (rows, 2)")
-    # an index array would wrap a negative code round to the last values unnoticed; the
-    # least code is 0, or -1 in a second part
-    least = (0, -1)[:codes.ndim]
-    if codes.size and (codes.max() >= len(values) or (codes.min(axis=0) < least).any()):
+    # an index array would wrap a negative code round to the last values unnoticed
+    if codes.size and (codes.max() >= len(values) or codes.min() < 0):
         raise ValueError(f"coded column {name!r} has a code outside its {len(values)} values")
 
 
@@ -156,9 +153,8 @@ def _column(column: Column, text: Callable, floats: Callable) -> list[tuple]:
     ``np.unique``: each distinct value gets its text once, a float column's all by one
     ``floats`` call.  A coded column encodes each of its values once, as a column of
     them.  With two codes it has two slots: ``text`` of the first part without its
-    closing quote, and ``"+"`` and the second part's without its opening quote, which
-    is the joined name's ``text`` because ``text`` escapes character by character;
-    code -1 gives the closing quote.
+    closing quote, and ``text`` of the second without its opening quote, which is the
+    joined text's because ``text`` escapes character by character.
     """
     if isinstance(column, Coded):
         texts, codes = _texts(column.values, text, floats), column.codes
@@ -166,7 +162,7 @@ def _column(column: Column, text: Callable, floats: Callable) -> list[tuple]:
             return [(np.array(texts, dtype=object), codes)]
         half = len(text("")) // 2
         first = [t[:len(t) - half] for t in texts]
-        second = ["+" + t[half:] for t in texts] + [text("")[half:]]
+        second = [t[half:] for t in texts]
         return [(np.array(first, dtype=object), codes[:, 0]),
                 (np.array(second, dtype=object), codes[:, 1])]
     if isinstance(column, list):

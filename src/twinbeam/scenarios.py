@@ -65,6 +65,9 @@ MAX_GRID = 100_000
 #: coincidence spin-tag blocks built and evaluated at once in a sweep
 METRICS_CHUNK = 512
 
+#: the ``bell_state`` values of a report, by ``metrics._bell_index``; "" marks no coincidence
+_BELL_STATES = ["other", "psi_plus", "psi_minus", ""]
+
 
 def _sweep(start: float, stop: float, grid: int) -> np.ndarray:
     """The ``grid`` evenly spaced points of a complementarity or gaussian sweep."""
@@ -96,8 +99,12 @@ def _correction_phases(v: np.ndarray, names: Sequence[str], codes: np.ndarray) -
 
 
 def _pattern_column(kept: _KeptPatterns) -> Coded:
-    """The ``pattern`` column of the kept patterns: firing paths joined by ``+``, or ``none``."""
-    return Coded([*kept.names, "none"], kept.codes)
+    """The ``pattern`` column of the kept patterns: firing paths joined by ``+``, or ``none``.
+
+    A pattern's second code, -1 or a path, names ``""`` or ``"+"`` and that path.
+    """
+    names = kept.names
+    return Coded([*names, "none", "", *("+" + p for p in names)], kept.codes + [0, len(names) + 2])
 
 
 def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str, Column]]:
@@ -131,7 +138,7 @@ def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str
         "detectors": Coded(np.arange(3), np.repeat(np.arange(3), detectors)),
         "probability": probabilities,
         "concurrence": np.concatenate([np.zeros(first), concurrences(blocks)]),
-        "bell_state": Coded(["other", "psi_plus", "psi_minus", ""], bell),
+        "bell_state": Coded(_BELL_STATES, bell),
         "correction": Coded(["", "identity"] + [f"{p}:{t}" for p in names for t in turns],
                             correction),
     }
@@ -185,6 +192,33 @@ def scenario_tree(depth: int, statistics: Statistics) -> ScenarioReport:
             "outputs": Scalar(len(net.monitored)),
         },
         table=table,
+    )
+
+
+def scenario_clicks(net: Network, statistics: Statistics, trials: int, seed: int) -> ScenarioReport:
+    """Detector patterns of the opposite-spin pair after ``net``, with ``trials`` seeded clicks."""
+    kept = _detect_pairs(net, opposite_spin_input(statistics, net))
+    probabilities, first = kept.probabilities, kept.first
+    counts = _draw_counts(probabilities, trials, seed)
+    # one correctly rounded division of Python ints per distinct count: a float64
+    # count would round twice above 2^53
+    distinct, inverse = np.unique(counts, return_inverse=True)
+    coincidence_count = int(counts[first:].sum())
+    return ScenarioReport(
+        scenario="clicks",
+        statistics=statistics.value,
+        parameters={"trials": trials, "seed": seed},
+        scalars={
+            "trials": Scalar(trials),
+            "coincidence_frequency": Scalar(coincidence_count / trials, SAMPLED),
+            "coincidence_probability": Scalar(kept.coincidence_probability),
+        },
+        table={
+            "pattern": _pattern_column(kept),
+            "count": Coded(distinct, inverse),
+            "frequency": Coded(np.array([count / trials for count in distinct.tolist()]), inverse),
+            "probability": probabilities,
+        },
     )
 
 
@@ -290,7 +324,7 @@ def scenario_feedback(
         "success_probability": np.array([r.success_probability for r in rounds]),
         "cumulative_failure": np.array(failures),
         "cumulative_success": 1.0 - np.array(failures),
-        "bell_state": Coded(["other", "psi_plus", "psi_minus"], _bell_index(v)),
+        "bell_state": Coded(_BELL_STATES, _bell_index(v)),
         "concurrence": concurrences(v),
     }
     scalars = {

@@ -29,7 +29,7 @@ def cells(column: list | np.ndarray | Coded) -> list:
     values = column.values.tolist() if isinstance(column.values, np.ndarray) else column.values
     if column.codes.ndim == 1:
         return [values[c] for c in column.codes.tolist()]
-    return [values[a] + ("" if b == -1 else "+" + values[b]) for a, b in column.codes.tolist()]
+    return [values[a] + values[b] for a, b in column.codes.tolist()]
 
 
 def table_rows(table: dict[str, list | np.ndarray | Coded]) -> list[dict]:

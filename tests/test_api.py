@@ -64,13 +64,32 @@ def test_every_public_name_is_used_by_the_package():
     assert sorted(set(twinbeam.__all__) - used) == []
 
 
-def test_metrics_depends_only_on_errors_and_fock():
-    # the two-qubit algebra sits below the interferometer and the scenarios
-    source = Path(twinbeam.__file__).resolve().parent / "metrics.py"
-    imported = set()
+def imports(module: str) -> list[tuple[str, list[str]]]:
+    """Each module a package module imports, relative ones with their dots, and the names taken."""
+    source = Path(twinbeam.__file__).resolve().parent / module
+    found = []
     for node in ast.walk(ast.parse(source.read_text())):
         if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
+            found += [(alias.name, []) for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            imported.add("." * node.level + (node.module or ""))
-    assert {name for name in imported if name.startswith((".", "twinbeam"))} == {".errors", ".fock"}
+            found.append(("." * node.level + (node.module or ""), [a.name for a in node.names]))
+    return found
+
+
+def own(found: list[tuple[str, list[str]]]) -> list[tuple[str, list[str]]]:
+    """The imports of twinbeam modules among ``found``."""
+    return [(module, names) for module, names in found if module.startswith((".", "twinbeam"))]
+
+
+def test_metrics_depends_only_on_errors_and_fock():
+    # the two-qubit algebra sits below the interferometer and the scenarios
+    assert {module for module, _ in own(imports("metrics.py"))} == {".errors", ".fock"}
+
+
+def test_cli_builds_no_report_and_reporting_knows_no_physics():
+    # the command line parses, calls a scenario and emits; every report is built in scenarios
+    found = imports("cli.py")
+    assert [module for module, _ in found if module.split(".")[0] == "numpy"] == []
+    assert [name for _, names in own(found) for name in names if name.startswith("_")] == []
+    # the renderers sit below every other module
+    assert own(imports("reporting.py")) == []

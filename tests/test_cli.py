@@ -22,6 +22,7 @@ from conftest import (
 )
 from twinbeam import cli, interferometer, scenarios
 from twinbeam.errors import OccupancyError, TwinbeamError
+from twinbeam.fock import Statistics
 from twinbeam.interferometer import (
     Network,
     _detect_pairs,
@@ -232,7 +233,6 @@ class TestRun:
         # build_tree checks its depth itself; the branch tables and clicks detect next
         for name in ("_detect_pairs", "_heralded_blocks"):
             monkeypatch.setattr(scenarios, name, no_run)
-        monkeypatch.setattr(cli, "_detect_pairs", no_run)
         # every feedback round propagates first
         monkeypatch.setattr(interferometer, "run_network", no_run)
         with pytest.raises(SystemExit) as excinfo:
@@ -543,9 +543,9 @@ class TestClicks:
 
     @pytest.mark.parametrize("trials", [interferometer.MAX_TRIALS, 9 * 10 ** 18])
     def test_frequencies_divide_python_ints(self, trials):
-        parser = cli.build_parser()
-        args = parser.parse_args(["clicks", "--fig", "2", "--trials", str(trials)])
-        table = cli._run_clicks(args, parser).table
+        table = scenarios.scenario_clicks(
+            fig2_network(), Statistics.FERMION, trials, scenarios.DEFAULT_SEED
+        ).table
         counts, frequencies = cells(table["count"]), cells(table["frequency"])
         assert {*map(type, counts), *map(type, frequencies)} == {int, float}
         assert max(counts) > 2 ** 53 and sum(counts) == trials
@@ -578,7 +578,9 @@ class TestClicks:
             "clicks", "--network", str(path), "--statistics", statistics.value,
             "--trials", str(trials), "--seed", str(sample_seed),
         ])
-        report = cli._run_clicks(args, parser)
+        report = scenarios.scenario_clicks(
+            cli._clicks_network(args, parser), statistics, trials, sample_seed
+        )
         state = opposite_spin_input(statistics, net)
         branches = detect(run_network(net, state), net.monitored)
         probabilities = _detect_pairs(net, state).probabilities

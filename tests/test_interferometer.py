@@ -171,6 +171,13 @@ class TestNetworkValidation:
         with pytest.raises(NetworkError, match="pattern labels ambiguous"):
             Network((BeamSplitter("A", "B", "C", name),), ("A", "B"), ("C", name))
 
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    @pytest.mark.parametrize("inputs", [("A",), ()], ids=["one", "none"])
+    def test_opposite_spin_pair_needs_two_inputs(self, statistics, inputs):
+        net = Network(fig1_network().splitters, inputs, ("C", "D"))
+        with pytest.raises(NetworkError, match="needs two input paths for the opposite-spin pair"):
+            opposite_spin_input(statistics, net)
+
     def test_splitter_ports_distinct(self):
         with pytest.raises(NetworkError):
             BeamSplitter("A", "A", "C", "D")

@@ -429,18 +429,20 @@ NAMES = st.one_of(TEXT, st.sampled_from(['"', "\\", ",", "\n", "é€", 'a"b\\c,
 def coded_columns(draw, rows: int) -> Coded:
     """A coded column of ``rows`` rows: one or two codes over names, or one over floats or ints.
 
-    Some values are never named by a code.
+    Two codes draw over the names, ``""`` and the names after a ``+``, as
+    pattern labels are coded.  Some values are never named by a code.
     """
     two = draw(st.booleans())
     kind, make = (NAMES, list) if two else draw(
         st.sampled_from([(NAMES, list), (COLUMN_FLOATS, float64), (COLUMN_INTS, int64)])
     )
     values = make(draw(st.lists(kind, min_size=1, max_size=6)))
+    if two:
+        values += ["", *("+" + v for v in values)]
     codes = st.lists(st.integers(0, len(values) - 1), min_size=rows, max_size=rows)
     if not two:
         return Coded(values, np.array(draw(codes)))
-    second = st.lists(st.integers(-1, len(values) - 1), min_size=rows, max_size=rows)
-    return Coded(values, np.array([draw(codes), draw(second)]).T)
+    return Coded(values, np.array([draw(codes), draw(codes)]).T)
 
 
 @st.composite
@@ -457,7 +459,7 @@ def coded_tables(draw) -> dict[str, Coded | np.ndarray]:
 BAD_CODED = {
     "negative-code": (Coded(["a", "b"], np.array([0, -1])), ValueError),
     "negative-first-part": (Coded(["a", "b"], np.array([[-1, 0]])), ValueError),
-    "second-part-below-minus-one": (Coded(["a", "b"], np.array([[0, -2]])), ValueError),
+    "negative-second-part": (Coded(["a", "b"], np.array([[0, -1]])), ValueError),
     "out-of-range": (Coded(["a", "b"], np.array([0, 2])), ValueError),
     "out-of-range-second-part": (Coded(["a"], np.array([[0, 1]])), ValueError),
     "no-values": (Coded([], np.array([0])), ValueError),
@@ -468,7 +470,7 @@ BAD_CODED = {
     "three-codes": (Coded(["a", "b"], np.zeros((2, 3), dtype=np.int64)), TypeError),
     "3-d-codes": (Coded(["a", "b"], np.zeros((2, 2, 1), dtype=np.int64)), TypeError),
     "tuple-values": (Coded(("a", "b"), np.array([0, 1])), TypeError),
-    "int-values-in-two-codes": (Coded([1, 2], np.array([[0, 1], [1, -1]])), TypeError),
+    "int-values-in-two-codes": (Coded([1, 2], np.array([[0, 1], [1, 0]])), TypeError),
     "int-array-values-in-two-codes": (Coded(int64([1, 2]), np.array([[0, 1]])), TypeError),
     "float32-array-values": (Coded(np.ones(2, np.float32), np.array([0, 1])), TypeError),
     "2-d-array-values": (Coded(np.ones((2, 1)), np.array([0, 1])), TypeError),
@@ -489,8 +491,9 @@ class TestCodedColumns:
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(table=coded_tables(), chunk=st.sampled_from([1, 2, 5, 1000]))
     @example(
-        table={"pattern": Coded(['"', "\\", ",", "\n", "é€", "none"],
-                                np.array([[5, -1], [0, -1], [0, 1], [2, 3], [4, 4]])),
+        table={"pattern": Coded(['"', "\\", ",", "\n", "é€", "none", "",
+                                 '+"', "+\\", "+,", "+\n", "+é€"],
+                                np.array([[5, 6], [0, 6], [0, 8], [2, 10], [4, 11]])),
                "p": np.full(5, 0.5)},
         chunk=2,
     )
@@ -503,17 +506,18 @@ class TestCodedColumns:
         assert plain.to_json() == canonical_json(reference_to_dict(plain))
 
     def test_unused_values_do_not_widen_the_table(self):
-        column = Coded(["a", "a-very-long-unused-name", "b"], np.array([[0, 2], [2, -1]]))
+        column = Coded(["a", "a-very-long-unused-name", "b", "", "+b", "+a-very-long-unused-name"],
+                       np.array([[0, 4], [2, 3]]))
         assert report_of({"x": column}).to_table().endswith("\n  x  \n  a+b\n  b  \n")
 
     def test_each_value_is_encoded_once(self):
-        # the slots hold one text per value (and the second part's "no value"), not one per row
-        column = Coded(["C", "D", "none"], np.array([[2, -1], [0, -1], [0, 1]] * 1000))
+        # the slots hold one text per value, not one per row
+        column = Coded(["C", "D", "none", "", "+C", "+D"], np.array([[2, 3], [0, 3], [0, 5]] * 1000))
         for style in (reporting._JSON, reporting._CSV, reporting._TABLE):
             slots = reporting._column(column, *style)
-            assert [len(texts) for texts, _ in slots] == [3, 4]
+            assert [len(texts) for texts, _ in slots] == [6, 6]
         assert [list(texts) for texts, _ in reporting._column(column, *reporting._JSON)] == [
-            ['"C', '"D', '"none'], ['+C"', '+D"', '+none"', '"']
+            ['"C', '"D', '"none', '"', '"+C', '"+D'], ['C"', 'D"', 'none"', '"', '+C"', '+D"']
         ]
 
     @pytest.mark.parametrize("render", RENDERERS.values(), ids=RENDERERS)
