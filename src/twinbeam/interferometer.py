@@ -518,7 +518,7 @@ def fig2_network() -> Network:
 
 
 def opposite_spin_input(statistics: Statistics, net: Network) -> FockState:
-    """|up> in the first network input, |down> in the second; fewer raise NetworkError."""
+    """|up> in the first network input, |down> in the second; NetworkError below two inputs."""
     if len(net.inputs) < 2:
         raise NetworkError("the network needs two input paths for the opposite-spin pair")
     a, b = net.inputs[0], net.inputs[1]
