@@ -204,17 +204,27 @@ def concurrences(v: np.ndarray) -> np.ndarray:
     singular values of the symmetric T x T matrix ``vᵀ (sy x sy) v``
     over ``|v|^2`` (Wootters, PRL 80, 2245, 1998), so no 4x4 matrix is
     formed.  A one-column block, a pure state, takes the closed form
-    ``2 |v1 v2 - v0 v3| / |v|^2`` with no decomposition.  A zero block gives 0.
+    ``2 |v1 v2 - v0 v3| / |v|^2``.  A wider block whose rows 0 and 3
+    (uu, dd) are exactly zero, an X state, takes ``2 |sum_c v1c conj(v2c)|
+    / |v|^2``.  Only the remaining blocks, picked block by block, go
+    through one batched SVD, so a block gets the same value alone as in
+    any stack.  A zero block gives 0.
     """
     v = np.asarray(v)
     if v.shape[-1] == 1:
         # 2 (v1 v2 - v0 v3) is vᵀ (sy x sy) v: a product state gives exactly 0
         c = 2.0 * np.abs(v[..., 1, 0] * v[..., 2, 0] - v[..., 0, 0] * v[..., 3, 0])
     else:
-        # vᵀ (sy x sy) v is a + aᵀ, a[b, c] = v1b v2c - v0b v3c
-        a = v[..., 1, :, None] * v[..., 2, None, :] - v[..., 0, :, None] * v[..., 3, None, :]
-        lams = np.linalg.svd(a + a.swapaxes(-1, -2), compute_uv=False)
-        c = np.maximum(lams[..., 0] - lams[..., 1:].sum(axis=-1), 0.0)
+        # an X state, no uu or dd row: C = 2 |rho_ud,du| (Yu and Eberly, 2007)
+        c = 2.0 * np.abs((v[..., 1, :] * v[..., 2, :].conj()).sum(axis=-1))
+        rest = v[..., 0, :].any(axis=-1) | v[..., 3, :].any(axis=-1)
+        if rest.any():
+            w = v[rest]
+            # vᵀ (sy x sy) v is a + aᵀ, a[b, c] = v1b v2c - v0b v3c
+            a = w[:, 1, :, None] * w[:, 2, None, :] - w[:, 0, :, None] * w[:, 3, None, :]
+            lams = np.linalg.svd(a + a.swapaxes(-1, -2), compute_uv=False)
+            c = np.array(c)
+            c[rest] = np.maximum(lams[..., 0] - lams[..., 1:].sum(axis=-1), 0.0)
     return c / _norms_sq(v)
 
 
@@ -249,7 +259,9 @@ def _checked_magnitude(mag: float) -> float:
 
 def distinguishability(overlap: complex) -> float:
     """Best success probability for telling the two internal tags apart."""
-    return 1.0 - min(_checked_magnitude(abs(overlap)), 1.0) ** 2
+    mag = min(_checked_magnitude(abs(overlap)), 1.0)
+    # mag * mag is the correctly rounded square; mag ** 2 goes through libm pow
+    return 1.0 - mag * mag
 
 
 def gaussian_overlap(velocity: float, delay: float, width: float) -> float:

@@ -412,11 +412,11 @@ def scenario_gaussian(
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     delays = _sweep(-delay_max, delay_max, grid)
-    # per point through math.exp, and squared by Python's float power: NumPy's exp and
-    # square may differ in the last bit
-    overlaps = [gaussian_overlap(velocity, d, width) for d in delays.tolist()]
+    # per point through math.exp: NumPy's exp may differ in the last bit
+    overlaps = np.array([gaussian_overlap(velocity, d, width) for d in delays.tolist()])
     entanglement = np.concatenate([concurrences(v) for v in _heralded_blocks(statistics, overlaps)])
-    expected = np.array([overlap ** 2 for overlap in overlaps])
+    # a product, the correctly rounded square; ** 2 would go through libm pow
+    expected = overlaps * overlaps
     max_dev = max(0.0, float(np.abs(entanglement - expected).max()))
     return ScenarioReport(
         scenario="gaussian",

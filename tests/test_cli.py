@@ -707,8 +707,8 @@ def test_readme_command_parses(command):
 #: one multinomial draw, which changed only its sampled_* fields; boson
 #: mixed-input: after its two zero coincidence probabilities became 0.0, not
 #: the int 0, in a float column; complementarity and gaussian: after their
-#: concurrence and CHSH values were read off amplitude blocks, which moved only
-#: their max_*deviation scalars); any drift in a reported number or in the
+#: heralded blocks took the X-state closed form of the concurrence, which moved
+#: only their max_*deviation scalars); any drift in a reported number or in the
 #: canonical encoding changes them
 PINNED_JSON_SHA256 = {
     ("tree --depth 4", "boson"):
@@ -716,13 +716,13 @@ PINNED_JSON_SHA256 = {
     ("tree --depth 4", "fermion"):
         "4c15110f4de11ab219a5257da8e30be722b2351bc99ea8cdbe619e2a7ba1b288",
     ("complementarity --grid 11", "boson"):
-        "081cc3659b6eeda0f6b1d22b4698983596d1cdaa6db6d67f70f47c2862ea83d4",
+        "0130b37465113da14c6c4ecc0fcebad13eef59f51cb32f9b485366b0194d2fb8",
     ("complementarity --grid 11", "fermion"):
-        "c3b585ab8bd0f8ce31d0a72affc62acc9a8d0e2957b3ee49f53875dfb09bb0f6",
+        "2b57424fdb36a3260272c0472cc26fe36450f148728a9a03be97449e35d8272a",
     ("gaussian --velocity 1 --width 1 --delay-max 2 --grid 11", "boson"):
-        "1b4df395ee15b142708e46d0a555ee5f8e22cf0497e93ad36747dbae941d9b0e",
+        "b5a5bfca9af721d0b463a5284b72353f172e114a9895e10815299a8a8b724d62",
     ("gaussian --velocity 1 --width 1 --delay-max 2 --grid 11", "fermion"):
-        "0d6dc9881cb78cdefb47a9db75946c07c546e8ceea6b336e774e15a553ce98bd",
+        "a7d9a1a36dfa8341bc7908ea25b748f3c3ac272a17fa9341da2bf2e0c528995f",
     ("mixed-input", "boson"):
         "3498f7b37f1838623b3e7f198a60d197bde9288d14e4465a372351f129413ad6",
     ("mixed-input", "fermion"):
@@ -752,13 +752,13 @@ PINNED_JSON_SHA256 = {
     ("feedback --depth 4 --trials 1000 --seed 7", "fermion"):
         "5d553b0d6cf2ed3d82cfdfcb306d19734ae86fda056ed99a754e1bc98c8e59ad",
     ("complementarity --grid 1001", "boson"):
-        "c763baf7377979dd65b12497df4b66d02fd3ec66cc6218de9753c191e57ee139",
+        "70430a63e75585d3afd630ec182083cfa36268a377b38455c877588d1913d54c",
     ("complementarity --grid 1001", "fermion"):
-        "a93e03447a6446184b3b9cd8541382b8ca4d299986b51b20836d23571e21f488",
+        "b02f65527398c720ee81791ef19ea21e78f81413285bd15258e855837cf3e689",
     ("gaussian --grid 1001", "boson"):
-        "df0419976afda1bee6964022f8b98a7b064295fb4d74e0573de95837d518d788",
+        "f69c69476df09507ad10267fad058e1d1c68ffb9209b9e3ce2bdafcec3eda669",
     ("gaussian --grid 1001", "fermion"):
-        "fe78f59867cbe0e1c9e5835074525c21368b2e942dda5c11d8e1f8f09957b2ed",
+        "1f0a987fb9dd2f643cef0b5bcdb513e20818a1e5c789a0ec3d7ae896b9f6fc1c",
 }
 
 
@@ -856,8 +856,9 @@ def test_shuffled_tree_clicks_output_is_pinned(capsys, tmp_path):
 #: fig1, feedback, statistics-test, mixed-input, gaussian and dual: recorded
 #: before the renderers dropped the value types that no scenario emits; the CSV
 #: of statistics-test, fermion mixed-input and dual: after cells holding a
-#: comma were quoted; complementarity and gaussian tables: after their metrics
-#: were read off amplitude blocks, which moved only their deviation scalars; the
+#: comma were quoted; complementarity and gaussian tables: after their heralded
+#: blocks took the X-state closed form of the concurrence, which moved only
+#: their deviation scalars; the
 #: depth-7 tree and the benchmark-sized clicks run: recorded before pattern labels
 #: and repeated strings became coded columns; the sampled feedback run: recorded
 #: before the scenarios passed their numeric columns as arrays)
@@ -883,9 +884,9 @@ PINNED_TEXT_SHA256 = {
     ("run complementarity --grid 11", "fermion", "csv"):
         "f2bf64134f0fb55d34e3c7ce95879d62669b21413742e92ef5bf341dae43f4a4",
     ("run complementarity --grid 11", "boson", "table"):
-        "91831a81ab2bfe219eb2513ea68ffd78d2ff3637bb884e3f39c613e62d897257",
+        "f7c61143e7a9e7582dd2da2ab3d36f07b312b1c59072e9a76a100ebada5db8e4",
     ("run complementarity --grid 11", "fermion", "table"):
-        "b4c9b7aecc9815c78c6a70e224d2c24f698c4bc81d9974257b5fe11bf71e7384",
+        "29dbd2b01abb4a888948cea33813ffe9ab0f091d6ff40aa957b8303430ae3911",
     ("clicks --fig 2", "boson", "csv"):
         "2d1b36bb88a4f7d3fed4798d5174876b0c1c18ecbeaa38996f076b747605678e",
     ("clicks --fig 2", "fermion", "csv"):
@@ -931,9 +932,9 @@ PINNED_TEXT_SHA256 = {
     ("run gaussian", "fermion", "csv"):
         "4963439d887eb5b033098678d1a5087e4f0fd545db232aaebe06dc4d83fe34a7",
     ("run gaussian", "boson", "table"):
-        "395bbf9b843950c105cd2bcfe9d6c57b2106be47f882e53a3ad78d060efa0417",
+        "9b5f063aa900aa7f49e387acb6810af21d76bab5f2ddd6bdf22f5b648e570801",
     ("run gaussian", "fermion", "table"):
-        "dad5ee1ef350913dde4644d40cdb5fbb6b24ba99efb0d10a1418eccbecf7964d",
+        "73d5713248e36f30dcb9b43d103177d806f94f0bc117d9b47cbd9a07b2fa60a3",
     ("run dual", "boson", "csv"):
         "dab1a183e5b4132ecf40599480eca431b6c81d133f9f03d1ad704257dc0f7942",
     ("run dual", "fermion", "csv"):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -189,19 +190,33 @@ def random_blocks(seed, n_random, tags):
 
 
 def block_cases(seed, n_random, tags):
-    """:func:`random_blocks`, unnormalized, then the same blocks with one column of zeros.
+    """:func:`random_blocks`, unnormalized, then copies with one column zeroed or made tiny.
 
-    Each block is scaled by a random factor in [0.1, 10); the zero-column
-    copies come only with two or more tags, so that no block is zero.
+    Each block is scaled by a random factor in [0.1, 10).  With two or more
+    tags there follow the same blocks with one column of zeros, then X
+    blocks (no uu or dd row): the blocks with rows 0 and 3 zeroed and one
+    column scaled by 1e-20, then those with another column zeroed too.
+    Every copy keeps a nonzero column, so that no block is zero.
     """
     rng = np.random.default_rng([seed, 1])
     blocks = random_blocks(seed, n_random, tags)
     blocks = blocks * rng.uniform(0.1, 10.0, size=(len(blocks), 1, 1))
     if tags == 1:
         return blocks
+    rows, columns = np.arange(len(blocks)), rng.integers(tags, size=len(blocks))
     zeroed = blocks.copy()
-    zeroed[np.arange(len(blocks)), :, rng.integers(tags, size=len(blocks))] = 0.0
-    return np.concatenate([blocks, zeroed])
+    zeroed[rows, :, columns] = 0.0
+    tiny = blocks.copy()
+    tiny[:, [0, 3]] = 0.0
+    tiny[rows, :, (columns + 1) % tags] *= 1e-20
+    x_zeroed = tiny.copy()
+    x_zeroed[rows, :, columns] = 0.0
+    return np.concatenate([blocks, zeroed, tiny, x_zeroed])
+
+
+def is_x_block(v):
+    """Whether each block of a stack has no uu and no dd row."""
+    return ~(v[..., 0, :].any(axis=-1) | v[..., 3, :].any(axis=-1))
 
 
 #: the maximally mixed block: its spin matrix v v†/tr is I/4
@@ -242,6 +257,18 @@ class TestBlockFormulas:
     def test_chsh_values_keep_the_quantum_bound(self, seed, n_random, tags):
         # v v† / |v|^2 is a density matrix for every nonzero block, so no bound check is needed
         assert np.abs(chsh_values(block_cases(seed, n_random, tags))).max() <= ROOT8 + 1e-12
+
+    @pytest.mark.parametrize("tags", [2, 3, 4])
+    def test_interleaved_x_blocks_keep_their_own_values(self, tags):
+        # X and general blocks alternate in a (2, k, 4, T) stack
+        cases = block_cases(tags, 6, tags)
+        x = is_x_block(cases)
+        k = min(x.sum(), (~x).sum())
+        blocks = np.stack([cases[x][:k], cases[~x][:k]], axis=1).reshape(2, k, 4, tags)
+        assert is_x_block(blocks).any(axis=-1).all() and not is_x_block(blocks).all()
+        values = concurrences(blocks)
+        assert values.shape == (2, k)
+        assert values.tolist() == [[concurrences(b).item() for b in row] for row in blocks]
 
     def test_product_states_are_exactly_separable(self):
         # real factors, so that v0 v3 and v1 v2 round alike (complex products may not)
@@ -434,6 +461,12 @@ class TestDistinguishability:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             distinguishability(1.5)
+
+    def test_square_is_correctly_rounded(self):
+        # float(Fraction) rounds the exact square once; libm pow may miss it by an ulp
+        mags = np.random.default_rng(70).uniform(0.0, 1.0, 20000).tolist()
+        exact = [1.0 - float(Fraction(m) ** 2) for m in mags]
+        assert [distinguishability(m) for m in mags] == exact
 
 
 def complementarity(overlap, statistics):

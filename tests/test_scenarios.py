@@ -1,6 +1,7 @@
 """Tests for the named end-to-end scenarios."""
 
 import math
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -413,6 +414,11 @@ class TestComplementarity:
         assert report.scalar("max_total_deviation") < 1e-9
         assert report.scalar("max_chsh_deviation") < 1e-9
 
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    @pytest.mark.parametrize("grid", [11, 1001])
+    def test_sum_rule_holds_exactly(self, grid, statistics):
+        assert scenario_complementarity(grid, statistics).scalar("max_total_deviation") == 0.0
+
 
 SWEEPS = [
     lambda statistics: scenario_complementarity(30, statistics),
@@ -430,6 +436,30 @@ class TestSweepChunks:
         chunked = sweep(statistics)
         assert chunked.to_json() == report.to_json()
         assert chunked.to_csv() == report.to_csv()
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """A list that gains one entry per ``np.linalg.svd`` call."""
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+    return calls
+
+
+class TestConcurrencePath:
+    # a block without uu and dd rows, an X state, takes a closed form; any other the SVD
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    @pytest.mark.parametrize("sweep", SWEEPS, ids=["complementarity", "gaussian"])
+    def test_the_sweeps_take_no_svd(self, svd_calls, sweep, statistics):
+        sweep(statistics)
+        assert svd_calls == []
+
+    def test_only_the_fermion_mixture_takes_an_svd(self, svd_calls):
+        # the boson conditional is psi-; the fermion one mixes in |up up> and |down down>
+        scenario_mixed_input(Statistics.BOSON)
+        assert svd_calls == []
+        scenario_mixed_input(Statistics.FERMION)
+        assert len(svd_calls) >= 1
 
 
 class TestGaussian:
@@ -457,6 +487,25 @@ class TestGaussian:
     def test_pipeline_matches_closed_form(self):
         report = scenario_gaussian(0.9, 1.7, 4.0, 21, Statistics.FERMION)
         assert report.scalar("max_deviation") < 1e-9
+
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    @pytest.mark.parametrize("velocity, width", [(1.0, 1.0), (1.3, 0.7)])
+    def test_entanglement_keeps_full_relative_accuracy(self, velocity, width, statistics):
+        # delays to 60 widths: expected values down through the subnormals to exact zeros
+        report = scenario_gaussian(velocity, width, 60.0, 20001, statistics)
+        entanglement, expected = report.table["entanglement"], report.table["expected_entanglement"]
+        normal = expected >= np.finfo(float).tiny
+        relative = np.abs(entanglement[normal] - expected[normal]) / expected[normal]
+        assert relative.max() <= 1e-15
+        assert (entanglement[expected == 0.0] == 0.0).all()
+        assert (expected == 0.0).any()
+
+    def test_expected_entanglement_is_the_correctly_rounded_square(self):
+        report = scenario_gaussian(1.0, 1.0, 8.0, 20001, Statistics.BOSON)
+        overlaps = [metrics.gaussian_overlap(1.0, d, 1.0) for d in report.table["delay"].tolist()]
+        # float(Fraction) rounds the exact square once; libm pow may miss it by an ulp
+        squares = [float(Fraction(o) ** 2) for o in overlaps]
+        assert report.table["expected_entanglement"].tolist() == squares
 
 
 class TestDual:
