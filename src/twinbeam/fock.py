@@ -17,11 +17,13 @@ multi-particle ket.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from enum import Enum, IntEnum
 from itertools import product
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,6 +34,11 @@ PRUNE_THRESHOLD = 1e-12
 
 #: tolerance for unitarity and normalization checks
 UNITARY_TOL = 1e-9
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0, which Python 3.12's ``sum`` does not do."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 class Statistics(Enum):
@@ -128,7 +135,8 @@ class FockState:
         return MappingProxyType(self._terms)
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 * _monomial_weight(m) for m, a in self._terms.items()))
+        return math.sqrt(ordered_sum(abs(a) ** 2 * _monomial_weight(m)
+                                     for m, a in self._terms.items()))
 
     def normalized(self) -> "FockState":
         n = self.norm()

@@ -33,6 +33,7 @@ from .fock import (
     Statistics,
     Substitution,
     make_product_state,
+    ordered_sum,
     substitute_modes,
 )
 
@@ -287,7 +288,7 @@ def detect(state: FockState, monitored: Sequence[str]) -> BranchSet:
         component = FockState(state.statistics, groups.pop(pattern))
         n = component.norm()
         branches.append(Branch(pattern, component / n, n ** 2))
-    total = sum(b.probability for b in branches)
+    total = ordered_sum(b.probability for b in branches)
     if abs(math.sqrt(total) - 1.0) > 1e-7:
         raise ValueError("detect requires a normalized state")
     branches = [Branch(b.pattern, b.state, b.probability / total) for b in branches]
@@ -319,11 +320,9 @@ class _KeptPatterns(NamedTuple):
 
     @property
     def coincidence_probability(self) -> float:
-        """The coincidences' probabilities, summed in order.
-
-        ``np.sum`` adds pairwise and may change the last bit.
-        """
-        return sum(self.probabilities[self.first:].tolist(), 0.0)
+        """The coincidences' probabilities added left to right from 0.0, as
+        :func:`ordered_sum` adds them: the last running total of one ``np.cumsum``."""
+        return np.cumsum(np.concatenate(([0.0], self.probabilities[self.first:])))[-1].item()
 
 
 def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) -> _KeptPatterns:

@@ -275,18 +275,17 @@ def gaussian_overlap(velocity: float, delay: float, width: float) -> float:
     if width <= 0.0:
         raise ValueError("packet width must be positive")
     ratio = velocity * delay / width
-    if math.isfinite(ratio):
-        try:
-            return math.exp(-(ratio ** 2) / 4.0)
-        except OverflowError:
-            pass
+    # the correctly rounded square, where ** 2 goes through libm pow; inf once it overflows
+    square = ratio * ratio
+    if math.isfinite(square):
+        return math.exp(-square / 4.0)
     raise ValueError(f"velocity {velocity}, delay {delay} and width {width} leave the float range")
 
 
 def tagged_opposite_spin_input(statistics: Statistics, overlap: complex) -> FockState:
     """|up> on A with tag 0, |down> on B in a tag state of given overlap with it."""
     mag = _checked_magnitude(abs(overlap))
-    residual = math.sqrt(max(0.0, 1.0 - mag ** 2))
+    residual = math.sqrt(max(0.0, 1.0 - mag * mag))
     parallel = make_product_state(statistics, [Mode("A", Spin.UP, 0), Mode("B", Spin.DOWN, 0)])
     orthogonal = make_product_state(statistics, [Mode("A", Spin.UP, 0), Mode("B", Spin.DOWN, 1)])
     return complex(overlap) * parallel + residual * orthogonal

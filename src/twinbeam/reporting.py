@@ -144,7 +144,8 @@ _CSV = (str, lambda values: _g_floats(values, JSON_DIGITS))
 _TABLE = (str, lambda values: _g_floats(values, TABLE_DIGITS))
 
 
-def _column(column: Column, text: Callable, floats: Callable) -> list[tuple]:
+def _column(column: Column, text: Callable, floats: Callable,
+            before: str = "", after: str = "") -> list[tuple]:
     """The slots of one table column: pairs ``(texts, codes)``, whose text for row ``r``
     is ``texts[codes[r]]``, or ``texts[r]`` if ``codes`` is None; a cell joins its slots.
 
@@ -152,26 +153,24 @@ def _column(column: Column, text: Callable, floats: Callable) -> list[tuple]:
     cell.  A float64 or int64 array takes one
     ``np.unique``: each distinct value gets its text once, a float column's all by one
     ``floats`` call.  A coded column encodes each of its values once, as a column of
-    them.  With two codes it has two slots: ``text`` of the first part without its
-    closing quote, and ``text`` of the second without its opening quote, which is the
-    joined text's because ``text`` escapes character by character.
+    them, and its cell texts open with ``before`` and close with ``after``, joined in
+    as each text is placed.  With two codes it has two slots: ``text`` of the first
+    part without its closing quote, and ``text`` of the second without its opening
+    quote, which is the joined text's because ``text`` escapes character by character.
     """
     if isinstance(column, Coded):
         texts, codes = _texts(column.values, text, floats), column.codes
         if codes.ndim == 1:
-            return [(np.array(texts, dtype=object), codes)]
+            return [(np.array([before + t + after for t in texts], dtype=object), codes)]
         half = len(text("")) // 2
-        first = [t[:len(t) - half] for t in texts]
-        second = [t[half:] for t in texts]
+        first = [before + t[:len(t) - half] for t in texts]
+        second = [t[half:] + after for t in texts]
         return [(np.array(first, dtype=object), codes[:, 0]),
                 (np.array(second, dtype=object), codes[:, 1])]
     if isinstance(column, list):
-        return [(list(map(text, column)), None)]
+        return [(_texts(column, text, floats), None)]
     distinct, inverse = np.unique(column, return_inverse=True)
-    # np.unique merges 0.0 and -0.0 and may keep -0.0; unlike + 0.0, == never warns on a NaN
-    distinct[distinct == 0] = 0
-    texts = floats(distinct.tolist()) if column.dtype == np.float64 else map(str, distinct.tolist())
-    return [(np.array(list(texts), dtype=object), inverse)]
+    return [(np.array(_texts(distinct, text, floats), dtype=object), inverse)]
 
 
 def _take(slot: tuple, start: int, stop: int) -> list[str]:
@@ -180,26 +179,32 @@ def _take(slot: tuple, start: int, stop: int) -> list[str]:
     return texts[start:stop] if codes is None else texts[codes[start:stop]].tolist()
 
 
-def _texts(values: list[str] | np.ndarray, *style: Callable) -> list[str]:
-    """Each value's text, as a column of them is encoded by ``_column(values, *style)``."""
-    return _take(_column(values, *style)[0], 0, len(values))
+def _texts(values: list[str] | np.ndarray, text: Callable, floats: Callable) -> list[str]:
+    """Each value's text: ``text`` of a str, ``str`` of an int, ``floats`` of floats (-0.0 as 0)."""
+    if isinstance(values, list):
+        return list(map(text, values))
+    if values.dtype == np.int64:
+        return list(map(str, values.tolist()))
+    # unlike + 0.0, == never warns on a NaN
+    return floats(np.where(values == 0, 0.0, values).tolist())
 
 
-def _chunks(fixed: list[str], slots: list[tuple], rows: int) -> Iterator[list[str]]:
+def _chunks(pieces: list, rows: int) -> Iterator[list[str]]:
     """Table rows as flat lists of :data:`_ROW_CHUNK` rows each.
 
-    A row is ``fixed[0]``, the text of slot 0, ``fixed[1]``, and so on to
-    ``fixed[-1]``: each chunk repeats the fixed texts and slice-assigns each
-    slot's texts into its places.
+    A row joins ``pieces``, each a str, the same in every row, or a slot of
+    :func:`_column`; a ``""`` piece is dropped.  Each chunk repeats the str
+    pieces and slice-assigns each slot's texts into its place.
     """
-    step = 2 * len(slots) + 1
-    row = [""] * step
-    row[::2] = fixed
+    pieces = [p for p in pieces if p != ""]
+    step = len(pieces)
+    row = [p if isinstance(p, str) else "" for p in pieces]
     for start in range(0, rows, _ROW_CHUNK):
         stop = min(start + _ROW_CHUNK, rows)
         flat = row * (stop - start)
-        for c, slot in enumerate(slots):
-            flat[2 * c + 1::step] = _take(slot, start, stop)
+        for c, slot in enumerate(pieces):
+            if not isinstance(slot, str):
+                flat[c::step] = _take(slot, start, stop)
         yield flat
 
 
@@ -255,16 +260,24 @@ class ScenarioReport:
         The bytes are those of ``canonical_json`` applied to the report
         with every float rounded to JSON_DIGITS and the table as a list
         of row objects; no rounded copy is built.  Each column's slots,
-        ``_column``, are built once, before anything is written; each chunk of
-        :data:`_ROW_CHUNK` rows is one flat list (:func:`_chunks`), joined and
-        written in one ``write``.
+        ``_column``, are built once, before anything is written, and each fixed
+        text of a row (key, opening, closing) is joined onto the texts of the
+        coded column before it, else of the one after, else left a piece of its
+        own.  Each chunk of :data:`_ROW_CHUNK` rows is one flat list
+        (:func:`_chunks`), joined and written in one ``write``.
         """
         rows, keys = self._rows(), sorted(self.table)
-        fixed, slots = [], []
-        for k in keys:
-            column = _column(self.table[k], *_JSON)
-            fixed += [f",\n      {encode_basestring(k)}: "] + [""] * (len(column) - 1)
-            slots += column
+        # the key texts, the first opening the row with ",", then the row's closing text
+        fixed = [f",\n      {encode_basestring(k)}: " for k in keys] + ["\n    }"]
+        fixed[0] = ",\n    {" + fixed[0][1:]
+        pieces, pending = [], fixed[0]
+        for k, after in zip(keys, fixed[1:]):
+            if isinstance(self.table[k], Coded):
+                pieces += _column(self.table[k], *_JSON, pending, after)
+                pending = ""
+            else:
+                pieces += [pending, *_column(self.table[k], *_JSON)]
+                pending = after
         head: dict[str, Any] = {
             "scenario": self.scenario,
             "statistics": self.statistics,
@@ -284,11 +297,9 @@ class ScenarioReport:
             }
         # "table" sorts after every other key: drop the closing "\n}\n" and append it
         stream.write(canonical_json(head)[:-3] + ',\n  "table": ')
-        # rows after the first open ","
-        fixed[0] = ",\n    {" + fixed[0][1:]
-        for n, flat in enumerate(_chunks(fixed + ["\n    }"], slots, rows)):
+        for n, flat in enumerate(_chunks(pieces + [pending], rows)):
             if not n:
-                flat[0] = "[" + fixed[0][1:]
+                flat[0] = "[" + flat[0][1:]
             stream.write("".join(flat))
         stream.write("\n  ]\n}\n")
 
@@ -324,7 +335,7 @@ class ScenarioReport:
             for name, s in self.scalars.items():
                 lines.append(f"  {name:<{width}}  {_text(s.value)}  ({s.provenance})")
         lines.append("")
-        header, fixed, slots = [], [], []
+        header, pieces = [], []
         for name, column in self.table.items():
             parts = _column(column, *_TABLE)
             # each row's cell length, from the lengths of the texts its codes name
@@ -333,18 +344,17 @@ class ScenarioReport:
             width = max(len(name), int(length.max()))
             header.append(name.ljust(width))
             if len(parts) == 1:
-                # one slot: its distinct texts padded once
+                # one slot: its distinct texts padded once, each after the column gap
                 ((texts, codes),) = parts
-                parts = [(np.array([t.ljust(width) for t in texts], dtype=object), codes)]
+                pieces.append((np.array(["  " + t.ljust(width) for t in texts], dtype=object),
+                               codes))
             else:
-                parts.append((np.array([" " * n for n in range(width + 1)], dtype=object),
-                              width - length))
-            fixed += ["  "] + [""] * (len(parts) - 1)
-            slots += parts
+                pad = np.array([" " * n for n in range(width + 1)], dtype=object)
+                pieces += ["  ", *parts, (pad, width - length)]
         lines.append("  " + "  ".join(header))
         # the empty last line ends the head with a newline; every row ends with its own
         lines.append("")
-        body = ("".join(flat) for flat in _chunks(fixed + ["\n"], slots, rows))
+        body = ("".join(flat) for flat in _chunks(pieces + ["\n"], rows))
         return "\n".join(lines) + "".join(body)
 
 

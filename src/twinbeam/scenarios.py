@@ -15,7 +15,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import NetworkError
-from .fock import Mode, Spin, Statistics, apply_spin_rotation, make_product_state
+from .fock import Mode, Spin, Statistics, apply_spin_rotation, make_product_state, ordered_sum
 from .interferometer import (
     MAX_TRIALS,
     Network,
@@ -264,7 +264,7 @@ def scenario_mixed_input(statistics: Statistics) -> ScenarioReport:
     rows = [k for k, pair in enumerate(pairs) if pair.probability > 0.0]
     v = spin_blocks([pairs[k].state for k in rows], "C", "D")
     weights = [weight * pairs[k].probability for k in rows]
-    total = sum(weights)
+    total = ordered_sum(weights)
     mixture: dict[str, float] = {}
     bell_states = [""] * len(inputs)
     for k, w, block, label in zip(rows, weights, v, bell_labels(v).tolist()):

@@ -1,9 +1,11 @@
 """Tests for the command-line interface: exit codes, formats, determinism."""
 
 import csv
+import functools
 import hashlib
 import io
 import json
+import operator
 import os
 import random
 import re
@@ -590,7 +592,9 @@ class TestClicks:
         assert all(abs(p - b.probability) < 1e-12 for p, b in zip(probabilities, branches))
         assert cells(report.table["count"]) == _draw_counts(probabilities, trials, sample_seed).tolist()
         pairs = [row for row, b in zip(rows, branches) if len(b.pattern) == 2]
-        assert report.scalar("coincidence_probability") == sum(r["probability"] for r in pairs)
+        # added left to right, which Python 3.12's compensated sum does not do
+        ordered = functools.reduce(operator.add, (r["probability"] for r in pairs), 0.0)
+        assert report.scalar("coincidence_probability") == ordered
         coincident = sum(r["count"] for r in pairs)
         assert report.scalar("coincidence_frequency") == coincident / trials
 

@@ -1,6 +1,8 @@
 """Unit tests for the sparse second-quantized engine."""
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from twinbeam.fock import (
     Substitution,
     apply_spin_rotation,
     make_product_state,
+    ordered_sum,
     substitute_modes,
 )
 
@@ -176,6 +179,23 @@ class TestSpinRotation:
             apply_spin_rotation(state, "C", np.array([[1.0, 1.0], [0.0, 1.0]]))
         with pytest.raises(NotUnitaryError, match="2x2"):
             apply_spin_rotation(state, "C", np.eye(3))
+
+
+class TestOrderedSum:
+    def test_adds_left_to_right(self):
+        # 1e16 + 1.0 rounds back to 1e16; a compensated sum, as Python 3.12's, gives 1.0
+        assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+        tenths = [0.1] * 10
+        assert ordered_sum(iter(tenths)) == functools.reduce(operator.add, tenths) != 1.0
+
+    def test_empty_sum_is_zero(self):
+        assert ordered_sum([]) == 0.0
+
+    def test_norm_adds_in_order(self):
+        # each squared amplitude of 1e-16 rounds away against 1.0 when added in order;
+        # compensated, the five would make the norm 1.0000000000000002
+        terms = {(Mode(p, UP),): 1e-8 for p in "BCDEF"}
+        assert FockState(Statistics.BOSON, {(A_UP,): 1.0, **terms}).norm() == 1.0
 
 
 class TestStateBasics:

@@ -1,6 +1,8 @@
 """Tests for networks, detection branching, trees, feedback, and corrections."""
 
+import functools
 import math
+import operator
 import re
 import tracemalloc
 from unittest import mock
@@ -45,6 +47,7 @@ from twinbeam.interferometer import (
     Network,
     _detect_pairs,
     _draw_counts,
+    _KeptPatterns,
     build_tree,
     detect,
     feedback_run,
@@ -601,6 +604,21 @@ class TestPostselect:
         out = run_network(fig2_network(), opposite_pair(Statistics.BOSON))
         branches = detect(out, fig2_network().monitored)
         assert abs(sum(b.probability for b in branches if len(b.pattern) == 2) - 0.75) < 1e-12
+
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    @pytest.mark.parametrize("depth", range(1, MAX_TREE_DEPTH + 1))
+    def test_coincidence_probability_adds_left_to_right(self, depth, statistics):
+        # Python 3.12's compensated sum differs from it in the last bit on some trees
+        net = build_tree(depth)
+        kept = _detect_pairs(net, opposite_spin_input(statistics, net))
+        expected = functools.reduce(operator.add, kept.probabilities[kept.first:].tolist(), 0.0)
+        got = kept.coincidence_probability
+        assert type(got) is float and got == expected
+
+    def test_no_coincidence_has_probability_zero(self):
+        # the empty pattern and one single, each at 1/2
+        kept = _KeptPatterns(["C"], np.array([[1, -1], [0, -1]]), 1, 2, np.array([0.5, 0.5]))
+        assert kept.coincidence_probability == 0.0
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     def test_heralded_pair_is_the_postselected_coincidence(self, statistics):

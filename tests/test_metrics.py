@@ -469,6 +469,13 @@ class TestDistinguishability:
         assert [distinguishability(m) for m in mags] == exact
 
 
+def test_tagged_input_residual_square_is_correctly_rounded():
+    mags = np.random.default_rng(72).uniform(0.0, 1.0, 2000).tolist()
+    orthogonal = (Mode("A", Spin.UP, 0), Mode("B", Spin.DOWN, 1))
+    got = [tagged_opposite_spin_input(Statistics.BOSON, m).terms[orthogonal] for m in mags]
+    assert got == [math.sqrt(1.0 - float(Fraction(m) ** 2)) for m in mags]
+
+
 def complementarity(overlap, statistics):
     """(E, D, E + D) of a tagged pair, E from the full pipeline."""
     entanglement = concurrences(coincidence_block(statistics, overlap)).item()
@@ -523,6 +530,17 @@ class TestGaussianOverlap:
     def test_rejects_nonpositive_width(self):
         with pytest.raises(ValueError):
             gaussian_overlap(1.0, 1.0, 0.0)
+
+    def test_square_is_correctly_rounded(self):
+        # with unit delay and width the ratio is the velocity, squared and rounded once
+        ratios = np.random.default_rng(71).uniform(0.0, 6.0, 20000).tolist()
+        exact = [math.exp(-float(Fraction(r) ** 2) / 4.0) for r in ratios]
+        assert [gaussian_overlap(r, 1.0, 1.0) for r in ratios] == exact
+
+    def test_overflowing_square_raises(self):
+        # the ratio 1e200 is finite and its square is not
+        with pytest.raises(ValueError, match="leave the float range"):
+            gaussian_overlap(1e200, 1.0, 1.0)
 
 
 class TestDualRelabel:

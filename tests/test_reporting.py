@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 
 from conftest import cells
 from twinbeam import reporting
+from twinbeam.fock import Statistics
+from twinbeam.interferometer import fig2_network
 from twinbeam.reporting import EXACT, SAMPLED, Coded, Scalar, ScenarioReport, canonical_json
+from twinbeam.scenarios import scenario_clicks, scenario_tree
 
 
 def rounded(value: Any) -> Any:
@@ -447,11 +450,22 @@ def coded_columns(draw, rows: int) -> Coded:
 
 @st.composite
 def coded_tables(draw) -> dict[str, Coded | np.ndarray]:
+    """Coded columns, and none, one or two float columns, so that the slots of several
+    columns share a row.
+
+    With no float column, the ``[`` and the row's closing text land on coded texts;
+    two float columns sort next to each other, with a key text between them that no
+    coded column takes.
+    """
     rows = draw(st.integers(1, 30))
-    keys = draw(st.lists(KEYS, min_size=1, max_size=3, unique=True))
+    plain = [draw(KEYS)]
+    plain = draw(st.sampled_from([[], plain, [plain[0], plain[0] + "0"]]))
+    # no coded key sorts between the float columns' keys
+    keys = draw(st.lists(KEYS.filter(lambda k: not plain or not plain[0] <= k <= plain[-1]),
+                         min_size=1, max_size=3, unique=True))
     table = {key: draw(coded_columns(rows)) for key in keys}
-    # a list column beside them, so that the slots of several columns share a row
-    table[draw(KEYS.filter(lambda k: k not in table))] = np.arange(rows, dtype=np.float64)
+    for n, key in enumerate(plain):
+        table[key] = np.arange(rows) / (n + 1.0)
     return table
 
 
@@ -504,6 +518,27 @@ class TestCodedColumns:
             assert coded.to_table() == plain.to_table()
         assert coded.to_csv() == plain.to_csv()
         assert plain.to_json() == canonical_json(reference_to_dict(plain))
+
+    @pytest.mark.parametrize(
+        "make, most",
+        [(lambda: scenario_clicks(fig2_network(), Statistics.FERMION, 1000, 3), 6),
+         (lambda: scenario_tree(3, Statistics.BOSON), 8)],
+        ids=["clicks", "tree"],
+    )
+    def test_fixed_texts_fold_into_coded_texts(self, make, most):
+        # unfolded, a clicks row joins 11 pieces and a tree row 15
+        report, lengths, chunks = make(), [], reporting._chunks
+
+        def spy(*args):
+            for flat in chunks(*args):
+                lengths.append(len(flat))
+                yield flat
+
+        expected = report.to_json()
+        with mock.patch.object(reporting, "_ROW_CHUNK", 1):
+            with mock.patch.object(reporting, "_chunks", spy):
+                assert report.to_json() == expected
+        assert len(lengths) == len(report.table["pattern"]) and max(lengths) <= most
 
     def test_unused_values_do_not_widen_the_table(self):
         column = Coded(["a", "a-very-long-unused-name", "b", "", "+b", "+a-very-long-unused-name"],
