@@ -42,7 +42,7 @@ from .interferometer import (
 from .metrics import (
     PSI_MINUS,
     PSI_PLUS,
-    bell_labels,
+    bell_index,
     chsh_values,
     concurrences,
     distinguishability,

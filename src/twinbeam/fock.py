@@ -135,7 +135,8 @@ class FockState:
         return MappingProxyType(self._terms)
 
     def norm(self) -> float:
-        return math.sqrt(ordered_sum(abs(a) ** 2 * _monomial_weight(m)
+        # |a| * |a| is the correctly rounded square; ** 2 goes through libm pow
+        return math.sqrt(ordered_sum((mag := abs(a)) * mag * _monomial_weight(m)
                                      for m, a in self._terms.items()))
 
     def normalized(self) -> "FockState":

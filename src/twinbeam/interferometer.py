@@ -287,7 +287,7 @@ def detect(state: FockState, monitored: Sequence[str]) -> BranchSet:
         # popped, so each group's terms are freed once its branch holds a copy
         component = FockState(state.statistics, groups.pop(pattern))
         n = component.norm()
-        branches.append(Branch(pattern, component / n, n ** 2))
+        branches.append(Branch(pattern, component / n, n * n))
     total = ordered_sum(b.probability for b in branches)
     if abs(math.sqrt(total) - 1.0) > 1e-7:
         raise ValueError("detect requires a normalized state")

@@ -6,9 +6,11 @@ pairs, and its density matrix, tags traced out, is ``v v† / |v|^2``.
 Every measure reads a ``(..., 4, T)`` stack of blocks without forming
 that matrix.  Paths label the particles and spins are the qubits in
 :func:`reduce_to_spin_dm`; spins label the particles and paths are the
-qubits in :func:`dual_relabel`.  Both order the tag columns by path, so
-the two blocks differ by a swap of the middle rows and always agree on
-concurrence.
+qubits in :func:`dual_relabel`.  Both order the tag columns by path.
+On a coincidence of one up and one down particle the dual block is the
+spin block with row 2 (|down up>) times the exchange sign: equal for
+bosons, row 2 negated for fermions.  Neither has a uu or dd row, so the
+sign is a local Z and the two pictures agree on concurrence.
 """
 
 from __future__ import annotations
@@ -33,9 +35,6 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 #: |up down> +- |down up> in the {uu, ud, du, dd} basis
 PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
-
-# an object array, so that every label of a stack is one shared str, not a copy per block
-_BELL_NAMES = np.array(["", "psi_plus", "psi_minus"], dtype=object)
 
 # <psi+| and <psi-| as the two columns of a 4x2 matrix
 _BELL_BRAS = np.array([PSI_PLUS, PSI_MINUS]).conj().T
@@ -65,29 +64,23 @@ def validate_dms(rho: np.ndarray) -> None:
     """Check that every matrix of a ``(..., 4, 4)`` stack is a density matrix.
 
     Hermitian, unit trace and positive semidefinite, each within
-    :data:`DM_TOL`.  The first invalid matrix in C order raises the
-    :class:`ValueError` of its first failed check.
+    :data:`DM_TOL`, checked in that order over the whole stack: the first
+    check that any matrix fails raises its :class:`ValueError`.
     """
     rho = np.asarray(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got {rho.shape[-2:]}")
-    flat = rho.reshape(-1, 4, 4)
-    adjoint = flat.conj().swapaxes(-1, -2)
+    adjoint = rho.conj().swapaxes(-1, -2)
     # np.allclose(m, m†, atol=DM_TOL, rtol=0), equal infinities included
-    hermitian = ((np.abs(flat - adjoint) <= DM_TOL) | (flat == adjoint)).all(axis=(-1, -2))
-    trace = np.trace(flat, axis1=-2, axis2=-1)
-    bad_trace = (np.abs(trace.real - 1.0) > DM_TOL) | (np.abs(trace.imag) > DM_TOL)
-    failed = ~hermitian | bad_trace
-    # eigenvalues only before the first matrix that fails an earlier check
-    n = int(failed.argmax()) if failed.any() else len(flat)
-    lowest = np.linalg.eigvalsh((flat[:n] + adjoint[:n]) / 2.0).min(axis=-1)
-    negative = lowest < -DM_TOL
-    if negative.any():
-        raise ValueError(f"density matrix has negative eigenvalue {lowest[negative.argmax()]}")
-    if n < len(flat):
-        if not hermitian[n]:
-            raise ValueError("density matrix is not Hermitian within tolerance")
+    if not ((np.abs(rho - adjoint) <= DM_TOL) | (rho == adjoint)).all():
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    if ((np.abs(trace.real - 1.0) > DM_TOL) | (np.abs(trace.imag) > DM_TOL)).any():
         raise ValueError("density matrix trace is not 1 within tolerance")
+    lowest = np.linalg.eigvalsh((rho + adjoint) / 2.0).min(axis=-1).ravel()
+    negative = lowest[lowest < -DM_TOL]
+    if negative.size:
+        raise ValueError(f"density matrix has negative eigenvalue {negative[0]}")
 
 
 def _pair_blocks(
@@ -203,28 +196,23 @@ def concurrences(v: np.ndarray) -> np.ndarray:
     roots of the eigenvalues of rho (sy x sy) rho* (sy x sy), are the
     singular values of the symmetric T x T matrix ``vᵀ (sy x sy) v``
     over ``|v|^2`` (Wootters, PRL 80, 2245, 1998), so no 4x4 matrix is
-    formed.  A one-column block, a pure state, takes the closed form
-    ``2 |v1 v2 - v0 v3| / |v|^2``.  A wider block whose rows 0 and 3
-    (uu, dd) are exactly zero, an X state, takes ``2 |sum_c v1c conj(v2c)|
-    / |v|^2``.  Only the remaining blocks, picked block by block, go
-    through one batched SVD, so a block gets the same value alone as in
-    any stack.  A zero block gives 0.
+    formed.  An X state, a block whose rows 0 and 3 (uu, dd) are exactly
+    zero, takes ``2 |sum_c v1c conj(v2c)| / |v|^2`` at any tag count, so
+    a zero tag column changes no bit.  Only the other blocks, picked
+    block by block, go through one batched SVD, so a block gets the same
+    value alone as in any stack.  A zero block gives 0.
     """
     v = np.asarray(v)
-    if v.shape[-1] == 1:
-        # 2 (v1 v2 - v0 v3) is vᵀ (sy x sy) v: a product state gives exactly 0
-        c = 2.0 * np.abs(v[..., 1, 0] * v[..., 2, 0] - v[..., 0, 0] * v[..., 3, 0])
-    else:
-        # an X state, no uu or dd row: C = 2 |rho_ud,du| (Yu and Eberly, 2007)
-        c = 2.0 * np.abs((v[..., 1, :] * v[..., 2, :].conj()).sum(axis=-1))
-        rest = v[..., 0, :].any(axis=-1) | v[..., 3, :].any(axis=-1)
-        if rest.any():
-            w = v[rest]
-            # vᵀ (sy x sy) v is a + aᵀ, a[b, c] = v1b v2c - v0b v3c
-            a = w[:, 1, :, None] * w[:, 2, None, :] - w[:, 0, :, None] * w[:, 3, None, :]
-            lams = np.linalg.svd(a + a.swapaxes(-1, -2), compute_uv=False)
-            c = np.array(c)
-            c[rest] = np.maximum(lams[..., 0] - lams[..., 1:].sum(axis=-1), 0.0)
+    # an X state, no uu or dd row: C = 2 |rho_ud,du| (Yu and Eberly, 2007)
+    c = 2.0 * np.abs((v[..., 1, :] * v[..., 2, :].conj()).sum(axis=-1))
+    rest = v[..., 0, :].any(axis=-1) | v[..., 3, :].any(axis=-1)
+    if rest.any():
+        w = v[rest]
+        # vᵀ (sy x sy) v is a + aᵀ, a[b, c] = v1b v2c - v0b v3c
+        a = w[:, 1, :, None] * w[:, 2, None, :] - w[:, 0, :, None] * w[:, 3, None, :]
+        lams = np.linalg.svd(a + a.swapaxes(-1, -2), compute_uv=False)
+        c = np.array(c)
+        c[rest] = np.maximum(lams[..., 0] - lams[..., 1:].sum(axis=-1), 0.0)
     return c / _norms_sq(v)
 
 
@@ -250,16 +238,12 @@ def chsh_values(v: np.ndarray) -> np.ndarray:
     return (np.conj(v) * (CHSH_OPERATOR @ v)).real.sum(axis=(-2, -1)) / _norms_sq(v)
 
 
-def _checked_magnitude(mag: float) -> float:
-    """``mag``, the magnitude of a tag overlap, unless it is NaN, inf or beyond 1."""
-    if not mag <= 1.0 + 1e-12:
-        raise ValueError(f"|overlap| = {mag} exceeds 1")
-    return mag
-
-
 def distinguishability(overlap: complex) -> float:
-    """Best success probability for telling the two internal tags apart."""
-    mag = min(_checked_magnitude(abs(overlap)), 1.0)
+    """Best success probability for telling the two internal tags apart, ``1 - |overlap|^2``."""
+    mag = abs(overlap)
+    if not mag <= 1.0 + 1e-12:  # NaN and inf fail too
+        raise ValueError(f"|overlap| = {mag} exceeds 1")
+    mag = min(mag, 1.0)
     # mag * mag is the correctly rounded square; mag ** 2 goes through libm pow
     return 1.0 - mag * mag
 
@@ -284,26 +268,20 @@ def gaussian_overlap(velocity: float, delay: float, width: float) -> float:
 
 def tagged_opposite_spin_input(statistics: Statistics, overlap: complex) -> FockState:
     """|up> on A with tag 0, |down> on B in a tag state of given overlap with it."""
-    mag = _checked_magnitude(abs(overlap))
-    residual = math.sqrt(max(0.0, 1.0 - mag * mag))
+    residual = math.sqrt(distinguishability(overlap))
     parallel = make_product_state(statistics, [Mode("A", Spin.UP, 0), Mode("B", Spin.DOWN, 0)])
     orthogonal = make_product_state(statistics, [Mode("A", Spin.UP, 0), Mode("B", Spin.DOWN, 1)])
     return complex(overlap) * parallel + residual * orthogonal
 
 
-def bell_labels(v: np.ndarray) -> np.ndarray:
-    """Name of the Bell state each 4xT amplitude block of a ``(..., 4, T)`` stack holds, or ``""``.
+def bell_index(v: np.ndarray) -> np.ndarray:
+    """Bell state of each 4xT amplitude block of a ``(..., 4, T)`` stack: 0 none, 1 psi+, 2 psi-.
 
     A block's fidelity with a pure state psi is ``sum_c |<psi|v[:, c]>|^2 / |v|^2``,
     which is ``<psi| v v† / tr |psi>``, so a tag-mixed block is labelled as its spin
-    matrix would be.  It is ``"psi_plus"`` (tested first) or ``"psi_minus"`` when
-    that fidelity exceeds ``1 - BELL_TOL``.  A ``(..., 4, 4)`` matrix reads as T = 4.
+    matrix would be.  It is 1 for psi+ (tested first) or 2 for psi- when that
+    fidelity exceeds ``1 - BELL_TOL``.  A ``(..., 4, 4)`` matrix reads as T = 4.
     """
-    return _BELL_NAMES[_bell_index(v)]
-
-
-def _bell_index(v: np.ndarray) -> np.ndarray:
-    """Each block's index in ``_BELL_NAMES``: 0 for no Bell state, 1 for psi+, 2 for psi-."""
     v = np.asarray(v)
     # (..., T, 2) overlaps in one product, summed over the tag columns
     overlaps = (np.abs(v.swapaxes(-1, -2) @ _BELL_BRAS) ** 2).sum(axis=-2)

@@ -197,6 +197,12 @@ class TestOrderedSum:
         terms = {(Mode(p, UP),): 1e-8 for p in "BCDEF"}
         assert FockState(Statistics.BOSON, {(A_UP,): 1.0, **terms}).norm() == 1.0
 
+    def test_norm_squares_by_multiplication(self):
+        # a ** 2 goes through libm pow, which misses a * a by an ulp for this a
+        a, b = 0.923854799557242, 0.8965671649840485
+        state = FockState(Statistics.BOSON, {(A_UP, B_DOWN): a, (Mode("A", DOWN), Mode("B", UP)): b})
+        assert state.norm() == math.sqrt(a * a + b * b)
+
 
 class TestStateBasics:
     def test_vacuum(self):

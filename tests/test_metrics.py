@@ -23,7 +23,7 @@ from twinbeam.metrics import (
     PSI_MINUS,
     PSI_PLUS,
     TwoQubitDM,
-    bell_labels,
+    bell_index,
     chsh_values,
     concurrences,
     density_matrices,
@@ -165,11 +165,12 @@ def reference_validate(m):
         raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
 
 
-def reference_bell_label(rho):
-    for name, pure in (("psi_plus", PSI_PLUS), ("psi_minus", PSI_MINUS)):
+def reference_bell_index(rho):
+    """1 for psi+ (tested first), 2 for psi-, 0 for neither, from the spin matrix."""
+    for index, pure in ((1, PSI_PLUS), (2, PSI_MINUS)):
         if float(np.real(pure.conj() @ rho @ pure)) > 1.0 - 1e-9:
-            return name
-    return ""
+            return index
+    return 0
 
 
 def random_blocks(seed, n_random, tags):
@@ -276,17 +277,26 @@ class TestBlockFormulas:
         factors = [up, down, (up + down) / math.sqrt(2.0), (up - 2.0 * down) / math.sqrt(5.0)]
         products = np.array([np.kron(a, b) for a in factors for b in factors])[..., None]
         assert concurrences(products).tolist() == [0.0] * len(products)
-        # a second, empty tag column takes the singular values of vᵀ (sy x sy) v instead
+        # the same with a second, empty tag column: the non-X products take the SVD either way
         tagged = np.concatenate([products, np.zeros_like(products)], axis=-1)
         assert concurrences(tagged).tolist() == [0.0] * len(products)
 
     @pytest.mark.parametrize("shape", [(4, 2), (3, 4, 1)], ids=["block", "stack"])
     def test_zero_block_gives_zero(self, shape):
-        # no spin matrix: no entanglement, no CHSH value and no Bell label, and no warning
+        # no spin matrix: no entanglement, no CHSH value and no Bell state, and no warning
         zeros, stack = np.zeros(shape), shape[:-2]
         assert np.array_equal(concurrences(zeros), np.zeros(stack))
         assert np.array_equal(chsh_values(zeros), np.zeros(stack))
-        assert np.array_equal(bell_labels(zeros), np.full(stack, "", dtype=object))
+        assert np.array_equal(bell_index(zeros), np.zeros(stack, dtype=int))
+
+    def test_a_zero_tag_column_changes_no_bit(self):
+        # one X-state form for any number of tag columns: a one-column X block and its
+        # copy padded with an empty column get the same concurrence, bit for bit
+        rng = np.random.default_rng(35)
+        blocks = np.zeros((100_000, 4, 1), dtype=complex)
+        blocks[:, 1:3, 0] = rng.normal(size=(100_000, 2)) + 1j * rng.normal(size=(100_000, 2))
+        padded = np.concatenate([blocks, np.zeros_like(blocks)], axis=-1)
+        assert concurrences(blocks).tolist() == concurrences(padded).tolist()
 
     def test_bell_states_are_maximal(self):
         phased = np.array([0, 1, np.exp(0.7j), 0]) / math.sqrt(2.0)
@@ -315,16 +325,16 @@ class TestStackedMetrics:
         n_random=st.integers(0, 12),
         tags=st.integers(1, 3),
     )
-    def test_bell_labels_match_the_spin_matrix_reference(self, seed, n_random, tags):
+    def test_bell_index_matches_the_spin_matrix_reference(self, seed, n_random, tags):
         blocks = random_blocks(seed, n_random, tags)
-        expected = [reference_bell_label(m) for m in density_matrices(blocks)]
-        assert bell_labels(blocks).tolist() == expected
-        assert bell_labels(blocks[None]).tolist() == [expected]
-        assert expected.count("psi_plus") >= 1 and expected.count("psi_minus") >= 1
-        # one unstacked 4xT block gives the same label on its own
-        for block, label in zip(blocks, expected):
-            assert bell_labels(block) == label
-        assert bell_labels(MIXED_BLOCK) == reference_bell_label(np.eye(4) / 4.0) == ""
+        expected = [reference_bell_index(m) for m in density_matrices(blocks)]
+        assert bell_index(blocks).tolist() == expected
+        assert bell_index(blocks[None]).tolist() == [expected]
+        assert expected.count(1) >= 1 and expected.count(2) >= 1
+        # one unstacked 4xT block gives the same index on its own
+        for block, index in zip(blocks, expected):
+            assert bell_index(block) == index
+        assert bell_index(MIXED_BLOCK) == reference_bell_index(np.eye(4) / 4.0) == 0
 
     @pytest.mark.parametrize(
         "bad",
@@ -335,7 +345,7 @@ class TestStackedMetrics:
         ],
         ids=["non-hermitian", "trace-2", "negative-eigenvalue"],
     )
-    def test_stack_error_is_the_first_invalid_matrix_error(self, bad):
+    def test_one_invalid_matrix_raises_its_own_error_in_a_stack(self, bad):
         bad = bad.astype(complex)
         with pytest.raises(ValueError) as single:
             TwoQubitDM(bad)
@@ -349,6 +359,14 @@ class TestStackedMetrics:
         with pytest.raises(ValueError) as stacked:
             validate_dms(stack)
         assert str(stacked.value) == str(single.value)
+
+    def test_each_check_covers_the_whole_stack_before_the_next(self):
+        # matrix 2 fails only the eigenvalue check, the later matrix 5 the Hermitian one
+        stack = random_stack(3, 9, 2)
+        stack[2] = np.diag([0.6, 0.5, 0.1, -0.2])
+        stack[5] = np.diag([0.4, 0.3, 0.2, 0.1]) + np.diag([1e-6, 0.0, 0.0], k=1)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            validate_dms(stack)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="4x4"):
@@ -570,6 +588,17 @@ class TestDualRelabel:
             dual_relabel(state, "C", "D")
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    @pytest.mark.parametrize("overlap", [1.0, 0.0], ids=["untagged", "tagged"])
+    def test_is_the_spin_block_with_row_2_times_the_exchange_sign(self, statistics, overlap):
+        # a coincidence holds |up down> and |down up>; the latter lists the down particle first
+        state = coincidence_state(statistics, overlap)
+        eta = -1.0 if statistics is Statistics.FERMION else 1.0
+        spin = reduce_to_spin_dm(state, "C", "D")
+        assert spin[1].any() and spin[2].any() and not (spin[0].any() or spin[3].any())
+        expected = np.array([1.0, 1.0, eta, 1.0])[:, None] * spin
+        assert np.array_equal(dual_relabel(state, "C", "D"), expected)
+
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     @pytest.mark.parametrize("overlap_sq", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_agrees_with_spin_picture(self, statistics, overlap_sq):
         state = coincidence_state(statistics, math.sqrt(overlap_sq))
@@ -578,28 +607,28 @@ class TestDualRelabel:
         assert abs(spin - path) < 1e-9
 
 
-class TestBellLabels:
+class TestBellIndex:
     def test_names_the_bell_states(self):
         blocks = np.array([PSI_PLUS, PSI_MINUS])[..., None]
-        assert bell_labels(blocks).tolist() == ["psi_plus", "psi_minus"]
+        assert bell_index(blocks).tolist() == [1, 2]
 
     def test_tag_mixed_bell_state_keeps_its_label(self):
         # psi- times a two-column tag state, unnormalized: its spin matrix is still psi-
-        assert bell_labels(np.outer(PSI_MINUS, [0.6, 0.8j]) * 3.0) == "psi_minus"
+        assert bell_index(np.outer(PSI_MINUS, [0.6, 0.8j]) * 3.0) == 2
 
     def test_rejects_everything_else(self):
-        assert bell_labels(MIXED_BLOCK) == ""
-        assert bell_labels(np.array([0, 1, 0, 0], dtype=complex)[:, None]) == ""
+        assert bell_index(MIXED_BLOCK) == 0
+        assert bell_index(np.array([0, 1, 0, 0], dtype=complex)[:, None]) == 0
 
     def test_zero_block_is_no_bell_state(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert bell_labels(np.zeros((2, 4, 1), dtype=complex)).tolist() == ["", ""]
+            assert bell_index(np.zeros((2, 4, 1), dtype=complex)).tolist() == [0, 0]
 
     def test_reads_a_matrix_as_a_four_column_block(self):
         # as a density matrix, fidelity 1 - 1e-6 with psi+: no label; as a block its
         # spin matrix is rho^2 / tr, of fidelity about 1 - 1e-12: psi+
         p = 1.0 - 1e-6
         rho = p * projector(PSI_PLUS) + (1.0 - p) * projector(PSI_MINUS)
-        assert reference_bell_label(rho) == ""
-        assert bell_labels(rho) == "psi_plus"
+        assert reference_bell_index(rho) == 0
+        assert bell_index(rho) == 1

@@ -454,6 +454,18 @@ class TestConcurrencePath:
         sweep(statistics)
         assert svd_calls == []
 
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    @pytest.mark.parametrize(
+        "run",
+        [scenario_fig1, scenario_fig2, lambda s: scenario_tree(4, s),
+         lambda s: scenario_feedback(7, s), scenario_dual],
+        ids=["fig1", "fig2", "tree", "feedback", "dual"],
+    )
+    def test_the_one_column_blocks_take_no_svd(self, svd_calls, run, statistics):
+        # every one-column block these scenarios build is an X state
+        run(statistics)
+        assert svd_calls == []
+
     def test_only_the_fermion_mixture_takes_an_svd(self, svd_calls):
         # the boson conditional is psi-; the fermion one mixes in |up up> and |down down>
         scenario_mixed_input(Statistics.BOSON)
