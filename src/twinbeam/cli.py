@@ -44,7 +44,9 @@ def _clicks_network(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         try:
             data = json.loads(Path(args.network).read_text())
             return Network.from_dict(data)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError, NetworkError) as exc:
+        # RecursionError: JSON nested too deep for the parser
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError,
+                NetworkError) as exc:
             parser.error(f"cannot load network file {args.network!r}: {exc}")
     if args.depth is not None:
         return build_tree(args.depth)

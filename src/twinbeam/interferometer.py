@@ -60,11 +60,6 @@ MAX_TRIALS = 2 ** 63 - 1
 #: most rounds :func:`feedback_run` takes; it keeps each round's state, about 0.9 KB
 MAX_FEEDBACK_ROUNDS = 10
 
-#: most possible pattern keys per cell for which :func:`_detect_pairs` groups its
-#: cells with one bin per key instead of sorting them; the bins then take no more
-#: memory than a few per-cell arrays, however many detectors the pair reaches
-_DENSE_KEYS_PER_CELL = 4
-
 
 def _check_range(name: str, value: int, low: int, high: int) -> None:
     if not low <= value <= high:
@@ -144,16 +139,21 @@ class Network:
         """Where one particle entering each network input ends up.
 
         The splitters are composed in order into
-        ``{input path: ((terminal path, amplitude), ...)}``.
+        ``{input path: ((terminal path, amplitude), ...)}``; a splitter
+        touches only the images that hold its ports.
         """
         images = {p: {p: 1.0 + 0j} for p in self.inputs}
+        holders = {p: [image] for p, image in images.items()}  # the images that hold each path
         for bs in self.splitters:
+            held = []
             for port, outputs in bs.path_table().items():
-                for image in images.values():
-                    amp = image.pop(port, None)
-                    if amp is not None:
-                        for out, c in outputs:
-                            image[out] = image.get(out, 0j) + amp * c
+                for image in holders.pop(port, ()):
+                    if bs.out1 not in image:
+                        held.append(image)
+                    amp = image.pop(port)
+                    for out, c in outputs:
+                        image[out] = image.get(out, 0j) + amp * c
+            holders[bs.out1] = holders[bs.out2] = held
         return {p: tuple(image.items()) for p, image in images.items()}
 
     def to_dict(self) -> dict:
@@ -328,158 +328,154 @@ class _KeptPatterns(NamedTuple):
 def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) -> _KeptPatterns:
     """Kept detector patterns of a two-particle state after ``net``, with their probabilities.
 
-    The patterns of ``detect(run_network(net, state), net.monitored)``,
-    in the same order and named by the monitored paths the pair reaches,
-    computed from pair amplitudes instead of an expanded state; ``twinbeam
-    clicks`` and the branch tables read those names directly.  The state
-    maps onto one (input path x input path) amplitude block ``B`` per pair
-    of internal (spin, tag) labels: a canonical monomial a+_m1 a+_m2 with
-    m1 < m2 and amplitude a puts a/sqrt(2) on (m1, m2) and a/sqrt(2) on
-    (m2, m1), negated there for fermions, and a doubly occupied bosonic
-    mode puts a*sqrt(2) on its diagonal, so the blocks keep the state's
-    norm.  Each block evolves as ``U B U^T`` with ``U`` the network's
-    transfer matrix: every nonzero ``B[p, q]`` adds ``B[p, q] u_p u_q^T``
-    on the terminals that paths ``p`` and ``q`` reach, so at most twice as
-    many (terminal, terminal) cells are built as the :data:`MAX_MONOMIALS`
-    check counts monomials.  A pattern is kept when one of its second-quantized
-    amplitudes exceeds ``PRUNE_THRESHOLD``, the sparse engine's rule, and
-    the kept probabilities are renormalized.  A state of any particle
-    number but two raises ``ValueError``; the input checks and the
-    :data:`MAX_MONOMIALS` refusal are those of :func:`run_network`.
+    The patterns of ``detect(run_network(net, state), net.monitored)``, in
+    the same order and named by the monitored paths the pair reaches, from
+    one matrix ``M = U B U^T`` of first-quantized amplitudes per pair of
+    internal (spin, tag) labels (:func:`_pair_windows`) instead of an
+    expanded state.  A coincidence ``lo < hi`` adds ``|M[lo, hi]|^2`` and
+    ``|M[hi, lo]|^2``; a single, or no detector, the diagonal and the cells
+    with a particle on an unmonitored terminal: label pair by label pair,
+    each one's cells in row-major order, as a cell-by-cell sum adds them.
+    A pattern is kept when one of its second-quantized amplitudes exceeds
+    ``PRUNE_THRESHOLD``, the sparse engine's rule, and the kept
+    probabilities are renormalized.  Any particle number but two raises
+    ``ValueError``; the checks are those of :func:`run_network`, and
+    matrices of more than twice :data:`MAX_MONOMIALS` cells in all raise
+    :class:`NetworkError` before any is built.
 
-    With ``coincidences`` it also returns, for any
-    two-particle state, the normalized 4xT spin-tag block ``blocks[k]``
-    of the ``k``-th coincidence, the paths of ``codes[first + k]``.  A block's
-    entry ``v[2 s1 + s2, c]`` is ``sqrt(2) psi`` of the cell with spin
-    and tag (s1, t1) on the lower path and (s2, t2) on the upper one, up
-    to normalization, ``c`` being the column of (t1, t2); column 0 is
-    the untagged pair (0, 0).  These are the amplitudes that
-    :func:`twinbeam.metrics.reduce_to_spin_dm` reads off a detected
-    branch.
+    With ``coincidences`` it also returns the normalized 4xT spin-tag block
+    ``blocks[k]`` of the ``k``-th coincidence, the paths of ``codes[first + k]``:
+    ``v[2 s1 + s2, c]`` is ``sqrt(2) psi`` of the cell with spin and tag
+    (s1, t1) on the lower path and (s2, t2) on the upper one, up to
+    normalization, ``c`` the column of (t1, t2), 0 for (0, 0): what
+    :func:`twinbeam.metrics.reduce_to_spin_dm` reads off a detected branch.
     """
     if state.particle_numbers() != {2}:
         raise ValueError("the pair engine requires a two-particle input")
     table = _checked_path_map(net, state)
     occupied = state.paths()
-    # monitored terminals come first, sorted, so the pattern keys below
-    # sort in _pattern_sort_key's order: none, single detectors, then pairs
+    # monitored terminals first, sorted, so that patterns come in _pattern_sort_key's order
     reached = dict.fromkeys(t for p in net.inputs if p in occupied for t, _ in table[p])
     watched = set(net.monitored)
     monitored = sorted(watched.intersection(reached))
     terminals = monitored + [t for t in reached if t not in watched]
-    label_pairs, label, i, j, psi = _pair_cells(state, table, terminals)
-    # second-quantized amplitude: sqrt(2) psi for two distinct modes,
-    # psi / sqrt(2) for both particles in one (path, spin, tag) mode
-    amp = np.abs(psi) * math.sqrt(2.0)
-    amp[(i == j) & (label % 2 == 1)] /= 2.0
-    fires = amp > PRUNE_THRESHOLD  # false for a cell the sparse engine prunes
-    # per-cell arrays go as soon as they are used: more live arrays raise
-    # the peak RSS of clicks
-    del amp
-    n = len(monitored)
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    # 0: no detector fired; 1 + m: detector m alone; 1 + n + lo * n + hi: lo and hi
-    # (terminals from n on are unmonitored); lo * n is 64-bit, n * n may not fit 32
-    key = np.where(
-        hi < n,
-        np.where(lo == hi, hi + 1, 1 + n + lo * np.int64(n) + hi),
-        np.where(lo < n, lo + 1, 0),
-    )
-    del lo, hi
-    if 1 + n + n * n <= _DENSE_KEYS_PER_CELL * key.size:
-        # one bin per possible key; bincount sums each bin in cell order
-        keys, group = None, key
-    else:
-        keys, group = np.unique(key, return_inverse=True)
-    probs = np.bincount(group, weights=psi.real ** 2 + psi.imag ** 2)
-    kept = np.flatnonzero(np.bincount(group[fires], minlength=probs.size))
-    keys = kept if keys is None else keys[kept]
+    label_pairs, windows, ordered = _pair_windows(state, table, terminals)
+    area = sum(rows.size * cols.size for rows, cols, _ in windows)
+    if area > 2 * MAX_MONOMIALS:
+        raise NetworkError(f"pair amplitudes would fill {area} cells, over {2 * MAX_MONOMIALS}")
+    n, root2 = len(monitored), math.sqrt(2.0)
+    lo, hi = _pair_space(windows, n)
+    # 0: no detector fired; 1 + m: detector m alone; 1 + n + k: coincidence k
+    probs, fires = np.zeros(1 + n + lo.size), np.zeros(1 + n + lo.size, dtype=bool)
+    pair, pair_fires = probs[1 + n:], fires[1 + n:]
+    upper = []
+    for (first_label, second_label), (rows, cols, entries) in zip(label_pairs, windows):
+        stride = cols.size + 1
+        # each terminal's row and column; the zero last ones where the label pair has none
+        at_row, at_col = np.full(len(terminals), rows.size), np.full(len(terminals), cols.size)
+        at_row[rows], at_col[cols] = np.arange(rows.size), np.arange(cols.size)
+        m = np.zeros((rows.size + 1) * stride, dtype=complex)
+        if ordered:  # the else branch's bits, in about 2/3 of its time
+            (((_, u), (_, v), b),) = entries
+            np.multiply.outer(b * u, v, out=m.reshape(-1, stride)[:-1, :-1])
+        else:
+            # np.add.reduceat adds a cell's first entry to the pairwise sum of the rest,
+            # as the cell-by-cell reference does; one by one, the last bit would differ
+            cell = np.concatenate([(at_row[p][:, None] * stride + at_col[q]).ravel()
+                                   for (p, _), (q, _), _ in entries])
+            value = np.concatenate([np.multiply.outer(b * u, v).ravel()
+                                    for (_, u), (_, v), b in entries])
+            order = np.argsort(cell, kind="stable")
+            cell, value = cell[order], value[order]
+            start = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+            m[cell[start]] = np.add.reduceat(value, start)
+        row_lo, row_hi = at_row[lo], at_row[hi]
+        x, y = m[row_lo * stride + at_col[hi]], m[row_hi * stride + at_col[lo]]
+        wx, wy = x.real ** 2 + x.imag ** 2, y.real ** 2 + y.imag ** 2
+        # the two cells in row-major order: from the second label pair on, it shows
+        swap = row_hi < row_lo
+        pair += np.where(swap, wy, wx)
+        pair += np.where(swap, wx, wy)
+        # second-quantized amplitude: sqrt(2) psi for two distinct modes
+        pair_fires |= np.maximum(np.abs(x), np.abs(y)) * root2 > PRUNE_THRESHOLD
+        upper.append(x if coincidences else None)
+        # the other cells, in row-major order: the diagonal and those with a particle
+        # on an unmonitored terminal, each firing its monitored terminal or none
+        watched_rows = np.flatnonzero(rows < n)
+        own = at_col[rows[watched_rows]]
+        cells = np.sort(np.concatenate((
+            (np.flatnonzero(rows >= n)[:, None] * stride + np.arange(cols.size)).ravel(),
+            (watched_rows[:, None] * stride + np.flatnonzero(cols >= n)).ravel(),
+            (watched_rows * stride + own)[own < cols.size])))
+        r, c, v = rows[cells // stride], cols[cells % stride], m[cells]
+        pattern = np.minimum(r, c) + 1
+        pattern[pattern > n] = 0
+        np.add.at(probs, pattern, v.real ** 2 + v.imag ** 2)
+        amp = np.abs(v) * root2
+        # psi / sqrt(2) for both particles in one (path, spin, tag) mode
+        amp[(r == c) & (first_label == second_label)] /= 2.0
+        fires[pattern[amp > PRUNE_THRESHOLD]] = True
+        del m, row_lo, row_hi, wx, wy, swap
+    kept = np.flatnonzero(fires)
     probabilities = probs[kept] / probs[kept].sum()
-    empty, first = np.searchsorted(keys, [1, n + 1]).tolist()
+    empty, first = np.searchsorted(kept, [1, n + 1]).tolist()
+    codes = np.full((kept.size, 2), -1)
+    codes[:first, 0] = np.where(kept[:first], kept[:first] - 1, n)
+    kept = kept[first:] - 1 - n
+    codes[first:, 0], codes[first:, 1] = lo[kept], hi[kept]
     blocks = None
     if coincidences:
         columns = {(0, 0): 0}
-        # (spin row, tag column) of each label pair
-        places = np.array([
-            (2 * s1 + s2, columns.setdefault((t1, t2), len(columns)))
-            for (s1, t1), (s2, t2) in label_pairs
-        ])
-        blocks = np.zeros((len(keys) - first, 4, len(columns)), dtype=complex)
-        # each coincidence cell that the sparse engine keeps, once: with the
-        # smaller path first, the mirrored cell holding the same amplitude up to
-        # sign; a firing cell's pattern is always kept
-        at = np.flatnonzero((i < j) & (j < n) & fires)
-        block = np.searchsorted(keys[first:], key[at])
-        row, col = places[label[at] // 2].T
-        blocks[block, row, col] = psi[at]
+        places = [(2 * s1 + s2, columns.setdefault((t1, t2), len(columns)))  # (spin row, tag column)
+                  for (s1, t1), (s2, t2) in label_pairs]
+        blocks = np.zeros((kept.size, 4, len(columns)), dtype=complex)
+        for (row, col), x in zip(places, upper):
+            # the cell with the smaller path first, 0 where the sparse engine prunes it
+            x = x[kept]
+            blocks[:, row, col] = np.where(np.abs(x) * root2 > PRUNE_THRESHOLD, x, 0)
         blocks /= np.linalg.norm(blocks, axis=(1, 2))[:, None, None]
-        del at, block, row, col
-    del label, i, j, psi, fires, key, group
-    codes = np.full((len(keys), 2), -1)
-    codes[:empty, 0] = n
-    codes[empty:first, 0] = keys[empty:first] - 1
-    codes[first:, 0], codes[first:, 1] = np.divmod(keys[first:] - 1 - n, n)
     return _KeptPatterns(monitored, codes, empty, first, probabilities, blocks)
 
 
-def _pair_cells(state: FockState, table: PathTable, terminals: Sequence[str]) -> tuple:
-    """Nonzero pair amplitudes of a two-particle state after the path map.
+def _pair_windows(state: FockState, table: PathTable, terminals: Sequence[str]) -> tuple:
+    """The internal label pairs of a two-particle state, a window of each, and whether every
+    label pair has one entry; a window is then in image order, else in terminal order.
 
-    Returns ``(label_pairs, label, i, j, psi)``: the internal label
-    pairs, and flat arrays with one entry per label pair and (terminal,
-    terminal) position ``(terminals[i], terminals[j])``, holding the
-    first-quantized amplitude ``psi``; ``label``, ``i`` and ``j`` are
-    32-bit.  ``label // 2`` indexes ``label_pairs``, and ``label`` is odd
-    when both particles carry the same internal label.  Each input entry, in :func:`_detect_pairs`'
-    convention, spreads over the outer product of its two paths' images.
+    A canonical monomial a+_m1 a+_m2 (m1 < m2) of amplitude a enters a/sqrt(2)
+    on (m1, m2) and, negated for fermions, on (m2, m1); a doubly occupied
+    bosonic mode enters a*sqrt(2).  Window ``(rows, cols, entries)`` holds
+    the indices into ``terminals`` that the label pair's particles reach,
+    and per entry ``b`` on ``(p, q)`` the images of ``p`` and ``q`` and ``b``.
     """
     sign = -1.0 if state.statistics is Statistics.FERMION else 1.0
-    blocks: dict[tuple, complex] = {}
-    labels: dict[tuple, int] = {}
-
-    def add(m1: Mode, m2: Mode, value: complex) -> None:
-        pair = ((m1.spin, m1.tag), (m2.spin, m2.tag))
-        # odd index: both particles carry the same internal label
-        labels.setdefault(pair, 2 * len(labels) + (pair[0] == pair[1]))
-        key = (labels[pair], m1.path, m2.path)
-        blocks[key] = blocks.get(key, 0j) + value
-
+    groups: dict[tuple, dict] = {}
     for (m1, m2), a in state.terms.items():
-        if m1 == m2:
-            add(m1, m2, a * math.sqrt(2.0))
-        else:
-            add(m1, m2, a / math.sqrt(2.0))
-            add(m2, m1, sign * a / math.sqrt(2.0))
+        halves = ((m1, m2, a / math.sqrt(2.0)), (m2, m1, sign * a / math.sqrt(2.0)))
+        for x, y, value in ((m1, m2, a * math.sqrt(2.0)),) if m1 == m2 else halves:
+            group = groups.setdefault(((x.spin, x.tag), (y.spin, y.tag)), {})
+            group[x.path, y.path] = group.get((x.path, y.path), 0j) + value
+    index = {t: k for k, t in enumerate(terminals)}
+    images = {p: (np.array([index[t] for t, _ in table[p]]), np.array([c for _, c in table[p]]))
+              for p in state.paths()}
+    ordered = all(len(group) == 1 for group in groups.values())
+    windows = []
+    for group in groups.values():
+        entries = [(images[p], images[q], b) for (p, q), b in group.items()]
+        sides = [np.concatenate([entry[k][0] for entry in entries]) for k in (0, 1)]
+        windows.append((*(sides if ordered else map(np.unique, sides)), entries))
+    return list(groups), windows, ordered
 
-    size = len(terminals)
-    row = {t: k for k, t in enumerate(terminals)}
-    images = {
-        p: (
-            np.array([row[t] for t, _ in table[p]], dtype=np.int32),
-            np.array([c for _, c in table[p]]),
-        )
-        for p in state.paths()
-    }
-    parts = []
-    for (k, p, q), b in blocks.items():
-        (rows, u), (cols, v) = images[p], images[q]
-        parts.append((
-            np.full(rows.size * cols.size, k, dtype=np.int32),
-            np.repeat(rows, cols.size),
-            np.tile(cols, rows.size),
-            ((b * u)[:, None] * v).ravel(),
-        ))
-    label, i, j, psi = (np.concatenate(x) for x in zip(*parts))
-    del parts
-    if len(blocks) > len(labels):
-        # a label pair with several entries: one coherent sum per (label pair, cell)
-        cell = i * np.int64(size) + j
-        order = np.lexsort((cell, label))
-        cell, psi = cell[order], psi[order]
-        first = np.flatnonzero(np.r_[True, (np.diff(label[order]) != 0) | (np.diff(cell) != 0)])
-        keep = order[first]
-        label, i, j, psi = label[keep], i[keep], j[keep], np.add.reduceat(psi, first)
-    return list(labels), label, i, j, psi
+
+def _pair_space(windows: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each coincidence ``(lo, hi)`` in a window, in ``np.triu`` order: the cells ``x < y`` of each
+    distinct window's sorted sides (the swapped label pair's gives ``y < x``), one stable sort."""
+    sides = {}
+    for rows, cols, _ in windows:
+        x, y = np.sort(rows[rows < n]), np.sort(cols[cols < n])
+        sides[x.tobytes(), y.tobytes()] = x, y
+    keys = np.sort(np.concatenate([x[i] * n + y[j] for x, y in sides.values()
+                                   for i, j in [np.nonzero(x[:, None] < y)]]), kind="stable")
+    return np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
 
 
 def build_tree(depth: int) -> Network:

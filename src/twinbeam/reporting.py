@@ -349,8 +349,10 @@ class ScenarioReport:
                 pieces.append((np.array(["  " + t.ljust(width) for t in texts], dtype=object),
                                codes))
             else:
-                pad = np.array([" " * n for n in range(width + 1)], dtype=object)
-                pieces += ["  ", *parts, (pad, width - length)]
+                # each padding that a row needs, once: memory in the widths that occur
+                gaps, gap = np.unique(width - length, return_inverse=True)
+                pad = np.array([" " * n for n in gaps.tolist()], dtype=object)
+                pieces += ["  ", *parts, (pad, gap)]
         lines.append("  " + "  ".join(header))
         # the empty last line ends the head with a newline; every row ends with its own
         lines.append("")

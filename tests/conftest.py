@@ -4,15 +4,19 @@ and the 4x4 references that the block metrics are held to."""
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
-from twinbeam.fock import FockState, Mode, Spin, Statistics
+from twinbeam.fock import PRUNE_THRESHOLD, FockState, Mode, Spin, Statistics
 from twinbeam.interferometer import (
     BeamSplitter,
     Network,
+    PathTable,
+    _checked_path_map,
     _detect_pairs,
-    _pair_cells,
+    _KeptPatterns,
+    build_tree,
     detect,
     run_network,
 )
@@ -107,14 +111,148 @@ def fock_cells(state: FockState) -> dict[tuple, complex]:
     return cells
 
 
+def reference_pair_cells(state: FockState, table: PathTable, terminals) -> tuple:
+    """Nonzero pair amplitudes of a two-particle state after the path map, cell by cell.
+
+    The test-side reference of the pair engine's matrices, which
+    :func:`reference_detect_pairs` groups and :func:`pair_engine_cells`
+    reads.  Returns
+    ``(label_pairs, label, i, j, psi)``: the internal label pairs, and flat
+    arrays with one entry per label pair and (terminal, terminal) position
+    ``(terminals[i], terminals[j])``, holding the first-quantized amplitude
+    ``psi``.  ``label // 2`` indexes ``label_pairs``, and ``label`` is odd
+    when both particles carry the same internal label.  Each input entry
+    spreads over the outer product of its two paths' images, row by row in
+    image order; when a label pair has several entries, every label pair's
+    cells are sorted into terminal order and each cell's values summed by
+    ``np.add.reduceat`` in entry order.
+    """
+    sign = -1.0 if state.statistics is Statistics.FERMION else 1.0
+    blocks: dict[tuple, complex] = {}
+    labels: dict[tuple, int] = {}
+
+    def add(m1: Mode, m2: Mode, value: complex) -> None:
+        pair = ((m1.spin, m1.tag), (m2.spin, m2.tag))
+        labels.setdefault(pair, 2 * len(labels) + (pair[0] == pair[1]))
+        key = (labels[pair], m1.path, m2.path)
+        blocks[key] = blocks.get(key, 0j) + value
+
+    for (m1, m2), a in state.terms.items():
+        if m1 == m2:
+            add(m1, m2, a * math.sqrt(2.0))
+        else:
+            add(m1, m2, a / math.sqrt(2.0))
+            add(m2, m1, sign * a / math.sqrt(2.0))
+
+    size = len(terminals)
+    row = {t: k for k, t in enumerate(terminals)}
+    images = {
+        p: (
+            np.array([row[t] for t, _ in table[p]], dtype=np.int32),
+            np.array([c for _, c in table[p]]),
+        )
+        for p in state.paths()
+    }
+    parts = []
+    for (k, p, q), b in blocks.items():
+        (rows, u), (cols, v) = images[p], images[q]
+        parts.append((
+            np.full(rows.size * cols.size, k, dtype=np.int32),
+            np.repeat(rows, cols.size),
+            np.tile(cols, rows.size),
+            ((b * u)[:, None] * v).ravel(),
+        ))
+    label, i, j, psi = (np.concatenate(x) for x in zip(*parts))
+    if len(blocks) > len(labels):
+        cell = i * np.int64(size) + j
+        order = np.lexsort((cell, label))
+        cell, psi = cell[order], psi[order]
+        first = np.flatnonzero(np.r_[True, (np.diff(label[order]) != 0) | (np.diff(cell) != 0)])
+        keep = order[first]
+        label, i, j, psi = label[keep], i[keep], j[keep], np.add.reduceat(psi, first)
+    return list(labels), label, i, j, psi
+
+
+def reference_detect_pairs(net: Network, state: FockState, coincidences: bool = False):
+    """What :func:`_detect_pairs` returns, from :func:`reference_pair_cells` grouped cell by cell.
+
+    Each cell gets the key of the pattern it fires (0: no detector, 1 + m:
+    detector m alone, 1 + n + lo * n + hi: a coincidence) and one
+    ``np.bincount`` per key adds the cells' squared amplitudes in flat cell
+    order: the order of addition the pair engine keeps, bit for bit.
+    """
+    table = _checked_path_map(net, state)
+    # the monitored terminals the pair reaches, sorted, then the unmonitored ones
+    # in the order of the inputs' images
+    occupied = state.paths()
+    reached = dict.fromkeys(t for p in net.inputs if p in occupied for t, _ in table[p])
+    monitored = sorted(set(net.monitored).intersection(reached))
+    terminals = monitored + [t for t in reached if t not in net.monitored]
+    label_pairs, label, i, j, psi = reference_pair_cells(state, table, terminals)
+    amp = np.abs(psi) * math.sqrt(2.0)
+    amp[(i == j) & (label % 2 == 1)] /= 2.0
+    fires = amp > PRUNE_THRESHOLD
+    n = len(monitored)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    key = np.where(
+        hi < n,
+        np.where(lo == hi, hi + 1, 1 + n + lo * np.int64(n) + hi),
+        np.where(lo < n, lo + 1, 0),
+    )
+    probs = np.bincount(key, weights=psi.real ** 2 + psi.imag ** 2)
+    keys = np.flatnonzero(np.bincount(key[fires], minlength=probs.size))
+    probabilities = probs[keys] / probs[keys].sum()
+    empty, first = np.searchsorted(keys, [1, n + 1]).tolist()
+    blocks = None
+    if coincidences:
+        columns = {(0, 0): 0}
+        places = np.array([
+            (2 * s1 + s2, columns.setdefault((t1, t2), len(columns)))
+            for (s1, t1), (s2, t2) in label_pairs
+        ])
+        blocks = np.zeros((len(keys) - first, 4, len(columns)), dtype=complex)
+        at = np.flatnonzero((i < j) & (j < n) & fires)
+        block = np.searchsorted(keys[first:], key[at])
+        row, col = places[label[at] // 2].T
+        blocks[block, row, col] = psi[at]
+        blocks /= np.linalg.norm(blocks, axis=(1, 2))[:, None, None]
+    codes = np.full((len(keys), 2), -1)
+    codes[:empty, 0] = n
+    codes[empty:first, 0] = keys[empty:first] - 1
+    codes[first:, 0], codes[first:, 1] = np.divmod(keys[first:] - 1 - n, n)
+    return _KeptPatterns(monitored, codes, empty, first, probabilities, blocks)
+
+
+def engine_mismatch(net: Network, state: FockState) -> str | None:
+    """Where :func:`_detect_pairs` differs from :func:`reference_detect_pairs`, bit for bit.
+
+    Names, codes, ``empty``, ``first``, probabilities as ``uint64`` views
+    and coincidence blocks (signed zeros told apart); ``None`` when all agree.
+    """
+    new = _detect_pairs(net, state, coincidences=True)
+    old = reference_detect_pairs(net, state, coincidences=True)
+    for field in ("names", "empty", "first"):
+        if getattr(new, field) != getattr(old, field):
+            return field
+    if not np.array_equal(new.codes, old.codes):
+        return "codes"
+    if not np.array_equal(new.probabilities.view(np.uint64), old.probabilities.view(np.uint64)):
+        return "probabilities"
+    if new.blocks.shape != old.blocks.shape or not np.array_equal(
+        new.blocks.view(np.uint64), old.blocks.view(np.uint64)
+    ):
+        return "blocks"
+    return None
+
+
 def pair_engine_cells(net: Network, state: FockState) -> dict[str, dict[tuple, complex]]:
-    """The pair engine's amplitudes after ``net``, keyed as :func:`fock_cells` keys them.
+    """The reference pair amplitudes after ``net``, keyed as :func:`fock_cells` keys them.
 
     Grouped by the label of the pattern each cell fires; not normalized.
     """
     table = net.path_map()
     terminals = sorted({t for p in state.paths() for t, _ in table[p]})
-    label_pairs, label, i, j, psi = _pair_cells(state, table, terminals)
+    label_pairs, label, i, j, psi = reference_pair_cells(state, table, terminals)
     groups: dict[str, dict[tuple, complex]] = {}
     for k, a, b, value in zip(label.tolist(), i.tolist(), j.tolist(), psi.tolist()):
         x, y = terminals[a], terminals[b]
@@ -246,3 +384,21 @@ def one_sided_tree(depth: int) -> Network:
             splitters.append(BeamSplitter(parent, parent + "~", parent + "0", parent + "1"))
     leaves = tuple(format(i, f"0{depth}b") for i in range(2 ** depth))
     return Network(tuple(splitters), ("A", "B"), leaves + ("B",))
+
+
+def shuffled_tree(depth: int, seed: int) -> dict:
+    """Depth-``depth`` tree as a network dict, its paths renamed to shuffled numbers.
+
+    The benchmark's recipe for its clicks network, with decimal names:
+    string order ("10" before "9") differs from both numeric and tree order.
+    """
+    data = build_tree(depth).to_dict()
+    names = sorted({p for quad in data["splitters"] for p in quad})
+    numbers = [str(k) for k in range(len(names))]
+    random.Random(seed).shuffle(numbers)
+    rename = dict(zip(names, numbers))
+    return {
+        "splitters": [[rename[p] for p in quad] for quad in data["splitters"]],
+        "inputs": [rename[p] for p in data["inputs"]],
+        "monitored": [rename[p] for p in data["monitored"]],
+    }

@@ -7,11 +7,11 @@ import io
 import json
 import operator
 import os
-import random
 import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    BOTH_STATISTICS, cells, one_sided_tree, pattern_label, random_network, table_rows,
+    BOTH_STATISTICS, cells, one_sided_tree, pattern_label, random_network, shuffled_tree,
+    table_rows,
 )
 from twinbeam import cli, interferometer, scenarios
 from twinbeam.errors import OccupancyError, TwinbeamError
@@ -670,6 +671,37 @@ class TestClicks:
         assert excinfo.value.code == 2
         assert "cannot load network file" in capsys.readouterr().err
 
+    def test_deeply_nested_network_file_is_usage_error(self, capsys, tmp_path):
+        # nested deeper than the JSON parser recurses
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["clicks", "--network", str(path)])
+        assert excinfo.value.code == 2
+        assert "cannot load network file" in capsys.readouterr().err
+
+    def test_table_of_long_path_names_pads_in_linear_memory(self, capsys, tmp_path):
+        # two 10,000-character detectors: a padding text for every width up to the
+        # 20,001-character pattern column took 200 MB
+        x, y = "x" * 10_000, "y" * 10_000
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({
+            "splitters": [["A", "B", x, y]], "inputs": ["A", "B"], "monitored": [x, y],
+        }))
+        argv = ["clicks", "--network", str(path), "--statistics", "boson", "--format", "table"]
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 8 * 2 ** 20
+        rows = out.splitlines()[-3:]
+        assert [row.split()[0] for row in rows] == [x, y, f"{x}+{y}"]
+        # the count column starts one gap after the widest pattern in every row
+        assert all(row[2 + 20_001:2 + 20_003] == "  " and row[2 + 20_003] != " " for row in rows)
+
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS, ids=lambda s: s.value)
     @pytest.mark.parametrize("source,net", CLICKS_NETWORKS, ids=[s for s, _ in CLICKS_NETWORKS])
     def test_exact_columns_match_sparse_engine(self, capsys, source, net, statistics):
@@ -808,24 +840,6 @@ def test_clicks_json_output_is_pinned(capsys):
     assert digests == PINNED_CLICKS_JSON_SHA256
 
 
-def shuffled_tree(depth: int, seed: int) -> dict:
-    """Depth-``depth`` tree as a network dict, its paths renamed to shuffled numbers.
-
-    The benchmark's recipe for its clicks network, with decimal names:
-    string order ("10" before "9") differs from both numeric and tree order.
-    """
-    data = build_tree(depth).to_dict()
-    names = sorted({p for quad in data["splitters"] for p in quad})
-    numbers = [str(k) for k in range(len(names))]
-    random.Random(seed).shuffle(numbers)
-    rename = dict(zip(names, numbers))
-    return {
-        "splitters": [[rename[p] for p in quad] for quad in data["splitters"]],
-        "inputs": [rename[p] for p in data["inputs"]],
-        "monitored": [rename[p] for p in data["monitored"]],
-    }
-
-
 #: SHA-256 of ``twinbeam clicks --network <shuffled_tree(5, 3)> --statistics <s>
 #: --format <f>`` stdout (default trials and seed), recorded before the clicks
 #: report was built from the pair engine's index arrays
@@ -851,6 +865,62 @@ def test_shuffled_tree_clicks_output_is_pinned(capsys, tmp_path):
         assert code == 0
         digests[statistics, fmt] = hashlib.sha256(out.encode()).hexdigest()
     assert digests == PINNED_SHUFFLED_CLICKS_SHA256
+
+
+#: a network that is no tree, every terminal monitored: paths that split meet
+#: again at later splitters, so coincidence cells differ in weight, and the order
+#: in which each label pair's two cells of a coincidence add shows in the counts
+MIXING_NETWORK = {
+    "splitters": [
+        ["B", "A", "w0", "w1"], ["w0", "v2", "w3", "w4"], ["C", "v5", "w6", "w7"],
+        ["w7", "v8", "w9", "w10"], ["w1", "v11", "w12", "w13"], ["w10", "w13", "w14", "w15"],
+        ["w3", "v16", "w17", "w18"], ["w6", "w17", "w19", "w20"], ["w18", "w12", "w21", "w22"],
+        ["w9", "v23", "w24", "w25"],
+    ],
+    "inputs": ["A", "B", "C"],
+    "monitored": ["w14", "w15", "w19", "w20", "w21", "w22", "w24", "w25", "w4"],
+}
+
+#: a network with unmonitored terminals, whose two inputs reach different sets of
+#: terminals: the order in which cells with a particle on an unmonitored terminal
+#: add to a single or to no detector shows in the counts
+UNMONITORED_NETWORK = {
+    "splitters": [
+        ["C", "B", "w0", "w1"], ["A", "w1", "w2", "w3"], ["w2", "w0", "w4", "w5"],
+        ["w3", "v6", "w7", "w8"], ["w5", "v9", "w10", "w11"], ["w4", "v12", "w13", "w14"],
+        ["w10", "v15", "w16", "w17"], ["w14", "w17", "w18", "w19"],
+    ],
+    "inputs": ["A", "B", "C"],
+    "monitored": ["w13", "w16", "w18", "w19", "w8"],
+}
+
+#: SHA-256 of ``twinbeam clicks --network <network> --statistics <s> --format json``
+#: stdout (default trials and seed), recorded before the pair engine summed one
+#: matrix per label pair instead of one flat array of cells; the counts move with
+#: the last bit of a probability
+PINNED_NETWORK_CLICKS_SHA256 = {
+    ("mixing", "boson"):
+        "c36794b2b71d6e732041fb40c2ac49763761211c7793239c615a16f3990b8d4f",
+    ("mixing", "fermion"):
+        "19e44a05bb97359fbd32a1fc76035e646468d5538fe634f62d06ea23fbdcd5e8",
+    ("unmonitored", "boson"):
+        "278d45dab900499362f170796dd124956a659d56d8c5a2ac0ba0747ab7fbcc77",
+    ("unmonitored", "fermion"):
+        "6af8642ff1a576e941d8244c398cbd0fb08e4fe1fd417b3e827c6aa189899bb9",
+}
+
+
+def test_network_clicks_output_is_pinned(capsys, tmp_path):
+    networks = {"mixing": MIXING_NETWORK, "unmonitored": UNMONITORED_NETWORK}
+    digests = {}
+    for name, statistics in PINNED_NETWORK_CLICKS_SHA256:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(networks[name]))
+        argv = ["clicks", "--network", str(path), "--statistics", statistics, "--format", "json"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        digests[name, statistics] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == PINNED_NETWORK_CLICKS_SHA256
 
 
 #: SHA-256 of ``twinbeam <command> --statistics <s> --format <f>`` stdout for

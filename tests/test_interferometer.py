@@ -4,8 +4,8 @@ import functools
 import math
 import operator
 import re
+import sys
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from conftest import (
     branch_probabilities,
     cells,
     engine_differences,
+    engine_mismatch,
     fidelity,
     kept_labels,
     kept_paths,
@@ -26,6 +27,7 @@ from conftest import (
     pattern_label,
     random_network,
     random_two_particle_state,
+    shuffled_tree,
     table_rows,
 )
 from twinbeam import interferometer
@@ -395,20 +397,42 @@ class TestDetectPairs:
 
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), statistics=st.sampled_from(BOTH_STATISTICS))
-    def test_dense_and_sorted_grouping_agree(self, seed, statistics):
+    def test_tagged_cases_match_reference(self, seed, statistics):
+        # several entries per label pair, bunched ones, unmonitored terminals
         net, state = random_tagged_case(seed, statistics)
-        kept = []
-        # one bin per possible pattern key, then a sort of the keys that occur
-        for keys_per_cell in (math.inf, 0):
-            with mock.patch.object(interferometer, "_DENSE_KEYS_PER_CELL", keys_per_cell):
-                kept.append(_detect_pairs(net, state, coincidences=True))
-        dense, ordered = kept
-        # names, codes and probabilities, bit for bit
-        assert (dense.names, dense.empty, dense.first) == (ordered.names, ordered.empty, ordered.first)
-        assert np.array_equal(dense.codes, ordered.codes)
-        bits = [k.probabilities.view(np.uint64) for k in kept]
-        assert np.array_equal(*bits)
-        assert np.array_equal(dense.blocks, ordered.blocks)
+        assert engine_mismatch(net, state) is None
+
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    @pytest.mark.parametrize("depth", range(1, 11))
+    def test_trees_match_reference(self, depth, statistics):
+        # plain names, and two shuffles whose image order differs from string order
+        nets = [build_tree(depth), *(Network.from_dict(shuffled_tree(depth, s)) for s in (3, 4))]
+        for net in nets:
+            assert engine_mismatch(net, opposite_spin_input(statistics, net)) is None
+
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    def test_figures_and_one_sided_tree_match_reference(self, statistics):
+        for net in (fig1_network(), fig2_network(), one_sided_tree(10)):
+            assert engine_mismatch(net, opposite_pair(statistics)) is None
+
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    def test_random_networks_match_reference(self, statistics):
+        # 400 networks, every other one with unmonitored terminals, each with the
+        # opposite-spin pair and with a tagged four-term state
+        mismatches = []
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            inputs = ("A", "B", "C")
+            net = random_network(rng, inputs, n_splitters=int(rng.integers(2, 9)))
+            if seed % 2:
+                monitored = [p for p in net.monitored if rng.random() < 0.6] or [net.monitored[-1]]
+                net = Network(net.splitters, net.inputs, tuple(monitored))
+            tagged = random_two_particle_state(rng, statistics, paths=inputs, tags=(0, 1), n_terms=4)
+            for state in (opposite_pair(statistics), tagged):
+                where = engine_mismatch(net, state)
+                if where is not None:
+                    mismatches.append((seed, where))
+        assert mismatches == []
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     @pytest.mark.parametrize("seed", range(12))
@@ -468,7 +492,7 @@ class TestDetectPairs:
             raise AssertionError("built an array before the size check")
 
         monkeypatch.setattr(interferometer, "MAX_MONOMIALS", 64)
-        monkeypatch.setattr(interferometer, "_pair_cells", no_array)
+        monkeypatch.setattr(interferometer, "_pair_windows", no_array)
         with pytest.raises(NetworkError, match="256 monomials, over 64"):
             _detect_pairs(build_tree(4), opposite_pair(Statistics.FERMION))
 
@@ -479,10 +503,49 @@ class TestDetectPairs:
         def stop(*args):
             raise Checked
 
-        monkeypatch.setattr(interferometer, "_pair_cells", stop)
+        # both checks passed: the coincidences are enumerated next
+        monkeypatch.setattr(interferometer, "_pair_space", stop)
         with pytest.raises(Checked):
             _detect_pairs(build_tree(MAX_TREE_DEPTH), opposite_pair(Statistics.FERMION))
 
+    def test_matrices_over_the_cell_limit_are_refused(self, monkeypatch):
+        # three pairs, each on its own splitter, share both label pairs: 12 monomials,
+        # but each label pair's matrix spans all six terminals, 2 x 36 cells
+        def no_matrix(*args):
+            raise AssertionError("went on past the cell check")
+
+        splitters = tuple(BeamSplitter(a, b, a + "1", a + "2") for a, b in ("AB", "EF", "IJ"))
+        net = Network(splitters, tuple("ABEFIJ"), tuple(p + k for p in "AEI" for k in "12"))
+        state = functools.reduce(operator.add, (
+            make_product_state(Statistics.BOSON, [Mode(a, UP), Mode(b, DOWN)])
+            for a, b in ("AB", "EF", "IJ")
+        ))
+        monkeypatch.setattr(interferometer, "MAX_MONOMIALS", 16)
+        monkeypatch.setattr(interferometer, "_pair_space", no_matrix)
+        with pytest.raises(NetworkError, match="72 cells, over 32"):
+            _detect_pairs(net, state)
+        # the sparse engine, bounded by monomials alone, takes the state
+        assert len(detect(run_network(net, state), net.monitored)) == 9
+
+    def test_path_map_work_is_linear_in_the_inputs(self):
+        # n inputs, each into its own splitter: walking every image at every port
+        # took about 2 n**2 dict calls
+        n = 2000
+        splitters = tuple(BeamSplitter(f"i{k}", f"v{k}", f"a{k}", f"b{k}") for k in range(n))
+        net = Network(splitters, tuple(f"i{k}" for k in range(n)), ("a0",))
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "c_call"
+
+        sys.setprofile(count)
+        try:
+            table = net.path_map()
+        finally:
+            sys.setprofile(None)
+        assert calls < 10 * n
+        assert table["i7"] == (("a7", 1 / math.sqrt(2)), ("b7", 1j / math.sqrt(2)))
 
     def test_one_sided_tree_builds_only_reached_cells(self):
         # a (terminal x terminal) array over all 1025 terminals would take 16 MiB per label pair
