@@ -332,16 +332,20 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
     the same order and named by the monitored paths the pair reaches, from
     one matrix ``M = U B U^T`` of first-quantized amplitudes per pair of
     internal (spin, tag) labels (:func:`_pair_windows`) instead of an
-    expanded state.  A coincidence ``lo < hi`` adds ``|M[lo, hi]|^2`` and
-    ``|M[hi, lo]|^2``; a single, or no detector, the diagonal and the cells
-    with a particle on an unmonitored terminal: label pair by label pair,
-    each one's cells in row-major order, as a cell-by-cell sum adds them.
-    A pattern is kept when one of its second-quantized amplitudes exceeds
-    ``PRUNE_THRESHOLD``, the sparse engine's rule, and the kept
-    probabilities are renormalized.  Any particle number but two raises
-    ``ValueError``; the checks are those of :func:`run_network`, and
-    matrices of more than twice :data:`MAX_MONOMIALS` cells in all raise
-    :class:`NetworkError` before any is built.
+    expanded state.  A label pair with one entry ``b`` on paths (p, q), as
+    every label pair of the opposite-spin input, has ``M = b u_p u_q^T``:
+    it is never built, and each cell read is one product.  Only a label
+    pair with several entries builds ``M``.  A coincidence ``lo < hi`` adds
+    ``|M[lo, hi]|^2`` and ``|M[hi, lo]|^2``; a single, or no detector, the
+    diagonal and the cells with a particle on an unmonitored terminal: label
+    pair by label pair, each one's cells in row-major order, as a
+    cell-by-cell sum adds them.  A pattern is kept when one of its
+    second-quantized amplitudes exceeds ``PRUNE_THRESHOLD``, the sparse
+    engine's rule, and the kept probabilities are renormalized.  Any
+    particle number but two raises ``ValueError``; the checks are those of
+    :func:`run_network`, and label pairs spanning more than twice
+    :data:`MAX_MONOMIALS` cells in all raise :class:`NetworkError` before
+    any cell is read.
 
     With ``coincidences`` it also returns the normalized 4xT spin-tag block
     ``blocks[k]`` of the ``k``-th coincidence, the paths of ``codes[first + k]``:
@@ -359,7 +363,7 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
     watched = set(net.monitored)
     monitored = sorted(watched.intersection(reached))
     terminals = monitored + [t for t in reached if t not in watched]
-    label_pairs, windows, ordered = _pair_windows(state, table, terminals)
+    label_pairs, windows = _pair_windows(state, table, terminals)
     area = sum(rows.size * cols.size for rows, cols, _ in windows)
     if area > 2 * MAX_MONOMIALS:
         raise NetworkError(f"pair amplitudes would fill {area} cells, over {2 * MAX_MONOMIALS}")
@@ -374,26 +378,31 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
         # each terminal's row and column; the zero last ones where the label pair has none
         at_row, at_col = np.full(len(terminals), rows.size), np.full(len(terminals), cols.size)
         at_row[rows], at_col[cols] = np.arange(rows.size), np.arange(cols.size)
-        m = np.zeros((rows.size + 1) * stride, dtype=complex)
-        if ordered:  # the else branch's bits, in about 2/3 of its time
-            (((_, u), (_, v), b),) = entries
-            np.multiply.outer(b * u, v, out=m.reshape(-1, stride)[:-1, :-1])
+        if len(entries) == 1:
+            # M = b u v^T, never built: cell (i, j) is the fresh product f[i] * g[j], which
+            # rounds as the outer product does; an in-place one may differ in the last bit
+            (((p, u), (q, v), b),) = entries
+            f, g = np.zeros((2, len(terminals)), dtype=complex)
+            f[p], g[q] = b * u, v
+            cell = lambda i, j: f[i] * g[j]
         else:
             # np.add.reduceat adds a cell's first entry to the pairwise sum of the rest,
             # as the cell-by-cell reference does; one by one, the last bit would differ
-            cell = np.concatenate([(at_row[p][:, None] * stride + at_col[q]).ravel()
+            m = np.zeros((rows.size + 1) * stride, dtype=complex)
+            flat = np.concatenate([(at_row[p][:, None] * stride + at_col[q]).ravel()
                                    for (p, _), (q, _), _ in entries])
             value = np.concatenate([np.multiply.outer(b * u, v).ravel()
                                     for (_, u), (_, v), b in entries])
-            order = np.argsort(cell, kind="stable")
-            cell, value = cell[order], value[order]
-            start = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
-            m[cell[start]] = np.add.reduceat(value, start)
-        row_lo, row_hi = at_row[lo], at_row[hi]
-        x, y = m[row_lo * stride + at_col[hi]], m[row_hi * stride + at_col[lo]]
+            order = np.argsort(flat, kind="stable")
+            flat, value = flat[order], value[order]
+            start = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+            m[flat[start]] = np.add.reduceat(value, start)
+            del flat, value, order, start
+            cell = lambda i, j: m[at_row[i] * stride + at_col[j]]
+        x, y = cell(lo, hi), cell(hi, lo)
         wx, wy = x.real ** 2 + x.imag ** 2, y.real ** 2 + y.imag ** 2
         # the two cells in row-major order: from the second label pair on, it shows
-        swap = row_hi < row_lo
+        swap = at_row[hi] < at_row[lo]
         pair += np.where(swap, wy, wx)
         pair += np.where(swap, wx, wy)
         # second-quantized amplitude: sqrt(2) psi for two distinct modes
@@ -407,7 +416,8 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
             (np.flatnonzero(rows >= n)[:, None] * stride + np.arange(cols.size)).ravel(),
             (watched_rows[:, None] * stride + np.flatnonzero(cols >= n)).ravel(),
             (watched_rows * stride + own)[own < cols.size])))
-        r, c, v = rows[cells // stride], cols[cells % stride], m[cells]
+        r, c = rows[cells // stride], cols[cells % stride]
+        v = cell(r, c)
         pattern = np.minimum(r, c) + 1
         pattern[pattern > n] = 0
         np.add.at(probs, pattern, v.real ** 2 + v.imag ** 2)
@@ -415,7 +425,8 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
         # psi / sqrt(2) for both particles in one (path, spin, tag) mode
         amp[(r == c) & (first_label == second_label)] /= 2.0
         fires[pattern[amp > PRUNE_THRESHOLD]] = True
-        del m, row_lo, row_hi, wx, wy, swap
+        del x, y, wx, wy, swap
+        m = f = g = None  # this label pair's cells, freed before the next one's
     kept = np.flatnonzero(fires)
     probabilities = probs[kept] / probs[kept].sum()
     empty, first = np.searchsorted(kept, [1, n + 1]).tolist()
@@ -438,8 +449,8 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
 
 
 def _pair_windows(state: FockState, table: PathTable, terminals: Sequence[str]) -> tuple:
-    """The internal label pairs of a two-particle state, a window of each, and whether every
-    label pair has one entry; a window is then in image order, else in terminal order.
+    """The internal label pairs of a two-particle state and a window of each: in image order
+    when every label pair has one entry, else in terminal order.
 
     A canonical monomial a+_m1 a+_m2 (m1 < m2) of amplitude a enters a/sqrt(2)
     on (m1, m2) and, negated for fermions, on (m2, m1); a doubly occupied
@@ -463,7 +474,7 @@ def _pair_windows(state: FockState, table: PathTable, terminals: Sequence[str]) 
         entries = [(images[p], images[q], b) for (p, q), b in group.items()]
         sides = [np.concatenate([entry[k][0] for entry in entries]) for k in (0, 1)]
         windows.append((*(sides if ordered else map(np.unique, sides)), entries))
-    return list(groups), windows, ordered
+    return list(groups), windows
 
 
 def _pair_space(windows: list, n: int) -> tuple[np.ndarray, np.ndarray]:

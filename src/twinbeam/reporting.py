@@ -25,6 +25,13 @@ TABLE_DIGITS = 6
 #: table rows that ``ScenarioReport.write_json`` joins from one flat list and writes at once
 _ROW_CHUNK = 1000
 
+#: :func:`_join` joins two row pieces into a slot of at most rows / _JOIN_SHARE texts.  A
+#: joined text costs about 67 ns, placing a coded piece in a row 33 ns and a fixed one 11 ns
+#: (2-core Xeon VM), so a slot at the bound costs at most 17 ns a row.  A bound of rows made
+#: tree7 passes 22% and sweeps 6% slower in-process: tree7's first JSON slot held 6,192 texts
+#: for 8,256 rows
+_JOIN_SHARE = 4
+
 #: provenance flags carried by every scalar result
 EXACT = "exact"
 SAMPLED = "sampled"
@@ -144,8 +151,7 @@ _CSV = (str, lambda values: _g_floats(values, JSON_DIGITS))
 _TABLE = (str, lambda values: _g_floats(values, TABLE_DIGITS))
 
 
-def _column(column: Column, text: Callable, floats: Callable,
-            before: str = "", after: str = "") -> list[tuple]:
+def _column(column: Column, text: Callable, floats: Callable) -> list[tuple]:
     """The slots of one table column: pairs ``(texts, codes)``, whose text for row ``r``
     is ``texts[codes[r]]``, or ``texts[r]`` if ``codes`` is None; a cell joins its slots.
 
@@ -153,20 +159,18 @@ def _column(column: Column, text: Callable, floats: Callable,
     cell.  A float64 or int64 array takes one
     ``np.unique``: each distinct value gets its text once, a float column's all by one
     ``floats`` call.  A coded column encodes each of its values once, as a column of
-    them, and its cell texts open with ``before`` and close with ``after``, joined in
-    as each text is placed.  With two codes it has two slots: ``text`` of the first
-    part without its closing quote, and ``text`` of the second without its opening
+    them, and its codes become int64.  With two codes it has two slots: ``text`` of the
+    first part without its closing quote, and ``text`` of the second without its opening
     quote, which is the joined text's because ``text`` escapes character by character.
     """
     if isinstance(column, Coded):
-        texts, codes = _texts(column.values, text, floats), column.codes
+        texts = _texts(column.values, text, floats)
+        codes = column.codes.astype(np.int64, copy=False)
         if codes.ndim == 1:
-            return [(np.array([before + t + after for t in texts], dtype=object), codes)]
+            return [(np.array(texts, dtype=object), codes)]
         half = len(text("")) // 2
-        first = [before + t[:len(t) - half] for t in texts]
-        second = [t[half:] + after for t in texts]
-        return [(np.array(first, dtype=object), codes[:, 0]),
-                (np.array(second, dtype=object), codes[:, 1])]
+        return [(np.array([t[:len(t) - half] for t in texts], dtype=object), codes[:, 0]),
+                (np.array([t[half:] for t in texts], dtype=object), codes[:, 1])]
     if isinstance(column, list):
         return [(_texts(column, text, floats), None)]
     distinct, inverse = np.unique(column, return_inverse=True)
@@ -189,21 +193,49 @@ def _texts(values: list[str] | np.ndarray, text: Callable, floats: Callable) -> 
     return floats(np.where(values == 0, 0.0, values).tolist())
 
 
+def _join(pieces: list, rows: int) -> list[tuple]:
+    """The slots of a table row: ``pieces`` with each run of adjacent joinable pieces joined.
+
+    A piece is a str, the same in every row, which counts as the slot ``([str], 0)``, or
+    a slot of :func:`_column`.  Two adjacent pieces that each have codes become the one
+    slot ``(ta[i] + tb[j], ca * len(tb) + cb)`` whenever it holds at most
+    ``rows / _JOIN_SHARE`` texts, so that a float column with about one value per row,
+    like a column of str, stays a slot of its own.  Joined codes take the narrowest
+    unsigned type that holds them: as int64 they raised the max RSS of a depth-10 tree
+    table from 227 to 236 MiB, as uint16 to 231.
+    """
+    slots = []
+    for piece in pieces:
+        texts, codes = (np.array([piece], dtype=object), 0) if isinstance(piece, str) else piece
+        if slots and codes is not None:
+            ta, ca = slots[-1]
+            if ca is not None and len(ta) * len(texts) * _JOIN_SHARE <= rows:
+                if isinstance(codes, int):  # a fixed text leaves the codes as they are
+                    codes = ca
+                elif not isinstance(ca, int):
+                    codes = (ca.astype(np.int64, copy=False) * len(texts) + codes).astype(
+                        np.min_scalar_type(len(ta) * len(texts)))
+                slots[-1] = (np.add.outer(ta, texts).ravel(), codes)
+                continue
+        slots.append((texts, codes))
+    return slots
+
+
 def _chunks(pieces: list, rows: int) -> Iterator[list[str]]:
     """Table rows as flat lists of :data:`_ROW_CHUNK` rows each.
 
-    A row joins ``pieces``, each a str, the same in every row, or a slot of
-    :func:`_column`; a ``""`` piece is dropped.  Each chunk repeats the str
-    pieces and slice-assigns each slot's texts into its place.
+    A row joins the slots of :func:`_join`.  Each chunk repeats the texts of the
+    slots whose code is the same in every row and slice-assigns each other slot's
+    texts into its place.
     """
-    pieces = [p for p in pieces if p != ""]
-    step = len(pieces)
-    row = [p if isinstance(p, str) else "" for p in pieces]
+    slots = _join(pieces, rows)
+    step = len(slots)
+    row = [texts[0] if isinstance(codes, int) else "" for texts, codes in slots]
     for start in range(0, rows, _ROW_CHUNK):
         stop = min(start + _ROW_CHUNK, rows)
         flat = row * (stop - start)
-        for c, slot in enumerate(pieces):
-            if not isinstance(slot, str):
+        for c, slot in enumerate(slots):
+            if not isinstance(slot[1], int):
                 flat[c::step] = _take(slot, start, stop)
         yield flat
 
@@ -260,24 +292,18 @@ class ScenarioReport:
         The bytes are those of ``canonical_json`` applied to the report
         with every float rounded to JSON_DIGITS and the table as a list
         of row objects; no rounded copy is built.  Each column's slots,
-        ``_column``, are built once, before anything is written, and each fixed
-        text of a row (key, opening, closing) is joined onto the texts of the
-        coded column before it, else of the one after, else left a piece of its
-        own.  Each chunk of :data:`_ROW_CHUNK` rows is one flat list
-        (:func:`_chunks`), joined and written in one ``write``.
+        ``_column``, are built once, before anything is written, between the
+        fixed texts of a row (key, opening, closing), and :func:`_join` joins
+        adjacent pieces whose product of texts is small.  Each chunk of
+        :data:`_ROW_CHUNK` rows is one flat list (:func:`_chunks`), joined and
+        written in one ``write``.
         """
         rows, keys = self._rows(), sorted(self.table)
-        # the key texts, the first opening the row with ",", then the row's closing text
-        fixed = [f",\n      {encode_basestring(k)}: " for k in keys] + ["\n    }"]
-        fixed[0] = ",\n    {" + fixed[0][1:]
-        pieces, pending = [], fixed[0]
-        for k, after in zip(keys, fixed[1:]):
-            if isinstance(self.table[k], Coded):
-                pieces += _column(self.table[k], *_JSON, pending, after)
-                pending = ""
-            else:
-                pieces += [pending, *_column(self.table[k], *_JSON)]
-                pending = after
+        pieces = []
+        for k in keys:
+            # the key text, the first opening the row with ","
+            pieces += [f",\n      {encode_basestring(k)}: ", *_column(self.table[k], *_JSON)]
+        pieces[0] = ",\n    {" + pieces[0][1:]
         head: dict[str, Any] = {
             "scenario": self.scenario,
             "statistics": self.statistics,
@@ -297,7 +323,7 @@ class ScenarioReport:
             }
         # "table" sorts after every other key: drop the closing "\n}\n" and append it
         stream.write(canonical_json(head)[:-3] + ',\n  "table": ')
-        for n, flat in enumerate(_chunks(pieces + [pending], rows)):
+        for n, flat in enumerate(_chunks(pieces + ["\n    }"], rows)):
             if not n:
                 flat[0] = "[" + flat[0][1:]
             stream.write("".join(flat))

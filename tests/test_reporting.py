@@ -4,7 +4,7 @@ import csv
 import io
 import json
 import math
-from typing import Any
+from typing import Any, Callable
 from unittest import mock
 
 import numpy as np
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import cells
 from twinbeam import reporting
 from twinbeam.fock import Statistics
-from twinbeam.interferometer import fig2_network
+from twinbeam.interferometer import build_tree
 from twinbeam.reporting import EXACT, SAMPLED, Coded, Scalar, ScenarioReport, canonical_json
 from twinbeam.scenarios import scenario_clicks, scenario_tree
 
@@ -501,6 +501,47 @@ def plain_column(column):
     return column.values[column.codes] if isinstance(column.values, np.ndarray) else cells(column)
 
 
+def pieces_per_row(render: Callable) -> float:
+    """The pieces that each row of ``render``'s table joins, from a spy on ``reporting._chunks``."""
+    counts, chunks = set(), reporting._chunks
+
+    def spy(pieces, rows):
+        for start, flat in zip(range(0, rows, reporting._ROW_CHUNK), chunks(pieces, rows)):
+            counts.add(len(flat) / min(reporting._ROW_CHUNK, rows - start))
+            yield flat
+
+    with mock.patch.object(reporting, "_chunks", spy):
+        render()
+    (count,) = counts
+    return count
+
+
+def names(n: int) -> list[str]:
+    """Two-code values over ``n`` names, as pattern labels are coded: ``2 n + 1`` texts a part."""
+    base = [f"n{k}" for k in range(n)]
+    return [*base, "", *("+" + v for v in base)]
+
+
+#: 400-row tables whose adjacent columns join into at most 100 texts or not, and a one-row
+#: table, which joins nothing; each with the pieces per row of its JSON and table rows
+ROWS = np.arange(400)
+JOIN_TABLES = {
+    "3-values-beside-2-floats": ({"a": Coded(["x", "y", "z"], ROWS % 3), "b": ROWS % 2 / 2}, 1, 1),
+    "50-values-beside-2-floats": ({"a": Coded([f"v{k}" for k in range(50)], ROWS % 50),
+                                   "b": ROWS % 2 / 2}, 1, 1),
+    "51-values-beside-2-floats": ({"a": Coded([f"v{k}" for k in range(51)], ROWS % 51),
+                                   "b": ROWS % 2 / 2}, 2, 2),
+    "two-codes-of-9-beside-floats": (
+        {"a": Coded(names(4), np.stack([ROWS % 4, 4 + ROWS % 5], axis=1)), "b": ROWS % 3 / 4},
+        2, 2),
+    "two-codes-of-11-beside-floats": (
+        {"a": Coded(names(5), np.stack([ROWS % 5, 5 + ROWS % 6], axis=1)), "b": ROWS % 3 / 4},
+        2, 2),
+    "a-float-per-row": ({"a": Coded(["x", "y", "z"], ROWS % 3), "b": ROWS / 7}, 3, 3),
+    "one-row": ({"a": Coded(["x"], np.zeros(1, dtype=np.int64)), "b": np.array([0.5])}, 5, 3),
+}
+
+
 class TestCodedColumns:
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(table=coded_tables(), chunk=st.sampled_from([1, 2, 5, 1000]))
@@ -520,25 +561,50 @@ class TestCodedColumns:
         assert plain.to_json() == canonical_json(reference_to_dict(plain))
 
     @pytest.mark.parametrize(
-        "make, most",
-        [(lambda: scenario_clicks(fig2_network(), Statistics.FERMION, 1000, 3), 6),
-         (lambda: scenario_tree(3, Statistics.BOSON), 8)],
-        ids=["clicks", "tree"],
+        "make, json_pieces, table_pieces",
+        [(lambda: scenario_clicks(build_tree(7), Statistics.FERMION, 1000, 3), 3, 3),
+         (lambda: scenario_tree(7, Statistics.BOSON), 3, 4),
+         (lambda: report_of({"a": Coded(["x", "y"], np.arange(1001) % 2),
+                             "b": np.arange(1001) / 7}), 3, 3)],
+        ids=["clicks", "tree", "distinct-floats"],
     )
-    def test_fixed_texts_fold_into_coded_texts(self, make, most):
-        # unfolded, a clicks row joins 11 pieces and a tree row 15
-        report, lengths, chunks = make(), [], reporting._chunks
+    def test_rows_join_few_pieces(self, make, json_pieces, table_pieces):
+        # without joins a clicks row is 11 pieces and a tree row 15 in JSON; a float
+        # column with a value per row is a piece of its own in both renderers
+        report = make()
+        assert pieces_per_row(report.to_json) == json_pieces
+        assert pieces_per_row(report.to_table) == table_pieces
 
-        def spy(*args):
-            for flat in chunks(*args):
-                lengths.append(len(flat))
-                yield flat
+    @pytest.mark.parametrize("chunk", [7, 1000])
+    @pytest.mark.parametrize("table, json_pieces, table_pieces", JOIN_TABLES.values(),
+                             ids=JOIN_TABLES)
+    def test_joins_on_either_side_of_the_bound(self, table, json_pieces, table_pieces, chunk):
+        # two pieces join when the joined slot holds at most a quarter as many texts as rows
+        report = report_of(table)
+        with mock.patch.object(reporting, "_ROW_CHUNK", chunk):
+            assert report.to_json() == canonical_json(reference_to_dict(report))
+            assert report.to_table() == reference_table(report)
+            assert pieces_per_row(report.to_json) == json_pieces
+            assert pieces_per_row(report.to_table) == table_pieces
 
-        expected = report.to_json()
-        with mock.patch.object(reporting, "_ROW_CHUNK", 1):
-            with mock.patch.object(reporting, "_chunks", spy):
-                assert report.to_json() == expected
-        assert len(lengths) == len(report.table["pattern"]) and max(lengths) <= most
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint64])
+    def test_narrow_codes_join_without_wrapping(self, dtype):
+        # 150 values beside two floats join into 300 texts for 1,200 rows: codes past 255
+        rows = np.arange(1200)
+        report = report_of({"a": Coded([f"v{k}" for k in range(150)], (rows % 150).astype(dtype)),
+                            "b": rows % 2 / 2})
+        assert report.to_json() == canonical_json(reference_to_dict(report))
+        assert report.to_table() == reference_table(report)
+        assert pieces_per_row(report.to_json) == 1
+
+    def test_joined_codes_widen_before_the_next_join(self):
+        # three 10-value columns join into 100 texts, coded in uint8, then into 1,000
+        rows = np.arange(4000)
+        report = report_of({k: Coded([f"{k}{v}" for v in range(10)], rows // 10 ** i % 10)
+                            for i, k in enumerate("abc")})
+        assert report.to_json() == canonical_json(reference_to_dict(report))
+        assert report.to_table() == reference_table(report)
+        assert pieces_per_row(report.to_json) == pieces_per_row(report.to_table) == 1
 
     def test_unused_values_do_not_widen_the_table(self):
         column = Coded(["a", "a-very-long-unused-name", "b", "", "+b", "+a-very-long-unused-name"],
