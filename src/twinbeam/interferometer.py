@@ -190,8 +190,13 @@ class Network:
 
 
 def _path_names(value, what: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(p, str) for p in value):
-        raise NetworkError(f"{what} must be a list of path-name strings, got {value!r}")
+    # the error names a type, never the value, which may be a document's whole list
+    if not isinstance(value, list):
+        raise NetworkError(f"{what} must be a list of path-name strings, got {type(value).__name__}")
+    for k, p in enumerate(value):
+        if not isinstance(p, str):
+            raise NetworkError(f"{what} must be a list of path-name strings, "
+                               f"got {type(p).__name__} at index {k}")
     return tuple(value)
 
 
@@ -332,20 +337,21 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
     the same order and named by the monitored paths the pair reaches, from
     one matrix ``M = U B U^T`` of first-quantized amplitudes per pair of
     internal (spin, tag) labels (:func:`_pair_windows`) instead of an
-    expanded state.  A label pair with one entry ``b`` on paths (p, q), as
-    every label pair of the opposite-spin input, has ``M = b u_p u_q^T``:
-    it is never built, and each cell read is one product.  Only a label
-    pair with several entries builds ``M``.  A coincidence ``lo < hi`` adds
-    ``|M[lo, hi]|^2`` and ``|M[hi, lo]|^2``; a single, or no detector, the
-    diagonal and the cells with a particle on an unmonitored terminal: label
-    pair by label pair, each one's cells in row-major order, as a
-    cell-by-cell sum adds them.  A pattern is kept when one of its
-    second-quantized amplitudes exceeds ``PRUNE_THRESHOLD``, the sparse
-    engine's rule, and the kept probabilities are renormalized.  Any
-    particle number but two raises ``ValueError``; the checks are those of
-    :func:`run_network`, and label pairs spanning more than twice
-    :data:`MAX_MONOMIALS` cells in all raise :class:`NetworkError` before
-    any cell is read.
+    expanded state.  ``M`` is never built: an entry ``b`` on paths (p, q)
+    adds ``b u_p u_q^T``, so each cell read is the sum, in entry order and
+    left to right, of every entry's fresh product ``f[i] * g[j]`` with
+    ``f = b u_p`` and ``g = u_q`` over the terminals, zero off their images.
+    A coincidence ``lo < hi`` adds ``|M[lo, hi]|^2`` and ``|M[hi, lo]|^2``;
+    a single, or no detector, the diagonal and the cells with a particle on
+    an unmonitored terminal: label pair by label pair, each one's cells in
+    row-major order of its window, as a cell-by-cell sum adds them.  A
+    pattern is kept when one of its second-quantized amplitudes exceeds
+    ``PRUNE_THRESHOLD``, the sparse engine's rule, and the kept
+    probabilities are renormalized.  Any particle number but two raises
+    ``ValueError``; the checks are those of :func:`run_network`, and more
+    than twice :data:`MAX_MONOMIALS` products, entries times window cells
+    summed over the label pairs, raise :class:`NetworkError` before any
+    cell is read.
 
     With ``coincidences`` it also returns the normalized 4xT spin-tag block
     ``blocks[k]`` of the ``k``-th coincidence, the paths of ``codes[first + k]``:
@@ -364,50 +370,23 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
     monitored = sorted(watched.intersection(reached))
     terminals = monitored + [t for t in reached if t not in watched]
     label_pairs, windows = _pair_windows(state, table, terminals)
-    area = sum(rows.size * cols.size for rows, cols, _ in windows)
-    if area > 2 * MAX_MONOMIALS:
-        raise NetworkError(f"pair amplitudes would fill {area} cells, over {2 * MAX_MONOMIALS}")
+    work = sum(len(entries) * rows.size * cols.size for rows, cols, entries in windows)
+    if work > 2 * MAX_MONOMIALS:
+        raise NetworkError(f"pair amplitudes would take {work} cell products, "
+                           f"over {2 * MAX_MONOMIALS}")
     n, root2 = len(monitored), math.sqrt(2.0)
     lo, hi = _pair_space(windows, n)
     # 0: no detector fired; 1 + m: detector m alone; 1 + n + k: coincidence k
     probs, fires = np.zeros(1 + n + lo.size), np.zeros(1 + n + lo.size, dtype=bool)
     pair, pair_fires = probs[1 + n:], fires[1 + n:]
+    # one entry's b u_p and u_q over the terminals, zero off its images
+    f, g = np.zeros((2, len(terminals)), dtype=complex)
     upper = []
     for (first_label, second_label), (rows, cols, entries) in zip(label_pairs, windows):
         stride = cols.size + 1
         # each terminal's row and column; the zero last ones where the label pair has none
         at_row, at_col = np.full(len(terminals), rows.size), np.full(len(terminals), cols.size)
         at_row[rows], at_col[cols] = np.arange(rows.size), np.arange(cols.size)
-        if len(entries) == 1:
-            # M = b u v^T, never built: cell (i, j) is the fresh product f[i] * g[j], which
-            # rounds as the outer product does; an in-place one may differ in the last bit
-            (((p, u), (q, v), b),) = entries
-            f, g = np.zeros((2, len(terminals)), dtype=complex)
-            f[p], g[q] = b * u, v
-            cell = lambda i, j: f[i] * g[j]
-        else:
-            # np.add.reduceat adds a cell's first entry to the pairwise sum of the rest,
-            # as the cell-by-cell reference does; one by one, the last bit would differ
-            m = np.zeros((rows.size + 1) * stride, dtype=complex)
-            flat = np.concatenate([(at_row[p][:, None] * stride + at_col[q]).ravel()
-                                   for (p, _), (q, _), _ in entries])
-            value = np.concatenate([np.multiply.outer(b * u, v).ravel()
-                                    for (_, u), (_, v), b in entries])
-            order = np.argsort(flat, kind="stable")
-            flat, value = flat[order], value[order]
-            start = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
-            m[flat[start]] = np.add.reduceat(value, start)
-            del flat, value, order, start
-            cell = lambda i, j: m[at_row[i] * stride + at_col[j]]
-        x, y = cell(lo, hi), cell(hi, lo)
-        wx, wy = x.real ** 2 + x.imag ** 2, y.real ** 2 + y.imag ** 2
-        # the two cells in row-major order: from the second label pair on, it shows
-        swap = at_row[hi] < at_row[lo]
-        pair += np.where(swap, wy, wx)
-        pair += np.where(swap, wx, wy)
-        # second-quantized amplitude: sqrt(2) psi for two distinct modes
-        pair_fires |= np.maximum(np.abs(x), np.abs(y)) * root2 > PRUNE_THRESHOLD
-        upper.append(x if coincidences else None)
         # the other cells, in row-major order: the diagonal and those with a particle
         # on an unmonitored terminal, each firing its monitored terminal or none
         watched_rows = np.flatnonzero(rows < n)
@@ -417,7 +396,21 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
             (watched_rows[:, None] * stride + np.flatnonzero(cols >= n)).ravel(),
             (watched_rows * stride + own)[own < cols.size])))
         r, c = rows[cells // stride], cols[cells % stride]
-        v = cell(r, c)
+        # each cell adds its entries' fresh products f[i] * g[j] left to right, from -0.0,
+        # as -0.0 + t is t bit for bit; an in-place product may differ in the last bit
+        x = y = v = complex(-0.0, -0.0)
+        for (p, u), (q, w), b in entries:
+            f[p], g[q] = b * u, w
+            x, y, v = x + f[lo] * g[hi], y + f[hi] * g[lo], v + f[r] * g[c]
+            f[p] = g[q] = 0
+        wx, wy = x.real ** 2 + x.imag ** 2, y.real ** 2 + y.imag ** 2
+        # the two cells in row-major order: from the second label pair on, it shows
+        swap = at_row[hi] < at_row[lo]
+        pair += np.where(swap, wy, wx)
+        pair += np.where(swap, wx, wy)
+        # second-quantized amplitude: sqrt(2) psi for two distinct modes
+        pair_fires |= np.maximum(np.abs(x), np.abs(y)) * root2 > PRUNE_THRESHOLD
+        upper.append(x if coincidences else None)
         pattern = np.minimum(r, c) + 1
         pattern[pattern > n] = 0
         np.add.at(probs, pattern, v.real ** 2 + v.imag ** 2)
@@ -426,7 +419,6 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
         amp[(r == c) & (first_label == second_label)] /= 2.0
         fires[pattern[amp > PRUNE_THRESHOLD]] = True
         del x, y, wx, wy, swap
-        m = f = g = None  # this label pair's cells, freed before the next one's
     kept = np.flatnonzero(fires)
     probabilities = probs[kept] / probs[kept].sum()
     empty, first = np.searchsorted(kept, [1, n + 1]).tolist()
@@ -449,14 +441,14 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
 
 
 def _pair_windows(state: FockState, table: PathTable, terminals: Sequence[str]) -> tuple:
-    """The internal label pairs of a two-particle state and a window of each: in image order
-    when every label pair has one entry, else in terminal order.
+    """The internal label pairs of a two-particle state and a window of each.
 
     A canonical monomial a+_m1 a+_m2 (m1 < m2) of amplitude a enters a/sqrt(2)
     on (m1, m2) and, negated for fermions, on (m2, m1); a doubly occupied
     bosonic mode enters a*sqrt(2).  Window ``(rows, cols, entries)`` holds
-    the indices into ``terminals`` that the label pair's particles reach,
-    and per entry ``b`` on ``(p, q)`` the images of ``p`` and ``q`` and ``b``.
+    the indices into ``terminals`` that the label pair's first and second
+    particles reach, each side in the order its entries' images first reach
+    them, and per entry ``b`` on ``(p, q)`` the images of ``p`` and ``q`` and ``b``.
     """
     sign = -1.0 if state.statistics is Statistics.FERMION else 1.0
     groups: dict[tuple, dict] = {}
@@ -466,14 +458,13 @@ def _pair_windows(state: FockState, table: PathTable, terminals: Sequence[str]) 
             group = groups.setdefault(((x.spin, x.tag), (y.spin, y.tag)), {})
             group[x.path, y.path] = group.get((x.path, y.path), 0j) + value
     index = {t: k for k, t in enumerate(terminals)}
-    images = {p: (np.array([index[t] for t, _ in table[p]]), np.array([c for _, c in table[p]]))
-              for p in state.paths()}
-    ordered = all(len(group) == 1 for group in groups.values())
+    reach = {p: [index[t] for t, _ in table[p]] for p in state.paths()}
+    images = {p: (np.array(reach[p]), np.array([c for _, c in table[p]])) for p in reach}
     windows = []
     for group in groups.values():
-        entries = [(images[p], images[q], b) for (p, q), b in group.items()]
-        sides = [np.concatenate([entry[k][0] for entry in entries]) for k in (0, 1)]
-        windows.append((*(sides if ordered else map(np.unique, sides)), entries))
+        sides = [np.array(list(dict.fromkeys(t for path in paths for t in reach[path])))
+                 for paths in zip(*group)]
+        windows.append((*sides, [(images[p], images[q], b) for (p, q), b in group.items()]))
     return list(groups), windows
 
 

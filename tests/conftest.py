@@ -3,7 +3,9 @@ and the 4x4 references that the block metrics are held to."""
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 
 import numpy as np
@@ -112,30 +114,29 @@ def fock_cells(state: FockState) -> dict[tuple, complex]:
 
 
 def reference_pair_cells(state: FockState, table: PathTable, terminals) -> tuple:
-    """Nonzero pair amplitudes of a two-particle state after the path map, cell by cell.
+    """Pair amplitudes of a two-particle state after the path map, cell by cell.
 
-    The test-side reference of the pair engine's matrices, which
+    The test-side reference of the pair engine's cells, which
     :func:`reference_detect_pairs` groups and :func:`pair_engine_cells`
     reads.  Returns
     ``(label_pairs, label, i, j, psi)``: the internal label pairs, and flat
     arrays with one entry per label pair and (terminal, terminal) position
     ``(terminals[i], terminals[j])``, holding the first-quantized amplitude
     ``psi``.  ``label // 2`` indexes ``label_pairs``, and ``label`` is odd
-    when both particles carry the same internal label.  Each input entry
-    spreads over the outer product of its two paths' images, row by row in
-    image order; when a label pair has several entries, every label pair's
-    cells are sorted into terminal order and each cell's values summed by
-    ``np.add.reduceat`` in entry order.
+    when both particles carry the same internal label.  A label pair's
+    window holds the terminals that its first and its second particles
+    reach, each side in the order that its entries' images first reach
+    them.  Each entry ``b`` on paths (p, q) gives the outer product of
+    ``b u_p`` and ``u_q`` over the window, zero off their images, and a
+    cell adds these left to right in entry order, zero products included;
+    the window's cells come row by row.
     """
     sign = -1.0 if state.statistics is Statistics.FERMION else 1.0
-    blocks: dict[tuple, complex] = {}
-    labels: dict[tuple, int] = {}
+    groups: dict[tuple, dict] = {}
 
     def add(m1: Mode, m2: Mode, value: complex) -> None:
-        pair = ((m1.spin, m1.tag), (m2.spin, m2.tag))
-        labels.setdefault(pair, 2 * len(labels) + (pair[0] == pair[1]))
-        key = (labels[pair], m1.path, m2.path)
-        blocks[key] = blocks.get(key, 0j) + value
+        group = groups.setdefault(((m1.spin, m1.tag), (m2.spin, m2.tag)), {})
+        group[m1.path, m2.path] = group.get((m1.path, m2.path), 0j) + value
 
     for (m1, m2), a in state.terms.items():
         if m1 == m2:
@@ -144,33 +145,29 @@ def reference_pair_cells(state: FockState, table: PathTable, terminals) -> tuple
             add(m1, m2, a / math.sqrt(2.0))
             add(m2, m1, sign * a / math.sqrt(2.0))
 
-    size = len(terminals)
-    row = {t: k for k, t in enumerate(terminals)}
-    images = {
-        p: (
-            np.array([row[t] for t, _ in table[p]], dtype=np.int32),
-            np.array([c for _, c in table[p]]),
-        )
-        for p in state.paths()
-    }
+    index = {t: k for k, t in enumerate(terminals)}
+    coefficients = {p: np.array([c for _, c in table[p]]) for p in state.paths()}
+
+    def spread(path: str, window: list, values: np.ndarray) -> np.ndarray:
+        at = {t: n for n, t in enumerate(window)}
+        vector = np.zeros(len(window), dtype=complex)
+        vector[[at[t] for t, _ in table[path]]] = values
+        return vector
+
     parts = []
-    for (k, p, q), b in blocks.items():
-        (rows, u), (cols, v) = images[p], images[q]
+    for k, ((first, second), group) in enumerate(groups.items()):
+        rows, cols = (list(dict.fromkeys(t for path in paths for t, _ in table[path]))
+                      for paths in zip(*group))
+        products = [spread(p, rows, b * coefficients[p])[:, None] * spread(q, cols, coefficients[q])
+                    for (p, q), b in group.items()]
         parts.append((
-            np.full(rows.size * cols.size, k, dtype=np.int32),
-            np.repeat(rows, cols.size),
-            np.tile(cols, rows.size),
-            ((b * u)[:, None] * v).ravel(),
+            np.full(len(rows) * len(cols), 2 * k + (first == second), dtype=np.int32),
+            np.repeat([index[t] for t in rows], len(cols)),
+            np.tile([index[t] for t in cols], len(rows)),
+            functools.reduce(operator.add, products).ravel(),
         ))
     label, i, j, psi = (np.concatenate(x) for x in zip(*parts))
-    if len(blocks) > len(labels):
-        cell = i * np.int64(size) + j
-        order = np.lexsort((cell, label))
-        cell, psi = cell[order], psi[order]
-        first = np.flatnonzero(np.r_[True, (np.diff(label[order]) != 0) | (np.diff(cell) != 0)])
-        keep = order[first]
-        label, i, j, psi = label[keep], i[keep], j[keep], np.add.reduceat(psi, first)
-    return list(labels), label, i, j, psi
+    return list(groups), label, i, j, psi
 
 
 def reference_detect_pairs(net: Network, state: FockState, coincidences: bool = False):

@@ -660,6 +660,27 @@ class TestClicks:
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"monitored": ["C"] * 99_999 + [7]}, "monitored must be a list of path-name "
+                                                  "strings, got int at index 99999"),
+            ({"inputs": "AB" * 50_000}, "inputs must be a list of path-name strings, got str"),
+        ],
+        ids=["entry", "string"],
+    )
+    def test_malformed_path_list_is_named_not_printed(self, capsys, tmp_path, change, message):
+        # the whole 100,000-entry value in the error made a usage message of about 1 MB
+        data = fig2_network().to_dict()
+        data.update(change)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["clicks", "--network", str(path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.encode()) < 1024
+
+    @pytest.mark.parametrize(
         # the last is not UTF-8
         "text", [b"[]", b"1", b"null", b"{}", b'{"splitters": []}', b"\xff\xfe"]
     )

@@ -434,6 +434,36 @@ class TestDetectPairs:
                     mismatches.append((seed, where))
         assert mismatches == []
 
+    def test_entries_on_one_cell_add_left_to_right(self):
+        # label pair (up, down) has three entries, on (A, B), (B, A) and (A, A), and each
+        # reaches the C+D cell; here t1 + (t2 + t3) differs from (t1 + t2) + t3 in the last bit
+        a1, a2, a3 = 0.126 - 0.132j, 0.64 + 0.105j, -0.536 + 0.362j
+        state = FockState(Statistics.BOSON, {
+            (Mode("A", UP), Mode("B", DOWN)): a1,
+            (Mode("A", DOWN), Mode("B", UP)): a2,
+            (Mode("A", UP), Mode("A", DOWN)): a3,
+        })
+        net = fig1_network()
+        table = net.path_map()
+
+        def fresh(p, q, b):
+            # b u_p at C times u_q at D, as the fresh array products the engine reads
+            (tp, up), (tq, uq) = (([t for t, _ in table[x]], np.array([c for _, c in table[x]]))
+                                  for x in (p, q))
+            return (b * up)[[tp.index("C")]] * uq[[tq.index("D")]]
+
+        r = math.sqrt(2.0)
+        t1, t2, t3 = fresh("A", "B", a1 / r), fresh("B", "A", a2 / r), fresh("A", "A", a3 / r)
+        s1, s2, s3 = fresh("B", "A", a1 / r), fresh("A", "B", a2 / r), fresh("A", "A", a3 / r)
+        assert not np.array_equal(((t1 + t2) + t3).view(np.uint64), (t1 + (t2 + t3)).view(np.uint64))
+        expected = np.zeros((1, 4, 1), dtype=complex)
+        # rows (up, down) and (down, up)
+        expected[0, 1:3, 0] = np.concatenate(((t1 + t2) + t3, (s1 + s2) + s3))
+        expected /= np.linalg.norm(expected, axis=(1, 2))[:, None, None]
+        kept = _detect_pairs(net, state, coincidences=True)
+        assert kept_labels(kept) == ["C", "D", "C+D"]
+        assert np.array_equal(kept.blocks.view(np.uint64), expected.view(np.uint64))
+
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     @pytest.mark.parametrize("seed", range(12))
     def test_random_network_branches_match_sparse_engine(self, statistics, seed):
@@ -508,11 +538,12 @@ class TestDetectPairs:
         with pytest.raises(Checked):
             _detect_pairs(build_tree(MAX_TREE_DEPTH), opposite_pair(Statistics.FERMION))
 
-    def test_matrices_over_the_cell_limit_are_refused(self, monkeypatch):
+    def test_label_pairs_over_the_work_limit_are_refused(self, monkeypatch):
         # three pairs, each on its own splitter, share both label pairs: 12 monomials,
-        # but each label pair's matrix spans all six terminals, 2 x 36 cells
-        def no_matrix(*args):
-            raise AssertionError("went on past the cell check")
+        # but each label pair's window spans all six terminals, and each of its three
+        # entries is read on all 36 cells: 2 x 36 x 3 cell products
+        def no_cells(*args):
+            raise AssertionError("went on past the work check")
 
         splitters = tuple(BeamSplitter(a, b, a + "1", a + "2") for a, b in ("AB", "EF", "IJ"))
         net = Network(splitters, tuple("ABEFIJ"), tuple(p + k for p in "AEI" for k in "12"))
@@ -521,8 +552,8 @@ class TestDetectPairs:
             for a, b in ("AB", "EF", "IJ")
         ))
         monkeypatch.setattr(interferometer, "MAX_MONOMIALS", 16)
-        monkeypatch.setattr(interferometer, "_pair_space", no_matrix)
-        with pytest.raises(NetworkError, match="72 cells, over 32"):
+        monkeypatch.setattr(interferometer, "_pair_space", no_cells)
+        with pytest.raises(NetworkError, match="216 cell products, over 32"):
             _detect_pairs(net, state)
         # the sparse engine, bounded by monomials alone, takes the state
         assert len(detect(run_network(net, state), net.monitored)) == 9
@@ -590,12 +621,10 @@ class TestDetectPairs:
         assert len(kept.probabilities) == 2 ** 10 * (2 ** 10 + 1) // 2
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
-    def test_label_pairs_with_several_entries_free_their_sorted_entries(self, statistics):
-        # two label pairs of two entries each, 513 x 513 cells: fermions peak at 35.3 MiB
-        # (bosons 36.3) when each label pair's sorted entries are freed before the next
-        # label pair's matrix is built, at 41.3 (42.3) when they are still held, and at 45.3
-        # (46.2) when the gathered x, y and the sort's inputs were held too; whether the
-        # first matrix is still held does not show, as the sort's arrays outweigh it
+    def test_label_pairs_with_several_entries_build_no_matrix(self, statistics):
+        # two label pairs of two entries each, 513 x 513 cells: each entry's products are
+        # added into the running sums of the cells read, which peaks at 13.3 MiB; a matrix
+        # per label pair, built from its sorted entries, peaked at 35.3 to 36.4 MiB
         net = build_tree(9)
         state = opposite_pair(statistics) + make_product_state(
             statistics, [Mode("A", DOWN), Mode("B", UP)])
@@ -605,7 +634,7 @@ class TestDetectPairs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 38 * 2 ** 20
+        assert peak < 20 * 2 ** 20
         assert kept.probabilities.sum() == pytest.approx(1.0)
 
     def test_unreached_paths_cost_nothing(self):
