@@ -152,35 +152,28 @@ _TABLE = (str, lambda values: _g_floats(values, TABLE_DIGITS))
 
 
 def _column(column: Column, text: Callable, floats: Callable) -> list[tuple]:
-    """The slots of one table column: pairs ``(texts, codes)``, whose text for row ``r``
-    is ``texts[codes[r]]``, or ``texts[r]`` if ``codes`` is None; a cell joins its slots.
+    """The slots of one table column: pairs ``(texts, codes)``, with one integer code per
+    row, whose text for row ``r`` is ``texts[codes[r]]``; a cell joins its slots.
 
-    ``column`` has passed ``ScenarioReport._rows``.  A list of str takes ``text`` per
-    cell.  A float64 or int64 array takes one
-    ``np.unique``: each distinct value gets its text once, a float column's all by one
-    ``floats`` call.  A coded column encodes each of its values once, as a column of
-    them, and its codes become int64.  With two codes it has two slots: ``text`` of the
-    first part without its closing quote, and ``text`` of the second without its opening
-    quote, which is the joined text's because ``text`` escapes character by character.
+    ``column`` has passed ``ScenarioReport._rows`` and is read as a coded column: a list
+    of str as its cells with codes ``0, 1, ...``, a float64 or int64 array as its
+    ``np.unique`` values and inverse.  The values are encoded once each, a float
+    column's all by one ``floats`` call, and the codes become int64.  With two codes
+    there are two slots: ``text`` of the first part without its closing quote, and
+    ``text`` of the second without its opening quote, which is the joined text's
+    because ``text`` escapes character by character.
     """
-    if isinstance(column, Coded):
-        texts = _texts(column.values, text, floats)
-        codes = column.codes.astype(np.int64, copy=False)
-        if codes.ndim == 1:
-            return [(np.array(texts, dtype=object), codes)]
-        half = len(text("")) // 2
-        return [(np.array([t[:len(t) - half] for t in texts], dtype=object), codes[:, 0]),
-                (np.array([t[half:] for t in texts], dtype=object), codes[:, 1])]
     if isinstance(column, list):
-        return [(_texts(column, text, floats), None)]
-    distinct, inverse = np.unique(column, return_inverse=True)
-    return [(np.array(_texts(distinct, text, floats), dtype=object), inverse)]
-
-
-def _take(slot: tuple, start: int, stop: int) -> list[str]:
-    """The texts of rows ``start:stop`` in one slot of :func:`_column`."""
-    texts, codes = slot
-    return texts[start:stop] if codes is None else texts[codes[start:stop]].tolist()
+        column = Coded(column, np.arange(len(column)))
+    elif not isinstance(column, Coded):
+        column = Coded(*np.unique(column, return_inverse=True))
+    texts = _texts(column.values, text, floats)
+    codes = column.codes.astype(np.int64, copy=False)
+    if codes.ndim == 1:
+        return [(np.array(texts, dtype=object), codes)]
+    half = len(text("")) // 2
+    return [(np.array([t[:len(t) - half] for t in texts], dtype=object), codes[:, 0]),
+            (np.array([t[half:] for t in texts], dtype=object), codes[:, 1])]
 
 
 def _texts(values: list[str] | np.ndarray, text: Callable, floats: Callable) -> list[str]:
@@ -197,8 +190,8 @@ def _join(pieces: list, rows: int) -> list[tuple]:
     """The slots of a table row: ``pieces`` with each run of adjacent joinable pieces joined.
 
     A piece is a str, the same in every row, which counts as the slot ``([str], 0)``, or
-    a slot of :func:`_column`.  Two adjacent pieces that each have codes become the one
-    slot ``(ta[i] + tb[j], ca * len(tb) + cb)`` whenever it holds at most
+    a slot of :func:`_column`.  Two adjacent pieces become the one slot
+    ``(ta[i] + tb[j], ca * len(tb) + cb)`` whenever it holds at most
     ``rows / _JOIN_SHARE`` texts, so that a float column with about one value per row,
     like a column of str, stays a slot of its own.  Joined codes take the narrowest
     unsigned type that holds them: as int64 they raised the max RSS of a depth-10 tree
@@ -207,9 +200,9 @@ def _join(pieces: list, rows: int) -> list[tuple]:
     slots = []
     for piece in pieces:
         texts, codes = (np.array([piece], dtype=object), 0) if isinstance(piece, str) else piece
-        if slots and codes is not None:
+        if slots:
             ta, ca = slots[-1]
-            if ca is not None and len(ta) * len(texts) * _JOIN_SHARE <= rows:
+            if len(ta) * len(texts) * _JOIN_SHARE <= rows:
                 if isinstance(codes, int):  # a fixed text leaves the codes as they are
                     codes = ca
                 elif not isinstance(ca, int):
@@ -226,7 +219,7 @@ def _chunks(pieces: list, rows: int) -> Iterator[list[str]]:
 
     A row joins the slots of :func:`_join`.  Each chunk repeats the texts of the
     slots whose code is the same in every row and slice-assigns each other slot's
-    texts into its place.
+    texts, ``texts[codes[start:stop]]``, into its place.
     """
     slots = _join(pieces, rows)
     step = len(slots)
@@ -234,9 +227,9 @@ def _chunks(pieces: list, rows: int) -> Iterator[list[str]]:
     for start in range(0, rows, _ROW_CHUNK):
         stop = min(start + _ROW_CHUNK, rows)
         flat = row * (stop - start)
-        for c, slot in enumerate(slots):
-            if not isinstance(slot[1], int):
-                flat[c::step] = _take(slot, start, stop)
+        for c, (texts, codes) in enumerate(slots):
+            if not isinstance(codes, int):
+                flat[c::step] = texts[codes[start:stop]].tolist()
         yield flat
 
 
@@ -337,10 +330,10 @@ class ScenarioReport:
 
     def to_csv(self) -> str:
         """The header and rows as newline-terminated CSV lines, with ``csv``'s minimal quoting."""
-        rows = self._rows()
+        self._rows()
         columns = []
         for column in self.table.values():
-            parts = [_take(slot, 0, rows) for slot in _column(column, *_CSV)]
+            parts = [texts[codes].tolist() for texts, codes in _column(column, *_CSV)]
             columns.append(parts[0] if len(parts) == 1 else map(str.__add__, *parts))
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -365,8 +358,7 @@ class ScenarioReport:
         for name, column in self.table.items():
             parts = _column(column, *_TABLE)
             # each row's cell length, from the lengths of the texts its codes name
-            length = sum(np.array(list(map(len, texts)))[slice(None) if codes is None else codes]
-                         for texts, codes in parts)
+            length = sum(np.array(list(map(len, texts)))[codes] for texts, codes in parts)
             width = max(len(name), int(length.max()))
             header.append(name.ljust(width))
             if len(parts) == 1:

@@ -390,7 +390,7 @@ def reference_table(report: ScenarioReport) -> str:
 
 
 #: -0.0 before and after 0.0, NaN, the infinities, subnormals, the ends of int64, and
-#: str cells that CSV quotes
+#: str cells that CSV quotes, among them a column of 2,500 rows: three row chunks
 EDGE_COLUMNS = {
     "-0.0-first": float64([-0.0, 0.0, -0.0]),
     "0.0-first": float64([0.0, -0.0, 1.0]),
@@ -399,6 +399,7 @@ EDGE_COLUMNS = {
     ),
     "int64-ends": int64([2**63 - 1, -1, -(2**63), 2**63 - 1]),
     "str": ["a,b", '"q"', "", "x\ny"],
+    "str-2500-rows": [f"r{k}" if k % 3 else f'"q{k}",x\n' * (k % 4) for k in range(2500)],
 }
 
 
@@ -620,6 +621,19 @@ class TestCodedColumns:
         assert [list(texts) for texts, _ in reporting._column(column, *reporting._JSON)] == [
             ['"C', '"D', '"none', '"', '"+C', '"+D'], ['C"', 'D"', 'none"', '"', '+C"', '+D"']
         ]
+
+    @pytest.mark.parametrize("column", [
+        ["a", "b", "a"],
+        float64([0.5, -0.0, 0.5]),
+        int64([3, -1, 3]),
+        Coded(["x", "y"], np.array([1, 1, 0], dtype=np.uint8)),
+        Coded(["C", "none", "", "+C"], np.array([[1, 2], [0, 3], [0, 2]])),
+    ], ids=["str-list", "float64", "int64", "one-code", "two-codes"])
+    def test_every_slot_has_a_code_per_row(self, column):
+        for style in (reporting._JSON, reporting._CSV, reporting._TABLE):
+            for _, codes in reporting._column(column, *style):
+                assert isinstance(codes, np.ndarray) and codes.dtype.kind == "i"
+                assert codes.shape == (3,)
 
     @pytest.mark.parametrize("render", RENDERERS.values(), ids=RENDERERS)
     @pytest.mark.parametrize("column, error", BAD_CODED.values(), ids=BAD_CODED)
