@@ -10,7 +10,6 @@ from types import ModuleType as _ModuleType
 
 from .errors import (
     NetworkError,
-    NotUnitaryError,
     OccupancyError,
     PauliExclusionError,
     StatisticsMismatchError,
@@ -21,7 +20,6 @@ from .fock import (
     Mode,
     Spin,
     Statistics,
-    apply_spin_rotation,
     make_product_state,
 )
 from .interferometer import (

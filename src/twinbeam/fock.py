@@ -25,15 +25,10 @@ from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
-from .errors import NotUnitaryError, PauliExclusionError, StatisticsMismatchError
+from .errors import PauliExclusionError, StatisticsMismatchError
 
 #: amplitudes below this magnitude are dropped when states are assembled
 PRUNE_THRESHOLD = 1e-12
-
-#: tolerance for unitarity and normalization checks
-UNITARY_TOL = 1e-9
 
 
 def ordered_sum(values: Iterable[float]) -> float:
@@ -211,8 +206,8 @@ Substitution = dict[Mode, tuple[tuple[Mode, complex], ...]]
 def substitute_modes(state: FockState, table: Substitution) -> FockState:
     """Rewrite each creation operator per ``table`` and re-canonicalize.
 
-    Low-level multilinear engine shared by the spin rotations and the
-    beam-splitter networks.  No unitarity check is performed here.
+    Low-level multilinear engine of the beam-splitter networks.  No
+    unitarity check is performed here.
     """
     fermionic = state.statistics is Statistics.FERMION
     out: dict[Monomial, complex] = {}
@@ -233,21 +228,3 @@ def substitute_modes(state: FockState, table: Substitution) -> FockState:
             out[key] = out.get(key, 0j) + coeff * sign
     return FockState(state.statistics, out)
 
-
-def apply_spin_rotation(state: FockState, path: str, r: np.ndarray) -> FockState:
-    """Rotate the spin of every mode on ``path`` by the 2x2 unitary ``r``."""
-    r = np.asarray(r, dtype=complex)
-    if r.shape != (2, 2):
-        raise NotUnitaryError(f"spin rotation must be 2x2, got shape {r.shape}")
-    if not np.allclose(r.conj().T @ r, np.eye(2), atol=UNITARY_TOL, rtol=0.0):
-        raise NotUnitaryError(f"spin rotation is not unitary within {UNITARY_TOL}")
-    tags = {mode.tag for m in state._terms for mode in m if mode.path == path}
-    table: Substitution = {}
-    for tag in tags:
-        for s in (Spin.UP, Spin.DOWN):
-            table[Mode(path, s, tag)] = tuple(
-                (Mode(path, s2, tag), complex(r[s2, s]))
-                for s2 in (Spin.UP, Spin.DOWN)
-                if abs(r[s2, s]) > PRUNE_THRESHOLD
-            )
-    return substitute_modes(state, table)

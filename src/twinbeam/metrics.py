@@ -4,7 +4,8 @@ A post-selected two-particle state is a ``(4, T)`` block ``v``: rows
 are the two-qubit basis {00, 01, 10, 11}, columns the internal tag
 pairs, and its density matrix, tags traced out, is ``v v† / |v|^2``.
 Every measure reads a ``(..., 4, T)`` stack of blocks without forming
-that matrix.  Paths label the particles and spins are the qubits in
+that matrix; a local spin rotation ``R1 (x) R2`` is ``kron(R1, R2) @ v``
+on its rows.  Paths label the particles and spins are the qubits in
 :func:`reduce_to_spin_dm`; spins label the particles and paths are the
 qubits in :func:`dual_relabel`.  Both order the tag columns by path.
 On a coincidence of one up and one down particle the dual block is the

@@ -15,7 +15,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import NetworkError
-from .fock import Mode, Spin, Statistics, apply_spin_rotation, make_product_state, ordered_sum
+from .fock import Mode, Spin, Statistics, make_product_state, ordered_sum
 from .interferometer import (
     MAX_TRIALS,
     Network,
@@ -225,10 +225,9 @@ def scenario_clicks(net: Network, statistics: Statistics, trials: int, seed: int
 
 def scenario_statistics_test(statistics: Statistics) -> ScenarioReport:
     """Identify the statistics from rotated spin correlations after coincidence."""
-    state = heralded_pair(opposite_spin_input(statistics, fig1_network())).state
-    for path in ("C", "D"):
-        state = apply_spin_rotation(state, path, SPIN_MIXER)
-    joint = (np.abs(reduce_to_spin_dm(state, "C", "D")) ** 2).sum(axis=-1)
+    pair = heralded_pair(opposite_spin_input(statistics, fig1_network()))
+    v = reduce_to_spin_dm(pair.state, "C", "D")
+    joint = (np.abs(np.kron(SPIN_MIXER, SPIN_MIXER) @ v) ** 2).sum(axis=-1)
     correlation = float(joint[0] - joint[1] - joint[2] + joint[3])
     if correlation > VERDICT_DEAD_ZONE:
         verdict = Statistics.FERMION.value

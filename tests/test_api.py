@@ -10,10 +10,10 @@ import twinbeam
 
 PUBLIC_NAMES = {
     # errors
-    "NetworkError", "NotUnitaryError", "OccupancyError",
+    "NetworkError", "OccupancyError",
     "PauliExclusionError", "StatisticsMismatchError", "TwinbeamError",
     # fock
-    "FockState", "Mode", "Spin", "Statistics", "apply_spin_rotation", "make_product_state",
+    "FockState", "Mode", "Spin", "Statistics", "make_product_state",
     # interferometer
     "BeamSplitter", "Branch", "BranchSet", "ExcitationPattern", "FeedbackRound", "Network",
     "build_tree", "detect", "feedback_run",

@@ -3,28 +3,29 @@
 import functools
 import math
 import operator
+from itertools import product
 
 import numpy as np
 import pytest
 
 from conftest import BOTH_STATISTICS, amplitude, random_two_particle_state, random_unitary
-from twinbeam.errors import NotUnitaryError, PauliExclusionError, StatisticsMismatchError
+from twinbeam.errors import PauliExclusionError, StatisticsMismatchError
 from twinbeam.fock import (
     FockState,
     Mode,
     Spin,
     Statistics,
     Substitution,
-    apply_spin_rotation,
     make_product_state,
     ordered_sum,
     substitute_modes,
 )
+from twinbeam.interferometer import heralded_pair
+from twinbeam.metrics import spin_blocks, tagged_opposite_spin_input
+from twinbeam.scenarios import SPIN_MIXER
 
 UP, DOWN = Spin.UP, Spin.DOWN
 A_UP, B_DOWN = Mode("A", UP), Mode("B", DOWN)
-
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
 def substitution(domain, matrix, codomain=None) -> Substitution:
@@ -151,34 +152,34 @@ class TestApplyUnitary:
             assert abs(stepwise.terms.get(monomial, 0j) - combined.terms.get(monomial, 0j)) < 1e-9
 
 
-class TestSpinRotation:
-    def test_mixes_spin(self):
-        state = make_product_state(Statistics.BOSON, [Mode("C", UP)])
-        out = apply_spin_rotation(state, "C", HADAMARD)
-        assert abs(amplitude(out, [Mode("C", UP)]) - 1.0 / math.sqrt(2.0)) < 1e-12
-        assert abs(amplitude(out, [Mode("C", DOWN)]) - 1.0 / math.sqrt(2.0)) < 1e-12
+def coincidences(statistics: Statistics) -> list[FockState]:
+    """The single splitter's heralded C+D states: tagged pairs, and each spin product that fires both."""
+    tagged = [tagged_opposite_spin_input(statistics, o) for o in (1.0, 0.8, 0.5j, 0.0)]
+    spins = [make_product_state(statistics, [Mode("A", a), Mode("B", b)])
+             for a, b in product(Spin, repeat=2)]
+    pairs = [heralded_pair(state) for state in tagged + spins]
+    return [pair.state for pair in pairs if pair.probability > 0.0]
 
-    def test_identity(self):
-        state = make_product_state(Statistics.FERMION, [Mode("C", UP), Mode("D", DOWN)])
-        assert apply_spin_rotation(state, "C", np.eye(2)) == state
 
-    def test_involution(self):
-        state = make_product_state(Statistics.BOSON, [Mode("C", UP)])
-        twice = apply_spin_rotation(apply_spin_rotation(state, "C", HADAMARD), "C", HADAMARD)
-        assert abs(amplitude(twice, [Mode("C", UP)]) - 1.0) < 1e-12
+class TestBlockRotation:
+    """A local spin rotation is ``kron(R1, R2) @ v`` on a coincidence block's rows."""
 
-    def test_other_paths_untouched(self):
-        state = make_product_state(Statistics.BOSON, [Mode("C", UP), Mode("D", UP)])
-        out = apply_spin_rotation(state, "C", HADAMARD)
-        for monomial in out.terms:
-            assert all(m.spin is UP for m in monomial if m.path == "D")
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_mode_substitution(self, statistics, seed):
+        rng = np.random.default_rng(300 + seed)
+        r1, r2 = random_unitary(rng, 2), random_unitary(rng, 2)
+        for state in coincidences(statistics):
+            table: Substitution = {}
+            for tag in {mode.tag for mode in state.modes()}:
+                for path, r in (("C", r1), ("D", r2)):
+                    table |= substitution([Mode(path, s, tag) for s in (UP, DOWN)], r)
+            # one call, so that both blocks share their tag columns
+            v, w = spin_blocks([state, substitute_modes(state, table)], "C", "D")
+            np.testing.assert_allclose(np.kron(r1, r2) @ v, w, rtol=0.0, atol=1e-12)
 
-    def test_rejects_non_unitary(self):
-        state = make_product_state(Statistics.BOSON, [Mode("C", UP)])
-        with pytest.raises(NotUnitaryError):
-            apply_spin_rotation(state, "C", np.array([[1.0, 1.0], [0.0, 1.0]]))
-        with pytest.raises(NotUnitaryError, match="2x2"):
-            apply_spin_rotation(state, "C", np.eye(3))
+    def test_spin_mixer_is_unitary(self):
+        np.testing.assert_allclose(SPIN_MIXER.conj().T @ SPIN_MIXER, np.eye(2), rtol=0.0, atol=1e-12)
 
 
 class TestOrderedSum:

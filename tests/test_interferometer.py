@@ -37,7 +37,6 @@ from twinbeam.fock import (
     Mode,
     Spin,
     Statistics,
-    apply_spin_rotation,
     make_product_state,
     substitute_modes,
 )
@@ -903,13 +902,13 @@ class TestCorrection:
         assert len(rows) == sum(len(b.pattern) == 2 for b in branches)
         for row in rows:
             p1, p2 = row["pattern"].split("+")
-            corrected = branches[{p1, p2}].state
+            v = reduce_to_spin_dm(branches[{p1, p2}].state, p1, p2)
             if row["correction"] != "identity":
                 path, turns = re.fullmatch(r"(\w+):down-phase (\S+)pi", row["correction"]).groups()
                 assert path == p1
+                # the lower path is qubit 1
                 phase = np.exp(1j * math.pi * float(turns))
-                corrected = apply_spin_rotation(corrected, path, np.diag([1.0, phase]))
-            v = reduce_to_spin_dm(corrected, p1, p2)
+                v = np.kron(np.diag([1.0, phase]), np.eye(2)) @ v
             assert abs(fidelity(v, PSI_PLUS) - 1.0) < 1e-9
 
 
