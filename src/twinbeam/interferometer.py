@@ -80,12 +80,6 @@ class BeamSplitter:
         if len(set(ports)) != 4:
             raise NetworkError(f"splitter ports must be four distinct paths, got {ports}")
 
-    def path_table(self) -> PathTable:
-        return {
-            self.in1: ((self.out1, _TRANSMIT), (self.out2, _REFLECT)),
-            self.in2: ((self.out2, _TRANSMIT), (self.out1, _REFLECT)),
-        }
-
 
 @dataclass(frozen=True)
 class Network:
@@ -146,13 +140,14 @@ class Network:
         holders = {p: [image] for p, image in images.items()}  # the images that hold each path
         for bs in self.splitters:
             held = []
-            for port, outputs in bs.path_table().items():
+            # each input port transmits to its own output and reflects to the other
+            for port, out, other in ((bs.in1, bs.out1, bs.out2), (bs.in2, bs.out2, bs.out1)):
                 for image in holders.pop(port, ()):
                     if bs.out1 not in image:
                         held.append(image)
                     amp = image.pop(port)
-                    for out, c in outputs:
-                        image[out] = image.get(out, 0j) + amp * c
+                    image[out] = image.get(out, 0j) + amp * _TRANSMIT
+                    image[other] = image.get(other, 0j) + amp * _REFLECT
             holders[bs.out1] = holders[bs.out2] = held
         return {p: tuple(image.items()) for p, image in images.items()}
 
@@ -341,7 +336,9 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
     adds ``b u_p u_q^T``, so each cell read is the sum, in entry order and
     left to right, of every entry's fresh product ``f[i] * g[j]`` with
     ``f = b u_p`` and ``g = u_q`` over the terminals, zero off their images.
-    A coincidence ``lo < hi`` adds ``|M[lo, hi]|^2`` and ``|M[hi, lo]|^2``;
+    Each coincidence ``lo < hi`` of the label pair's window (:func:`_pair_space`)
+    adds ``|M[lo, hi]|^2`` and ``|M[hi, lo]|^2``, at its place in the space of
+    all windows' coincidences;
     a single, or no detector, the diagonal and the cells with a particle on
     an unmonitored terminal: label pair by label pair, each one's cells in
     row-major order of its window, as a cell-by-cell sum adds them.  A
@@ -375,17 +372,18 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
         raise NetworkError(f"pair amplitudes would take {work} cell products, "
                            f"over {2 * MAX_MONOMIALS}")
     n, root2 = len(monitored), math.sqrt(2.0)
-    lo, hi = _pair_space(windows, n)
+    lo, hi, spans = _pair_space(windows, n)
     # 0: no detector fired; 1 + m: detector m alone; 1 + n + k: coincidence k
     probs, fires = np.zeros(1 + n + lo.size), np.zeros(1 + n + lo.size, dtype=bool)
     pair, pair_fires = probs[1 + n:], fires[1 + n:]
     # one entry's b u_p and u_q over the terminals, zero off its images
     f, g = np.zeros((2, len(terminals)), dtype=complex)
+    # each terminal's row and column in the current window, len(terminals) off it
+    at_row, at_col = np.full((2, len(terminals)), len(terminals))
     upper = []
-    for (first_label, second_label), (rows, cols, entries) in zip(label_pairs, windows):
+    for (first_label, second_label), (rows, cols, entries), (a, b, at) in zip(
+            label_pairs, windows, spans):
         stride = cols.size + 1
-        # each terminal's row and column; the zero last ones where the label pair has none
-        at_row, at_col = np.full(len(terminals), rows.size), np.full(len(terminals), cols.size)
         at_row[rows], at_col[cols] = np.arange(rows.size), np.arange(cols.size)
         # the other cells, in row-major order: the diagonal and those with a particle
         # on an unmonitored terminal, each firing its monitored terminal or none
@@ -396,21 +394,25 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
             (watched_rows[:, None] * stride + np.flatnonzero(cols >= n)).ravel(),
             (watched_rows * stride + own)[own < cols.size])))
         r, c = rows[cells // stride], cols[cells % stride]
-        # each cell adds its entries' fresh products f[i] * g[j] left to right, from -0.0,
-        # as -0.0 + t is t bit for bit; an in-place product may differ in the last bit
-        x = y = v = complex(-0.0, -0.0)
-        for (p, u), (q, w), b in entries:
-            f[p], g[q] = b * u, w
-            x, y, v = x + f[lo] * g[hi], y + f[hi] * g[lo], v + f[r] * g[c]
+        # each cell sums its entries' fresh products f[i] * g[j] left to right, from the
+        # first entry's: an in-place product may differ in the last bit
+        sums = ()
+        for (p, u), (q, w), e in entries:
+            f[p], g[q] = e * u, w
+            terms = f[a] * g[b], f[b] * g[a], f[r] * g[c]
+            sums = tuple(map(np.add, sums, terms)) if sums else terms
             f[p] = g[q] = 0
+        x, y, v = sums
         wx, wy = x.real ** 2 + x.imag ** 2, y.real ** 2 + y.imag ** 2
         # the two cells in row-major order: from the second label pair on, it shows
-        swap = at_row[hi] < at_row[lo]
-        pair += np.where(swap, wy, wx)
-        pair += np.where(swap, wx, wy)
+        swap = at_row[b] < at_row[a]
+        at_row[rows] = at_col[cols] = len(terminals)
+        # in place on the whole space, by index on a window's part of it
+        pair[at] += np.where(swap, wy, wx)
+        pair[at] += np.where(swap, wx, wy)
         # second-quantized amplitude: sqrt(2) psi for two distinct modes
-        pair_fires |= np.maximum(np.abs(x), np.abs(y)) * root2 > PRUNE_THRESHOLD
-        upper.append(x if coincidences else None)
+        pair_fires[at] |= np.maximum(np.abs(x), np.abs(y)) * root2 > PRUNE_THRESHOLD
+        upper.append((at, x) if coincidences else None)
         pattern = np.minimum(r, c) + 1
         pattern[pattern > n] = 0
         np.add.at(probs, pattern, v.real ** 2 + v.imag ** 2)
@@ -418,9 +420,10 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
         # psi / sqrt(2) for both particles in one (path, spin, tag) mode
         amp[(r == c) & (first_label == second_label)] /= 2.0
         fires[pattern[amp > PRUNE_THRESHOLD]] = True
-        del x, y, wx, wy, swap
+        del sums, terms, x, y, wx, wy, swap
     kept = np.flatnonzero(fires)
-    probabilities = probs[kept] / probs[kept].sum()
+    probabilities = probs[kept]
+    probabilities /= probabilities.sum()
     empty, first = np.searchsorted(kept, [1, n + 1]).tolist()
     codes = np.full((kept.size, 2), -1)
     codes[:first, 0] = np.where(kept[:first], kept[:first] - 1, n)
@@ -432,7 +435,11 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
         places = [(2 * s1 + s2, columns.setdefault((t1, t2), len(columns)))  # (spin row, tag column)
                   for (s1, t1), (s2, t2) in label_pairs]
         blocks = np.zeros((kept.size, 4, len(columns)), dtype=complex)
-        for (row, col), x in zip(places, upper):
+        for (row, col), (at, x) in zip(places, upper):
+            if not isinstance(at, slice):  # 0 off the window
+                cell = np.zeros(lo.size, dtype=complex)
+                cell[at] = x
+                x = cell
             # the cell with the smaller path first, 0 where the sparse engine prunes it
             x = x[kept]
             blocks[:, row, col] = np.where(np.abs(x) * root2 > PRUNE_THRESHOLD, x, 0)
@@ -468,16 +475,53 @@ def _pair_windows(state: FockState, table: PathTable, terminals: Sequence[str]) 
     return list(groups), windows
 
 
-def _pair_space(windows: list, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each coincidence ``(lo, hi)`` in a window, in ``np.triu`` order: the cells ``x < y`` of each
-    distinct window's sorted sides (the swapped label pair's gives ``y < x``), one stable sort."""
-    sides = {}
+def _pair_space(windows: list, n: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Every coincidence ``(lo, hi)`` of the windows, in ``np.triu`` order, and per window its
+    own ``(lo, hi)`` and their places ``at`` in that space, ``slice(None)`` if it spans it.
+
+    A window's coincidences are the cells ``a < b`` with ``a`` on one sorted monitored side
+    and ``b`` on the other, so a window and its swapped twin are one.  Window ``k``'s
+    terminals are shifted by ``k n`` and read with the others: each ``a`` pairs with every
+    larger ``b`` of the other side, or of both sides when it lies on both, a run of one
+    sorted array.  Several windows are merged by keys ``lo * n + hi`` and one stable sort.
+    """
+    sides, index = {}, []
     for rows, cols, _ in windows:
         x, y = np.sort(rows[rows < n]), np.sort(cols[cols < n])
-        sides[x.tobytes(), y.tobytes()] = x, y
-    keys = np.sort(np.concatenate([x[i] * n + y[j] for x, y in sides.values()
-                                   for i, j in [np.nonzero(x[:, None] < y)]]), kind="stable")
-    return np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+        key = min((x.tobytes(), y.tobytes()), (y.tobytes(), x.tobytes()))
+        index.append(sides.setdefault(key, (len(sides), x, y))[0])
+    _, xs, ys = zip(*sides.values())
+    x, y = (np.concatenate([part + k * n for k, part in enumerate(s)]) for s in (xs, ys))
+    z = _sorted_set(np.concatenate((x, y)))
+    parts = (x, y, z)
+    # per array: where a would go, where its larger values begin, and where its window ends
+    heads, tails, ends = (np.stack([np.searchsorted(part, v, end) for part in parts])
+                          for v, end in ((z, "left"), (z, "right"), ((z // n + 1) * n, "left")))
+    on_x, on_y = (tails > heads)[:2]
+    # which array holds a's partners: y for a on x alone, x for a on y alone, z for a on both
+    side, pick = on_x * (1 + on_y), np.arange(z.size)
+    offset = np.array([0, x.size, x.size + y.size])[side]
+    start = offset + tails[side, pick]
+    counts = offset + ends[side, pick] - start
+    lo = np.repeat(z, counts)
+    take = np.arange(lo.size)
+    take += np.repeat(start - np.cumsum(counts) + counts, counts)
+    hi = np.concatenate(parts)[take]
+    if len(sides) == 1:
+        return lo, hi, [(lo, hi, slice(None))] * len(windows)
+    bounds = np.searchsorted(lo, np.arange(len(sides) + 1) * n).tolist()
+    lo, hi = lo % n, hi % n
+    merged = _sorted_set(lo * n + hi)
+    at = np.searchsorted(merged, lo * n + hi)
+    spans = [(lo[s:e], hi[s:e], at[s:e]) for s, e in zip(bounds, bounds[1:])]
+    return (*np.divmod(merged, n), [spans[k] for k in index])
+
+
+def _sorted_set(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a nonnegative integer array, sorted; ``np.unique`` without
+    ``return_inverse`` would import ``numpy.ma``, about 1 MiB, on its first call."""
+    values = np.sort(values, kind="stable")
+    return values[np.diff(values, prepend=-1) != 0]
 
 
 def build_tree(depth: int) -> Network:

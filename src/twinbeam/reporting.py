@@ -193,15 +193,20 @@ def _join(pieces: list, rows: int) -> list[tuple]:
     a slot of :func:`_column`.  Two adjacent pieces become the one slot
     ``(ta[i] + tb[j], ca * len(tb) + cb)`` whenever it holds at most
     ``rows / _JOIN_SHARE`` texts, so that a float column with about one value per row,
-    like a column of str, stays a slot of its own.  Joined codes take the narrowest
-    unsigned type that holds them: as int64 they raised the max RSS of a depth-10 tree
-    table from 227 to 236 MiB, as uint16 to 231.
+    like a column of str, stays a slot of its own.  Two slots of one code array, as of
+    two coded columns that share it, always join text by text: ``(ta[c] + tb[c], ca)``.
+    Joined codes take the narrowest unsigned type that holds them: as int64 they raised
+    the max RSS of a depth-10 tree table from 227 to 236 MiB, as uint16 to 231.
     """
     slots = []
     for piece in pieces:
         texts, codes = (np.array([piece], dtype=object), 0) if isinstance(piece, str) else piece
         if slots:
             ta, ca = slots[-1]
+            if codes is ca:  # one code array: row r joins ta[c] and texts[c], c = codes[r]
+                size = min(len(ta), len(texts))
+                slots[-1] = (ta[:size] + texts[:size], ca)
+                continue
             if len(ta) * len(texts) * _JOIN_SHARE <= rows:
                 if isinstance(codes, int):  # a fixed text leaves the codes as they are
                     codes = ca

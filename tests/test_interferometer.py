@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -77,7 +77,9 @@ def opposite_pair(statistics):
 
 def apply_splitter(state, bs):
     """One splitter substituted on its own, without the network's path map."""
-    table = bs.path_table()
+    transmit, reflect = 1 / math.sqrt(2.0), 1j / math.sqrt(2.0)
+    table = {bs.in1: ((bs.out1, transmit), (bs.out2, reflect)),
+             bs.in2: ((bs.out2, transmit), (bs.out1, reflect))}
     return substitute_modes(state, {
         mode: tuple((Mode(p, mode.spin, mode.tag), c) for p, c in table[mode.path])
         for mode in state.modes()
@@ -383,7 +385,51 @@ def random_tagged_case(seed: int, statistics: Statistics) -> tuple[Network, Fock
     return net, state + complex(rng.normal(), rng.normal()) * bunched
 
 
+@st.composite
+def pair_windows(draw):
+    """``(windows, n)``: one to four windows ``(rows, cols, entries)`` over up to ten
+    terminals, the first ``n`` of them monitored.  Each window's sides are equal, disjoint
+    or drawn apart, a side may hold no monitored terminal, and a window may be followed
+    by its swapped twin."""
+    size = draw(st.integers(1, 10))
+    n = draw(st.integers(0, size))
+    terminals = st.lists(st.integers(0, size - 1), min_size=1, unique=True)
+    windows = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = draw(terminals)
+        rest = [t for t in range(size) if t not in rows]
+        shapes = [st.permutations(rows), terminals]
+        if rest:
+            shapes.append(st.lists(st.sampled_from(rest), min_size=1, unique=True))
+        cols = draw(st.one_of(shapes))
+        windows.append((np.array(rows), np.array(cols), []))
+        if draw(st.booleans()):
+            windows.append((np.array(cols), np.array(rows), []))
+    return windows, n
+
+
+def window_coincidences(rows, cols, n) -> list[tuple[int, int]]:
+    """The sorted cells ``a < b``, ``a`` on one monitored side of a window, ``b`` on the other."""
+    x, y = rows[rows < n].tolist(), cols[cols < n].tolist()
+    return sorted({(min(a, b), max(a, b)) for a in x for b in y if a != b})
+
+
 class TestDetectPairs:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(case=pair_windows())
+    # the twin orientations of two pairs on their own splitters: one holds every cell
+    @example(case=([(np.array([0, 1]), np.array([2, 3]), []),
+                    (np.array([2, 3]), np.array([0, 1]), [])], 4))
+    def test_pair_space_is_every_window_coincidence(self, case):
+        windows, n = case
+        lo, hi, spans = interferometer._pair_space(windows, n)
+        expected = [window_coincidences(rows, cols, n) for rows, cols, _ in windows]
+        assert list(zip(lo.tolist(), hi.tolist())) == sorted(set().union(*expected))
+        assert len(spans) == len(windows)
+        for (a, b, at), own in zip(spans, expected):
+            assert list(zip(a.tolist(), b.tolist())) == own
+            assert list(zip(lo[at].tolist(), hi[at].tolist())) == own
+
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), statistics=st.sampled_from(BOTH_STATISTICS))
     def test_random_networks_match_sparse_engine(self, seed, statistics):

@@ -563,7 +563,7 @@ class TestCodedColumns:
 
     @pytest.mark.parametrize(
         "make, json_pieces, table_pieces",
-        [(lambda: scenario_clicks(build_tree(7), Statistics.FERMION, 1000, 3), 3, 3),
+        [(lambda: scenario_clicks(build_tree(7), Statistics.FERMION, 1000, 3), 2, 3),
          (lambda: scenario_tree(7, Statistics.BOSON), 3, 4),
          (lambda: report_of({"a": Coded(["x", "y"], np.arange(1001) % 2),
                              "b": np.arange(1001) / 7}), 3, 3)],
@@ -571,7 +571,9 @@ class TestCodedColumns:
     )
     def test_rows_join_few_pieces(self, make, json_pieces, table_pieces):
         # without joins a clicks row is 11 pieces and a tree row 15 in JSON; a float
-        # column with a value per row is a piece of its own in both renderers
+        # column with a value per row is a piece of its own in both renderers; a clicks
+        # row's count and frequency share their codes, so its JSON joins its first path
+        # name to them
         report = make()
         assert pieces_per_row(report.to_json) == json_pieces
         assert pieces_per_row(report.to_table) == table_pieces
@@ -606,6 +608,24 @@ class TestCodedColumns:
         assert report.to_json() == canonical_json(reference_to_dict(report))
         assert report.to_table() == reference_table(report)
         assert pieces_per_row(report.to_json) == pieces_per_row(report.to_table) == 1
+
+    @pytest.mark.parametrize("chunk", [7, 1000])
+    def test_columns_of_one_code_array_join_text_by_text(self, chunk):
+        # 20 codes for 1,000 rows: a cross product's 400 texts would exceed the bound of 250,
+        # but one code array joins 20 texts; an unused 21st value is never written
+        codes = np.arange(1000) * 7 % 20
+        values = ([f"v{k}" for k in range(21)], np.arange(20) / 8)
+
+        def report(second_codes):
+            return report_of({"a": Coded(values[0], codes), "b": Coded(values[1], second_codes),
+                              "c": np.arange(1000) / 3})
+
+        shared, copied = report(codes), report(codes.copy())
+        with mock.patch.object(reporting, "_ROW_CHUNK", chunk):
+            assert shared.to_json() == copied.to_json() == canonical_json(reference_to_dict(shared))
+            assert shared.to_table() == copied.to_table() == reference_table(shared)
+            assert pieces_per_row(shared.to_json) == 3
+            assert pieces_per_row(copied.to_json) == 4
 
     def test_unused_values_do_not_widen_the_table(self):
         column = Coded(["a", "a-very-long-unused-name", "b", "", "+b", "+a-very-long-unused-name"],
