@@ -36,6 +36,7 @@ from .fock import (
     ordered_sum,
     substitute_modes,
 )
+from .reporting import _distinct
 
 _TRANSMIT = 1.0 / math.sqrt(2.0)
 _REFLECT = 1j / math.sqrt(2.0)
@@ -338,13 +339,14 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
     ``f = b u_p`` and ``g = u_q`` over the terminals, zero off their images.
     Each coincidence ``lo < hi`` of the label pair's window (:func:`_pair_space`)
     adds ``|M[lo, hi]|^2`` and ``|M[hi, lo]|^2``, at its place in the space of
-    all windows' coincidences;
-    a single, or no detector, the diagonal and the cells with a particle on
-    an unmonitored terminal: label pair by label pair, each one's cells in
+    all windows' coincidences (the first label pair stores their sum: ``0 + u + w``
+    is ``0 + w + u``); a single, or no detector, the diagonal and the cells with a
+    particle on an unmonitored terminal: label pair by label pair, each one's cells in
     row-major order of its window, as a cell-by-cell sum adds them.  A
     pattern is kept when one of its second-quantized amplitudes exceeds
-    ``PRUNE_THRESHOLD``, the sparse engine's rule, and the kept
-    probabilities are renormalized.  Any particle number but two raises
+    ``PRUNE_THRESHOLD``, the sparse engine's rule, and the kept probabilities are
+    renormalized; a coincidence's is compared by its square, and by ``np.abs`` where
+    that is NaN or within a relative 1e-9 of the bound.  Any particle number but two raises
     ``ValueError``; the checks are those of :func:`run_network`, and more
     than twice :data:`MAX_MONOMIALS` products, entries times window cells
     summed over the label pairs, raise :class:`NetworkError` before any
@@ -372,6 +374,8 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
         raise NetworkError(f"pair amplitudes would take {work} cell products, "
                            f"over {2 * MAX_MONOMIALS}")
     n, root2 = len(monitored), math.sqrt(2.0)
+    # squares below, or above, these put sqrt(2) |psi| below, or above, the threshold
+    bounds = PRUNE_THRESHOLD ** 2 / 2 * (1 - 1e-9), PRUNE_THRESHOLD ** 2 / 2 * (1 + 1e-9)
     lo, hi, spans = _pair_space(windows, n)
     # 0: no detector fired; 1 + m: detector m alone; 1 + n + k: coincidence k
     probs, fires = np.zeros(1 + n + lo.size), np.zeros(1 + n + lo.size, dtype=bool)
@@ -381,8 +385,8 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
     # each terminal's row and column in the current window, len(terminals) off it
     at_row, at_col = np.full((2, len(terminals)), len(terminals))
     upper = []
-    for (first_label, second_label), (rows, cols, entries), (a, b, at) in zip(
-            label_pairs, windows, spans):
+    for k, ((first_label, second_label), (rows, cols, entries), (a, b, at)) in enumerate(zip(
+            label_pairs, windows, spans)):
         stride = cols.size + 1
         at_row[rows], at_col[cols] = np.arange(rows.size), np.arange(cols.size)
         # the other cells, in row-major order: the diagonal and those with a particle
@@ -403,15 +407,24 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
             sums = tuple(map(np.add, sums, terms)) if sums else terms
             f[p] = g[q] = 0
         x, y, v = sums
-        wx, wy = x.real ** 2 + x.imag ** 2, y.real ** 2 + y.imag ** 2
-        # the two cells in row-major order: from the second label pair on, it shows
-        swap = at_row[b] < at_row[a]
+        wx, wy = x.real ** 2, y.real ** 2
+        wx += x.imag ** 2
+        wy += y.imag ** 2
+        if k:  # the two cells in row-major order, on the whole space or a window's places
+            swap = at_row[b] < at_row[a]
+            pair[at] += np.where(swap, wy, wx)
+            pair[at] += np.where(swap, wx, wy)
+            del swap
+        else:  # the space is still zero, and 0 + u + w is 0 + w + u, bit for bit
+            pair[at] = wx + wy
         at_row[rows] = at_col[cols] = len(terminals)
-        # in place on the whole space, by index on a window's part of it
-        pair[at] += np.where(swap, wy, wx)
-        pair[at] += np.where(swap, wx, wy)
-        # second-quantized amplitude: sqrt(2) psi for two distinct modes
-        pair_fires[at] |= np.maximum(np.abs(x), np.abs(y)) * root2 > PRUNE_THRESHOLD
+        # second-quantized amplitude sqrt(2) psi for two distinct modes, over the threshold
+        # by its square unless that is NaN or near the bound: there by np.abs
+        largest = np.maximum(wx, wy, out=wx)
+        over = largest > bounds[1]
+        near = np.flatnonzero(~(over | (largest < bounds[0])))
+        over[near] = np.maximum(np.abs(x[near]), np.abs(y[near])) * root2 > PRUNE_THRESHOLD
+        pair_fires[at] |= over
         upper.append((at, x) if coincidences else None)
         pattern = np.minimum(r, c) + 1
         pattern[pattern > n] = 0
@@ -420,14 +433,14 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
         # psi / sqrt(2) for both particles in one (path, spin, tag) mode
         amp[(r == c) & (first_label == second_label)] /= 2.0
         fires[pattern[amp > PRUNE_THRESHOLD]] = True
-        del sums, terms, x, y, wx, wy, swap
+        del sums, terms, x, y, wx, wy, largest, over
     kept = np.flatnonzero(fires)
     probabilities = probs[kept]
     probabilities /= probabilities.sum()
     empty, first = np.searchsorted(kept, [1, n + 1]).tolist()
     codes = np.full((kept.size, 2), -1)
     codes[:first, 0] = np.where(kept[:first], kept[:first] - 1, n)
-    kept = kept[first:] - 1 - n
+    kept = kept[first:] - (1 + n)
     codes[first:, 0], codes[first:, 1] = lo[kept], hi[kept]
     blocks = None
     if coincidences:
@@ -483,7 +496,7 @@ def _pair_space(windows: list, n: int) -> tuple[np.ndarray, np.ndarray, list]:
     and ``b`` on the other, so a window and its swapped twin are one.  Window ``k``'s
     terminals are shifted by ``k n`` and read with the others: each ``a`` pairs with every
     larger ``b`` of the other side, or of both sides when it lies on both, a run of one
-    sorted array.  Several windows are merged by keys ``lo * n + hi`` and one stable sort.
+    sorted array.  Several windows are merged by the distinct keys ``lo * n + hi``.
     """
     sides, index = {}, []
     for rows, cols, _ in windows:
@@ -492,7 +505,7 @@ def _pair_space(windows: list, n: int) -> tuple[np.ndarray, np.ndarray, list]:
         index.append(sides.setdefault(key, (len(sides), x, y))[0])
     _, xs, ys = zip(*sides.values())
     x, y = (np.concatenate([part + k * n for k, part in enumerate(s)]) for s in (xs, ys))
-    z = _sorted_set(np.concatenate((x, y)))
+    z = _distinct(np.concatenate((x, y)))[0]
     parts = (x, y, z)
     # per array: where a would go, where its larger values begin, and where its window ends
     heads, tails, ends = (np.stack([np.searchsorted(part, v, end) for part in parts])
@@ -511,17 +524,9 @@ def _pair_space(windows: list, n: int) -> tuple[np.ndarray, np.ndarray, list]:
         return lo, hi, [(lo, hi, slice(None))] * len(windows)
     bounds = np.searchsorted(lo, np.arange(len(sides) + 1) * n).tolist()
     lo, hi = lo % n, hi % n
-    merged = _sorted_set(lo * n + hi)
-    at = np.searchsorted(merged, lo * n + hi)
+    merged, at = _distinct(lo * n + hi)
     spans = [(lo[s:e], hi[s:e], at[s:e]) for s, e in zip(bounds, bounds[1:])]
     return (*np.divmod(merged, n), [spans[k] for k in index])
-
-
-def _sorted_set(values: np.ndarray) -> np.ndarray:
-    """The distinct values of a nonnegative integer array, sorted; ``np.unique`` without
-    ``return_inverse`` would import ``numpy.ma``, about 1 MiB, on its first call."""
-    values = np.sort(values, kind="stable")
-    return values[np.diff(values, prepend=-1) != 0]
 
 
 def build_tree(depth: int) -> Network:

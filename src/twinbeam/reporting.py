@@ -151,13 +151,31 @@ _CSV = (str, lambda values: _g_floats(values, JSON_DIGITS))
 _TABLE = (str, lambda values: _g_floats(values, TABLE_DIGITS))
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` of a 1-D int64, float64 or NaN-free complex
+    array, but for the sign of a zero, without its argsort: int64 values that span at most
+    the array's length are marked in a table, and any other array is sorted and searched."""
+    if values.dtype == np.int64 and values.size:
+        low, high = int(values.min()), int(values.max())
+        if high - low < values.size:  # in Python ints, which a huge span cannot wrap
+            offsets = values - low
+            seen = np.zeros(high - low + 1, dtype=bool)
+            seen[offsets] = True
+            return np.flatnonzero(seen) + low, (np.cumsum(seen) - 1)[offsets]
+    ordered = np.sort(values)
+    distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+    if distinct.size and distinct[-1] != distinct[-1]:  # NaNs sort last, each unequal
+        distinct = distinct[:np.searchsorted(distinct, distinct[-1]) + 1]
+    return distinct, np.searchsorted(distinct, values)
+
+
 def _column(column: Column, text: Callable, floats: Callable) -> list[tuple]:
     """The slots of one table column: pairs ``(texts, codes)``, with one integer code per
     row, whose text for row ``r`` is ``texts[codes[r]]``; a cell joins its slots.
 
     ``column`` has passed ``ScenarioReport._rows`` and is read as a coded column: a list
     of str as its cells with codes ``0, 1, ...``, a float64 or int64 array as its
-    ``np.unique`` values and inverse.  The values are encoded once each, a float
+    :func:`_distinct` values and codes.  The values are encoded once each, a float
     column's all by one ``floats`` call, and the codes become int64.  With two codes
     there are two slots: ``text`` of the first part without its closing quote, and
     ``text`` of the second without its opening quote, which is the joined text's
@@ -166,7 +184,7 @@ def _column(column: Column, text: Callable, floats: Callable) -> list[tuple]:
     if isinstance(column, list):
         column = Coded(column, np.arange(len(column)))
     elif not isinstance(column, Coded):
-        column = Coded(*np.unique(column, return_inverse=True))
+        column = Coded(*_distinct(column))
     texts = _texts(column.values, text, floats)
     codes = column.codes.astype(np.int64, copy=False)
     if codes.ndim == 1:
@@ -373,7 +391,7 @@ class ScenarioReport:
                                codes))
             else:
                 # each padding that a row needs, once: memory in the widths that occur
-                gaps, gap = np.unique(width - length, return_inverse=True)
+                gaps, gap = _distinct(width - length)
                 pad = np.array([" " * n for n in gaps.tolist()], dtype=object)
                 pieces += ["  ", *parts, (pad, gap)]
         lines.append("  " + "  ".join(header))

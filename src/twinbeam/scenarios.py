@@ -43,7 +43,7 @@ from .metrics import (
     tagged_opposite_spin_input,
     validate_dms,
 )
-from .reporting import SAMPLED, Coded, Column, Scalar, ScenarioReport
+from .reporting import SAMPLED, Coded, Column, Scalar, ScenarioReport, _distinct
 
 #: documented default seed for every sampled quantity
 DEFAULT_SEED = 1905
@@ -126,7 +126,7 @@ def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str
     phases = _correction_phases(blocks[:, :, 0], names, pairs)
     # a tree's coincidences share two phases; an imaginary part is either a
     # snapped +-1's +0.0 or at least 1e-12 in magnitude, so equal phases are one value
-    distinct, phase = np.unique(phases, return_inverse=True)
+    distinct, phase = _distinct(phases)
     turns = [f"down-phase {math.atan2(p.imag, p.real) / math.pi:.6g}pi" for p in distinct.tolist()]
     # correction codes: 0 no coincidence, 1 identity, 2 + lower path x distinct phase
     correction = np.zeros(len(probabilities), dtype=np.int64)
@@ -203,7 +203,7 @@ def scenario_clicks(net: Network, statistics: Statistics, trials: int, seed: int
     counts = _draw_counts(probabilities, trials, seed)
     # one correctly rounded division of Python ints per distinct count: a float64
     # count would round twice above 2^53
-    distinct, inverse = np.unique(counts, return_inverse=True)
+    distinct, inverse = _distinct(counts)
     coincidence_count = int(counts[first:].sum())
     return ScenarioReport(
         scenario="clicks",

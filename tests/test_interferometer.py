@@ -1,5 +1,6 @@
 """Tests for networks, detection branching, trees, feedback, and corrections."""
 
+import cmath
 import functools
 import math
 import operator
@@ -33,6 +34,7 @@ from conftest import (
 from twinbeam import interferometer
 from twinbeam.errors import NetworkError
 from twinbeam.fock import (
+    PRUNE_THRESHOLD,
     FockState,
     Mode,
     Spin,
@@ -548,6 +550,35 @@ class TestDetectPairs:
         assert "C+D" in got
         assert ("D" in got) is fires
 
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    def test_prune_decisions_at_the_threshold(self, statistics):
+        # with no splitter, a pair on (C, D) is the one cell psi = a / sqrt(2) of C+D, and
+        # so is a pair on (E, F) of E+F.  Each a puts sqrt(2) |psi| an ulp above, or at or
+        # below, the threshold, while |psi|^2 against PRUNE_THRESHOLD^2 / 2 reads it the
+        # other way: only np.abs decides these cells
+        root2, half_square = math.sqrt(2.0), PRUNE_THRESHOLD ** 2 / 2
+
+        def near_threshold(over):
+            for k in range(1000):
+                a = PRUNE_THRESHOLD * cmath.exp(1j * k / 1000)
+                psi = np.complex128(a / root2)
+                fires = bool(np.abs(psi) * root2 > PRUNE_THRESHOLD)
+                if abs(a) > PRUNE_THRESHOLD and fires is over and (
+                        psi.real ** 2 + psi.imag ** 2 > half_square) is not over:
+                    assert abs(np.abs(psi) * root2 - PRUNE_THRESHOLD) <= np.spacing(PRUNE_THRESHOLD)
+                    return a
+            raise AssertionError("no amplitude at the threshold")
+
+        paths = tuple("ABCDEF")
+        net = Network((), paths, paths)
+        state = FockState(statistics, {
+            (Mode("A", UP), Mode("B", DOWN)): 1.0,
+            (Mode("C", UP), Mode("D", DOWN)): near_threshold(True),
+            (Mode("E", UP), Mode("F", DOWN)): near_threshold(False),
+        })
+        assert engine_mismatch(net, state) is None
+        assert kept_labels(_detect_pairs(net, state)) == ["A+B", "C+D"]
+
     @pytest.mark.parametrize(
         "modes", [[Mode("A", UP)], [Mode("A", UP), Mode("A", DOWN), Mode("B", UP)], []],
         ids=["one", "three", "vacuum"],
@@ -664,6 +695,20 @@ class TestDetectPairs:
             tracemalloc.stop()
         assert peak < 60 * 2 ** 20
         assert len(kept.probabilities) == 2 ** 10 * (2 ** 10 + 1) // 2
+
+    def test_deepest_tree_blocks_memory(self):
+        # the blocks of 523,776 coincidences take 32 MiB, and their normalization peaks at
+        # 120.8 MiB: each label pair keeps its cells for them, not the squares it prunes by
+        net = build_tree(MAX_TREE_DEPTH)
+        state = opposite_pair(Statistics.FERMION)
+        tracemalloc.start()
+        try:
+            kept = _detect_pairs(net, state, coincidences=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 120.9 * 2 ** 20
+        assert kept.blocks.shape == (2 ** 10 * (2 ** 10 - 1) // 2, 4, 1)
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     def test_label_pairs_with_several_entries_build_no_matrix(self, statistics):

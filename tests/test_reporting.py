@@ -356,6 +356,34 @@ class TestArrayColumns:
         assert out == render(report_of({"x": coded}))
 
 
+#: int64 arrays whose values span at most their length, read through a table, some at
+#: either end of int64, and arrays of any int64 values, read by a sort and a search
+SMALL_SPANS = st.tuples(
+    st.sampled_from([0, -7, -(2**63), 2**63 - 11]), st.lists(st.integers(0, 10), max_size=40)
+).map(lambda case: int64([case[0] + v for v in case[1]]))
+ANY_INT64 = st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40).map(int64)
+#: float64 arrays of repeated specials: NaN, both zeros, both infinities and subnormals
+SPECIAL_FLOATS = st.lists(
+    st.floats() | st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -1e-310]),
+    max_size=40,
+).map(float64)
+
+
+class TestDistinct:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(values=SMALL_SPANS | ANY_INT64 | SPECIAL_FLOATS)
+    @example(values=int64([3, 1, 3, 2]))
+    @example(values=int64([-(2**63), 2**63 - 1, -(2**63)]))  # a span that int64 cannot hold
+    @example(values=float64([math.nan, -0.0, math.nan, 0.0, math.inf, 5e-324, -math.inf]))
+    def test_matches_np_unique(self, values):
+        distinct, codes = reporting._distinct(values)
+        expected, inverse = np.unique(values, return_inverse=True)
+        assert codes.dtype == np.int64 and np.array_equal(codes, inverse)
+        # == holds -0.0 and 0.0 equal: the sign of a zero may differ
+        assert distinct.dtype == expected.dtype
+        assert np.array_equal(distinct, expected, equal_nan=True)
+
+
 def reference_cell(value, digits: int) -> str:
     """A cell, scalar value or parameter as CSV (12 digits) and tables (6) show it."""
     return f"{value + 0.0:.{digits}g}" if type(value) is float else str(value)
