@@ -358,6 +358,8 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
     (s1, t1) on the lower path and (s2, t2) on the upper one, up to
     normalization, ``c`` the column of (t1, t2), 0 for (0, 0): what
     :func:`twinbeam.metrics.reduce_to_spin_dm` reads off a detected branch.
+    Each place's column is divided by the blocks' norms, their squares
+    ``(x.conj() * x).real`` summed as ``np.linalg.norm(blocks, axis=(1, 2))`` sums them.
     """
     if state.particle_numbers() != {2}:
         raise ValueError("the pair engine requires a two-particle input")
@@ -438,25 +440,35 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
     probabilities = probs[kept]
     probabilities /= probabilities.sum()
     empty, first = np.searchsorted(kept, [1, n + 1]).tolist()
-    codes = np.full((kept.size, 2), -1)
+    codes = np.empty((kept.size, 2), dtype=np.int64)
     codes[:first, 0] = np.where(kept[:first], kept[:first] - 1, n)
-    kept = kept[first:] - (1 + n)
+    codes[:first, 1] = -1
+    # the kept coincidences' places in the space: all of it, as a view, when none is pruned
+    kept = slice(None) if kept.size - first == lo.size else kept[first:] - (1 + n)
     codes[first:, 0], codes[first:, 1] = lo[kept], hi[kept]
     blocks = None
     if coincidences:
         columns = {(0, 0): 0}
         places = [(2 * s1 + s2, columns.setdefault((t1, t2), len(columns)))  # (spin row, tag column)
                   for (s1, t1), (s2, t2) in label_pairs]
-        blocks = np.zeros((kept.size, 4, len(columns)), dtype=complex)
-        for (row, col), (at, x) in zip(places, upper):
+        width = len(columns)
+        squares = np.zeros((len(codes) - first, 4 * width))
+        for k, (row, col) in enumerate(places):
+            at, x = upper[k]
             if not isinstance(at, slice):  # 0 off the window
                 cell = np.zeros(lo.size, dtype=complex)
                 cell[at] = x
                 x = cell
             # the cell with the smaller path first, 0 where the sparse engine prunes it
             x = x[kept]
-            blocks[:, row, col] = np.where(np.abs(x) * root2 > PRUNE_THRESHOLD, x, 0)
-        blocks /= np.linalg.norm(blocks, axis=(1, 2))[:, None, None]
+            # the pruned kept column replaces the label pair's whole one
+            upper[k] = x = np.where(np.abs(x) * root2 > PRUNE_THRESHOLD, x, 0)
+            squares[:, row * width + col] = (x.conj() * x).real
+        norms = np.sqrt(np.add.reduce(squares, axis=1))
+        del squares
+        blocks = np.zeros((len(norms), 4, width), dtype=complex)
+        for (row, col), x in zip(places, upper):
+            np.divide(x, norms, out=blocks[:, row, col])
     return _KeptPatterns(monitored, codes, empty, first, probabilities, blocks)
 
 

@@ -37,9 +37,6 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
 
-# <psi+| and <psi-| as the two columns of a 4x2 matrix
-_BELL_BRAS = np.array([PSI_PLUS, PSI_MINUS]).conj().T
-
 
 # No package code builds one: it stays only because perfbench/tracer.py wraps its methods.
 @dataclass(frozen=True, eq=False)
@@ -282,10 +279,12 @@ def bell_index(v: np.ndarray) -> np.ndarray:
     which is ``<psi| v v† / tr |psi>``, so a tag-mixed block is labelled as its spin
     matrix would be.  It is 1 for psi+ (tested first) or 2 for psi- when that
     fidelity exceeds ``1 - BELL_TOL``.  A ``(..., 4, 4)`` matrix reads as T = 4.
+    psi+ and psi- have no uu or dd part: their overlaps ``(v1c +- v2c) / sqrt2`` read rows 1, 2.
     """
     v = np.asarray(v)
-    # (..., T, 2) overlaps in one product, summed over the tag columns
-    overlaps = (np.abs(v.swapaxes(-1, -2) @ _BELL_BRAS) ** 2).sum(axis=-2)
+    ud, du = v[..., 1, :], v[..., 2, :]
     # the fidelity test multiplied out by |v|^2, so that a zero block is no Bell state
-    bell = overlaps > (1.0 - BELL_TOL) * _norms_sq(v)[..., None]
-    return np.where(bell[..., 0], 1, 2 * bell[..., 1])
+    bound = (1.0 - BELL_TOL) * _norms_sq(v)
+    plus = (np.abs((ud + du) / math.sqrt(2.0)) ** 2).sum(axis=-1) > bound
+    minus = (np.abs((ud - du) / math.sqrt(2.0)) ** 2).sum(axis=-1) > bound
+    return np.where(plus, 1, 2 * minus)

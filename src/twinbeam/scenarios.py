@@ -89,10 +89,11 @@ def _correction_phases(v: np.ndarray, names: Sequence[str], codes: np.ndarray) -
     +-1 within 1e-12 of the real axis; 1 means no correction.
     """
     half = 1 / math.sqrt(2)
-    close = np.abs(np.abs(v) - [0.0, half, half, 0.0]) <= 1e-9
-    bad = ~close.all(axis=-1)
-    if bad.any():
-        paths = [names[c] for c in codes[bad.argmax()].tolist()]
+    uu, ud, du, dd = np.abs(v[:, 0]), np.abs(v[:, 1]), np.abs(v[:, 2]), np.abs(v[:, 3])
+    # each block's largest deviation, NaN where an amplitude is NaN: np.maximum keeps it
+    close = np.maximum(np.maximum(uu, dd), np.maximum(np.abs(ud - half), np.abs(du - half))) <= 1e-9
+    if not close.all():
+        paths = [names[c] for c in codes[close.argmin()].tolist()]
         raise NetworkError(f"branch {paths} is not a local-phase image of psi+")
     delta = v[:, 1] / v[:, 2]
     delta /= np.abs(delta)
@@ -124,13 +125,15 @@ def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str
     probabilities, first, names, blocks = kept.probabilities, kept.first, kept.names, kept.blocks
     pairs = kept.codes[first:]
     phases = _correction_phases(blocks[:, :, 0], names, pairs)
-    # a tree's coincidences share two phases; an imaginary part is either a
-    # snapped +-1's +0.0 or at least 1e-12 in magnitude, so equal phases are one value
-    distinct, phase = _distinct(phases)
+    # the phases other than 1, a tree's all -1; an imaginary part is either a snapped
+    # -1's +0.0 or at least 1e-12 in magnitude, so equal phases are one value
+    other = np.flatnonzero(phases != 1.0)
+    distinct, phase = _distinct(phases[other])
     turns = [f"down-phase {math.atan2(p.imag, p.real) / math.pi:.6g}pi" for p in distinct.tolist()]
     # correction codes: 0 no coincidence, 1 identity, 2 + lower path x distinct phase
     correction = np.zeros(len(probabilities), dtype=np.int64)
-    correction[first:] = np.where(phases == 1.0, 1, 2 + pairs[:, 0] * len(turns) + phase)
+    correction[first:] = 1
+    correction[first + other] = 2 + pairs[other, 0] * len(turns) + phase
     bell = np.full(len(probabilities), 3)
     bell[first:] = bell_index(blocks)
     detectors = [kept.empty, first - kept.empty, len(blocks)]

@@ -697,8 +697,10 @@ class TestDetectPairs:
         assert len(kept.probabilities) == 2 ** 10 * (2 ** 10 + 1) // 2
 
     def test_deepest_tree_blocks_memory(self):
-        # the blocks of 523,776 coincidences take 32 MiB, and their normalization peaks at
-        # 120.8 MiB: each label pair keeps its cells for them, not the squares it prunes by
+        # the blocks of 523,776 coincidences take 32 MiB, and the call peaks at 76.9 MiB:
+        # each label pair's whole column is dropped once its kept cells are pruned, and the
+        # norms are summed from one (n, 4) float array, no whole-stack complex temporary
+        # (120.8 MiB when the stack was normalized by np.linalg.norm)
         net = build_tree(MAX_TREE_DEPTH)
         state = opposite_pair(Statistics.FERMION)
         tracemalloc.start()
@@ -707,7 +709,7 @@ class TestDetectPairs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 120.9 * 2 ** 20
+        assert peak < 77.7 * 2 ** 20
         assert kept.blocks.shape == (2 ** 10 * (2 ** 10 - 1) // 2, 4, 1)
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
@@ -793,6 +795,33 @@ class TestCoincidenceBlocks:
         rho = v @ v.conj().T / np.trace(v @ v.conj().T).real
         reduced = density_matrices(reduce_to_spin_dm(branch.state, "C", "D"))
         assert np.abs(rho - reduced).max() < 1e-15
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), tags=st.integers(1, 4), zeros=st.booleans())
+    def test_normalization_is_linalg_norm_bit_for_bit(self, seed, tags, zeros):
+        # _detect_pairs writes each place's (x.conj() * x).real into one (n, 4T) array, takes
+        # the root of its row sums and divides each place's column by it: the bits of
+        # np.linalg.norm(blocks, axis=(1, 2)) and of dividing the whole stack by it, so long
+        # as NumPy sums both in one order
+        rng = np.random.default_rng(seed)
+        shape = (300, 4, tags)
+        magnitudes = 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
+        blocks = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * magnitudes
+        if zeros:  # zero places, each block keeping its |up down> place
+            blocks[rng.random(shape) < 0.5] = 0
+            blocks[:, 1, 0] = magnitudes[:, 1, 0]
+        places = [(row, col) for row in range(4) for col in range(tags)]
+        squares = np.zeros((len(blocks), 4 * tags))
+        for row, col in places:
+            x = blocks[:, row, col]
+            squares[:, row * tags + col] = (x.conj() * x).real
+        norms = np.sqrt(np.add.reduce(squares, axis=1))
+        expected = np.linalg.norm(blocks, axis=(1, 2))
+        assert norms.tobytes() == expected.tobytes()
+        unit = np.zeros_like(blocks)
+        for row, col in places:
+            np.divide(blocks[:, row, col], norms, out=unit[:, row, col])
+        assert unit.tobytes() == (blocks / expected[:, None, None]).tobytes()
 
     def test_pruned_cells_stay_out_of_the_blocks(self):
         # C+D monomials: 2e-12 from the untagged pair, kept, and 0.8e-12

@@ -16,10 +16,12 @@ from conftest import (
     random_unitary,
     wootters_concurrences,
 )
+from twinbeam import metrics
 from twinbeam.errors import OccupancyError
 from twinbeam.fock import Mode, Spin, Statistics, make_product_state
 from twinbeam.interferometer import heralded_pair
 from twinbeam.metrics import (
+    BELL_TOL,
     PSI_MINUS,
     PSI_PLUS,
     TwoQubitDM,
@@ -607,7 +609,54 @@ class TestDualRelabel:
         assert abs(spin - path) < 1e-9
 
 
+def matmul_bell_index(v):
+    """:func:`bell_index` as one batched product with the bras of psi+ and psi-, and the
+    two fidelities it tests: the overlaps summed over the tag columns, over |v|^2."""
+    bras = np.array([PSI_PLUS, PSI_MINUS]).conj().T
+    overlaps = (np.abs(v.swapaxes(-1, -2) @ bras) ** 2).sum(axis=-2)
+    norms = metrics._norms_sq(v)[..., None]
+    bell = overlaps > (1.0 - BELL_TOL) * norms
+    return np.where(bell[..., 0], 1, 2 * bell[..., 1]), overlaps / norms
+
+
+@st.composite
+def bell_test_blocks(draw):
+    """A ``(n, 4, T)`` stack, T in 1..4: general blocks with uu and dd rows, X blocks,
+    psi+ and psi- times a tag state, each alone and a little off it, and zero blocks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tags = draw(st.integers(1, 4))
+
+    def noise(n):
+        return rng.normal(size=(n, 4, tags)) + 1j * rng.normal(size=(n, 4, tags))
+
+    general = noise(draw(st.integers(0, 6)))
+    x_blocks = noise(draw(st.integers(0, 6)))
+    x_blocks[:, [0, 3]] = 0
+    tag_states = noise(4)[:, 0]
+    tag_states /= np.linalg.norm(tag_states, axis=-1, keepdims=True)
+    bell = np.array([np.outer(b, t) for b in (PSI_PLUS, PSI_MINUS) for t in tag_states[:2]])
+    bell *= np.exp(1j * rng.uniform(0, 2 * np.pi, size=(len(bell), 1, 1)))
+    # fidelities 1 - |eps|^2 or so, on both sides of 1 - BELL_TOL
+    eps = 10.0 ** rng.uniform(-6.0, -3.5, size=(len(bell), 1, 1))
+    blocks = np.concatenate([general, x_blocks, bell, bell + eps * noise(len(bell)),
+                             np.zeros((draw(st.integers(0, 2)), 4, tags))])
+    blocks *= 10.0 ** rng.uniform(-3.0, 3.0, size=(len(blocks), 1, 1))
+    return blocks[rng.permutation(len(blocks))]
+
+
 class TestBellIndex:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(blocks=bell_test_blocks())
+    def test_rows_one_and_two_match_the_batched_product(self, blocks):
+        # only a fidelity within 1e-12 of 1 - BELL_TOL may take another label: its last
+        # bits differ between (v1 +- v2) / sqrt2 and the product with 1/sqrt2 bras
+        expected, fidelities = matmul_bell_index(blocks)
+        clear = (np.abs(fidelities - (1.0 - BELL_TOL)) > 1e-12).all(axis=-1)
+        got = bell_index(blocks)
+        assert got[clear].tolist() == expected[clear].tolist()
+        assert [bell_index(v) for v in blocks[clear]] == expected[clear].tolist()
+        assert {1, 2} <= set(expected.tolist())
+
     def test_names_the_bell_states(self):
         blocks = np.array([PSI_PLUS, PSI_MINUS])[..., None]
         assert bell_index(blocks).tolist() == [1, 2]

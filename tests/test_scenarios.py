@@ -245,6 +245,20 @@ class TestCorrectionPhases:
         with pytest.raises(NetworkError, match=r"\['C', 'D'\] is not a local-phase image"):
             scenarios._correction_phases(v, *CD)
 
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    @pytest.mark.parametrize(
+        "bad",
+        [untagged(0, math.nan, HALF, 0), untagged(0, HALF, -math.inf, 0), untagged(0.5, HALF, HALF, 0)],
+        ids=["nan", "inf", "up-up-row"],
+    )
+    def test_phases_name_the_first_bad_branch(self, bad, at):
+        # five coincidences of distinct paths: the one at ``at`` is bad, and the last is too
+        good = untagged(0, 1j * HALF, HALF, 0)
+        v = np.concatenate([bad if k in (at, 4) else good for k in range(5)])
+        names, codes = [f"p{k}" for k in range(10)], np.arange(10).reshape(5, 2)
+        with pytest.raises(NetworkError, match=rf"branch \['p{2 * at}', 'p{2 * at + 1}'\] is not"):
+            scenarios._correction_phases(v, names, codes)
+
     def test_phases_name_the_first_bad_coincidence(self):
         v = np.concatenate([untagged(0, HALF, HALF, 0), untagged(0, HALF, math.nan, 0)])
         with pytest.raises(NetworkError, match=r"\['E', 'F'\]"):
