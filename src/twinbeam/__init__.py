@@ -38,8 +38,6 @@ from .interferometer import (
     run_network,
 )
 from .metrics import (
-    PSI_MINUS,
-    PSI_PLUS,
     bell_index,
     chsh_values,
     concurrences,

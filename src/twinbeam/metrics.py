@@ -33,10 +33,6 @@ BELL_TOL = 1e-9
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
-#: |up down> +- |down up> in the {uu, ud, du, dd} basis
-PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
-PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
-
 
 # No package code builds one: it stays only because perfbench/tracer.py wraps its methods.
 @dataclass(frozen=True, eq=False)

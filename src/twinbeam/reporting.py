@@ -279,9 +279,6 @@ class ScenarioReport:
     scalars: dict[str, Scalar] = field(default_factory=dict)
     matrices: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def scalar(self, name: str) -> Value:
-        return self.scalars[name].value
-
     def _rows(self) -> int:
         """The number of table rows: the one length of every column, each checked first."""
         for name, column in self.table.items():

@@ -388,8 +388,8 @@ def scenario_complementarity(grid: int, statistics: Statistics) -> ScenarioRepor
     entanglement = np.concatenate(entanglement)
     total = entanglement + discrimination
     chsh_inferred = np.concatenate(chsh) / divisor
-    max_total_dev = max(0.0, float(np.abs(total - 1.0).max()))
-    max_chsh_dev = max(0.0, float(np.abs(chsh_inferred - entanglement).max()))
+    max_total_dev = float(np.abs(total - 1.0).max())
+    max_chsh_dev = float(np.abs(chsh_inferred - entanglement).max())
     return ScenarioReport(
         scenario="complementarity",
         statistics=statistics.value,
@@ -421,7 +421,7 @@ def scenario_gaussian(
     entanglement = np.concatenate([concurrences(v) for v in _heralded_blocks(statistics, overlaps)])
     # a product, the correctly rounded square; ** 2 would go through libm pow
     expected = overlaps * overlaps
-    max_dev = max(0.0, float(np.abs(entanglement - expected).max()))
+    max_dev = float(np.abs(entanglement - expected).max())
     return ScenarioReport(
         scenario="gaussian",
         statistics=statistics.value,

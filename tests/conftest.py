@@ -27,6 +27,10 @@ from twinbeam.reporting import Coded
 
 BOTH_STATISTICS = (Statistics.BOSON, Statistics.FERMION)
 
+#: |up down> +- |down up> in the {uu, ud, du, dd} basis
+PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
+PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
+
 
 def cells(column: list | np.ndarray | Coded) -> list:
     """A report column's cells as Python values; a coded column's joined as the renderers join them."""

@@ -13,6 +13,8 @@ import pytest
 
 from conftest import (
     BOTH_STATISTICS,
+    PSI_MINUS,
+    PSI_PLUS,
     amplitude,
     engine_differences,
     fidelity,
@@ -32,8 +34,6 @@ from twinbeam.interferometer import (
     run_network,
 )
 from twinbeam.metrics import (
-    PSI_MINUS,
-    PSI_PLUS,
     chsh_values,
     concurrences,
     density_matrices,
@@ -137,7 +137,7 @@ def test_criterion_04_feedback_law():
     report = scenario_feedback(3, Statistics.FERMION, trials=trials, seed=20240229)
     exact = 7 / 8
     sigma = math.sqrt(exact * (1.0 - exact) / trials)
-    sampled = report.scalar("sampled_success")
+    sampled = report.scalars["sampled_success"].value
     checks.append(abs(sampled - exact) < 3.0 * sigma)
     verdict(4, "feedback failure 2^-N", all(checks), f"sampled={sampled:.5f}")
 
@@ -170,7 +170,7 @@ def test_criterion_05_statistics_test(engine):
     correlations = []
     for statistics in (Statistics.FERMION, Statistics.BOSON):
         if engine == "sparse":
-            correlations.append(scenario_statistics_test(statistics).scalar("correlation"))
+            correlations.append(scenario_statistics_test(statistics).scalars["correlation"].value)
             continue
         rotation = np.kron(SPIN_MIXER, SPIN_MIXER)
         joint = (np.abs(rotation @ pair_engine_block(statistics, 1.0)) ** 2).sum(axis=-1)
@@ -203,8 +203,8 @@ def test_criterion_06_mixed_input(engine):
         if engine == "sparse":
             report = scenario_mixed_input(statistics)
             values[statistics] = (
-                report.scalar("concurrence"),
-                report.scalar("chsh_max_abs"),
+                report.scalars["concurrence"].value,
+                report.scalars["chsh_max_abs"].value,
                 report.matrices["conditional_dm"],
             )
         else:

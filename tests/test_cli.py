@@ -595,9 +595,9 @@ class TestClicks:
         pairs = [row for row, b in zip(rows, branches) if len(b.pattern) == 2]
         # added left to right, which Python 3.12's compensated sum does not do
         ordered = functools.reduce(operator.add, (r["probability"] for r in pairs), 0.0)
-        assert report.scalar("coincidence_probability") == ordered
+        assert report.scalars["coincidence_probability"].value == ordered
         coincident = sum(r["count"] for r in pairs)
-        assert report.scalar("coincidence_frequency") == coincident / trials
+        assert report.scalars["coincidence_frequency"].value == coincident / trials
 
     @pytest.mark.parametrize(
         "flag,value,message",

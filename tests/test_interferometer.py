@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     BOTH_STATISTICS,
+    PSI_PLUS,
     amplitude,
     branch_probabilities,
     cells,
@@ -61,7 +62,6 @@ from twinbeam.interferometer import (
     run_network,
 )
 from twinbeam.metrics import (
-    PSI_PLUS,
     concurrences,
     density_matrices,
     reduce_to_spin_dm,

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     BOTH_STATISTICS,
+    PSI_MINUS,
+    PSI_PLUS,
     chsh_traces,
     fidelity,
     random_unitary,
@@ -22,8 +24,6 @@ from twinbeam.fock import Mode, Spin, Statistics, make_product_state
 from twinbeam.interferometer import heralded_pair
 from twinbeam.metrics import (
     BELL_TOL,
-    PSI_MINUS,
-    PSI_PLUS,
     TwoQubitDM,
     bell_index,
     chsh_values,

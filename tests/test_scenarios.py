@@ -52,23 +52,23 @@ CROSSED_NETWORK = Network.from_dict({
 class TestFig1:
     def test_fermion(self):
         report = scenario_fig1(Statistics.FERMION)
-        assert abs(report.scalar("coincidence_probability") - 0.5) < 1e-12
-        assert report.scalar("bell_state") == "psi_plus"
-        assert abs(report.scalar("concurrence") - 1.0) < 1e-9
+        assert abs(report.scalars["coincidence_probability"].value - 0.5) < 1e-12
+        assert report.scalars["bell_state"].value == "psi_plus"
+        assert abs(report.scalars["concurrence"].value - 1.0) < 1e-9
 
     def test_boson(self):
         report = scenario_fig1(Statistics.BOSON)
-        assert abs(report.scalar("coincidence_probability") - 0.5) < 1e-12
-        assert report.scalar("bell_state") == "psi_minus"
-        assert abs(report.scalar("concurrence") - 1.0) < 1e-9
+        assert abs(report.scalars["coincidence_probability"].value - 0.5) < 1e-12
+        assert report.scalars["bell_state"].value == "psi_minus"
+        assert abs(report.scalars["concurrence"].value - 1.0) < 1e-9
 
 
 class TestFig2:
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     def test_three_quarters_coincide(self, statistics):
         report = scenario_fig2(statistics)
-        assert abs(report.scalar("coincidence_probability") - 0.75) < 1e-12
-        assert report.scalar("patterns") == 10
+        assert abs(report.scalars["coincidence_probability"].value - 0.75) < 1e-12
+        assert report.scalars["patterns"].value == 10
 
     def test_fermion_bell_assignments(self):
         report = scenario_fig2(Statistics.FERMION)
@@ -101,7 +101,7 @@ class TestTree:
     @pytest.mark.parametrize("depth,expected", [(1, 0.5), (2, 0.75), (5, 31 / 32)])
     def test_yields(self, depth, expected):
         report = scenario_tree(depth, Statistics.FERMION)
-        assert abs(report.scalar("entangled_yield") - expected) < 1e-9
+        assert abs(report.scalars["entangled_yield"].value - expected) < 1e-9
 
     def test_depth_two_matches_four_output_network(self):
         tree = scenario_tree(2, Statistics.FERMION)
@@ -268,8 +268,8 @@ class TestCorrectionPhases:
 class TestStatisticsTest:
     def test_fermion_perfect_correlation(self):
         report = scenario_statistics_test(Statistics.FERMION)
-        assert abs(report.scalar("correlation") - 1.0) < 1e-12
-        assert report.scalar("verdict") == "fermion"
+        assert abs(report.scalars["correlation"].value - 1.0) < 1e-12
+        assert report.scalars["verdict"].value == "fermion"
         joint = dict(zip(report.table["outcome"], report.table["probability"]))
         assert abs(joint["up,up"] - 0.5) < 1e-12
         assert abs(joint["down,down"] - 0.5) < 1e-12
@@ -277,39 +277,39 @@ class TestStatisticsTest:
 
     def test_boson_perfect_anticorrelation(self):
         report = scenario_statistics_test(Statistics.BOSON)
-        assert abs(report.scalar("correlation") + 1.0) < 1e-12
-        assert report.scalar("verdict") == "boson"
+        assert abs(report.scalars["correlation"].value + 1.0) < 1e-12
+        assert report.scalars["verdict"].value == "boson"
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     def test_verdict_names_the_generator(self, statistics):
-        assert scenario_statistics_test(statistics).scalar("verdict") == statistics.value
+        assert scenario_statistics_test(statistics).scalars["verdict"].value == statistics.value
 
 
 class TestMixedInput:
     def test_boson_remains_maximally_entangled(self):
         report = scenario_mixed_input(Statistics.BOSON)
-        assert abs(report.scalar("coincidence_probability") - 0.25) < 1e-12
-        assert abs(report.scalar("concurrence") - 1.0) < 1e-9
-        assert abs(report.scalar("chsh_max_abs") - ROOT8) < 1e-9
+        assert abs(report.scalars["coincidence_probability"].value - 0.25) < 1e-12
+        assert abs(report.scalars["concurrence"].value - 1.0) < 1e-9
+        assert abs(report.scalars["chsh_max_abs"].value - ROOT8) < 1e-9
 
     def test_fermion_is_separable(self):
         report = scenario_mixed_input(Statistics.FERMION)
-        assert abs(report.scalar("coincidence_probability") - 0.75) < 1e-12
-        assert report.scalar("concurrence") < 1e-9
-        assert report.scalar("chsh_max_abs") <= 2.0 + 1e-9
+        assert abs(report.scalars["coincidence_probability"].value - 0.75) < 1e-12
+        assert report.scalars["concurrence"].value < 1e-9
+        assert report.scalars["chsh_max_abs"].value <= 2.0 + 1e-9
 
     def test_fermion_conditional_is_equal_thirds_mixture(self):
         report = scenario_mixed_input(Statistics.FERMION)
         expected = np.diag([1 / 3, 1 / 6, 1 / 6, 1 / 3]).astype(complex)
         expected[1, 2] = expected[2, 1] = 1 / 6
         assert np.allclose(report.matrices["conditional_dm"], expected, atol=1e-9)
-        assert report.scalar("conditional_decomposition") == (
+        assert report.scalars["conditional_decomposition"].value == (
             "0.333333 down,down + 0.333333 psi_plus + 0.333333 up,up"
         )
 
     def test_boson_conditional_is_pure_bell(self):
         report = scenario_mixed_input(Statistics.BOSON)
-        assert report.scalar("conditional_decomposition") == "1 psi_minus"
+        assert report.scalars["conditional_decomposition"].value == "1 psi_minus"
 
     def test_ensemble_linearity(self):
         # scenario numbers must equal the hand-weighted pure-component numbers
@@ -321,7 +321,7 @@ class TestMixedInput:
                 state = make_product_state(Statistics.FERMION, [Mode("A", s_a), Mode("B", s_b)])
                 branches = detect(run_network(net, state), net.monitored)
                 total += 0.25 * sum(b.probability for b in branches if len(b.pattern) == 2)
-        assert abs(report.scalar("coincidence_probability") - total) < 1e-12
+        assert abs(report.scalars["coincidence_probability"].value - total) < 1e-12
 
 
 class TestEnsemble:
@@ -350,21 +350,20 @@ def test_no_scenario_builds_a_two_qubit_dm(monkeypatch, name, statistics):
 class TestFeedback:
     def test_exact_three_rounds(self):
         report = scenario_feedback(3, Statistics.FERMION)
-        assert abs(report.scalar("cumulative_success") - 7 / 8) < 1e-12
+        assert abs(report.scalars["cumulative_success"].value - 7 / 8) < 1e-12
 
     def test_matches_single_shot_setup(self):
         feedback = scenario_feedback(1, Statistics.BOSON)
         single = scenario_fig1(Statistics.BOSON)
-        assert abs(
-            feedback.scalar("cumulative_success") - single.scalar("coincidence_probability")
-        ) < 1e-12
+        cumulative = feedback.scalars["cumulative_success"].value
+        assert abs(cumulative - single.scalars["coincidence_probability"].value) < 1e-12
 
     def test_sampled_success_within_three_sigma(self):
         trials = 100_000
         report = scenario_feedback(3, Statistics.BOSON, trials=trials, seed=42)
         exact = 7 / 8
         sigma = math.sqrt(exact * (1 - exact) / trials)
-        assert abs(report.scalar("sampled_success") - exact) < 3.0 * sigma
+        assert abs(report.scalars["sampled_success"].value - exact) < 3.0 * sigma
         assert report.scalars["sampled_success"].provenance == "sampled"
 
     def test_counts_are_one_draw_of_the_first_success_probabilities(self):
@@ -377,7 +376,7 @@ class TestFeedback:
         assert cells(report.table["sampled_cumulative_success"]) == [
             sum(counts[1:k + 1]) / 5000 for k in range(1, 7)
         ]
-        assert report.scalar("sampled_success") == sum(counts[1:]) / 5000
+        assert report.scalars["sampled_success"].value == sum(counts[1:]) / 5000
 
     def test_sampled_fractions_divide_python_ints(self):
         trials = 9 * 10**18
@@ -425,13 +424,14 @@ class TestComplementarity:
 
     def test_scalars_report_max_deviation(self):
         report = scenario_complementarity(5, Statistics.BOSON)
-        assert report.scalar("max_total_deviation") < 1e-9
-        assert report.scalar("max_chsh_deviation") < 1e-9
+        assert report.scalars["max_total_deviation"].value < 1e-9
+        assert report.scalars["max_chsh_deviation"].value < 1e-9
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     @pytest.mark.parametrize("grid", [11, 1001])
     def test_sum_rule_holds_exactly(self, grid, statistics):
-        assert scenario_complementarity(grid, statistics).scalar("max_total_deviation") == 0.0
+        report = scenario_complementarity(grid, statistics)
+        assert report.scalars["max_total_deviation"].value == 0.0
 
 
 SWEEPS = [
@@ -450,6 +450,32 @@ class TestSweepChunks:
         chunked = sweep(statistics)
         assert chunked.to_json() == report.to_json()
         assert chunked.to_csv() == report.to_csv()
+
+
+class TestSweepDeviations:
+    # each max_*deviation is the largest over the grid: one NaN point makes it NaN, not 0.0
+    @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
+    @pytest.mark.parametrize(
+        "sweep, names",
+        [(SWEEPS[0], ["max_chsh_deviation", "max_total_deviation"]), (SWEEPS[1], ["max_deviation"])],
+        ids=["complementarity", "gaussian"],
+    )
+    def test_a_nan_point_reads_as_nan(self, monkeypatch, sweep, names, statistics):
+        concurrences, calls = scenarios.concurrences, []
+
+        def one_nan(v):
+            values = concurrences(v)
+            if not calls:
+                values[len(values) // 2] = math.nan
+            calls.append(v)
+            return values
+
+        monkeypatch.setattr(scenarios, "concurrences", one_nan)
+        scalars = sweep(statistics).scalars
+        deviations = sorted(name for name in scalars if name.endswith("deviation"))
+        assert deviations == names
+        values = [scalars[name].value for name in names]
+        assert all(map(math.isnan, values)), values
 
 
 @pytest.fixture
@@ -512,7 +538,7 @@ class TestGaussian:
 
     def test_pipeline_matches_closed_form(self):
         report = scenario_gaussian(0.9, 1.7, 4.0, 21, Statistics.FERMION)
-        assert report.scalar("max_deviation") < 1e-9
+        assert report.scalars["max_deviation"].value < 1e-9
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     @pytest.mark.parametrize("velocity, width", [(1.0, 1.0), (1.3, 0.7)])
@@ -538,9 +564,9 @@ class TestDual:
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     def test_both_pictures_agree(self, statistics):
         report = scenario_dual(statistics)
-        assert abs(report.scalar("spin_concurrence") - 1.0) < 1e-9
-        assert abs(report.scalar("path_concurrence") - 1.0) < 1e-9
-        assert report.scalar("difference") < 1e-9
+        assert abs(report.scalars["spin_concurrence"].value - 1.0) < 1e-9
+        assert abs(report.scalars["path_concurrence"].value - 1.0) < 1e-9
+        assert report.scalars["difference"].value < 1e-9
 
 
 class TestReproducibility:
