@@ -300,20 +300,20 @@ class _KeptPatterns(NamedTuple):
     """The pair engine's kept detector patterns, in :func:`detect`'s order.
 
     ``names`` are the monitored paths the pair reaches, in string order,
-    and row ``r`` of the int64 array ``codes``, shape ``(patterns, 2)``,
-    names pattern ``r``'s paths by their indices there.  The pattern in
+    and ``codes`` is a pair of 1-D arrays of dtype ``np.min_scalar_type(n)``,
+    ``n = len(names)``, whose entries ``r`` name pattern ``r``'s first and
+    second path by their indices there, or ``n`` for none.  The pattern in
     which no detector fired comes first when it is kept (``empty`` is then
-    1, else 0), coded ``(len(names), -1)``; then one pattern per detector
-    that fired alone, ``(m, -1)``; then, from row ``first`` on, the
-    coincidences, ``(lo, hi)`` with ``lo < hi``.  Singles and coincidences
-    are each in the string order of their paths.  ``probabilities`` is a
-    float64 array with one entry per pattern; ``blocks`` holds the
-    coincidences' spin-tag blocks when :func:`_detect_pairs` is asked for
-    them.
+    1, else 0), coded ``(n, n)``; then one pattern per detector that fired
+    alone, ``(m, n)``; then, from entry ``first`` on, the coincidences,
+    ``(lo, hi)`` with ``lo < hi``.  Singles and coincidences are each in
+    the string order of their paths.  ``probabilities`` is a float64 array
+    with one entry per pattern; ``blocks`` holds the coincidences'
+    spin-tag blocks when :func:`_detect_pairs` is asked for them.
     """
 
     names: list[str]
-    codes: np.ndarray
+    codes: tuple[np.ndarray, np.ndarray]
     empty: int
     first: int
     probabilities: np.ndarray
@@ -353,7 +353,7 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
     cell is read.
 
     With ``coincidences`` it also returns the normalized 4xT spin-tag block
-    ``blocks[k]`` of the ``k``-th coincidence, the paths of ``codes[first + k]``:
+    ``blocks[k]`` of the ``k``-th coincidence, the paths of ``first + k`` in ``codes``:
     ``v[2 s1 + s2, c]`` is ``sqrt(2) psi`` of the cell with spin and tag
     (s1, t1) on the lower path and (s2, t2) on the upper one, up to
     normalization, ``c`` the column of (t1, t2), 0 for (0, 0): what
@@ -440,19 +440,19 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
     probabilities = probs[kept]
     probabilities /= probabilities.sum()
     empty, first = np.searchsorted(kept, [1, n + 1]).tolist()
-    codes = np.empty((kept.size, 2), dtype=np.int64)
-    codes[:first, 0] = np.where(kept[:first], kept[:first] - 1, n)
-    codes[:first, 1] = -1
+    codes = np.empty((2, kept.size), dtype=np.min_scalar_type(n))
+    codes[:, :first] = n
+    codes[0, empty:first] = kept[empty:first] - 1
     # the kept coincidences' places in the space: all of it, as a view, when none is pruned
     kept = slice(None) if kept.size - first == lo.size else kept[first:] - (1 + n)
-    codes[first:, 0], codes[first:, 1] = lo[kept], hi[kept]
+    codes[0, first:], codes[1, first:] = lo[kept], hi[kept]
     blocks = None
     if coincidences:
         columns = {(0, 0): 0}
         places = [(2 * s1 + s2, columns.setdefault((t1, t2), len(columns)))  # (spin row, tag column)
                   for (s1, t1), (s2, t2) in label_pairs]
         width = len(columns)
-        squares = np.zeros((len(codes) - first, 4 * width))
+        squares = np.zeros((len(probabilities) - first, 4 * width))
         for k, (row, col) in enumerate(places):
             at, x = upper[k]
             if not isinstance(at, slice):  # 0 off the window
@@ -469,7 +469,7 @@ def _detect_pairs(net: Network, state: FockState, coincidences: bool = False) ->
         blocks = np.zeros((len(norms), 4, width), dtype=complex)
         for (row, col), x in zip(places, upper):
             np.divide(x, norms, out=blocks[:, row, col])
-    return _KeptPatterns(monitored, codes, empty, first, probabilities, blocks)
+    return _KeptPatterns(monitored, tuple(codes), empty, first, probabilities, blocks)
 
 
 def _pair_windows(state: FockState, table: PathTable, terminals: Sequence[str]) -> tuple:

@@ -52,11 +52,11 @@ def _plain(column: Any) -> bool:
 class Coded:
     """A table column of repeated cells: its distinct ``values`` and one integer code per row.
 
-    ``values`` is a list of str or a 1-D float64 or int64 array.  With 1-D
-    ``codes``, row ``r`` holds ``values[codes[r]]``.  With codes of shape
-    ``(rows, 2)``, over str values only, it holds ``values[c0] + values[c1]``.
-    Every code is at least 0.  Each value is encoded once, and a value that no
-    code names is never written.
+    ``values`` is a list of str or a 1-D float64 or int64 array, and row ``r``
+    holds ``values[codes[r]]``, ``codes`` being 1-D of any integer type and every
+    code at least 0.  Each value is encoded once, and a value that no code names
+    is never written.  Two of them over str values, as a tuple, make one column
+    whose cells concatenate theirs.
     """
 
     values: list[str] | np.ndarray
@@ -70,17 +70,17 @@ def _check_coded(name: str, column: Coded) -> None:
     """Raise unless ``column`` has plain values and codes that each name one of them."""
     values, codes = column.values, column.codes
     if not (_plain(values) and isinstance(codes, np.ndarray) and codes.dtype.kind in "iu"
-            and (codes.ndim == 1 or codes.shape[1:] == (2,) and isinstance(values, list))):
+            and codes.ndim == 1):
         raise TypeError(f"coded column {name!r} needs values that are a list of str or a 1-D "
-                        "float64 or int64 array and integer codes of shape (rows,), or str "
-                        "values and codes of shape (rows, 2)")
+                        "float64 or int64 array and 1-D integer codes")
     # an index array would wrap a negative code round to the last values unnoticed
     if codes.size and (codes.max() >= len(values) or codes.min() < 0):
         raise ValueError(f"coded column {name!r} has a code outside its {len(values)} values")
 
 
-#: a table column: a list of str, a 1-D float64 or int64 array, or a coded column
-Column = list[str] | np.ndarray | Coded
+#: a table column: a list of str, a 1-D float64 or int64 array, a coded column, or two
+#: coded columns over str values whose cells concatenate
+Column = list[str] | np.ndarray | Coded | tuple[Coded, Coded]
 
 
 @dataclass(frozen=True)
@@ -176,22 +176,21 @@ def _column(column: Column, text: Callable, floats: Callable) -> list[tuple]:
     ``column`` has passed ``ScenarioReport._rows`` and is read as a coded column: a list
     of str as its cells with codes ``0, 1, ...``, a float64 or int64 array as its
     :func:`_distinct` values and codes.  The values are encoded once each, a float
-    column's all by one ``floats`` call, and the codes become int64.  With two codes
-    there are two slots: ``text`` of the first part without its closing quote, and
-    ``text`` of the second without its opening quote, which is the joined text's
-    because ``text`` escapes character by character.
+    column's all by one ``floats`` call, and a coded column's codes are kept as they
+    are.  A column of two parts has two slots: ``text`` of the first part's values
+    without its closing quote, and ``text`` of the second's without its opening quote,
+    which is the joined text's because ``text`` escapes character by character.
     """
+    if isinstance(column, tuple):
+        (first, a), (second, b) = (_column(part, text, floats)[0] for part in column)
+        half = len(text("")) // 2
+        return [(np.array([t[:len(t) - half] for t in first], dtype=object), a),
+                (np.array([t[half:] for t in second], dtype=object), b)]
     if isinstance(column, list):
         column = Coded(column, np.arange(len(column)))
     elif not isinstance(column, Coded):
         column = Coded(*_distinct(column))
-    texts = _texts(column.values, text, floats)
-    codes = column.codes.astype(np.int64, copy=False)
-    if codes.ndim == 1:
-        return [(np.array(texts, dtype=object), codes)]
-    half = len(text("")) // 2
-    return [(np.array([t[:len(t) - half] for t in texts], dtype=object), codes[:, 0]),
-            (np.array([t[half:] for t in texts], dtype=object), codes[:, 1])]
+    return [(np.array(_texts(column.values, text, floats), dtype=object), column.codes)]
 
 
 def _texts(values: list[str] | np.ndarray, text: Callable, floats: Callable) -> list[str]:
@@ -213,8 +212,8 @@ def _join(pieces: list, rows: int) -> list[tuple]:
     ``rows / _JOIN_SHARE`` texts, so that a float column with about one value per row,
     like a column of str, stays a slot of its own.  Two slots of one code array, as of
     two coded columns that share it, always join text by text: ``(ta[c] + tb[c], ca)``.
-    Joined codes take the narrowest unsigned type that holds them: as int64 they raised
-    the max RSS of a depth-10 tree table from 227 to 236 MiB, as uint16 to 231.
+    Joined codes are built in the narrowest unsigned type that holds them: as int64 they
+    raised the max RSS of a depth-10 tree table from 227 to 236 MiB, as uint16 to 231.
     """
     slots = []
     for piece in pieces:
@@ -229,8 +228,10 @@ def _join(pieces: list, rows: int) -> list[tuple]:
                 if isinstance(codes, int):  # a fixed text leaves the codes as they are
                     codes = ca
                 elif not isinstance(ca, int):
-                    codes = (ca.astype(np.int64, copy=False) * len(texts) + codes).astype(
-                        np.min_scalar_type(len(ta) * len(texts)))
+                    # in the joined type from the start: a narrower ca times len(texts) would wrap
+                    joined = np.multiply(ca, len(texts), dtype=np.min_scalar_type(
+                        len(ta) * len(texts)), casting="unsafe")
+                    codes = np.add(joined, codes, out=joined, casting="unsafe")
                 slots[-1] = (np.add.outer(ta, texts).ravel(), codes)
                 continue
         slots.append((texts, codes))
@@ -261,10 +262,11 @@ class ScenarioReport:
     """Named results of one scenario run.
 
     ``table`` maps each column name to its cells, one per branch or grid
-    point, every column the same nonzero length.  A column is one of three
+    point, every column the same nonzero length.  A column is one of four
     things: a list of ``str``, a 1-D NumPy array of dtype float64 or int64,
-    or a :class:`Coded` column whose values are one of those two; a list of
-    numbers is refused, not converted.  ``scalars`` map result names to
+    a :class:`Coded` column whose values are one of those two, or a tuple of
+    two coded columns over ``str`` whose cells concatenate; a list of numbers
+    is refused, not converted.  ``scalars`` map result names to
     values tagged exact or sampled.  Every scalar value and parameter is a
     ``str``, ``int`` or ``float``.  ``matrices`` carries any density
     matrices (serialized as row-major [re, im] pairs in JSON).  Each
@@ -280,19 +282,24 @@ class ScenarioReport:
     matrices: dict[str, np.ndarray] = field(default_factory=dict)
 
     def _rows(self) -> int:
-        """The number of table rows: the one length of every column, each checked first."""
+        """The number of table rows: the one length of every column and part, each checked first."""
+        lengths = set()
         for name, column in self.table.items():
-            if isinstance(column, Coded):
-                _check_coded(name, column)
-            elif not _plain(column):
-                kind = type(column).__name__
-                if isinstance(column, np.ndarray):
-                    kind = f"a {column.ndim}-D {column.dtype} array"
-                elif isinstance(column, list):
-                    kind = "a list of " + ", ".join(sorted({type(v).__name__ for v in column}))
-                raise TypeError(f"column {name!r} must be a list of str, a 1-D float64 or int64 "
-                                f"array or coded, not {kind}")
-        lengths = set(map(len, self.table.values()))
+            if isinstance(column, tuple) and not (len(column) == 2 and all(
+                    isinstance(p, Coded) and isinstance(p.values, list) for p in column)):
+                raise TypeError(f"column {name!r} must be two coded columns over str as a tuple")
+            for part in column if isinstance(column, tuple) else (column,):
+                if isinstance(part, Coded):
+                    _check_coded(name, part)
+                elif not _plain(part):
+                    kind = type(part).__name__
+                    if isinstance(part, np.ndarray):
+                        kind = f"a {part.ndim}-D {part.dtype} array"
+                    elif isinstance(part, list):
+                        kind = "a list of " + ", ".join(sorted({type(v).__name__ for v in part}))
+                    raise TypeError(f"column {name!r} must be a list of str, a 1-D float64 or "
+                                    f"int64 array or coded, not {kind}")
+                lengths.add(len(part))
         if len(lengths) > 1:
             raise ValueError("every column of a report table needs the same length")
         if not lengths or 0 in lengths:

@@ -76,12 +76,12 @@ def _sweep(start: float, stop: float, grid: int) -> np.ndarray:
     return np.linspace(start, stop, grid)
 
 
-def _correction_phases(v: np.ndarray, names: Sequence[str], codes: np.ndarray) -> np.ndarray:
+def _correction_phases(v: np.ndarray, names: Sequence[str], codes: tuple) -> np.ndarray:
     """Down-spin phase on the lower path that turns each coincidence into psi+.
 
     ``v`` holds the normalized untagged amplitudes, shape ``(n, 4)``, of
-    the coincidences of the paths ``names[lo] < names[hi]``, ``(lo, hi)``
-    being the rows of ``codes``.  Each must be a local-phase image of psi+:
+    the coincidences of the paths ``names[lo] < names[hi]``, ``codes`` being
+    the arrays ``(lo, hi)``.  Each must be a local-phase image of psi+:
     ``|v1|`` and ``|v2|`` within 1e-9 of 1/sqrt(2), ``|v0|`` and ``|v3|``
     within 1e-9 of 0, so that a NaN or infinite amplitude fails too;
     :class:`NetworkError` names the first that is not.  The phase is
@@ -93,20 +93,21 @@ def _correction_phases(v: np.ndarray, names: Sequence[str], codes: np.ndarray) -
     # each block's largest deviation, NaN where an amplitude is NaN: np.maximum keeps it
     close = np.maximum(np.maximum(uu, dd), np.maximum(np.abs(ud - half), np.abs(du - half))) <= 1e-9
     if not close.all():
-        paths = [names[c] for c in codes[close.argmin()].tolist()]
+        paths = [names[c[close.argmin()]] for c in codes]
         raise NetworkError(f"branch {paths} is not a local-phase image of psi+")
     delta = v[:, 1] / v[:, 2]
     delta /= np.abs(delta)
     return np.where(np.abs(delta.imag) < 1e-12, np.where(delta.real > 0, 1.0, -1.0), delta)
 
 
-def _pattern_column(kept: _KeptPatterns) -> Coded:
+def _pattern_column(kept: _KeptPatterns) -> tuple[Coded, Coded]:
     """The ``pattern`` column of the kept patterns: firing paths joined by ``+``, or ``none``.
 
-    A pattern's second code, -1 or a path, names ``""`` or ``"+"`` and that path.
+    Two parts whose cells concatenate: the first path or ``none``, then ``""`` or ``+`` and
+    the second path.
     """
-    names = kept.names
-    return Coded([*names, "none", "", *("+" + p for p in names)], kept.codes + [0, len(names) + 2])
+    names, (first, second) = kept.names, kept.codes
+    return Coded([*names, "none"], first), Coded([*("+" + p for p in names), ""], second)
 
 
 def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str, Column]]:
@@ -123,17 +124,18 @@ def _branch_table(net: Network, statistics: Statistics) -> tuple[float, dict[str
     """
     kept = _detect_pairs(net, opposite_spin_input(statistics, net), coincidences=True)
     probabilities, first, names, blocks = kept.probabilities, kept.first, kept.names, kept.blocks
-    pairs = kept.codes[first:]
+    pairs = [c[first:] for c in kept.codes]
     phases = _correction_phases(blocks[:, :, 0], names, pairs)
     # the phases other than 1, a tree's all -1; an imaginary part is either a snapped
     # -1's +0.0 or at least 1e-12 in magnitude, so equal phases are one value
     other = np.flatnonzero(phases != 1.0)
     distinct, phase = _distinct(phases[other])
     turns = [f"down-phase {math.atan2(p.imag, p.real) / math.pi:.6g}pi" for p in distinct.tolist()]
-    # correction codes: 0 no coincidence, 1 identity, 2 + lower path x distinct phase
+    # correction codes: 0 no coincidence, 1 identity, 2 + lower path x distinct phase; the
+    # narrow path codes widen first, or the product would wrap
     correction = np.zeros(len(probabilities), dtype=np.int64)
     correction[first:] = 1
-    correction[first + other] = 2 + pairs[other, 0] * len(turns) + phase
+    correction[first + other] = 2 + pairs[0][other].astype(np.int64) * len(turns) + phase
     bell = np.full(len(probabilities), 3)
     bell[first:] = bell_index(blocks)
     detectors = [kept.empty, first - kept.empty, len(blocks)]
@@ -175,7 +177,7 @@ def scenario_fig2(statistics: Statistics) -> ScenarioReport:
         parameters={},
         scalars={
             "coincidence_probability": Scalar(total),
-            "patterns": Scalar(len(table["pattern"])),
+            "patterns": Scalar(len(table["probability"])),
         },
         table=table,
     )

@@ -32,17 +32,17 @@ PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
 
 
-def cells(column: list | np.ndarray | Coded) -> list:
-    """A report column's cells as Python values; a coded column's joined as the renderers join them."""
+def cells(column: list | np.ndarray | Coded | tuple[Coded, Coded]) -> list:
+    """A report column's cells as Python values; a two-part column's joined as the renderers join them."""
+    if isinstance(column, tuple):
+        return list(map(str.__add__, *map(cells, column)))
     if not isinstance(column, Coded):
         return column.tolist() if isinstance(column, np.ndarray) else column
     values = column.values.tolist() if isinstance(column.values, np.ndarray) else column.values
-    if column.codes.ndim == 1:
-        return [values[c] for c in column.codes.tolist()]
-    return [values[a] + values[b] for a, b in column.codes.tolist()]
+    return [values[c] for c in column.codes.tolist()]
 
 
-def table_rows(table: dict[str, list | np.ndarray | Coded]) -> list[dict]:
+def table_rows(table: dict[str, list | np.ndarray | Coded | tuple[Coded, Coded]]) -> list[dict]:
     """A report table as one dict per row of Python values, for checks across columns."""
     return [dict(zip(table, row)) for row in zip(*map(cells, table.values()))]
 
@@ -58,11 +58,11 @@ def pattern_label(pattern) -> str:
 def kept_paths(kept) -> list[tuple[str, ...]]:
     """Each of the pair engine's kept patterns as its firing paths in string order.
 
-    Read off ``kept.names`` and ``kept.codes``; the pattern in which no
-    detector fired is ``()``.
+    Read off ``kept.names`` and the two arrays of ``kept.codes``, where
+    ``len(names)`` names no path; the pattern in which no detector fired is ``()``.
     """
     names = kept.names
-    return [tuple(names[c] for c in row if 0 <= c < len(names)) for row in kept.codes.tolist()]
+    return [tuple(names[c] for c in row if c < len(names)) for row in zip(*map(list, kept.codes))]
 
 
 def kept_labels(kept) -> list[str]:
@@ -217,25 +217,28 @@ def reference_detect_pairs(net: Network, state: FockState, coincidences: bool = 
         row, col = places[label[at] // 2].T
         blocks[block, row, col] = psi[at]
         blocks /= np.linalg.norm(blocks, axis=(1, 2))[:, None, None]
-    codes = np.full((len(keys), 2), -1)
-    codes[:empty, 0] = n
-    codes[empty:first, 0] = keys[empty:first] - 1
-    codes[first:, 0], codes[first:, 1] = np.divmod(keys[first:] - 1 - n, n)
+    # the first and second paths, n for none, in the narrowest type that holds n
+    first_path, second_path = np.full((2, len(keys)), n)
+    first_path[empty:first] = keys[empty:first] - 1
+    first_path[first:], second_path[first:] = np.divmod(keys[first:] - 1 - n, n)
+    codes = (first_path.astype(np.min_scalar_type(n)), second_path.astype(np.min_scalar_type(n)))
     return _KeptPatterns(monitored, codes, empty, first, probabilities, blocks)
 
 
 def engine_mismatch(net: Network, state: FockState) -> str | None:
     """Where :func:`_detect_pairs` differs from :func:`reference_detect_pairs`, bit for bit.
 
-    Names, codes, ``empty``, ``first``, probabilities as ``uint64`` views
-    and coincidence blocks (signed zeros told apart); ``None`` when all agree.
+    Names, codes and their dtypes, ``empty``, ``first``, probabilities as
+    ``uint64`` views and coincidence blocks (signed zeros told apart);
+    ``None`` when all agree.
     """
     new = _detect_pairs(net, state, coincidences=True)
     old = reference_detect_pairs(net, state, coincidences=True)
     for field in ("names", "empty", "first"):
         if getattr(new, field) != getattr(old, field):
             return field
-    if not np.array_equal(new.codes, old.codes):
+    if len(new.codes) != 2 or any(a.dtype != b.dtype or a.ndim != 1 or not np.array_equal(a, b)
+                                  for a, b in zip(new.codes, old.codes)):
         return "codes"
     if not np.array_equal(new.probabilities.view(np.uint64), old.probabilities.view(np.uint64)):
         return "probabilities"

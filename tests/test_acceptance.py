@@ -190,7 +190,7 @@ def pair_engine_mixture(statistics):
     for a, b in product(Spin, repeat=2):
         state = make_product_state(statistics, [Mode("A", a), Mode("B", b)])
         kept = _detect_pairs(fig1_network(), state, coincidences=True)
-        if len(kept.codes) > kept.first:  # C+D, the single splitter's one coincidence
+        if len(kept.probabilities) > kept.first:  # C+D, the single splitter's one coincidence
             columns.append(math.sqrt(0.25 * kept.probabilities[kept.first]) * kept.blocks[0])
     mixed = np.concatenate(columns, axis=-1)
     return np.array([mixed, np.diag([1.0, 1.0, -1.0, -1.0]) @ mixed])

@@ -697,10 +697,11 @@ class TestDetectPairs:
         assert len(kept.probabilities) == 2 ** 10 * (2 ** 10 + 1) // 2
 
     def test_deepest_tree_blocks_memory(self):
-        # the blocks of 523,776 coincidences take 32 MiB, and the call peaks at 76.9 MiB:
-        # each label pair's whole column is dropped once its kept cells are pruned, and the
+        # the blocks of 523,776 coincidences take 32 MiB, and the call peaks at 70.9 MiB:
+        # each label pair's whole column is dropped once its kept cells are pruned, the
         # norms are summed from one (n, 4) float array, no whole-stack complex temporary
-        # (120.8 MiB when the stack was normalized by np.linalg.norm)
+        # (120.8 MiB when the stack was normalized by np.linalg.norm), and the pattern
+        # codes are two uint16 arrays (76.9 MiB with one (patterns, 2) int64 array)
         net = build_tree(MAX_TREE_DEPTH)
         state = opposite_pair(Statistics.FERMION)
         tracemalloc.start()
@@ -709,7 +710,7 @@ class TestDetectPairs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 77.7 * 2 ** 20
+        assert peak < 71.6 * 2 ** 20
         assert kept.blocks.shape == (2 ** 10 * (2 ** 10 - 1) // 2, 4, 1)
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
@@ -756,7 +757,7 @@ class TestCoincidenceBlocks:
         blocks = kept.blocks
         # the blocks leave the patterns and their probabilities as they are
         plain = _detect_pairs(net, state)
-        assert np.array_equal(kept.codes, plain.codes) and kept.names == plain.names
+        assert all(map(np.array_equal, kept.codes, plain.codes)) and kept.names == plain.names
         bits = [k.probabilities.view(np.uint64) for k in (kept, plain)]
         assert np.array_equal(*bits)
         branches = detect(run_network(net, state), net.monitored)
@@ -861,7 +862,8 @@ class TestPostselect:
 
     def test_no_coincidence_has_probability_zero(self):
         # the empty pattern and one single, each at 1/2
-        kept = _KeptPatterns(["C"], np.array([[1, -1], [0, -1]]), 1, 2, np.array([0.5, 0.5]))
+        codes = (np.array([1, 0], np.uint8), np.array([1, 1], np.uint8))
+        kept = _KeptPatterns(["C"], codes, 1, 2, np.array([0.5, 0.5]))
         assert kept.coincidence_probability == 0.0
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)

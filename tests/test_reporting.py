@@ -453,28 +453,34 @@ class TestCsvAndTable:
         assert report.to_table() == reference_table(report)
 
 
+#: the integer types of coded columns' codes: the engine's narrow pattern codes, and int64
+CODE_TYPES = [np.uint8, np.uint16, np.int64]
+
 #: detector names, among them ones that need escaping in JSON or quoting in CSV
 NAMES = st.one_of(TEXT, st.sampled_from(['"', "\\", ",", "\n", "é€", 'a"b\\c,d\ne', "none"]))
 
 
 @st.composite
-def coded_columns(draw, rows: int) -> Coded:
-    """A coded column of ``rows`` rows: one or two codes over names, or one over floats or ints.
+def coded_columns(draw, rows: int) -> Coded | tuple[Coded, Coded]:
+    """A column of ``rows`` rows: one coded column over names, floats or ints, or two parts.
 
-    Two codes draw over the names, ``""`` and the names after a ``+``, as
-    pattern labels are coded.  Some values are never named by a code.
+    Two parts draw over the names and over ``""`` and the names after a ``+``,
+    as pattern labels are coded, each in its own integer type.  Some values are
+    never named by a code.
     """
     two = draw(st.booleans())
     kind, make = (NAMES, list) if two else draw(
         st.sampled_from([(NAMES, list), (COLUMN_FLOATS, float64), (COLUMN_INTS, int64)])
     )
     values = make(draw(st.lists(kind, min_size=1, max_size=6)))
-    if two:
-        values += ["", *("+" + v for v in values)]
-    codes = st.lists(st.integers(0, len(values) - 1), min_size=rows, max_size=rows)
+
+    def part(values: list | np.ndarray) -> Coded:
+        codes = draw(st.lists(st.integers(0, len(values) - 1), min_size=rows, max_size=rows))
+        return Coded(values, np.array(codes, dtype=draw(st.sampled_from(CODE_TYPES))))
+
     if not two:
-        return Coded(values, np.array(draw(codes)))
-    return Coded(values, np.array([draw(codes), draw(codes)]).T)
+        return part(values)
+    return part(values), part(["", *("+" + v for v in values)])
 
 
 @st.composite
@@ -498,14 +504,32 @@ def coded_tables(draw) -> dict[str, Coded | np.ndarray]:
     return table
 
 
-#: coded columns that each renderer must refuse, and the error it raises
+def parts(first: Coded | list, second: Coded | list) -> tuple:
+    """A two-part column; a list stands for a part of str values coded ``0, 1, ...``."""
+    return tuple(p if not isinstance(p, list) else Coded(p, np.arange(len(p))) for p in (first, second))
+
+
+#: coded columns and two-part columns that each renderer must refuse, and the error it raises
 BAD_CODED = {
     "negative-code": (Coded(["a", "b"], np.array([0, -1])), ValueError),
-    "negative-first-part": (Coded(["a", "b"], np.array([[-1, 0]])), ValueError),
-    "negative-second-part": (Coded(["a", "b"], np.array([[0, -1]])), ValueError),
+    "negative-first-part": (parts(Coded(["a", "b"], np.array([-1])), ["+b"]), ValueError),
+    "negative-second-part": (parts(["a"], Coded(["", "+b"], np.array([-1]))), ValueError),
     "out-of-range": (Coded(["a", "b"], np.array([0, 2])), ValueError),
-    "out-of-range-second-part": (Coded(["a"], np.array([[0, 1]])), ValueError),
+    "out-of-range-first-part": (parts(Coded(["a"], np.array([1], np.uint8)), [""]), ValueError),
+    "out-of-range-second-part": (parts(["a"], Coded([""], np.array([1], np.uint16))), ValueError),
+    "unequal-parts": (parts(["a", "b"], [""]), ValueError),
     "no-values": (Coded([], np.array([0])), ValueError),
+    "two-codes": (Coded(["a", "", "+a"], np.array([[0, 1]])), TypeError),
+    "int-values-in-first-part": (parts(Coded([1, 2], np.array([0, 1])), ["", "+a"]), TypeError),
+    "int-values-in-second-part": (parts(["a", "b"], Coded([1, 2], np.array([0, 1]))), TypeError),
+    "int-array-values-in-a-part": (parts(Coded(int64([1]), np.array([0])), [""]), TypeError),
+    "float-array-values-in-a-part": (parts(["a"], Coded(float64([1.0]), np.array([0]))), TypeError),
+    "none-value-in-a-part": (parts(["a"], [None]), TypeError),
+    "one-part": ((Coded(["a"], np.array([0])),), TypeError),
+    "three-parts": (parts(["a"], [""]) + (Coded([""], np.array([0])),), TypeError),
+    "list-and-coded-parts": ((["a"], Coded([""], np.array([0]))), TypeError),
+    "array-part": ((Coded(["a"], np.array([0])), float64([0.5])), TypeError),
+    "empty-tuple": ((), TypeError),
     "float-codes": (Coded(["a", "b"], np.array([0.0, 1.0])), TypeError),
     "bool-codes": (Coded(["a", "b"], np.array([False, True])), TypeError),
     "list-codes": (Coded(["a", "b"], [0, 1]), TypeError),
@@ -513,8 +537,6 @@ BAD_CODED = {
     "three-codes": (Coded(["a", "b"], np.zeros((2, 3), dtype=np.int64)), TypeError),
     "3-d-codes": (Coded(["a", "b"], np.zeros((2, 2, 1), dtype=np.int64)), TypeError),
     "tuple-values": (Coded(("a", "b"), np.array([0, 1])), TypeError),
-    "int-values-in-two-codes": (Coded([1, 2], np.array([[0, 1], [1, 0]])), TypeError),
-    "int-array-values-in-two-codes": (Coded(int64([1, 2]), np.array([[0, 1]])), TypeError),
     "float32-array-values": (Coded(np.ones(2, np.float32), np.array([0, 1])), TypeError),
     "2-d-array-values": (Coded(np.ones((2, 1)), np.array([0, 1])), TypeError),
     "none-value": (Coded(["a", None], np.array([0, 0])), TypeError),
@@ -524,10 +546,11 @@ BAD_CODED = {
 
 
 def plain_column(column):
-    """A coded column's cells as a plain column: an array over array values, else a list."""
-    if not isinstance(column, Coded):
-        return column
-    return column.values[column.codes] if isinstance(column.values, np.ndarray) else cells(column)
+    """A coded or two-part column's cells as a plain column: an array over array values, else
+    a list."""
+    if isinstance(column, Coded) and isinstance(column.values, np.ndarray):
+        return column.values[column.codes]
+    return cells(column) if isinstance(column, (Coded, tuple)) else column
 
 
 def pieces_per_row(render: Callable) -> float:
@@ -545,10 +568,11 @@ def pieces_per_row(render: Callable) -> float:
     return count
 
 
-def names(n: int) -> list[str]:
-    """Two-code values over ``n`` names, as pattern labels are coded: ``2 n + 1`` texts a part."""
-    base = [f"n{k}" for k in range(n)]
-    return [*base, "", *("+" + v for v in base)]
+def names(n: int, m: int) -> tuple[Coded, Coded]:
+    """A two-part column of 400 rows, as pattern labels are coded: ``n`` names, then ``""``
+    and ``m - 1`` names after a ``+``."""
+    return (Coded([f"n{k}" for k in range(n)], ROWS % n),
+            Coded(["", *(f"+n{k}" for k in range(m - 1))], ROWS % m))
 
 
 #: 400-row tables whose adjacent columns join into at most 100 texts or not, and a one-row
@@ -560,12 +584,8 @@ JOIN_TABLES = {
                                    "b": ROWS % 2 / 2}, 1, 1),
     "51-values-beside-2-floats": ({"a": Coded([f"v{k}" for k in range(51)], ROWS % 51),
                                    "b": ROWS % 2 / 2}, 2, 2),
-    "two-codes-of-9-beside-floats": (
-        {"a": Coded(names(4), np.stack([ROWS % 4, 4 + ROWS % 5], axis=1)), "b": ROWS % 3 / 4},
-        2, 2),
-    "two-codes-of-11-beside-floats": (
-        {"a": Coded(names(5), np.stack([ROWS % 5, 5 + ROWS % 6], axis=1)), "b": ROWS % 3 / 4},
-        2, 2),
+    "parts-of-10-and-10-beside-floats": ({"a": names(10, 10), "b": ROWS % 3 / 4}, 2, 2),
+    "parts-of-10-and-11-beside-floats": ({"a": names(10, 11), "b": ROWS % 3 / 4}, 2, 2),
     "a-float-per-row": ({"a": Coded(["x", "y", "z"], ROWS % 3), "b": ROWS / 7}, 3, 3),
     "one-row": ({"a": Coded(["x"], np.zeros(1, dtype=np.int64)), "b": np.array([0.5])}, 5, 3),
 }
@@ -575,9 +595,8 @@ class TestCodedColumns:
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(table=coded_tables(), chunk=st.sampled_from([1, 2, 5, 1000]))
     @example(
-        table={"pattern": Coded(['"', "\\", ",", "\n", "é€", "none", "",
-                                 '+"', "+\\", "+,", "+\n", "+é€"],
-                                np.array([[5, 6], [0, 6], [0, 8], [2, 10], [4, 11]])),
+        table={"pattern": (Coded(['"', "\\", ",", "\n", "é€", "none"], np.array([5, 0, 0, 2, 4])),
+                           Coded(['+"', "+\\", "+,", "+\n", "+é€", ""], np.array([5, 5, 1, 3, 4]))),
                "p": np.full(5, 0.5)},
         chunk=2,
     )
@@ -592,7 +611,7 @@ class TestCodedColumns:
     @pytest.mark.parametrize(
         "make, json_pieces, table_pieces",
         [(lambda: scenario_clicks(build_tree(7), Statistics.FERMION, 1000, 3), 2, 3),
-         (lambda: scenario_tree(7, Statistics.BOSON), 3, 4),
+         (lambda: scenario_tree(7, Statistics.BOSON), 3, 3),
          (lambda: report_of({"a": Coded(["x", "y"], np.arange(1001) % 2),
                              "b": np.arange(1001) / 7}), 3, 3)],
         ids=["clicks", "tree", "distinct-floats"],
@@ -628,6 +647,22 @@ class TestCodedColumns:
         assert report.to_table() == reference_table(report)
         assert pieces_per_row(report.to_json) == 1
 
+    @pytest.mark.parametrize("neighbour", [200, 300])
+    def test_narrow_part_joins_a_wide_neighbour_without_wrapping(self, neighbour):
+        # three values coded in uint8 beside a part of 200 or 300 texts join into 600 or 900
+        # texts: uint8 codes times 200 wrap, and times 300 overflow, unless widened first
+        rows = np.arange(3 * neighbour * reporting._JOIN_SHARE)
+        second = Coded([f"+v{k}" for k in range(neighbour)], rows // 3 % neighbour)
+
+        def report(dtype):
+            return report_of({"a": (Coded(["x", "y", "z"], (rows % 3).astype(dtype)), second)})
+
+        narrow, wide = report(np.uint8), report(np.int64)
+        assert narrow.to_json() == wide.to_json() == canonical_json(reference_to_dict(wide))
+        assert narrow.to_table() == wide.to_table() == reference_table(wide)
+        assert narrow.to_csv() == wide.to_csv()
+        assert pieces_per_row(narrow.to_json) == 1
+
     def test_joined_codes_widen_before_the_next_join(self):
         # three 10-value columns join into 100 texts, coded in uint8, then into 1,000
         rows = np.arange(4000)
@@ -656,18 +691,19 @@ class TestCodedColumns:
             assert pieces_per_row(copied.to_json) == 4
 
     def test_unused_values_do_not_widen_the_table(self):
-        column = Coded(["a", "a-very-long-unused-name", "b", "", "+b", "+a-very-long-unused-name"],
-                       np.array([[0, 4], [2, 3]]))
+        column = (Coded(["a", "a-very-long-unused-name", "b"], np.array([0, 2])),
+                  Coded(["", "+b", "+a-very-long-unused-name"], np.array([1, 0])))
         assert report_of({"x": column}).to_table().endswith("\n  x  \n  a+b\n  b  \n")
 
     def test_each_value_is_encoded_once(self):
         # the slots hold one text per value, not one per row
-        column = Coded(["C", "D", "none", "", "+C", "+D"], np.array([[2, 3], [0, 3], [0, 5]] * 1000))
+        column = (Coded(["C", "D", "none"], np.array([2, 0, 0] * 1000)),
+                  Coded(["+C", "+D", ""], np.array([2, 2, 1] * 1000)))
         for style in (reporting._JSON, reporting._CSV, reporting._TABLE):
             slots = reporting._column(column, *style)
-            assert [len(texts) for texts, _ in slots] == [6, 6]
+            assert [len(texts) for texts, _ in slots] == [3, 3]
         assert [list(texts) for texts, _ in reporting._column(column, *reporting._JSON)] == [
-            ['"C', '"D', '"none', '"', '"+C', '"+D'], ['C"', 'D"', 'none"', '"', '+C"', '+D"']
+            ['"C', '"D', '"none'], ['+C"', '+D"', '"']
         ]
 
     @pytest.mark.parametrize("column", [
@@ -675,13 +711,21 @@ class TestCodedColumns:
         float64([0.5, -0.0, 0.5]),
         int64([3, -1, 3]),
         Coded(["x", "y"], np.array([1, 1, 0], dtype=np.uint8)),
-        Coded(["C", "none", "", "+C"], np.array([[1, 2], [0, 3], [0, 2]])),
-    ], ids=["str-list", "float64", "int64", "one-code", "two-codes"])
+        (Coded(["C", "none"], np.array([1, 0, 0], np.uint8)),
+         Coded(["+C", ""], np.array([1, 0, 1], np.uint16))),
+    ], ids=["str-list", "float64", "int64", "one-code", "two-parts"])
     def test_every_slot_has_a_code_per_row(self, column):
+        # a coded part's own code array, in its own narrow type; the others' int64
+        coded = column if isinstance(column, tuple) else (column,)
         for style in (reporting._JSON, reporting._CSV, reporting._TABLE):
-            for _, codes in reporting._column(column, *style):
-                assert isinstance(codes, np.ndarray) and codes.dtype.kind == "i"
-                assert codes.shape == (3,)
+            slots = reporting._column(column, *style)
+            assert len(slots) == len(coded)
+            for (_, codes), part in zip(slots, coded):
+                assert isinstance(codes, np.ndarray) and codes.shape == (3,)
+                if isinstance(part, Coded):
+                    assert codes is part.codes
+                else:
+                    assert codes.dtype == np.int64
 
     @pytest.mark.parametrize("render", RENDERERS.values(), ids=RENDERERS)
     @pytest.mark.parametrize("column, error", BAD_CODED.values(), ids=BAD_CODED)

@@ -158,7 +158,7 @@ def correction_label(lower, phase):
 
 HALF = 1 / math.sqrt(2.0)
 #: the names and codes of the one coincidence C+D, as _correction_phases takes them
-CD = (["C", "D"], np.array([[0, 1]]))
+CD = (["C", "D"], (np.array([0]), np.array([1])))
 
 
 class TestCorrectionPhases:
@@ -166,12 +166,28 @@ class TestCorrectionPhases:
         # (i |up down> + |down up>) / sqrt2 needs the down phase i on X; psi+ needs none
         blocks = np.array([[0, 1j, 1, 0], [0, 1, 1, 0]])[..., None] * HALF
         kept = interferometer._KeptPatterns(
-            ["X", "Y", "Z"], np.array([[0, 1], [0, 2]]), 0, 0, np.array([0.5, 0.5]), blocks
+            ["X", "Y", "Z"], (np.array([0, 0], np.uint8), np.array([1, 2], np.uint8)), 0, 0,
+            np.array([0.5, 0.5]), blocks,
         )
         monkeypatch.setattr(scenarios, "_detect_pairs", lambda *args, **kwargs: kept)
         table = scenarios._branch_table(fig1_network(), Statistics.FERMION)[1]
         assert cells(table["correction"]) == ["X:down-phase 0.5pi", "identity"]
         assert cells(table["bell_state"]) == ["other", "psi_plus"]
+
+    def test_correction_codes_widen_before_the_product(self, monkeypatch):
+        # 300 paths coded in uint16, and coincidence k on (k, k + 1) with a phase of its own:
+        # lower path 298 times 299 phases is 89,102, which wraps in uint16 unless widened
+        names = [f"p{k:03d}" for k in range(300)]
+        lo = np.arange(299, dtype=np.uint16)
+        phases = np.exp(1j * np.pi * np.arange(1, 300) / 300)
+        v = np.stack([0 * phases, phases * HALF, np.full(299, HALF), 0 * phases], axis=1)
+        kept = interferometer._KeptPatterns(names, (lo, lo + 1), 0, 0, np.full(299, 1 / 299),
+                                            v[..., None])
+        monkeypatch.setattr(scenarios, "_detect_pairs", lambda *args, **kwargs: kept)
+        table = scenarios._branch_table(fig1_network(), Statistics.FERMION)[1]
+        expected = scenarios._correction_phases(v, names, (lo, lo + 1))
+        assert len(set(expected.tolist())) == 299
+        assert cells(table["correction"]) == list(map(correction_label, names, expected.tolist()))
 
     @pytest.mark.parametrize("statistics", BOTH_STATISTICS)
     @pytest.mark.parametrize(
@@ -181,7 +197,7 @@ class TestCorrectionPhases:
     def test_phases_match_correction_for_branch(self, net, statistics):
         state = opposite_spin_input(statistics, net)
         kept = interferometer._detect_pairs(net, state, coincidences=True)
-        names, pairs, blocks = kept.names, kept.codes[kept.first:], kept.blocks
+        names, pairs, blocks = kept.names, [c[kept.first:] for c in kept.codes], kept.blocks
         coincidences = list(map(frozenset, kept_paths(kept)[kept.first:]))
         phases = scenarios._correction_phases(blocks[:, :, 0], names, pairs)
         branches = detect(run_network(net, state), net.monitored)
@@ -255,14 +271,14 @@ class TestCorrectionPhases:
         # five coincidences of distinct paths: the one at ``at`` is bad, and the last is too
         good = untagged(0, 1j * HALF, HALF, 0)
         v = np.concatenate([bad if k in (at, 4) else good for k in range(5)])
-        names, codes = [f"p{k}" for k in range(10)], np.arange(10).reshape(5, 2)
+        names, codes = [f"p{k}" for k in range(10)], tuple(np.arange(10).reshape(5, 2).T)
         with pytest.raises(NetworkError, match=rf"branch \['p{2 * at}', 'p{2 * at + 1}'\] is not"):
             scenarios._correction_phases(v, names, codes)
 
     def test_phases_name_the_first_bad_coincidence(self):
         v = np.concatenate([untagged(0, HALF, HALF, 0), untagged(0, HALF, math.nan, 0)])
         with pytest.raises(NetworkError, match=r"\['E', 'F'\]"):
-            scenarios._correction_phases(v, ["C", "D", "E", "F"], np.array([[0, 1], [2, 3]]))
+            scenarios._correction_phases(v, ["C", "D", "E", "F"], (np.array([0, 2]), np.array([1, 3])))
 
 
 class TestStatisticsTest:
